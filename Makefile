@@ -2,12 +2,12 @@ GO ?= go
 FUZZTIME ?= 10s
 
 # The benchmark set `make bench-json` tracks: the warm-session cache path,
-# the pipelined garbler, the parallel cycle engine, trace replay and the
-# serial per-cycle primitives they are gated against (BenchmarkTraceReplay
-# rides next to BenchmarkSchedulerCycle — the classify pass replay removes),
-# plus the offline/online split (BenchmarkPooledSession rides next to
-# BenchmarkColdSession — the garbling work the pool moves offline).
-BENCH_SET ?= BenchmarkEngineSessionReuse|BenchmarkGarblerPipeline|BenchmarkParallelCycle|BenchmarkSchedulerCycle|BenchmarkGarbledProcessorCycle|BenchmarkTraceReplay|BenchmarkColdSession|BenchmarkPooledSession
+# the pipelined garbler, the per-cycle primitives and trace replay
+# (BenchmarkTraceReplay rides next to BenchmarkSchedulerCycle — the
+# classify pass replay removes), plus the offline/online split
+# (BenchmarkPooledSession rides next to BenchmarkColdSession — the
+# garbling work the pool moves offline).
+BENCH_SET ?= BenchmarkEngineSessionReuse|BenchmarkGarblerPipeline|BenchmarkSchedulerCycle|BenchmarkGarbledProcessorCycle|BenchmarkTraceReplay|BenchmarkColdSession|BenchmarkPooledSession
 BENCHTIME ?= 50x
 
 # The oblivious-memory crossover pair: garbled tables per memory access
@@ -21,13 +21,14 @@ BENCH_THRESHOLD ?= 1.25
 BENCH_FILE ?= BENCH_$(shell date +%Y-%m-%d).json
 
 # Benchmarks run with the machine's full parallelism: an inherited
-# GOMAXPROCS of 1 silently biases BenchmarkParallelCycle against
-# workers>1. The value lands in the report's hardware fingerprint
-# (gomaxprocs), which gates ns/op comparisons to like hardware.
+# GOMAXPROCS of 1 would serialize the pipelined garbler's producer with
+# its writer and the two parties of the session benchmarks. The value
+# lands in the report's hardware fingerprint (gomaxprocs), which gates
+# ns/op comparisons to like hardware.
 NPROC ?= $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 BENCH_ENV = GOMAXPROCS=$(NPROC)
 
-.PHONY: all build vet analyze test race fuzz-smoke bench-engine bench-pipeline bench-pool bench-oram bench-json bench-baseline bench-compare cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend
+.PHONY: all build vet analyze test race fuzz-smoke bench-engine bench-pipeline bench-pool bench-oram bench-json bench-baseline bench-compare cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark
 
 all: build vet test
 
@@ -156,14 +157,21 @@ test-gateway:
 		. ./internal/gateway ./internal/pool ./internal/cli
 
 # Oblivious-memory backend correctness: the backend-equivalence grid
-# (scan vs sqrt-ORAM, identical decoded outputs across worker/pipeline/
-# batch settings), auto selection, negotiation mismatch rejection, the
+# (scan vs sqrt-ORAM, identical decoded outputs across pipeline/batch
+# settings), auto selection, negotiation mismatch rejection, the
 # wire extension and the obliv/cpu unit suites — shuffled and under the
 # race detector, as in CI's memory-backends job.
 test-membackend:
 	$(GO) test -race -shuffle=on -count=1 \
 		-run 'MemoryBackend|MemBackend|Sqrt|Permute|Backend' \
 		. ./internal/obliv ./internal/cpu ./internal/build ./internal/proto
+
+# The repo benchmark (BENCHMARK.json) lives in its own module under
+# benchmark/, so `go build ./...` and `go test ./...` at the root never
+# compile it: build and test it here so a core/proto refactor cannot
+# silently break it.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

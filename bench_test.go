@@ -10,7 +10,6 @@ package arm2gc
 import (
 	"context"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -225,72 +224,6 @@ func BenchmarkGarbledProcessorCycle(b *testing.B) {
 		e.CopyDFFs()
 		s.Commit()
 	}
-}
-
-// cpu256ForBench builds the 256-word-imem processor (~35k wires, the
-// ROADMAP's hot-path geometry) loaded with a Hamming-512 program image.
-func cpu256ForBench(b *testing.B) (*cpu.CPU, []bool) {
-	b.Helper()
-	w := bencher.HammingWorkload(512)
-	w.Layout.IMemWords = 256
-	w.Layout.ScratchWords = 64
-	p, _, err := w.Program()
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := cpu.Shared(p.Layout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pub, err := c.PublicBits(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c, pub
-}
-
-// benchParallelCycle measures the garbler-side hot path — SkipGate
-// classification plus label work and table garbling — per processor
-// clock cycle on the 256-word layout, at a given worker count.
-func benchParallelCycle(b *testing.B, workers int) {
-	c, pub := cpu256ForBench(b)
-	s := core.NewScheduler(c.Circuit, core.Seed{}, pub)
-	s.SetWorkers(workers)
-	g := core.NewGarbler(s, gc.CryptoRand)
-	var tables []gc.Table
-	garbled := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Classify(false)
-		tables = g.GarbleCycle(tables[:0])
-		garbled += len(tables)
-		g.CopyDFFs()
-		s.Commit()
-	}
-	b.ReportMetric(float64(garbled)/float64(b.N), "tables/cycle")
-}
-
-// BenchmarkParallelCycle compares the serial per-cycle engine against the
-// WithWorkers pool on the big processor layout (`make bench-json` tracks
-// it). The streams are byte-identical; the gap is pure wall clock. The
-// parallel sub-benchmark keeps a fixed name — the worker count rides
-// along as a metric — so the bench-regression gate matches it against
-// the baseline on any hardware; on a single-core runner it measures the
-// coordination overhead instead, and the hardware fingerprint in the
-// JSON keeps such wall-clock numbers from gating cross-machine.
-func BenchmarkParallelCycle(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchParallelCycle(b, 1) })
-	b.Run("parallel", func(b *testing.B) {
-		n := runtime.NumCPU()
-		if n < 2 {
-			n = 2
-		}
-		benchParallelCycle(b, n)
-		// After benchParallelCycle's ResetTimer, which deletes
-		// user-reported metrics.
-		b.ReportMetric(float64(n), "workers")
-	})
 }
 
 // BenchmarkConventionalGCCycle garbles the whole processor conventionally

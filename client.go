@@ -206,10 +206,9 @@ func (c *Client) release() { <-c.sem }
 
 // Evaluate negotiates and runs one session over the Client's connection:
 // it proposes the named program with the explicitly set options
-// (WithOutputMode, WithCycleBatch, WithMaxCycles, WithWorkers,
-// WithMemoryBackend, plus any WithAuthToken bearer token; unset ones take
-// the Server's registered defaults), verifies the granted session id
-// against its own program
+// (WithOutputMode, WithCycleBatch, WithMaxCycles, WithMemoryBackend, plus
+// any WithAuthToken bearer token; unset ones take the Server's registered
+// defaults), verifies the granted session id against its own program
 // copy, and plays the evaluator role contributing the bob input words. It
 // returns the server's rejection as *RejectedError, after which the
 // connection remains usable for further sessions. Cancelling ctx aborts
@@ -246,9 +245,6 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 	}
 	if cfg.maxCyclesSet {
 		prop.MaxCycles = cfg.maxCycles
-	}
-	if cfg.workersSet {
-		prop.Workers = cfg.workers
 	}
 	if cfg.memorySet {
 		// Propose the backend resolved against this side's layout, never
@@ -289,13 +285,6 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 		WithOutputMode(grant.Outputs),
 		WithCycleBatch(grant.CycleBatch),
 		WithMaxCycles(grant.MaxCycles))
-	if cfg.workersSet {
-		// Workers stay a local compute knob: adopt the (capped) granted
-		// count only when this client asked for parallelism — the
-		// server's registered default is its own garbling policy, not a
-		// directive for this side's CPU.
-		resolved = append(resolved, WithWorkers(grant.Workers))
-	}
 	sess, err := c.eng.Session(prog, resolved...)
 	if err != nil {
 		return nil, c.fail(err) // the server expects a session this side won't run

@@ -113,8 +113,6 @@ type sessionConfig struct {
 	cycleBatch    int
 	cycleBatchSet bool
 	pipeline      int
-	workers       int
-	workersSet    bool
 	traceReuse    bool
 	memory        MemoryConfig
 	memorySet     bool
@@ -166,20 +164,6 @@ func WithCycleBatch(n int) Option {
 // peer's. The evaluating side ignores it.
 func WithPipeline(depth int) Option { return func(c *sessionConfig) { c.pipeline = depth } }
 
-// WithWorkers spreads each cycle's SkipGate classification and label work
-// across n goroutines (default 1: serial). The schedule, the statistics
-// and every byte of the garbled stream are identical for any worker
-// count — parallelism only changes who computes each gate — so the knob
-// need not match the peer's and is not part of the session id. It
-// composes with WithPipeline: workers parallelize the compute inside a
-// cycle, the pipeline overlaps whole frames with network I/O. A Client
-// proposing a worker count is capped by the Server registration's own
-// count (server compute is operator policy); n is clamped to the
-// protocol's MaxWorkers bound.
-func WithWorkers(n int) Option {
-	return func(c *sessionConfig) { c.workers = n; c.workersSet = true }
-}
-
 // WithTraceReuse makes the session draw on the Engine's classification-
 // trace cache: the first run of a program records the per-cycle SkipGate
 // schedule as a compiled trace, and every later run of the same program
@@ -187,7 +171,7 @@ func WithWorkers(n int) Option {
 // garbling straight from precompiled gate lists with no classification
 // pass at all. The replayed wire stream is byte-identical to the
 // classified one — the schedule is a pure function of public data — so
-// the knob is local, like WithWorkers and WithPipeline: it is not part
+// the knob is local, like WithPipeline: it is not part
 // of the session id and need not match the peer's. Concurrent first runs
 // singleflight the recording (one records, the rest classify without
 // recording); the cache holds up to DefaultTraceCacheBytes of traces per
@@ -327,7 +311,7 @@ func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 // place session defaults live (Engine.Session and the deprecated Machine
 // shims both go through it).
 func newSessionConfig(opts []Option) (sessionConfig, error) {
-	cfg := sessionConfig{maxCycles: DefaultMaxCycles, cycleBatch: 1, workers: 1}
+	cfg := sessionConfig{maxCycles: DefaultMaxCycles, cycleBatch: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -339,9 +323,6 @@ func newSessionConfig(opts []Option) (sessionConfig, error) {
 	}
 	if cfg.pipeline < 0 {
 		return cfg, fmt.Errorf("arm2gc: WithPipeline(%d): depth cannot be negative", cfg.pipeline)
-	}
-	if cfg.workers < 1 || cfg.workers > proto.MaxWorkers {
-		return cfg, fmt.Errorf("arm2gc: WithWorkers(%d): worker count must be in [1, %d]", cfg.workers, proto.MaxWorkers)
 	}
 	if cfg.readAhead < 0 {
 		return cfg, fmt.Errorf("arm2gc: WithReadAhead(%d): depth cannot be negative", cfg.readAhead)
@@ -434,7 +415,7 @@ func (s *Session) Run(ctx context.Context, alice, bob []uint32) (*RunInfo, error
 	ts := s.traceFor(pub)
 	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: pub, Alice: ab, Bob: bb},
 		core.RunOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Rand: s.cfg.rand, Sink: s.coreSink(),
-			Workers: s.cfg.workers, Trace: ts.trace, Record: ts.record})
+			Trace: ts.trace, Record: ts.record})
 	if err != nil {
 		ts.settle(nil, err)
 		return nil, err
@@ -461,8 +442,7 @@ func (s *Session) Count(ctx context.Context) (*RunInfo, error) {
 		}
 	}
 	st, err := core.Count(ctx, s.m.cpu.Circuit, pub,
-		core.CountOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Sink: s.coreSink(),
-			Workers: s.cfg.workers})
+		core.CountOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Sink: s.coreSink()})
 	if err != nil {
 		return nil, err
 	}
@@ -579,7 +559,6 @@ func (s *Session) protoConfig(pub []bool) proto.Config {
 		Outputs:    s.cfg.outputs,
 		CycleBatch: s.cfg.cycleBatch,
 		Pipeline:   s.cfg.pipeline,
-		Workers:    s.cfg.workers,
 		ReadAhead:  s.cfg.readAhead,
 		Sink:       s.coreSink(),
 	}

@@ -22,7 +22,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Op is a gate operator. Only 2-input gates (plus NOT/BUF) exist, as
@@ -208,12 +207,6 @@ type Circuit struct {
 
 	// Names for diagnostics; may be empty.
 	Name string
-
-	// Lazily computed topological level partition (see Levels). Cached on
-	// the circuit so every engine sharing a machine-cache netlist also
-	// shares one partition.
-	levelsOnce sync.Once
-	levels     *LevelPartition
 }
 
 // NumWires returns the size of the wire space.

@@ -41,14 +41,13 @@ type SessionOpts struct {
 	cycleBatch *int
 	outputMode *string
 	pipeline   *int
-	workers    *int
 	readAhead  *int
 	memBackend *string
 }
 
 // SessionFlags registers the session-option flags the two-party tools
-// share: -max-cycles, -cycle-batch, -output-mode, -pipeline, -workers,
-// -read-ahead and -mem-backend. Call Options after flag.Parse to assemble
+// share: -max-cycles, -cycle-batch, -output-mode, -pipeline, -read-ahead
+// and -mem-backend. Call Options after flag.Parse to assemble
 // the option list.
 func SessionFlags() *SessionOpts {
 	return &SessionOpts{
@@ -56,7 +55,6 @@ func SessionFlags() *SessionOpts {
 		cycleBatch: flag.Int("cycle-batch", 1, "cycles of garbled tables per network frame (both parties must agree)"),
 		outputMode: flag.String("output-mode", "both", "who learns the outputs: both | garbler | evaluator (both parties must agree)"),
 		pipeline:   flag.Int("pipeline", 0, "garbler-side lookahead: frames garbled ahead of the network writer (0 = serial)"),
-		workers:    flag.Int("workers", 1, "per-cycle classify/garble worker goroutines (1 = serial; a client proposal is capped by the server's registered count)"),
 		readAhead:  flag.Int("read-ahead", 0, "evaluator-side lookahead: frames buffered off the socket ahead of the cycle loop (0 = synchronous)"),
 		memBackend: flag.String("mem-backend", "auto", "oblivious data-memory backend: auto | scan | sqrt-oram (both parties must agree; auto picks by memory size)"),
 	}
@@ -86,9 +84,6 @@ func (o *SessionOpts) Options(onlySet bool) ([]arm2gc.Option, error) {
 	}
 	if include("pipeline") {
 		opts = append(opts, arm2gc.WithPipeline(*o.pipeline))
-	}
-	if include("workers") {
-		opts = append(opts, arm2gc.WithWorkers(*o.workers))
 	}
 	if include("read-ahead") {
 		opts = append(opts, arm2gc.WithReadAhead(*o.readAhead))

@@ -21,7 +21,7 @@ import (
 //	  "programs": [
 //	    {"name": "addmax", "c": "addmax.c",
 //	     "garbler_input": [1000], "max_cycles": 10000,
-//	     "cycle_batch": 8, "pipeline": 2, "workers": 4,
+//	     "cycle_batch": 8, "pipeline": 2,
 //	     "output_mode": "both", "memory_backend": "auto",
 //	     "auth_token": "team-a-secret", "garble_ahead": 4},
 //	    {"name": "hamming", "asm": "hamming.s",
@@ -61,7 +61,6 @@ type RegistryProgram struct {
 	MaxCycles    int             `json:"max_cycles"`
 	CycleBatch   int             `json:"cycle_batch"`
 	Pipeline     int             `json:"pipeline"`
-	Workers      int             `json:"workers"`
 	OutputMode   string          `json:"output_mode"`
 	MemBackend   string          `json:"memory_backend"`
 	AuthToken    string          `json:"auth_token"`
@@ -179,9 +178,6 @@ func loadProgram(dir string, rp RegistryProgram, defLayout arm2gc.Layout) (Regis
 	}
 	if rp.Pipeline != 0 {
 		opts = append(opts, arm2gc.WithPipeline(rp.Pipeline))
-	}
-	if rp.Workers != 0 {
-		opts = append(opts, arm2gc.WithWorkers(rp.Workers))
 	}
 	if rp.OutputMode != "" {
 		mode, err := ParseOutputMode(rp.OutputMode)

@@ -127,6 +127,12 @@ func TestLoadRegistryErrors(t *testing.T) {
 			wantErr:  "unknown field",
 		},
 		{
+			name:     "removed workers key",
+			manifest: `{"programs": [{"name": "p", "c": "add.c", "workers": 4}]}`,
+			files:    map[string]string{"add.c": addC},
+			wantErr:  `unknown field "workers"`,
+		},
+		{
 			name:     "source does not compile",
 			manifest: `{"programs": [{"name": "p", "c": "bad.c"}]}`,
 			files:    map[string]string{"bad.c": "void gc_main(int x) {"},

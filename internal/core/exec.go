@@ -8,10 +8,10 @@ import (
 	"arm2gc/internal/gc"
 )
 
-// Garbler is Alice's crypto executor: it follows the shared Scheduler and
-// does label work only for the gates the schedule says are needed. In
-// trace replay (NewReplayGarbler) there is no scheduler — S is nil and the
-// compiled trace drives the label walk instead.
+// Garbler is Alice's crypto executor: it runs compiled cycles through its
+// one kernel, GarbleCycleTrace, doing label work only for the gates the
+// schedule kept. S is the scheduler it was attached to by NewGarbler, or
+// nil for an executor fed CycleTraces from elsewhere (NewReplayGarbler).
 type Garbler struct {
 	S *Scheduler
 	R gc.Label
@@ -22,23 +22,26 @@ type Garbler struct {
 	alice   []gc.Label // X0 per Alice input bit
 	bob     []gc.Label // X0 per Bob input bit
 	dffNext []gc.Label
-	tables  []gc.Table // per-cycle slot buffer (scheduler table layout)
-	scratch []gc.Table // GarbleCycleAppend's reusable table buffer
+	scratch []gc.Table // GarbleCycleTraceAppend's reusable table buffer
 }
 
-// NewGarbler creates Alice's executor over a scheduler, drawing labels
-// from rnd.
+// NewGarbler creates Alice's executor attached to a scheduler — from then
+// on every Classify compiles the cycle for GarbleCycle — drawing labels
+// from rnd. Create it before the first Classify.
 func NewGarbler(s *Scheduler, rnd io.Reader) *Garbler {
-	return newGarbler(s.C, s, rnd)
+	s.emit = true
+	g := NewReplayGarbler(s.C, rnd)
+	g.S = s
+	return g
 }
 
-// newGarbler is the shared constructor behind NewGarbler and
-// NewReplayGarbler. The label draws (R, then Alice's bits, then Bob's)
-// happen in one fixed order so a replaying garbler given the same
-// randomness produces the same labels as a classifying one.
-func newGarbler(c *circuit.Circuit, s *Scheduler, rnd io.Reader) *Garbler {
+// NewReplayGarbler creates Alice's executor with no scheduler: the caller
+// hands GarbleCycleTrace its cycles, from a Schedule or a recorded Trace.
+// The label draws (R, then Alice's bits, then Bob's) happen in one fixed
+// order, so executors given the same randomness produce the same labels —
+// and therefore the same wire bytes — however their cycles are sourced.
+func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
 	g := &Garbler{
-		S:       s,
 		c:       c,
 		R:       gc.RandDelta(rnd),
 		h:       gc.NewHash(),
@@ -109,157 +112,67 @@ func (g *Garbler) BobPairs() [][2]gc.Label {
 }
 
 // GarbleCycle performs Alice's side of the current classified cycle
-// (between Scheduler.Classify and Scheduler.Commit): it computes false
-// labels for every live secret wire and appends one table per surviving
-// category-iv non-XOR gate to dst, in topological order. With scheduler
-// workers > 1 the label walk runs level-parallel; every table is written
-// into the slot the scheduler assigned it, so the appended sequence — and
-// therefore the wire bytes — is identical for any worker count.
+// (between Scheduler.Classify and Scheduler.Commit): the kernel run on the
+// attached scheduler's compiled cycle.
 func (g *Garbler) GarbleCycle(dst []gc.Table) []gc.Table {
-	s := g.S
-	c := s.C
-	base := uint64(s.cycle-1) * uint64(len(c.Gates))
-	if s.workers > 1 {
-		if cap(g.tables) < s.numTables {
-			g.tables = make([]gc.Table, s.numTables)
-		}
-		tabs := g.tables[:s.numTables]
-		s.forkWorkers(func(id int) {
-			s.walkLevels(id, func(gates []int32) {
-				for _, gi := range gates {
-					g.garbleGate(int(gi), base, tabs)
-				}
-			})
-		})
-		return append(dst, tabs...)
-	}
-	// Serial fast path: one inline walk in gate order, appending tables as
-	// they are produced — the emission order the parallel path's slots
-	// reproduce (the byte-identical tests in core, cpu and proto pin the
-	// two paths against each other).
-	for i := range c.Gates {
-		if s.fan[i] <= 0 {
-			continue
-		}
-		gate := &c.Gates[i]
-		out := int(c.GateBase) + i
-		switch s.act[i] {
-		case actPub:
-			// no label
-		case actCopyA:
-			g.x0[out] = g.x0[gate.A]
-		case actCopyAInv:
-			g.x0[out] = g.x0[gate.A].Xor(g.R)
-		case actCopyB:
-			g.x0[out] = g.x0[gate.B]
-		case actCopyBInv:
-			g.x0[out] = g.x0[gate.B].Xor(g.R)
-		case actCopyS:
-			g.x0[out] = g.x0[gate.S]
-		case actCopySInv:
-			g.x0[out] = g.x0[gate.S].Xor(g.R)
-		case actXor:
-			g.x0[out] = g.x0[gate.A].Xor(g.x0[gate.B])
-			if gate.Op == circuit.XNOR {
-				g.x0[out] = g.x0[out].Xor(g.R)
+	return g.GarbleCycleTrace(&g.S.ct, g.S.cycle, dst)
+}
+
+// GarbleCycleTrace is the garbler's gate-execution kernel: it runs compiled
+// cycle ct as 1-based cycle cyc, computing false labels for every live
+// secret wire and appending one table per garbled op to dst, in emission
+// (gate) order. It never consults a scheduler: the op arrays drive the
+// label work directly, so a cycle costs its label XORs plus the
+// fixed-key AES of the surviving garbled gates.
+func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc.Table {
+	base := uint64(cyc-1) * uint64(len(g.c.Gates))
+	x0, r := g.x0, g.R
+	ci, gi := 0, 0
+	for _, seg := range ct.segs {
+		for end := ci + int(seg.copies); ci < end; ci++ {
+			out := ct.copyOut[ci]
+			switch ct.copyAct[ci] {
+			case topCopy:
+				x0[out] = x0[ct.copyA[ci]]
+			case topCopyInv:
+				x0[out] = x0[ct.copyA[ci]].Xor(r)
+			case topXor:
+				x0[out] = x0[ct.copyA[ci]].Xor(x0[ct.copyB[ci]])
+			default: // topXorInv
+				x0[out] = x0[ct.copyA[ci]].Xor(x0[ct.copyB[ci]]).Xor(r)
 			}
-		case actMuxXor:
-			g.x0[out] = g.x0[gate.S].Xor(g.x0[gate.A])
-		case actGarble:
-			gid := base + uint64(i)
+		}
+		for end := gi + int(seg.garbles); gi < end; gi++ {
+			gid := base + uint64(ct.garbGate[gi])
+			a, b := x0[ct.garbA[gi]], x0[ct.garbB[gi]]
 			var c0 gc.Label
 			var t gc.Table
-			if gate.Op == circuit.MUX {
-				c0, t = g.garbleMux(gate, gid)
-			} else {
-				c0, t = gc.GarbleGate(g.h, g.R, gate.Op, g.x0[gate.A], g.x0[gate.B], gid)
+			switch ct.garbKind[gi] {
+			case tgGate:
+				c0, t = gc.GarbleGate(g.h, r, circuit.Op(ct.garbOp[gi]), a, b, gid)
+			case tgMux:
+				c0, t = gc.GarbleMux(g.h, r, x0[ct.garbS[gi]], a, b, gid)
+			case tgAndFF:
+				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, false, false, false)
+			case tgAndFTT:
+				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, false, true, true)
+			case tgAndTFF:
+				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, true, false, false)
+			default: // tgAndTTT
+				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, true, true, true)
 			}
-			g.x0[out] = c0
+			x0[ct.garbOut[gi]] = c0
 			dst = append(dst, t)
 		}
 	}
 	return dst
 }
 
-// garbleGate does Alice's label work for one gate: false label for the
-// output wire, plus the garbled table in its scheduler-assigned slot for
-// surviving category-iv gates. It reads only input-wire labels (earlier
-// levels) and writes only gate-owned slots, so a topological level can
-// garble concurrently.
-func (g *Garbler) garbleGate(i int, base uint64, tabs []gc.Table) {
-	s := g.S
-	if s.fan[i] <= 0 {
-		return
-	}
-	gate := &s.C.Gates[i]
-	out := int(s.C.GateBase) + i
-	switch s.act[i] {
-	case actPub:
-		// no label
-	case actCopyA:
-		g.x0[out] = g.x0[gate.A]
-	case actCopyAInv:
-		g.x0[out] = g.x0[gate.A].Xor(g.R)
-	case actCopyB:
-		g.x0[out] = g.x0[gate.B]
-	case actCopyBInv:
-		g.x0[out] = g.x0[gate.B].Xor(g.R)
-	case actCopyS:
-		g.x0[out] = g.x0[gate.S]
-	case actCopySInv:
-		g.x0[out] = g.x0[gate.S].Xor(g.R)
-	case actXor:
-		g.x0[out] = g.x0[gate.A].Xor(g.x0[gate.B])
-		if gate.Op == circuit.XNOR {
-			g.x0[out] = g.x0[out].Xor(g.R)
-		}
-	case actMuxXor:
-		g.x0[out] = g.x0[gate.S].Xor(g.x0[gate.A])
-	case actGarble:
-		gid := base + uint64(i)
-		var c0 gc.Label
-		var t gc.Table
-		if gate.Op == circuit.MUX {
-			c0, t = g.garbleMux(gate, gid)
-		} else {
-			c0, t = gc.GarbleGate(g.h, g.R, gate.Op, g.x0[gate.A], g.x0[gate.B], gid)
-		}
-		g.x0[out] = c0
-		tabs[s.slot[i]] = t
-	}
-}
-
-// garbleMux garbles a category-iv MUX. With both data inputs secret it is
-// the atomic A ⊕ AND(S, A⊕B) form; with one data input public (which has
-// no label under SkipGate) it degenerates to a 2-secret AND/OR shape.
-// Both parties derive the same shape from the shared scheduler states.
-func (g *Garbler) garbleMux(gate *circuit.Gate, gid uint64) (gc.Label, gc.Table) {
-	s := g.S
-	sa, sb := s.st[gate.A], s.st[gate.B]
-	switch {
-	case sa == stSecret && sb == stSecret:
-		return gc.GarbleMux(g.h, g.R, g.x0[gate.S], g.x0[gate.A], g.x0[gate.B], gid)
-	case sa != stSecret:
-		if sa == stPub1 { // out = S ? B : 1 = ¬(S ∧ ¬B)
-			return gc.GarbleAndInv(g.h, g.R, g.x0[gate.S], g.x0[gate.B], gid, false, true, true)
-		}
-		// out = S ? B : 0 = S ∧ B
-		return gc.GarbleAndInv(g.h, g.R, g.x0[gate.S], g.x0[gate.B], gid, false, false, false)
-	default:
-		if sb == stPub1 { // out = S ? 1 : A = ¬(¬S ∧ ¬A)
-			return gc.GarbleAndInv(g.h, g.R, g.x0[gate.S], g.x0[gate.A], gid, true, true, true)
-		}
-		// out = S ? 0 : A = ¬S ∧ A
-		return gc.GarbleAndInv(g.h, g.R, g.x0[gate.S], g.x0[gate.A], gid, true, false, false)
-	}
-}
-
-// GarbleCycleAppend garbles the current classified cycle like GarbleCycle
-// but serializes the tables straight into dst in wire order (TG then TE
-// per table) — the garble-ahead hook the protocol's frame producer uses
-// to fill payload buffers without an intermediate table slice.
-func (g *Garbler) GarbleCycleAppend(dst []byte) []byte {
-	g.scratch = g.GarbleCycle(g.scratch[:0])
+// GarbleCycleTraceAppend is GarbleCycleTrace serializing the tables
+// straight into a payload buffer in wire order (TG then TE per table) —
+// what the protocol's frame producer fills its frames with.
+func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []byte {
+	g.scratch = g.GarbleCycleTrace(ct, cyc, g.scratch[:0])
 	for _, t := range g.scratch {
 		tg, te := t.TG.Bytes(), t.TE.Bytes()
 		dst = append(dst, tg[:]...)
@@ -268,9 +181,8 @@ func (g *Garbler) GarbleCycleAppend(dst []byte) []byte {
 	return dst
 }
 
-// CopyDFFs performs the end-of-cycle flip-flop label copy (call before
-// Scheduler.Commit; replay runs have no scheduler and just call it
-// between cycles).
+// CopyDFFs performs the end-of-cycle flip-flop label copy; call it between
+// cycles, after the kernel.
 func (g *Garbler) CopyDFFs() {
 	c := g.c
 	for i, d := range c.DFFs {
@@ -287,9 +199,8 @@ func (g *Garbler) DecodeBit(w circuit.Wire) bool { return g.x0[w].Bit() }
 // X0 exposes a wire's false label (tests and the protocol layer).
 func (g *Garbler) X0(w circuit.Wire) gc.Label { return g.x0[w] }
 
-// Evaluator is Bob's crypto executor, mirroring Garbler with active
-// labels; like the Garbler, it runs schedulerless (S == nil) in trace
-// replay.
+// Evaluator is Bob's crypto executor, mirroring Garbler with active labels
+// and EvalCycleTrace as its one kernel.
 type Evaluator struct {
 	S *Scheduler
 
@@ -299,16 +210,19 @@ type Evaluator struct {
 	dffNext []gc.Label
 }
 
-// NewEvaluator creates Bob's executor over a scheduler.
+// NewEvaluator creates Bob's executor attached to a scheduler (see
+// NewGarbler).
 func NewEvaluator(s *Scheduler) *Evaluator {
-	return newEvaluator(s.C, s)
+	s.emit = true
+	e := NewReplayEvaluator(s.C)
+	e.S = s
+	return e
 }
 
-// newEvaluator is the shared constructor behind NewEvaluator and
-// NewReplayEvaluator.
-func newEvaluator(c *circuit.Circuit, s *Scheduler) *Evaluator {
+// NewReplayEvaluator creates Bob's executor with no scheduler (see
+// NewReplayGarbler).
+func NewReplayEvaluator(c *circuit.Circuit) *Evaluator {
 	return &Evaluator{
-		S:       s,
 		c:       c,
 		h:       gc.NewHash(),
 		x:       make([]gc.Label, c.NumWires()),
@@ -336,114 +250,52 @@ func (e *Evaluator) SetInputs(aliceActive, bobChosen []gc.Label) error {
 	return nil
 }
 
-// EvalCycle performs Bob's side of the current classified cycle, consuming
-// tables from ts in order; it returns the unconsumed remainder. With
-// scheduler workers > 1 the walk runs level-parallel, each gate reading
-// its table from the slot the shared schedule assigned it — the same
-// positions the serial walk consumes one by one.
+// EvalCycle performs Bob's side of the current classified cycle, mirroring
+// Garbler.GarbleCycle.
 func (e *Evaluator) EvalCycle(ts []gc.Table) ([]gc.Table, error) {
-	s := e.S
-	c := s.C
-	base := uint64(s.cycle-1) * uint64(len(c.Gates))
-	if s.workers > 1 {
-		if len(ts) < s.numTables {
-			return nil, fmt.Errorf("core: table stream exhausted: cycle %d needs %d tables, have %d", s.cycle, s.numTables, len(ts))
-		}
-		cur := ts[:s.numTables]
-		s.forkWorkers(func(id int) {
-			s.walkLevels(id, func(gates []int32) {
-				for _, gi := range gates {
-					e.evalGate(int(gi), base, cur)
-				}
-			})
-		})
-		return ts[s.numTables:], nil
+	return e.EvalCycleTrace(&e.S.ct, e.S.cycle, ts)
+}
+
+// EvalCycleTrace is the evaluator's gate-execution kernel: it runs compiled
+// cycle ct as 1-based cycle cyc, consuming one table per garbled op from
+// ts in order, and returns the unconsumed remainder.
+func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc.Table, error) {
+	if len(ts) < len(ct.garbKind) {
+		return nil, fmt.Errorf("core: table stream exhausted: cycle %d needs %d tables, have %d",
+			cyc, len(ct.garbKind), len(ts))
 	}
-	// Serial fast path, mirroring Garbler.GarbleCycle's inline walk.
-	for i := range c.Gates {
-		if s.fan[i] <= 0 {
-			continue
-		}
-		gate := &c.Gates[i]
-		out := int(c.GateBase) + i
-		switch s.act[i] {
-		case actPub:
-			// no label
-		case actCopyA, actCopyAInv:
-			e.x[out] = e.x[gate.A]
-		case actCopyB, actCopyBInv:
-			e.x[out] = e.x[gate.B]
-		case actCopyS, actCopySInv:
-			e.x[out] = e.x[gate.S]
-		case actXor:
-			e.x[out] = e.x[gate.A].Xor(e.x[gate.B])
-		case actMuxXor:
-			e.x[out] = e.x[gate.S].Xor(e.x[gate.A])
-		case actGarble:
-			if len(ts) == 0 {
-				return nil, fmt.Errorf("core: table stream exhausted at gate %d (cycle %d)", i, s.cycle)
-			}
-			gid := base + uint64(i)
-			if gate.Op == circuit.MUX {
-				e.x[out] = e.evalMux(gate, ts[0], gid)
+	base := uint64(cyc-1) * uint64(len(e.c.Gates))
+	x := e.x
+	ci, gi := 0, 0
+	for _, seg := range ct.segs {
+		for end := ci + int(seg.copies); ci < end; ci++ {
+			out := ct.copyOut[ci]
+			// The evaluator holds active labels: inversions are the
+			// garbler's business, so the four copy codes collapse to two.
+			if ct.copyAct[ci] < topXor {
+				x[out] = x[ct.copyA[ci]]
 			} else {
-				e.x[out] = gc.EvalGate(e.h, gate.Op, e.x[gate.A], e.x[gate.B], ts[0], gid)
+				x[out] = x[ct.copyA[ci]].Xor(x[ct.copyB[ci]])
 			}
-			ts = ts[1:]
+		}
+		for end := gi + int(seg.garbles); gi < end; gi++ {
+			gid := base + uint64(ct.garbGate[gi])
+			t := ts[gi]
+			a, b := x[ct.garbA[gi]], x[ct.garbB[gi]]
+			switch ct.garbKind[gi] {
+			case tgGate:
+				x[ct.garbOut[gi]] = gc.EvalGate(e.h, circuit.Op(ct.garbOp[gi]), a, b, t, gid)
+			case tgMux:
+				x[ct.garbOut[gi]] = gc.EvalMux(e.h, x[ct.garbS[gi]], a, b, t, gid)
+			default: // the AndInv shapes all evaluate as a half-gates AND
+				x[ct.garbOut[gi]] = gc.EvalAnd(e.h, a, b, t, gid)
+			}
 		}
 	}
-	return ts, nil
+	return ts[len(ct.garbKind):], nil
 }
 
-// evalGate mirrors Garbler.garbleGate with active labels.
-func (e *Evaluator) evalGate(i int, base uint64, tabs []gc.Table) {
-	s := e.S
-	if s.fan[i] <= 0 {
-		return
-	}
-	gate := &s.C.Gates[i]
-	out := int(s.C.GateBase) + i
-	switch s.act[i] {
-	case actPub:
-		// no label
-	case actCopyA, actCopyAInv:
-		e.x[out] = e.x[gate.A]
-	case actCopyB, actCopyBInv:
-		e.x[out] = e.x[gate.B]
-	case actCopyS, actCopySInv:
-		e.x[out] = e.x[gate.S]
-	case actXor:
-		e.x[out] = e.x[gate.A].Xor(e.x[gate.B])
-	case actMuxXor:
-		e.x[out] = e.x[gate.S].Xor(e.x[gate.A])
-	case actGarble:
-		gid := base + uint64(i)
-		t := tabs[s.slot[i]]
-		if gate.Op == circuit.MUX {
-			e.x[out] = e.evalMux(gate, t, gid)
-		} else {
-			e.x[out] = gc.EvalGate(e.h, gate.Op, e.x[gate.A], e.x[gate.B], t, gid)
-		}
-	}
-}
-
-// evalMux mirrors Garbler.garbleMux: the shape is derived from the shared
-// scheduler wire states, and public data inputs contribute no labels.
-func (e *Evaluator) evalMux(gate *circuit.Gate, t gc.Table, gid uint64) gc.Label {
-	s := e.S
-	sa, sb := s.st[gate.A], s.st[gate.B]
-	switch {
-	case sa == stSecret && sb == stSecret:
-		return gc.EvalMux(e.h, e.x[gate.S], e.x[gate.A], e.x[gate.B], t, gid)
-	case sa != stSecret:
-		return gc.EvalAnd(e.h, e.x[gate.S], e.x[gate.B], t, gid)
-	default:
-		return gc.EvalAnd(e.h, e.x[gate.S], e.x[gate.A], t, gid)
-	}
-}
-
-// CopyDFFs performs the end-of-cycle flip-flop label copy (call before
-// Scheduler.Commit; schedulerless in replay).
+// CopyDFFs performs the end-of-cycle flip-flop label copy.
 func (e *Evaluator) CopyDFFs() {
 	c := e.c
 	for i, d := range c.DFFs {

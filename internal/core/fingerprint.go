@@ -54,17 +54,11 @@ type Seed [16]byte
 
 // fpGen derives fingerprints with AES in a tweaked-block construction.
 // The scratch buffers make derive allocation-free in the scheduler's hot
-// loop, at the price of making one fpGen single-goroutine; a parallel
-// scheduler forks one generator per worker (same key, so identical
-// outputs) instead of sharing the scratch.
+// loop, at the price of making one fpGen single-goroutine.
 type fpGen struct {
 	block   cipher.Block
 	in, out [16]byte
 }
-
-// fork returns a generator deriving the same fingerprints with its own
-// scratch buffers. The AES block is stateless and shared.
-func (g *fpGen) fork() *fpGen { return &fpGen{block: g.block} }
 
 func newFPGen(seed Seed) *fpGen {
 	b, err := aes.NewCipher(seed[:])

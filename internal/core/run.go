@@ -35,17 +35,11 @@ type RunOpts struct {
 	// classified — live progress for long runs.
 	Sink func(cycle int, cs CycleStats)
 
-	// Workers is the per-cycle worker count for the classify/garble/eval
-	// passes (see Scheduler.SetWorkers); <= 1 means serial. Results and
-	// statistics are identical for every value.
-	Workers int
-
 	// Trace, when set, replays a recorded classification schedule instead
 	// of running the Scheduler: no Classify, just trace-driven label work.
 	// The trace must have been recorded for the same circuit, public input
-	// and Cycles budget. Workers is ignored (replay is already cheaper
-	// than the parallel classified path) and StopOutput is served from the
-	// trace's recorded halt.
+	// and Cycles budget; StopOutput is served from the trace's recorded
+	// halt.
 	Trace *Trace
 
 	// Record, when true, compiles this run's classification schedule into
@@ -64,123 +58,23 @@ type RunResult struct {
 }
 
 // RunLocal executes the full two-party SkipGate protocol in process: one
-// shared Scheduler, Alice's Garbler and Bob's Evaluator, with oblivious
-// transfer simulated by direct delivery. It verifies that the table stream
-// is consumed exactly and decodes the outputs. Cancelling ctx aborts the
-// cycle loop with ctx.Err().
+// shared Schedule feeding Alice's Garbler and Bob's Evaluator, with
+// oblivious transfer simulated by direct delivery. It verifies that the
+// table stream is consumed exactly and decodes the outputs. Cancelling ctx
+// aborts the cycle loop with ctx.Err().
 func RunLocal(ctx context.Context, c *circuit.Circuit, in sim.Inputs, opts RunOpts) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.Cycles <= 0 {
-		return nil, fmt.Errorf("core: RunOpts.Cycles = %d", opts.Cycles)
 	}
 	rnd := opts.Rand
 	if rnd == nil {
 		rnd = gc.CryptoRand
 	}
-	if opts.Trace != nil {
-		if opts.Record {
-			return nil, fmt.Errorf("core: RunOpts.Record with RunOpts.Trace: a replayed run has no scheduler to record")
-		}
-		if opts.RecordEveryCycle {
-			return nil, fmt.Errorf("core: RunOpts.RecordEveryCycle is not supported under trace replay")
-		}
-		return runLocalReplay(ctx, c, in, opts, rnd)
+	if opts.Trace != nil && opts.RecordEveryCycle {
+		return nil, fmt.Errorf("core: RunOpts.RecordEveryCycle is not supported under trace replay")
 	}
-	s := NewScheduler(c, opts.Seed, in.Public)
-	if err := s.SetWorkers(opts.Workers); err != nil {
-		return nil, err
-	}
-	g := NewGarbler(s, rnd)
-	e := NewEvaluator(s)
-	if err := deliverInputs(g, e, in); err != nil {
-		return nil, err
-	}
-	var rec *TraceRecorder
-	if opts.Record {
-		rec = NewTraceRecorder(s)
-	}
-
-	res := &RunResult{}
-	stopWire := circuit.Wire(-1)
-	if opts.StopOutput != "" {
-		stop := c.FindOutput(opts.StopOutput)
-		if stop == nil {
-			return nil, fmt.Errorf("core: no output %q", opts.StopOutput)
-		}
-		stopWire = c.ResolveOutput(stop.Wires[0])
-	}
-
-	// Outputs are sampled after the flip-flop copy; Q-wire outputs resolve
-	// to their D wires so they can be read before Commit.
-	ws := c.OutputWires()
-	for i, w := range ws {
-		ws[i] = c.ResolveOutput(w)
-	}
-	for cyc := 1; cyc <= opts.Cycles; cyc++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		final := cyc == opts.Cycles
-		cs := s.Classify(final)
-		res.Stats.Total.Add(cs)
-		res.Stats.Cycles++
-		if opts.Sink != nil {
-			opts.Sink(cyc, cs)
-		}
-		// The halt verdict is schedule-only (a public wire state), so it is
-		// known right after Classify — and the recorder compiles it into
-		// the trace alongside the cycle's ops.
-		halted := false
-		if stopWire >= 0 {
-			if v, pub := s.WireState(stopWire); pub && v {
-				halted = true
-			}
-		}
-		if rec != nil {
-			rec.RecordCycle(cs, halted)
-		}
-
-		tables := g.GarbleCycle(nil)
-		rest, err := e.EvalCycle(tables)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("core: cycle %d: %d garbled tables unconsumed", cyc, len(rest))
-		}
-
-		if opts.RecordEveryCycle || final || halted {
-			out, err := decodeOutputs(s, g, e, ws)
-			if err != nil {
-				return nil, err
-			}
-			if opts.RecordEveryCycle {
-				res.PerCycle = append(res.PerCycle, out)
-			}
-			res.Outputs = out
-		}
-		if halted {
-			res.Halted = true
-			break
-		}
-
-		g.CopyDFFs()
-		e.CopyDFFs()
-		s.Commit()
-	}
-	if rec != nil {
-		res.Trace = rec.Finish(res.Halted)
-	}
-	return res, nil
-}
-
-// runLocalReplay is RunLocal's trace-replay path: no scheduler, both
-// executors driven by the compiled trace.
-func runLocalReplay(ctx context.Context, c *circuit.Circuit, in sim.Inputs, opts RunOpts, rnd io.Reader) (*RunResult, error) {
-	tr := opts.Trace
-	if err := tr.Validate(opts.Cycles); err != nil {
+	sc, err := NewSchedule(c, in.Public, opts)
+	if err != nil {
 		return nil, err
 	}
 	g := NewReplayGarbler(c, rnd)
@@ -188,39 +82,37 @@ func runLocalReplay(ctx context.Context, c *circuit.Circuit, in sim.Inputs, opts
 	if err := deliverInputs(g, e, in); err != nil {
 		return nil, err
 	}
+
 	res := &RunResult{}
 	var tables []gc.Table
-	n := tr.NumCycles()
-	for cyc := 1; cyc <= n; cyc++ {
+	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ct := tr.Cycle(cyc)
-		res.Stats.Total.Add(ct.Stats)
-		res.Stats.Cycles++
-		if opts.Sink != nil {
-			opts.Sink(cyc, ct.Stats)
-		}
-		tables = g.GarbleCycleTrace(ct, cyc, tables[:0])
-		rest, err := e.EvalCycleTrace(ct, cyc, tables)
+		ct := sc.Next()
+		tables = g.GarbleCycleTrace(ct, sc.Cycle(), tables[:0])
+		rest, err := e.EvalCycleTrace(ct, sc.Cycle(), tables)
 		if err != nil {
 			return nil, err
 		}
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("core: cycle %d: %d garbled tables unconsumed in replay", cyc, len(rest))
+			return nil, fmt.Errorf("core: cycle %d: %d garbled tables unconsumed", sc.Cycle(), len(rest))
 		}
-		if cyc == n {
-			out, err := decodeOutputsTrace(tr, g, e)
-			if err != nil {
+		if opts.RecordEveryCycle || sc.Done() {
+			if res.Outputs, err = decodeOutputs(sc, g, e); err != nil {
 				return nil, err
 			}
-			res.Outputs = out
-			res.Halted = ct.Halted
+			if opts.RecordEveryCycle {
+				res.PerCycle = append(res.PerCycle, res.Outputs)
+			}
+		}
+		if sc.Done() {
 			break
 		}
 		g.CopyDFFs()
 		e.CopyDFFs()
 	}
+	res.Stats, res.Halted, res.Trace = sc.Stats(), sc.Halted(), sc.Trace()
 	return res, nil
 }
 
@@ -242,41 +134,21 @@ func deliverInputs(g *Garbler, e *Evaluator, in sim.Inputs) error {
 // decodeOutputs combines public wire values with point-and-permute
 // decoding of secret wires, cross-checking Bob's active label against
 // Alice's label pair.
-func decodeOutputs(s *Scheduler, g *Garbler, e *Evaluator, ws []circuit.Wire) ([]bool, error) {
+func decodeOutputs(sc *Schedule, g *Garbler, e *Evaluator) ([]bool, error) {
+	ws := sc.OutputWires()
 	out := make([]bool, len(ws))
 	for i, w := range ws {
-		if v, pub := s.WireState(w); pub {
+		if v, pub := sc.OutputState(i); pub {
 			out[i] = v
 			continue
 		}
-		v := e.ActiveBit(w) != g.DecodeBit(w)
 		// Consistency check available only in-process: the active label
 		// must be one of Alice's pair.
 		x := e.Active(w)
 		if x != g.X0(w) && x != g.X0(w).Xor(g.R) {
 			return nil, fmt.Errorf("core: output wire %d: active label matches neither X0 nor X1", w)
 		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// decodeOutputsTrace mirrors decodeOutputs for replayed runs: public
-// output values come from the trace, secret ones from the labels.
-func decodeOutputsTrace(tr *Trace, g *Garbler, e *Evaluator) ([]bool, error) {
-	out := make([]bool, tr.NumOutputs())
-	for i := range out {
-		if v, pub := tr.OutputState(i); pub {
-			out[i] = v
-			continue
-		}
-		w := tr.OutputWire(i)
-		v := e.ActiveBit(w) != g.DecodeBit(w)
-		x := e.Active(w)
-		if x != g.X0(w) && x != g.X0(w).Xor(g.R) {
-			return nil, fmt.Errorf("core: output wire %d: active label matches neither X0 nor X1", w)
-		}
-		out[i] = v
+		out[i] = e.ActiveBit(w) != g.DecodeBit(w)
 	}
 	return out, nil
 }
@@ -289,52 +161,28 @@ type CountOpts struct {
 
 	// Sink, when set, receives every cycle's scheduling outcome.
 	Sink func(cycle int, cs CycleStats)
-
-	// Workers parallelizes the classification pass as in RunOpts.Workers.
-	Workers int
 }
 
-// Count runs only the Scheduler — no cryptography — and returns the gate
-// statistics. This is how the benchmark harness measures garbled non-XOR
-// counts for large circuits and long runs (the counts are exactly those of
-// a full protocol run, since scheduling is independent of label values).
-// Cancelling ctx aborts the cycle loop with ctx.Err().
+// Count runs only the Scheduler — no cryptography, and no cycle is ever
+// compiled for an executor — and returns the gate statistics. This is how
+// the benchmark harness measures garbled non-XOR counts for large circuits
+// and long runs (the counts are exactly those of a full protocol run,
+// since scheduling is independent of label values). Cancelling ctx aborts
+// the cycle loop with ctx.Err().
 func Count(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Cycles <= 0 {
-		return Stats{}, fmt.Errorf("core: CountOpts.Cycles = %d", opts.Cycles)
-	}
-	stopWire := circuit.Wire(-1)
-	if opts.StopOutput != "" {
-		stop := c.FindOutput(opts.StopOutput)
-		if stop == nil {
-			return Stats{}, fmt.Errorf("core: no output %q", opts.StopOutput)
-		}
-		stopWire = c.ResolveOutput(stop.Wires[0])
-	}
-	s := NewScheduler(c, opts.Seed, pub)
-	if err := s.SetWorkers(opts.Workers); err != nil {
+	sc, err := newSchedule(c, pub, RunOpts{Cycles: opts.Cycles, StopOutput: opts.StopOutput,
+		Seed: opts.Seed, Sink: opts.Sink}, false)
+	if err != nil {
 		return Stats{}, err
 	}
-	var st Stats
-	for cyc := 1; cyc <= opts.Cycles; cyc++ {
+	for !sc.Done() {
 		if err := ctx.Err(); err != nil {
-			return st, err
+			return sc.Stats(), err
 		}
-		cs := s.Classify(cyc == opts.Cycles)
-		st.Total.Add(cs)
-		st.Cycles++
-		if opts.Sink != nil {
-			opts.Sink(cyc, cs)
-		}
-		if stopWire >= 0 {
-			if v, pub := s.WireState(stopWire); pub && v {
-				break
-			}
-		}
-		s.Commit()
+		sc.Next()
 	}
-	return st, nil
+	return sc.Stats(), nil
 }

@@ -63,18 +63,15 @@ type Stats struct {
 // both sides — the per-cycle fate of every gate: public value, label copy,
 // free XOR, garbled, or skipped.
 //
-// Classify runs in three phases. Phase A decides every gate's action from
-// its input wire states and its own static fanout, recording the label
-// releases the decision implies instead of applying them; phase B applies
-// all recorded releases (Algorithm 6's recursive reductions) in one sweep;
-// phase C derives the cycle statistics and the garbled-table slot of every
-// surviving gate from the settled fanouts. The split is behavior-identical
-// to the classic single walk — a gate's decision can never observe a
-// reduction, because reductions only cascade backwards from consumers that
-// are classified later — and it is what makes the pass parallelizable:
-// phase A is data-parallel over topological levels (SetWorkers), phase B is
-// one cheap serial sweep, and phase C is data-parallel over gate-index
-// chunks whose partial stats merge in deterministic chunk order.
+// Classify makes two passes. The first decides every gate's action from
+// its input wire states and its own static fanout, applying the label
+// releases each decision implies (Algorithm 6's recursive reductions) as it
+// goes — a gate's decision can never observe a reduction, because
+// reductions only cascade backwards from consumers that are classified
+// later. The second walks the settled fanouts to derive the cycle
+// statistics and — when an executor or recorder is attached — to emit the
+// cycle's compiled ops into the scheduler's CycleTrace buffer, the only
+// form a cycle is ever executed in.
 type Scheduler struct {
 	C *circuit.Circuit
 
@@ -90,33 +87,11 @@ type Scheduler struct {
 	dffNextSt           []uint8
 	dffNextFP           []FP
 
-	// Deferred label releases recorded by phase A, one append-only list
-	// per worker (a decision releases at most three wires). The lists are
-	// replayed by applyReleases; replay order does not matter — the
-	// settled fanouts are order-independent — so per-worker lists are
-	// both race-free and deterministic.
-	rel [][]circuit.Wire
-
-	// Per-cycle garbled-table layout from phase C: slot[i] is the table
-	// index of surviving category-iv gate i (ascending in gate index, the
-	// serial emission order), numTables the cycle's total. The executors
-	// use them to write/read tables at their final positions from any
-	// worker, keeping the stream byte-identical to the serial one.
-	slot      []int32
-	numTables int
-
-	// Worker machinery (SetWorkers). gens holds one fingerprint generator
-	// per worker — same AES key, separate scratch — so phase A stays
-	// allocation-free and race-free; chunkStats/chunkSurv collect phase C
-	// partials merged in chunk order.
-	workers    int
-	levels     *circuit.LevelPartition
-	segs       []segment
-	bar        spinBarrier
-	gens       []*fpGen
-	chunkStats []CycleStats
-	chunkSurv  [][]int32
-	allGates   []int32 // identity order, the serial walk of classifyChunk
+	// The current cycle's compiled schedule, rebuilt in place by every
+	// Classify once emit is set (NewGarbler, NewEvaluator, NewTraceRecorder
+	// and NewSchedule set it; a bare counting scheduler never pays for it).
+	emit bool
+	ct   CycleTrace
 
 	pub   []bool
 	cycle int // 1-based during a cycle; 0 before Start
@@ -135,20 +110,9 @@ func NewScheduler(c *circuit.Circuit, seed Seed, pub []bool) *Scheduler {
 		fanFinal:  c.Fanout(false),
 		dffNextSt: make([]uint8, len(c.DFFs)),
 		dffNextFP: make([]FP, len(c.DFFs)),
-		rel:       make([][]circuit.Wire, 1),
-		slot:      make([]int32, len(c.Gates)),
-		allGates:  make([]int32, len(c.Gates)),
 		pub:       pub,
 	}
-	for i := range s.allGates {
-		s.allGates[i] = int32(i)
-	}
 	s.deltaF = s.gen.delta()
-	s.workers = 1
-	s.bar.n = 1
-	s.gens = []*fpGen{s.gen}
-	s.chunkStats = make([]CycleStats, 1)
-	s.chunkSurv = make([][]int32, 1)
 
 	s.st[circuit.Const0] = stPub0
 	s.st[circuit.Const1] = stPub1
@@ -176,49 +140,6 @@ func NewScheduler(c *circuit.Circuit, seed Seed, pub []bool) *Scheduler {
 	return s
 }
 
-// SetWorkers sets how many goroutines the per-cycle passes (Classify and
-// the executors' label walks) may use; n < 1 and n == 1 both mean serial,
-// and n is clamped to MaxWorkers. The schedule, statistics and garbled
-// byte stream are identical for every worker count — parallelism only
-// changes who computes each gate. Call it before the first Classify: a
-// mid-run change would desync the per-worker fingerprint forks and
-// release lists, so it is refused with an error once the first cycle has
-// been classified. The level partition comes from the circuit's shared
-// cache, so repeated sessions over one machine pay nothing here.
-func (s *Scheduler) SetWorkers(n int) error {
-	if s.cycle > 0 {
-		return fmt.Errorf("core: SetWorkers(%d) after cycle %d: the worker count is fixed once classification starts", n, s.cycle)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxWorkers {
-		n = MaxWorkers
-	}
-	s.workers = n
-	s.bar.n = int32(n)
-	if n > 1 && s.levels == nil {
-		s.levels = s.C.Levels()
-		s.segs = planSegments(s.levels)
-	}
-	for len(s.gens) < n {
-		s.gens = append(s.gens, s.gen.fork())
-	}
-	for len(s.rel) < n {
-		s.rel = append(s.rel, nil)
-	}
-	for len(s.chunkSurv) < n {
-		s.chunkSurv = append(s.chunkSurv, nil)
-	}
-	if len(s.chunkStats) < n {
-		s.chunkStats = make([]CycleStats, n)
-	}
-	return nil
-}
-
-// Workers reports the configured worker count.
-func (s *Scheduler) Workers() int { return s.workers }
-
 func (s *Scheduler) initWire(w circuit.Wire, owner circuit.Owner, idx int) {
 	if owner == circuit.Public {
 		if idx < len(s.pub) && s.pub[idx] {
@@ -236,10 +157,6 @@ func (s *Scheduler) initWire(w circuit.Wire, owner circuit.Owner, idx int) {
 // before the first Classify).
 func (s *Scheduler) Cycle() int { return s.cycle }
 
-// NumTables returns the number of garbled tables the current classified
-// cycle puts on the wire (valid after Classify).
-func (s *Scheduler) NumTables() int { return s.numTables }
-
 // Classify runs the SkipGate decision pass for the next cycle: the paper's
 // Phase 1 and Phase 2 classification plus all recursive label_fanout
 // reductions. final marks the last cycle of the run, in which flip-flop
@@ -252,62 +169,20 @@ func (s *Scheduler) Classify(final bool) CycleStats {
 		src = s.fanFinal
 	}
 	copy(s.fan, src)
-
-	if s.workers > 1 {
-		s.forkWorkers(func(id int) {
-			cx := classCtx{gen: s.gens[id], rel: s.rel[id][:0]}
-			s.walkLevels(id, func(chunk []int32) {
-				s.classifyChunk(chunk, &cx)
-			})
-			s.rel[id] = cx.rel
-			s.bar.wait() // publish the release lists
-			// Phase B: the recorded releases interact through shared
-			// fanout counters, so one worker applies them all; the
-			// barrier publishes the settled counters to everyone.
-			if id == 0 {
-				s.applyReleases()
-			}
-			s.bar.wait()
-			s.accountChunk(id, src)
-		})
-	} else {
-		cx := classCtx{gen: s.gens[0], rel: s.rel[0][:0]}
-		s.classifyChunk(s.allGates, &cx)
-		s.rel[0] = cx.rel
-		s.applyReleases()
-		s.accountChunk(0, src)
-	}
-	return s.mergeAccounts()
+	s.classify()
+	return s.settle(src)
 }
 
-// classCtx is one worker's classification context: its fingerprint
-// generator and its deferred-release list.
-type classCtx struct {
-	gen *fpGen
-	rel []circuit.Wire
-}
-
-// release records that the current decision frees one reference to the
-// label on w; applyReleases replays it after classification.
-func (cx *classCtx) release(w circuit.Wire) { cx.rel = append(cx.rel, w) }
-
-// classifyChunk decides the action of every gate in idx for the current
-// cycle — the one copy of the SkipGate decision logic, driven serially
-// over the identity order or in parallel over level chunks. Each decision
-// reads only the states of the gate's input wires (earlier levels) and
-// the gate's own static fanout, and writes only that gate's slots — act
-// and the output wire state/fingerprint — plus the calling worker's
-// private release list, which is what lets one topological level classify
-// in parallel. Releases recorded here are applied by applyReleases after
-// the whole circuit is decided; deferral is invisible to the decisions
-// because a reduction can only be triggered by consumers classified after
-// its target.
-func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
+// classify decides the action of every gate for the current cycle, in gate
+// (topological) order. Each decision reads only the states of the gate's
+// input wires and the gate's own static fanout, writes that gate's slots —
+// act and the output wire state/fingerprint — and releases the input
+// labels it turns out not to consume.
+func (s *Scheduler) classify() {
 	gates := s.C.Gates
 	gateBase := int(s.C.GateBase)
-	for _, gi := range idx {
-		i := int(gi)
-		g := &gates[gi]
+	for i := range gates {
+		g := &gates[i]
 		out := gateBase + i
 		sa := s.st[g.A]
 
@@ -322,12 +197,12 @@ func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
 			} else {
 				s.setCopy(i, out, actCopyA, g.A)
 			}
-			s.deadCheckUnary(cx, i, g.A)
+			s.deadCheckUnary(i, g.A)
 			continue
 		}
 
 		if g.Op == circuit.MUX {
-			s.classifyMux(i, out, g, cx)
+			s.classifyMux(i, out, g)
 			continue
 		}
 
@@ -356,11 +231,11 @@ func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
 				if p {
 					s.setCopy(i, out, copyAct, secretW)
 				} else {
-					s.setPubRelease(cx, i, out, false, secretW)
+					s.setPubRelease(i, out, false, secretW)
 				}
 			case circuit.OR:
 				if p {
-					s.setPubRelease(cx, i, out, true, secretW)
+					s.setPubRelease(i, out, true, secretW)
 				} else {
 					s.setCopy(i, out, copyAct, secretW)
 				}
@@ -368,11 +243,11 @@ func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
 				if p {
 					s.setCopy(i, out, copyInvAct, secretW)
 				} else {
-					s.setPubRelease(cx, i, out, true, secretW)
+					s.setPubRelease(i, out, true, secretW)
 				}
 			case circuit.NOR:
 				if p {
-					s.setPubRelease(cx, i, out, false, secretW)
+					s.setPubRelease(i, out, false, secretW)
 				} else {
 					s.setCopy(i, out, copyInvAct, secretW)
 				}
@@ -392,7 +267,7 @@ func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
 				panic(fmt.Sprintf("core: op %v", g.Op))
 			}
 			if s.act[i] != actPub {
-				s.deadCheckUnary(cx, i, secretW)
+				s.deadCheckUnary(i, secretW)
 			}
 
 		default:
@@ -404,16 +279,16 @@ func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
 				switch g.Op {
 				case circuit.AND, circuit.OR:
 					s.setCopy(i, out, actCopyA, g.A)
-					cx.release(g.B)
-					s.deadCheckUnary(cx, i, g.A)
+					s.reduce(g.B)
+					s.deadCheckUnary(i, g.A)
 				case circuit.NAND, circuit.NOR:
 					s.setCopy(i, out, actCopyAInv, g.A)
-					cx.release(g.B)
-					s.deadCheckUnary(cx, i, g.A)
+					s.reduce(g.B)
+					s.deadCheckUnary(i, g.A)
 				case circuit.XOR:
-					s.setPubRelease2(cx, i, out, false, g.A, g.B)
+					s.setPubRelease2(i, out, false, g.A, g.B)
 				case circuit.XNOR:
-					s.setPubRelease2(cx, i, out, true, g.A, g.B)
+					s.setPubRelease2(i, out, true, g.A, g.B)
 				}
 			case fpa.Xor(fpb) == s.deltaF:
 				// Category iii, inverted labels.
@@ -424,7 +299,7 @@ func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
 				case circuit.OR, circuit.NAND, circuit.XOR:
 					v = true
 				}
-				s.setPubRelease2(cx, i, out, v, g.A, g.B)
+				s.setPubRelease2(i, out, v, g.A, g.B)
 			default:
 				// Category iv: unrelated secrets.
 				s.st[out] = stSecret
@@ -437,94 +312,113 @@ func (s *Scheduler) classifyChunk(idx []int32, cx *classCtx) {
 					s.fp[out] = fpa.Xor(fpb).Xor(s.deltaF)
 				default:
 					s.act[i] = actGarble
-					s.fp[out] = cx.gen.fresh(s.cycle, i)
+					s.fp[out] = s.gen.fresh(s.cycle, i)
 				}
 				if s.fan[i] == 0 {
 					// No consumer can ever need this label this cycle:
 					// release the inputs it would have consumed.
-					cx.release(g.A)
-					cx.release(g.B)
+					s.reduce(g.A)
+					s.reduce(g.B)
 				}
 			}
 		}
 	}
 }
 
-// applyReleases is phase B: it replays every release recorded during
-// classification through the recursive reduction. The settled fanouts are
-// independent of replay order — each recorded release decrements exactly
-// one reference, and a cascade fires exactly once, on whichever decrement
-// zeroes its gate — so this sweep leaves fan identical to the classic
-// interleaved walk for any worker count.
-func (s *Scheduler) applyReleases() {
-	for _, list := range s.rel[:s.workers] {
-		for _, w := range list {
-			s.reduce(w)
-		}
-	}
-}
-
-// accountChunk is phase C for one contiguous gate-index chunk: partial
-// cycle statistics plus — when running parallel, where the executors need
-// the table layout — the chunk's surviving category-iv gates in ascending
-// order. Chunks are merged in index order by mergeAccounts, so the totals
-// and the table layout are identical for every worker count.
-func (s *Scheduler) accountChunk(w int, src []int32) {
-	lo, hi := s.chunkRange(w)
-	recordSurv := s.workers > 1
-	surv := s.chunkSurv[w][:0]
+// settle is the second pass: one walk over the settled fanouts that counts
+// the cycle's scheduling outcomes and, when emit is set, compiles every live
+// gate into the CycleTrace buffer the executors run — copy ops for
+// passthroughs and free XORs, garble ops (MUX shape baked in) for
+// surviving category-iv gates, in gate order, which is the table-emission
+// order on the wire.
+func (s *Scheduler) settle(src []int32) CycleStats {
+	ct := &s.ct
+	ct.reset()
 	var cs CycleStats
-	for i := lo; i < hi; i++ {
-		switch s.act[i] {
-		case actPub:
+	for i, act := range s.act {
+		if act == actPub {
 			cs.PublicGates++
-		case actXor, actMuxXor:
-			if s.fan[i] > 0 {
-				cs.FreeXOR++
-			} else {
-				cs.DeadSkipped++
-			}
-		case actGarble:
-			switch {
-			case s.fan[i] > 0:
-				cs.Garbled++
-				if recordSurv {
-					surv = append(surv, int32(i))
-				}
-			case src[i] > 0:
-				// Garbled then filtered (the paper counts these as
-				// removed tables), not statically dead this cycle.
+			continue
+		}
+		if s.fan[i] <= 0 {
+			if act == actGarble && src[i] > 0 {
+				// Garbled then filtered (the paper counts these as removed
+				// tables), not statically dead this cycle.
 				cs.Filtered++
-			default:
-				cs.DeadSkipped++
-			}
-		default:
-			if s.fan[i] > 0 {
-				cs.Passthrough++
 			} else {
 				cs.DeadSkipped++
 			}
+			continue
+		}
+		switch act {
+		case actXor, actMuxXor:
+			cs.FreeXOR++
+		case actGarble:
+			cs.Garbled++
+		default:
+			cs.Passthrough++
+		}
+		if s.emit {
+			s.emitGate(ct, i, act)
 		}
 	}
-	s.chunkSurv[w] = surv
-	s.chunkStats[w] = cs
+	ct.flush()
+	ct.Stats = cs
+	return cs
 }
 
-// mergeAccounts folds the phase C partials in chunk order: deterministic
-// totals, and (parallel runs) slot numbers that reproduce the serial
-// emission order — ascending gate index over all surviving gates.
-func (s *Scheduler) mergeAccounts() CycleStats {
-	var cs CycleStats
-	base := int32(0)
-	for w := 0; w < s.workers; w++ {
-		cs.Add(s.chunkStats[w])
-		for k, gi := range s.chunkSurv[w] {
-			s.slot[gi] = base + int32(k)
+// emitGate compiles live gate i into ct: the one place a scheduler action
+// is translated into an executable op.
+func (s *Scheduler) emitGate(ct *CycleTrace, i int, act uint8) {
+	g := &s.C.Gates[i]
+	out := int32(s.C.GateBase) + int32(i)
+	switch act {
+	case actCopyA:
+		ct.addCopy(topCopy, out, int32(g.A), 0)
+	case actCopyAInv:
+		ct.addCopy(topCopyInv, out, int32(g.A), 0)
+	case actCopyB:
+		ct.addCopy(topCopy, out, int32(g.B), 0)
+	case actCopyBInv:
+		ct.addCopy(topCopyInv, out, int32(g.B), 0)
+	case actCopyS:
+		ct.addCopy(topCopy, out, int32(g.S), 0)
+	case actCopySInv:
+		ct.addCopy(topCopyInv, out, int32(g.S), 0)
+	case actXor:
+		if g.Op == circuit.XNOR {
+			ct.addCopy(topXorInv, out, int32(g.A), int32(g.B))
+		} else {
+			ct.addCopy(topXor, out, int32(g.A), int32(g.B))
 		}
-		base += int32(len(s.chunkSurv[w]))
+	case actMuxXor:
+		ct.addCopy(topXor, out, int32(g.S), int32(g.A))
+	case actGarble:
+		if g.Op != circuit.MUX {
+			ct.addGarb(tgGate, uint8(g.Op), int32(i), out, int32(g.A), int32(g.B), 0)
+			return
+		}
+		// A category-iv MUX with both data inputs secret is the atomic
+		// A ⊕ AND(S, A⊕B) form; with one data input public (which has no
+		// label under SkipGate) it degenerates to a 2-secret AND/OR shape.
+		sa, sb := s.st[g.A], s.st[g.B]
+		switch {
+		case sa == stSecret && sb == stSecret:
+			ct.addGarb(tgMux, 0, int32(i), out, int32(g.A), int32(g.B), int32(g.S))
+		case sa != stSecret:
+			kind := uint8(tgAndFF)
+			if sa == stPub1 {
+				kind = tgAndFTT
+			}
+			ct.addGarb(kind, 0, int32(i), out, int32(g.S), int32(g.B), 0)
+		default:
+			kind := uint8(tgAndTFF)
+			if sb == stPub1 {
+				kind = tgAndTTT
+			}
+			ct.addGarb(kind, 0, int32(i), out, int32(g.S), int32(g.A), 0)
+		}
 	}
-	s.numTables = cs.Garbled
-	return cs
 }
 
 // classifyMux applies the SkipGate categories to the atomic multiplexer
@@ -532,7 +426,7 @@ func (s *Scheduler) mergeAccounts() CycleStats {
 // input and releases the unselected cone — the paper's illustrative
 // example and the reason register-file and memory accesses at public
 // addresses are free.
-func (s *Scheduler) classifyMux(i, out int, g *circuit.Gate, cx *classCtx) {
+func (s *Scheduler) classifyMux(i, out int, g *circuit.Gate) {
 	ss, sa, sb := s.st[g.S], s.st[g.A], s.st[g.B]
 
 	if ss != stSecret {
@@ -545,7 +439,7 @@ func (s *Scheduler) classifyMux(i, out int, g *circuit.Gate, cx *classCtx) {
 		}
 		if srcSt != stSecret {
 			if otherSt == stSecret {
-				s.setPubRelease(cx, i, out, srcSt == stPub1, other)
+				s.setPubRelease(i, out, srcSt == stPub1, other)
 			} else {
 				s.setPub(i, out, srcSt == stPub1)
 			}
@@ -553,9 +447,9 @@ func (s *Scheduler) classifyMux(i, out int, g *circuit.Gate, cx *classCtx) {
 		}
 		s.setCopy(i, out, act, src)
 		if otherSt == stSecret {
-			cx.release(other)
+			s.reduce(other)
 		}
-		s.deadCheckUnary(cx, i, src)
+		s.deadCheckUnary(i, src)
 		return
 	}
 
@@ -565,13 +459,13 @@ func (s *Scheduler) classifyMux(i, out int, g *circuit.Gate, cx *classCtx) {
 		va, vb := sa == stPub1, sb == stPub1
 		switch {
 		case va == vb:
-			s.setPubRelease(cx, i, out, va, g.S)
+			s.setPubRelease(i, out, va, g.S)
 		case vb: // out = S ? 1 : 0 = S
 			s.setCopy(i, out, actCopyS, g.S)
-			s.deadCheckUnary(cx, i, g.S)
+			s.deadCheckUnary(i, g.S)
 		default: // out = S ? 0 : 1 = ¬S
 			s.setCopy(i, out, actCopySInv, g.S)
-			s.deadCheckUnary(cx, i, g.S)
+			s.deadCheckUnary(i, g.S)
 		}
 
 	case sa == stSecret && sb == stSecret:
@@ -580,52 +474,52 @@ func (s *Scheduler) classifyMux(i, out int, g *circuit.Gate, cx *classCtx) {
 		case fpa == fpb:
 			// Equal data inputs: wire to A, release S and B.
 			s.setCopy(i, out, actCopyA, g.A)
-			cx.release(g.S)
-			cx.release(g.B)
-			s.deadCheckUnary(cx, i, g.A)
+			s.reduce(g.S)
+			s.reduce(g.B)
+			s.deadCheckUnary(i, g.A)
 		case fpa.Xor(fpb) == s.deltaF:
 			// B = ¬A, so out = S ⊕ A: free. The select-XOR may itself be
 			// degenerate if S and A carry related labels.
 			fpx := s.fp[g.S].Xor(fpa)
 			switch fpx {
 			case (FP{}):
-				s.setPubRelease3(cx, i, out, false, g.S, g.A, g.B)
+				s.setPubRelease3(i, out, false, g.S, g.A, g.B)
 			case s.deltaF:
-				s.setPubRelease3(cx, i, out, true, g.S, g.A, g.B)
+				s.setPubRelease3(i, out, true, g.S, g.A, g.B)
 			default:
 				s.act[i] = actMuxXor
 				s.st[out] = stSecret
 				s.fp[out] = fpx
-				cx.release(g.B)
+				s.reduce(g.B)
 				if s.fan[i] == 0 {
-					cx.release(g.S)
-					cx.release(g.A)
+					s.reduce(g.S)
+					s.reduce(g.A)
 				}
 			}
 		default:
-			s.setMuxGarble(i, out, g, cx)
+			s.setMuxGarble(i, out, g)
 		}
 
 	default:
 		// Select secret, exactly one data input public: a genuine 2-secret
 		// function (AND/OR shape); garbled atomically with one table.
-		s.setMuxGarble(i, out, g, cx)
+		s.setMuxGarble(i, out, g)
 	}
 }
 
 // setMuxGarble marks a MUX as garbled (category iv) and, when it has no
 // consumers this cycle, releases everything it would have consumed.
-func (s *Scheduler) setMuxGarble(i, out int, g *circuit.Gate, cx *classCtx) {
+func (s *Scheduler) setMuxGarble(i, out int, g *circuit.Gate) {
 	s.act[i] = actGarble
 	s.st[out] = stSecret
-	s.fp[out] = cx.gen.fresh(s.cycle, i)
+	s.fp[out] = s.gen.fresh(s.cycle, i)
 	if s.fan[i] == 0 {
-		cx.release(g.S)
+		s.reduce(g.S)
 		if s.st[g.A] == stSecret {
-			cx.release(g.A)
+			s.reduce(g.A)
 		}
 		if s.st[g.B] == stSecret {
-			cx.release(g.B)
+			s.reduce(g.B)
 		}
 	}
 }
@@ -657,24 +551,24 @@ func (s *Scheduler) setPub(i, out int, v bool) {
 
 // setPubRelease marks the output public and releases one secret input
 // reference (whose label the gate will not consume).
-func (s *Scheduler) setPubRelease(cx *classCtx, i, out int, v bool, rel circuit.Wire) {
+func (s *Scheduler) setPubRelease(i, out int, v bool, rel circuit.Wire) {
 	s.setPub(i, out, v)
-	cx.release(rel)
+	s.reduce(rel)
 }
 
 // setPubRelease2 releases two references.
-func (s *Scheduler) setPubRelease2(cx *classCtx, i, out int, v bool, r1, r2 circuit.Wire) {
+func (s *Scheduler) setPubRelease2(i, out int, v bool, r1, r2 circuit.Wire) {
 	s.setPub(i, out, v)
-	cx.release(r1)
-	cx.release(r2)
+	s.reduce(r1)
+	s.reduce(r2)
 }
 
 // setPubRelease3 releases three references (MUX cases).
-func (s *Scheduler) setPubRelease3(cx *classCtx, i, out int, v bool, r1, r2, r3 circuit.Wire) {
+func (s *Scheduler) setPubRelease3(i, out int, v bool, r1, r2, r3 circuit.Wire) {
 	s.setPub(i, out, v)
-	cx.release(r1)
-	cx.release(r2)
-	cx.release(r3)
+	s.reduce(r1)
+	s.reduce(r2)
+	s.reduce(r3)
 }
 
 func (s *Scheduler) setCopy(i, out int, act uint8, src circuit.Wire) {
@@ -689,16 +583,15 @@ func (s *Scheduler) setCopy(i, out int, act uint8, src circuit.Wire) {
 
 // deadCheckUnary releases the single consumed input of a copy-action gate
 // that has no consumers itself this cycle.
-func (s *Scheduler) deadCheckUnary(cx *classCtx, i int, consumed circuit.Wire) {
+func (s *Scheduler) deadCheckUnary(i int, consumed circuit.Wire) {
 	if s.fan[i] == 0 {
-		cx.release(consumed)
+		s.reduce(consumed)
 	}
 }
 
 // reduce is the paper's recursive_reduction (Algorithm 6): decrement the
 // label_fanout of the gate producing w; when it reaches zero the gate's
 // label is never needed, so recursively release the inputs it consumed.
-// Only applyReleases calls it, after every gate's action is decided.
 func (s *Scheduler) reduce(w circuit.Wire) {
 	for {
 		gi := s.C.WireGate(w)
@@ -750,10 +643,4 @@ func (s *Scheduler) WireState(w circuit.Wire) (val bool, public bool) {
 		return true, true
 	}
 	return false, false
-}
-
-// GateSurvives reports whether gate i's garbled table is actually sent
-// this cycle (category iv non-XOR with non-zero final label_fanout).
-func (s *Scheduler) GateSurvives(i int) bool {
-	return s.act[i] == actGarble && s.fan[i] > 0
 }

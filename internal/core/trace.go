@@ -2,19 +2,22 @@ package core
 
 import (
 	"fmt"
-	"io"
-
-	"arm2gc/internal/circuit"
-	"arm2gc/internal/gc"
+	"slices"
 )
 
+// A CycleTrace is the only form a cycle is ever executed in: the
+// Scheduler's settle pass compiles each classified cycle into one, and
+// Garbler.GarbleCycleTrace / Evaluator.EvalCycleTrace — the single
+// gate-execution kernel of each party — run it. A live cycle is "classify,
+// then run the kernel on the scheduler's buffer"; everything else is
+// scheduling around that kernel.
+//
 // Classification-trace reuse: the SkipGate schedule depends only on public
 // data — the circuit, the public input p and the cycle budget — so it is
-// identical for every session of the same program. A Trace records one
-// classified run's per-cycle decisions in a compiled, executor-ready form;
-// later sessions replay it through Garbler.GarbleCycleTrace /
-// Evaluator.EvalCycleTrace, skipping Scheduler.Classify entirely and
-// collapsing the hot path to fixed-key-AES garbling.
+// identical for every session of the same program. A Trace keeps one
+// classified run's compiled cycles; later sessions feed them to the same
+// kernels, skipping Scheduler.Classify entirely and collapsing the hot
+// path to fixed-key-AES garbling.
 //
 // Why replay is sound across sessions: classification consumes labels only
 // through fingerprint equality (see fingerprint.go), and fingerprints
@@ -27,7 +30,7 @@ import (
 // Copy-op codes of a CycleTrace. The garbler applies the Inv variants by
 // XORing its global delta R into the copied label; the evaluator, holding
 // active labels, ignores the inversion (an inverted wire carries the same
-// label with swapped meaning), exactly as in the classified executors.
+// label with swapped meaning).
 const (
 	topCopy    uint8 = iota // out = src
 	topCopyInv              // garbler: out = src ⊕ R; evaluator: out = src
@@ -36,9 +39,9 @@ const (
 )
 
 // Garbled-op kinds of a CycleTrace. tgGate carries its circuit.Op in the
-// parallel op array; the MUX-derived kinds bake the shape garbleMux /
-// evalMux would re-derive from wire states into the trace, so replay never
-// consults a scheduler.
+// parallel op array; the MUX-derived kinds bake in the shape the scheduler
+// derived from the data inputs' wire states, so the kernels never consult
+// a scheduler.
 const (
 	tgGate   uint8 = iota // binary AND-class gate; op array holds the circuit.Op
 	tgMux                 // both data inputs secret: atomic A ⊕ AND(S, A⊕B)
@@ -52,8 +55,8 @@ const (
 // in original gate order. Copies and garbles interleave dependency-wise
 // inside a cycle (a garbled gate may read a copied label and vice versa),
 // so a cycle cannot be split into one copy pass and one garble pass;
-// segments preserve the topological order while still letting the replay
-// loop run each garbled stretch as a tight, branch-light AES loop.
+// segments preserve the topological order while still letting the kernels
+// run each garbled stretch as a tight, branch-light AES loop.
 type traceSeg struct {
 	copies  int32
 	garbles int32
@@ -61,13 +64,13 @@ type traceSeg struct {
 
 // CycleTrace is one cycle's compiled schedule in struct-of-arrays form:
 // parallel arrays per op class, indexed densely in emission order, so the
-// replay loops touch only the fields they need and the garbled-table
-// stream comes out byte-identical to a classified run by construction.
+// kernels touch only the fields they need.
 type CycleTrace struct {
-	Stats  CycleStats // the cycle's scheduling outcome, replayed to sinks
+	Stats  CycleStats // the cycle's scheduling outcome, handed to sinks
 	Halted bool       // public halt flag fired at the end of this cycle
 
 	segs []traceSeg
+	open traceSeg // the segment addCopy/addGarb are filling
 
 	// Copy ops (passthroughs, free XORs): out = f(a[, b]).
 	copyAct []uint8
@@ -75,9 +78,8 @@ type CycleTrace struct {
 	copyA   []int32
 	copyB   []int32
 
-	// Garbled ops, in table-emission order (ascending gate index — the
-	// serial emission order every worker count reproduces). gate is the
-	// producing gate's index, which keys the table's unique gid.
+	// Garbled ops, in table-emission order (ascending gate index). gate is
+	// the producing gate's index, which keys the table's unique gid.
 	garbKind []uint8
 	garbOp   []uint8
 	garbGate []int32
@@ -89,6 +91,58 @@ type CycleTrace struct {
 
 // NumTables returns how many garbled tables this cycle puts on the wire.
 func (ct *CycleTrace) NumTables() int { return len(ct.garbKind) }
+
+// reset empties the trace for the next cycle, keeping the arrays' capacity.
+func (ct *CycleTrace) reset() {
+	ct.Stats, ct.Halted, ct.open = CycleStats{}, false, traceSeg{}
+	ct.segs = ct.segs[:0]
+	ct.copyAct, ct.copyOut, ct.copyA, ct.copyB = ct.copyAct[:0], ct.copyOut[:0], ct.copyA[:0], ct.copyB[:0]
+	ct.garbKind, ct.garbOp, ct.garbGate = ct.garbKind[:0], ct.garbOp[:0], ct.garbGate[:0]
+	ct.garbOut, ct.garbA, ct.garbB, ct.garbS = ct.garbOut[:0], ct.garbA[:0], ct.garbB[:0], ct.garbS[:0]
+}
+
+// flush closes the segment being filled.
+func (ct *CycleTrace) flush() {
+	if ct.open != (traceSeg{}) {
+		ct.segs = append(ct.segs, ct.open)
+		ct.open = traceSeg{}
+	}
+}
+
+func (ct *CycleTrace) addCopy(act uint8, out, a, b int32) {
+	if ct.open.garbles > 0 {
+		ct.flush()
+	}
+	ct.open.copies++
+	ct.copyAct = append(ct.copyAct, act)
+	ct.copyOut = append(ct.copyOut, out)
+	ct.copyA = append(ct.copyA, a)
+	ct.copyB = append(ct.copyB, b)
+}
+
+func (ct *CycleTrace) addGarb(kind, op uint8, gate, out, a, b, sw int32) {
+	ct.open.garbles++
+	ct.garbKind = append(ct.garbKind, kind)
+	ct.garbOp = append(ct.garbOp, op)
+	ct.garbGate = append(ct.garbGate, gate)
+	ct.garbOut = append(ct.garbOut, out)
+	ct.garbA = append(ct.garbA, a)
+	ct.garbB = append(ct.garbB, b)
+	ct.garbS = append(ct.garbS, sw)
+}
+
+// clone returns a copy that does not alias ct's arrays: ct is the
+// scheduler's buffer, overwritten by the next Classify.
+func (ct *CycleTrace) clone() CycleTrace {
+	cp := *ct
+	cp.segs = slices.Clone(ct.segs)
+	cp.copyAct, cp.copyOut = slices.Clone(ct.copyAct), slices.Clone(ct.copyOut)
+	cp.copyA, cp.copyB = slices.Clone(ct.copyA), slices.Clone(ct.copyB)
+	cp.garbKind, cp.garbOp, cp.garbGate = slices.Clone(ct.garbKind), slices.Clone(ct.garbOp), slices.Clone(ct.garbGate)
+	cp.garbOut, cp.garbA = slices.Clone(ct.garbOut), slices.Clone(ct.garbA)
+	cp.garbB, cp.garbS = slices.Clone(ct.garbB), slices.Clone(ct.garbS)
+	return cp
+}
 
 // memoryBytes approximates the heap footprint of the cycle's arrays.
 func (ct *CycleTrace) memoryBytes() int {
@@ -110,7 +164,6 @@ type Trace struct {
 	// Final output-wire states (resolved wires, circuit.OutputWires order):
 	// public outputs carry their value in the trace; secret outputs are
 	// decoded from labels as usual.
-	outW   []circuit.Wire
 	outPub []bool
 	outVal []bool
 
@@ -130,16 +183,6 @@ func (t *Trace) TotalStats() Stats { return t.stats }
 
 // Halted reports whether the recorded run stopped at the public halt flag.
 func (t *Trace) Halted() bool { return t.halted }
-
-// NumOutputs returns the number of (flattened) output bits.
-func (t *Trace) NumOutputs() int { return len(t.outW) }
-
-// OutputWire returns the resolved wire of output bit i.
-func (t *Trace) OutputWire(i int) circuit.Wire { return t.outW[i] }
-
-// OutputState returns output bit i's final wire state: val is meaningful
-// only when public is true; secret outputs decode from labels.
-func (t *Trace) OutputState(i int) (val bool, public bool) { return t.outVal[i], t.outPub[i] }
 
 // MemoryBytes approximates the trace's heap footprint — what a bounded
 // trace cache charges against its budget.
@@ -162,111 +205,28 @@ func (t *Trace) Validate(cycles int) error {
 	return nil
 }
 
-// TraceRecorder compiles a classified run into a Trace as it executes.
-// Call RecordCycle after every Scheduler.Classify (any worker count — the
-// settled schedule is identical), then Finish after the last cycle, before
-// abandoning the scheduler. Recording walks the same per-gate state the
-// executors walk, so it adds one linear pass per cycle and nothing to the
-// crypto path.
+// TraceRecorder keeps a classified run's compiled cycles as a Trace. Call
+// RecordCycle after every Scheduler.Classify, then Finish after the last
+// cycle, before abandoning the scheduler. The scheduler already compiled
+// the cycle for the executors, so recording is one copy of its buffer.
 type TraceRecorder struct {
 	s *Scheduler
 	t *Trace
 }
 
-// NewTraceRecorder starts recording s's run.
+// NewTraceRecorder starts recording s's run; create it before the first
+// Classify.
 func NewTraceRecorder(s *Scheduler) *TraceRecorder {
+	s.emit = true
 	return &TraceRecorder{s: s, t: &Trace{}}
 }
 
-// RecordCycle compiles the current classified cycle (between Classify and
+// RecordCycle keeps the current classified cycle (between Classify and
 // Commit). halted is the public halt verdict for this cycle — replay obeys
 // it instead of re-deriving wire states.
 func (r *TraceRecorder) RecordCycle(cs CycleStats, halted bool) {
-	s := r.s
-	c := s.C
-	ct := CycleTrace{Stats: cs, Halted: halted}
-	var seg traceSeg
-	flush := func() {
-		if seg.copies != 0 || seg.garbles != 0 {
-			ct.segs = append(ct.segs, seg)
-			seg = traceSeg{}
-		}
-	}
-	addCopy := func(act uint8, out, a, b int32) {
-		if seg.garbles > 0 {
-			flush()
-		}
-		seg.copies++
-		ct.copyAct = append(ct.copyAct, act)
-		ct.copyOut = append(ct.copyOut, out)
-		ct.copyA = append(ct.copyA, a)
-		ct.copyB = append(ct.copyB, b)
-	}
-	addGarb := func(kind, op uint8, gate, out, a, b, sw int32) {
-		seg.garbles++
-		ct.garbKind = append(ct.garbKind, kind)
-		ct.garbOp = append(ct.garbOp, op)
-		ct.garbGate = append(ct.garbGate, gate)
-		ct.garbOut = append(ct.garbOut, out)
-		ct.garbA = append(ct.garbA, a)
-		ct.garbB = append(ct.garbB, b)
-		ct.garbS = append(ct.garbS, sw)
-	}
-	for i := range c.Gates {
-		if s.fan[i] <= 0 {
-			continue
-		}
-		g := &c.Gates[i]
-		out := int32(c.GateBase) + int32(i)
-		switch s.act[i] {
-		case actPub:
-			// unreachable: setPub zeroes the gate's fanout
-		case actCopyA:
-			addCopy(topCopy, out, int32(g.A), 0)
-		case actCopyAInv:
-			addCopy(topCopyInv, out, int32(g.A), 0)
-		case actCopyB:
-			addCopy(topCopy, out, int32(g.B), 0)
-		case actCopyBInv:
-			addCopy(topCopyInv, out, int32(g.B), 0)
-		case actCopyS:
-			addCopy(topCopy, out, int32(g.S), 0)
-		case actCopySInv:
-			addCopy(topCopyInv, out, int32(g.S), 0)
-		case actXor:
-			if g.Op == circuit.XNOR {
-				addCopy(topXorInv, out, int32(g.A), int32(g.B))
-			} else {
-				addCopy(topXor, out, int32(g.A), int32(g.B))
-			}
-		case actMuxXor:
-			addCopy(topXor, out, int32(g.S), int32(g.A))
-		case actGarble:
-			if g.Op != circuit.MUX {
-				addGarb(tgGate, uint8(g.Op), int32(i), out, int32(g.A), int32(g.B), 0)
-				break
-			}
-			// Bake the MUX shape garbleMux/evalMux derive from wire states.
-			sa, sb := s.st[g.A], s.st[g.B]
-			switch {
-			case sa == stSecret && sb == stSecret:
-				addGarb(tgMux, 0, int32(i), out, int32(g.A), int32(g.B), int32(g.S))
-			case sa != stSecret:
-				kind := uint8(tgAndFF)
-				if sa == stPub1 {
-					kind = tgAndFTT
-				}
-				addGarb(kind, 0, int32(i), out, int32(g.S), int32(g.B), 0)
-			default:
-				kind := uint8(tgAndTFF)
-				if sb == stPub1 {
-					kind = tgAndTTT
-				}
-				addGarb(kind, 0, int32(i), out, int32(g.S), int32(g.A), 0)
-			}
-		}
-	}
-	flush()
+	ct := r.s.ct.clone()
+	ct.Stats, ct.Halted = cs, halted
 	r.t.cycles = append(r.t.cycles, ct)
 	r.t.stats.Cycles++
 	r.t.stats.Total.Add(cs)
@@ -282,123 +242,10 @@ func (r *TraceRecorder) Finish(halted bool) *Trace {
 	for _, w := range s.C.OutputWires() {
 		rw := s.C.ResolveOutput(w)
 		v, pub := s.WireState(rw)
-		t.outW = append(t.outW, rw)
 		t.outPub = append(t.outPub, pub)
 		t.outVal = append(t.outVal, v)
 	}
 	t.halted = halted
-	t.bytes += len(t.outW) * 6
+	t.bytes += len(t.outPub) * 2
 	return t
-}
-
-// NewReplayGarbler creates Alice's executor for trace replay: no
-// scheduler, labels drawn from rnd in exactly the order NewGarbler draws
-// them, so a replaying garbler with the same randomness emits the same
-// labels — and therefore the same wire bytes — as a classifying one.
-func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
-	return newGarbler(c, nil, rnd)
-}
-
-// NewReplayEvaluator creates Bob's executor for trace replay.
-func NewReplayEvaluator(c *circuit.Circuit) *Evaluator {
-	return newEvaluator(c, nil)
-}
-
-// GarbleCycleTrace garbles 1-based cycle cyc from a recorded trace,
-// appending the cycle's tables to dst in emission order. It never consults
-// a scheduler: the compiled op arrays drive label work directly, which is
-// the entire point of trace reuse — the per-cycle cost collapses to the
-// label XORs and the fixed-key-AES of surviving garbled gates.
-func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc.Table {
-	base := uint64(cyc-1) * uint64(len(g.c.Gates))
-	x0, r := g.x0, g.R
-	ci, gi := 0, 0
-	for _, seg := range ct.segs {
-		for end := ci + int(seg.copies); ci < end; ci++ {
-			out := ct.copyOut[ci]
-			switch ct.copyAct[ci] {
-			case topCopy:
-				x0[out] = x0[ct.copyA[ci]]
-			case topCopyInv:
-				x0[out] = x0[ct.copyA[ci]].Xor(r)
-			case topXor:
-				x0[out] = x0[ct.copyA[ci]].Xor(x0[ct.copyB[ci]])
-			default: // topXorInv
-				x0[out] = x0[ct.copyA[ci]].Xor(x0[ct.copyB[ci]]).Xor(r)
-			}
-		}
-		for end := gi + int(seg.garbles); gi < end; gi++ {
-			gid := base + uint64(ct.garbGate[gi])
-			a, b := x0[ct.garbA[gi]], x0[ct.garbB[gi]]
-			var c0 gc.Label
-			var t gc.Table
-			switch ct.garbKind[gi] {
-			case tgGate:
-				c0, t = gc.GarbleGate(g.h, r, circuit.Op(ct.garbOp[gi]), a, b, gid)
-			case tgMux:
-				c0, t = gc.GarbleMux(g.h, r, x0[ct.garbS[gi]], a, b, gid)
-			case tgAndFF:
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, false, false, false)
-			case tgAndFTT:
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, false, true, true)
-			case tgAndTFF:
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, true, false, false)
-			default: // tgAndTTT
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, true, true, true)
-			}
-			x0[ct.garbOut[gi]] = c0
-			dst = append(dst, t)
-		}
-	}
-	return dst
-}
-
-// GarbleCycleTraceAppend is GarbleCycleTrace serializing straight into a
-// payload buffer (TG then TE per table), mirroring GarbleCycleAppend.
-func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []byte {
-	g.scratch = g.GarbleCycleTrace(ct, cyc, g.scratch[:0])
-	for _, t := range g.scratch {
-		tg, te := t.TG.Bytes(), t.TE.Bytes()
-		dst = append(dst, tg[:]...)
-		dst = append(dst, te[:]...)
-	}
-	return dst
-}
-
-// EvalCycleTrace evaluates 1-based cycle cyc from a recorded trace,
-// consuming tables from ts in order and returning the remainder.
-func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc.Table, error) {
-	if len(ts) < len(ct.garbKind) {
-		return nil, fmt.Errorf("core: table stream exhausted: cycle %d replay needs %d tables, have %d",
-			cyc, len(ct.garbKind), len(ts))
-	}
-	base := uint64(cyc-1) * uint64(len(e.c.Gates))
-	x := e.x
-	ci, gi := 0, 0
-	for _, seg := range ct.segs {
-		for end := ci + int(seg.copies); ci < end; ci++ {
-			out := ct.copyOut[ci]
-			// The evaluator holds active labels: inversions are the
-			// garbler's business, so the four copy codes collapse to two.
-			if ct.copyAct[ci] < topXor {
-				x[out] = x[ct.copyA[ci]]
-			} else {
-				x[out] = x[ct.copyA[ci]].Xor(x[ct.copyB[ci]])
-			}
-		}
-		for end := gi + int(seg.garbles); gi < end; gi++ {
-			gid := base + uint64(ct.garbGate[gi])
-			t := ts[gi]
-			a, b := x[ct.garbA[gi]], x[ct.garbB[gi]]
-			switch ct.garbKind[gi] {
-			case tgGate:
-				x[ct.garbOut[gi]] = gc.EvalGate(e.h, circuit.Op(ct.garbOp[gi]), a, b, t, gid)
-			case tgMux:
-				x[ct.garbOut[gi]] = gc.EvalMux(e.h, x[ct.garbS[gi]], a, b, t, gid)
-			default: // the AndInv shapes all evaluate as a half-gates AND
-				x[ct.garbOut[gi]] = gc.EvalAnd(e.h, a, b, t, gid)
-			}
-		}
-	}
-	return ts[len(ct.garbKind):], nil
 }

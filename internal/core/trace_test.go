@@ -11,14 +11,19 @@ import (
 	"arm2gc/internal/sim"
 )
 
-// recordCycles runs a classified garble run like garbleCycles while
-// compiling the trace, returning both the observed frames and the trace.
-func recordCycles(t *testing.T, c *circuit.Circuit, pub []bool, cycles, workers int, rndSeed int64) (garbleRun, *Trace) {
+// garbleRun captures everything observable about a garbler-side run: the
+// per-cycle serialized table bytes and the per-cycle statistics.
+type garbleRun struct {
+	frames [][]byte
+	stats  []CycleStats
+}
+
+// recordCycles runs scheduler+garbler for `cycles` cycles with deterministic
+// label randomness while keeping the trace, returning the exact bytes each
+// cycle would put on the wire and the recorded trace.
+func recordCycles(t *testing.T, c *circuit.Circuit, pub []bool, cycles int, rndSeed int64) (garbleRun, *Trace) {
 	t.Helper()
 	s := NewScheduler(c, Seed{1, 2, 3}, pub)
-	if err := s.SetWorkers(workers); err != nil {
-		t.Fatalf("SetWorkers(%d): %v", workers, err)
-	}
 	g := NewGarbler(s, rand.New(rand.NewSource(rndSeed)))
 	rec := NewTraceRecorder(s)
 	var run garbleRun
@@ -26,46 +31,45 @@ func recordCycles(t *testing.T, c *circuit.Circuit, pub []bool, cycles, workers 
 		cs := s.Classify(cyc == cycles)
 		rec.RecordCycle(cs, false)
 		run.stats = append(run.stats, cs)
-		run.frames = append(run.frames, g.GarbleCycleAppend(nil))
+		run.frames = append(run.frames, g.GarbleCycleTraceAppend(&s.ct, cyc, nil))
 		g.CopyDFFs()
 		s.Commit()
 	}
 	return run, rec.Finish(false)
 }
 
-// TestTraceReplayByteIdentical is the tentpole's correctness anchor in
-// core: a trace recorded under any worker count, replayed with the same
-// label randomness, must emit exactly the bytes the classified garbler
-// emits, cycle for cycle — and report the classified run's statistics.
+// TestTraceReplayByteIdentical: a recorded trace is a copy of the
+// scheduler's per-cycle buffer, so replaying it with the same label
+// randomness must emit exactly the bytes the live run emitted, cycle for
+// cycle — after the scheduler has long since overwritten that buffer — and
+// report the live run's statistics.
 func TestTraceReplayByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		c, _, _ := circtest.Random(rng, 100+rng.Intn(900), 5+rng.Intn(30))
 		pub := circtest.RandBits(rng, c.PublicBits)
 		const cycles = 6
-		for _, workers := range []int{1, 4} {
-			classified, tr := recordCycles(t, c, pub, cycles, workers, 4321)
-			if err := tr.Validate(cycles); err != nil {
-				t.Fatalf("trial %d: Validate: %v", trial, err)
+		classified, tr := recordCycles(t, c, pub, cycles, 4321)
+		if err := tr.Validate(cycles); err != nil {
+			t.Fatalf("trial %d: Validate: %v", trial, err)
+		}
+		g := NewReplayGarbler(c, rand.New(rand.NewSource(4321)))
+		for cyc := 1; cyc <= cycles; cyc++ {
+			ct := tr.Cycle(cyc)
+			if ct.Stats != classified.stats[cyc-1] {
+				t.Fatalf("trial %d: cycle %d stats differ: trace %+v classified %+v",
+					trial, cyc, ct.Stats, classified.stats[cyc-1])
 			}
-			g := NewReplayGarbler(c, rand.New(rand.NewSource(4321)))
-			for cyc := 1; cyc <= cycles; cyc++ {
-				ct := tr.Cycle(cyc)
-				if ct.Stats != classified.stats[cyc-1] {
-					t.Fatalf("trial %d, workers %d: cycle %d stats differ: trace %+v classified %+v",
-						trial, workers, cyc, ct.Stats, classified.stats[cyc-1])
-				}
-				frame := g.GarbleCycleTraceAppend(ct, cyc, nil)
-				if !bytes.Equal(frame, classified.frames[cyc-1]) {
-					t.Fatalf("trial %d, workers %d: cycle %d replay bytes differ (%d vs %d bytes)",
-						trial, workers, cyc, len(frame), len(classified.frames[cyc-1]))
-				}
-				if ct.NumTables()*32 != len(frame) {
-					t.Fatalf("trial %d: cycle %d NumTables %d does not match %d frame bytes",
-						trial, cyc, ct.NumTables(), len(frame))
-				}
-				g.CopyDFFs()
+			frame := g.GarbleCycleTraceAppend(ct, cyc, nil)
+			if !bytes.Equal(frame, classified.frames[cyc-1]) {
+				t.Fatalf("trial %d: cycle %d replay bytes differ (%d vs %d bytes)",
+					trial, cyc, len(frame), len(classified.frames[cyc-1]))
 			}
+			if ct.NumTables()*32 != len(frame) {
+				t.Fatalf("trial %d: cycle %d NumTables %d does not match %d frame bytes",
+					trial, cyc, ct.NumTables(), len(frame))
+			}
+			g.CopyDFFs()
 		}
 	}
 }
@@ -127,7 +131,7 @@ func TestTraceValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	c, _, _ := circtest.Random(rng, 200, 8)
 	pub := circtest.RandBits(rng, c.PublicBits)
-	_, tr := recordCycles(t, c, pub, 4, 1, 1)
+	_, tr := recordCycles(t, c, pub, 4, 1)
 	if err := tr.Validate(4); err != nil {
 		t.Fatalf("Validate(4): %v", err)
 	}
@@ -139,25 +143,6 @@ func TestTraceValidate(t *testing.T) {
 	}
 	if err := (&Trace{}).Validate(1); err == nil {
 		t.Fatalf("Validate accepted an empty trace")
-	}
-}
-
-// TestSetWorkersAfterClassify pins the satellite fix: the worker count is
-// fixed once classification starts.
-func TestSetWorkersAfterClassify(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c, _, _ := circtest.Random(rng, 150, 4)
-	pub := circtest.RandBits(rng, c.PublicBits)
-	s := NewScheduler(c, Seed{}, pub)
-	if err := s.SetWorkers(2); err != nil {
-		t.Fatalf("SetWorkers before Classify: %v", err)
-	}
-	s.Classify(false)
-	if err := s.SetWorkers(4); err == nil {
-		t.Fatalf("SetWorkers after Classify succeeded; want error")
-	}
-	if got := s.Workers(); got != 2 {
-		t.Fatalf("failed SetWorkers changed the worker count to %d", got)
 	}
 }
 

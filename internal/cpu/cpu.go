@@ -328,10 +328,6 @@ func BuildMem(l isa.Layout, mc obliv.Config) (*CPU, error) {
 			return nil, err
 		}
 	}
-	// Pre-warm the topological level partition so every cached machine
-	// carries it: parallel sessions (WithWorkers) then find it for free
-	// instead of each first scheduler paying the O(gates) computation.
-	c.Levels()
 	return &CPU{Circuit: c, Layout: l, Backend: mem.Name()}, nil
 }
 

@@ -51,12 +51,6 @@ const (
 	// tens of MB, far under readFrame's 1 GiB frame refusal). Server
 	// registrations are operator-set and not subject to it.
 	MaxCycleBatch = 4096
-
-	// MaxWorkers is the largest per-cycle worker count a client may
-	// propose; it mirrors core.MaxWorkers so a remote proposal can never
-	// ask a server to spawn an unbounded goroutine fleet. The server
-	// additionally caps proposals at its registration's own worker count.
-	MaxWorkers = 256
 )
 
 // Proposal is the evaluator's opening move of a session: a program name
@@ -73,7 +67,6 @@ type Proposal struct {
 
 	CycleBatch int // 0: the server's registered default
 	MaxCycles  int // 0: the server's registered default
-	Workers    int // 0: the server's registered default
 
 	// Auth optionally carries a bearer token the server checks against
 	// the proposed program's registration policy. An empty token encodes
@@ -92,16 +85,22 @@ type Proposal struct {
 	MemBackend string
 }
 
-// VersionError reports a proposal that announced a feature bit this side
-// does not implement. The frame is length-delimited, so the stream stays
-// aligned: a server receiving one rejects the proposal and keeps the
-// connection for further (supported) sessions.
+// VersionError reports a proposal that asks for something this side does
+// not implement: a feature bit it does not know (Flags), or a value in the
+// reserved slot that only older builds honoured (Reason). The frame is
+// length-delimited, so the stream stays aligned: a server receiving one
+// rejects the proposal and keeps the connection for further (supported)
+// sessions.
 type VersionError struct {
 	Program string
 	Flags   byte
+	Reason  string
 }
 
 func (e *VersionError) Error() string {
+	if e.Reason != "" {
+		return fmt.Sprintf("proto: proposal %q: %s", e.Program, e.Reason)
+	}
 	return fmt.Sprintf("proto: proposal %q carries unsupported feature flags %#02x", e.Program, e.Flags)
 }
 
@@ -114,7 +113,6 @@ type Grant struct {
 	Outputs    OutputMode
 	CycleBatch int
 	MaxCycles  int
-	Workers    int
 	SessionID  [32]byte
 }
 
@@ -145,7 +143,7 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	if len(p.Program) > MaxProgramName {
 		return fmt.Errorf("proto: program name of %d bytes exceeds %d", len(p.Program), MaxProgramName)
 	}
-	if p.CycleBatch < 0 || p.MaxCycles < 0 || p.Workers < 0 {
+	if p.CycleBatch < 0 || p.MaxCycles < 0 {
 		return fmt.Errorf("proto: negative option in proposal")
 	}
 	if len(p.Auth) > MaxAuthToken {
@@ -170,7 +168,7 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	payload = append(payload, flags, byte(p.Outputs))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.CycleBatch))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.MaxCycles))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.Workers))
+	payload = binary.LittleEndian.AppendUint32(payload, 0) // reserved (see ReadProposal)
 	if p.Auth != "" {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Auth)))
 		payload = append(payload, p.Auth...)
@@ -187,6 +185,11 @@ func WriteProposal(w io.Writer, p Proposal) error {
 // announcing feature flags this build does not know comes back as
 // *VersionError with the program name filled in — the frame has been
 // fully consumed, so the caller may reject it and keep reading.
+//
+// The uint32 after the cycle budget is a reserved slot: it carried a
+// per-cycle worker count until that knob was removed. Writers encode 0; a
+// value above 1 asks for parallel garbling no build offers any more and is
+// refused the same way.
 func ReadProposal(r io.Reader) (Proposal, error) {
 	b, err := readFrame(r, msgPropose)
 	if err != nil {
@@ -211,9 +214,12 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	p.Outputs = OutputMode(b[1])
 	p.CycleBatch = int(binary.LittleEndian.Uint32(b[2:]))
 	p.MaxCycles = int(binary.LittleEndian.Uint64(b[6:]))
-	p.Workers = int(binary.LittleEndian.Uint32(b[14:]))
-	if p.CycleBatch < 0 || p.MaxCycles < 0 || p.Workers < 0 {
+	if p.CycleBatch < 0 || p.MaxCycles < 0 {
 		return p, fmt.Errorf("proto: proposal option overflow")
+	}
+	if w := binary.LittleEndian.Uint32(b[14:]); w > 1 {
+		return p, &VersionError{Program: p.Program, Reason: fmt.Sprintf(
+			"a worker count of %d was proposed, but per-cycle workers have been removed (propose 0 or 1)", w)}
 	}
 	b = b[18:]
 	if flags&flagHasAuth != 0 {
@@ -242,13 +248,16 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	return p, nil
 }
 
-// WriteGrant accepts a proposal (server side).
+// WriteGrant accepts a proposal (server side). The uint32 after the cycle
+// budget is the grant's half of the reserved slot (see ReadProposal): it
+// always carries 1, the value every older client accepts, and parseGrant
+// ignores it.
 func WriteGrant(w io.Writer, g Grant) error {
 	payload := make([]byte, 0, 1+4+8+4+32)
 	payload = append(payload, byte(g.Outputs))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(g.CycleBatch))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(g.MaxCycles))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(g.Workers))
+	payload = binary.LittleEndian.AppendUint32(payload, 1)
 	payload = append(payload, g.SessionID[:]...)
 	return writeFrame(w, msgGrant, payload)
 }
@@ -261,9 +270,8 @@ func parseGrant(b []byte) (Grant, error) {
 	g.Outputs = OutputMode(b[0])
 	g.CycleBatch = int(binary.LittleEndian.Uint32(b[1:]))
 	g.MaxCycles = int(binary.LittleEndian.Uint64(b[5:]))
-	g.Workers = int(binary.LittleEndian.Uint32(b[13:]))
 	copy(g.SessionID[:], b[17:])
-	if g.CycleBatch < 1 || g.MaxCycles < 1 || g.Workers < 1 {
+	if g.CycleBatch < 1 || g.MaxCycles < 1 {
 		return g, fmt.Errorf("proto: grant with unresolved options")
 	}
 	return g, nil

@@ -19,10 +19,9 @@ func TestProposalRoundTrip(t *testing.T) {
 		{Program: "sum"},
 		{Program: "hamming", HasOutputs: true, Outputs: OutputEvaluatorOnly, CycleBatch: 16, MaxCycles: 12345},
 		{Program: "x", HasOutputs: true, Outputs: OutputBoth},
-		{Program: "par", CycleBatch: 2, MaxCycles: 64, Workers: 8},
 		{Program: "sec", Auth: "bearer-1"},
 		{Program: "mem", MemBackend: "sqrt-oram"},
-		{Program: "all", HasOutputs: true, Outputs: OutputGarblerOnly, CycleBatch: 4, MaxCycles: 9, Workers: 2, Auth: "k", MemBackend: "scan"},
+		{Program: "all", HasOutputs: true, Outputs: OutputGarblerOnly, CycleBatch: 4, MaxCycles: 9, Auth: "k", MemBackend: "scan"},
 	}
 	for _, want := range cases {
 		var buf bytes.Buffer
@@ -52,7 +51,7 @@ func TestProposalRoundTrip(t *testing.T) {
 // byte-identical guarantee the frame evolution rides on.
 func TestProposalWireCompat(t *testing.T) {
 	p := Proposal{Program: "add", HasOutputs: true, Outputs: OutputEvaluatorOnly,
-		CycleBatch: 8, MaxCycles: 10_000, Workers: 4}
+		CycleBatch: 8, MaxCycles: 10_000}
 	var buf bytes.Buffer
 	if err := WriteProposal(&buf, p); err != nil {
 		t.Fatal(err)
@@ -63,7 +62,7 @@ func TestProposalWireCompat(t *testing.T) {
 		0x01, byte(OutputEvaluatorOnly), // flags, mode
 		8, 0, 0, 0, // cycle batch
 		0x10, 0x27, 0, 0, 0, 0, 0, 0, // max cycles
-		4, 0, 0, 0, // workers
+		0, 0, 0, 0, // reserved (the removed worker count)
 	}
 	if !bytes.Equal(buf.Bytes(), legacy) {
 		t.Fatalf("token-less proposal encodes to % x, legacy wire format is % x", buf.Bytes(), legacy)
@@ -106,6 +105,43 @@ func TestProposalVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestProposalRemovedWorkers pins the reserved slot's read side: the exact
+// bytes an older client sent to ask for 4 per-cycle workers must come back
+// as *VersionError — the verdict a server turns into a rejection — with
+// the frame consumed so the next proposal on the stream still parses; a
+// count of 1 (serial, the only thing any build does now) is accepted.
+func TestProposalRemovedWorkers(t *testing.T) {
+	old := func(workers byte) []byte {
+		return []byte{
+			msgPropose, 23, 0, 0, 0, // frame header: type + length
+			3, 0, 'a', 'd', 'd', // name
+			0x01, byte(OutputEvaluatorOnly), // flags, mode
+			8, 0, 0, 0, // cycle batch
+			0x10, 0x27, 0, 0, 0, 0, 0, 0, // max cycles
+			workers, 0, 0, 0, // the slot that carried the worker count
+		}
+	}
+	var buf bytes.Buffer
+	buf.Write(old(4))
+	if err := WriteProposal(&buf, Proposal{Program: "next"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadProposal(&buf)
+	var ve *VersionError
+	if !errors.As(err, &ve) {
+		t.Fatalf("got %v, want *VersionError", err)
+	}
+	if ve.Program != "add" || !strings.Contains(ve.Error(), "worker count of 4") {
+		t.Errorf("version error carried %+v (%v)", ve, ve)
+	}
+	if next, err := ReadProposal(&buf); err != nil || next.Program != "next" {
+		t.Fatalf("stream misaligned after the refusal: %+v, %v", next, err)
+	}
+	if p, err := ReadProposal(bytes.NewReader(old(1))); err != nil || p.Program != "add" || p.CycleBatch != 8 {
+		t.Fatalf("a proposal for one worker parsed to %+v, %v", p, err)
+	}
+}
+
 // TestProposalMemBackendWire pins the memory-backend extension's
 // encoding: the flag bit, the length-prefixed name after the (absent)
 // auth field, and the malformed-truncation refusals. Backend-less
@@ -122,7 +158,7 @@ func TestProposalMemBackendWire(t *testing.T) {
 		0x04, 0, // flags (mem-backend bit), mode
 		0, 0, 0, 0, // cycle batch
 		0, 0, 0, 0, 0, 0, 0, 0, // max cycles
-		0, 0, 0, 0, // workers
+		0, 0, 0, 0, // reserved (the removed worker count)
 		4, 0, 's', 'c', 'a', 'n', // backend name
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -159,7 +195,7 @@ func TestProposalMemBackendWire(t *testing.T) {
 }
 
 func TestGrantRoundTrip(t *testing.T) {
-	want := Grant{Outputs: OutputGarblerOnly, CycleBatch: 8, MaxCycles: 10_000, Workers: 4}
+	want := Grant{Outputs: OutputGarblerOnly, CycleBatch: 8, MaxCycles: 10_000}
 	for i := range want.SessionID {
 		want.SessionID[i] = byte(i * 7)
 	}
@@ -181,7 +217,7 @@ func TestGrantRoundTrip(t *testing.T) {
 
 	// A grant is only valid fully resolved: every negotiable knob >= 1.
 	unresolved := want
-	unresolved.Workers = 0
+	unresolved.CycleBatch = 0
 	var buf2 bytes.Buffer
 	if err := WriteGrant(&buf2, unresolved); err != nil {
 		t.Fatal(err)
@@ -190,7 +226,7 @@ func TestGrantRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := parseGrant(payload); err == nil {
-		t.Error("grant with unresolved worker count accepted")
+		t.Error("grant with unresolved cycle batch accepted")
 	}
 }
 
@@ -222,7 +258,7 @@ func TestNegotiateGrant(t *testing.T) {
 	ca, cb := net.Pipe()
 	defer ca.Close()
 	defer cb.Close()
-	want := Grant{Outputs: OutputBoth, CycleBatch: 4, MaxCycles: 99, Workers: 2}
+	want := Grant{Outputs: OutputBoth, CycleBatch: 4, MaxCycles: 99}
 	go func() {
 		if _, err := ReadProposal(cb); err != nil {
 			t.Error(err)
@@ -232,7 +268,7 @@ func TestNegotiateGrant(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	got, err := Negotiate(context.Background(), ca, Proposal{Program: "sum", CycleBatch: 4, MaxCycles: 99, Workers: 2})
+	got, err := Negotiate(context.Background(), ca, Proposal{Program: "sum", CycleBatch: 4, MaxCycles: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +355,7 @@ func TestRejectOldClientCompat(t *testing.T) {
 	if err := WriteRejectRetry(&buf, "shed", time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGrant(&buf, Grant{Outputs: OutputBoth, CycleBatch: 1, MaxCycles: 1, Workers: 1}); err != nil {
+	if err := WriteGrant(&buf, Grant{Outputs: OutputBoth, CycleBatch: 1, MaxCycles: 1}); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readAnyFrame(&buf)
@@ -389,7 +425,7 @@ func TestProposalFramePeek(t *testing.T) {
 		t.Error("truncated proposal payload accepted")
 	}
 
-	g := Grant{Outputs: OutputGarblerOnly, CycleBatch: 1, MaxCycles: 1, Workers: 1}
+	g := Grant{Outputs: OutputGarblerOnly, CycleBatch: 1, MaxCycles: 1}
 	buf.Reset()
 	if err := WriteGrant(&buf, g); err != nil {
 		t.Fatal(err)

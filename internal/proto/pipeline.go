@@ -7,22 +7,15 @@ import (
 	"arm2gc/internal/core"
 )
 
-// garbleStream drives the garbler's table stream, serially or — when
-// cfg.Pipeline is positive — with a producer goroutine garbling frames
-// ahead of the writer. Classified and replayed runs share the same frame
-// plumbing (and the pipelined writer), so the bytes on the wire are
-// identical across all four combinations by construction.
-func garbleStream(ctx context.Context, conn io.ReadWriter, cfg Config, s *core.Scheduler, g *core.Garbler, run *runState, res *Result, rec *core.TraceRecorder) error {
-	produce := func(ctx context.Context, emit func(payload []byte) ([]byte, error)) error {
-		if cfg.Trace != nil {
-			return garbleFramesReplay(ctx, cfg, g, res, emit)
-		}
-		return garbleFrames(ctx, cfg, s, g, run, res, rec, emit)
-	}
+// garbleStream drives the garbler's table stream to conn, directly or —
+// when cfg.Pipeline is positive — with a producer goroutine garbling
+// frames ahead of the writer. Both run the one garbleFrames loop, so the
+// bytes on the wire are identical by construction.
+func garbleStream(ctx context.Context, conn io.ReadWriter, cfg Config, sched *core.Schedule, g *core.Garbler, res *Result) error {
 	if cfg.Pipeline > 0 {
-		return garblePipelined(ctx, conn, cfg, res, produce)
+		return garblePipelined(ctx, conn, cfg, sched, g, res)
 	}
-	return produce(ctx, func(payload []byte) ([]byte, error) {
+	return garbleFrames(ctx, cfg, sched, g, func(payload []byte) ([]byte, error) {
 		if err := writeFrame(conn, msgTables, payload); err != nil {
 			return nil, err
 		}
@@ -31,39 +24,26 @@ func garbleStream(ctx context.Context, conn io.ReadWriter, cfg Config, s *core.S
 	})
 }
 
-// garbleFrames runs the garbler's classified cycle loop, appending each
-// cycle's tables to a payload buffer and handing the buffer to emit at
-// every frame boundary: the cycle-batch edge and, regardless of fill, the
-// halt or cycle-budget edge, where the evaluator expects the remainder
-// (both sides derive identical boundaries from the shared public
-// schedule). emit returns the buffer to fill next — the same one in the
-// serial path, a recycled one from the pipeline pool when a producer
-// goroutine runs ahead of the writer. When rec is non-nil the settled
-// schedule of every cycle is compiled into a trace as it executes.
-func garbleFrames(ctx context.Context, cfg Config, s *core.Scheduler, g *core.Garbler, run *runState, res *Result, rec *core.TraceRecorder, emit func(payload []byte) ([]byte, error)) error {
+// garbleFrames is the garbler's cycle loop: take the next compiled cycle,
+// run the kernel appending its tables to a payload buffer, and hand the
+// buffer to emit at every frame boundary — the cycle-batch edge and,
+// regardless of fill, the run's last cycle (halt or budget edge), where
+// the evaluator expects the remainder; both sides derive identical
+// boundaries from the shared public schedule. emit returns the buffer to
+// fill next: the same one when writing directly, a recycled one from the
+// pipeline pool when a producer goroutine runs ahead of the writer.
+func garbleFrames(ctx context.Context, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(payload []byte) ([]byte, error)) error {
 	batch := cfg.batch()
 	var payload []byte
 	inBatch := 0
-	for cyc := 1; cyc <= cfg.Cycles; cyc++ {
+	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		final := cyc == cfg.Cycles
-		cs := s.Classify(final)
-		res.Stats.Total.Add(cs)
-		res.Stats.Cycles++
-		if cfg.Sink != nil {
-			cfg.Sink(cyc, cs)
-		}
-		// The halt verdict is schedule-only, so it is known right after
-		// Classify — the recorder needs it before the cycle is compiled.
-		halted := run.stopped(s)
-		if rec != nil {
-			rec.RecordCycle(cs, halted)
-		}
-		payload = g.GarbleCycleAppend(payload)
+		ct := sched.Next()
+		payload = g.GarbleCycleTraceAppend(ct, sched.Cycle(), payload)
 		inBatch++
-		if inBatch == batch || final || halted {
+		if inBatch == batch || sched.Done() {
 			next, err := emit(payload)
 			if err != nil {
 				return err
@@ -71,63 +51,20 @@ func garbleFrames(ctx context.Context, cfg Config, s *core.Scheduler, g *core.Ga
 			payload = next[:0]
 			inBatch = 0
 		}
-		if halted {
-			res.Halted = true
-			break
-		}
-		g.CopyDFFs()
-		s.Commit()
-	}
-	return nil
-}
-
-// garbleFramesReplay mirrors garbleFrames over a recorded trace: no
-// scheduler, the compiled cycles drive the label work, and the frame
-// boundaries come out exactly where the classified loop would put them
-// (the trace ends at the recorded halt or at the budget edge).
-func garbleFramesReplay(ctx context.Context, cfg Config, g *core.Garbler, res *Result, emit func(payload []byte) ([]byte, error)) error {
-	tr := cfg.Trace
-	batch := cfg.batch()
-	var payload []byte
-	inBatch := 0
-	n := tr.NumCycles()
-	for cyc := 1; cyc <= n; cyc++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ct := tr.Cycle(cyc)
-		res.Stats.Total.Add(ct.Stats)
-		res.Stats.Cycles++
-		if cfg.Sink != nil {
-			cfg.Sink(cyc, ct.Stats)
-		}
-		payload = g.GarbleCycleTraceAppend(ct, cyc, payload)
-		inBatch++
-		if inBatch == batch || cyc == cfg.Cycles || ct.Halted {
-			next, err := emit(payload)
-			if err != nil {
-				return err
-			}
-			payload = next[:0]
-			inBatch = 0
-		}
-		if ct.Halted {
-			res.Halted = true
-			break
+		if sched.Done() {
+			return nil
 		}
 		g.CopyDFFs()
 	}
-	return nil
 }
 
 // garblePipelined overlaps garbling with frame I/O: a producer goroutine
 // garbles up to cfg.Pipeline frames ahead into a bounded queue while this
 // goroutine streams them to conn. Buffers cycle through a pool, so the
-// lookahead is allocation-bounded. The producer owns the garbler (and
-// scheduler, when classifying) and res.Stats until it finishes; receiving
-// its result channel establishes the happens-before edge the
-// output-decoding phase needs.
-func garblePipelined(ctx context.Context, conn io.ReadWriter, cfg Config, res *Result, produce func(ctx context.Context, emit func(payload []byte) ([]byte, error)) error) error {
+// lookahead is allocation-bounded. The producer owns the garbler and the
+// schedule until it finishes; receiving its result channel establishes the
+// happens-before edge the output-decoding phase needs.
+func garblePipelined(ctx context.Context, conn io.ReadWriter, cfg Config, sched *core.Schedule, g *core.Garbler, res *Result) error {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	frames := make(chan []byte, cfg.Pipeline)
@@ -137,7 +74,7 @@ func garblePipelined(ctx context.Context, conn io.ReadWriter, cfg Config, res *R
 	}
 	prodErr := make(chan error, 1)
 	go func() {
-		err := produce(pctx, func(payload []byte) ([]byte, error) {
+		err := garbleFrames(pctx, cfg, sched, g, func(payload []byte) ([]byte, error) {
 			select {
 			case frames <- payload:
 			case <-pctx.Done():

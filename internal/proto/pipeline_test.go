@@ -17,8 +17,15 @@ import (
 // recording every table-frame payload the evaluator receives.
 func runBothTap(t *testing.T, cfg Config, alice, bob []bool, seed int64) (*Result, *Result, [][]byte) {
 	t.Helper()
+	return runBothAsym(t, cfg, cfg, alice, bob, seed)
+}
+
+// runBothAsym is runBothTap with per-side configs, for the role-local knobs
+// (Pipeline, Trace, ReadAhead) that may differ between garbler and
+// evaluator.
+func runBothAsym(t *testing.T, cfgG, cfgE Config, alice, bob []bool, seed int64) (*Result, *Result, [][]byte) {
+	t.Helper()
 	var frames [][]byte
-	cfgE := cfg
 	cfgE.tapTables = func(p []byte) { frames = append(frames, append([]byte(nil), p...)) }
 	ca, cb := net.Pipe()
 	defer ca.Close()
@@ -29,7 +36,7 @@ func runBothTap(t *testing.T, cfg Config, alice, bob []bool, seed int64) (*Resul
 	}
 	ch := make(chan res, 1)
 	go func() {
-		r, err := RunGarbler(context.Background(), ca, cfg, alice, mrand.New(mrand.NewSource(seed)))
+		r, err := RunGarbler(context.Background(), ca, cfgG, alice, mrand.New(mrand.NewSource(seed)))
 		ch <- res{r, err}
 	}()
 	rb, err := RunEvaluator(context.Background(), cb, cfgE, bob)

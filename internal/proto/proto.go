@@ -76,27 +76,18 @@ type Config struct {
 	// the two parties need not agree on it. The evaluator ignores it.
 	Pipeline int
 
-	// Workers, when > 1, spreads each cycle's SkipGate classification and
-	// label work across that many goroutines (core.Scheduler.SetWorkers).
-	// The schedule and every wire byte are identical for any value, so —
-	// like Pipeline — it is not part of the session id; each side applies
-	// its own count. The negotiation layer still carries it (Proposal/
-	// Grant) so a client can ask a server for parallel garbling within
-	// the server's registered ceiling.
-	Workers int
-
-	// Sink, when set, receives every cycle's scheduling outcome as it is
-	// classified, on both roles.
+	// Sink, when set, receives every cycle's scheduling outcome as the
+	// cycle is produced, on both roles.
 	Sink func(cycle int, cs core.CycleStats)
 
 	// Trace, when set, replays a recorded classification schedule instead
-	// of running the SkipGate scheduler: the role walks the compiled gate
-	// list, collapsing its hot path to fixed-key-AES label work. The trace
-	// must come from the same (circuit, public input, cycle budget, halt
-	// flag) tuple — see core.Trace. The wire stream is byte-identical to a
-	// classified run's, so the knob is local like Workers and Pipeline: it
-	// is not part of the session id, and a replaying role interoperates
-	// with a classifying peer.
+	// of running the SkipGate scheduler: the role's kernel is fed the
+	// recorded cycles, collapsing its hot path to fixed-key-AES label work.
+	// The trace must come from the same (circuit, public input, cycle
+	// budget, halt flag) tuple — see core.Trace. The wire stream is
+	// byte-identical to a classified run's, so the knob is local like
+	// Pipeline: it is not part of the session id, and a replaying role
+	// interoperates with a classifying peer.
 	Trace *core.Trace
 
 	// Record, when set, compiles this run's classification schedule into
@@ -230,12 +221,17 @@ func packBits(bits []bool) []byte {
 	return out
 }
 
-func unpackBits(b []byte, n int) []bool {
+// unpackBits decodes a peer's n-bit payload, refusing any other length: the
+// payload comes straight off the wire.
+func unpackBits(b []byte, n int) ([]bool, error) {
+	if len(b) != (n+7)/8 {
+		return nil, fmt.Errorf("proto: bit frame of %d bytes, want %d for %d bits", len(b), (n+7)/8, n)
+	}
 	bits := make([]bool, n)
 	for i := range bits {
 		bits[i] = b[i/8]&(1<<uint(i%8)) != 0
 	}
-	return bits
+	return bits, nil
 }
 
 func packLabels(ls []gc.Label) []byte {
@@ -328,124 +324,30 @@ func RunGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 }
 
 func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
-	sid, err := cfg.SessionID()
+	rec, sched, g, err := setupGarbler(cfg, aliceInput, rnd)
 	if err != nil {
 		return nil, err
 	}
-	if rnd == nil {
-		rnd = gc.CryptoRand
-	}
-	// Hello: session id + fingerprint seed (public, garbler-chosen).
-	var seed core.Seed
-	if _, err := io.ReadFull(rnd, seed[:]); err != nil {
+	if err := rec.handshake(conn); err != nil {
 		return nil, err
 	}
-	if err := writeFrame(conn, msgHello, append(sid[:], seed[:]...)); err != nil {
-		return nil, err
-	}
-	ack, err := readFrame(conn, msgHello)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(ack, sid[:]) {
-		return nil, fmt.Errorf("proto: evaluator session mismatch")
-	}
-
-	// The replaying garbler draws its seed and labels from rnd in exactly
-	// the classified order, so given the same randomness the two paths put
-	// the same bytes on the wire from the hello frame onward. The seed
-	// still matters to a classifying peer; replay itself never uses it.
-	var s *core.Scheduler
-	var rec *core.TraceRecorder
-	var g *core.Garbler
-	if cfg.Trace != nil {
-		if cfg.Record {
-			return nil, fmt.Errorf("proto: Record with Trace: a replayed run has no scheduler to record")
-		}
-		if err := cfg.Trace.Validate(cfg.Cycles); err != nil {
-			return nil, err
-		}
-		g = core.NewReplayGarbler(cfg.Circuit, rnd)
-	} else {
-		s = core.NewScheduler(cfg.Circuit, seed, cfg.Public)
-		if err := s.SetWorkers(cfg.Workers); err != nil {
-			return nil, err
-		}
-		g = core.NewGarbler(s, rnd)
-		if cfg.Record {
-			rec = core.NewTraceRecorder(s)
-		}
-	}
-	if err := writeFrame(conn, msgAliceLabels, packLabels(g.AliceActiveLabels(aliceInput))); err != nil {
-		return nil, err
-	}
-	if err := ot.SendLabels(conn, g.BobPairs()); err != nil {
-		return nil, fmt.Errorf("proto: OT: %w", err)
-	}
-
 	res := &Result{}
-	run := newRun(cfg)
-	if err := garbleStream(ctx, conn, cfg, s, g, run, res, rec); err != nil {
+	if err := garbleStream(ctx, conn, cfg, sched, g, res); err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		res.Trace = rec.Finish(res.Halted)
-	}
-
-	// state reads output bit i's final public/secret verdict — from the
-	// scheduler, or from the trace in replay (the trace records the same
-	// resolved wires newRun derives).
-	state := func(i int) (bool, bool) {
-		if cfg.Trace != nil {
-			return cfg.Trace.OutputState(i)
-		}
-		return s.WireState(run.outWires[i])
-	}
-	decodeBits := func() []bool {
-		d := make([]bool, len(run.outWires))
-		for i, w := range run.outWires {
-			if _, pub := state(i); !pub {
-				d[i] = g.DecodeBit(w)
-			}
-		}
-		return d
-	}
-
-	switch cfg.Outputs {
-	case OutputEvaluatorOnly:
-		// Send decode bits; learn nothing back.
-		if err := writeFrame(conn, msgDecode, packBits(decodeBits())); err != nil {
-			return nil, err
-		}
-	case OutputGarblerOnly:
-		// Receive the evaluator's permute bits and decode locally; the
-		// evaluator never sees the decode bits.
-		perm, err := readFrame(conn, msgOutputs)
-		if err != nil {
-			return nil, err
-		}
-		bits := unpackBits(perm, len(run.outWires))
-		out := make([]bool, len(run.outWires))
-		for i, w := range run.outWires {
-			if v, pub := state(i); pub {
-				out[i] = v
-			} else {
-				out[i] = bits[i] != g.DecodeBit(w)
-			}
-		}
-		res.Outputs = out
-	default:
-		// Both learn: send decode bits, receive final values.
-		if err := writeFrame(conn, msgDecode, packBits(decodeBits())); err != nil {
-			return nil, err
-		}
-		vals, err := readFrame(conn, msgOutputs)
-		if err != nil {
-			return nil, err
-		}
-		res.Outputs = unpackBits(vals, len(run.outWires))
+	rec.finish(sched, g)
+	res.Stats, res.Halted, res.Trace = rec.stats, rec.halted, sched.Trace()
+	if res.Outputs, err = rec.exchangeOutputs(conn, cfg.Outputs); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// schedule builds the role's source of compiled cycles: a live scheduler
+// under the session's fingerprint seed, or cfg.Trace.
+func (c Config) schedule(seed core.Seed) (*core.Schedule, error) {
+	return core.NewSchedule(c.Circuit, c.Public, core.RunOpts{Cycles: c.Cycles, StopOutput: c.StopOutput,
+		Seed: seed, Sink: c.Sink, Trace: c.Trace, Record: c.Record})
 }
 
 // RunEvaluator plays Bob.
@@ -477,27 +379,11 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 		return nil, err
 	}
 
-	var s *core.Scheduler
-	var rec *core.TraceRecorder
-	var e *core.Evaluator
-	if cfg.Trace != nil {
-		if cfg.Record {
-			return nil, fmt.Errorf("proto: Record with Trace: a replayed run has no scheduler to record")
-		}
-		if err := cfg.Trace.Validate(cfg.Cycles); err != nil {
-			return nil, err
-		}
-		e = core.NewReplayEvaluator(cfg.Circuit)
-	} else {
-		s = core.NewScheduler(cfg.Circuit, seed, cfg.Public)
-		if err := s.SetWorkers(cfg.Workers); err != nil {
-			return nil, err
-		}
-		e = core.NewEvaluator(s)
-		if cfg.Record {
-			rec = core.NewTraceRecorder(s)
-		}
+	sched, err := cfg.schedule(seed)
+	if err != nil {
+		return nil, err
 	}
+	e := core.NewReplayEvaluator(cfg.Circuit)
 	aliceBytes, err := readFrame(conn, msgAliceLabels)
 	if err != nil {
 		return nil, err
@@ -515,166 +401,90 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	}
 
 	res := &Result{}
-	run := newRun(cfg)
 	// From here the garbler only sends: stream frames through the
 	// read-ahead reader (a synchronous pass-through unless cfg.ReadAhead
 	// asks for buffering), which shutdown joins on every path.
 	fr := newFrameReader(conn, cfg)
 	defer fr.shutdown()
-	if cfg.Trace != nil {
-		if err := evalStreamReplay(ctx, fr, cfg, e, res); err != nil {
-			return nil, err
-		}
-	} else if err := evalStream(ctx, fr, cfg, s, e, run, res, rec); err != nil {
+	if err := evalStream(ctx, fr, cfg, sched, e, res); err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		res.Trace = rec.Finish(res.Halted)
-	}
+	res.Stats, res.Halted, res.Trace = sched.Stats(), sched.Halted(), sched.Trace()
 
-	state := func(i int) (bool, bool) {
-		if cfg.Trace != nil {
-			return cfg.Trace.OutputState(i)
-		}
-		return s.WireState(run.outWires[i])
-	}
-	switch cfg.Outputs {
-	case OutputGarblerOnly:
+	outWires := sched.OutputWires()
+	out := make([]bool, len(outWires))
+	if cfg.Outputs == OutputGarblerOnly {
 		// Send only the active labels' permute bits; without the decode
 		// bits they reveal nothing to us and everything to the garbler.
-		perm := make([]bool, len(run.outWires))
-		for i, w := range run.outWires {
-			if _, pub := state(i); !pub {
-				perm[i] = e.ActiveBit(w)
+		for i, w := range outWires {
+			if _, pub := sched.OutputState(i); !pub {
+				out[i] = e.ActiveBit(w)
 			}
 		}
-		if err := writeFrame(conn, msgOutputs, packBits(perm)); err != nil {
+		if err := writeFrame(conn, msgOutputs, packBits(out)); err != nil {
 			return nil, err
 		}
-	default:
-		decBytes, err := fr.read(msgDecode)
-		if err != nil {
-			return nil, err
-		}
-		decode := unpackBits(decBytes, len(run.outWires))
-		out := make([]bool, len(run.outWires))
-		for i, w := range run.outWires {
-			if v, pub := state(i); pub {
-				out[i] = v
-			} else {
-				out[i] = e.ActiveBit(w) != decode[i]
-			}
-		}
-		if cfg.Outputs == OutputBoth {
-			if err := writeFrame(conn, msgOutputs, packBits(out)); err != nil {
-				return nil, err
-			}
-		}
-		res.Outputs = out
+		return res, nil
 	}
+	decBytes, err := fr.read(msgDecode)
+	if err != nil {
+		return nil, err
+	}
+	decode, err := unpackBits(decBytes, len(outWires))
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range outWires {
+		if v, pub := sched.OutputState(i); pub {
+			out[i] = v
+		} else {
+			out[i] = e.ActiveBit(w) != decode[i]
+		}
+	}
+	if cfg.Outputs == OutputBoth {
+		if err := writeFrame(conn, msgOutputs, packBits(out)); err != nil {
+			return nil, err
+		}
+	}
+	res.Outputs = out
 	return res, nil
 }
 
-// evalStream is the evaluator's classified cycle loop: classify, read a
-// table frame at each batch start, evaluate, and optionally record the
-// schedule for later replay.
-func evalStream(ctx context.Context, fr *frameReader, cfg Config, s *core.Scheduler, e *core.Evaluator, run *runState, res *Result, rec *core.TraceRecorder) error {
+// evalStream is the evaluator's cycle loop: take the next compiled cycle,
+// read a table frame at each batch start, run the kernel. Frame boundaries
+// fall where the garbler puts them — the cycle-batch edge and the run's
+// last cycle — because both sides step the same public schedule.
+func evalStream(ctx context.Context, fr *frameReader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
 	batch := cfg.batch()
 	var pending []gc.Table // tables of the current frame not yet consumed
 	inBatch := 0
-	for cyc := 1; cyc <= cfg.Cycles; cyc++ {
+	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		final := cyc == cfg.Cycles
-		cs := s.Classify(final)
-		res.Stats.Total.Add(cs)
-		res.Stats.Cycles++
-		if cfg.Sink != nil {
-			cfg.Sink(cyc, cs)
-		}
-		// The halt verdict is schedule-only, so it is known right after
-		// Classify — and the recorder compiles it into the trace.
-		halted := run.stopped(s)
-		if rec != nil {
-			rec.RecordCycle(cs, halted)
-		}
+		ct := sched.Next()
+		cyc := sched.Cycle()
+		var err error
 		if inBatch == 0 {
-			// Batch start: the garbler sends one frame covering the next
-			// CycleBatch cycles (fewer at the halt/budget edge).
-			var err error
-			pending, err = readTables(fr, cfg, res, cyc)
-			if err != nil {
+			if pending, err = readTables(fr, cfg, res, cyc); err != nil {
 				return err
 			}
 		}
-		var err error
-		pending, err = e.EvalCycle(pending)
-		if err != nil {
+		if pending, err = e.EvalCycleTrace(ct, cyc, pending); err != nil {
 			return err
 		}
 		inBatch++
-		if inBatch == batch || final || halted {
+		if inBatch == batch || sched.Done() {
 			if len(pending) != 0 {
 				return fmt.Errorf("proto: cycle %d: %d unconsumed tables at batch end", cyc, len(pending))
 			}
 			inBatch = 0
 		}
-		if halted {
-			res.Halted = true
-			break
-		}
-		e.CopyDFFs()
-		s.Commit()
-	}
-	return nil
-}
-
-// evalStreamReplay is the evaluator's trace-replay loop: no scheduler,
-// frame boundaries re-derived from the trace exactly where the classified
-// loop would put them (batch edges, the recorded halt, the budget edge).
-func evalStreamReplay(ctx context.Context, fr *frameReader, cfg Config, e *core.Evaluator, res *Result) error {
-	tr := cfg.Trace
-	batch := cfg.batch()
-	var pending []gc.Table
-	inBatch := 0
-	n := tr.NumCycles()
-	for cyc := 1; cyc <= n; cyc++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ct := tr.Cycle(cyc)
-		res.Stats.Total.Add(ct.Stats)
-		res.Stats.Cycles++
-		if cfg.Sink != nil {
-			cfg.Sink(cyc, ct.Stats)
-		}
-		if inBatch == 0 {
-			var err error
-			pending, err = readTables(fr, cfg, res, cyc)
-			if err != nil {
-				return err
-			}
-		}
-		var err error
-		pending, err = e.EvalCycleTrace(ct, cyc, pending)
-		if err != nil {
-			return err
-		}
-		inBatch++
-		if inBatch == batch || cyc == cfg.Cycles || ct.Halted {
-			if len(pending) != 0 {
-				return fmt.Errorf("proto: cycle %d: %d unconsumed tables at batch end", cyc, len(pending))
-			}
-			inBatch = 0
-		}
-		if ct.Halted {
-			res.Halted = true
-			break
+		if sched.Done() {
+			return nil
 		}
 		e.CopyDFFs()
 	}
-	return nil
 }
 
 // readTables reads and parses one msgTables frame.
@@ -696,32 +506,4 @@ func readTables(fr *frameReader, cfg Config, res *Result, cyc int) ([]gc.Table, 
 		tables[i].TE = gc.LabelFromBytes(payload[i*gc.TableBytes+16:])
 	}
 	return tables, nil
-}
-
-// runState holds per-run derived data shared by both roles.
-type runState struct {
-	outWires []circuit.Wire
-	stopWire circuit.Wire
-}
-
-func newRun(cfg Config) *runState {
-	r := &runState{stopWire: -1}
-	for _, w := range cfg.Circuit.OutputWires() {
-		r.outWires = append(r.outWires, cfg.Circuit.ResolveOutput(w))
-	}
-	if cfg.StopOutput != "" {
-		if o := cfg.Circuit.FindOutput(cfg.StopOutput); o != nil {
-			r.stopWire = cfg.Circuit.ResolveOutput(o.Wires[0])
-		}
-	}
-	return r
-}
-
-// stopped checks the public halt flag after a cycle's classification.
-func (r *runState) stopped(s *core.Scheduler) bool {
-	if r.stopWire < 0 {
-		return false
-	}
-	v, pub := s.WireState(r.stopWire)
-	return pub && v
 }

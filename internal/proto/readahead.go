@@ -108,24 +108,8 @@ func (fr *frameReader) shutdown() {
 }
 
 // countTraceFrames derives the exact number of msgTables frames a
-// replayed stream carries, walking the recorded cycles through the same
-// boundary rule as the replay loops (batch edge, budget edge, halt).
+// replayed stream carries: the cycle loops close a frame every CycleBatch
+// cycles and at the run's last cycle, which is the trace's last.
 func countTraceFrames(cfg Config) int {
-	tr, batch := cfg.Trace, cfg.batch()
-	frames, inBatch := 0, 0
-	n := tr.NumCycles()
-	for cyc := 1; cyc <= n; cyc++ {
-		ct := tr.Cycle(cyc)
-		if inBatch == 0 {
-			frames++
-		}
-		inBatch++
-		if inBatch == batch || cyc == cfg.Cycles || ct.Halted {
-			inBatch = 0
-		}
-		if ct.Halted {
-			break
-		}
-	}
-	return frames
+	return (cfg.Trace.NumCycles() + cfg.batch() - 1) / cfg.batch()
 }

@@ -77,6 +77,115 @@ func (r *Recorded) computeSize() {
 	r.size = n
 }
 
+// setupGarbler does everything the garbler decides before a peer matters:
+// it draws the fingerprint seed and the labels from rnd — seed, R, Alice's
+// bits, Bob's bits, in that fixed order, so live garbling, offline
+// recording and replay put the same bytes on the wire from the same
+// randomness — and builds the schedule and the executor. The returned
+// Recorded holds the session head (hello, Alice's labels, Bob's OT pairs);
+// its table frames and decode metadata are filled in as the run proceeds.
+func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *core.Schedule, *core.Garbler, error) {
+	sid, err := cfg.SessionID()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if rnd == nil {
+		rnd = gc.CryptoRand
+	}
+	// The seed is public and garbler-chosen; it matters to a classifying
+	// peer even when this side replays a trace and never uses it.
+	var seed core.Seed
+	if _, err := io.ReadFull(rnd, seed[:]); err != nil {
+		return nil, nil, nil, err
+	}
+	sched, err := cfg.schedule(seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	g := core.NewReplayGarbler(cfg.Circuit, rnd)
+	rec := &Recorded{
+		sid:   sid,
+		hello: append(append([]byte{}, sid[:]...), seed[:]...),
+		alice: packLabels(g.AliceActiveLabels(aliceInput)),
+		pairs: g.BobPairs(),
+	}
+	return rec, sched, g, nil
+}
+
+// handshake opens a session as the garbler: hello and its echo, Alice's
+// labels, then the OT for Bob's.
+func (r *Recorded) handshake(conn io.ReadWriter) error {
+	if err := writeFrame(conn, msgHello, r.hello); err != nil {
+		return err
+	}
+	ack, err := readFrame(conn, msgHello)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(ack, r.sid[:]) {
+		return fmt.Errorf("proto: evaluator session mismatch")
+	}
+	if err := writeFrame(conn, msgAliceLabels, r.alice); err != nil {
+		return err
+	}
+	if err := ot.SendLabels(conn, r.pairs); err != nil {
+		return fmt.Errorf("proto: OT: %w", err)
+	}
+	return nil
+}
+
+// finish captures what the decode phase needs once the last cycle is
+// garbled: the run's outcome and every output bit's final verdict.
+func (r *Recorded) finish(sched *core.Schedule, g *core.Garbler) {
+	r.stats, r.halted = sched.Stats(), sched.Halted()
+	ws := sched.OutputWires()
+	r.outPub = make([]bool, len(ws))
+	r.outVal = make([]bool, len(ws))
+	r.outDec = make([]bool, len(ws))
+	for i, w := range ws {
+		v, pub := sched.OutputState(i)
+		r.outPub[i], r.outVal[i] = pub, v && pub
+		if !pub {
+			r.outDec[i] = g.DecodeBit(w)
+		}
+	}
+}
+
+// exchangeOutputs is the garbler's output-decode exchange, and returns the
+// outputs this side learns (nil in OutputEvaluatorOnly mode).
+func (r *Recorded) exchangeOutputs(conn io.ReadWriter, mode OutputMode) ([]bool, error) {
+	if mode != OutputGarblerOnly {
+		// Send the decode bits; in OutputBoth mode the evaluator answers
+		// with the final values, otherwise we learn nothing back.
+		if err := writeFrame(conn, msgDecode, packBits(r.outDec)); err != nil {
+			return nil, err
+		}
+		if mode == OutputEvaluatorOnly {
+			return nil, nil
+		}
+	}
+	payload, err := readFrame(conn, msgOutputs)
+	if err != nil {
+		return nil, err
+	}
+	out, err := unpackBits(payload, len(r.outPub))
+	if err != nil {
+		return nil, err
+	}
+	if mode == OutputGarblerOnly {
+		// The evaluator sent its active labels' permute bits and never
+		// sees the decode bits; decode locally.
+		for i := range out {
+			if r.outPub[i] {
+				out[i] = r.outVal[i]
+			} else {
+				out[i] = out[i] != r.outDec[i]
+			}
+		}
+	}
+	return out, nil
+}
+
 // RecordGarbler runs the garbler's entire offline phase with no peer: it
 // draws a fresh seed from rnd, garbles the complete table stream into
 // memory through exactly the loop the live path uses (classified, or
@@ -92,83 +201,20 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sid, err := cfg.SessionID()
+	rec, sched, g, err := setupGarbler(cfg, aliceInput, rnd)
 	if err != nil {
 		return nil, nil, err
 	}
-	if rnd == nil {
-		rnd = gc.CryptoRand
-	}
-	var seed core.Seed
-	if _, err := io.ReadFull(rnd, seed[:]); err != nil {
-		return nil, nil, err
-	}
-	rec := &Recorded{sid: sid, hello: append(append([]byte{}, sid[:]...), seed[:]...)}
-
-	// Same construction — and the same label-draw order from rnd — as
-	// runGarbler, so record+serve and live garbling are interchangeable
-	// byte for byte.
-	var s *core.Scheduler
-	var trec *core.TraceRecorder
-	var g *core.Garbler
-	if cfg.Trace != nil {
-		if cfg.Record {
-			return nil, nil, fmt.Errorf("proto: Record with Trace: a replayed run has no scheduler to record")
-		}
-		if err := cfg.Trace.Validate(cfg.Cycles); err != nil {
-			return nil, nil, err
-		}
-		g = core.NewReplayGarbler(cfg.Circuit, rnd)
-	} else {
-		s = core.NewScheduler(cfg.Circuit, seed, cfg.Public)
-		if err := s.SetWorkers(cfg.Workers); err != nil {
-			return nil, nil, err
-		}
-		g = core.NewGarbler(s, rnd)
-		if cfg.Record {
-			trec = core.NewTraceRecorder(s)
-		}
-	}
-	rec.alice = packLabels(g.AliceActiveLabels(aliceInput))
-	rec.pairs = g.BobPairs()
-
-	res := &Result{}
-	run := newRun(cfg)
-	emit := func(payload []byte) ([]byte, error) {
+	err = garbleFrames(ctx, cfg, sched, g, func(payload []byte) ([]byte, error) {
 		rec.frames = append(rec.frames, append([]byte(nil), payload...))
 		return payload, nil
-	}
-	if cfg.Trace != nil {
-		err = garbleFramesReplay(ctx, cfg, g, res, emit)
-	} else {
-		err = garbleFrames(ctx, cfg, s, g, run, res, trec, emit)
-	}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	res.TableFrames = len(rec.frames)
-	if trec != nil {
-		res.Trace = trec.Finish(res.Halted)
-	}
-
-	state := func(i int) (bool, bool) {
-		if cfg.Trace != nil {
-			return cfg.Trace.OutputState(i)
-		}
-		return s.WireState(run.outWires[i])
-	}
-	rec.outPub = make([]bool, len(run.outWires))
-	rec.outVal = make([]bool, len(run.outWires))
-	rec.outDec = make([]bool, len(run.outWires))
-	for i, w := range run.outWires {
-		v, pub := state(i)
-		rec.outPub[i], rec.outVal[i] = pub, v && pub
-		if !pub {
-			rec.outDec[i] = g.DecodeBit(w)
-		}
-	}
-	rec.stats, rec.halted = res.Stats, res.Halted
+	rec.finish(sched, g)
 	rec.computeSize()
+	res := &Result{Stats: rec.stats, Halted: rec.halted, TableFrames: len(rec.frames), Trace: sched.Trace()}
 	return rec, res, nil
 }
 
@@ -196,21 +242,8 @@ func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 	if sid != rec.sid {
 		return nil, fmt.Errorf("proto: recorded stream was garbled for a different session")
 	}
-	if err := writeFrame(conn, msgHello, rec.hello); err != nil {
+	if err := rec.handshake(conn); err != nil {
 		return nil, err
-	}
-	ack, err := readFrame(conn, msgHello)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(ack, sid[:]) {
-		return nil, fmt.Errorf("proto: evaluator session mismatch")
-	}
-	if err := writeFrame(conn, msgAliceLabels, rec.alice); err != nil {
-		return nil, err
-	}
-	if err := ot.SendLabels(conn, rec.pairs); err != nil {
-		return nil, fmt.Errorf("proto: OT: %w", err)
 	}
 	res := &Result{Stats: rec.stats, Halted: rec.halted}
 	for _, f := range rec.frames {
@@ -222,36 +255,8 @@ func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 		}
 		res.TableFrames++
 	}
-
-	switch cfg.Outputs {
-	case OutputEvaluatorOnly:
-		if err := writeFrame(conn, msgDecode, packBits(rec.outDec)); err != nil {
-			return nil, err
-		}
-	case OutputGarblerOnly:
-		perm, err := readFrame(conn, msgOutputs)
-		if err != nil {
-			return nil, err
-		}
-		bits := unpackBits(perm, len(rec.outPub))
-		out := make([]bool, len(rec.outPub))
-		for i := range out {
-			if rec.outPub[i] {
-				out[i] = rec.outVal[i]
-			} else {
-				out[i] = bits[i] != rec.outDec[i]
-			}
-		}
-		res.Outputs = out
-	default:
-		if err := writeFrame(conn, msgDecode, packBits(rec.outDec)); err != nil {
-			return nil, err
-		}
-		vals, err := readFrame(conn, msgOutputs)
-		if err != nil {
-			return nil, err
-		}
-		res.Outputs = unpackBits(vals, len(rec.outPub))
+	if res.Outputs, err = rec.exchangeOutputs(conn, cfg.Outputs); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -61,10 +61,10 @@ func relaxInputs() (alice, bob []uint32) {
 
 // TestMemoryBackendEquivalenceGrid is the backend-equivalence suite: the
 // same relaxation program, garbled two-party under the scan and the
-// square-root ORAM across a workers × pipeline × cycle-batch grid, must
-// decode identical outputs — equal to the native emulation — with equal
-// cycle counts. The local knobs (workers, pipeline, read-ahead) must not
-// perturb either backend's stream.
+// square-root ORAM across a pipeline × cycle-batch grid, must decode
+// identical outputs — equal to the native emulation — with equal cycle
+// counts. The local knobs (pipeline, read-ahead) must not perturb either
+// backend's stream.
 func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve full two-party runs")
@@ -78,22 +78,21 @@ func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 
 	eng := NewEngine()
 	grid := []struct {
-		workers, pipeline, batch int
+		pipeline, batch int
 	}{
-		{1, 0, 1},
-		{2, 2, 4},
-		{4, 1, 8},
+		{0, 1},
+		{2, 4},
+		{1, 8},
 	}
 	cycles := map[string]int{}
 	for _, backend := range []string{MemoryScan, MemorySqrtORAM} {
 		for _, g := range grid {
-			name := fmt.Sprintf("%s/w%d-p%d-b%d", backend, g.workers, g.pipeline, g.batch)
+			name := fmt.Sprintf("%s/p%d-b%d", backend, g.pipeline, g.batch)
 			t.Run(name, func(t *testing.T) {
 				common := []Option{
 					WithMaxCycles(100_000),
 					WithMemoryBackend(backend),
 					WithCycleBatch(g.batch),
-					WithWorkers(g.workers),
 				}
 				gs, err := eng.Session(prog, append(common, WithPipeline(g.pipeline))...)
 				if err != nil {

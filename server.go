@@ -597,15 +597,14 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 
 // resolve checks a proposal against the registration and produces the
 // resolved option set and grant. The output mode is pinned to the
-// registered one, the cycle budget and worker count are capped by the
-// registered ones (server CPU is operator policy), and the cycle batch is
-// the client's choice within protocol bounds.
+// registered one, the cycle budget is capped by the registered one (server
+// CPU is operator policy), and the cycle batch is the client's choice
+// within protocol bounds.
 func (r *registration) resolve(prop proto.Proposal) ([]Option, proto.Grant, error) {
 	grant := proto.Grant{
 		Outputs:    r.cfg.outputs,
 		CycleBatch: r.cfg.cycleBatch,
 		MaxCycles:  r.cfg.maxCycles,
-		Workers:    r.cfg.workers,
 	}
 	if prop.HasOutputs && prop.Outputs != r.cfg.outputs {
 		return nil, grant, &rejection{program: prop.Program, reason: fmt.Sprintf(
@@ -639,21 +638,10 @@ func (r *registration) resolve(prop proto.Proposal) ([]Option, proto.Grant, erro
 				"memory backend %q not offered (registered backend %q)", prop.MemBackend, registered)}
 		}
 	}
-	if prop.Workers != 0 {
-		if prop.Workers > proto.MaxWorkers {
-			return nil, grant, &rejection{program: prop.Program, reason: fmt.Sprintf("worker count %d out of range", prop.Workers)}
-		}
-		if prop.Workers > r.cfg.workers {
-			return nil, grant, &rejection{program: prop.Program, reason: fmt.Sprintf(
-				"worker count %d exceeds the registered limit %d", prop.Workers, r.cfg.workers)}
-		}
-		grant.Workers = prop.Workers
-	}
 	opts := append(r.defaults[:len(r.defaults):len(r.defaults)],
 		WithOutputMode(grant.Outputs),
 		WithCycleBatch(grant.CycleBatch),
-		WithMaxCycles(grant.MaxCycles),
-		WithWorkers(grant.Workers))
+		WithMaxCycles(grant.MaxCycles))
 	return opts, grant, nil
 }
 

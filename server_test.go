@@ -235,6 +235,59 @@ func TestServerNegotiationRejects(t *testing.T) {
 	}
 }
 
+// TestServerRejectsRemovedWorkers: the per-cycle worker knob is gone, but
+// its uint32 is still on the wire as a reserved slot. An older client that
+// fills it with a count above 1 gets a rejection that says why — not a
+// dropped connection — and the next session on the same conn runs.
+func TestServerRejectsRemovedWorkers(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	srv := NewServer(eng)
+	if err := srv.Register("add", prog, WithMaxCycles(10_000), WithGarblerInput([]uint32{1})); err != nil {
+		t.Fatal(err)
+	}
+	addr, shutdown := startServer(t, srv)
+	defer shutdown()
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The proposal a pre-removal client asking for 4 workers sent: type,
+	// length, name, flags, mode, batch, cycles, workers.
+	frame := []byte{
+		0x10, 23, 0, 0, 0,
+		3, 0, 'a', 'd', 'd',
+		0, 0,
+		0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0,
+	}
+	if _, err := raw.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := proto.ReadRawFrame(raw)
+	if err != nil || typ != proto.FrameReject {
+		t.Fatalf("got frame type %#x, err %v; want a rejection", typ, err)
+	}
+	if reason := string(payload); !strings.Contains(reason, "worker count of 4") || !strings.Contains(reason, "removed") {
+		t.Errorf("rejection reason %q does not explain the removed knob", reason)
+	}
+
+	cl := NewClient(raw, WithClientEngine(eng))
+	if err := cl.Register("add", prog); err != nil {
+		t.Fatal(err)
+	}
+	info, err := cl.Evaluate(context.Background(), "add", []uint32{2})
+	if err != nil {
+		t.Fatalf("session after the rejection, same conn: %v", err)
+	}
+	if info.Outputs[0] != 3 {
+		t.Fatalf("sum = %d, want 3", info.Outputs[0])
+	}
+}
+
 // TestClientProgramMismatch: same name, different binary — the granted
 // session id must not verify, and the failure must name the cause instead
 // of dying mid-handshake.
