@@ -100,7 +100,8 @@ bench-baseline:
 	$(MAKE) bench-json BENCH_FILE=BENCH_baseline.json
 
 # Gate the current tree against the committed baseline. ns/op is compared
-# only on matching hardware; allocs/op and tables/cycle always.
+# only on matching hardware; allocs/op and the schedule counters
+# (tables/cycle, dffs/cycle, copies/cycle) always.
 bench-compare: bench-json
 	$(GO) run ./cmd/bench-json -compare BENCH_baseline.json,$(BENCH_FILE) -threshold $(BENCH_THRESHOLD)
 
@@ -131,10 +132,12 @@ test-hardening:
 
 # Classification-trace correctness: record/replay across the core engine,
 # the trace cache, the wire protocol (byte-identical frame pinning) and
-# the Engine API — shuffled and under the race detector, as in CI.
+# the Engine API, plus the sparse flip-flop commit the compiled cycles
+# carry (dense-commit oracle, its edge cases, CycleStats invariance) —
+# shuffled and under the race detector, as in CI.
 test-trace:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'Trace|TestPipelinedStatsSink' \
+		-run 'Trace|TestPipelinedStatsSink|DenseCommit|CopyDFFs|ShiftRegister|HeldRegister|CycleStatsInvariance' \
 		. ./internal/core ./internal/cpu ./internal/proto
 
 # Garble-ahead correctness: recorded streams byte-identical to live

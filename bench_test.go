@@ -168,7 +168,9 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 // full recorded run; the ns/cycle metric sits next to
 // BenchmarkSchedulerCycle's ns/op — the classify-only price per cycle
 // that replay removes — and the baseline keeps replay several times
-// cheaper.
+// cheaper. dffs/cycle (flip-flop labels committed) and copies/cycle (copy
+// ops executed) are exact properties of the trace: the work replay does
+// besides its tables.
 func BenchmarkTraceReplay(b *testing.B) {
 	c, pub, cycles := cpuForBench(b)
 	res, err := core.RunLocal(context.Background(), c.Circuit, sim.Inputs{Public: pub},
@@ -178,6 +180,11 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 	tr := res.Trace
 	n := tr.NumCycles()
+	dffs, copies := 0, 0
+	for cyc := 1; cyc <= n; cyc++ {
+		dffs += tr.Cycle(cyc).NumDFFs()
+		copies += tr.Cycle(cyc).NumCopies()
+	}
 	g := core.NewReplayGarbler(c.Circuit, gc.CryptoRand)
 	var tables []gc.Table
 	garbled := 0
@@ -193,16 +200,26 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(garbled)/float64(b.N*n), "tables/cycle")
+	b.ReportMetric(float64(dffs)/float64(n), "dffs/cycle")
+	b.ReportMetric(float64(copies)/float64(n), "copies/cycle")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cycle")
 }
 
 // BenchmarkGarbledProcessorCycle measures a full crypto cycle (scheduler +
-// garbler + evaluator) on the processor.
+// garbler + evaluator) on the processor: the production loop of a live
+// session, a Schedule feeding the two kernels. dffs/cycle and copies/cycle
+// are exact for the program's first b.N cycles, so they compare between
+// runs at the same -benchtime.
 func BenchmarkGarbledProcessorCycle(b *testing.B) {
 	c, pub, _ := cpuForBench(b)
-	s := core.NewScheduler(c.Circuit, core.Seed{}, pub)
-	g := core.NewGarbler(s, gc.CryptoRand)
-	e := core.NewEvaluator(s)
+	// A budget one past b.N keeps every measured cycle an ordinary one:
+	// the final budget cycle commits no flip-flop.
+	sc, err := core.NewSchedule(c.Circuit, pub, core.RunOpts{Cycles: b.N + 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := core.NewReplayGarbler(c.Circuit, gc.CryptoRand)
+	e := core.NewReplayEvaluator(c.Circuit)
 	pairs := g.BobPairs()
 	chosen := make([]gc.Label, len(pairs))
 	for i := range pairs {
@@ -212,18 +229,22 @@ func BenchmarkGarbledProcessorCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	var tables []gc.Table
+	dffs, copies := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Classify(false)
-		tables = g.GarbleCycle(tables[:0])
-		if _, err := e.EvalCycle(tables); err != nil {
+		ct := sc.Next()
+		tables = g.GarbleCycleTrace(ct, sc.Cycle(), tables[:0])
+		if _, err := e.EvalCycleTrace(ct, sc.Cycle(), tables); err != nil {
 			b.Fatal(err)
 		}
 		g.CopyDFFs()
 		e.CopyDFFs()
-		s.Commit()
+		dffs += ct.NumDFFs()
+		copies += ct.NumCopies()
 	}
+	b.ReportMetric(float64(dffs)/float64(b.N), "dffs/cycle")
+	b.ReportMetric(float64(copies)/float64(b.N), "copies/cycle")
 }
 
 // BenchmarkConventionalGCCycle garbles the whole processor conventionally

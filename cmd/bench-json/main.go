@@ -15,8 +15,9 @@
 // gated only when the two reports carry the same hardware fingerprint
 // (goos/goarch/cpu/gomaxprocs). Across different machines the comparison
 // falls back to the machine-independent metrics — allocs/op and the
-// engine's own counters (tables/cycle, gates/cycle, bytes/cycle) — which
-// are exact properties of the code, not the host.
+// engine's own counters (tables/cycle, dffs/cycle, copies/cycle,
+// gates/cycle, bytes/cycle) — which are exact properties of the code, not
+// the host.
 package main
 
 import (
@@ -69,7 +70,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`
 // machineIndependent lists the metrics that stay comparable across hosts.
 func machineIndependent(name string) bool {
 	switch name {
-	case "allocs/op", "tables/cycle", "gates/cycle", "bytes/cycle", "tables/access":
+	case "allocs/op", "tables/cycle", "dffs/cycle", "copies/cycle", "gates/cycle", "bytes/cycle", "tables/access":
 		return true
 	}
 	return false

@@ -120,6 +120,27 @@ func TestCompareDegradesGracefully(t *testing.T) {
 			wantReg: 1,
 		},
 		{
+			// The sparse-commit counters are schedule properties like
+			// tables/cycle: a flip-flop or copy that stops being skipped
+			// fails on any machine.
+			name: "dffs/cycle and copies/cycle gated across hardware",
+			base: func() *Report {
+				r := parseSample(t, sample)
+				r.Benchmarks[0].Metrics["dffs/cycle"] = 7.4
+				r.Benchmarks[0].Metrics["copies/cycle"] = 134
+				return r
+			},
+			cur: func() *Report {
+				r := parseSample(t, sample)
+				r.CPU = "something else"
+				r.Benchmarks[0].Metrics["ns/op"] *= 10
+				r.Benchmarks[0].Metrics["dffs/cycle"] = 6181
+				r.Benchmarks[0].Metrics["copies/cycle"] = 1245
+				return r
+			},
+			wantReg: 2,
+		},
+		{
 			name: "metric only in baseline is skipped, not misjudged",
 			base: func() *Report {
 				r := parseSample(t, sample)

@@ -21,7 +21,8 @@ type Garbler struct {
 	x0      []gc.Label
 	alice   []gc.Label // X0 per Alice input bit
 	bob     []gc.Label // X0 per Bob input bit
-	dffNext []gc.Label
+	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
+	dffNext []gc.Label // CopyDFFs' gather buffer
 	scratch []gc.Table // GarbleCycleTraceAppend's reusable table buffer
 }
 
@@ -42,13 +43,12 @@ func NewGarbler(s *Scheduler, rnd io.Reader) *Garbler {
 // and therefore the same wire bytes — however their cycles are sourced.
 func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
 	g := &Garbler{
-		c:       c,
-		R:       gc.RandDelta(rnd),
-		h:       gc.NewHash(),
-		x0:      make([]gc.Label, c.NumWires()),
-		alice:   make([]gc.Label, c.AliceBits),
-		bob:     make([]gc.Label, c.BobBits),
-		dffNext: make([]gc.Label, len(c.DFFs)),
+		c:     c,
+		R:     gc.RandDelta(rnd),
+		h:     gc.NewHash(),
+		x0:    make([]gc.Label, c.NumWires()),
+		alice: make([]gc.Label, c.AliceBits),
+		bob:   make([]gc.Label, c.BobBits),
 	}
 	for i := range g.alice {
 		g.alice[i] = gc.RandLabel(rnd)
@@ -125,6 +125,7 @@ func (g *Garbler) GarbleCycle(dst []gc.Table) []gc.Table {
 // label work directly, so a cycle costs its label XORs plus the
 // fixed-key AES of the surviving garbled gates.
 func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc.Table {
+	g.dirty = ct.dirty
 	base := uint64(cyc-1) * uint64(len(g.c.Gates))
 	x0, r := g.x0, g.R
 	ci, gi := 0, 0
@@ -181,16 +182,25 @@ func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []
 	return dst
 }
 
-// CopyDFFs performs the end-of-cycle flip-flop label copy; call it between
-// cycles, after the kernel.
+// CopyDFFs performs the end-of-cycle flip-flop label copy for the cycle the
+// kernel last ran; call it between cycles, after the kernel. Only the
+// cycle's dirty flip-flops move a label — one that holds its value costs
+// nothing — so before the first kernel run, and after a final budget
+// cycle, it does nothing.
 func (g *Garbler) CopyDFFs() {
-	c := g.c
-	for i, d := range c.DFFs {
-		g.dffNext[i] = g.x0[d.D]
+	g.dffNext = copyDFFs(g.c, g.x0, g.dirty, g.dffNext[:0])
+}
+
+// copyDFFs moves the label on each dirty flip-flop's D wire to its Q wire,
+// gathering into next before scattering: a D may be another flip-flop's Q.
+func copyDFFs(c *circuit.Circuit, labels []gc.Label, dirty []int32, next []gc.Label) []gc.Label {
+	for _, i := range dirty {
+		next = append(next, labels[c.DFFs[i].D])
 	}
-	for i := range c.DFFs {
-		g.x0[c.QWire(i)] = g.dffNext[i]
+	for k, i := range dirty {
+		labels[c.QWire(int(i))] = next[k]
 	}
+	return next
 }
 
 // DecodeBit returns the point-and-permute decode bit for a secret wire.
@@ -207,7 +217,8 @@ type Evaluator struct {
 	c       *circuit.Circuit
 	h       *gc.Hash
 	x       []gc.Label
-	dffNext []gc.Label
+	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
+	dffNext []gc.Label // CopyDFFs' gather buffer
 }
 
 // NewEvaluator creates Bob's executor attached to a scheduler (see
@@ -223,10 +234,9 @@ func NewEvaluator(s *Scheduler) *Evaluator {
 // NewReplayGarbler).
 func NewReplayEvaluator(c *circuit.Circuit) *Evaluator {
 	return &Evaluator{
-		c:       c,
-		h:       gc.NewHash(),
-		x:       make([]gc.Label, c.NumWires()),
-		dffNext: make([]gc.Label, len(c.DFFs)),
+		c: c,
+		h: gc.NewHash(),
+		x: make([]gc.Label, c.NumWires()),
 	}
 }
 
@@ -264,6 +274,7 @@ func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc
 		return nil, fmt.Errorf("core: table stream exhausted: cycle %d needs %d tables, have %d",
 			cyc, len(ct.garbKind), len(ts))
 	}
+	e.dirty = ct.dirty
 	base := uint64(cyc-1) * uint64(len(e.c.Gates))
 	x := e.x
 	ci, gi := 0, 0
@@ -295,15 +306,10 @@ func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc
 	return ts[len(ct.garbKind):], nil
 }
 
-// CopyDFFs performs the end-of-cycle flip-flop label copy.
+// CopyDFFs performs the end-of-cycle flip-flop label copy, mirroring
+// Garbler.CopyDFFs.
 func (e *Evaluator) CopyDFFs() {
-	c := e.c
-	for i, d := range c.DFFs {
-		e.dffNext[i] = e.x[d.D]
-	}
-	for i := range c.DFFs {
-		e.x[c.QWire(i)] = e.dffNext[i]
-	}
+	e.dffNext = copyDFFs(e.c, e.x, e.dirty, e.dffNext[:0])
 }
 
 // ActiveBit returns the point-and-permute bit of Bob's active label on a

@@ -1,0 +1,126 @@
+package core_test
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"arm2gc/internal/bencher"
+	"arm2gc/internal/circuit"
+	"arm2gc/internal/core"
+	"arm2gc/internal/cpu"
+	"arm2gc/internal/emu"
+	"arm2gc/internal/isa"
+	"arm2gc/internal/obliv"
+	"arm2gc/internal/sim"
+)
+
+// hammingOnCPU binds the bencher's Hamming(64) program to its garbled
+// processor on the given memory backend: the netlist the repo benchmark
+// runs (203 cycles to the halt flag), small enough for a unit test.
+func hammingOnCPU(t *testing.T, backend string) (*cpu.CPU, *isa.Program, *bencher.Workload, sim.Inputs) {
+	t.Helper()
+	w := bencher.HammingWorkload(64)
+	p, _, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cpu.SharedMem(p.Layout, obliv.Config{Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in sim.Inputs
+	if in.Public, err = c.PublicBits(p); err != nil {
+		t.Fatal(err)
+	}
+	if in.Alice, err = c.InputBits(circuit.Alice, w.Alice); err != nil {
+		t.Fatal(err)
+	}
+	if in.Bob, err = c.InputBits(circuit.Bob, w.Bob); err != nil {
+		t.Fatal(err)
+	}
+	return c, p, w, in
+}
+
+// TestDenseCommitOracleCPU runs the garbled processor against the dense
+// copy-every-flip-flop reference on both memory backends — instruction ROM
+// wired D == Q, a register file behind hold-MUXes, a handful of flip-flops
+// changing per cycle — decoding the outputs after every cycle and checking
+// them against the instruction-level emulator. The scan backend exposes
+// the output region live; the square-root ORAM reconciles it at the
+// halting cycle, so there only the halt flag is followed cycle by cycle.
+func TestDenseCommitOracleCPU(t *testing.T) {
+	for _, backend := range []string{obliv.Scan, obliv.SqrtORAM} {
+		t.Run(backend, func(t *testing.T) {
+			c, p, w, in := hammingOnCPU(t, backend)
+			const budget = 400
+			live := core.RunAgainstDenseOracle(t, c.Circuit, in,
+				core.RunOpts{Cycles: budget, StopOutput: "halted", RecordEveryCycle: true, Record: true})
+			if !live.Halted {
+				t.Fatalf("no halt within %d cycles", budget)
+			}
+			m, err := emu.New(p, w.Alice, w.Bob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cyc, bits := range live.PerCycle {
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+				last := cyc == len(live.PerCycle)-1
+				if halted := bits[len(bits)-1]; halted != m.Halt || halted != last {
+					t.Fatalf("cycle %d: halt flag %v, emulator %v", cyc+1, halted, m.Halt)
+				}
+				if backend == obliv.Scan || last {
+					if got := cpu.OutWords(bits[:len(bits)-1]); !slices.Equal(got, m.Output()) {
+						t.Fatalf("cycle %d: output region %v, emulator %v", cyc+1, got, m.Output())
+					}
+				}
+			}
+			if want := w.Check(w.Alice, w.Bob); !slices.Equal(m.Output(), want) {
+				t.Fatalf("emulator output %v, reference %v", m.Output(), want)
+			}
+			replay := core.RunAgainstDenseOracle(t, c.Circuit, in,
+				core.RunOpts{Cycles: budget, StopOutput: "halted", Trace: live.Trace})
+			if !slices.Equal(replay.Outputs, live.Outputs) || replay.Stats != live.Stats {
+				t.Fatalf("replay decodes %v with %+v, live %v with %+v", replay.Outputs, replay.Stats, live.Outputs, live.Stats)
+			}
+		})
+	}
+}
+
+// TestCycleStatsInvariance pins that skipping the emission of a copy never
+// reaches the paper's categories: the schedule-only Count (no cycle is
+// compiled), a live executor run (compiled, copies skipped) and a replay
+// of its trace report the same CycleStats for every cycle of the CPU
+// Hamming(64) run.
+func TestCycleStatsInvariance(t *testing.T) {
+	c, _, _, in := hammingOnCPU(t, obliv.Scan)
+	const budget = 400
+	ctx := context.Background()
+	perCycle := func(dst *[]core.CycleStats) func(int, core.CycleStats) {
+		return func(_ int, cs core.CycleStats) { *dst = append(*dst, cs) }
+	}
+	var counted, live, replayed []core.CycleStats
+	if _, err := core.Count(ctx, c.Circuit, in.Public,
+		core.CountOpts{Cycles: budget, StopOutput: "halted", Sink: perCycle(&counted)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunLocal(ctx, c.Circuit, in,
+		core.RunOpts{Cycles: budget, StopOutput: "halted", Record: true, Sink: perCycle(&live)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RunLocal(ctx, c.Circuit, in,
+		core.RunOpts{Cycles: budget, StopOutput: "halted", Trace: res.Trace, Sink: perCycle(&replayed)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(counted) == 0 || len(live) != len(counted) || len(replayed) != len(counted) {
+		t.Fatalf("Count saw %d cycles, live %d, replay %d", len(counted), len(live), len(replayed))
+	}
+	for cyc, want := range counted {
+		if live[cyc] != want || replayed[cyc] != want {
+			t.Fatalf("cycle %d: Count %+v, live %+v, replay %+v", cyc+1, want, live[cyc], replayed[cyc])
+		}
+	}
+}

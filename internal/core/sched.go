@@ -72,6 +72,12 @@ type Stats struct {
 // statistics and — when an executor or recorder is attached — to emit the
 // cycle's compiled ops into the scheduler's CycleTrace buffer, the only
 // form a cycle is ever executed in.
+//
+// Between the two, one scan over the flip-flops that can change names the
+// ones that do: Algorithm 6's "a gate that acts as a wire consumes no
+// label", extended to state. A flip-flop whose next state is its current
+// one is not committed by anyone — scheduler or executor — and a copy that
+// only feeds such flip-flops is counted but never executed.
 type Scheduler struct {
 	C *circuit.Circuit
 
@@ -84,8 +90,16 @@ type Scheduler struct {
 	act []uint8 // per gate: action for the current cycle
 
 	fanNormal, fanFinal []int32
-	dffNextSt           []uint8
-	dffNextFP           []FP
+
+	// Flip-flop commit state. scan lists the flip-flops whose D is not their
+	// own Q — a ROM bit wired D == Q can never change and is never looked
+	// at. changed is the current cycle's gathered commit: the flip-flops
+	// whose state or fingerprint moves, with the value Commit scatters.
+	// holds counts, per gate, the references from secret flip-flops that
+	// keep their value this cycle; settle consumes and zeroes it.
+	scan    []int32
+	changed []dffCommit
+	holds   []int32
 
 	// The current cycle's compiled schedule, rebuilt in place by every
 	// Classify once emit is set (NewGarbler, NewEvaluator, NewTraceRecorder
@@ -108,8 +122,7 @@ func NewScheduler(c *circuit.Circuit, seed Seed, pub []bool) *Scheduler {
 		act:       make([]uint8, len(c.Gates)),
 		fanNormal: c.Fanout(true),
 		fanFinal:  c.Fanout(false),
-		dffNextSt: make([]uint8, len(c.DFFs)),
-		dffNextFP: make([]FP, len(c.DFFs)),
+		holds:     make([]int32, len(c.Gates)),
 		pub:       pub,
 	}
 	s.deltaF = s.gen.delta()
@@ -124,6 +137,9 @@ func NewScheduler(c *circuit.Circuit, seed Seed, pub []bool) *Scheduler {
 	}
 	for i, d := range c.DFFs {
 		w := c.QWire(i)
+		if d.D != w {
+			s.scan = append(s.scan, int32(i))
+		}
 		switch d.Init.Kind {
 		case circuit.InitZero:
 			s.st[w] = stPub0
@@ -160,8 +176,9 @@ func (s *Scheduler) Cycle() int { return s.cycle }
 // Classify runs the SkipGate decision pass for the next cycle: the paper's
 // Phase 1 and Phase 2 classification plus all recursive label_fanout
 // reductions. final marks the last cycle of the run, in which flip-flop
-// next-state values are not label consumers. Call Commit after the
-// executors have processed the cycle.
+// next-state values are not label consumers — so no flip-flop is scanned
+// and nothing is left to commit. Call Commit after the executors have
+// processed the cycle.
 func (s *Scheduler) Classify(final bool) CycleStats {
 	s.cycle++
 	src := s.fanNormal
@@ -170,6 +187,11 @@ func (s *Scheduler) Classify(final bool) CycleStats {
 	}
 	copy(s.fan, src)
 	s.classify()
+	s.ct.reset()
+	s.changed = s.changed[:0]
+	if !final {
+		s.scanDFFs()
+	}
 	return s.settle(src)
 }
 
@@ -330,10 +352,12 @@ func (s *Scheduler) classify() {
 // gate into the CycleTrace buffer the executors run — copy ops for
 // passthroughs and free XORs, garble ops (MUX shape baked in) for
 // surviving category-iv gates, in gate order, which is the table-emission
-// order on the wire.
+// order on the wire. A copy-class gate whose whole remaining fanout is
+// flip-flops that hold their value is counted like any other but not
+// emitted: nobody reads the label it would compute. A garbled gate is
+// always emitted, because its table is on the wire.
 func (s *Scheduler) settle(src []int32) CycleStats {
 	ct := &s.ct
-	ct.reset()
 	var cs CycleStats
 	for i, act := range s.act {
 		if act == actPub {
@@ -358,9 +382,16 @@ func (s *Scheduler) settle(src []int32) CycleStats {
 		default:
 			cs.Passthrough++
 		}
-		if s.emit {
-			s.emitGate(ct, i, act)
+		if !s.emit {
+			continue
 		}
+		if h := s.holds[i]; h != 0 {
+			s.holds[i] = 0
+			if h == s.fan[i] && act != actGarble {
+				continue
+			}
+		}
+		s.emitGate(ct, i, act)
 	}
 	ct.flush()
 	ct.Stats = cs
@@ -524,18 +555,59 @@ func (s *Scheduler) setMuxGarble(i, out int, g *circuit.Gate) {
 	}
 }
 
-// Commit applies the end-of-cycle flip-flop copy: the value or label
-// fingerprint on each D input moves to its Q output for the next cycle.
-func (s *Scheduler) Commit() {
+// dffCommit is one gathered flip-flop commit: the state and fingerprint Q
+// takes at the end of the cycle.
+type dffCommit struct {
+	q  circuit.Wire
+	st uint8
+	fp FP
+}
+
+// scanDFFs compares every scanned flip-flop's next state (st[D], fp[D])
+// with its current one (st[Q], fp[Q]). It gathers the ones that differ into
+// changed for Commit and — for the executors — names in the cycle trace's
+// dirty list those whose next state is a label Q does not already carry.
+// Equal fingerprints mean equal labels (fingerprint.go), so a secret
+// flip-flop with an unchanged fingerprint needs no label copy; holds
+// records, on the gate driving its D, that this consumer reads nothing.
+// This is the gather half of the two-phase commit: a D may be another
+// flip-flop's Q, so no Q is written until Commit.
+func (s *Scheduler) scanDFFs() {
 	c := s.C
-	for i, d := range c.DFFs {
-		s.dffNextSt[i] = s.st[d.D]
-		s.dffNextFP[i] = s.fp[d.D]
+	for _, i := range s.scan {
+		d, q := c.DFFs[i].D, c.QWire(int(i))
+		std, stq := s.st[d], s.st[q]
+		if std != stSecret {
+			if std != stq {
+				s.changed = append(s.changed, dffCommit{q: q, st: std})
+			}
+			continue
+		}
+		fpd := s.fp[d]
+		if stq == stSecret && fpd == s.fp[q] {
+			// Flip-flop references are never released, so the driving gate
+			// is live and non-public: settle visits it and zeroes the count.
+			if s.emit {
+				if gi := c.WireGate(d); gi >= 0 {
+					s.holds[gi]++
+				}
+			}
+			continue
+		}
+		s.changed = append(s.changed, dffCommit{q: q, st: stSecret, fp: fpd})
+		if s.emit {
+			s.ct.dirty = append(s.ct.dirty, i)
+		}
 	}
-	for i := range c.DFFs {
-		w := c.QWire(i)
-		s.st[w] = s.dffNextSt[i]
-		s.fp[w] = s.dffNextFP[i]
+}
+
+// Commit applies the end-of-cycle flip-flop copy — the scatter half: the
+// value or label fingerprint gathered from each changed flip-flop's D
+// input moves to its Q output for the next cycle.
+func (s *Scheduler) Commit() {
+	for _, n := range s.changed {
+		s.st[n.q] = n.st
+		s.fp[n.q] = n.fp
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 )
 
 // A CycleTrace is the only form a cycle is ever executed in: the
@@ -87,10 +88,24 @@ type CycleTrace struct {
 	garbA    []int32
 	garbB    []int32
 	garbS    []int32
+
+	// The flip-flops (circuit.DFFs indices) whose next state is a label
+	// their Q wire does not already carry: all that CopyDFFs commits after
+	// this cycle. Empty on a final budget cycle.
+	dirty []int32
 }
 
 // NumTables returns how many garbled tables this cycle puts on the wire.
 func (ct *CycleTrace) NumTables() int { return len(ct.garbKind) }
+
+// NumCopies returns how many copy ops (passthroughs and free XORs) the
+// kernels execute this cycle — at most what CycleStats counts, which
+// includes the copies only held flip-flops would have read.
+func (ct *CycleTrace) NumCopies() int { return len(ct.copyAct) }
+
+// NumDFFs returns how many flip-flop labels CopyDFFs commits after this
+// cycle.
+func (ct *CycleTrace) NumDFFs() int { return len(ct.dirty) }
 
 // reset empties the trace for the next cycle, keeping the arrays' capacity.
 func (ct *CycleTrace) reset() {
@@ -99,6 +114,7 @@ func (ct *CycleTrace) reset() {
 	ct.copyAct, ct.copyOut, ct.copyA, ct.copyB = ct.copyAct[:0], ct.copyOut[:0], ct.copyA[:0], ct.copyB[:0]
 	ct.garbKind, ct.garbOp, ct.garbGate = ct.garbKind[:0], ct.garbOp[:0], ct.garbGate[:0]
 	ct.garbOut, ct.garbA, ct.garbB, ct.garbS = ct.garbOut[:0], ct.garbA[:0], ct.garbB[:0], ct.garbS[:0]
+	ct.dirty = ct.dirty[:0]
 }
 
 // flush closes the segment being filled.
@@ -141,15 +157,20 @@ func (ct *CycleTrace) clone() CycleTrace {
 	cp.garbKind, cp.garbOp, cp.garbGate = slices.Clone(ct.garbKind), slices.Clone(ct.garbOp), slices.Clone(ct.garbGate)
 	cp.garbOut, cp.garbA = slices.Clone(ct.garbOut), slices.Clone(ct.garbA)
 	cp.garbB, cp.garbS = slices.Clone(ct.garbB), slices.Clone(ct.garbS)
+	cp.dirty = slices.Clone(ct.dirty)
 	return cp
 }
 
-// memoryBytes approximates the heap footprint of the cycle's arrays.
+// memoryBytes is the cycle's heap footprint: the struct itself (a dozen
+// slice headers and the statistics — a real share of a sparse cycle) plus
+// every array's allocated capacity.
 func (ct *CycleTrace) memoryBytes() int {
-	return len(ct.segs)*8 +
-		len(ct.copyAct)*13 + // 1 + 3×4 bytes across the copy arrays
-		len(ct.garbKind)*22 + // 2 + 5×4 bytes across the garble arrays
-		96 // struct and slice headers, amortized
+	return int(unsafe.Sizeof(*ct)) +
+		cap(ct.segs)*int(unsafe.Sizeof(traceSeg{})) +
+		cap(ct.copyAct) + 4*(cap(ct.copyOut)+cap(ct.copyA)+cap(ct.copyB)) +
+		cap(ct.garbKind) + cap(ct.garbOp) +
+		4*(cap(ct.garbGate)+cap(ct.garbOut)+cap(ct.garbA)+cap(ct.garbB)+cap(ct.garbS)) +
+		4*cap(ct.dirty)
 }
 
 // Trace is a recorded classification schedule for one (circuit, public
