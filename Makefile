@@ -58,10 +58,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Short differential-fuzzing smoke run: random instruction streams on the
-# processor circuit vs the emulator (see internal/cpu FuzzInstructionStream).
+# Short fuzzing smoke runs: random instruction streams on the processor
+# circuit vs the emulator (internal/cpu FuzzInstructionStream), then an
+# attacker-shaped byte stream as the peer of each of the four OT roles
+# (internal/ot FuzzOTPeer: error, never panic, never read or allocate past
+# the flight).
 fuzz-smoke:
 	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzInstructionStream -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ot -run '^$$' -fuzz FuzzOTPeer -fuzztime $(FUZZTIME)
 
 # Cache-hit guard: warm Engine sessions must perform zero netlist
 # synthesis (the benchmark fails if they rebuild).

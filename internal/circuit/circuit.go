@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Op is a gate operator. Only 2-input gates (plus NOT/BUF) exist, as
@@ -207,6 +208,10 @@ type Circuit struct {
 
 	// Names for diagnostics; may be empty.
 	Name string
+
+	// digest memoizes Hash: a frozen netlist has one digest for life.
+	digestOnce sync.Once
+	digest     [32]byte
 }
 
 // NumWires returns the size of the wire space.
@@ -362,8 +367,17 @@ func (c *Circuit) FindPort(name string) *Port {
 }
 
 // Hash returns a stable digest of the netlist, used by the protocol layer
-// to confirm both parties hold the same circuit before garbling.
+// to confirm both parties hold the same circuit before garbling. Every
+// session of every party asks for it, so it is computed on the first call
+// and kept: a Circuit is frozen once built, and must not be edited or
+// copied by value after its first Hash.
 func (c *Circuit) Hash() [32]byte {
+	c.digestOnce.Do(func() { c.digest = c.computeHash() })
+	return c.digest
+}
+
+// computeHash digests the whole netlist.
+func (c *Circuit) computeHash() [32]byte {
 	h := sha256.New()
 	var buf [12]byte
 	wr32 := func(v uint32) {

@@ -115,6 +115,25 @@ func TestHashSensitivity(t *testing.T) {
 	}
 }
 
+// TestHashComputedOnce: the digest of a frozen circuit is taken on the
+// first call and served from the memo afterwards. The only way to see
+// that from outside is to break the rule the memo rests on: edit the
+// netlist after the first Hash, and the answer must not follow the edit.
+func TestHashComputedOnce(t *testing.T) {
+	c := tiny()
+	first := c.Hash()
+	if first != c.computeHash() {
+		t.Fatal("memoized hash differs from a fresh digest of the same netlist")
+	}
+	c.Gates[0].Op = OR
+	if c.computeHash() == first {
+		t.Fatal("the edit is invisible to the digest: the check below proves nothing")
+	}
+	if c.Hash() != first {
+		t.Error("second Hash call digested the netlist again")
+	}
+}
+
 func TestOpEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {

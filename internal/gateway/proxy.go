@@ -31,8 +31,14 @@ const (
 	// disambiguating first byte (0x41) of its length prefix.
 	otPointLen = 65
 
-	// otMaxMsg mirrors the OT layer's message-size refusal.
-	otMaxMsg = 1 << 28
+	// otPrefixLen is the OT layer's little-endian length prefix.
+	otPrefixLen = 4
+
+	// otRelayBuf is the size of a link's OT relay buffer: a whole flight
+	// of base-OT points or Hamming(512)-wide correction columns (≈ 8.7 KB)
+	// goes out in one write, and anything longer streams through in
+	// pieces of this size.
+	otRelayBuf = 16 << 10
 )
 
 // verdict is what the backend relayer reports to the client-side driver
@@ -56,6 +62,8 @@ type proxyConn struct {
 
 	wmu   sync.Mutex
 	links map[string]*backendLink
+
+	ot otRelay // client→backend OT messages, toward whichever link is live
 }
 
 // backendLink is one pooled backend connection plus its relayer.
@@ -69,12 +77,25 @@ type backendLink struct {
 	// during negotiation.
 	verdicts chan verdict
 	relayErr error // set before verdicts closes
+
+	ot otRelay // backend→client OT messages; the relayer's alone
 }
 
 func (p *proxyConn) writeClient(fn func(io.Writer) error) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	return fn(p.client)
+}
+
+// clientWriter is the client side of the pipe as an io.Writer: every
+// Write holds the client write lock, and a failure is errClientWrite.
+type clientWriter struct{ p *proxyConn }
+
+func (c clientWriter) Write(b []byte) (n int, err error) {
+	if c.p.writeClient(func(w io.Writer) error { n, err = w.Write(b); return err }) != nil {
+		err = errClientWrite
+	}
+	return n, err
 }
 
 // handle relays one client connection's sessions until the client is
@@ -241,16 +262,23 @@ func (p *proxyConn) relaySession(l *backendLink, mode proto.OutputMode) error {
 		return fmt.Errorf("after hello ack: %w", err)
 	}
 	if first[0] == otPointLen {
-		// OT phase: the client's base-OT point, then its kappa extension
+		// OT phase: the client's base-OT point — forwarded at once, the
+		// backend's whole phase waits on it — then its kappa extension
 		// columns. The interleaved backend→client messages are the
 		// relayer's business.
-		if err := copyOTMsg(l.nc, p.cr); err != nil {
+		if err := p.ot.copyMsg(l.nc, p.cr, true); err != nil {
+			return fmt.Errorf("client OT point: %w", err)
+		}
+		if err := p.ot.flush(l.nc); err != nil {
 			return fmt.Errorf("client OT point: %w", err)
 		}
 		for i := 0; i < otKappa; i++ {
-			if err := copyOTMsg(l.nc, p.cr); err != nil {
+			if err := p.ot.copyMsg(l.nc, p.cr, false); err != nil {
 				return fmt.Errorf("client OT column %d: %w", i, err)
 			}
+		}
+		if err := p.ot.flush(l.nc); err != nil {
+			return fmt.Errorf("client OT columns: %w", err)
 		}
 	}
 	if mode == proto.OutputEvaluatorOnly {
@@ -365,10 +393,14 @@ func (l *backendLink) relayBody(p *proxyConn) error {
 	}
 	if first[0] == otPointLen {
 		// OT phase: kappa base-OT points, then the label ciphertexts.
+		w := clientWriter{p}
 		for i := 0; i < otKappa+1; i++ {
-			if err := l.relayOT(p); err != nil {
+			if err := l.ot.copyMsg(w, l.br, i < otKappa); err != nil {
 				return fmt.Errorf("backend OT message %d: %w", i, err)
 			}
+		}
+		if err := l.ot.flush(w); err != nil {
+			return fmt.Errorf("backend OT messages: %w", err)
 		}
 	}
 	for {
@@ -409,27 +441,63 @@ func (l *backendLink) relayFrame(p *proxyConn, want byte) error {
 	return nil
 }
 
-func (l *backendLink) relayOT(p *proxyConn) error {
-	return p.writeClient(func(w io.Writer) error {
-		return copyOTMsg(w, l.br)
-	})
+// otRelay forwards OT-framed messages (4-byte LE length + payload) from a
+// buffered source through one reusable buffer, so a flight the source has
+// already delivered leaves in one write instead of one per message. It
+// writes when the buffer is full and before any read that would wait on
+// the source — bytes are never held back while the peer is silent — and
+// it neither allocates from a length prefix nor reorders a byte.
+type otRelay struct {
+	buf []byte // nil until the connection's first OT phase
+	n   int    // pending bytes in buf
 }
 
-// copyOTMsg copies one OT-framed message (4-byte LE length + payload).
-func copyOTMsg(dst io.Writer, src *bufio.Reader) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(src, hdr[:]); err != nil {
+// copyMsg takes one message from src. A point message must announce
+// exactly otPointLen bytes; the other lengths depend on the program's
+// input width, which only the endpoints know, so they stream through
+// whatever their size.
+func (r *otRelay) copyMsg(dst io.Writer, src *bufio.Reader, point bool) error {
+	if r.buf == nil {
+		r.buf = make([]byte, otRelayBuf)
+	}
+	if src.Buffered() < otPrefixLen {
+		if err := r.flush(dst); err != nil {
+			return err
+		}
+	}
+	hdr, err := src.Peek(otPrefixLen)
+	if err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > otMaxMsg {
-		return fmt.Errorf("OT message of %d bytes refused", n)
+	size := binary.LittleEndian.Uint32(hdr)
+	if point && size != otPointLen {
+		return fmt.Errorf("OT point message announces %d bytes, want %d", size, otPointLen)
 	}
-	buf := make([]byte, 4+int(n))
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(src, buf[4:]); err != nil {
-		return err
+	for left := int64(otPrefixLen) + int64(size); left > 0; {
+		if r.n == len(r.buf) || (r.n > 0 && src.Buffered() == 0) {
+			if err := r.flush(dst); err != nil {
+				return err
+			}
+		}
+		k := int(min(left, int64(len(r.buf)-r.n)))
+		if b := src.Buffered(); 0 < b && b < k {
+			k = b // take what is here; decide about waiting next round
+		}
+		if _, err := io.ReadFull(src, r.buf[r.n:r.n+k]); err != nil {
+			return err
+		}
+		r.n += k
+		left -= int64(k)
 	}
-	_, err := dst.Write(buf)
+	return nil
+}
+
+// flush writes the pending bytes.
+func (r *otRelay) flush(dst io.Writer) error {
+	if r.n == 0 {
+		return nil
+	}
+	_, err := dst.Write(r.buf[:r.n])
+	r.n = 0
 	return err
 }

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"crypto/aes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -66,6 +67,50 @@ func TestHashTweakSeparation(t *testing.T) {
 	if h.H(l, 1) != h.H(l, 1) {
 		t.Error("hash not deterministic")
 	}
+}
+
+// TestHashMatchesDefinition checks H against π(2X ⊕ t) ⊕ (2X ⊕ t) computed
+// from scratch for every call, so the instance's reused scratch block can
+// never leak one call's bytes into the next.
+func TestHashMatchesDefinition(t *testing.T) {
+	pi, err := aes.NewCipher(fixedKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHash()
+	f := func(x Label, tweak uint64) bool {
+		k := x.double()
+		k.Lo ^= tweak
+		in := k.Bytes()
+		var out [16]byte
+		pi.Encrypt(out[:], in[:])
+		return h.H(x, tweak) == LabelFromBytes(out[:]).Xor(k)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHalfGatesDoNotAllocate pins the per-table cost at zero heap
+// allocations on both parties: a table is four (garbler) or two
+// (evaluator) fixed-key AES calls and nothing else.
+func TestHalfGatesDoNotAllocate(t *testing.T) {
+	h := NewHash()
+	r := RandDelta(CryptoRand)
+	s0, a0, b0 := RandLabel(CryptoRand), RandLabel(CryptoRand), RandLabel(CryptoRand)
+	var tab Table
+	var out Label
+	for name, fn := range map[string]func(){
+		"GarbleAnd": func() { out, tab = GarbleAnd(h, r, a0, b0, 7) },
+		"EvalAnd":   func() { out = EvalAnd(h, a0, b0, tab, 7) },
+		"GarbleMux": func() { out, tab = GarbleMux(h, r, s0, a0, b0, 9) },
+		"EvalMux":   func() { out = EvalMux(h, s0, a0, b0, tab, 9) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocations per table, want 0", name, n)
+		}
+	}
+	_ = out
 }
 
 // TestHalfGatesTruthTables garbles each AND-class op and checks all four

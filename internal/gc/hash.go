@@ -8,10 +8,14 @@ import (
 
 // Hash is the fixed-key-AES correlation-robust hash
 // H(X, t) = π(2X ⊕ t) ⊕ (2X ⊕ t), with π a fixed AES-128 permutation
-// [Bellare-Hoang-Keelveedhi-Rogaway]. One Hash instance is shared by a
-// whole session; it is stateless and safe for concurrent use.
+// [Bellare-Hoang-Keelveedhi-Rogaway]. A Hash belongs to one garbler or
+// one evaluator for a whole session: H encrypts in the instance's own
+// scratch block (a local array would escape to the heap through the
+// cipher.Block interface, twice per call), so an instance must not be
+// used from two goroutines at once.
 type Hash struct {
 	block cipher.Block
+	buf   [16]byte
 }
 
 // fixedKey is an arbitrary public constant; the security of the scheme
@@ -31,9 +35,8 @@ func NewHash() *Hash {
 func (h *Hash) H(x Label, tweak uint64) Label {
 	k := x.double()
 	k.Lo ^= tweak
-	var in, out [16]byte
-	binary.LittleEndian.PutUint64(in[0:8], k.Lo)
-	binary.LittleEndian.PutUint64(in[8:16], k.Hi)
-	h.block.Encrypt(out[:], in[:])
-	return LabelFromBytes(out[:]).Xor(k)
+	binary.LittleEndian.PutUint64(h.buf[0:8], k.Lo)
+	binary.LittleEndian.PutUint64(h.buf[8:16], k.Hi)
+	h.block.Encrypt(h.buf[:], h.buf[:])
+	return LabelFromBytes(h.buf[:]).Xor(k)
 }

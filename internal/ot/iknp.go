@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"io"
 
 	"arm2gc/internal/gc"
@@ -89,15 +88,14 @@ func SendLabels(conn io.ReadWriter, pairs [][2]gc.Label) error {
 		return err
 	}
 
-	// Receive the correction vectors u_j and form q_j = PRG(k_j^{s_j}) ⊕ s_j·u_j.
+	// Receive the correction vectors u_j — one flight of kappa columns —
+	// and form q_j = PRG(k_j^{s_j}) ⊕ s_j·u_j.
+	cols := readFlight(conn, "correction vector", kappa*(prefixLen+mBytes))
 	qCols := make([][]byte, kappa)
+	u := make([]byte, mBytes)
 	for j := 0; j < kappa; j++ {
-		u, err := readMsg(conn)
-		if err != nil {
+		if err := cols.next(u); err != nil {
 			return err
-		}
-		if len(u) != mBytes {
-			return fmt.Errorf("ot: correction vector %d: %d bytes, want %d", j, len(u), mBytes)
 		}
 		q := prg(seeds[j], mBytes)
 		if sChoices[j] {
@@ -108,7 +106,7 @@ func SendLabels(conn io.ReadWriter, pairs [][2]gc.Label) error {
 	qRows := transpose(qCols, m)
 
 	// Encrypt both labels of every pair: y_b = x_b ⊕ H(i, q_i ⊕ b·s).
-	out := make([]byte, 0, m*32)
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, prefixLen+m*32), uint32(m*32))
 	srow := make([]byte, kappa/8)
 	for i, p := range pairs {
 		pad0 := rowHash(i, qRows[i])
@@ -119,7 +117,8 @@ func SendLabels(conn io.ReadWriter, pairs [][2]gc.Label) error {
 		out = append(out, c0[:]...)
 		out = append(out, c1[:]...)
 	}
-	return writeMsg(conn, out)
+	_, err = conn.Write(out)
+	return err
 }
 
 // ReceiveLabels obliviously receives one label per choice bit; the sender
@@ -144,7 +143,9 @@ func ReceiveLabels(conn io.ReadWriter, choices []bool) ([]gc.Label, error) {
 		return nil, err
 	}
 
+	// All kappa correction columns leave in one write.
 	tCols := make([][]byte, kappa)
+	cols := make([]byte, 0, kappa*(prefixLen+mBytes))
 	u := make([]byte, mBytes)
 	for j := 0; j < kappa; j++ {
 		t0 := prg(seedPairs[j][0], mBytes)
@@ -153,18 +154,16 @@ func ReceiveLabels(conn io.ReadWriter, choices []bool) ([]gc.Label, error) {
 		// u_j = t0 ⊕ t1 ⊕ r
 		xorBytes(u, t0, t1)
 		xorBytes(u, u, r)
-		if err := writeMsg(conn, u); err != nil {
-			return nil, err
-		}
+		cols = appendMsg(cols, u)
+	}
+	if _, err := conn.Write(cols); err != nil {
+		return nil, err
 	}
 	tRows := transpose(tCols, m)
 
-	enc, err := readMsg(conn)
-	if err != nil {
+	enc := make([]byte, m*32)
+	if err := readFlight(conn, "label ciphertexts", prefixLen+len(enc)).next(enc); err != nil {
 		return nil, err
-	}
-	if len(enc) != m*32 {
-		return nil, fmt.Errorf("ot: ciphertexts: %d bytes, want %d", len(enc), m*32)
 	}
 	out := make([]gc.Label, m)
 	for i := range out {

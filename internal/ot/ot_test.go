@@ -1,24 +1,52 @@
 package ot
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/big"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 
 	"arm2gc/internal/gc"
 )
+
+// recvMsg reads and drops one message of exactly n bytes.
+func recvMsg(t testing.TB, c net.Conn, n int) {
+	t.Helper()
+	if err := readFlight(c, "test message", prefixLen+n).next(make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func randChoices(rng *rand.Rand, n int) []bool {
+	choices := make([]bool, n)
+	for i := range choices {
+		choices[i] = rng.Intn(2) == 1
+	}
+	return choices
+}
+
+func randPairs(rng *rand.Rand, m int) [][2]gc.Label {
+	pairs := make([][2]gc.Label, m)
+	for i := range pairs {
+		pairs[i] = [2]gc.Label{
+			{Lo: rng.Uint64(), Hi: rng.Uint64()},
+			{Lo: rng.Uint64(), Hi: rng.Uint64()},
+		}
+	}
+	return pairs
+}
 
 func TestBaseOT(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 
-	const n = 32
-	choices := make([]bool, n)
-	rng := rand.New(rand.NewSource(3))
-	for i := range choices {
-		choices[i] = rng.Intn(2) == 1
-	}
+	// Not a multiple of pointsPerFlush: the last chunk is a short one.
+	const n = 4*pointsPerFlush + 3
+	choices := randChoices(rand.New(rand.NewSource(3)), n)
 
 	type sres struct {
 		keys [][2]key
@@ -49,24 +77,63 @@ func TestBaseOT(t *testing.T) {
 	}
 }
 
-func runExtension(t *testing.T, m int, seed int64) {
-	t.Helper()
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
+// legacySenderKeyPair is the sender derivation this package shipped until
+// T = a·A was hoisted out of the loop: it multiplies B−A out with a second
+// variable-base multiplication. It lives on as the oracle senderKeyPair
+// must match bit for bit.
+func legacySenderKeyPair(a []byte, ax, ay, bx, by *big.Int) [2]key {
+	x0, y0 := curve.ScalarMult(bx, by, a)
+	dx, dy := curve.Add(bx, by, ax, negY(ay))
+	x1, y1 := curve.ScalarMult(dx, dy, a)
+	return [2]key{hashPoint(x0, y0), hashPoint(x1, y1)}
+}
 
-	rng := rand.New(rand.NewSource(seed))
-	pairs := make([][2]gc.Label, m)
-	for i := range pairs {
-		pairs[i] = [2]gc.Label{
-			{Lo: rng.Uint64(), Hi: rng.Uint64()},
-			{Lo: rng.Uint64(), Hi: rng.Uint64()},
+func TestSenderKeysMatchLegacyDerivation(t *testing.T) {
+	n := curve.Params().N
+	scalars := []*big.Int{
+		big.NewInt(1),
+		big.NewInt(2),
+		new(big.Int).Sub(n, big.NewInt(1)),
+		new(big.Int).Rsh(n, 1),
+		new(big.Int).SetBytes([]byte("arm2gc base OT differential test")),
+	}
+	for _, a := range scalars {
+		a := new(big.Int).Mod(a, n).Bytes()
+		ax, ay := curve.ScalarBaseMult(a)
+		tx, ty := curve.ScalarMult(ax, ay, a)
+		negTy := negY(ty)
+		check := func(what string, bx, by *big.Int) {
+			t.Helper()
+			got, want := senderKeyPair(a, tx, negTy, bx, by), legacySenderKeyPair(a, ax, ay, bx, by)
+			if got != want {
+				t.Errorf("a=%x, %s: keys %x, legacy derivation %x", a, what, got, want)
+			}
+			if got[0] == got[1] {
+				t.Errorf("a=%x, %s: k0 == k1", a, what)
+			}
 		}
+		for _, b := range scalars {
+			b := new(big.Int).Mod(b, n).Bytes()
+			bx, by := curve.ScalarBaseMult(b)
+			check("choice 0", bx, by)
+			cx, cy := curve.Add(bx, by, ax, ay)
+			check("choice 1", cx, cy)
+		}
+		// B = A: B−A is the point at infinity, and so is a·B − T.
+		check("B = A", ax, ay)
+		check("B = -A", ax, negY(ay))
+		dx, dy := curve.Double(ax, ay)
+		check("B = 2A", dx, dy)
 	}
-	choices := make([]bool, m)
-	for i := range choices {
-		choices[i] = rng.Intn(2) == 1
-	}
+}
+
+// transfer runs SendLabels on a and ReceiveLabels on b and checks every
+// received label is the chosen one and not the other.
+func transfer(t *testing.T, a, b net.Conn, m int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pairs := randPairs(rng, m)
+	choices := randChoices(rng, m)
 
 	errc := make(chan error, 1)
 	go func() { errc <- SendLabels(a, pairs) }()
@@ -94,7 +161,10 @@ func runExtension(t *testing.T, m int, seed int64) {
 
 func TestExtensionSizes(t *testing.T) {
 	for _, m := range []int{1, 7, 8, 64, 127, 500, 1024} {
-		runExtension(t, m, int64(m))
+		a, b := net.Pipe()
+		transfer(t, a, b, m, int64(m))
+		a.Close()
+		b.Close()
 	}
 }
 
@@ -129,23 +199,30 @@ func TestEmpty(t *testing.T) {
 }
 
 func TestBaseOTRejectsBadPoint(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := baseSenderKeys(a, 1)
-		errc <- err
-	}()
-	// Read the sender's point, then reply with garbage instead of a point.
-	if _, err := readMsg(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeMsg(b, []byte{0x04, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err == nil {
-		t.Error("sender accepted a malformed receiver point")
+	bad := make([]byte, pointLen)
+	bad[0], bad[1], bad[33] = 0x04, 1, 2
+	for name, reply := range map[string][]byte{
+		// A wrong prefix must fail at once, without waiting for the bytes
+		// a real point would still owe: the pipe stays open.
+		"wrong length":  {0x04, 1, 2, 3},
+		"off the curve": bad,
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := baseSenderKeys(a, 1)
+				errc <- err
+			}()
+			// Read the sender's point, then reply with garbage.
+			recvMsg(t, b, pointLen)
+			go b.Write(appendMsg(nil, reply)) // the pipe blocks on bytes the sender refuses
+			if err := <-errc; err == nil {
+				t.Error("sender accepted a malformed receiver point")
+			}
+		})
 	}
 }
 
@@ -158,16 +235,176 @@ func TestExtensionRejectsShortVectors(t *testing.T) {
 		errc <- SendLabels(a, make([][2]gc.Label, 64))
 	}()
 	// Play a broken receiver: run the base OTs honestly, then send a
-	// truncated correction vector.
-	seedPairs, err := baseSenderKeys(b, kappa)
+	// truncated correction vector and keep the pipe open.
+	if _, err := baseSenderKeys(b, kappa); err != nil {
+		t.Fatal(err)
+	}
+	go b.Write(appendMsg(nil, []byte{1})) // 1 byte, want 8
+	if err := <-errc; err == nil {
+		t.Error("sender accepted a short correction vector")
+	}
+}
+
+// TestFlightShape pins the wire shape against the per-message framing the
+// protocol has always had: the sequence of length prefixes in each
+// direction, and totals equal to the benchmark's ot.bytes.
+func TestFlightShape(t *testing.T) {
+	for _, tc := range []struct{ m, total int }{
+		{32, 10953},  // handshake.sum32
+		{512, 33993}, // hamming512
+		{800, 47817}, // MatMul5's Bob width
+	} {
+		a, b := net.Pipe()
+		ra, rb := &recordingConn{Conn: a}, &recordingConn{Conn: b}
+		transfer(t, ra, rb, tc.m, 1)
+		a.Close()
+		b.Close()
+
+		mBytes := (tc.m + 7) / 8
+		wantSender := append(repeatLen(pointLen, kappa), tc.m*32)
+		wantReceiver := append([]int{pointLen}, repeatLen(mBytes, kappa)...)
+		if got := ra.prefixes(t); !slices.Equal(got, wantSender) {
+			t.Errorf("m=%d: SendLabels wrote message lengths %v, want %v", tc.m, got, wantSender)
+		}
+		if got := rb.prefixes(t); !slices.Equal(got, wantReceiver) {
+			t.Errorf("m=%d: ReceiveLabels wrote message lengths %v, want %v", tc.m, got, wantReceiver)
+		}
+		if got := len(ra.sent) + len(rb.sent); got != tc.total {
+			t.Errorf("m=%d: %d bytes on the wire, want %d", tc.m, got, tc.total)
+		}
+
+		// A flight is a few writes, not one (or two) per message.
+		if most := kappa/pointsPerFlush + 1; ra.writes > most {
+			t.Errorf("m=%d: SendLabels made %d writes, want at most %d", tc.m, ra.writes, most)
+		}
+		if rb.writes > 2 {
+			t.Errorf("m=%d: ReceiveLabels made %d writes, want at most 2", tc.m, rb.writes)
+		}
+	}
+}
+
+// recordingConn keeps what its owner wrote and counts the writes.
+type recordingConn struct {
+	net.Conn
+	sent   []byte
+	writes int
+}
+
+func (c *recordingConn) Write(b []byte) (int, error) {
+	c.writes++
+	c.sent = append(c.sent, b...)
+	return c.Conn.Write(b)
+}
+
+// prefixes parses the recorded stream as length-prefixed messages and
+// returns the lengths.
+func (c *recordingConn) prefixes(t *testing.T) []int {
+	t.Helper()
+	var out []int
+	for rest := c.sent; len(rest) > 0; {
+		if len(rest) < prefixLen {
+			t.Fatalf("%d stray bytes after the last message", len(rest))
+		}
+		n := int(binary.LittleEndian.Uint32(rest))
+		if len(rest) < prefixLen+n {
+			t.Fatalf("message of %d bytes announced, %d left", n, len(rest)-prefixLen)
+		}
+		out = append(out, n)
+		rest = rest[prefixLen+n:]
+	}
+	return out
+}
+
+func repeatLen(n, count int) []int {
+	out := make([]int, count)
+	for i := range out {
+		out[i] = n
+	}
+	return out
+}
+
+// oneByteConn delivers at most one byte per Read, the worst segmentation
+// a transport can inflict on a flight.
+type oneByteConn struct{ net.Conn }
+
+func (c oneByteConn) Read(b []byte) (int, error) {
+	if len(b) > 1 {
+		b = b[:1]
+	}
+	return c.Conn.Read(b)
+}
+
+// TestTransferAnySegmentation runs the full transfer over transports that
+// split flights differently — net.Pipe (one Read per Write, synchronous),
+// one byte per Read, and loopback TCP — proving nothing depends on where a
+// flight's writes land in the reader's reads.
+func TestTransferAnySegmentation(t *testing.T) {
+	t.Run("pipe", func(t *testing.T) {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		transfer(t, a, b, 100, 5)
+	})
+	t.Run("one-byte-reads", func(t *testing.T) {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		transfer(t, oneByteConn{a}, oneByteConn{b}, 100, 6)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		a, b := tcpPair(t)
+		transfer(t, a, b, 100, 7)
+	})
+}
+
+func tcpPair(t testing.TB) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = seedPairs
-	if err := writeMsg(b, []byte{1}); err != nil { // 1 byte, want 8
+	defer ln.Close()
+	type accepted struct {
+		c   net.Conn
+		err error
+	}
+	ch := make(chan accepted, 1)
+	go func() {
+		c, err := ln.Accept()
+		ch <- accepted{c, err}
+	}()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errc; err == nil {
-		t.Error("sender accepted a short correction vector")
+	t.Cleanup(func() { a.Close() })
+	acc := <-ch
+	if acc.err != nil {
+		t.Fatal(acc.err)
+	}
+	t.Cleanup(func() { acc.c.Close() })
+	return a, acc.c
+}
+
+// BenchmarkLabelTransfer times one whole OT phase — 128 base OTs plus the
+// extension — over loopback TCP at the Bob widths the repo benchmark runs.
+func BenchmarkLabelTransfer(b *testing.B) {
+	for _, m := range []int{32, 512} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			ca, cb := tcpPair(b)
+			rng := rand.New(rand.NewSource(1))
+			pairs, choices := randPairs(rng, m), randChoices(rng, m)
+			errc := make(chan error, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				go func() { errc <- SendLabels(ca, pairs) }()
+				if _, err := ReceiveLabels(cb, choices); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-errc; err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
