@@ -1,34 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-# The benchmark set `make bench-json` tracks: the warm-session cache path,
-# the pipelined garbler, the per-cycle primitives and trace replay
-# (BenchmarkTraceReplay rides next to BenchmarkSchedulerCycle — the
-# classify pass replay removes), plus the offline/online split
-# (BenchmarkPooledSession rides next to BenchmarkColdSession — the
-# garbling work the pool moves offline).
-BENCH_SET ?= BenchmarkEngineSessionReuse|BenchmarkGarblerPipeline|BenchmarkSchedulerCycle|BenchmarkGarbledProcessorCycle|BenchmarkTraceReplay|BenchmarkColdSession|BenchmarkPooledSession
-BENCHTIME ?= 50x
-
-# The oblivious-memory crossover pair: garbled tables per memory access
-# under the linear scan vs the square-root ORAM on the 2KB relaxation
-# workload (above the break-even, where the ORAM must win). The counts
-# are exact schedule properties, so one iteration suffices and the
-# tables/access metrics gate machine-independently in bench-compare.
-BENCH_ORAM ?= BenchmarkMemAccessScan|BenchmarkMemAccessSqrtORAM
-BENCH_ORAM_TIME ?= 1x
-BENCH_THRESHOLD ?= 1.25
-BENCH_FILE ?= BENCH_$(shell date +%Y-%m-%d).json
-
-# Benchmarks run with the machine's full parallelism: an inherited
-# GOMAXPROCS of 1 would serialize the pipelined garbler's producer with
-# its writer and the two parties of the session benchmarks. The value
-# lands in the report's hardware fingerprint (gomaxprocs), which gates
-# ns/op comparisons to like hardware.
-NPROC ?= $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-BENCH_ENV = GOMAXPROCS=$(NPROC)
-
-.PHONY: all build vet analyze test race fuzz-smoke bench-engine bench-pipeline bench-pool bench-oram bench-json bench-baseline bench-compare cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark
+.PHONY: all build vet analyze test race fuzz-smoke cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark
 
 all: build vet test
 
@@ -67,48 +40,6 @@ fuzz-smoke:
 	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzInstructionStream -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot -run '^$$' -fuzz FuzzOTPeer -fuzztime $(FUZZTIME)
 
-# Cache-hit guard: warm Engine sessions must perform zero netlist
-# synthesis (the benchmark fails if they rebuild).
-bench-engine:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench BenchmarkEngineSessionReuse -benchtime 50x .
-
-# Pipelined vs serial garbler wall clock over net.Pipe with simulated
-# link latency: the pipelined path overlaps garbling with frame I/O.
-bench-pipeline:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench BenchmarkGarblerPipeline -benchtime 5x .
-
-# Offline/online split: a session served from a pre-garbled stream (the
-# state a garble-ahead pool hit leaves the server in) vs a cold one that
-# garbles inline — the gap is the online latency the pool removes.
-bench-pool:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'BenchmarkColdSession|BenchmarkPooledSession' -benchtime 5x .
-
-# Oblivious-memory crossover: scan vs square-root ORAM tables per
-# memory access, standalone (the same pair rides in bench-json's report
-# and gates in bench-compare).
-bench-oram:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_ORAM)' -benchtime $(BENCH_ORAM_TIME) .
-
-# Machine-readable benchmark report at the repo root (BENCH_<date>.json):
-# ns/op, allocs and the engine's own counters for the core benchmark set,
-# plus the bench-oram crossover pair (at its own single-iteration count —
-# its gated metric is exact, not timed).
-bench-json:
-	{ $(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -benchtime $(BENCHTIME) . ; \
-	  $(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_ORAM)' -benchtime $(BENCH_ORAM_TIME) . ; } \
-		| $(GO) run ./cmd/bench-json -out $(BENCH_FILE)
-
-# Regenerate the committed regression baseline (run on the machine class
-# that gates, i.e. the CI runner, and commit the result).
-bench-baseline:
-	$(MAKE) bench-json BENCH_FILE=BENCH_baseline.json
-
-# Gate the current tree against the committed baseline. ns/op is compared
-# only on matching hardware; allocs/op and the schedule counters
-# (tables/cycle, dffs/cycle, copies/cycle) always.
-bench-compare: bench-json
-	$(GO) run ./cmd/bench-json -compare BENCH_baseline.json,$(BENCH_FILE) -threshold $(BENCH_THRESHOLD)
-
 # Throwaway development TLS material (CA + server/client leaves, valid
 # 24h, loopback only) under ./dev-certs — never commit it; .gitignore'd.
 dev-certs:
@@ -131,8 +62,8 @@ serve-tls: dev-certs
 # cancellation — shuffled and under the race detector, as in CI.
 test-hardening:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'TestServer|TestClient|TestProposal|TestNegotiate|TestLoadRegistry|TestCompare' \
-		. ./internal/proto ./internal/cli ./cmd/bench-json
+		-run 'TestServer|TestClient|TestProposal|TestNegotiate|TestLoadRegistry' \
+		. ./internal/proto ./internal/cli
 
 # Classification-trace correctness: record/replay across the core engine,
 # the trace cache, the wire protocol (byte-identical frame pinning) and
@@ -164,7 +95,7 @@ test-gateway:
 		. ./internal/gateway ./internal/pool ./internal/cli
 
 # Oblivious-memory backend correctness: the backend-equivalence grid
-# (scan vs sqrt-ORAM, identical decoded outputs across pipeline/batch
+# (scan vs sqrt-ORAM, identical decoded outputs across read-ahead/batch
 # settings), auto selection, negotiation mismatch rejection, the
 # wire extension and the obliv/cpu unit suites — shuffled and under the
 # race detector, as in CI's memory-backends job.
@@ -184,4 +115,4 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-ci: build vet analyze race fuzz-smoke bench-engine bench-pipeline bench-compare
+ci: build vet analyze race fuzz-smoke test-benchmark

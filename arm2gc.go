@@ -33,7 +33,6 @@
 package arm2gc
 
 import (
-	"context"
 	"io"
 
 	"arm2gc/internal/circuit"
@@ -121,14 +120,6 @@ type Machine struct {
 	cpu *cpu.CPU
 }
 
-// NewMachine returns the processor for a layout, synthesizing the netlist
-// on first use — it serves from DefaultEngine's cache, so repeated calls
-// for one layout (the old per-run pattern) no longer pay repeated builds.
-//
-// Deprecated: use Engine.Machine, or skip the Machine entirely with
-// Engine.Session.
-func NewMachine(l Layout) (*Machine, error) { return DefaultEngine.Machine(l) }
-
 // Stats reports the processor's netlist composition (the per-cycle cost a
 // conventional garbler would pay).
 func (m *Machine) Stats() circuit.Stats { return m.cpu.Circuit.Stats() }
@@ -180,41 +171,6 @@ func (m *Machine) inputs(p *Program, alice, bob []uint32) (pub, ab, bb []bool, e
 	return pub, ab, bb, nil
 }
 
-// session wraps the machine in a one-shot Session carrying maxCycles, for
-// the deprecated positional-argument methods.
-func (m *Machine) session(p *Program, maxCycles int) (*Session, error) {
-	cfg, err := newSessionConfig([]Option{WithMaxCycles(maxCycles)})
-	if err != nil {
-		return nil, err
-	}
-	return &Session{m: m, prog: p, cfg: cfg}, nil
-}
-
-// Run executes the full garbled protocol in process (both parties).
-//
-// Deprecated: use Engine.Session and Session.Run, which add context
-// cancellation and per-session options.
-func (m *Machine) Run(p *Program, alice, bob []uint32, maxCycles int) (*RunInfo, error) {
-	s, err := m.session(p, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background(), alice, bob)
-}
-
-// Count measures the garbled-table counts of a program without doing any
-// cryptography (the schedule is independent of label values, so the
-// counts are exact).
-//
-// Deprecated: use Engine.Session and Session.Count.
-func (m *Machine) Count(p *Program, maxCycles int) (*RunInfo, error) {
-	s, err := m.session(p, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	return s.Count(context.Background())
-}
-
 func (m *Machine) info(p *Program, outBits []bool, st core.Stats, halted bool) *RunInfo {
 	info := &RunInfo{
 		Cycles:        st.Cycles,
@@ -227,30 +183,6 @@ func (m *Machine) info(p *Program, outBits []bool, st core.Stats, halted bool) *
 		info.Outputs = cpu.OutWords(outBits[:p.Layout.OutWords*32])
 	}
 	return info
-}
-
-// Garble plays Alice (the garbler) over a connection: she contributes the
-// alice[] input array and learns the outputs.
-//
-// Deprecated: use Engine.Session and Session.Garble, which add context
-// cancellation, output-mode selection and cycle batching.
-func (m *Machine) Garble(conn io.ReadWriter, p *Program, alice []uint32, maxCycles int) (*RunInfo, error) {
-	s, err := m.session(p, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	return s.Garble(context.Background(), conn, alice)
-}
-
-// Evaluate plays Bob (the evaluator) over a connection.
-//
-// Deprecated: use Engine.Session and Session.Evaluate.
-func (m *Machine) Evaluate(conn io.ReadWriter, p *Program, bob []uint32, maxCycles int) (*RunInfo, error) {
-	s, err := m.session(p, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	return s.Evaluate(context.Background(), conn, bob)
 }
 
 func (m *Machine) partyBits(p *Program, owner circuit.Owner, words []uint32) ([]bool, []bool, error) {
@@ -267,11 +199,3 @@ func (m *Machine) partyBits(p *Program, owner circuit.Owner, words []uint32) ([]
 
 // Disassemble renders a linked program.
 func Disassemble(p *Program) string { return p.Disassemble() }
-
-// Verify cross-checks a garbled run against native execution via
-// DefaultEngine, so the machine comes from the layout cache.
-//
-// Deprecated: use Engine.Verify, which takes a context and options.
-func Verify(p *Program, alice, bob []uint32, maxCycles int) (*RunInfo, error) {
-	return DefaultEngine.Verify(context.Background(), p, alice, bob, WithMaxCycles(maxCycles))
-}

@@ -1,6 +1,8 @@
 package arm2gc
 
 import (
+	"context"
+	"fmt"
 	"net"
 	"testing"
 )
@@ -24,7 +26,7 @@ func TestFacadeCompileRunVerify(t *testing.T) {
 	if len(warnings) != 0 {
 		t.Fatalf("unexpected warnings: %v", warnings)
 	}
-	info, err := Verify(prog, []uint32{40}, []uint32{2}, 10_000)
+	info, err := NewEngine().Verify(context.Background(), prog, []uint32{40}, []uint32{2}, WithMaxCycles(10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,26 +41,48 @@ func TestFacadeCompileRunVerify(t *testing.T) {
 	}
 }
 
+// TestFacadeCount pins that the schedule-only Count reports exactly what a
+// garbled Run does — tables, cycles and the halt verdict — when the
+// program halts within its budget and at the budget edge before the halt,
+// counted afresh and served from a cached trace.
 func TestFacadeCount(t *testing.T) {
 	prog, _, err := CompileC("add", addSrc, testLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(prog.Layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := m.Run(prog, []uint32{1}, []uint32{2}, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, err := m.Count(prog, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count.GarbledTables != run.GarbledTables || count.Cycles != run.Cycles {
-		t.Fatalf("Count (%d tables/%d cycles) disagrees with Run (%d/%d)",
-			count.GarbledTables, count.Cycles, run.GarbledTables, run.Cycles)
+	ctx := context.Background()
+	for _, budget := range []int{10_000, 3} {
+		for _, reuse := range []bool{false, true} {
+			t.Run(fmt.Sprintf("budget%d/reuse=%v", budget, reuse), func(t *testing.T) {
+				eng := NewEngine()
+				opts := []Option{WithMaxCycles(budget)}
+				if reuse {
+					opts = append(opts, WithTraceReuse())
+				}
+				sess, err := eng.Session(prog, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := sess.Run(ctx, []uint32{1}, []uint32{2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				count, err := sess.Count(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reuse && eng.TraceReplays() != 1 {
+					t.Fatalf("Count did not use the cached trace (%d replays)", eng.TraceReplays())
+				}
+				if run.Halted != (budget == 10_000) {
+					t.Fatalf("Run halted = %v within a %d-cycle budget", run.Halted, budget)
+				}
+				if count.GarbledTables != run.GarbledTables || count.Cycles != run.Cycles || count.Halted != run.Halted {
+					t.Fatalf("Count (%d tables/%d cycles/halted %v) disagrees with Run (%d/%d/%v)",
+						count.GarbledTables, count.Cycles, count.Halted, run.GarbledTables, run.Cycles, run.Halted)
+				}
+			})
+		}
 	}
 }
 
@@ -76,20 +100,15 @@ func TestFacadeTwoParty(t *testing.T) {
 		err  error
 	}
 	ch := make(chan r, 1)
-	go func() {
-		m, err := NewMachine(prog.Layout)
-		if err != nil {
-			ch <- r{nil, err}
-			return
-		}
-		info, err := m.Garble(ca, prog, []uint32{1000}, 10_000)
-		ch <- r{info, err}
-	}()
-	m, err := NewMachine(prog.Layout)
+	sess, err := NewEngine().Session(prog, WithMaxCycles(10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bobInfo, err := m.Evaluate(cb, prog, []uint32{23}, 10_000)
+	go func() {
+		info, err := sess.Garble(context.Background(), ca, []uint32{1000})
+		ch <- r{info, err}
+	}()
+	bobInfo, err := sess.Evaluate(context.Background(), cb, []uint32{23})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,7 @@ import (
 	"syscall"
 
 	"arm2gc"
+	"arm2gc/internal/circuit"
 	"arm2gc/internal/cli"
 	"arm2gc/internal/gateway"
 )
@@ -94,8 +95,6 @@ func main() {
 	poolMax := flag.Int64("pool-max-bytes", 0, "serve: garble-ahead bytes overall, memory + spill (0 = default)")
 	poolSpill := flag.String("pool-spill-dir", "", "serve: directory for garble-ahead overflow entries (empty = no spill)")
 	poolWorkers := flag.Int("pool-workers", 0, "serve: background refill goroutines (0 = default)")
-	poolAdaptive := flag.Bool("pool-adaptive", false, "serve: adapt per-program garble-ahead depth to demand (hit-rate/arrival EWMAs); -garble-ahead becomes the cap, -pool-min-depth the floor")
-	poolMinDepth := flag.Int("pool-min-depth", 0, "serve: floor for -pool-adaptive depth (0 = 1)")
 	layout := cli.LayoutFlags("; both parties must pass the same value — it is part of the public layout the session id covers")
 	sessOpts := cli.SessionFlags()
 	tlsOpts := cli.TLSFlags()
@@ -130,7 +129,16 @@ func main() {
 		if prog == nil {
 			log.Fatal("-dump-netlist needs -c or -asm")
 		}
-		dump(eng, prog, *dumpNetlist)
+		opts, err := sessOpts.Options(false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := dump(eng, prog, opts, *dumpNetlist)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("netlist written to %s: %d gates (%d non-XOR), %d flip-flops\n",
+			*dumpNetlist, st.Gates, st.NonXOR, st.DFFs)
 		return
 	}
 
@@ -197,13 +205,11 @@ func main() {
 		}
 		if *garbleAhead > 0 {
 			srvOpts = append(srvOpts, arm2gc.WithGarbleAhead(arm2gc.PoolConfig{
-				Depth:         *garbleAhead,
-				MemBytes:      *poolMem,
-				MaxBytes:      *poolMax,
-				SpillDir:      *poolSpill,
-				Workers:       *poolWorkers,
-				AdaptiveDepth: *poolAdaptive,
-				MinDepth:      *poolMinDepth,
+				Depth:    *garbleAhead,
+				MemBytes: *poolMem,
+				MaxBytes: *poolMax,
+				SpillDir: *poolSpill,
+				Workers:  *poolWorkers,
 			}))
 		}
 		srv := arm2gc.NewServer(eng, srvOpts...)
@@ -404,25 +410,26 @@ func report(info *arm2gc.RunInfo) {
 	}
 }
 
-// dump writes the processor netlist and its composition report.
-func dump(eng *arm2gc.Engine, prog *arm2gc.Program, path string) {
-	m, err := eng.Machine(prog.Layout)
+// dump writes the netlist of the processor a session built from opts
+// runs on — -mem-backend changes it — and returns its composition.
+func dump(eng *arm2gc.Engine, prog *arm2gc.Program, opts []arm2gc.Option, path string) (circuit.Stats, error) {
+	sess, err := eng.Session(prog, opts...)
 	if err != nil {
-		log.Fatal(err)
+		return circuit.Stats{}, err
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return circuit.Stats{}, err
 	}
+	m := sess.Machine()
 	if err := m.WriteNetlist(f); err != nil {
-		log.Fatal(err)
+		_ = f.Close() // the write error is the one to report
+		return circuit.Stats{}, err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return circuit.Stats{}, err
 	}
-	st := m.Stats()
-	fmt.Printf("netlist written to %s: %d gates (%d non-XOR), %d flip-flops\n",
-		path, st.Gates, st.NonXOR, st.DFFs)
+	return m.Stats(), nil
 }
 
 // acceptCtx is Accept with cancellation: Ctrl-C while waiting for the

@@ -59,15 +59,16 @@ func NewEngine() *Engine {
 	return &Engine{cache: new(cpu.Cache), traces: cpu.NewTraceCache(DefaultTraceCacheBytes)}
 }
 
-// DefaultEngine backs the package-level compatibility shims (NewMachine,
-// Verify) and is free for direct use. It shares the process-wide machine
+// DefaultEngine serves callers that need no Engine of their own (and a
+// Server built over a nil Engine). It shares the process-wide machine
 // cache with the internal tooling, so a binary mixing both (the bencher)
 // never synthesizes a layout twice.
 var DefaultEngine = &Engine{cache: cpu.SharedCache(), traces: cpu.NewTraceCache(DefaultTraceCacheBytes)}
 
-// Machine returns the cached processor for a layout, synthesizing it on
-// first use. The returned Machine shares the Engine's immutable netlist
-// and is safe for concurrent use.
+// Machine returns the cached scan-memory processor for a layout,
+// synthesizing it on first use. The returned Machine shares the Engine's
+// immutable netlist and is safe for concurrent use. Session.Machine is
+// the processor a session with a memory backend option runs on.
 func (e *Engine) Machine(l Layout) (*Machine, error) {
 	c, err := e.cache.Get(l)
 	if err != nil {
@@ -112,7 +113,6 @@ type sessionConfig struct {
 	outputsSet    bool
 	cycleBatch    int
 	cycleBatchSet bool
-	pipeline      int
 	traceReuse    bool
 	memory        MemoryConfig
 	memorySet     bool
@@ -156,14 +156,6 @@ func WithCycleBatch(n int) Option {
 	return func(c *sessionConfig) { c.cycleBatch = n; c.cycleBatchSet = true }
 }
 
-// WithPipeline makes the garbling side run its compute loop in a producer
-// goroutine that garbles up to depth frames ahead of the network writer,
-// overlapping table generation with frame I/O (default 0: serial). The
-// wire stream is byte-identical to the serial path; the knob is local to
-// the garbler — it is not part of the session id and need not match the
-// peer's. The evaluating side ignores it.
-func WithPipeline(depth int) Option { return func(c *sessionConfig) { c.pipeline = depth } }
-
 // WithTraceReuse makes the session draw on the Engine's classification-
 // trace cache: the first run of a program records the per-cycle SkipGate
 // schedule as a compiled trace, and every later run of the same program
@@ -171,12 +163,12 @@ func WithPipeline(depth int) Option { return func(c *sessionConfig) { c.pipeline
 // garbling straight from precompiled gate lists with no classification
 // pass at all. The replayed wire stream is byte-identical to the
 // classified one — the schedule is a pure function of public data — so
-// the knob is local, like WithPipeline: it is not part
-// of the session id and need not match the peer's. Concurrent first runs
-// singleflight the recording (one records, the rest classify without
-// recording); the cache holds up to DefaultTraceCacheBytes of traces per
-// Engine, evicting the least recently replayed. Observe effectiveness
-// via Engine.TraceRecordings and Engine.TraceReplays.
+// the knob is local: it is not part of the session id and need not
+// match the peer's. Concurrent first runs singleflight the recording
+// (one records, the rest classify without recording); the cache holds up
+// to DefaultTraceCacheBytes of traces per Engine, evicting the least
+// recently replayed. Observe effectiveness via Engine.TraceRecordings and
+// Engine.TraceReplays.
 func WithTraceReuse() Option { return func(c *sessionConfig) { c.traceReuse = true } }
 
 // WithMemoryBackend selects the oblivious data-memory backend the
@@ -188,8 +180,8 @@ func WithTraceReuse() Option { return func(c *sessionConfig) { c.traceReuse = tr
 // sends it by name during negotiation, and a Server rejects a proposal
 // whose backend differs from the registration's resolved one — cleanly,
 // before any cryptography, keeping the connection alive. Sessions over
-// one Engine cache one machine per (layout, backend) pair. The deprecated
-// NewMachine/Engine.Machine path stays layout-only and always scans.
+// one Engine cache one machine per (layout, backend) pair; the
+// layout-only Engine.Machine always scans.
 func WithMemoryBackend(name string) Option {
 	return func(c *sessionConfig) { c.memory.Backend = name; c.memorySet = true }
 }
@@ -208,10 +200,9 @@ func WithMemoryConfig(mc MemoryConfig) Option {
 // 0: synchronous reads). The reader peeks at frame types, buffering
 // table frames and parking the stream's trailing frame for the post-halt
 // decode read, so a garbler that streams faster than labels evaluate —
-// a pool-fed garbler always does — never blocks on a full socket. Like
-// WithPipeline on the garbling side, the knob is local: it changes no
-// wire byte and is not part of the session id. The garbling side and the
-// in-process Run ignore it.
+// a pool-fed garbler always does — never blocks on a full socket. The
+// knob is local: it changes no wire byte and is not part of the session
+// id. The garbling side and the in-process Run ignore it.
 func WithReadAhead(depth int) Option { return func(c *sessionConfig) { c.readAhead = depth } }
 
 // WithGarbleAheadDepth sets, on a Server registration, how many
@@ -289,7 +280,7 @@ type Session struct {
 	m    *Machine
 	prog *Program
 	cfg  sessionConfig
-	eng  *Engine // for WithTraceReuse; nil on the deprecated Machine path
+	eng  *Engine // its trace cache serves WithTraceReuse
 }
 
 // Session creates a session for a program, drawing the machine from the
@@ -308,8 +299,7 @@ func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 }
 
 // newSessionConfig applies opts over the defaults and validates — the one
-// place session defaults live (Engine.Session and the deprecated Machine
-// shims both go through it).
+// place session defaults live.
 func newSessionConfig(opts []Option) (sessionConfig, error) {
 	cfg := sessionConfig{maxCycles: DefaultMaxCycles, cycleBatch: 1}
 	for _, o := range opts {
@@ -320,9 +310,6 @@ func newSessionConfig(opts []Option) (sessionConfig, error) {
 	}
 	if cfg.cycleBatch < 1 {
 		return cfg, fmt.Errorf("arm2gc: WithCycleBatch(%d): batch must be at least 1", cfg.cycleBatch)
-	}
-	if cfg.pipeline < 0 {
-		return cfg, fmt.Errorf("arm2gc: WithPipeline(%d): depth cannot be negative", cfg.pipeline)
 	}
 	if cfg.readAhead < 0 {
 		return cfg, fmt.Errorf("arm2gc: WithReadAhead(%d): depth cannot be negative", cfg.readAhead)
@@ -367,8 +354,7 @@ func (s *Session) traceKey(pub []bool) cpu.TraceKey {
 
 // traceSession is one run's view of the Engine trace cache: a cached
 // trace to replay, or a claimed recording slot to settle after the run.
-// The zero value (trace reuse off, or the deprecated Machine path with
-// no Engine) replays and records nothing.
+// The zero value (trace reuse off) replays and records nothing.
 type traceSession struct {
 	cache  *cpu.TraceCache
 	key    cpu.TraceKey
@@ -378,7 +364,7 @@ type traceSession struct {
 
 func (s *Session) traceFor(pub []bool) traceSession {
 	var ts traceSession
-	if !s.cfg.traceReuse || s.eng == nil {
+	if !s.cfg.traceReuse {
 		return ts
 	}
 	ts.cache = s.eng.traces
@@ -436,17 +422,17 @@ func (s *Session) Count(ctx context.Context) (*RunInfo, error) {
 	// without re-counting. (With a per-cycle sink the count still runs,
 	// so the sink sees every cycle.) Count never records — it produces
 	// no trace — so a miss just falls through.
-	if s.cfg.traceReuse && s.eng != nil && s.cfg.sink == nil {
+	if s.cfg.traceReuse && s.cfg.sink == nil {
 		if tr := s.eng.traces.Lookup(s.traceKey(pub)); tr != nil {
-			return s.m.info(s.prog, nil, tr.TotalStats(), true), nil
+			return s.m.info(s.prog, nil, tr.TotalStats(), tr.Halted()), nil
 		}
 	}
-	st, err := core.Count(ctx, s.m.cpu.Circuit, pub,
+	st, halted, err := core.Count(ctx, s.m.cpu.Circuit, pub,
 		core.CountOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Sink: s.coreSink()})
 	if err != nil {
 		return nil, err
 	}
-	return s.m.info(s.prog, nil, st, true), nil
+	return s.m.info(s.prog, nil, st, halted), nil
 }
 
 // Garble plays Alice (the garbler) over a connection: she contributes the
@@ -558,7 +544,6 @@ func (s *Session) protoConfig(pub []bool) proto.Config {
 		StopOutput: "halted",
 		Outputs:    s.cfg.outputs,
 		CycleBatch: s.cfg.cycleBatch,
-		Pipeline:   s.cfg.pipeline,
 		ReadAhead:  s.cfg.readAhead,
 		Sink:       s.coreSink(),
 	}

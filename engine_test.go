@@ -432,25 +432,3 @@ func TestSessionStatsSink(t *testing.T) {
 		t.Fatalf("per-cycle garbled sum %d != total %d", total, info.GarbledTables)
 	}
 }
-
-func TestDeprecatedShimsShareDefaultEngineCache(t *testing.T) {
-	prog := compileAdd(t)
-	before := DefaultEngine.Builds()
-	m1, err := NewMachine(prog.Layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := NewMachine(prog.Layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.cpu != m2.cpu {
-		t.Fatal("NewMachine shim bypasses the DefaultEngine cache")
-	}
-	if _, err := Verify(prog, []uint32{40}, []uint32{2}, 10_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := DefaultEngine.Builds(); got > before+1 {
-		t.Fatalf("shims performed %d extra builds, want at most 1", got-before)
-	}
-}

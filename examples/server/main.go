@@ -43,8 +43,7 @@ func main() {
 	if err := srv.Register("addmax", prog,
 		arm2gc.WithGarblerInput([]uint32{1000}),
 		arm2gc.WithMaxCycles(10_000),
-		arm2gc.WithCycleBatch(8),
-		arm2gc.WithPipeline(4)); err != nil {
+		arm2gc.WithCycleBatch(8)); err != nil {
 		log.Fatal(err)
 	}
 

@@ -61,7 +61,7 @@ gc_main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: cycles, StopOutput: "halted"})
+	st, _, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: cycles, StopOutput: "halted"})
 	if err != nil {
 		t.Fatal(err)
 	}

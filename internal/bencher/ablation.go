@@ -69,7 +69,7 @@ func AblationMuxCell() (*Table, error) {
 		if tc.owner == circuit.Public {
 			pub = []bool{tc.sel}
 		}
-		st, err := core.Count(context.Background(), c, pub, core.CountOpts{Cycles: 1})
+		st, _, err := core.Count(context.Background(), c, pub, core.CountOpts{Cycles: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -83,7 +83,7 @@ func TestAESCircuitMatchesStdlib(t *testing.T) {
 
 func TestAESSkipGateCount(t *testing.T) {
 	c, cycles := AESCircuit()
-	st, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
+	st, _, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSHA3CircuitMatchesReference(t *testing.T) {
 
 func TestSHA3SkipGateCount(t *testing.T) {
 	c, cycles := SHA3Circuit()
-	st, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
+	st, _, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSerialSkipGateCounts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c, cycles := tc.mk()
-		st, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
+		st, _, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestMatrixMult(t *testing.T) {
 		}
 	}
 
-	st, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
+	st, _, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}

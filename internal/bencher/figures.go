@@ -49,7 +49,7 @@ func Figure1() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := core.Count(context.Background(), c, []bool{tc.pval}, core.CountOpts{Cycles: 1})
+		st, _, err := core.Count(context.Background(), c, []bool{tc.pval}, core.CountOpts{Cycles: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +112,7 @@ func Figure2() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := core.Count(context.Background(), c, []bool{true}, core.CountOpts{Cycles: 1})
+		st, _, err := core.Count(context.Background(), c, []bool{true}, core.CountOpts{Cycles: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -147,11 +147,11 @@ func Figure3() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	stOff, err := core.Count(context.Background(), c, []bool{true}, core.CountOpts{Cycles: 1}) // p=1: chain used
+	stOff, _, err := core.Count(context.Background(), c, []bool{true}, core.CountOpts{Cycles: 1}) // p=1: chain used
 	if err != nil {
 		return nil, err
 	}
-	stOn, err := core.Count(context.Background(), c, []bool{false}, core.CountOpts{Cycles: 1}) // p=0: chain dead
+	stOn, _, err := core.Count(context.Background(), c, []bool{false}, core.CountOpts{Cycles: 1}) // p=0: chain dead
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ gc_main:
 		}
 		// Fixed cycle budget: the branchy version's cycle count is itself
 		// secret-dependent, so run both for the worst case.
-		st, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: 14})
+		st, _, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: 14})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -42,6 +42,10 @@ func TestMemoryBackendCrossover(t *testing.T) {
 	if scan.Cycles != sqrt.Cycles {
 		t.Errorf("cycle counts differ: scan %d, sqrt %d (same program, same inputs)", scan.Cycles, sqrt.Cycles)
 	}
+	// The totals are exact schedule properties, pinned as such.
+	if scan.Garbled() != 4_488_833 || sqrt.Garbled() != 4_299_030 {
+		t.Errorf("n=512 garbled tables: scan %d, sqrt-oram %d; want 4488833 and 4299030", scan.Garbled(), sqrt.Garbled())
+	}
 	scanAcc := scan.Garbled() / RelaxAccesses
 	sqrtAcc := sqrt.Garbled() / RelaxAccesses
 	t.Logf("n=512: scan %d tables/access, sqrt-oram %d tables/access (ratio %.4f)",

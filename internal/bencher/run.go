@@ -39,7 +39,7 @@ func RunOnCPU(w *Workload) (*CPUResult, error) {
 }
 
 // RunOnCPUMem is RunOnCPU with an oblivious-memory backend selection, the
-// measurement arm of the backend ablation and the bench-oram gate.
+// measurement arm of the backend ablation and the crossover test.
 func RunOnCPUMem(w *Workload, mc obliv.Config) (*CPUResult, error) {
 	p, warnings, err := w.Program()
 	if err != nil {
@@ -71,7 +71,7 @@ func RunOnCPUMem(w *Workload, mc obliv.Config) (*CPUResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: cycles, StopOutput: "halted"})
+	st, _, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: cycles, StopOutput: "halted"})
 	if err != nil {
 		return nil, err
 	}

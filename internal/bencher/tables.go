@@ -118,7 +118,7 @@ func Table1(big bool) (*Table, error) {
 	}
 	for _, b := range hdlSuite(big) {
 		c, cycles := b.mk()
-		st, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
+		st, _, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +175,7 @@ func Table2(big bool) (*Table, error) {
 	paperHDL := map[string]int64{}
 	for _, b := range hdlSuite(big) {
 		c, cycles := b.mk()
-		st, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
+		st, _, err := core.Count(context.Background(), c, nil, core.CountOpts{Cycles: cycles})
 		if err != nil {
 			return nil, err
 		}

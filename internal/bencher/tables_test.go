@@ -12,6 +12,10 @@ func TestTablesGenerate(t *testing.T) {
 	}
 	gens := []gen{
 		{"table1", func() (*Table, error) { return Table1(false) }},
+		{"table2", func() (*Table, error) { return Table2(false) }},
+		{"table3", func() (*Table, error) { return Table3(false) }},
+		{"table4", func() (*Table, error) { return Table4(false) }},
+		{"table5", func() (*Table, error) { return Table5(false) }},
 		{"table6", Table6},
 		{"figure1", Figure1},
 		{"figure2", Figure2},

@@ -21,7 +21,7 @@ import (
 //	  "programs": [
 //	    {"name": "addmax", "c": "addmax.c",
 //	     "garbler_input": [1000], "max_cycles": 10000,
-//	     "cycle_batch": 8, "pipeline": 2,
+//	     "cycle_batch": 8,
 //	     "output_mode": "both", "memory_backend": "auto",
 //	     "auth_token": "team-a-secret", "garble_ahead": 4},
 //	    {"name": "hamming", "asm": "hamming.s",
@@ -60,7 +60,6 @@ type RegistryProgram struct {
 	GarblerInput []uint32        `json:"garbler_input"`
 	MaxCycles    int             `json:"max_cycles"`
 	CycleBatch   int             `json:"cycle_batch"`
-	Pipeline     int             `json:"pipeline"`
 	OutputMode   string          `json:"output_mode"`
 	MemBackend   string          `json:"memory_backend"`
 	AuthToken    string          `json:"auth_token"`
@@ -175,9 +174,6 @@ func loadProgram(dir string, rp RegistryProgram, defLayout arm2gc.Layout) (Regis
 	}
 	if rp.CycleBatch != 0 {
 		opts = append(opts, arm2gc.WithCycleBatch(rp.CycleBatch))
-	}
-	if rp.Pipeline != 0 {
-		opts = append(opts, arm2gc.WithPipeline(rp.Pipeline))
 	}
 	if rp.OutputMode != "" {
 		mode, err := ParseOutputMode(rp.OutputMode)

@@ -133,6 +133,12 @@ func TestLoadRegistryErrors(t *testing.T) {
 			wantErr:  `unknown field "workers"`,
 		},
 		{
+			name:     "removed pipeline key",
+			manifest: `{"programs": [{"name": "p", "c": "add.c", "pipeline": 2}]}`,
+			files:    map[string]string{"add.c": addC},
+			wantErr:  `unknown field "pipeline"`,
+		},
+		{
 			name:     "source does not compile",
 			manifest: `{"programs": [{"name": "p", "c": "bad.c"}]}`,
 			files:    map[string]string{"bad.c": "void gc_main(int x) {"},

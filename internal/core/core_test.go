@@ -303,7 +303,7 @@ func TestCountMatchesRunLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Count(context.Background(), c, in.Public, CountOpts{Cycles: cycles})
+		st, _, err := Count(context.Background(), c, in.Public, CountOpts{Cycles: cycles})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,17 +10,18 @@ import (
 	"arm2gc/internal/core"
 	"arm2gc/internal/cpu"
 	"arm2gc/internal/emu"
+	"arm2gc/internal/gc"
 	"arm2gc/internal/isa"
 	"arm2gc/internal/obliv"
 	"arm2gc/internal/sim"
 )
 
-// hammingOnCPU binds the bencher's Hamming(64) program to its garbled
-// processor on the given memory backend: the netlist the repo benchmark
-// runs (203 cycles to the halt flag), small enough for a unit test.
-func hammingOnCPU(t *testing.T, backend string) (*cpu.CPU, *isa.Program, *bencher.Workload, sim.Inputs) {
+// hammingOnCPU binds the bencher's Hamming(n) program to its garbled
+// processor on the given memory backend. Hamming(64) runs 203 cycles to
+// the halt flag, small enough for a unit test.
+func hammingOnCPU(t *testing.T, n int, backend string) (*cpu.CPU, *isa.Program, *bencher.Workload, sim.Inputs) {
 	t.Helper()
-	w := bencher.HammingWorkload(64)
+	w := bencher.HammingWorkload(n)
 	p, _, err := w.Program()
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func hammingOnCPU(t *testing.T, backend string) (*cpu.CPU, *isa.Program, *benche
 func TestDenseCommitOracleCPU(t *testing.T) {
 	for _, backend := range []string{obliv.Scan, obliv.SqrtORAM} {
 		t.Run(backend, func(t *testing.T) {
-			c, p, w, in := hammingOnCPU(t, backend)
+			c, p, w, in := hammingOnCPU(t, 64, backend)
 			const budget = 400
 			live := core.RunAgainstDenseOracle(t, c.Circuit, in,
 				core.RunOpts{Cycles: budget, StopOutput: "halted", RecordEveryCycle: true, Record: true})
@@ -95,14 +96,14 @@ func TestDenseCommitOracleCPU(t *testing.T) {
 // of its trace report the same CycleStats for every cycle of the CPU
 // Hamming(64) run.
 func TestCycleStatsInvariance(t *testing.T) {
-	c, _, _, in := hammingOnCPU(t, obliv.Scan)
+	c, _, _, in := hammingOnCPU(t, 64, obliv.Scan)
 	const budget = 400
 	ctx := context.Background()
 	perCycle := func(dst *[]core.CycleStats) func(int, core.CycleStats) {
 		return func(_ int, cs core.CycleStats) { *dst = append(*dst, cs) }
 	}
 	var counted, live, replayed []core.CycleStats
-	if _, err := core.Count(ctx, c.Circuit, in.Public,
+	if _, _, err := core.Count(ctx, c.Circuit, in.Public,
 		core.CountOpts{Cycles: budget, StopOutput: "halted", Sink: perCycle(&counted)}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +123,96 @@ func TestCycleStatsInvariance(t *testing.T) {
 		if live[cyc] != want || replayed[cyc] != want {
 			t.Fatalf("cycle %d: Count %+v, live %+v, replay %+v", cyc+1, want, live[cyc], replayed[cyc])
 		}
+	}
+}
+
+// hamming160 records the Hamming(160) run on the scan processor over its
+// 470 cycles, the program whose per-cycle work the counters below pin.
+func hamming160(t *testing.T) (*cpu.CPU, sim.Inputs, *core.RunResult) {
+	t.Helper()
+	c, _, _, in := hammingOnCPU(t, 160, obliv.Scan)
+	res, err := core.RunLocal(context.Background(), c.Circuit, in, core.RunOpts{Cycles: 470, Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, in, res
+}
+
+// TestHammingCycleCounters pins the machine-independent work of a garbled
+// processor run: netlist gates classified per cycle, garbled tables,
+// flip-flop label commits and executed copies over Hamming(160)'s 470
+// cycles (1.021 tables, 6.979 commits and 121.8 copies per cycle). They
+// are exact properties of the scheduler and the trace compiler; a change
+// that moves one moves the cost of every session.
+func TestHammingCycleCounters(t *testing.T) {
+	c, _, res := hamming160(t)
+	tr := res.Trace
+	dffs, copies := 0, 0
+	for cyc := 1; cyc <= tr.NumCycles(); cyc++ {
+		dffs += tr.Cycle(cyc).NumDFFs()
+		copies += tr.Cycle(cyc).NumCopies()
+	}
+	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), res.Stats.Total.Garbled, dffs, copies}
+	want := [...]int{13_567, 470, 480, 3_280, 57_264}
+	if got != want {
+		t.Fatalf("gates, cycles, tables, DFF commits, copies = %v, want %v", got, want)
+	}
+}
+
+// TestKernelsDoNotAllocate pins the per-cycle hot loops at zero heap
+// allocations once their buffers are warm: the scheduler's Classify and
+// Commit, the replay garbler's GarbleCycleTrace and CopyDFFs, and the
+// evaluator's EvalCycleTrace and CopyDFFs over the whole Hamming(160)
+// trace.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	c, in, res := hamming160(t)
+	tr := res.Trace
+	n := tr.NumCycles()
+
+	s := core.NewScheduler(c.Circuit, core.Seed{}, in.Public)
+	if a := testing.AllocsPerRun(50, func() { s.Classify(false); s.Commit() }); a != 0 {
+		t.Errorf("Classify+Commit: %v allocations per cycle", a)
+	}
+
+	g := core.NewReplayGarbler(c.Circuit, gc.CryptoRand)
+	tables := make([][]gc.Table, n+1)
+	for cyc := 1; cyc <= n; cyc++ {
+		tables[cyc] = g.GarbleCycleTrace(tr.Cycle(cyc), cyc, nil)
+		g.CopyDFFs()
+	}
+	var buf []gc.Table
+	garble := func() {
+		for cyc := 1; cyc <= n; cyc++ {
+			buf = g.GarbleCycleTrace(tr.Cycle(cyc), cyc, buf[:0])
+			g.CopyDFFs()
+		}
+	}
+	if a := testing.AllocsPerRun(3, garble); a != 0 {
+		t.Errorf("replay GarbleCycleTrace+CopyDFFs: %v allocations per run", a)
+	}
+
+	e := core.NewReplayEvaluator(c.Circuit)
+	pairs := g.BobPairs()
+	chosen := make([]gc.Label, len(pairs))
+	for i := range pairs {
+		chosen[i] = pairs[i][0]
+	}
+	if err := e.SetInputs(g.AliceActiveLabels(nil), chosen); err != nil {
+		t.Fatal(err)
+	}
+	var evalErr error
+	eval := func() {
+		for cyc := 1; cyc <= n; cyc++ {
+			if _, err := e.EvalCycleTrace(tr.Cycle(cyc), cyc, tables[cyc]); err != nil {
+				evalErr = err
+			}
+			e.CopyDFFs()
+		}
+	}
+	if a := testing.AllocsPerRun(3, eval); a != 0 {
+		t.Errorf("EvalCycleTrace+CopyDFFs: %v allocations per run", a)
+	}
+	if evalErr != nil {
+		t.Fatal(evalErr)
 	}
 }

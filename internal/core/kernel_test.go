@@ -72,7 +72,7 @@ func TestKernelDifferential(t *testing.T) {
 			}
 		}
 
-		counted, err := Count(ctx, c, in.Public, CountOpts{Cycles: cycles})
+		counted, _, err := Count(ctx, c, in.Public, CountOpts{Cycles: cycles})
 		if err != nil {
 			t.Fatalf("trial %d: count: %v", trial, err)
 		}

@@ -164,25 +164,26 @@ type CountOpts struct {
 }
 
 // Count runs only the Scheduler — no cryptography, and no cycle is ever
-// compiled for an executor — and returns the gate statistics. This is how
-// the benchmark harness measures garbled non-XOR counts for large circuits
-// and long runs (the counts are exactly those of a full protocol run,
-// since scheduling is independent of label values). Cancelling ctx aborts
-// the cycle loop with ctx.Err().
-func Count(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts) (Stats, error) {
+// compiled for an executor — and returns the gate statistics and whether
+// StopOutput halted the run within the budget. This is how the benchmark
+// harness measures garbled non-XOR counts for large circuits and long
+// runs (the counts are exactly those of a full protocol run, since
+// scheduling is independent of label values). Cancelling ctx aborts the
+// cycle loop with ctx.Err().
+func Count(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts) (Stats, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	sc, err := newSchedule(c, pub, RunOpts{Cycles: opts.Cycles, StopOutput: opts.StopOutput,
 		Seed: opts.Seed, Sink: opts.Sink}, false)
 	if err != nil {
-		return Stats{}, err
+		return Stats{}, false, err
 	}
 	for !sc.Done() {
 		if err := ctx.Err(); err != nil {
-			return sc.Stats(), err
+			return sc.Stats(), false, err
 		}
 		sc.Next()
 	}
-	return sc.Stats(), nil
+	return sc.Stats(), sc.Halted(), nil
 }

@@ -239,7 +239,7 @@ gc_main:
 		t.Fatal(err)
 	}
 	pub, _ := c.PublicBits(p)
-	st, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: cycles})
+	st, _, err := core.Count(context.Background(), c.Circuit, pub, core.CountOpts{Cycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}

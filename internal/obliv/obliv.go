@@ -50,7 +50,7 @@ const (
 // from the linear scan to the square-root ORAM: 512 words = 2 KB, the
 // low end of the paper's cited 2–8 KB ORAM break-even range and the
 // measured crossover for relaxation-class workloads (see
-// TestMemoryBackendCrossover and `make bench-oram`).
+// TestMemoryBackendCrossover).
 const DefaultThreshold = 512
 
 // MinSqrtWords is the smallest data memory the square-root ORAM accepts:

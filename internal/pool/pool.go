@@ -79,17 +79,6 @@ type Config struct {
 	// Workers is how many refill goroutines Start launches (default
 	// DefaultWorkers).
 	Workers int
-
-	// AdaptiveDepth turns each key's registered depth into a cap instead
-	// of a fixed target: a per-key controller tracks demand
-	// inter-arrival, refill latency and hit-rate EWMAs and moves the
-	// target between MinDepth and the cap (see adaptive.go). Idle
-	// programs drain to the floor; hot ones grow until misses stop.
-	AdaptiveDepth bool
-
-	// MinDepth floors the adaptive target (default 1). Ignored unless
-	// AdaptiveDepth is set.
-	MinDepth int
 }
 
 func (c Config) withDefaults() Config {
@@ -124,8 +113,7 @@ type entry struct {
 type slot struct {
 	key     Key
 	name    string // for stats; the registered program name
-	depth   int    // fixed target, or the cap when ctrl is set
-	ctrl    *depthController
+	depth   int    // target number of ready entries
 	produce Producer
 
 	entries []entry // FIFO: oldest first
@@ -142,20 +130,11 @@ type slot struct {
 	refillTime                                 time.Duration
 }
 
-// target is the depth refill workers aim for: the adaptive controller's
-// moving target when one is attached, the registered depth otherwise.
-func (s *slot) target() int {
-	if s.ctrl != nil {
-		return s.ctrl.target()
-	}
-	return s.depth
-}
-
 func (s *slot) deficit() int {
 	if s.parked {
 		return 0
 	}
-	return s.target() - len(s.entries) - s.filling
+	return s.depth - len(s.entries) - s.filling
 }
 
 // Pool is the garble-ahead store. All methods are safe for concurrent
@@ -178,8 +157,6 @@ type Pool struct {
 	started bool
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
-
-	now func() time.Time // injectable clock for the adaptive controller
 }
 
 const spillExt = ".gcpool"
@@ -206,7 +183,6 @@ func New(cfg Config) (*Pool, error) {
 		cfg:   cfg,
 		slots: make(map[Key]*slot),
 		wake:  make(chan struct{}, 1),
-		now:   time.Now,
 	}, nil
 }
 
@@ -228,9 +204,6 @@ func (p *Pool) Register(key Key, name string, depth int, produce Producer) error
 		return fmt.Errorf("pool: Register(%q): key already registered", name)
 	}
 	s := &slot{key: key, name: name, depth: depth, produce: produce}
-	if p.cfg.AdaptiveDepth {
-		s.ctrl = newDepthController(p.cfg.MinDepth, depth, 0)
-	}
 	p.slots[key] = s
 	p.order = append(p.order, s)
 	p.kick()
@@ -252,11 +225,7 @@ func (p *Pool) Get(key Key) *proto.Recorded {
 	p.getSeq++
 	s.lastGet = p.getSeq
 	p.unparkLocked()
-	hit := len(s.entries) > 0
-	if s.ctrl != nil {
-		s.ctrl.observeGet(p.now(), hit)
-	}
-	if !hit {
+	if len(s.entries) == 0 {
 		s.misses++
 		p.mu.Unlock()
 		p.kick()
@@ -391,9 +360,6 @@ func (p *Pool) fillOne(ctx context.Context, s *slot) error {
 	}
 	s.refills++
 	s.refillTime += took
-	if s.ctrl != nil {
-		s.ctrl.observeRefill(took)
-	}
 	if p.closed || p.slots[s.key] != s {
 		return nil // produced after Close or Retire: drop
 	}
@@ -632,7 +598,7 @@ type Stats struct {
 // several keys were registered under one name their counters sum.
 type ProgramStats struct {
 	Ready   int // entries ready right now
-	Depth   int // target depth (the live adaptive target when enabled)
+	Depth   int // target depth
 	Hits    int64
 	Misses  int64
 	Refills int64
@@ -658,7 +624,7 @@ func (p *Pool) Stats() Stats {
 		st.Ready += len(s.entries)
 		ps := st.Programs[s.name]
 		ps.Ready += len(s.entries)
-		ps.Depth += s.target()
+		ps.Depth += s.depth
 		ps.Hits += s.hits
 		ps.Misses += s.misses
 		ps.Refills += s.refills

@@ -138,9 +138,8 @@ func TestGoldenWireDigest(t *testing.T) {
 			}
 
 			// The other ways of producing the stream must hit the same
-			// constant: a replaying garbler and evaluator, a pipelined
-			// garbler against a read-ahead evaluator, and an offline
-			// RecordGarbler stream.
+			// constant: a replaying garbler and evaluator, a read-ahead
+			// evaluator, and an offline RecordGarbler stream.
 			rec := cfg
 			rec.Record = true
 			ra, rbRec, _ := runBothAsym(t, rec, rec, alice, bob, 1)
@@ -149,10 +148,10 @@ func TestGoldenWireDigest(t *testing.T) {
 			if d, _ := goldenDigest(t, gR, eR, alice, bob); d != tc.want {
 				t.Errorf("replayed wire digest %s, golden %s", d, tc.want)
 			}
-			gP, eP := cfg, cfg
-			gP.Pipeline, eP.ReadAhead = 3, 2
-			if d, _ := goldenDigest(t, gP, eP, alice, bob); d != tc.want {
-				t.Errorf("pipelined wire digest %s, golden %s", d, tc.want)
+			eP := cfg
+			eP.ReadAhead = 2
+			if d, _ := goldenDigest(t, cfg, eP, alice, bob); d != tc.want {
+				t.Errorf("read-ahead wire digest %s, golden %s", d, tc.want)
 			}
 			offline, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(42)))
 			if err != nil {

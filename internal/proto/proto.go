@@ -68,14 +68,6 @@ type Config struct {
 	// parties must agree; it is part of the session id.
 	CycleBatch int
 
-	// Pipeline, when positive, makes the garbler run its cycle loop in a
-	// producer goroutine that garbles up to Pipeline frames ahead of the
-	// network writer, overlapping table generation with frame I/O. The
-	// stream is byte-identical to the serial path (Pipeline == 0), and
-	// the knob is garbler-local — it is not part of the session id, so
-	// the two parties need not agree on it. The evaluator ignores it.
-	Pipeline int
-
 	// Sink, when set, receives every cycle's scheduling outcome as the
 	// cycle is produced, on both roles.
 	Sink func(cycle int, cs core.CycleStats)
@@ -85,9 +77,9 @@ type Config struct {
 	// recorded cycles, collapsing its hot path to fixed-key-AES label work.
 	// The trace must come from the same (circuit, public input, cycle
 	// budget, halt flag) tuple — see core.Trace. The wire stream is
-	// byte-identical to a classified run's, so the knob is local like
-	// Pipeline: it is not part of the session id, and a replaying role
-	// interoperates with a classifying peer.
+	// byte-identical to a classified run's, so the knob is local: it is
+	// not part of the session id, and a replaying role interoperates with
+	// a classifying peer.
 	Trace *core.Trace
 
 	// Record, when set, compiles this run's classification schedule into
@@ -332,7 +324,14 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 		return nil, err
 	}
 	res := &Result{}
-	if err := garbleStream(ctx, conn, cfg, sched, g, res); err != nil {
+	err = garbleFrames(ctx, cfg, sched, g, func(payload []byte) error {
+		if err := writeFrame(conn, msgTables, payload); err != nil {
+			return err
+		}
+		res.TableFrames++
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	rec.finish(sched, g)
@@ -341,6 +340,38 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 		return nil, err
 	}
 	return res, nil
+}
+
+// garbleFrames is the garbler's cycle loop: take the next compiled cycle,
+// run the kernel appending its tables to a payload buffer, and hand the
+// buffer to emit at every frame boundary — the cycle-batch edge and,
+// regardless of fill, the run's last cycle (halt or budget edge), where
+// the evaluator expects the remainder; both sides derive identical
+// boundaries from the shared public schedule. The buffer is refilled
+// once emit returns.
+func garbleFrames(ctx context.Context, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(payload []byte) error) error {
+	batch := cfg.batch()
+	var payload []byte
+	inBatch := 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		ct := sched.Next()
+		payload = g.GarbleCycleTraceAppend(ct, sched.Cycle(), payload)
+		inBatch++
+		if inBatch == batch || sched.Done() {
+			if err := emit(payload); err != nil {
+				return err
+			}
+			payload = payload[:0]
+			inBatch = 0
+		}
+		if sched.Done() {
+			return nil
+		}
+		g.CopyDFFs()
+	}
 }
 
 // schedule builds the role's source of compiled cycles: a live scheduler

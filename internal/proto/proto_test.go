@@ -41,6 +41,36 @@ func runBoth(t *testing.T, cfg Config, alice, bob []bool) (*Result, *Result) {
 	return ra.r, rb
 }
 
+// runBothAsym runs both parties over a pipe with per-side configs (for the
+// role-local knobs Trace and ReadAhead) and a fixed-seed garbler RNG,
+// recording every table-frame payload the evaluator receives.
+func runBothAsym(t *testing.T, cfgG, cfgE Config, alice, bob []bool, seed int64) (*Result, *Result, [][]byte) {
+	t.Helper()
+	var frames [][]byte
+	cfgE.tapTables = func(p []byte) { frames = append(frames, append([]byte(nil), p...)) }
+	ca, cb := net.Pipe()
+	defer ca.Close()
+	defer cb.Close()
+	type res struct {
+		r   *Result
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		r, err := RunGarbler(context.Background(), ca, cfgG, alice, rand.New(rand.NewSource(seed)))
+		ch <- res{r, err}
+	}()
+	rb, err := RunEvaluator(context.Background(), cb, cfgE, bob)
+	if err != nil {
+		t.Fatalf("evaluator: %v", err)
+	}
+	ra := <-ch
+	if ra.err != nil {
+		t.Fatalf("garbler: %v", ra.err)
+	}
+	return ra.r, rb, frames
+}
+
 func TestProtocolAdder(t *testing.T) {
 	b := build.New("adder")
 	a := b.Input(circuit.Alice, "a", 32)
@@ -342,4 +372,30 @@ func TestOutputModeMismatchRejected(t *testing.T) {
 	ca.Close()
 	cb.Close()
 	<-errc
+}
+
+// TestPipelinedStatsSinkOrdered pins the Sink contract on both roles: every
+// cycle's stats arrive exactly once, in cycle order. (The name predates
+// the removal of the pipelined garbler; the serial loop is the only one.)
+func TestPipelinedStatsSinkOrdered(t *testing.T) {
+	cfg, alice, bob := multiCycleConfig(t, 1)
+	for _, role := range []string{"garbler", "evaluator"} {
+		var cycles []int
+		cfgG, cfgE := cfg, cfg
+		sink := func(cyc int, _ core.CycleStats) { cycles = append(cycles, cyc) }
+		if role == "garbler" {
+			cfgG.Sink = sink
+		} else {
+			cfgE.Sink = sink
+		}
+		runBothAsym(t, cfgG, cfgE, alice, bob, 21)
+		if len(cycles) != cfg.Cycles {
+			t.Fatalf("%s: sink fired %d times, want %d", role, len(cycles), cfg.Cycles)
+		}
+		for i, cyc := range cycles {
+			if cyc != i+1 {
+				t.Fatalf("%s: sink call %d reported cycle %d", role, i+1, cyc)
+			}
+		}
+	}
 }

@@ -196,7 +196,6 @@ func (r *Recorded) exchangeOutputs(conn io.ReadWriter, mode OutputMode) ([]bool,
 //
 // The returned Result carries the run's stats and — when cfg.Record is
 // set — the compiled classification trace, exactly as RunGarbler would.
-// cfg.Pipeline is ignored: there is no I/O to overlap with offline.
 func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -205,9 +204,9 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	err = garbleFrames(ctx, cfg, sched, g, func(payload []byte) ([]byte, error) {
+	err = garbleFrames(ctx, cfg, sched, g, func(payload []byte) error {
 		rec.frames = append(rec.frames, append([]byte(nil), payload...))
-		return payload, nil
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err

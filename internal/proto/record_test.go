@@ -42,58 +42,47 @@ func serveBoth(t *testing.T, cfgG, cfgE Config, rec *Recorded, bob []bool) (*Res
 // TestRecordServeByteIdenticalGrid is the offline/online acceptance grid:
 // a stream garbled offline by RecordGarbler and served by ServeRecorded
 // must put exactly the bytes a live RunGarbler puts on the wire — from
-// the same label randomness — for every pipeline × cycle-batch
-// combination, with identical outputs and stats on both sides.
+// the same label randomness — for every cycle batch, with identical
+// outputs and stats on both sides.
 func TestRecordServeByteIdenticalGrid(t *testing.T) {
 	base, alice, bob := multiCycleConfig(t, 1)
-	for _, pipeline := range []int{0, 4} {
-		for _, batch := range []int{1, 8} {
-			cfg := base
-			cfg.CycleBatch = batch
+	for _, batch := range []int{1, 8} {
+		cfg := base
+		cfg.CycleBatch = batch
 
-			// Live reference at this grid point (Pipeline is a
-			// garbler-local knob; the wire contract says it does not move
-			// bytes).
-			cfgG := cfg
-			cfgG.Pipeline = pipeline
-			ra, rb, want := runBothAsym(t, cfgG, cfg, alice, bob, 7)
-			if len(want) == 0 {
-				t.Fatalf("p%d b%d: no reference frames", pipeline, batch)
-			}
+		// Live reference at this grid point.
+		ra, rb, want := runBothAsym(t, cfg, cfg, alice, bob, 7)
+		if len(want) == 0 {
+			t.Fatalf("b%d: no reference frames", batch)
+		}
 
-			rec, rres, err := RecordGarbler(context.Background(), cfgG, alice,
-				mrand.New(mrand.NewSource(7)))
-			if err != nil {
-				t.Fatalf("p%d b%d: record: %v", pipeline, batch, err)
-			}
-			if rec.TableFrames() != len(want) {
-				t.Fatalf("p%d b%d: recorded %d frames, live sent %d",
-					pipeline, batch, rec.TableFrames(), len(want))
-			}
-			if rres.Stats != ra.Stats {
-				t.Fatalf("p%d b%d: offline stats %+v, live %+v",
-					pipeline, batch, rres.Stats, ra.Stats)
-			}
+		rec, rres, err := RecordGarbler(context.Background(), cfg, alice,
+			mrand.New(mrand.NewSource(7)))
+		if err != nil {
+			t.Fatalf("b%d: record: %v", batch, err)
+		}
+		if rec.TableFrames() != len(want) {
+			t.Fatalf("b%d: recorded %d frames, live sent %d", batch, rec.TableFrames(), len(want))
+		}
+		if rres.Stats != ra.Stats {
+			t.Fatalf("b%d: offline stats %+v, live %+v", batch, rres.Stats, ra.Stats)
+		}
 
-			sa, sb, got := serveBoth(t, cfg, cfg, rec, bob)
-			if len(got) != len(want) {
-				t.Fatalf("p%d b%d: served %d frames, live sent %d",
-					pipeline, batch, len(got), len(want))
+		sa, sb, got := serveBoth(t, cfg, cfg, rec, bob)
+		if len(got) != len(want) {
+			t.Fatalf("b%d: served %d frames, live sent %d", batch, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(want[i], got[i]) {
+				t.Fatalf("b%d: frame %d differs from live garbling", batch, i)
 			}
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("p%d b%d: frame %d differs from live garbling",
-						pipeline, batch, i)
-				}
-			}
-			if sa.Stats != ra.Stats || sb.Stats != rb.Stats {
-				t.Fatalf("p%d b%d: served stats diverge", pipeline, batch)
-			}
-			for i := range ra.Outputs {
-				if sa.Outputs[i] != ra.Outputs[i] || sb.Outputs[i] != rb.Outputs[i] {
-					t.Fatalf("p%d b%d: output %d differs from live run",
-						pipeline, batch, i)
-				}
+		}
+		if sa.Stats != ra.Stats || sb.Stats != rb.Stats {
+			t.Fatalf("b%d: served stats diverge", batch)
+		}
+		for i := range ra.Outputs {
+			if sa.Outputs[i] != ra.Outputs[i] || sb.Outputs[i] != rb.Outputs[i] {
+				t.Fatalf("b%d: output %d differs from live run", batch, i)
 			}
 		}
 	}

@@ -24,61 +24,56 @@ func recordTraces(t *testing.T, cfg Config, alice, bob []bool, seed int64) (trG,
 }
 
 // TestTraceReplayByteIdenticalGrid: replayed sessions must put exactly
-// the classified bytes on the wire for every pipeline × cycle-batch
-// combination — with the garbler replaying against a classifying evaluator
-// (trace reuse is a local knob, like Pipeline) and with both roles
-// replaying.
+// the classified bytes on the wire for every cycle batch — with the
+// garbler replaying against a classifying evaluator (trace reuse is a
+// local knob) and with both roles replaying.
 func TestTraceReplayByteIdenticalGrid(t *testing.T) {
 	base, alice, bob := multiCycleConfig(t, 1)
 	trG, trE := recordTraces(t, base, alice, bob, 7)
 
-	for _, pipeline := range []int{0, 4} {
-		for _, batch := range []int{1, 8} {
-			cfg := base
-			cfg.CycleBatch = batch
+	for _, batch := range []int{1, 8} {
+		cfg := base
+		cfg.CycleBatch = batch
 
-			// Classified reference at this grid point.
-			cfgG := cfg
-			cfgG.Pipeline = pipeline
-			ra, _, want := runBothAsym(t, cfgG, cfg, alice, bob, 7)
-			if len(want) == 0 {
-				t.Fatalf("p%d b%d: no reference frames", pipeline, batch)
+		// Classified reference at this grid point.
+		ra, _, want := runBothAsym(t, cfg, cfg, alice, bob, 7)
+		if len(want) == 0 {
+			t.Fatalf("b%d: no reference frames", batch)
+		}
+
+		check := func(name string, gotRes *Result, got [][]byte) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("b%d %s: %d frames, classified sent %d", batch, name, len(got), len(want))
 			}
-
-			check := func(name string, gotRes *Result, got [][]byte) {
-				t.Helper()
-				if len(got) != len(want) {
-					t.Fatalf("p%d b%d %s: %d frames, classified sent %d", pipeline, batch, name, len(got), len(want))
-				}
-				for i := range want {
-					if !bytes.Equal(want[i], got[i]) {
-						t.Fatalf("p%d b%d %s: frame %d differs from classified", pipeline, batch, name, i)
-					}
-				}
-				if gotRes.Stats != ra.Stats {
-					t.Fatalf("p%d b%d %s: stats %+v, classified %+v", pipeline, batch, name, gotRes.Stats, ra.Stats)
-				}
-				for i := range ra.Outputs {
-					if gotRes.Outputs[i] != ra.Outputs[i] {
-						t.Fatalf("p%d b%d %s: output %d differs", pipeline, batch, name, i)
-					}
+			for i := range want {
+				if !bytes.Equal(want[i], got[i]) {
+					t.Fatalf("b%d %s: frame %d differs from classified", batch, name, i)
 				}
 			}
-
-			// Garbler replays; evaluator classifies.
-			gR := cfgG
-			gR.Trace = trG
-			raR, _, got := runBothAsym(t, gR, cfg, alice, bob, 7)
-			check("garbler-replay", raR, got)
-
-			// Both roles replay.
-			eR := cfg
-			eR.Trace = trE
-			raR2, rbR2, got2 := runBothAsym(t, gR, eR, alice, bob, 7)
-			check("both-replay", raR2, got2)
-			if rbR2.Stats != ra.Stats {
-				t.Fatalf("p%d b%d: replaying evaluator stats %+v, classified %+v", pipeline, batch, rbR2.Stats, ra.Stats)
+			if gotRes.Stats != ra.Stats {
+				t.Fatalf("b%d %s: stats %+v, classified %+v", batch, name, gotRes.Stats, ra.Stats)
 			}
+			for i := range ra.Outputs {
+				if gotRes.Outputs[i] != ra.Outputs[i] {
+					t.Fatalf("b%d %s: output %d differs", batch, name, i)
+				}
+			}
+		}
+
+		// Garbler replays; evaluator classifies.
+		gR := cfg
+		gR.Trace = trG
+		raR, _, got := runBothAsym(t, gR, cfg, alice, bob, 7)
+		check("garbler-replay", raR, got)
+
+		// Both roles replay.
+		eR := cfg
+		eR.Trace = trE
+		raR2, rbR2, got2 := runBothAsym(t, gR, eR, alice, bob, 7)
+		check("both-replay", raR2, got2)
+		if rbR2.Stats != ra.Stats {
+			t.Fatalf("b%d: replaying evaluator stats %+v, classified %+v", batch, rbR2.Stats, ra.Stats)
 		}
 	}
 }

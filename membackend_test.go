@@ -61,10 +61,10 @@ func relaxInputs() (alice, bob []uint32) {
 
 // TestMemoryBackendEquivalenceGrid is the backend-equivalence suite: the
 // same relaxation program, garbled two-party under the scan and the
-// square-root ORAM across a pipeline × cycle-batch grid, must decode
-// identical outputs — equal to the native emulation — with equal cycle
-// counts. The local knobs (pipeline, read-ahead) must not perturb either
-// backend's stream.
+// square-root ORAM across a read-ahead × cycle-batch grid (p: the
+// evaluator's read-ahead depth), must decode identical outputs — equal to
+// the native emulation — with equal cycle counts. Read-ahead is a local
+// knob and must not perturb either backend's stream.
 func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve full two-party runs")
@@ -78,7 +78,7 @@ func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 
 	eng := NewEngine()
 	grid := []struct {
-		pipeline, batch int
+		readAhead, batch int
 	}{
 		{0, 1},
 		{2, 4},
@@ -87,18 +87,18 @@ func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 	cycles := map[string]int{}
 	for _, backend := range []string{MemoryScan, MemorySqrtORAM} {
 		for _, g := range grid {
-			name := fmt.Sprintf("%s/p%d-b%d", backend, g.pipeline, g.batch)
+			name := fmt.Sprintf("%s/p%d-b%d", backend, g.readAhead, g.batch)
 			t.Run(name, func(t *testing.T) {
 				common := []Option{
 					WithMaxCycles(100_000),
 					WithMemoryBackend(backend),
 					WithCycleBatch(g.batch),
 				}
-				gs, err := eng.Session(prog, append(common, WithPipeline(g.pipeline))...)
+				gs, err := eng.Session(prog, common...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				es, err := eng.Session(prog, append(common, WithReadAhead(g.pipeline))...)
+				es, err := eng.Session(prog, append(common, WithReadAhead(g.readAhead))...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -38,9 +38,8 @@ func startServer(t *testing.T, srv *Server) (addr string, shutdown func()) {
 }
 
 // TestServerConcurrentClients is the acceptance anchor: one Server over
-// one Engine garbles for 8 concurrent evaluator clients — through the
-// pipelined garbler path and a 4-session concurrency limit — with exactly
-// one netlist synthesis.
+// one Engine garbles for 8 concurrent evaluator clients — through a
+// 4-session concurrency limit — with exactly one netlist synthesis.
 func TestServerConcurrentClients(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
@@ -48,7 +47,6 @@ func TestServerConcurrentClients(t *testing.T) {
 	if err := srv.Register("add", prog,
 		WithMaxCycles(10_000),
 		WithCycleBatch(4),
-		WithPipeline(2),
 		WithGarblerInput([]uint32{100})); err != nil {
 		t.Fatal(err)
 	}

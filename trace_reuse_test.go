@@ -147,8 +147,7 @@ func TestSessionTraceReuseConcurrent(t *testing.T) {
 
 // TestSessionTraceReuseNetworked drives two-party sessions sharing one
 // Engine: the first pair records (one side wins the slot), the second
-// pair replays on both roles, and outputs stay identical — including
-// when the replaying garbler pipelines.
+// pair replays on both roles, and outputs stay identical.
 func TestSessionTraceReuseNetworked(t *testing.T) {
 	eng := NewEngine()
 	prog := compileAdd(t)
@@ -169,7 +168,7 @@ func TestSessionTraceReuseNetworked(t *testing.T) {
 		t.Fatalf("cold pair recorded %d traces, want 1 (singleflight across roles)", got)
 	}
 
-	ga2, ev2 := runTwoParty(t, mk(WithPipeline(4)), mk(), []uint32{30}, []uint32{12})
+	ga2, ev2 := runTwoParty(t, mk(), mk(), []uint32{30}, []uint32{12})
 	if eng.TraceReplays() < 2 {
 		t.Fatalf("warm pair replays = %d, want both roles served", eng.TraceReplays())
 	}
