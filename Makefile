@@ -35,10 +35,13 @@ race:
 # circuit vs the emulator (internal/cpu FuzzInstructionStream), then an
 # attacker-shaped byte stream as the peer of each of the four OT roles
 # (internal/ot FuzzOTPeer: error, never panic, never read or allocate past
-# the flight).
+# the flight), then arbitrary bytes as an unauthorized proposal
+# (internal/proto FuzzProposal: never panic, bounded allocation, accepted
+# proposals re-encode byte-identically).
 fuzz-smoke:
 	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzInstructionStream -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot -run '^$$' -fuzz FuzzOTPeer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzProposal -fuzztime $(FUZZTIME)
 
 # Throwaway development TLS material (CA + server/client leaves, valid
 # 24h, loopback only) under ./dev-certs — never commit it; .gitignore'd.
@@ -76,7 +79,7 @@ test-trace:
 		. ./internal/core ./internal/cpu ./internal/proto
 
 # Garble-ahead correctness: recorded streams byte-identical to live
-# garbling, single-use enforcement, eviction/spill lifecycle, evaluator
+# garbling, single-use enforcement, byte-budget eviction, evaluator
 # read-ahead and the server's pool-hit/miss paths — shuffled and under
 # the race detector, as in CI.
 test-pool:

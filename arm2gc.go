@@ -51,13 +51,6 @@ type Layout = isa.Layout
 // Program is a linked binary: the public input p of the garbled execution.
 type Program = isa.Program
 
-// MemoryConfig selects and tunes the oblivious data-memory backend of a
-// session's processor: which backend, resolved over how many words,
-// switching at what threshold (see WithMemoryBackend / WithMemoryConfig).
-// The zero value means "auto over the layout's own size at the default
-// threshold".
-type MemoryConfig = obliv.Config
-
 // Oblivious-memory backend names, re-exported at the root so callers
 // never import internal packages. MemoryAuto picks MemoryScan below
 // obliv.DefaultThreshold data words (2KB) and MemorySqrtORAM at or above

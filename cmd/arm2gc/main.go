@@ -46,10 +46,10 @@
 //
 // -garble-ahead N turns on the offline/online split: background workers
 // keep N pre-garbled table streams ready per program (tune with
-// -pool-mem-bytes / -pool-max-bytes / -pool-spill-dir / -pool-workers and
-// per-program "garble_ahead" registry settings), so a session's online
-// phase is OT plus frame I/O. Evaluating roles can add -read-ahead to
-// buffer frames off the socket ahead of the cycle loop.
+// -pool-mem-bytes / -pool-workers and per-program "garble_ahead" registry
+// settings), so a session's online phase is OT plus frame I/O. Evaluating
+// roles can add -read-ahead to buffer frames off the socket ahead of the
+// cycle loop.
 //
 // Ctrl-C cancels a run cleanly, even while blocked on a hung peer; for
 // the serve role it is a graceful shutdown (idle connections close,
@@ -92,8 +92,6 @@ func main() {
 	authToken := flag.String("auth-token", "", "serve: bearer token clients must present for the -c/-asm program; client: token sent with each proposal")
 	garbleAhead := flag.Int("garble-ahead", 0, "serve: pre-garbled streams kept ready per program (0 = off); the online phase of a pooled session is OT + frame I/O")
 	poolMem := flag.Int64("pool-mem-bytes", 0, "serve: garble-ahead bytes kept in memory (0 = default)")
-	poolMax := flag.Int64("pool-max-bytes", 0, "serve: garble-ahead bytes overall, memory + spill (0 = default)")
-	poolSpill := flag.String("pool-spill-dir", "", "serve: directory for garble-ahead overflow entries (empty = no spill)")
 	poolWorkers := flag.Int("pool-workers", 0, "serve: background refill goroutines (0 = default)")
 	layout := cli.LayoutFlags("; both parties must pass the same value — it is part of the public layout the session id covers")
 	sessOpts := cli.SessionFlags()
@@ -207,8 +205,6 @@ func main() {
 			srvOpts = append(srvOpts, arm2gc.WithGarbleAhead(arm2gc.PoolConfig{
 				Depth:    *garbleAhead,
 				MemBytes: *poolMem,
-				MaxBytes: *poolMax,
-				SpillDir: *poolSpill,
 				Workers:  *poolWorkers,
 			}))
 		}

@@ -65,18 +65,6 @@ func NewEngine() *Engine {
 // never synthesizes a layout twice.
 var DefaultEngine = &Engine{cache: cpu.SharedCache(), traces: cpu.NewTraceCache(DefaultTraceCacheBytes)}
 
-// Machine returns the cached scan-memory processor for a layout,
-// synthesizing it on first use. The returned Machine shares the Engine's
-// immutable netlist and is safe for concurrent use. Session.Machine is
-// the processor a session with a memory backend option runs on.
-func (e *Engine) Machine(l Layout) (*Machine, error) {
-	c, err := e.cache.Get(l)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{cpu: c}, nil
-}
-
 // Builds reports how many netlist syntheses this Engine has performed —
 // an observable for cache-effectiveness tests and monitoring.
 func (e *Engine) Builds() int64 { return e.cache.Builds() }
@@ -114,7 +102,7 @@ type sessionConfig struct {
 	cycleBatch    int
 	cycleBatchSet bool
 	traceReuse    bool
-	memory        MemoryConfig
+	memory        obliv.Config
 	memorySet     bool
 	readAhead     int
 	garbleAhead   int // 0: server default; -1: off; >0: explicit depth
@@ -180,19 +168,10 @@ func WithTraceReuse() Option { return func(c *sessionConfig) { c.traceReuse = tr
 // sends it by name during negotiation, and a Server rejects a proposal
 // whose backend differs from the registration's resolved one — cleanly,
 // before any cryptography, keeping the connection alive. Sessions over
-// one Engine cache one machine per (layout, backend) pair; the
-// layout-only Engine.Machine always scans.
+// one Engine cache one machine per (layout, backend) pair; Session.Machine
+// is the one a session runs on.
 func WithMemoryBackend(name string) Option {
 	return func(c *sessionConfig) { c.memory.Backend = name; c.memorySet = true }
-}
-
-// WithMemoryConfig sets the full oblivious-memory configuration —
-// backend plus tuning knobs (auto-selection threshold, ORAM stash
-// window). Most callers want WithMemoryBackend; this is the escape hatch
-// for non-default thresholds and windows. Like the backend name, the
-// whole configuration shapes the netlist and is part of the session id.
-func WithMemoryConfig(mc MemoryConfig) Option {
-	return func(c *sessionConfig) { c.memory = mc; c.memorySet = true }
 }
 
 // WithReadAhead makes an evaluating session pull up to depth frames off

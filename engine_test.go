@@ -24,15 +24,16 @@ func compileAdd(t testing.TB) *Program {
 
 func TestEngineCachesMachines(t *testing.T) {
 	eng := NewEngine()
-	m1, err := eng.Machine(testLayout())
-	if err != nil {
-		t.Fatal(err)
+	machine := func(p *Program) *Machine {
+		t.Helper()
+		s, err := eng.Session(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Machine()
 	}
-	m2, err := eng.Machine(testLayout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.cpu != m2.cpu {
+	prog := compileAdd(t)
+	if machine(prog).cpu != machine(prog).cpu {
 		t.Fatal("same layout produced distinct netlists")
 	}
 	if got := eng.Builds(); got != 1 {
@@ -41,9 +42,11 @@ func TestEngineCachesMachines(t *testing.T) {
 
 	other := testLayout()
 	other.ScratchWords += 4
-	if _, err := eng.Machine(other); err != nil {
+	progOther, _, err := CompileC("add", addSrc, other)
+	if err != nil {
 		t.Fatal(err)
 	}
+	machine(progOther)
 	if got := eng.Builds(); got != 2 {
 		t.Fatalf("builds = %d after a second layout, want 2", got)
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // ErrCheckAnalyzer flags call statements that silently discard an error
-// result. A swallowed error on the spill or metrics path can serve a
-// truncated recorded stream or report success for a failed write.
+// result. A swallowed error on a frame-write or metrics path can serve a
+// truncated stream or report success for a failed write.
 //
 // Deliberate discards stay available and visible: assign to blank
 // (`_ = f()` / `_, _ = f()`) — an explicit statement of intent the

@@ -24,15 +24,13 @@ type Cache struct {
 	builds atomic.Int64
 }
 
-// cacheKey separates machines by layout AND resolved memory backend (plus
-// the sqrt-ORAM's resolved stash window): the backends synthesize
-// different netlists for the same layout, and a cached machine (or a
-// classification trace keyed off its circuit) must never serve sessions
-// negotiated for another.
+// cacheKey separates machines by layout AND resolved memory backend: the
+// backends synthesize different netlists for the same layout, and a
+// cached machine (or a classification trace keyed off its circuit) must
+// never serve sessions negotiated for another.
 type cacheKey struct {
 	layout  isa.Layout
 	backend string
-	window  int
 }
 
 type cacheEntry struct {
@@ -58,20 +56,14 @@ func (c *Cache) GetMem(l isa.Layout, mc obliv.Config) (*CPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	window := 0
-	if backend == obliv.SqrtORAM {
-		if window, err = mc.ResolveWindow(l.DataWords()); err != nil {
-			return nil, err
-		}
-	}
-	v, _ := c.m.LoadOrStore(cacheKey{l, backend, window}, &cacheEntry{})
+	v, _ := c.m.LoadOrStore(cacheKey{l, backend}, &cacheEntry{})
 	e := v.(*cacheEntry)
 	e.once.Do(func() {
 		c.builds.Add(1)
 		// Pre-set the error so a panic inside Build (which sync.Once still
 		// marks done) leaves the entry failed-closed, not (nil, nil).
 		e.err = fmt.Errorf("cpu: build for layout %+v panicked", l)
-		e.cpu, e.err = BuildMem(l, obliv.Config{Backend: backend, Window: window})
+		e.cpu, e.err = BuildMem(l, obliv.Config{Backend: backend})
 	})
 	return e.cpu, e.err
 }

@@ -114,7 +114,7 @@ func BuildMem(l isa.Layout, mc obliv.Config) (*CPU, error) {
 	// Data memory: one RAM behind the selected oblivious backend; regions
 	// set initialization.
 	closeScope = b.Scope("dmem")
-	mem, err := obliv.Instantiate(b, backend, mc, l, aliceOff, bobOff)
+	mem, err := obliv.Instantiate(b, backend, l, aliceOff, bobOff)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -17,6 +20,7 @@ import (
 
 	"arm2gc"
 	"arm2gc/internal/devcert"
+	"arm2gc/internal/proto"
 )
 
 // The integration tests run a real fleet: backend arm2gc.Servers on
@@ -812,5 +816,57 @@ func TestDialHonorsContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dial took %v after context expiry; the caller's context is not threaded through", elapsed)
+	}
+}
+
+// TestGatewayOversizedProposal: a peer that has not been authorized sends
+// a proposal frame announcing more than a well-formed proposal can hold —
+// 1 GiB, or one byte past proto.MaxProposalBytes — followed by a valid
+// proposal padded to that one byte too many. The backend server and the
+// gateway each read a proposal before any authorization, and each must
+// refuse it from the header alone: no verdict, the connection closed, and
+// well under 1 MiB allocated however large the announced length.
+func TestGatewayOversizedProposal(t *testing.T) {
+	prog := compileProg(t, "add", addSrc)
+	b := startBackend(t, arm2gc.NewEngine(), "", registerAdd(prog))
+	defer b.stop()
+	gw, _, stop := startGateway(t, Config{Backends: []string{b.addr}})
+	defer stop()
+
+	var valid bytes.Buffer
+	if err := proto.WriteProposal(&valid, proto.Proposal{Program: "add"}); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, proto.MaxProposalBytes+1)
+	copy(payload, valid.Bytes()[5:])
+	for _, target := range []struct{ name, addr string }{{"server", b.addr}, {"gateway", gw}} {
+		for _, announced := range []uint32{1 << 30, proto.MaxProposalBytes + 1} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			conn, err := net.Dial("tcp", target.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := binary.LittleEndian.AppendUint32([]byte{proto.FramePropose}, announced)
+			if _, err := conn.Write(append(hdr, payload...)); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.(*net.TCPConn).CloseWrite() // a reader waiting for the rest sees EOF
+			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			reply, err := io.ReadAll(conn)
+			conn.Close()
+			runtime.ReadMemStats(&after)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("%s, %d bytes announced: connection neither answered nor closed", target.name, announced)
+			}
+			if len(reply) != 0 {
+				t.Errorf("%s, %d bytes announced: peer answered % x, want the connection refused unread",
+					target.name, announced, reply)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("%s, %d bytes announced: %d bytes allocated", target.name, announced, grew)
+			}
+		}
 	}
 }

@@ -133,12 +133,12 @@ func (p *proxyConn) run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		typ, payload, err := proto.ReadRawFrame(p.cr)
+		// The client has not been authorized yet: the typed, bounded read
+		// refuses any other frame, or a proposal longer than a well-formed
+		// one, before allocating for it.
+		payload, err := proto.ReadProposalFrame(p.cr)
 		if err != nil {
 			return err // clean EOF between sessions, or the client broke
-		}
-		if typ != proto.FramePropose {
-			return fmt.Errorf("expected a proposal, got frame type %#02x", typ)
 		}
 		p.g.met.proposals.Add(1)
 		name, err := proto.ProgramOfProposal(payload)

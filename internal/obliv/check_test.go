@@ -21,7 +21,7 @@ func instantiate(t *testing.T, name string) Memory {
 	b := build.New("check-" + name)
 	aliceOff := b.AllocInputBits(circuit.Alice, l.AliceWords*32)
 	bobOff := b.AllocInputBits(circuit.Bob, l.BobWords*32)
-	m, err := Instantiate(b, name, Config{}, l, aliceOff, bobOff)
+	m, err := Instantiate(b, name, l, aliceOff, bobOff)
 	if err != nil {
 		t.Fatal(err)
 	}

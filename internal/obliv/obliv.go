@@ -15,10 +15,9 @@
 // store-saturated ones lose. See the README's "Oblivious memory" section
 // for the measured crossover.
 //
-// The Auto backend picks between them by memory size against a threshold
-// (default DefaultThreshold words, the measured 2KB crossover), which is
-// the paper's "linear scan below the ORAM break-even" rule made
-// operational.
+// The Auto backend picks between them by memory size against
+// DefaultThreshold words, the measured 2KB crossover, which is the
+// paper's "linear scan below the ORAM break-even" rule made operational.
 //
 // Everything here is wire-stream-critical: both parties must derive
 // byte-identical public circuit state, so code in this package must be
@@ -64,34 +63,12 @@ const MinSqrtWords = 16
 // netlist before failing somewhere confusing.
 const MaxDataWords = 1 << 20
 
-// Config is the memory-configuration surface of the API: which backend,
-// over how many words, switching at what threshold. The zero value means
-// "auto over the layout's own size at the default threshold" — exactly
-// what sessions run with unless WithMemoryBackend says otherwise.
+// Config names the memory backend a processor is built with. The zero
+// value means Auto — exactly what sessions run with unless
+// WithMemoryBackend says otherwise.
 type Config struct {
 	// Backend is Auto, Scan, SqrtORAM, or "" (Auto).
 	Backend string
-
-	// Words overrides the data-word count Auto resolves against; 0 means
-	// the layout's DataWords(). The circuit is always built for the
-	// layout's true size — Words only biases the auto selection, e.g. to
-	// pin the decision a fleet made for a family of layouts.
-	Words int
-
-	// Threshold is the word count at which Auto switches from Scan to
-	// SqrtORAM; 0 means DefaultThreshold.
-	Threshold int
-
-	// Window is the stash coverage of the square-root ORAM: the number of
-	// words, from address zero, whose stores are absorbed by the stash
-	// (must be a power of two ≤ the data-memory size). Stores above the
-	// window write the bank directly — free when their addresses are
-	// public, which is what keeps compiler stack spills from flooding the
-	// stash ring and evicting the deferred array stores early. 0 means
-	// auto: the largest power-of-two strictly below the data-memory size
-	// (the region-aligned prefix where the parties' arrays live; the
-	// MiniC stack sits at the top of scratch, above it).
-	Window int
 }
 
 // ParseBackend validates a backend name ("" means Auto).
@@ -109,7 +86,7 @@ func ParseBackend(s string) (string, error) {
 
 // Resolve picks the concrete backend for a data memory of dataWords
 // words: explicit names pass through (validated), Auto compares against
-// the threshold.
+// DefaultThreshold.
 func (c Config) Resolve(dataWords int) (string, error) {
 	name, err := ParseBackend(c.Backend)
 	if err != nil {
@@ -118,42 +95,27 @@ func (c Config) Resolve(dataWords int) (string, error) {
 	if name != Auto {
 		return name, nil
 	}
-	words := c.Words
-	if words <= 0 {
-		words = dataWords
-	}
-	threshold := c.Threshold
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
-	if words >= threshold && dataWords >= MinSqrtWords {
+	if dataWords >= DefaultThreshold {
 		return SqrtORAM, nil
 	}
 	return Scan, nil
 }
 
-// ResolveWindow picks the concrete stash window for a data memory of
-// dataWords words: an explicit Config.Window passes through (validated),
-// 0 resolves to the largest power of two strictly below dataWords. The
-// "strictly" matters: a window equal to the whole memory would put the
-// stack back inside the stash's coverage and recreate the ring-flooding
-// problem the window exists to solve.
-func (c Config) ResolveWindow(dataWords int) (int, error) {
-	if c.Window != 0 {
-		w := c.Window
-		if w < 0 || w&(w-1) != 0 {
-			return 0, fmt.Errorf("obliv: stash window %d is not a power of two", w)
-		}
-		if w > dataWords {
-			return 0, fmt.Errorf("obliv: stash window %d exceeds the %d-word data memory", w, dataWords)
-		}
-		return w, nil
-	}
+// stashWindow is the stash coverage of the square-root ORAM for a data
+// memory of dataWords words: the number of words, from address zero,
+// whose stores the stash absorbs — the largest power of two strictly
+// below dataWords (the region-aligned prefix where the parties' arrays
+// live; the MiniC stack sits at the top of scratch, above it). Stores
+// above the window write the bank directly, free when their addresses are
+// public. The "strictly" matters: a window equal to the whole memory
+// would put the stack back inside the stash's coverage, and its spills
+// would flood the ring and evict the deferred array stores early.
+func stashWindow(dataWords int) int {
 	w := 1
 	for w*2 < dataWords {
 		w *= 2
 	}
-	return w, nil
+	return w
 }
 
 // Memory is one instantiated data-memory backend inside a processor
@@ -198,9 +160,8 @@ type Memory interface {
 // Instantiate builds the named backend's state (registers and
 // initialization) into b. aliceOff and bobOff are the parties' input-bit
 // offsets for the Alice/Bob region initialization, as reserved by the CPU
-// generator. mc supplies backend tuning (the sqrt-ORAM stash window); the
-// name must be concrete (Resolve first); Auto is refused.
-func Instantiate(b *build.Builder, name string, mc Config, l isa.Layout, aliceOff, bobOff int) (Memory, error) {
+// generator. The name must be concrete (Resolve first); Auto is refused.
+func Instantiate(b *build.Builder, name string, l isa.Layout, aliceOff, bobOff int) (Memory, error) {
 	if l.DataWords() > MaxDataWords {
 		return nil, fmt.Errorf("obliv: data memory of %d words exceeds the %d-word bound", l.DataWords(), MaxDataWords)
 	}
@@ -212,11 +173,7 @@ func Instantiate(b *build.Builder, name string, mc Config, l isa.Layout, aliceOf
 			return nil, fmt.Errorf("obliv: sqrt-oram needs at least %d data words, layout has %d (use %q)",
 				MinSqrtWords, l.DataWords(), Scan)
 		}
-		window, err := mc.ResolveWindow(l.DataWords())
-		if err != nil {
-			return nil, err
-		}
-		return newSqrt(b, l, window, aliceOff, bobOff), nil
+		return newSqrt(b, l, stashWindow(l.DataWords()), aliceOff, bobOff), nil
 	case Auto, "":
 		return nil, fmt.Errorf("obliv: Instantiate needs a resolved backend, not %q", Auto)
 	}

@@ -12,25 +12,19 @@
 //     while Get drains the front. The per-key target depth bounds how far
 //     producers run ahead; a Get below target wakes them (demand-driven
 //     refill, no polling).
-//   - Bytes are bounded twice. MemBytes caps what stays resident; beyond
-//     it, entries overflow to SpillDir as crash-safe files (written to a
-//     temp name, renamed into place; stale files from a crashed process
-//     are removed by New, live ones by Close). MaxBytes caps memory and
-//     spill together; beyond it the oldest entries of a key demanded
-//     strictly less recently than the incoming one are evicted — and when
-//     no colder victim exists, the incoming entry is dropped and its key
-//     parked until demand moves, so producers never spin against a full
-//     budget.
-//   - Invalidate drops a key's finished entries (registry or option
-//     changes make them unservable); the key stays registered and refills
-//     under whatever producer now backs it.
+//   - Entries live in memory only. An entry written to disk would hold
+//     both labels of every evaluator input wire at rest — a reusable
+//     garbled circuit for anyone who can read the file.
+//   - Bytes are bounded once, by MemBytes. Beyond it the oldest entries of
+//     a key demanded strictly less recently than the incoming one are
+//     evicted — and when no colder victim exists, or the entry alone
+//     exceeds the budget, the incoming entry is dropped and its key parked
+//     until demand moves, so producers never spin against a full budget.
 package pool
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -61,20 +55,9 @@ type Config struct {
 	// overrides it.
 	Depth int
 
-	// MemBytes bounds the bytes held in memory (default
-	// DefaultMemBytes). Entries beyond it spill to SpillDir, or are
-	// refused when there is none.
+	// MemBytes bounds the bytes the pool holds (default DefaultMemBytes).
+	// Inserting beyond it evicts from a less recently demanded key.
 	MemBytes int64
-
-	// MaxBytes bounds memory and spill together (default: 4× MemBytes
-	// when spilling is configured, MemBytes otherwise). Inserting beyond
-	// it evicts from the least-recently-demanded key.
-	MaxBytes int64
-
-	// SpillDir, when set, receives overflow entries as files. The pool
-	// owns the directory's *.gcpool files: New deletes stale ones, Close
-	// deletes live ones. Two live pools must not share a SpillDir.
-	SpillDir string
 
 	// Workers is how many refill goroutines Start launches (default
 	// DefaultWorkers).
@@ -88,25 +71,10 @@ func (c Config) withDefaults() Config {
 	if c.MemBytes <= 0 {
 		c.MemBytes = DefaultMemBytes
 	}
-	if c.MaxBytes <= 0 {
-		if c.SpillDir != "" {
-			c.MaxBytes = 4 * c.MemBytes
-		} else {
-			c.MaxBytes = c.MemBytes
-		}
-	}
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers
 	}
 	return c
-}
-
-// entry is one ready pre-garbled stream: resident (rec != nil) or
-// spilled (path != "").
-type entry struct {
-	rec  *proto.Recorded
-	path string
-	size int64
 }
 
 // slot is one registered key's queue plus its counters.
@@ -116,14 +84,14 @@ type slot struct {
 	depth   int    // target number of ready entries
 	produce Producer
 
-	entries []entry // FIFO: oldest first
-	filling int     // produces in flight
-	lastGet int64   // pool-wide demand sequence at the last Get; LRU rank
+	entries []*proto.Recorded // FIFO: oldest first
+	filling int               // produces in flight
+	lastGet int64             // pool-wide demand sequence at the last Get; LRU rank
 
-	// parked marks a slot whose last produced entry the byte budgets
-	// refused (dropped, or failed to spill). A parked slot counts no
-	// deficit — otherwise producers would spin garbling entries only to
-	// drop them — until a Get or Invalidate moves bytes and unparks it.
+	// parked marks a slot whose last produced entry the byte budget
+	// refused. A parked slot counts no deficit — otherwise producers would
+	// spin garbling entries only to drop them — until a Get or Retire
+	// moves bytes and unparks it.
 	parked bool
 
 	hits, misses, refills, failures, evictions int64
@@ -142,16 +110,13 @@ func (s *slot) deficit() int {
 type Pool struct {
 	cfg Config
 
-	mu         sync.Mutex
-	slots      map[Key]*slot
-	order      []*slot // registration order; claim scans round-robin
-	next       int     // round-robin cursor over order
-	memBytes   int64
-	spillBytes int64
-	getSeq     int64
-	spillSeq   int
-	loadFails  int64
-	closed     bool
+	mu       sync.Mutex
+	slots    map[Key]*slot
+	order    []*slot // registration order; claim scans round-robin
+	next     int     // round-robin cursor over order
+	memBytes int64
+	getSeq   int64
+	closed   bool
 
 	wake    chan struct{}
 	started bool
@@ -159,31 +124,13 @@ type Pool struct {
 	wg      sync.WaitGroup
 }
 
-const spillExt = ".gcpool"
-
-// New creates a Pool. When cfg.SpillDir is set the directory is created
-// and any stale spill files — leftovers of a crashed process — are
-// removed, so a restart never serves (or double-counts) a file it cannot
-// trust.
-func New(cfg Config) (*Pool, error) {
-	cfg = cfg.withDefaults()
-	if cfg.SpillDir != "" {
-		if err := os.MkdirAll(cfg.SpillDir, 0o700); err != nil {
-			return nil, fmt.Errorf("pool: spill dir: %w", err)
-		}
-		stale, err := filepath.Glob(filepath.Join(cfg.SpillDir, "*"+spillExt))
-		if err != nil {
-			return nil, fmt.Errorf("pool: spill dir: %w", err)
-		}
-		for _, f := range stale {
-			os.Remove(f)
-		}
-	}
+// New creates a Pool.
+func New(cfg Config) *Pool {
 	return &Pool{
-		cfg:   cfg,
+		cfg:   cfg.withDefaults(),
 		slots: make(map[Key]*slot),
 		wake:  make(chan struct{}, 1),
-	}, nil
+	}
 }
 
 // Register adds a key the pool keeps topped up. depth overrides the
@@ -231,39 +178,13 @@ func (p *Pool) Get(key Key) *proto.Recorded {
 		p.kick()
 		return nil
 	}
-	e := s.entries[0]
+	rec := s.entries[0]
 	s.entries = s.entries[1:]
 	s.hits++
-	if e.rec != nil {
-		p.memBytes -= e.size
-	} else {
-		p.spillBytes -= e.size
-	}
+	p.memBytes -= int64(rec.SizeBytes())
 	p.mu.Unlock()
 	p.kick()
-	if e.rec != nil {
-		return e.rec
-	}
-	// Spilled entry: load outside the lock — disk reads must not stall
-	// other sessions' Gets. The file is exclusively ours (it left the
-	// queue above).
-	rec, err := p.load(e.path)
-	if err != nil {
-		p.mu.Lock()
-		p.loadFails++
-		p.mu.Unlock()
-		return nil // count as a miss upstream; live garbling covers it
-	}
 	return rec
-}
-
-func (p *Pool) load(path string) (*proto.Recorded, error) {
-	defer os.Remove(path)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return proto.UnmarshalRecorded(b)
 }
 
 // unparkLocked lifts every budget park: called when demand moves (bytes
@@ -318,8 +239,8 @@ func (p *Pool) worker(ctx context.Context) {
 			if ctx.Err() != nil {
 				return
 			}
-			// A failing producer (bad registration, exhausted disk) must
-			// not hot-spin the worker; back off before the next claim.
+			// A failing producer must not hot-spin the worker; back off
+			// before the next claim.
 			select {
 			case <-ctx.Done():
 				return
@@ -394,37 +315,28 @@ func (p *Pool) Fill(ctx context.Context) error {
 	}
 }
 
-// insertLocked adds a produced entry under the byte budgets: evict
-// beyond MaxBytes, spill beyond MemBytes, drop when neither helps.
+// insertLocked adds a produced entry under the byte budget, evicting
+// colder keys' entries to make room. An entry larger than the whole
+// budget is refused before anything is evicted: it could never fit, and
+// emptying the colder keys on its behalf would cost them their entries
+// for nothing.
 func (p *Pool) insertLocked(s *slot, rec *proto.Recorded) {
 	size := int64(rec.SizeBytes())
-	for p.memBytes+p.spillBytes+size > p.cfg.MaxBytes {
-		if !p.evictOneLocked(s) {
-			// Nothing evictable but this key's own entries (or the entry
-			// alone exceeds the budget): refusing the newest stream is the
-			// only move left.
-			s.evictions++
-			s.parked = true
-			return
-		}
-	}
-	if p.memBytes+size > p.cfg.MemBytes {
-		if p.cfg.SpillDir == "" {
-			s.evictions++
-			s.parked = true
-			return
-		}
-		path, onDisk, err := p.spillLocked(rec)
-		if err != nil {
-			s.failures++
-			s.parked = true
-			return
-		}
-		s.entries = append(s.entries, entry{path: path, size: onDisk})
-		p.spillBytes += onDisk
+	if size > p.cfg.MemBytes {
+		s.evictions++
+		s.parked = true
 		return
 	}
-	s.entries = append(s.entries, entry{rec: rec, size: size})
+	for p.memBytes+size > p.cfg.MemBytes {
+		if !p.evictOneLocked(s) {
+			// Nothing evictable but this key's own entries: refusing the
+			// newest stream is the only move left.
+			s.evictions++
+			s.parked = true
+			return
+		}
+	}
+	s.entries = append(s.entries, rec)
 	p.memBytes += size
 }
 
@@ -447,69 +359,16 @@ func (p *Pool) evictOneLocked(keep *slot) bool {
 	if victim == nil {
 		return false
 	}
-	e := victim.entries[0]
-	victim.entries = victim.entries[1:]
 	victim.evictions++
-	if e.rec != nil {
-		p.memBytes -= e.size
-	} else {
-		p.spillBytes -= e.size
-		os.Remove(e.path)
-	}
+	p.memBytes -= int64(victim.entries[0].SizeBytes())
+	victim.entries = victim.entries[1:]
 	return true
 }
 
-// spillLocked writes an entry to disk crash-safely: the bytes land under
-// a temp name and only a successful rename publishes the .gcpool file,
-// so a crash mid-write leaves nothing a restart could half-read.
-func (p *Pool) spillLocked(rec *proto.Recorded) (string, int64, error) {
-	b, err := rec.MarshalBinary()
-	if err != nil {
-		return "", 0, err
-	}
-	p.spillSeq++
-	path := filepath.Join(p.cfg.SpillDir, fmt.Sprintf("entry-%d-%06d%s", os.Getpid(), p.spillSeq, spillExt))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o600); err != nil {
-		return "", 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", 0, err
-	}
-	return path, int64(len(b)), nil
-}
-
-// Invalidate drops every ready entry of a key — call it when the
-// registration behind the key changes and pre-garbled streams are no
-// longer servable. The key stays registered; refill workers rebuild its
-// depth with the (new) producer. It reports whether the key was known.
-func (p *Pool) Invalidate(key Key) bool {
-	p.mu.Lock()
-	s := p.slots[key]
-	if s == nil {
-		p.mu.Unlock()
-		return false
-	}
-	for _, e := range s.entries {
-		if e.rec != nil {
-			p.memBytes -= e.size
-		} else {
-			p.spillBytes -= e.size
-			os.Remove(e.path)
-		}
-	}
-	s.entries = nil
-	p.unparkLocked() // bytes freed; parked keys may fit now
-	p.mu.Unlock()
-	p.kick()
-	return true
-}
-
-// Retire removes a key entirely: its ready entries are dropped like
-// Invalidate, and the registration itself goes away, so the key can be
-// registered afresh (a retired program coming back with a new producer).
-// It reports whether the key was known.
+// Retire removes a key entirely: its ready entries are dropped and the
+// registration itself goes away, so the key can be registered afresh (a
+// retired program coming back with a new producer). It reports whether
+// the key was known.
 func (p *Pool) Retire(key Key) bool {
 	p.mu.Lock()
 	s := p.slots[key]
@@ -517,13 +376,8 @@ func (p *Pool) Retire(key Key) bool {
 		p.mu.Unlock()
 		return false
 	}
-	for _, e := range s.entries {
-		if e.rec != nil {
-			p.memBytes -= e.size
-		} else {
-			p.spillBytes -= e.size
-			os.Remove(e.path)
-		}
+	for _, rec := range s.entries {
+		p.memBytes -= int64(rec.SizeBytes())
 	}
 	s.entries = nil
 	// A produce in flight for this slot may still insert one last entry
@@ -548,7 +402,7 @@ func (p *Pool) Retire(key Key) bool {
 }
 
 // Close stops the refill workers, waits for any in-flight produce, and
-// deletes every spill file. The pool refuses further work after.
+// drops every ready entry. The pool refuses further work after.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -566,14 +420,9 @@ func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, s := range p.order {
-		for _, e := range s.entries {
-			if e.path != "" {
-				os.Remove(e.path)
-			}
-		}
 		s.entries = nil
 	}
-	p.memBytes, p.spillBytes = 0, 0
+	p.memBytes = 0
 }
 
 // Stats is a point-in-time snapshot of the pool's counters.
@@ -581,15 +430,13 @@ type Stats struct {
 	Hits      int64 // Gets served from a ready entry
 	Misses    int64 // Gets on a registered but dry key
 	Refills   int64 // successful background/warming produces
-	Failures  int64 // producer errors (plus spill-write failures)
-	Evictions int64 // entries dropped for byte budgets
-	LoadFails int64 // spill files that would not load (served live instead)
+	Failures  int64 // producer errors
+	Evictions int64 // entries dropped for the byte budget
 
 	RefillTime time.Duration // producer time summed over all refills
 
-	MemBytes   int64 // resident entry bytes right now
-	SpillBytes int64 // on-disk entry bytes right now
-	Ready      int   // ready entries across all keys right now
+	MemBytes int64 // entry bytes held right now
+	Ready    int   // ready entries across all keys right now
 
 	Programs map[string]ProgramStats // keyed by registered name
 }
@@ -609,10 +456,8 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Stats{
-		LoadFails:  p.loadFails,
-		MemBytes:   p.memBytes,
-		SpillBytes: p.spillBytes,
-		Programs:   make(map[string]ProgramStats, len(p.order)),
+		MemBytes: p.memBytes,
+		Programs: make(map[string]ProgramStats, len(p.order)),
 	}
 	for _, s := range p.order {
 		st.Hits += s.hits

@@ -3,8 +3,6 @@ package pool
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -78,10 +76,7 @@ func waitReady(t *testing.T, p *Pool, want int) {
 // one). Run under -race in CI.
 func TestPoolSingleUse(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p, err := New(Config{Depth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{Depth: 4})
 	defer p.Close()
 	key := keyOf(t, cfg)
 	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
@@ -134,10 +129,7 @@ func TestPoolSingleUse(t *testing.T) {
 // after Gets drain it — woken by the Get, not by polling.
 func TestPoolDemandRefill(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p, err := New(Config{Depth: 3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{Depth: 3, Workers: 2})
 	defer p.Close()
 	key := keyOf(t, cfg)
 	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
@@ -161,10 +153,7 @@ func TestPoolDemandRefill(t *testing.T) {
 // the whole run.
 func TestPoolConcurrentProducersConsumers(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p, err := New(Config{Depth: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{Depth: 2, Workers: 4})
 	key := keyOf(t, cfg)
 	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
 		t.Fatal(err)
@@ -206,7 +195,7 @@ func TestPoolConcurrentProducersConsumers(t *testing.T) {
 	}
 }
 
-// TestPoolByteEviction: a MaxBytes budget of two entries across two keys
+// TestPoolByteEviction: a MemBytes budget of two entries across two keys
 // must evict the least-recently-demanded key's oldest entry for the
 // incoming one, and never exceed the budget.
 func TestPoolByteEviction(t *testing.T) {
@@ -214,10 +203,7 @@ func TestPoolByteEviction(t *testing.T) {
 	cfgB, aliceB := adderConfig(t, 1)
 	size := oneEntrySize(t, cfgA, aliceA)
 	budget := 2*size + size/2
-	p, err := New(Config{Depth: 2, MemBytes: budget, MaxBytes: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{Depth: 2, MemBytes: budget})
 	defer p.Close()
 	keyA, keyB := keyOf(t, cfgA), keyOf(t, cfgB)
 	if err := p.Register(keyA, "a", 0, recordProducer(cfgA, aliceA)); err != nil {
@@ -252,164 +238,46 @@ func TestPoolByteEviction(t *testing.T) {
 	}
 }
 
-// TestPoolSpill: entries over MemBytes must overflow to crash-safe
-// .gcpool files, load back byte-faithfully on Get (deleting the file),
-// and vanish on Close.
-func TestPoolSpill(t *testing.T) {
-	cfg, alice := adderConfig(t, 0)
-	size := oneEntrySize(t, cfg, alice)
-	dir := t.TempDir()
-	p, err := New(Config{Depth: 3, MemBytes: size + size/2, MaxBytes: 10 * size, SpillDir: dir})
-	if err != nil {
-		t.Fatal(err)
+// TestPoolOversizedEntryKeepsColderEntries: an entry larger than the
+// whole budget can never be admitted, so it must be refused before any
+// eviction — demanding its key most recently must not cost a colder key
+// its ready entries, on the first Fill or on any later one.
+func TestPoolOversizedEntryKeepsColderEntries(t *testing.T) {
+	cfgSmall, aliceSmall := adderConfig(t, 0)
+	cfgBig, aliceBig := adderConfig(t, 40) // 41 cycles of tables
+	small := oneEntrySize(t, cfgSmall, aliceSmall)
+	budget := 3 * small
+	if big := oneEntrySize(t, cfgBig, aliceBig); big <= budget {
+		t.Fatalf("big entry of %d bytes fits the %d-byte budget; the test needs it not to", big, budget)
 	}
-	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Fill(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt))
-	if len(files) != 2 {
-		t.Fatalf("%d spill files, want 2 (1 resident + 2 spilled)", len(files))
-	}
-	if st := p.Stats(); st.Ready != 3 || st.SpillBytes == 0 {
-		t.Fatalf("ready %d spillBytes %d after spilling fill", st.Ready, st.SpillBytes)
-	}
-
-	// All three entries must come back, distinct, FIFO draining the
-	// resident one first and then loading the spilled files (which are
-	// deleted as they are consumed).
-	seeds := make(map[core.Seed]bool)
-	for i := 0; i < 3; i++ {
-		rec := p.Get(key)
-		if rec == nil {
-			t.Fatalf("Get %d missed on a pool holding 3 entries", i)
-		}
-		seeds[rec.Seed()] = true
-	}
-	if len(seeds) != 3 {
-		t.Fatalf("%d distinct streams served, want 3", len(seeds))
-	}
-	if files, _ = filepath.Glob(filepath.Join(dir, "*"+spillExt)); len(files) != 0 {
-		t.Fatalf("%d spill files survive their entries", len(files))
-	}
-	if st := p.Stats(); st.SpillBytes != 0 || st.MemBytes != 0 || st.LoadFails != 0 {
-		t.Fatalf("drained pool: mem %d spill %d loadFails %d", st.MemBytes, st.SpillBytes, st.LoadFails)
-	}
-
-	// Refill to spill again; Close must delete the live files.
-	if err := p.Fill(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if files, _ = filepath.Glob(filepath.Join(dir, "*"+spillExt)); len(files) == 0 {
-		t.Fatal("refill did not spill")
-	}
-	p.Close()
-	if files, _ = filepath.Glob(filepath.Join(dir, "*"+spillExt)); len(files) != 0 {
-		t.Fatalf("%d spill files survive Close", len(files))
-	}
-}
-
-// TestPoolSpillCorruption: a spill file that rots on disk must fail the
-// Get loudly into the miss path (live garbling covers it), never serve
-// garbage labels.
-func TestPoolSpillCorruption(t *testing.T) {
-	cfg, alice := adderConfig(t, 0)
-	size := oneEntrySize(t, cfg, alice)
-	dir := t.TempDir()
-	p, err := New(Config{Depth: 2, MemBytes: size / 2, MaxBytes: 10 * size, SpillDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{Depth: 2, MemBytes: budget})
 	defer p.Close()
-	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
+	keySmall, keyBig := keyOf(t, cfgSmall), keyOf(t, cfgBig)
+	if err := p.Register(keySmall, "small", 0, recordProducer(cfgSmall, aliceSmall)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Fill(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt))
-	if len(files) != 2 {
-		t.Fatalf("%d spill files, want 2 (everything spills below MemBytes)", len(files))
+	if err := p.Register(keyBig, "big", 0, recordProducer(cfgBig, aliceBig)); err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range files {
-		if err := os.WriteFile(f, []byte("rot"), 0o600); err != nil {
+	for round := 0; round < 2; round++ {
+		if p.Get(keyBig) != nil { // demand: the big key is now the hottest
+			t.Fatal("oversized entry was admitted")
+		}
+		if err := p.Fill(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if rec := p.Get(key); rec != nil {
-		t.Fatal("corrupted spill file served a stream")
-	}
-	if st := p.Stats(); st.LoadFails != 1 {
-		t.Fatalf("loadFails %d, want 1", st.LoadFails)
-	}
-}
-
-// TestPoolStaleSpillCleanup: New must delete leftover .gcpool files of a
-// crashed predecessor — they cannot be trusted — and leave foreign files
-// alone.
-func TestPoolStaleSpillCleanup(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "entry-999-000001"+spillExt)
-	foreign := filepath.Join(dir, "keep.txt")
-	for _, f := range []string{stale, foreign} {
-		if err := os.WriteFile(f, []byte("x"), 0o600); err != nil {
-			t.Fatal(err)
+		st := p.Stats()
+		if got := st.Programs["small"]; got.Ready != 2 || got.Refills != 2 {
+			t.Fatalf("round %d: small key ready %d refills %d, want its 2 warmed entries untouched",
+				round, got.Ready, got.Refills)
 		}
-	}
-	p, err := New(Config{SpillDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale spill file survived New")
-	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Fatal("foreign file was deleted by New")
-	}
-}
-
-// TestPoolInvalidate drops a key's ready entries (and their spill files)
-// while keeping the key registered for refill.
-func TestPoolInvalidate(t *testing.T) {
-	cfg, alice := adderConfig(t, 0)
-	size := oneEntrySize(t, cfg, alice)
-	dir := t.TempDir()
-	p, err := New(Config{Depth: 3, MemBytes: size + size/2, MaxBytes: 10 * size, SpillDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Fill(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Invalidate(key) {
-		t.Fatal("known key reported unknown")
-	}
-	if p.Invalidate(Key{1}) {
-		t.Fatal("unknown key reported known")
-	}
-	st := p.Stats()
-	if st.Ready != 0 || st.MemBytes != 0 || st.SpillBytes != 0 {
-		t.Fatalf("after Invalidate: ready %d mem %d spill %d", st.Ready, st.MemBytes, st.SpillBytes)
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt)); len(files) != 0 {
-		t.Fatalf("%d spill files survive Invalidate", len(files))
-	}
-	// The key refills afterwards.
-	if err := p.Fill(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stats().Ready; got != 3 {
-		t.Fatalf("invalidated key refilled to %d, want 3", got)
+		if st.Evictions != int64(round+1) || st.Programs["big"].Ready != 0 {
+			t.Fatalf("round %d: evictions %d big ready %d, want only the oversized entries refused",
+				round, st.Evictions, st.Programs["big"].Ready)
+		}
 	}
 }
 
@@ -417,10 +285,7 @@ func TestPoolInvalidate(t *testing.T) {
 // closed-pool behavior.
 func TestPoolRegisterValidation(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{})
 	key := keyOf(t, cfg)
 	if err := p.Register(key, "adder", 0, nil); err == nil {
 		t.Fatal("nil producer accepted")
@@ -445,10 +310,7 @@ func TestPoolRegisterValidation(t *testing.T) {
 // serving (misses fall back to live garbling upstream).
 func TestPoolProducerFailure(t *testing.T) {
 	cfgGood, aliceGood := adderConfig(t, 1)
-	p, err := New(Config{Depth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{Depth: 2})
 	defer p.Close()
 	bad := func(ctx context.Context) (*proto.Recorded, error) {
 		return nil, fmt.Errorf("boom")
@@ -479,17 +341,12 @@ func TestPoolProducerFailure(t *testing.T) {
 	}
 }
 
-// TestPoolRetire: retiring a key drops its entries and spill files,
-// removes the registration (its deficit no longer drives refill), and
-// frees the key for a fresh registration.
+// TestPoolRetire: retiring a key drops its entries, removes the
+// registration (its deficit no longer drives refill), and frees the key
+// for a fresh registration.
 func TestPoolRetire(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	size := oneEntrySize(t, cfg, alice)
-	dir := t.TempDir()
-	p, err := New(Config{Depth: 3, MemBytes: size + size/2, MaxBytes: 10 * size, SpillDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := New(Config{Depth: 3})
 	defer p.Close()
 	key := keyOf(t, cfg)
 	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
@@ -505,16 +362,13 @@ func TestPoolRetire(t *testing.T) {
 		t.Fatal("retired key reported known twice")
 	}
 	st := p.Stats()
-	if st.Ready != 0 || st.MemBytes != 0 || st.SpillBytes != 0 {
-		t.Fatalf("after Retire: ready %d mem %d spill %d", st.Ready, st.MemBytes, st.SpillBytes)
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt)); len(files) != 0 {
-		t.Fatalf("%d spill files survive Retire", len(files))
+	if st.Ready != 0 || st.MemBytes != 0 {
+		t.Fatalf("after Retire: ready %d mem %d", st.Ready, st.MemBytes)
 	}
 	if rec := p.Get(key); rec != nil {
 		t.Fatal("retired key still serves entries")
 	}
-	// Unlike Invalidate, the registration is gone: Fill finds no deficit.
+	// The registration is gone: Fill finds no deficit.
 	if err := p.Fill(context.Background()); err != nil {
 		t.Fatal(err)
 	}

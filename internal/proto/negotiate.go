@@ -20,10 +20,10 @@ const (
 )
 
 // Proposal flag bits. The flags byte doubles as the proposal's version
-// vector: every optional field is announced by its own bit, a reader
-// skips trailing payload it has no bit for, and a bit it does not know
-// turns into *VersionError — a parseable verdict the server can turn
-// into a rejection instead of a dead connection.
+// vector: every optional field is announced by its own bit, a proposal
+// carries no byte beyond the fields its bits announce, and a bit a reader
+// does not know turns into *VersionError — a parseable verdict the server
+// can turn into a rejection instead of a dead connection.
 const (
 	flagHasOutputs byte = 1 << iota
 	flagHasAuth
@@ -44,11 +44,18 @@ const (
 	// MaxMemBackend bounds a proposal's memory-backend name, in bytes.
 	MaxMemBackend = 64
 
+	// MaxProposalBytes is the largest well-formed proposal payload: the
+	// name, the 18 bytes of fixed options, and the auth and memory-backend
+	// fields at their bounds. A proposal arrives before any authorization,
+	// so a longer announced length is refused before anything is
+	// allocated for it.
+	MaxProposalBytes = 2 + MaxProgramName + 18 + 2 + MaxAuthToken + 2 + MaxMemBackend
+
 	// MaxCycleBatch is the largest cycle batch a client may propose. The
 	// garbler buffers a whole batch of tables before flushing, so the
 	// bound caps how much memory one remote proposal can pin per session
 	// (at 4096 cycles even table-heavy processor layouts stay in the
-	// tens of MB, far under readFrame's 1 GiB frame refusal). Server
+	// tens of MB, far under the 1 GiB maxFrameBytes). Server
 	// registrations are operator-set and not subject to it.
 	MaxCycleBatch = 4096
 )
@@ -180,6 +187,13 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	return writeFrame(w, msgPropose, payload)
 }
 
+// ReadProposalFrame reads the next frame as an unparsed proposal payload —
+// the read a relay routes on. A frame of another type, or one announcing
+// more than MaxProposalBytes, is refused from its header alone.
+func ReadProposalFrame(r io.Reader) ([]byte, error) {
+	return readFrameMax(r, msgPropose, MaxProposalBytes)
+}
+
 // ReadProposal reads the next session proposal (server side). io.EOF
 // means the client finished with the connection cleanly. A proposal
 // announcing feature flags this build does not know comes back as
@@ -191,7 +205,7 @@ func WriteProposal(w io.Writer, p Proposal) error {
 // value above 1 asks for parallel garbling no build offers any more and is
 // refused the same way.
 func ReadProposal(r io.Reader) (Proposal, error) {
-	b, err := readFrame(r, msgPropose)
+	b, err := ReadProposalFrame(r)
 	if err != nil {
 		return Proposal{}, err
 	}
@@ -201,7 +215,7 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	}
 	n := int(binary.LittleEndian.Uint16(b))
 	b = b[2:]
-	if n > MaxProgramName || len(b) < n+2+4+8+4 {
+	if n == 0 || n > MaxProgramName || len(b) < n+2+4+8+4 {
 		return p, fmt.Errorf("proto: malformed proposal")
 	}
 	p.Program = string(b[:n])
@@ -244,6 +258,10 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 			return p, fmt.Errorf("proto: malformed proposal memory backend")
 		}
 		p.MemBackend = string(b[:mn])
+		b = b[mn:]
+	}
+	if len(b) != 0 {
+		return p, fmt.Errorf("proto: %d bytes after the proposal's last field", len(b))
 	}
 	return p, nil
 }

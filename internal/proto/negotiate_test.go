@@ -3,8 +3,10 @@ package proto
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -440,6 +442,71 @@ func TestProposalFramePeek(t *testing.T) {
 	if _, err := OutputsOfGrant(payload[:4]); err == nil {
 		t.Error("truncated grant payload accepted")
 	}
+}
+
+// proposalAllocBound is what reading one proposal may allocate, whatever
+// the stream announces: a few copies of a MaxProposalBytes payload.
+const proposalAllocBound = 64 << 10
+
+// FuzzProposal hands the two proposal decoders — ReadProposal, the
+// server's read, and ProgramOfProposal, the gateway's routing peek —
+// arbitrary bytes from a peer that has not been authorized. Whatever the
+// bytes, neither panics and ReadProposal allocates at most
+// proposalAllocBound. A proposal ReadProposal accepts re-encodes through
+// WriteProposal to exactly the frame it was read from — save a reserved
+// slot of 1, the legacy value TestProposalRemovedWorkers pins as accepted,
+// which encodes back as 0 — and ProgramOfProposal names the same program.
+func FuzzProposal(f *testing.F) {
+	frame := func(p Proposal) []byte {
+		var buf bytes.Buffer
+		if err := WriteProposal(&buf, p); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	header := func(n uint32) []byte {
+		return binary.LittleEndian.AppendUint32([]byte{msgPropose}, n)
+	}
+	full := frame(Proposal{Program: "all", HasOutputs: true, Outputs: OutputGarblerOnly,
+		CycleBatch: 4, MaxCycles: 9, Auth: "k", MemBackend: "scan"})
+	f.Add(frame(Proposal{Program: "sum"}))
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Add(append(header(1<<30), full[5:]...))
+	f.Add(append(header(MaxProposalBytes+1), make([]byte, MaxProposalBytes+1)...))
+	trailing := append(bytes.Clone(full), 0) // one byte past the last field
+	trailing[1]++
+	f.Add(trailing)
+	f.Add(append(header(18+2), make([]byte, 18+2)...)) // an empty program name
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := ReadProposal(r)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > proposalAllocBound {
+			t.Errorf("reading a proposal from %d bytes allocated %d", len(data), grew)
+		}
+		_, _ = ProgramOfProposal(data) // must not panic on any payload
+		if err != nil {
+			return
+		}
+		read := data[:len(data)-r.Len()]
+		want := bytes.Clone(read)
+		if slot := 5 + 2 + len(p.Program) + 14; want[slot] == 1 {
+			want[slot] = 0
+		}
+		var buf bytes.Buffer
+		if err := WriteProposal(&buf, p); err != nil {
+			t.Fatalf("accepted proposal %+v does not re-encode: %v", p, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("accepted proposal %+v re-encodes to % x, read from % x", p, buf.Bytes(), read)
+		}
+		if name, err := ProgramOfProposal(read[5:]); err != nil || name != p.Program {
+			t.Fatalf("peek named %q (%v), ReadProposal %q", name, err, p.Program)
+		}
+	})
 }
 
 // TestSessionIDLengthDelimited guards the digest against the

@@ -170,15 +170,26 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// maxFrameBytes bounds every frame a reader accepts; a read that knows a
+// tighter bound passes it to readFrameMax instead.
+const maxFrameBytes = 1 << 30
+
 func readFrame(r io.Reader, wantType byte) ([]byte, error) {
-	typ, b, err := readAnyFrame(r)
-	if err != nil {
+	return readFrameMax(r, wantType, maxFrameBytes)
+}
+
+// readFrameMax reads the next frame, refusing it from the header alone
+// when its type is not wantType or it announces more than max bytes:
+// nothing is allocated from the peer's length until both checks pass.
+func readFrameMax(r io.Reader, wantType byte, max uint32) ([]byte, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if typ != wantType {
-		return nil, typeMismatch(typ, wantType)
+	if hdr[0] != wantType {
+		return nil, typeMismatch(hdr[0], wantType)
 	}
-	return b, nil
+	return readPayload(r, hdr, max)
 }
 
 func typeMismatch(got, want byte) error {
@@ -192,15 +203,25 @@ func readAnyFrame(r io.Reader) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > 1<<30 {
-		return 0, nil, fmt.Errorf("proto: frame of %d bytes refused", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := readPayload(r, hdr, maxFrameBytes)
+	if err != nil {
 		return 0, nil, err
 	}
 	return hdr[0], b, nil
+}
+
+// readPayload reads the payload hdr announces, refusing it unread when
+// the announced length exceeds max.
+func readPayload(r io.Reader, hdr [5]byte, max uint32) ([]byte, error) {
+	n := binary.LittleEndian.Uint32(hdr[1:])
+	if n > max {
+		return nil, fmt.Errorf("proto: frame type %d of %d bytes refused (limit %d)", hdr[0], n, max)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 func packBits(bits []bool) []byte {

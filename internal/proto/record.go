@@ -3,7 +3,6 @@ package proto
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -258,179 +257,4 @@ func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 		return nil, err
 	}
 	return res, nil
-}
-
-// recordedMagic versions the spill format; any mismatch refuses the file
-// rather than misparse it.
-var recordedMagic = [5]byte{'A', '2', 'G', 'P', 1}
-
-// MarshalBinary serializes the entry for spill-to-disk. The format is
-// internal to this build (a pool never outlives its process across
-// versions — stale spill files are deleted on startup), but it is still
-// versioned and length-checked so a truncated or foreign file fails
-// loudly instead of yielding garbage labels.
-func (r *Recorded) MarshalBinary() ([]byte, error) {
-	size := len(recordedMagic) + 32 + 4 + len(r.hello) + 4 + len(r.alice) +
-		4 + 32*len(r.pairs) + 4 + 7*8 + 1 + 4 + len(r.outPub)
-	for _, f := range r.frames {
-		size += 4 + len(f)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, recordedMagic[:]...)
-	out = append(out, r.sid[:]...)
-	putChunk := func(b []byte) {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
-	}
-	putChunk(r.hello)
-	putChunk(r.alice)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.pairs)))
-	for _, p := range r.pairs {
-		b0, b1 := p[0].Bytes(), p[1].Bytes()
-		out = append(out, b0[:]...)
-		out = append(out, b1[:]...)
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.frames)))
-	for _, f := range r.frames {
-		putChunk(f)
-	}
-	for _, v := range []int{r.stats.Cycles, r.stats.Total.Garbled, r.stats.Total.Filtered,
-		r.stats.Total.FreeXOR, r.stats.Total.PublicGates, r.stats.Total.Passthrough,
-		r.stats.Total.DeadSkipped} {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	if r.halted {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.outPub)))
-	for i := range r.outPub {
-		var b byte
-		if r.outPub[i] {
-			b |= 1
-		}
-		if r.outVal[i] {
-			b |= 2
-		}
-		if r.outDec[i] {
-			b |= 4
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
-// UnmarshalRecorded parses a MarshalBinary blob back into an entry.
-func UnmarshalRecorded(b []byte) (*Recorded, error) {
-	bad := fmt.Errorf("proto: truncated recorded stream")
-	take := func(n int) ([]byte, error) {
-		if n < 0 || len(b) < n {
-			return nil, bad
-		}
-		out := b[:n]
-		b = b[n:]
-		return out, nil
-	}
-	u32 := func() (int, error) {
-		c, err := take(4)
-		if err != nil {
-			return 0, err
-		}
-		n := binary.LittleEndian.Uint32(c)
-		if n > 1<<30 {
-			return 0, fmt.Errorf("proto: recorded chunk of %d bytes refused", n)
-		}
-		return int(n), nil
-	}
-	chunk := func() ([]byte, error) {
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		c, err := take(n)
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte(nil), c...), nil
-	}
-	magic, err := take(len(recordedMagic))
-	if err != nil || !bytes.Equal(magic, recordedMagic[:]) {
-		return nil, fmt.Errorf("proto: not a recorded stream (bad magic/version)")
-	}
-	r := &Recorded{}
-	sid, err := take(32)
-	if err != nil {
-		return nil, err
-	}
-	copy(r.sid[:], sid)
-	if r.hello, err = chunk(); err != nil {
-		return nil, err
-	}
-	if len(r.hello) != 32+16 {
-		return nil, fmt.Errorf("proto: recorded hello of %d bytes", len(r.hello))
-	}
-	if r.alice, err = chunk(); err != nil {
-		return nil, err
-	}
-	npairs, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	r.pairs = make([][2]gc.Label, npairs)
-	for i := range r.pairs {
-		pb, err := take(32)
-		if err != nil {
-			return nil, err
-		}
-		r.pairs[i][0] = gc.LabelFromBytes(pb)
-		r.pairs[i][1] = gc.LabelFromBytes(pb[16:])
-	}
-	nframes, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	r.frames = make([][]byte, nframes)
-	for i := range r.frames {
-		if r.frames[i], err = chunk(); err != nil {
-			return nil, err
-		}
-	}
-	st, err := take(7 * 8)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]int, 7)
-	for i := range vals {
-		vals[i] = int(binary.LittleEndian.Uint64(st[8*i:]))
-	}
-	r.stats = core.Stats{Cycles: vals[0], Total: core.CycleStats{Garbled: vals[1],
-		Filtered: vals[2], FreeXOR: vals[3], PublicGates: vals[4],
-		Passthrough: vals[5], DeadSkipped: vals[6]}}
-	hb, err := take(1)
-	if err != nil {
-		return nil, err
-	}
-	r.halted = hb[0] == 1
-	nout, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	ob, err := take(nout)
-	if err != nil {
-		return nil, err
-	}
-	r.outPub = make([]bool, nout)
-	r.outVal = make([]bool, nout)
-	r.outDec = make([]bool, nout)
-	for i, v := range ob {
-		r.outPub[i] = v&1 != 0
-		r.outVal[i] = v&2 != 0
-		r.outDec[i] = v&4 != 0
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("proto: %d trailing bytes after recorded stream", len(b))
-	}
-	r.computeSize()
-	return r, nil
 }

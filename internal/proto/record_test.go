@@ -212,59 +212,3 @@ func TestServeRecordedSessionMismatch(t *testing.T) {
 		t.Fatalf("mismatched config accepted the stream: %v", err)
 	}
 }
-
-// TestRecordedMarshalRoundTrip pins the spill format: a marshal/unmarshal
-// round trip must serve a byte-identical stream, and corrupted or
-// truncated blobs must be refused loudly.
-func TestRecordedMarshalRoundTrip(t *testing.T) {
-	cfg, alice, bob := haltingConfig(t, 4)
-	_, rb, want := runBothAsym(t, cfg, cfg, alice, bob, 13)
-	rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(13)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	blob, err := rec.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalRecorded(blob)
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
-	if back.SessionID() != rec.SessionID() || back.Seed() != rec.Seed() ||
-		back.TableFrames() != rec.TableFrames() || back.Stats() != rec.Stats() ||
-		back.Halted() != rec.Halted() || back.SizeBytes() != rec.SizeBytes() {
-		t.Fatal("round trip changed the stream's metadata")
-	}
-	_, sb, got := serveBoth(t, cfg, cfg, back, bob)
-	if len(got) != len(want) {
-		t.Fatalf("unmarshaled stream served %d frames, live sent %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(want[i], got[i]) {
-			t.Fatalf("unmarshaled stream: frame %d differs", i)
-		}
-	}
-	for i := range rb.Outputs {
-		if sb.Outputs[i] != rb.Outputs[i] {
-			t.Fatalf("unmarshaled stream: output %d differs", i)
-		}
-	}
-
-	// Hostile inputs: bad magic, truncation at every boundary class,
-	// trailing garbage.
-	bad := append([]byte(nil), blob...)
-	bad[0] ^= 0xff
-	if _, err := UnmarshalRecorded(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	for _, cut := range []int{len(recordedMagic) - 1, len(recordedMagic) + 16, len(blob) / 2, len(blob) - 1} {
-		if _, err := UnmarshalRecorded(blob[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	if _, err := UnmarshalRecorded(append(append([]byte(nil), blob...), 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}

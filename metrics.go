@@ -130,14 +130,11 @@ type GarbleAheadMetrics struct {
 	Refills        int64 `json:"refills"`
 	RefillFailures int64 `json:"refill_failures"`
 	RefillNanos    int64 `json:"refill_nanos"`
-	// Evictions counts entries dropped for byte budgets; SpillLoadFails
-	// counts spill files that would not load back (served live instead).
-	Evictions      int64 `json:"evictions"`
-	SpillLoadFails int64 `json:"spill_load_failures"`
-	// MemBytes/SpillBytes/Ready gauge the pool's current contents.
-	MemBytes   int64 `json:"mem_bytes"`
-	SpillBytes int64 `json:"spill_bytes"`
-	Ready      int   `json:"ready"`
+	// Evictions counts entries dropped for the byte budget.
+	Evictions int64 `json:"evictions"`
+	// MemBytes/Ready gauge the pool's current contents.
+	MemBytes int64 `json:"mem_bytes"`
+	Ready    int   `json:"ready"`
 	// Programs holds per-program pool state, keyed by registered name.
 	Programs map[string]GarbleAheadProgram `json:"programs"`
 }
@@ -192,9 +189,7 @@ func (s *Server) Metrics() ServerMetrics {
 			RefillFailures: ps.Failures,
 			RefillNanos:    ps.RefillTime.Nanoseconds(),
 			Evictions:      ps.Evictions,
-			SpillLoadFails: ps.LoadFails,
 			MemBytes:       ps.MemBytes,
-			SpillBytes:     ps.SpillBytes,
 			Ready:          ps.Ready,
 			Programs:       make(map[string]GarbleAheadProgram, len(ps.Programs)),
 		}
@@ -283,10 +278,8 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 		counter("arm2gc_pool_refills_total", "Completed offline garbling passes.", ga.Refills)
 		counter("arm2gc_pool_refill_failures_total", "Failed offline garbling passes.", ga.RefillFailures)
 		counter("arm2gc_pool_refill_nanoseconds_total", "Producer time across refills; divide by refills for mean latency.", ga.RefillNanos)
-		counter("arm2gc_pool_evictions_total", "Pool entries dropped for byte budgets.", ga.Evictions)
-		counter("arm2gc_pool_spill_load_failures_total", "Spill files that would not load back.", ga.SpillLoadFails)
+		counter("arm2gc_pool_evictions_total", "Pool entries dropped for the byte budget.", ga.Evictions)
 		gauge("arm2gc_pool_mem_bytes", "Pre-garbled bytes resident in memory.", ga.MemBytes)
-		gauge("arm2gc_pool_spill_bytes", "Pre-garbled bytes spilled to disk.", ga.SpillBytes)
 		gauge("arm2gc_pool_ready", "Ready pre-garbled streams across all programs.", int64(ga.Ready))
 		pnames := make([]string, 0, len(ga.Programs))
 		for name := range ga.Programs {

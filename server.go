@@ -42,7 +42,6 @@ type Server struct {
 	logf    func(format string, args ...any)
 	tls     *tls.Config
 	pool    *pool.Pool // garble-ahead store; nil without WithGarbleAhead
-	poolErr error      // deferred WithGarbleAhead failure
 
 	mu       sync.Mutex
 	regs     map[string]*registration
@@ -144,9 +143,9 @@ func WithTLSConfig(cfg *tls.Config) ServerOption {
 }
 
 // PoolConfig sizes a Server's garble-ahead pool (see WithGarbleAhead):
-// the default per-program depth, the resident and total byte budgets,
-// the spill directory and the refill concurrency. The zero value takes
-// sane defaults throughout (see the pool package constants).
+// the default per-program depth, the byte budget and the refill
+// concurrency. The zero value takes sane defaults throughout (see the
+// pool package constants).
 type PoolConfig = pool.Config
 
 // WithGarbleAhead turns on the offline/online split: background refill
@@ -158,9 +157,10 @@ type PoolConfig = pool.Config
 // spikes. Entries are single-use and byte-identical to live garbling on
 // the wire; a client proposing non-default options simply misses the
 // pool and is garbled live. Refill starts with Serve (or explicitly via
-// WarmGarbleAhead); Serve's shutdown stops it and deletes spill files.
+// WarmGarbleAhead); Serve's shutdown stops it and drops the ready
+// streams.
 func WithGarbleAhead(cfg PoolConfig) ServerOption {
-	return func(s *Server) { s.pool, s.poolErr = pool.New(cfg) }
+	return func(s *Server) { s.pool = pool.New(cfg) }
 }
 
 // NewServer creates a Server over an Engine (nil means DefaultEngine).
@@ -203,9 +203,6 @@ func (s *Server) Register(name string, p *Program, defaults ...Option) error {
 	}
 	if len(name) > proto.MaxProgramName {
 		return fmt.Errorf("arm2gc: Register: name of %d bytes exceeds %d", len(name), proto.MaxProgramName)
-	}
-	if s.poolErr != nil {
-		return fmt.Errorf("arm2gc: WithGarbleAhead: %w", s.poolErr)
 	}
 	cfg, err := newSessionConfig(defaults)
 	if err != nil {
@@ -274,9 +271,6 @@ func (s *Server) Retire(name string) error {
 // hits a ready stream. A no-op without WithGarbleAhead. Serve's refill
 // workers keep the pool topped up afterwards; calling this is optional.
 func (s *Server) WarmGarbleAhead(ctx context.Context) error {
-	if s.poolErr != nil {
-		return fmt.Errorf("arm2gc: WithGarbleAhead: %w", s.poolErr)
-	}
 	if s.pool == nil {
 		return nil
 	}
@@ -300,13 +294,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.poolErr != nil {
-		return fmt.Errorf("arm2gc: WithGarbleAhead: %w", s.poolErr)
-	}
 	if s.pool != nil {
 		// Refill runs until shutdown starts (ctx), then Close — after the
-		// last handler is done — stops any straggler and deletes the spill
-		// files. Sessions draining past ctx fall back to live garbling on
+		// last handler is done — stops any straggler and drops the ready
+		// streams. Sessions draining past ctx fall back to live garbling on
 		// an empty (or closed) pool, which is always correct.
 		s.pool.Start(ctx)
 		defer s.pool.Close()
@@ -373,16 +364,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	close(handlersDone)
 	<-watcherDone
 	return acceptErr
-}
-
-// ServeTLS is Serve over TLS with an explicit config — shorthand for
-// WithTLSConfig at serve time. cfg must carry a server certificate.
-func (s *Server) ServeTLS(ctx context.Context, ln net.Listener, cfg *tls.Config) error {
-	if cfg == nil {
-		return fmt.Errorf("arm2gc: ServeTLS: nil TLS config")
-	}
-	s.tls = cfg
-	return s.Serve(ctx, ln)
 }
 
 // wrap layers the wire-byte counters and, when configured, TLS over an
