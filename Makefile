@@ -35,13 +35,19 @@ race:
 # circuit vs the emulator (internal/cpu FuzzInstructionStream), then an
 # attacker-shaped byte stream as the peer of each of the four OT roles
 # (internal/ot FuzzOTPeer: error, never panic, never read or allocate past
-# the flight), then arbitrary bytes as an unauthorized proposal
-# (internal/proto FuzzProposal: never panic, bounded allocation, accepted
-# proposals re-encode byte-identically).
+# the frames), arbitrary bytes as an unauthorized proposal (internal/proto
+# FuzzProposal: never panic, bounded allocation, accepted proposals
+# re-encode byte-identically) and as the server's grant/reject reply
+# (FuzzNegotiateReply: never panic, bounded allocation), then arbitrary
+# client and backend streams through one gateway connection
+# (internal/gateway FuzzGatewayRelay: always returns, allocation bounded
+# whatever a header announces).
 fuzz-smoke:
-	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzInstructionStream -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ot -run '^$$' -fuzz FuzzOTPeer -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/proto -run '^$$' -fuzz FuzzProposal -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cpu -run '^$$' -fuzz '^FuzzInstructionStream$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ot -run '^$$' -fuzz '^FuzzOTPeer$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzProposal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzNegotiateReply$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzGatewayRelay$$' -fuzztime $(FUZZTIME)
 
 # Throwaway development TLS material (CA + server/client leaves, valid
 # 24h, loopback only) under ./dev-certs — never commit it; .gitignore'd.
@@ -90,12 +96,12 @@ test-pool:
 # Fleet-gateway correctness: hash-ring sharding and bounded-load spill,
 # per-peer shedding, the chaos sequence (backend kill → clean client
 # error → eject → survivor serves → re-admit), live registry/fleet ops,
-# client retry/backoff and two-hop TLS — shuffled and under the race
-# detector, as in CI's fleet job.
+# client retry/backoff, two-hop TLS and the header-only frame relay —
+# shuffled and under the race detector, as in CI's fleet job.
 test-gateway:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'TestGateway|TestRing|TestPeerLimiter|TestServerRetire|TestPoolRetire|TestClientRetry|TestClientWithRetry|TestGatewayOpts' \
-		. ./internal/gateway ./internal/pool ./internal/cli
+		-run 'TestGateway|TestRing|TestPeerLimiter|TestServerRetire|TestPoolRetire|TestClientRetry|TestClientWithRetry|TestGatewayOpts|TestRelay' \
+		. ./internal/gateway ./internal/pool ./internal/cli ./internal/wire
 
 # Oblivious-memory backend correctness: the backend-equivalence grid
 # (scan vs sqrt-ORAM, identical decoded outputs across read-ahead/batch

@@ -176,10 +176,10 @@ func WithMemoryBackend(name string) Option {
 
 // WithReadAhead makes an evaluating session pull up to depth frames off
 // the connection in a reader goroutine ahead of its cycle loop (default
-// 0: synchronous reads). The reader peeks at frame types, buffering
-// table frames and parking the stream's trailing frame for the post-halt
-// decode read, so a garbler that streams faster than labels evaluate —
-// a pool-fed garbler always does — never blocks on a full socket. The
+// 0: synchronous reads). The reader buffers the table frames and then the
+// decode frame that ends every session, where it stops, so a garbler that
+// streams faster than labels evaluate — a pool-fed garbler always does —
+// never blocks on a full socket. The
 // knob is local: it changes no wire byte and is not part of the session
 // id. The garbling side and the in-process Run ignore it.
 func WithReadAhead(depth int) Option { return func(c *sessionConfig) { c.readAhead = depth } }

@@ -141,7 +141,16 @@ func TestFrameProtoAnalyzer(t *testing.T) {
 }
 
 func TestFrameProtoAllowedPackage(t *testing.T) {
-	runFixture(t, FrameProtoAnalyzer, "frameproto", "fixture/proto")
+	runFixture(t, FrameProtoAnalyzer, "frameproto", "fixture/wire")
+}
+
+// TestFrameProtoRelayPackages: the OT layer and the gateway write frames
+// through internal/wire like everyone else; a raw conn write there is a
+// finding.
+func TestFrameProtoRelayPackages(t *testing.T) {
+	for _, path := range []string{"fixture/ot", "fixture/gateway", "fixture/proto"} {
+		runFixture(t, FrameProtoAnalyzer, "framerelay", path)
+	}
 }
 
 func TestErrCheckAnalyzer(t *testing.T) {

@@ -2,27 +2,26 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
-// FrameProtoAnalyzer guards the wire contract: every byte written to a
-// connection must go through the typed frame layer in internal/proto, so
-// the first byte of anything on the wire stays frame-type-disambiguable
-// (the gateway relay Peeks one byte to route OT points vs frames — a raw
-// write anywhere else could collide with that namespace).
+// FrameProtoAnalyzer guards the wire contract: every byte on a connection
+// is part of a wire frame — a type byte, a u32 length, the payload — so
+// a relay can forward any session by header alone and every reader can
+// bound every read from the header. Raw writes belong to internal/wire,
+// the one package that knows the header; everything else writes frames
+// through it, including the OT layer and the gateway.
 //
-// Allowed writers: internal/proto itself, internal/ot (its point
-// encoding owns the 0x04/0x41 leading-byte space by design), the gateway
-// relay (it forwards already-framed bytes), and methods on types that
-// themselves implement net.Conn (conn middleware like counting or
-// recording wrappers is transparent by construction).
+// Methods on types that themselves implement net.Conn are exempt: conn
+// middleware like counting or recording wrappers forwards bytes verbatim.
 var FrameProtoAnalyzer = &Analyzer{
 	Name: "frameproto",
-	Doc:  "flag raw conn.Write outside internal/proto: wire bytes must go through the typed frame layer",
+	Doc:  "flag raw conn.Write outside internal/wire: wire bytes must go through the frame layer",
 	Run:  runFrameProto,
 }
 
-var frameProtoAllowed = map[string]bool{"proto": true, "ot": true, "gateway": true}
+var frameProtoAllowed = map[string]bool{"wire": true}
 
 func runFrameProto(p *Pass) error {
 	for _, seg := range strings.Split(p.Path, "/") {
@@ -48,9 +47,12 @@ func runFrameProto(p *Pass) error {
 				if !ok || sel.Sel.Name != "Write" {
 					return true
 				}
+				if s := p.Info.Selections[sel]; s == nil || s.Kind() != types.MethodVal {
+					return true // a package function such as wire.Write, not a method
+				}
 				t := p.Info.TypeOf(sel.X)
 				if t != nil && implementsIface(p.Dep, t, "net", "Conn") {
-					p.Reportf(call.Pos(), "raw %s.Write bypasses the typed frame layer: wire bytes outside internal/proto break Peek disambiguation at the gateway", exprString(sel.X))
+					p.Reportf(call.Pos(), "raw %s.Write bypasses the typed frame layer: bytes written outside internal/wire are not frames a relay can forward", exprString(sel.X))
 				}
 				return true
 			})

@@ -1,5 +1,5 @@
 // Package frameproto is the frameproto negative fixture: its synthetic
-// import path (fixture/proto) is the frame layer itself, where raw conn
+// import path (fixture/wire) is the frame layer itself, where raw conn
 // writes are the whole point.
 package frameproto
 

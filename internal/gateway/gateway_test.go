@@ -21,6 +21,7 @@ import (
 	"arm2gc"
 	"arm2gc/internal/devcert"
 	"arm2gc/internal/proto"
+	"arm2gc/internal/wire"
 )
 
 // The integration tests run a real fleet: backend arm2gc.Servers on
@@ -289,10 +290,9 @@ func TestGatewaySharding(t *testing.T) {
 	})
 }
 
-// TestGatewayOutputModes drives the relay's three terminal shapes on one
-// connection: evaluator-only sessions end silently (the next client
-// frame is a proposal), garbler-only sessions end on the client's
-// outputs frame with no decode, and both-mode sessions do both.
+// TestGatewayOutputModes drives all three output modes through the relay
+// on one connection: every session ends on the backend's decode frame and
+// the client's outputs frame, one of them empty in the one-sided modes.
 func TestGatewayOutputModes(t *testing.T) {
 	progE := compileProg(t, "evalonly", addSrc)
 	progG := compileProg(t, "garbonly", addSrc)
@@ -333,8 +333,8 @@ func TestGatewayOutputModes(t *testing.T) {
 		}
 	}
 
-	// Two passes so every mode transition (silent end → proposal,
-	// outputs end → proposal) occurs mid-connection at least once.
+	// Two passes so every mode transition occurs mid-connection at least
+	// once.
 	for pass := 0; pass < 2; pass++ {
 		info, err := cl.Evaluate(context.Background(), "evalonly", []uint32{2},
 			arm2gc.WithOutputMode(arm2gc.OutputEvaluatorOnly))
@@ -847,7 +847,7 @@ func TestGatewayOversizedProposal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hdr := binary.LittleEndian.AppendUint32([]byte{proto.FramePropose}, announced)
+			hdr := binary.LittleEndian.AppendUint32([]byte{wire.Propose}, announced)
 			if _, err := conn.Write(append(hdr, payload...)); err != nil {
 				t.Fatal(err)
 			}

@@ -4,26 +4,27 @@
 // and the IKNP OT extension, which turns 128 base OTs into any number of
 // label transfers using only symmetric cryptography.
 //
-// All protocols run over an io.ReadWriter with internal length-prefixed
-// framing; the two parties call the matching Send/Receive functions on the
-// two ends of a connection (net.Pipe in tests, TCP in the protocol layer).
+// All protocols run over an io.ReadWriter; the two parties call the
+// matching Send/Receive functions on the two ends of a connection
+// (net.Pipe in tests, TCP in the protocol layer). Every message is one
+// wire.OT frame, assembled in one buffer and written in one write.
 //
-// Every message's length is fixed by the protocol and the caller's own
-// input size, so a party sends a whole flight of messages through one
-// buffer and reads a flight knowing its exact byte count: nothing here
-// sizes an allocation from a length read off the wire, and no read goes
-// past the end of the flight.
+// Every frame's length is fixed by the protocol and the caller's own input
+// size, so each is read at its exact expected length: a header announcing
+// anything else is refused before the payload is read, nothing here sizes
+// an allocation from a length read off the wire, and no read goes past
+// the end of a frame.
 package ot
 
 import (
-	"bufio"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
+
+	"arm2gc/internal/wire"
 )
 
 type key = [16]byte
@@ -32,71 +33,29 @@ type key = [16]byte
 var curve = elliptic.P256()
 
 const (
-	// prefixLen is the little-endian length prefix of every message.
-	prefixLen = 4
-
-	// pointLen is the uncompressed encoding of a P-256 point, the payload
-	// of every base-OT message.
+	// pointLen is the uncompressed encoding of a P-256 point, the unit of
+	// every base-OT message.
 	pointLen = 65
 
-	// pointsPerFlush is how many of its points the base receiver buffers
-	// before writing them: small enough that the sender's multiplications
-	// on one chunk overlap the receiver's on the same chunk, large enough
-	// that 128 points cost 16 writes rather than 256.
-	pointsPerFlush = 8
-
-	// flightBuf bounds the read buffer of a flight.
-	flightBuf = 4096
+	// pointsPerFrame is how many of its points the base receiver sends per
+	// frame: small enough that the sender's multiplications on one frame
+	// overlap the receiver's on the next, large enough that 128 points
+	// cost 16 frames rather than 128.
+	pointsPerFrame = 8
 )
 
-// appendMsg appends one length-prefixed message to buf.
-func appendMsg(buf, b []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-// flight reads a run of length-prefixed messages whose number and sizes
-// the reader knows before the first byte arrives. It buffers, so a run of
-// small messages costs few reads, but never reads past the flight's last
-// byte; each prefix is checked the moment it arrives, so a peer announcing
-// a wrong length is an error at once rather than a wait for bytes that
-// will not come.
-type flight struct {
-	br   *bufio.Reader
-	what string // names the messages in errors
-	n    int    // messages read so far
-	hdr  [prefixLen]byte
-}
-
-// readFlight starts reading a flight of total bytes (prefixes included).
-func readFlight(r io.Reader, what string, total int) *flight {
-	lr := &io.LimitedReader{R: r, N: int64(total)}
-	return &flight{br: bufio.NewReaderSize(lr, min(total, flightBuf)), what: what}
-}
-
-// next reads the flight's next message, which must be exactly len(dst)
-// bytes long, into dst.
-func (f *flight) next(dst []byte) error {
-	if _, err := io.ReadFull(f.br, f.hdr[:]); err != nil {
-		return f.readErr(err)
-	}
-	if n := binary.LittleEndian.Uint32(f.hdr[:]); uint64(n) != uint64(len(dst)) {
-		return fmt.Errorf("ot: %s %d: %d bytes announced, want %d", f.what, f.n, n, len(dst))
-	}
-	if _, err := io.ReadFull(f.br, dst); err != nil {
-		return f.readErr(err)
-	}
-	f.n++
-	return nil
-}
-
-// readErr names the message a read failed in. The stream ending anywhere
-// inside a flight is unexpected, message boundary or not.
-func (f *flight) readErr(err error) error {
+// readMsg reads the OT frame the peer owes next, which must carry exactly
+// n bytes; what and i name it in errors. The stream ending anywhere inside
+// a phase is unexpected, frame boundary or not.
+func readMsg(r io.Reader, what string, i, n int) ([]byte, error) {
+	b, err := wire.Read(r, wire.OT, n, n)
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("ot: %s %d: %w", f.what, f.n, err)
+	if err != nil {
+		return nil, fmt.Errorf("ot: %s %d: %w", what, i, err)
+	}
+	return b, nil
 }
 
 func randScalar() (*big.Int, error) {
@@ -150,26 +109,29 @@ func baseSenderKeys(conn io.ReadWriter, n int) ([][2]key, error) {
 	}
 	aBytes := a.Bytes()
 	ax, ay := curve.ScalarBaseMult(aBytes)
-	if _, err := conn.Write(appendMsg(nil, elliptic.Marshal(curve, ax, ay))); err != nil {
+	msg := wire.AppendHeader(make([]byte, 0, wire.HeaderLen+pointLen), wire.OT, pointLen)
+	if _, err := conn.Write(append(msg, elliptic.Marshal(curve, ax, ay)...)); err != nil {
 		return nil, err
 	}
 	tx, ty := curve.ScalarMult(ax, ay, aBytes)
 	negTy := negY(ty)
 
-	// The receiver's points arrive a chunk at a time; each is used as soon
-	// as it is in, so these multiplications overlap the receiver's.
-	points := readFlight(conn, "base OT point", n*(prefixLen+pointLen))
+	// The receiver's points arrive a frame at a time; each frame is used as
+	// soon as it is in, so these multiplications overlap the receiver's.
 	keys := make([][2]key, n)
-	var msg [pointLen]byte
-	for i := range keys {
-		if err := points.next(msg[:]); err != nil {
+	for lo := 0; lo < n; lo += pointsPerFrame {
+		k := min(pointsPerFrame, n-lo)
+		points, err := readMsg(conn, "base OT points", lo/pointsPerFrame, k*pointLen)
+		if err != nil {
 			return nil, err
 		}
-		bx, by := elliptic.Unmarshal(curve, msg[:])
-		if bx == nil {
-			return nil, fmt.Errorf("ot: base OT point %d: not a curve point", i)
+		for i := 0; i < k; i++ {
+			bx, by := elliptic.Unmarshal(curve, points[i*pointLen:(i+1)*pointLen])
+			if bx == nil {
+				return nil, fmt.Errorf("ot: base OT point %d: not a curve point", lo+i)
+			}
+			keys[lo+i] = senderKeyPair(aBytes, tx, negTy, bx, by)
 		}
-		keys[i] = senderKeyPair(aBytes, tx, negTy, bx, by)
 	}
 	return keys, nil
 }
@@ -177,23 +139,23 @@ func baseSenderKeys(conn io.ReadWriter, n int) ([][2]key, error) {
 // baseReceiverKeys runs n base OTs as the receiver with the given choice
 // bits, returning the chosen key of each pair.
 func baseReceiverKeys(conn io.ReadWriter, choices []bool) ([]key, error) {
-	var msg [pointLen]byte
-	if err := readFlight(conn, "base OT sender point", prefixLen+pointLen).next(msg[:]); err != nil {
+	msg, err := readMsg(conn, "base OT sender point", 0, pointLen)
+	if err != nil {
 		return nil, err
 	}
-	ax, ay := elliptic.Unmarshal(curve, msg[:])
+	ax, ay := elliptic.Unmarshal(curve, msg)
 	if ax == nil {
 		return nil, fmt.Errorf("ot: base OT sender point: not a curve point")
 	}
 
-	// Per chunk: the cheap fixed-base half first and out in one write, so
-	// the sender can start on the chunk, then the variable-base half.
+	// Per frame: the cheap fixed-base half first and out in one write, so
+	// the sender can start on the frame, then the variable-base half.
 	keys := make([]key, len(choices))
-	scalars := make([][]byte, 0, pointsPerFlush)
-	out := make([]byte, 0, pointsPerFlush*(prefixLen+pointLen))
-	for lo := 0; lo < len(choices); lo += pointsPerFlush {
-		chunk := choices[lo:min(lo+pointsPerFlush, len(choices))]
-		scalars, out = scalars[:0], out[:0]
+	scalars := make([][]byte, 0, pointsPerFrame)
+	out := make([]byte, 0, wire.HeaderLen+pointsPerFrame*pointLen)
+	for lo := 0; lo < len(choices); lo += pointsPerFrame {
+		chunk := choices[lo:min(lo+pointsPerFrame, len(choices))]
+		scalars, out = scalars[:0], wire.AppendHeader(out[:0], wire.OT, len(chunk)*pointLen)
 		for _, c := range chunk {
 			b, err := randScalar()
 			if err != nil {
@@ -205,7 +167,7 @@ func baseReceiverKeys(conn io.ReadWriter, choices []bool) ([]key, error) {
 				// B = bG + A
 				bx, by = curve.Add(bx, by, ax, ay)
 			}
-			out = appendMsg(out, elliptic.Marshal(curve, bx, by))
+			out = append(out, elliptic.Marshal(curve, bx, by)...)
 		}
 		if _, err := conn.Write(out); err != nil {
 			return nil, err

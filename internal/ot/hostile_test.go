@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"arm2gc/internal/gc"
+	"arm2gc/internal/wire"
 )
 
 // The four roles a peer can face, each with the input sizes the hostile
@@ -57,18 +58,29 @@ func runRoleCountingBytes(role int, conn io.ReadWriter) (allocated uint64, err e
 	return after.TotalAlloc - before.TotalAlloc, err
 }
 
-// peerScript is a well-formed message sequence for the peer of role: valid
+// peerFrame is one OT frame the peer of a role sends: the messages it
+// carries (points, correction columns, the ciphertext block — the units
+// the protocol reasons in) and the index the role's errors give it.
+type peerFrame struct {
+	idx  int
+	msgs [][]byte
+}
+
+// peerScript is a well-formed frame sequence for the peer of role: valid
 // curve points where points are due, zeros of the right length elsewhere.
 // None of it can be told from an honest peer's stream by the role reading
 // it, so the role runs to completion on it.
-func peerScript(role int) [][]byte {
+func peerScript(role int) []peerFrame {
 	point := elliptic.Marshal(curve, curve.Params().Gx, curve.Params().Gy)
-	points := func(n int) [][]byte {
-		out := make([][]byte, n)
-		for i := range out {
+	points := func(n int) []peerFrame {
+		var out []peerFrame
+		for i := 0; i < n; i++ {
+			if i%pointsPerFrame == 0 {
+				out = append(out, peerFrame{idx: i / pointsPerFrame})
+			}
 			// Distinct points: i+2 times the generator.
 			x, y := curve.ScalarBaseMult(big.NewInt(int64(i + 2)).Bytes())
-			out[i] = elliptic.Marshal(curve, x, y)
+			out[len(out)-1].msgs = append(out[len(out)-1].msgs, elliptic.Marshal(curve, x, y))
 		}
 		return out
 	}
@@ -76,24 +88,43 @@ func peerScript(role int) [][]byte {
 	case roleBaseSender:
 		return points(hostileN)
 	case roleBaseReceiver:
-		return [][]byte{point}
+		return []peerFrame{{msgs: [][]byte{point}}}
 	case roleSendLabels:
-		msgs := [][]byte{point}
-		for j := 0; j < kappa; j++ {
-			msgs = append(msgs, make([]byte, (hostileM+7)/8))
+		cols := make([][]byte, kappa)
+		for j := range cols {
+			cols[j] = make([]byte, (hostileM+7)/8)
 		}
-		return msgs
+		return []peerFrame{{msgs: [][]byte{point}}, {msgs: cols}}
 	default:
-		return append(points(kappa), make([]byte, hostileM*32))
+		return append(points(kappa), peerFrame{msgs: [][]byte{make([]byte, hostileM*32)}})
 	}
 }
 
-func frame(msgs [][]byte) []byte {
-	var out []byte
-	for _, m := range msgs {
-		out = appendMsg(out, m)
+// peerMsg locates one message of a script in its encoded stream.
+type peerMsg struct {
+	frame    int // index of the frame carrying it
+	hdr      int // stream offset of that frame's header
+	frameLen int // that frame's payload length
+	off, len int // the message's own stream offset and length
+}
+
+// encode frames a script and locates each of its messages in the stream.
+func encode(script []peerFrame) ([]byte, []peerMsg) {
+	var stream []byte
+	var msgs []peerMsg
+	for f, fr := range script {
+		n := 0
+		for _, m := range fr.msgs {
+			n += len(m)
+		}
+		hdr := len(stream)
+		stream = wire.AppendHeader(stream, wire.OT, n)
+		for _, m := range fr.msgs {
+			msgs = append(msgs, peerMsg{frame: f, hdr: hdr, frameLen: n, off: len(stream), len: len(m)})
+			stream = append(stream, m...)
+		}
 	}
-	return out
+	return stream, msgs
 }
 
 // scriptedPeer plays a byte stream to the role under test and discards
@@ -114,7 +145,7 @@ func (p *scriptedPeer) Write(b []byte) (int, error) { return len(b), nil }
 
 func TestHonestScriptsComplete(t *testing.T) {
 	for role := 0; role < numRoles; role++ {
-		stream := frame(peerScript(role))
+		stream, _ := encode(peerScript(role))
 		peer := &scriptedPeer{r: bytes.NewReader(stream)}
 		if err := runRole(role, peer); err != nil {
 			t.Errorf("role %d: %v", role, err)
@@ -126,56 +157,54 @@ func TestHonestScriptsComplete(t *testing.T) {
 }
 
 // TestHostilePeer feeds every role a stream that goes wrong at a chosen
-// message: a prefix one too long, an absurd prefix, a stream cut inside
-// the payload, a stream cut on the message boundary. Each must be an error
-// naming that message — and, for the prefix cases, an error raised before
-// reading a byte past the prefix, so a peer that announces a wrong length
-// and then stalls cannot hold the role.
+// message k (a point, a correction column, the ciphertext block): the
+// header of the frame carrying it announcing a wrong length or type, the
+// stream cut inside the message, or cut just before it. Each
+// must be an error naming that frame — and, for the header cases, an error
+// raised before reading a byte past the header, so a peer that announces
+// a wrong frame and then stalls cannot hold the role.
 func TestHostilePeer(t *testing.T) {
 	for role := 0; role < numRoles; role++ {
-		msgs := peerScript(role)
+		script := peerScript(role)
+		honest, msgs := encode(script)
 		for _, k := range slices.Compact([]int{0, len(msgs) / 2, len(msgs) - 1}) {
-			before := len(frame(msgs[:k]))
-			// Message indices restart per flight: the extension roles
-			// read one message (or kappa) in the base phase first.
-			idx := k
-			switch {
-			case role == roleSendLabels && k > 0:
-				idx = k - 1
-			case role == roleReceiveLabels && k == kappa:
-				idx = 0
-			}
+			m := msgs[k]
+			idx := script[m.frame].idx
 			name := func(kind string) string { return fmt.Sprintf("role %d/%s at %d", role, kind, k) }
 
-			for kind, prefix := range map[string]uint32{
-				"over-long":   uint32(len(msgs[k]) + 1),
+			for kind, announced := range map[string]uint32{
+				"over-long":   uint32(m.frameLen + 1),
 				"absurd":      0xFFFFFFFF,
 				"quarter-GiB": 1 << 28,
-				"short":       uint32(len(msgs[k]) - 1),
+				"short":       uint32(m.frameLen - 1),
 			} {
 				t.Run(name(kind), func(t *testing.T) {
-					stream := frame(msgs)
-					binary.LittleEndian.PutUint32(stream[before:], prefix)
+					stream := bytes.Clone(honest)
+					binary.LittleEndian.PutUint32(stream[m.hdr+1:], announced)
 					grew, err := runRoleCountingBytes(role, &scriptedPeer{r: bytes.NewReader(stream)})
 					wantIndexed(t, err, idx)
 					if grew > 4<<20 {
-						t.Errorf("allocated %d bytes on a peer announcing %d", grew, prefix)
+						t.Errorf("allocated %d bytes on a peer announcing %d", grew, announced)
 					}
 				})
 			}
 
-			t.Run(name("stalls after wrong prefix"), func(t *testing.T) {
-				// Only the bad prefix arrives; the next Read would block
-				// forever on a live connection, so it fails the test.
-				stream := frame(msgs)[:before+prefixLen]
-				binary.LittleEndian.PutUint32(stream[before:], uint32(len(msgs[k])+1))
-				err := runRole(role, &stallingPeer{t: t, r: bytes.NewReader(stream)})
-				wantIndexed(t, err, idx)
-			})
+			// Only the bad header arrives; the next Read would block forever
+			// on a live connection, so it fails the test.
+			for kind, edit := range map[string]func(h []byte){
+				"stalls after wrong prefix": func(h []byte) { binary.LittleEndian.PutUint32(h[1:], uint32(m.frameLen+1)) },
+				"stalls after wrong type":   func(h []byte) { h[0] = wire.Tables },
+			} {
+				t.Run(name(kind), func(t *testing.T) {
+					stream := bytes.Clone(honest[:m.hdr+wire.HeaderLen])
+					edit(stream[m.hdr:])
+					err := runRole(role, &stallingPeer{t: t, r: bytes.NewReader(stream)})
+					wantIndexed(t, err, idx)
+				})
+			}
 
 			t.Run(name("truncated"), func(t *testing.T) {
-				cut := before + prefixLen + len(msgs[k])/2
-				err := runRole(role, &scriptedPeer{r: bytes.NewReader(frame(msgs)[:cut])})
+				err := runRole(role, &scriptedPeer{r: bytes.NewReader(honest[:m.off+m.len/2])})
 				wantIndexed(t, err, idx)
 				if !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Errorf("error %v does not wrap io.ErrUnexpectedEOF", err)
@@ -183,7 +212,13 @@ func TestHostilePeer(t *testing.T) {
 			})
 
 			t.Run(name("EOF"), func(t *testing.T) {
-				err := runRole(role, &scriptedPeer{r: bytes.NewReader(frame(msgs)[:before])})
+				// The stream ends just before message k — before its frame's
+				// header too, when k opens the frame.
+				cut := m.off
+				if cut == m.hdr+wire.HeaderLen {
+					cut = m.hdr
+				}
+				err := runRole(role, &scriptedPeer{r: bytes.NewReader(honest[:cut])})
 				wantIndexed(t, err, idx)
 				if !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Errorf("error %v does not wrap io.ErrUnexpectedEOF", err)
@@ -193,7 +228,7 @@ func TestHostilePeer(t *testing.T) {
 	}
 }
 
-// wantIndexed checks err is an error naming message idx of its flight.
+// wantIndexed checks err is an error naming frame idx of its kind.
 func wantIndexed(t *testing.T, err error, idx int) {
 	t.Helper()
 	if err == nil {
@@ -213,7 +248,7 @@ type stallingPeer struct {
 
 func (p *stallingPeer) Read(b []byte) (int, error) {
 	if p.r.Len() == 0 {
-		p.t.Error("kept reading after the bad prefix: a live peer could stall here forever")
+		p.t.Error("kept reading after the bad header: a live peer could stall here forever")
 		return 0, io.EOF
 	}
 	return p.r.Read(b)
@@ -224,28 +259,28 @@ func (p *stallingPeer) Write(b []byte) (int, error) { return len(b), nil }
 // FuzzOTPeer hands each role an attacker-shaped byte stream as its peer.
 // Whatever the bytes, the role returns — an error, or success on a stream
 // it cannot tell from an honest one — without panicking, without reading
-// past the flights it expects, and without allocating from a length the
+// past the frames it expects, and without allocating from a length the
 // stream announced.
 func FuzzOTPeer(f *testing.F) {
-	flights := make([]int, numRoles)
+	frames := make([]int, numRoles)
 	for role := 0; role < numRoles; role++ {
-		stream := frame(peerScript(role))
-		flights[role] = len(stream)
+		stream, _ := encode(peerScript(role))
+		frames[role] = len(stream)
 		f.Add(uint8(role), stream)
 		f.Add(uint8(role), stream[:len(stream)/2])
 		bad := bytes.Clone(stream)
-		binary.LittleEndian.PutUint32(bad, 0xFFFFFFFF)
+		binary.LittleEndian.PutUint32(bad[1:], 0xFFFFFFFF)
 		f.Add(uint8(role), bad)
 	}
 	f.Fuzz(func(t *testing.T, r uint8, data []byte) {
 		role := int(r) % numRoles
 		peer := &scriptedPeer{r: bytes.NewReader(data)}
 		grew, err := runRoleCountingBytes(role, peer)
-		if err == nil && peer.reads != flights[role] {
-			t.Errorf("role %d succeeded on %d bytes; its flights are %d", role, peer.reads, flights[role])
+		if err == nil && peer.reads != frames[role] {
+			t.Errorf("role %d succeeded on %d bytes; its frames are %d", role, peer.reads, frames[role])
 		}
-		if peer.reads > flights[role] {
-			t.Errorf("role %d read %d bytes, past its %d-byte flights", role, peer.reads, flights[role])
+		if peer.reads > frames[role] {
+			t.Errorf("role %d read %d bytes, past its %d bytes of frames", role, peer.reads, frames[role])
 		}
 		if grew > 4<<20 {
 			t.Errorf("role %d allocated %d bytes on a %d-byte stream", role, grew, len(data))

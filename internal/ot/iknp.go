@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"arm2gc/internal/gc"
+	"arm2gc/internal/wire"
 )
 
 // kappa is the computational security parameter: the number of base OTs
@@ -88,25 +89,24 @@ func SendLabels(conn io.ReadWriter, pairs [][2]gc.Label) error {
 		return err
 	}
 
-	// Receive the correction vectors u_j — one flight of kappa columns —
+	// Receive the correction vectors u_j — one frame of kappa columns —
 	// and form q_j = PRG(k_j^{s_j}) ⊕ s_j·u_j.
-	cols := readFlight(conn, "correction vector", kappa*(prefixLen+mBytes))
+	cols, err := readMsg(conn, "correction columns", 0, kappa*mBytes)
+	if err != nil {
+		return err
+	}
 	qCols := make([][]byte, kappa)
-	u := make([]byte, mBytes)
 	for j := 0; j < kappa; j++ {
-		if err := cols.next(u); err != nil {
-			return err
-		}
 		q := prg(seeds[j], mBytes)
 		if sChoices[j] {
-			xorBytes(q, q, u)
+			xorBytes(q, q, cols[j*mBytes:(j+1)*mBytes])
 		}
 		qCols[j] = q
 	}
 	qRows := transpose(qCols, m)
 
 	// Encrypt both labels of every pair: y_b = x_b ⊕ H(i, q_i ⊕ b·s).
-	out := binary.LittleEndian.AppendUint32(make([]byte, 0, prefixLen+m*32), uint32(m*32))
+	out := wire.AppendHeader(make([]byte, 0, wire.HeaderLen+m*32), wire.OT, m*32)
 	srow := make([]byte, kappa/8)
 	for i, p := range pairs {
 		pad0 := rowHash(i, qRows[i])
@@ -143,9 +143,9 @@ func ReceiveLabels(conn io.ReadWriter, choices []bool) ([]gc.Label, error) {
 		return nil, err
 	}
 
-	// All kappa correction columns leave in one write.
+	// All kappa correction columns leave in one frame.
 	tCols := make([][]byte, kappa)
-	cols := make([]byte, 0, kappa*(prefixLen+mBytes))
+	cols := wire.AppendHeader(make([]byte, 0, wire.HeaderLen+kappa*mBytes), wire.OT, kappa*mBytes)
 	u := make([]byte, mBytes)
 	for j := 0; j < kappa; j++ {
 		t0 := prg(seedPairs[j][0], mBytes)
@@ -154,15 +154,15 @@ func ReceiveLabels(conn io.ReadWriter, choices []bool) ([]gc.Label, error) {
 		// u_j = t0 ⊕ t1 ⊕ r
 		xorBytes(u, t0, t1)
 		xorBytes(u, u, r)
-		cols = appendMsg(cols, u)
+		cols = append(cols, u...)
 	}
 	if _, err := conn.Write(cols); err != nil {
 		return nil, err
 	}
 	tRows := transpose(tCols, m)
 
-	enc := make([]byte, m*32)
-	if err := readFlight(conn, "label ciphertexts", prefixLen+len(enc)).next(enc); err != nil {
+	enc, err := readMsg(conn, "label ciphertexts", 0, m*32)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]gc.Label, m)

@@ -1,7 +1,6 @@
 package ot
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -10,14 +9,20 @@ import (
 	"testing"
 
 	"arm2gc/internal/gc"
+	"arm2gc/internal/wire"
 )
 
-// recvMsg reads and drops one message of exactly n bytes.
+// recvMsg reads and drops one OT frame of exactly n bytes.
 func recvMsg(t testing.TB, c net.Conn, n int) {
 	t.Helper()
-	if err := readFlight(c, "test message", prefixLen+n).next(make([]byte, n)); err != nil {
+	if _, err := wire.Read(c, wire.OT, n, n); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// otFrame frames one OT message.
+func otFrame(payload []byte) []byte {
+	return append(wire.AppendHeader(nil, wire.OT, len(payload)), payload...)
 }
 
 func randChoices(rng *rand.Rand, n int) []bool {
@@ -44,8 +49,8 @@ func TestBaseOT(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	// Not a multiple of pointsPerFlush: the last chunk is a short one.
-	const n = 4*pointsPerFlush + 3
+	// Not a multiple of pointsPerFrame: the last frame is a short one.
+	const n = 4*pointsPerFrame + 3
 	choices := randChoices(rand.New(rand.NewSource(3)), n)
 
 	type sres struct {
@@ -218,7 +223,7 @@ func TestBaseOTRejectsBadPoint(t *testing.T) {
 			}()
 			// Read the sender's point, then reply with garbage.
 			recvMsg(t, b, pointLen)
-			go b.Write(appendMsg(nil, reply)) // the pipe blocks on bytes the sender refuses
+			go b.Write(otFrame(reply)) // the pipe blocks on bytes the sender refuses
 			if err := <-errc; err == nil {
 				t.Error("sender accepted a malformed receiver point")
 			}
@@ -239,20 +244,20 @@ func TestExtensionRejectsShortVectors(t *testing.T) {
 	if _, err := baseSenderKeys(b, kappa); err != nil {
 		t.Fatal(err)
 	}
-	go b.Write(appendMsg(nil, []byte{1})) // 1 byte, want 8
+	go b.Write(otFrame([]byte{1})) // 1 byte, want 128 × 8
 	if err := <-errc; err == nil {
 		t.Error("sender accepted a short correction vector")
 	}
 }
 
-// TestFlightShape pins the wire shape against the per-message framing the
-// protocol has always had: the sequence of length prefixes in each
-// direction, and totals equal to the benchmark's ot.bytes.
+// TestFlightShape pins the wire shape: one OT frame per write, the
+// sequence of frame lengths in each direction, and totals equal to the
+// benchmark's ot.bytes.
 func TestFlightShape(t *testing.T) {
 	for _, tc := range []struct{ m, total int }{
-		{32, 10953},  // handshake.sum32
-		{512, 33993}, // hamming512
-		{800, 47817}, // MatMul5's Bob width
+		{32, 10016},  // handshake.sum32
+		{512, 33056}, // hamming512
+		{800, 46880}, // MatMul5's Bob width
 	} {
 		a, b := net.Pipe()
 		ra, rb := &recordingConn{Conn: a}, &recordingConn{Conn: b}
@@ -261,24 +266,20 @@ func TestFlightShape(t *testing.T) {
 		b.Close()
 
 		mBytes := (tc.m + 7) / 8
-		wantSender := append(repeatLen(pointLen, kappa), tc.m*32)
-		wantReceiver := append([]int{pointLen}, repeatLen(mBytes, kappa)...)
-		if got := ra.prefixes(t); !slices.Equal(got, wantSender) {
-			t.Errorf("m=%d: SendLabels wrote message lengths %v, want %v", tc.m, got, wantSender)
+		wantSender := append(repeatLen(pointsPerFrame*pointLen, kappa/pointsPerFrame), tc.m*32)
+		wantReceiver := []int{pointLen, kappa * mBytes}
+		if got := ra.frames(t); !slices.Equal(got, wantSender) {
+			t.Errorf("m=%d: SendLabels wrote frame lengths %v, want %v", tc.m, got, wantSender)
 		}
-		if got := rb.prefixes(t); !slices.Equal(got, wantReceiver) {
-			t.Errorf("m=%d: ReceiveLabels wrote message lengths %v, want %v", tc.m, got, wantReceiver)
+		if got := rb.frames(t); !slices.Equal(got, wantReceiver) {
+			t.Errorf("m=%d: ReceiveLabels wrote frame lengths %v, want %v", tc.m, got, wantReceiver)
 		}
 		if got := len(ra.sent) + len(rb.sent); got != tc.total {
 			t.Errorf("m=%d: %d bytes on the wire, want %d", tc.m, got, tc.total)
 		}
-
-		// A flight is a few writes, not one (or two) per message.
-		if most := kappa/pointsPerFlush + 1; ra.writes > most {
-			t.Errorf("m=%d: SendLabels made %d writes, want at most %d", tc.m, ra.writes, most)
-		}
-		if rb.writes > 2 {
-			t.Errorf("m=%d: ReceiveLabels made %d writes, want at most 2", tc.m, rb.writes)
+		if ra.writes != len(wantSender) || rb.writes != len(wantReceiver) {
+			t.Errorf("m=%d: %d and %d writes, want one per frame (%d and %d)",
+				tc.m, ra.writes, rb.writes, len(wantSender), len(wantReceiver))
 		}
 	}
 }
@@ -296,21 +297,25 @@ func (c *recordingConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// prefixes parses the recorded stream as length-prefixed messages and
-// returns the lengths.
-func (c *recordingConn) prefixes(t *testing.T) []int {
+// frames parses the recorded stream as OT frames and returns their
+// payload lengths.
+func (c *recordingConn) frames(t *testing.T) []int {
 	t.Helper()
 	var out []int
 	for rest := c.sent; len(rest) > 0; {
-		if len(rest) < prefixLen {
-			t.Fatalf("%d stray bytes after the last message", len(rest))
+		if len(rest) < wire.HeaderLen {
+			t.Fatalf("%d stray bytes after the last frame", len(rest))
 		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		if len(rest) < prefixLen+n {
-			t.Fatalf("message of %d bytes announced, %d left", n, len(rest)-prefixLen)
+		h := wire.Header(rest)
+		if h.Type() != wire.OT {
+			t.Fatalf("frame type %#02x, want %#02x", h.Type(), wire.OT)
+		}
+		n := int(h.Len())
+		if len(rest) < wire.HeaderLen+n {
+			t.Fatalf("frame of %d bytes announced, %d left", n, len(rest)-wire.HeaderLen)
 		}
 		out = append(out, n)
-		rest = rest[prefixLen+n:]
+		rest = rest[wire.HeaderLen+n:]
 	}
 	return out
 }

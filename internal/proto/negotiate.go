@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 	"time"
+
+	"arm2gc/internal/wire"
 )
 
 // Negotiation message types: the multi-session framing layered above the
@@ -14,9 +17,9 @@ import (
 // (propose, grant|reject, run) rounds; the evaluator proposes, the
 // garbling server grants or rejects.
 const (
-	msgPropose byte = 0x10 + iota
-	msgGrant
-	msgReject
+	msgPropose = wire.Propose
+	msgGrant   = wire.Grant
+	msgReject  = wire.Reject
 )
 
 // Proposal flag bits. The flags byte doubles as the proposal's version
@@ -29,7 +32,14 @@ const (
 	flagHasAuth
 	flagHasMemBackend
 
-	knownProposalFlags = flagHasOutputs | flagHasAuth | flagHasMemBackend
+	// flagFramed is the protocol version: the proposer speaks the one
+	// frame format — OT messages as typed frames, and a terminal frame in
+	// each direction of every session. Every writer sets it and
+	// ReadProposal requires it, so a peer on the older protocol fails at
+	// negotiation, before any cryptography, with a readable rejection.
+	flagFramed
+
+	knownProposalFlags = flagHasOutputs | flagHasAuth | flagHasMemBackend | flagFramed
 )
 
 // Negotiation bounds; proposals outside them are refused before any
@@ -52,13 +62,22 @@ const (
 	MaxProposalBytes = 2 + MaxProgramName + 18 + 2 + MaxAuthToken + 2 + MaxMemBackend
 
 	// MaxCycleBatch is the largest cycle batch a client may propose. The
-	// garbler buffers a whole batch of tables before flushing, so the
-	// bound caps how much memory one remote proposal can pin per session
-	// (at 4096 cycles even table-heavy processor layouts stay in the
-	// tens of MB, far under the 1 GiB maxFrameBytes). Server
-	// registrations are operator-set and not subject to it.
+	// garbler buffers a whole batch of tables before flushing, and the
+	// evaluator accepts a table frame of up to one table per non-XOR gate
+	// per cycle of the batch, so the bound caps how much memory one remote
+	// proposal can pin per session. Server registrations are operator-set
+	// and not subject to it.
 	MaxCycleBatch = 4096
+
+	// MaxRejectBytes bounds a rejection payload: the reason text,
+	// truncated on write to fit, and its Retry-After extension. A client
+	// refuses a longer rejection from its header.
+	MaxRejectBytes = 4096
 )
+
+// grantLen is a grant's exact payload length: the output mode, the cycle
+// batch, the cycle budget, the reserved slot and the session id.
+const grantLen = 1 + 4 + 8 + 4 + 32
 
 // Proposal is the evaluator's opening move of a session: a program name
 // the server registered, plus the options it wants. Zero-valued option
@@ -162,7 +181,7 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	payload := make([]byte, 0, 2+len(p.Program)+2+4+8+4+2+len(p.Auth)+2+len(p.MemBackend))
 	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Program)))
 	payload = append(payload, p.Program...)
-	var flags byte
+	flags := flagFramed
 	if p.HasOutputs {
 		flags |= flagHasOutputs
 	}
@@ -184,21 +203,37 @@ func WriteProposal(w io.Writer, p Proposal) error {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.MemBackend)))
 		payload = append(payload, p.MemBackend...)
 	}
-	return writeFrame(w, msgPropose, payload)
+	return wire.Write(w, msgPropose, payload)
 }
 
 // ReadProposalFrame reads the next frame as an unparsed proposal payload —
 // the read a relay routes on. A frame of another type, or one announcing
 // more than MaxProposalBytes, is refused from its header alone.
 func ReadProposalFrame(r io.Reader) ([]byte, error) {
-	return readFrameMax(r, msgPropose, MaxProposalBytes)
+	return wire.Read(r, msgPropose, 0, MaxProposalBytes)
+}
+
+// ProgramOfProposal extracts the proposed program name from a proposal
+// payload without validating the rest — the routing key a gateway shards
+// on. Unknown flag bits do not matter here; the name field precedes the
+// flags byte and its encoding is fixed.
+func ProgramOfProposal(payload []byte) (string, error) {
+	if len(payload) < 2 {
+		return "", fmt.Errorf("proto: short proposal payload")
+	}
+	n := int(binary.LittleEndian.Uint16(payload))
+	if n == 0 || n > MaxProgramName || len(payload) < 2+n {
+		return "", fmt.Errorf("proto: malformed proposal payload")
+	}
+	return string(payload[2 : 2+n]), nil
 }
 
 // ReadProposal reads the next session proposal (server side). io.EOF
 // means the client finished with the connection cleanly. A proposal
 // announcing feature flags this build does not know comes back as
-// *VersionError with the program name filled in — the frame has been
-// fully consumed, so the caller may reject it and keep reading.
+// *VersionError with the program name filled in, and so does one without
+// flagFramed, from a peer on the older protocol — the frame has been fully
+// consumed, so the caller may reject it and keep reading.
 //
 // The uint32 after the cycle budget is a reserved slot: it carried a
 // per-cycle worker count until that knob was removed. Writers encode 0; a
@@ -234,6 +269,10 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	if w := binary.LittleEndian.Uint32(b[14:]); w > 1 {
 		return p, &VersionError{Program: p.Program, Reason: fmt.Sprintf(
 			"a worker count of %d was proposed, but per-cycle workers have been removed (propose 0 or 1)", w)}
+	}
+	if flags&flagFramed == 0 {
+		return p, &VersionError{Program: p.Program, Reason: "the proposal speaks an older protocol version " +
+			"(OT messages without frame headers); upgrade the client"}
 	}
 	b = b[18:]
 	if flags&flagHasAuth != 0 {
@@ -271,21 +310,26 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 // always carries 1, the value every older client accepts, and parseGrant
 // ignores it.
 func WriteGrant(w io.Writer, g Grant) error {
-	payload := make([]byte, 0, 1+4+8+4+32)
+	payload := make([]byte, 0, grantLen)
 	payload = append(payload, byte(g.Outputs))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(g.CycleBatch))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(g.MaxCycles))
 	payload = binary.LittleEndian.AppendUint32(payload, 1)
 	payload = append(payload, g.SessionID[:]...)
-	return writeFrame(w, msgGrant, payload)
+	return wire.Write(w, msgGrant, payload)
 }
 
 func parseGrant(b []byte) (Grant, error) {
 	var g Grant
-	if len(b) != 1+4+8+4+32 {
+	if len(b) != grantLen {
 		return g, fmt.Errorf("proto: malformed grant of %d bytes", len(b))
 	}
 	g.Outputs = OutputMode(b[0])
+	switch g.Outputs {
+	case OutputBoth, OutputGarblerOnly, OutputEvaluatorOnly:
+	default:
+		return g, fmt.Errorf("proto: grant with unknown output mode %d", g.Outputs)
+	}
 	g.CycleBatch = int(binary.LittleEndian.Uint32(b[1:]))
 	g.MaxCycles = int(binary.LittleEndian.Uint64(b[5:]))
 	copy(g.SessionID[:], b[17:])
@@ -328,13 +372,21 @@ func WriteReject(w io.Writer, reason string) error {
 	return WriteRejectRetry(w, reason, 0)
 }
 
+// rejectExtLen is the Retry-After extension's size: separator, flags,
+// field length, milliseconds.
+const rejectExtLen = 1 + 1 + 2 + 8
+
 // WriteRejectRetry declines a proposal with a reason and, when after is
 // positive, a Retry-After hint telling the peer how long to back off
 // before proposing again — the load-shedding verdict of a fleet gateway.
-// With after <= 0 the frame is byte-identical to WriteReject's.
+// With after <= 0 the frame is byte-identical to WriteReject's. A reason
+// too long for MaxRejectBytes is truncated.
 func WriteRejectRetry(w io.Writer, reason string, after time.Duration) error {
-	if i := bytes.IndexByte([]byte(reason), rejectExtSep); i >= 0 {
+	if i := strings.IndexByte(reason, rejectExtSep); i >= 0 {
 		reason = reason[:i] // NUL is the extension separator; reasons are text
+	}
+	if len(reason) > MaxRejectBytes-rejectExtLen {
+		reason = reason[:MaxRejectBytes-rejectExtLen]
 	}
 	payload := []byte(reason)
 	if after > 0 {
@@ -344,7 +396,7 @@ func WriteRejectRetry(w io.Writer, reason string, after time.Duration) error {
 		payload = append(payload, rejectExtSep, flagRejectRetryAfter, 8, 0)
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(after/time.Millisecond))
 	}
-	return writeFrame(w, msgReject, payload)
+	return wire.Write(w, msgReject, payload)
 }
 
 // parseReject decodes a rejection payload into its reason and optional
@@ -403,18 +455,23 @@ func negotiate(conn io.ReadWriter, p Proposal) (Grant, error) {
 	if err := WriteProposal(conn, p); err != nil {
 		return Grant{}, err
 	}
-	typ, payload, err := readAnyFrame(conn)
+	h, err := wire.ReadHeader(conn)
 	if err != nil {
 		return Grant{}, err
 	}
-	switch typ {
-	case msgGrant:
-		return parseGrant(payload)
-	case msgReject:
+	if h.Type() == msgReject {
+		payload, err := h.Payload(conn, msgReject, 0, MaxRejectBytes)
+		if err != nil {
+			return Grant{}, err
+		}
 		reason, after := parseReject(payload)
 		return Grant{}, &Rejected{Program: p.Program, Reason: reason, RetryAfter: after}
 	}
-	return Grant{}, fmt.Errorf("proto: negotiation got message type %d", typ)
+	payload, err := h.Payload(conn, msgGrant, grantLen, grantLen)
+	if err != nil {
+		return Grant{}, err
+	}
+	return parseGrant(payload)
 }
 
 // String renders an output mode for negotiation-rejection messages.

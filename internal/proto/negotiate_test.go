@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"arm2gc/internal/build"
 	"arm2gc/internal/circuit"
 	"arm2gc/internal/sim"
+	"arm2gc/internal/wire"
 )
 
 func TestProposalRoundTrip(t *testing.T) {
@@ -47,10 +49,11 @@ func TestProposalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProposalWireCompat pins the pre-auth encoding: a proposal without a
-// token must produce exactly the bytes PR 3 servers expect (no trailing
-// auth field), and those bytes must still parse. This is the
-// byte-identical guarantee the frame evolution rides on.
+// TestProposalWireCompat pins the token-less encoding: a proposal without
+// a token carries no trailing auth field, and its flags byte holds the
+// framed-protocol bit beside the output-mode bit. The same bytes without
+// that bit — what every build before the one frame format sent — are
+// refused as *VersionError, with the frame consumed.
 func TestProposalWireCompat(t *testing.T) {
 	p := Proposal{Program: "add", HasOutputs: true, Outputs: OutputEvaluatorOnly,
 		CycleBatch: 8, MaxCycles: 10_000}
@@ -58,23 +61,35 @@ func TestProposalWireCompat(t *testing.T) {
 	if err := WriteProposal(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	legacy := []byte{
+	pinned := []byte{
 		msgPropose, 23, 0, 0, 0, // frame header: type + length
 		3, 0, 'a', 'd', 'd', // name
-		0x01, byte(OutputEvaluatorOnly), // flags, mode
+		0x09, byte(OutputEvaluatorOnly), // flags (framed, outputs), mode
 		8, 0, 0, 0, // cycle batch
 		0x10, 0x27, 0, 0, 0, 0, 0, 0, // max cycles
 		0, 0, 0, 0, // reserved (the removed worker count)
 	}
-	if !bytes.Equal(buf.Bytes(), legacy) {
-		t.Fatalf("token-less proposal encodes to % x, legacy wire format is % x", buf.Bytes(), legacy)
+	if !bytes.Equal(buf.Bytes(), pinned) {
+		t.Fatalf("token-less proposal encodes to % x, pinned wire format is % x", buf.Bytes(), pinned)
 	}
-	got, err := ReadProposal(bytes.NewReader(legacy))
+	got, err := ReadProposal(bytes.NewReader(pinned))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != p {
-		t.Fatalf("legacy bytes parsed to %+v, want %+v", got, p)
+		t.Fatalf("pinned bytes parsed to %+v, want %+v", got, p)
+	}
+
+	legacy := bytes.Clone(pinned)
+	legacy[10] = 0x01 // the flags an older build sent
+	r := bytes.NewReader(append(legacy, pinned...))
+	_, err = ReadProposal(r)
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Program != "add" || !strings.Contains(ve.Error(), "older protocol version") {
+		t.Fatalf("pre-framing proposal: got %v, want a *VersionError naming the older protocol", err)
+	}
+	if next, err := ReadProposal(r); err != nil || next != p {
+		t.Fatalf("stream misaligned after the refusal: %+v, %v", next, err)
 	}
 }
 
@@ -109,22 +124,23 @@ func TestProposalVersionMismatch(t *testing.T) {
 
 // TestProposalRemovedWorkers pins the reserved slot's read side: the exact
 // bytes an older client sent to ask for 4 per-cycle workers must come back
-// as *VersionError — the verdict a server turns into a rejection — with
-// the frame consumed so the next proposal on the stream still parses; a
-// count of 1 (serial, the only thing any build does now) is accepted.
+// as *VersionError naming the removed knob — the verdict a server turns
+// into a rejection — with the frame consumed so the next proposal on the
+// stream still parses; a count of 1 (serial, the only thing any build does
+// now) is accepted.
 func TestProposalRemovedWorkers(t *testing.T) {
-	old := func(workers byte) []byte {
+	proposal := func(flags, workers byte) []byte {
 		return []byte{
 			msgPropose, 23, 0, 0, 0, // frame header: type + length
 			3, 0, 'a', 'd', 'd', // name
-			0x01, byte(OutputEvaluatorOnly), // flags, mode
+			flags, byte(OutputEvaluatorOnly), // flags, mode
 			8, 0, 0, 0, // cycle batch
 			0x10, 0x27, 0, 0, 0, 0, 0, 0, // max cycles
 			workers, 0, 0, 0, // the slot that carried the worker count
 		}
 	}
 	var buf bytes.Buffer
-	buf.Write(old(4))
+	buf.Write(proposal(0x01, 4)) // what an older client asking for 4 workers sent
 	if err := WriteProposal(&buf, Proposal{Program: "next"}); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +155,7 @@ func TestProposalRemovedWorkers(t *testing.T) {
 	if next, err := ReadProposal(&buf); err != nil || next.Program != "next" {
 		t.Fatalf("stream misaligned after the refusal: %+v, %v", next, err)
 	}
-	if p, err := ReadProposal(bytes.NewReader(old(1))); err != nil || p.Program != "add" || p.CycleBatch != 8 {
+	if p, err := ReadProposal(bytes.NewReader(proposal(0x09, 1))); err != nil || p.Program != "add" || p.CycleBatch != 8 {
 		t.Fatalf("a proposal for one worker parsed to %+v, %v", p, err)
 	}
 }
@@ -157,7 +173,7 @@ func TestProposalMemBackendWire(t *testing.T) {
 	want := []byte{
 		msgPropose, 27, 0, 0, 0, // frame header: type + length
 		1, 0, 'm', // name
-		0x04, 0, // flags (mem-backend bit), mode
+		0x0C, 0, // flags (framed, mem-backend), mode
 		0, 0, 0, 0, // cycle batch
 		0, 0, 0, 0, 0, 0, 0, 0, // max cycles
 		0, 0, 0, 0, // reserved (the removed worker count)
@@ -201,15 +217,19 @@ func TestGrantRoundTrip(t *testing.T) {
 	for i := range want.SessionID {
 		want.SessionID[i] = byte(i * 7)
 	}
-	var buf bytes.Buffer
-	if err := WriteGrant(&buf, want); err != nil {
-		t.Fatal(err)
+	encode := func(g Grant) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteGrant(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := readExact(&buf, msgGrant, grantLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
 	}
-	typ, payload, err := readAnyFrame(&buf)
-	if err != nil || typ != msgGrant {
-		t.Fatalf("frame type %d err %v", typ, err)
-	}
-	got, err := parseGrant(payload)
+	got, err := parseGrant(encode(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,18 +237,17 @@ func TestGrantRoundTrip(t *testing.T) {
 		t.Errorf("round trip: got %+v, want %+v", got, want)
 	}
 
-	// A grant is only valid fully resolved: every negotiable knob >= 1.
+	// A grant is only valid fully resolved: every negotiable knob >= 1,
+	// and an output mode this build knows.
 	unresolved := want
 	unresolved.CycleBatch = 0
-	var buf2 bytes.Buffer
-	if err := WriteGrant(&buf2, unresolved); err != nil {
-		t.Fatal(err)
-	}
-	if _, payload, err = readAnyFrame(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseGrant(payload); err == nil {
+	if _, err := parseGrant(encode(unresolved)); err == nil {
 		t.Error("grant with unresolved cycle batch accepted")
+	}
+	unknown := want
+	unknown.Outputs = 3
+	if _, err := parseGrant(encode(unknown)); err == nil || !strings.Contains(err.Error(), "unknown output mode 3") {
+		t.Errorf("grant with output mode 3: got %v, want an unknown-mode error", err)
 	}
 }
 
@@ -360,9 +379,9 @@ func TestRejectOldClientCompat(t *testing.T) {
 	if err := WriteGrant(&buf, Grant{Outputs: OutputBoth, CycleBatch: 1, MaxCycles: 1}); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readAnyFrame(&buf)
-	if err != nil || typ != msgReject {
-		t.Fatalf("frame type %d err %v", typ, err)
+	payload, err := wire.Read(&buf, msgReject, 0, MaxRejectBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
 	oldReason := string(payload) // the PR 5 parse
 	if !strings.HasPrefix(oldReason, "shed\x00") {
@@ -370,8 +389,8 @@ func TestRejectOldClientCompat(t *testing.T) {
 	}
 	// The extension is length-delimited inside the frame, so the next
 	// frame is untouched.
-	if typ, _, err = readAnyFrame(&buf); err != nil || typ != msgGrant {
-		t.Fatalf("stream misaligned after hinted reject: type %d err %v", typ, err)
+	if _, err = readExact(&buf, msgGrant, grantLen); err != nil {
+		t.Fatalf("stream misaligned after hinted reject: %v", err)
 	}
 }
 
@@ -401,18 +420,17 @@ func TestRejectMalformedExtensions(t *testing.T) {
 	}
 }
 
-// TestProposalFramePeek covers the gateway's raw-frame helpers:
-// ProgramOfProposal recovers the routing key from a proposal payload
-// (including one carrying future flag bits), and OutputsOfGrant the
-// session-terminal mode from a grant.
+// TestProposalFramePeek covers the gateway's routing read: ProgramOfProposal
+// recovers the routing key from a proposal payload, including one carrying
+// future flag bits.
 func TestProposalFramePeek(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProposal(&buf, Proposal{Program: "hamming", Auth: "tok"}); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := ReadRawFrame(&buf)
-	if err != nil || typ != FramePropose {
-		t.Fatalf("frame type %d err %v", typ, err)
+	payload, err := ReadProposalFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	name, err := ProgramOfProposal(payload)
 	if err != nil || name != "hamming" {
@@ -426,21 +444,23 @@ func TestProposalFramePeek(t *testing.T) {
 	if _, err := ProgramOfProposal([]byte{7, 0, 'x'}); err == nil {
 		t.Error("truncated proposal payload accepted")
 	}
+}
 
-	g := Grant{Outputs: OutputGarblerOnly, CycleBatch: 1, MaxCycles: 1}
-	buf.Reset()
-	if err := WriteGrant(&buf, g); err != nil {
+// TestRejectReasonBounded: a reason too long for MaxRejectBytes is
+// truncated on write, Retry-After hint intact, so every rejection a
+// writer produces passes the client's bounded read.
+func TestRejectReasonBounded(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteRejectRetry(&buf, strings.Repeat("r", 2*MaxRejectBytes), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if typ, payload, err = ReadRawFrame(&buf); err != nil || typ != FrameGrant {
-		t.Fatalf("frame type %d err %v", typ, err)
+	payload, err := wire.Read(&buf, msgReject, 0, MaxRejectBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mode, err := OutputsOfGrant(payload)
-	if err != nil || mode != OutputGarblerOnly {
-		t.Fatalf("peeked mode %v, %v", mode, err)
-	}
-	if _, err := OutputsOfGrant(payload[:4]); err == nil {
-		t.Error("truncated grant payload accepted")
+	reason, after := parseReject(payload)
+	if len(payload) != MaxRejectBytes || after != time.Second || reason != strings.Repeat("r", MaxRejectBytes-rejectExtLen) {
+		t.Errorf("payload of %d bytes parsed to a %d-byte reason, hint %v", len(payload), len(reason), after)
 	}
 }
 
@@ -505,6 +525,69 @@ func FuzzProposal(f *testing.F) {
 		}
 		if name, err := ProgramOfProposal(read[5:]); err != nil || name != p.Program {
 			t.Fatalf("peek named %q (%v), ReadProposal %q", name, err, p.Program)
+		}
+	})
+}
+
+// replyAllocBound is what one negotiation may allocate, whatever the
+// server's reply announces: the proposal written, and at most a
+// MaxRejectBytes rejection read.
+const replyAllocBound = 64 << 10
+
+// scriptedServer answers a negotiation with fixed bytes and swallows the
+// proposal.
+type scriptedServer struct{ io.Reader }
+
+func (scriptedServer) Write(b []byte) (int, error) { return len(b), nil }
+
+// FuzzNegotiateReply hands Negotiate arbitrary bytes as the server's reply
+// to a proposal. Whatever the bytes, it never panics and allocates at most
+// replyAllocBound; a grant it accepts re-encodes through WriteGrant to the
+// bytes it was read from, and a rejection comes back as *Rejected.
+func FuzzNegotiateReply(f *testing.F) {
+	var grant, reject, hinted bytes.Buffer
+	if err := WriteGrant(&grant, Grant{Outputs: OutputEvaluatorOnly, CycleBatch: 4, MaxCycles: 99}); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteReject(&reject, "unknown program"); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteRejectRetry(&hinted, "shed", time.Second); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grant.Bytes())
+	f.Add(reject.Bytes())
+	f.Add(hinted.Bytes())
+	f.Add(wire.AppendHeader(nil, msgGrant, 1<<30))
+	f.Add(wire.AppendHeader(nil, msgReject, 1<<30))
+	f.Add(append(wire.AppendHeader(nil, msgGrant, grantLen), make([]byte, grantLen)...))
+	f.Add(wire.AppendHeader(nil, msgTables, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g Grant
+		var err error
+		grew := allocated(func() {
+			g, err = negotiate(scriptedServer{bytes.NewReader(data)}, Proposal{Program: "p"})
+		})
+		if grew > replyAllocBound {
+			t.Errorf("negotiating against %d reply bytes allocated %d", len(data), grew)
+		}
+		var rej *Rejected
+		switch {
+		case err == nil:
+			var buf bytes.Buffer
+			if err := WriteGrant(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			read := bytes.Clone(data[:wire.HeaderLen+grantLen])
+			read[wire.HeaderLen+13] = 1 // the reserved slot; WriteGrant always sends 1
+			read[wire.HeaderLen+14], read[wire.HeaderLen+15], read[wire.HeaderLen+16] = 0, 0, 0
+			if !bytes.Equal(buf.Bytes(), read) {
+				t.Errorf("accepted grant %+v re-encodes to % x, read % x", g, buf.Bytes(), data[:wire.HeaderLen+grantLen])
+			}
+		case errors.As(err, &rej):
+			if h := wire.Header(data); h.Type() != msgReject || h.Len() > MaxRejectBytes {
+				t.Errorf("a reply with header % x came back as a rejection", data[:wire.HeaderLen])
+			}
 		}
 	})
 }

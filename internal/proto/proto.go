@@ -36,6 +36,7 @@ import (
 	"arm2gc/internal/core"
 	"arm2gc/internal/gc"
 	"arm2gc/internal/ot"
+	"arm2gc/internal/wire"
 )
 
 // OutputMode selects who learns the outputs (the paper's "one or both of
@@ -88,15 +89,12 @@ type Config struct {
 
 	// ReadAhead, when positive, makes the evaluator pull up to that many
 	// frames off the connection in a reader goroutine ahead of its cycle
-	// loop (typed frame peeking: table frames are buffered, and the first
-	// non-table frame parks in the buffer for the post-halt decode read).
-	// It keeps a slow evaluator's socket drained against a garbler that
-	// streams faster than labels evaluate — a pool-fed garbler always
-	// does. The knob is evaluator-local (not part of the session id); the
-	// garbling side ignores it. It needs a deadline-capable connection
-	// (every net.Conn) and — when classifying in OutputGarblerOnly mode,
-	// where no garbler frame trails the table stream — it silently stays
-	// synchronous.
+	// loop: the table frames, then the decode frame that ends every
+	// session. It keeps a slow evaluator's socket drained against a
+	// garbler that streams faster than labels evaluate — a pool-fed
+	// garbler always does. The knob is evaluator-local (not part of the
+	// session id); the garbling side ignores it. It needs a
+	// deadline-capable connection (every net.Conn).
 	ReadAhead int
 
 	// tapTables is a test hook: the evaluator calls it with every raw
@@ -142,90 +140,30 @@ func (c Config) SessionID() ([32]byte, error) {
 	return out, nil
 }
 
-// Message types.
+// Message types: the session's frames in the wire package's one table.
 const (
-	msgHello byte = iota + 1
-	msgAliceLabels
-	msgTables
-	msgDecode
-	msgOutputs
+	msgHello       = wire.Hello
+	msgAliceLabels = wire.AliceLabels
+	msgTables      = wire.Tables
+	msgDecode      = wire.Decode
+	msgOutputs     = wire.Outputs
 )
 
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		// Skip the zero-byte write: readFrame's ReadFull never issues the
-		// matching zero-byte read, and a 0-byte net.Pipe write blocks
-		// until *some* read arrives — a deadlock when the peer's next
-		// operation is itself a write (e.g. an empty final table frame in
-		// garbler-only output mode).
-		return nil
-	}
-	_, err := w.Write(payload)
-	return err
+// helloLen is the garbler's hello payload: the session id, then the
+// garbler's public fingerprint seed. The evaluator echoes the id alone.
+const helloLen = 32 + len(core.Seed{})
+
+// readExact reads the next frame, which must be a typ frame of exactly n
+// bytes.
+func readExact(r io.Reader, typ byte, n int) ([]byte, error) {
+	return wire.Read(r, typ, n, n)
 }
 
-// maxFrameBytes bounds every frame a reader accepts; a read that knows a
-// tighter bound passes it to readFrameMax instead.
-const maxFrameBytes = 1 << 30
-
-func readFrame(r io.Reader, wantType byte) ([]byte, error) {
-	return readFrameMax(r, wantType, maxFrameBytes)
-}
-
-// readFrameMax reads the next frame, refusing it from the header alone
-// when its type is not wantType or it announces more than max bytes:
-// nothing is allocated from the peer's length until both checks pass.
-func readFrameMax(r io.Reader, wantType byte, max uint32) ([]byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if hdr[0] != wantType {
-		return nil, typeMismatch(hdr[0], wantType)
-	}
-	return readPayload(r, hdr, max)
-}
-
-func typeMismatch(got, want byte) error {
-	return fmt.Errorf("proto: got message type %d, want %d", got, want)
-}
-
-// readAnyFrame reads the next frame whatever its type; the negotiation
-// layer uses it where either a grant or a rejection may arrive.
-func readAnyFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	b, err := readPayload(r, hdr, maxFrameBytes)
-	if err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], b, nil
-}
-
-// readPayload reads the payload hdr announces, refusing it unread when
-// the announced length exceeds max.
-func readPayload(r io.Reader, hdr [5]byte, max uint32) ([]byte, error) {
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > max {
-		return nil, fmt.Errorf("proto: frame type %d of %d bytes refused (limit %d)", hdr[0], n, max)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
+// bitBytes is the packed size of n bits.
+func bitBytes(n int) int { return (n + 7) / 8 }
 
 func packBits(bits []bool) []byte {
-	out := make([]byte, (len(bits)+7)/8)
+	out := make([]byte, bitBytes(len(bits)))
 	for i, b := range bits {
 		if b {
 			out[i/8] |= 1 << uint(i%8)
@@ -237,8 +175,8 @@ func packBits(bits []bool) []byte {
 // unpackBits decodes a peer's n-bit payload, refusing any other length: the
 // payload comes straight off the wire.
 func unpackBits(b []byte, n int) ([]bool, error) {
-	if len(b) != (n+7)/8 {
-		return nil, fmt.Errorf("proto: bit frame of %d bytes, want %d for %d bits", len(b), (n+7)/8, n)
+	if len(b) != bitBytes(n) {
+		return nil, fmt.Errorf("proto: bit frame of %d bytes, want %d for %d bits", len(b), bitBytes(n), n)
 	}
 	bits := make([]bool, n)
 	for i := range bits {
@@ -346,7 +284,7 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 	}
 	res := &Result{}
 	err = garbleFrames(ctx, cfg, sched, g, func(payload []byte) error {
-		if err := writeFrame(conn, msgTables, payload); err != nil {
+		if err := wire.Write(conn, msgTables, payload); err != nil {
 			return err
 		}
 		res.TableFrames++
@@ -418,16 +356,16 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	if err != nil {
 		return nil, err
 	}
-	hello, err := readFrame(conn, msgHello)
+	hello, err := readExact(conn, msgHello, helloLen)
 	if err != nil {
 		return nil, err
 	}
-	if len(hello) != 32+16 || !bytes.Equal(hello[:32], sid[:]) {
+	if !bytes.Equal(hello[:32], sid[:]) {
 		return nil, fmt.Errorf("proto: garbler session mismatch")
 	}
 	var seed core.Seed
 	copy(seed[:], hello[32:])
-	if err := writeFrame(conn, msgHello, sid[:]); err != nil {
+	if err := wire.Write(conn, msgHello, sid[:]); err != nil {
 		return nil, err
 	}
 
@@ -436,7 +374,7 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 		return nil, err
 	}
 	e := core.NewReplayEvaluator(cfg.Circuit)
-	aliceBytes, err := readFrame(conn, msgAliceLabels)
+	aliceBytes, err := readExact(conn, msgAliceLabels, 16*cfg.Circuit.AliceBits)
 	if err != nil {
 		return nil, err
 	}
@@ -452,53 +390,59 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 		return nil, err
 	}
 
+	// The decode frame ends the garbler's side of every session; in
+	// garbler-only mode it is empty, the decode bits never leave the
+	// garbler.
+	outWires := sched.OutputWires()
+	decodeBits := len(outWires)
+	if cfg.Outputs == OutputGarblerOnly {
+		decodeBits = 0
+	}
 	res := &Result{}
 	// From here the garbler only sends: stream frames through the
 	// read-ahead reader (a synchronous pass-through unless cfg.ReadAhead
 	// asks for buffering), which shutdown joins on every path.
-	fr := newFrameReader(conn, cfg)
+	fr := newFrameReader(conn, cfg, bitBytes(decodeBits))
 	defer fr.shutdown()
 	if err := evalStream(ctx, fr, cfg, sched, e, res); err != nil {
 		return nil, err
 	}
 	res.Stats, res.Halted, res.Trace = sched.Stats(), sched.Halted(), sched.Trace()
 
-	outWires := sched.OutputWires()
-	out := make([]bool, len(outWires))
-	if cfg.Outputs == OutputGarblerOnly {
-		// Send only the active labels' permute bits; without the decode
-		// bits they reveal nothing to us and everything to the garbler.
-		for i, w := range outWires {
-			if _, pub := sched.OutputState(i); !pub {
-				out[i] = e.ActiveBit(w)
-			}
-		}
-		if err := writeFrame(conn, msgOutputs, packBits(out)); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
 	decBytes, err := fr.read(msgDecode)
 	if err != nil {
 		return nil, err
 	}
-	decode, err := unpackBits(decBytes, len(outWires))
+	decode, err := unpackBits(decBytes, decodeBits)
 	if err != nil {
 		return nil, err
 	}
+	// The outputs frame ends this side of every session: the decoded
+	// values in OutputBoth mode, the active labels' permute bits in
+	// garbler-only mode (without the decode bits they reveal nothing to
+	// us and everything to the garbler), empty in evaluator-only mode.
+	out := make([]bool, len(outWires))
 	for i, w := range outWires {
-		if v, pub := sched.OutputState(i); pub {
+		v, pub := sched.OutputState(i)
+		switch {
+		case cfg.Outputs == OutputGarblerOnly:
+			out[i] = !pub && e.ActiveBit(w)
+		case pub:
 			out[i] = v
-		} else {
+		default:
 			out[i] = e.ActiveBit(w) != decode[i]
 		}
 	}
-	if cfg.Outputs == OutputBoth {
-		if err := writeFrame(conn, msgOutputs, packBits(out)); err != nil {
-			return nil, err
-		}
+	var reply []byte
+	if cfg.Outputs != OutputEvaluatorOnly {
+		reply = packBits(out)
 	}
-	res.Outputs = out
+	if err := wire.Write(conn, msgOutputs, reply); err != nil {
+		return nil, err
+	}
+	if cfg.Outputs != OutputGarblerOnly {
+		res.Outputs = out
+	}
 	return res, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"arm2gc/internal/core"
 	"arm2gc/internal/gc"
 	"arm2gc/internal/ot"
+	"arm2gc/internal/wire"
 )
 
 // Recorded is one complete pre-garbled session: every byte the garbler
@@ -114,17 +115,17 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 // handshake opens a session as the garbler: hello and its echo, Alice's
 // labels, then the OT for Bob's.
 func (r *Recorded) handshake(conn io.ReadWriter) error {
-	if err := writeFrame(conn, msgHello, r.hello); err != nil {
+	if err := wire.Write(conn, msgHello, r.hello); err != nil {
 		return err
 	}
-	ack, err := readFrame(conn, msgHello)
+	ack, err := readExact(conn, msgHello, len(r.sid))
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(ack, r.sid[:]) {
 		return fmt.Errorf("proto: evaluator session mismatch")
 	}
-	if err := writeFrame(conn, msgAliceLabels, r.alice); err != nil {
+	if err := wire.Write(conn, msgAliceLabels, r.alice); err != nil {
 		return err
 	}
 	if err := ot.SendLabels(conn, r.pairs); err != nil {
@@ -151,27 +152,34 @@ func (r *Recorded) finish(sched *core.Schedule, g *core.Garbler) {
 }
 
 // exchangeOutputs is the garbler's output-decode exchange, and returns the
-// outputs this side learns (nil in OutputEvaluatorOnly mode).
+// outputs this side learns (nil in OutputEvaluatorOnly mode). Each side
+// ends every session on its terminal frame, empty when it has nothing to
+// reveal: the decode frame here (empty in garbler-only mode), the
+// evaluator's outputs frame (empty in evaluator-only mode).
 func (r *Recorded) exchangeOutputs(conn io.ReadWriter, mode OutputMode) ([]bool, error) {
+	var decode []byte
 	if mode != OutputGarblerOnly {
-		// Send the decode bits; in OutputBoth mode the evaluator answers
-		// with the final values, otherwise we learn nothing back.
-		if err := writeFrame(conn, msgDecode, packBits(r.outDec)); err != nil {
-			return nil, err
-		}
-		if mode == OutputEvaluatorOnly {
-			return nil, nil
-		}
+		decode = packBits(r.outDec)
 	}
-	payload, err := readFrame(conn, msgOutputs)
+	if err := wire.Write(conn, msgDecode, decode); err != nil {
+		return nil, err
+	}
+	n := len(r.outPub)
+	if mode == OutputEvaluatorOnly {
+		n = 0
+	}
+	payload, err := readExact(conn, msgOutputs, bitBytes(n))
 	if err != nil {
 		return nil, err
 	}
-	out, err := unpackBits(payload, len(r.outPub))
+	out, err := unpackBits(payload, n)
 	if err != nil {
 		return nil, err
 	}
-	if mode == OutputGarblerOnly {
+	switch mode {
+	case OutputEvaluatorOnly:
+		return nil, nil
+	case OutputGarblerOnly:
 		// The evaluator sent its active labels' permute bits and never
 		// sees the decode bits; decode locally.
 		for i := range out {
@@ -248,7 +256,7 @@ func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := writeFrame(conn, msgTables, f); err != nil {
+		if err := wire.Write(conn, msgTables, f); err != nil {
 			return nil, err
 		}
 		res.TableFrames++

@@ -64,7 +64,7 @@ func TestSessionsShareCircuitDigest(t *testing.T) {
 
 // TestOTPathsExactRunInfo runs the same evaluation over every route the
 // OT flights can take — straight to a live server, to a garble-ahead pool
-// hit, and through the gateway's message-aware relay to each — and wants
+// hit, and through the gateway's frame relay to each — and wants
 // the client's RunInfo equal field for field on all of them.
 func TestOTPathsExactRunInfo(t *testing.T) {
 	prog := compileAdd(t)

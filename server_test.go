@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"arm2gc/internal/proto"
+	"arm2gc/internal/wire"
 )
 
 // startServer spins up a Server over a fresh TCP listener and returns its
@@ -265,9 +266,9 @@ func TestServerRejectsRemovedWorkers(t *testing.T) {
 	if _, err := raw.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := proto.ReadRawFrame(raw)
-	if err != nil || typ != proto.FrameReject {
-		t.Fatalf("got frame type %#x, err %v; want a rejection", typ, err)
+	payload, err := wire.Read(raw, wire.Reject, 0, proto.MaxRejectBytes)
+	if err != nil {
+		t.Fatalf("got %v; want a rejection", err)
 	}
 	if reason := string(payload); !strings.Contains(reason, "worker count of 4") || !strings.Contains(reason, "removed") {
 		t.Errorf("rejection reason %q does not explain the removed knob", reason)
@@ -283,6 +284,62 @@ func TestServerRejectsRemovedWorkers(t *testing.T) {
 	}
 	if info.Outputs[0] != 3 {
 		t.Fatalf("sum = %d, want 3", info.Outputs[0])
+	}
+}
+
+// TestServerRejectsOlderProtocol: a proposal from a client on the protocol
+// before the one frame format — its flags byte lacks the framed bit — gets
+// a rejection that says why, before any cryptography, and the next session
+// on the same connection runs.
+func TestServerRejectsOlderProtocol(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	srv := NewServer(eng)
+	if err := srv.Register("add", prog, WithMaxCycles(10_000), WithGarblerInput([]uint32{1})); err != nil {
+		t.Fatal(err)
+	}
+	addr, shutdown := startServer(t, srv)
+	defer shutdown()
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The proposal an older client sent: type, length, name, flags (none),
+	// mode, batch, cycles, the reserved slot.
+	frame := []byte{
+		0x10, 23, 0, 0, 0,
+		3, 0, 'a', 'd', 'd',
+		0, 0,
+		0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0,
+	}
+	if _, err := raw.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.Read(raw, wire.Reject, 0, proto.MaxRejectBytes)
+	if err != nil {
+		t.Fatalf("got %v; want a rejection", err)
+	}
+	if reason := string(payload); !strings.Contains(reason, "older protocol version") {
+		t.Errorf("rejection reason %q does not name the protocol version", reason)
+	}
+
+	cl := NewClient(raw, WithClientEngine(eng))
+	if err := cl.Register("add", prog); err != nil {
+		t.Fatal(err)
+	}
+	info, err := cl.Evaluate(context.Background(), "add", []uint32{2})
+	if err != nil {
+		t.Fatalf("session after the rejection, same conn: %v", err)
+	}
+	if info.Outputs[0] != 3 {
+		t.Fatalf("sum = %d, want 3", info.Outputs[0])
+	}
+	if m := srv.Metrics(); m.NegotiationFailures != 1 {
+		t.Errorf("negotiation failures = %d, want 1", m.NegotiationFailures)
 	}
 }
 
