@@ -93,7 +93,7 @@ test-pool:
 		-run 'Record|ReadAhead|Pool|GarbleAhead' \
 		. ./internal/proto ./internal/pool
 
-# Fleet-gateway correctness: hash-ring sharding and bounded-load spill,
+# Fleet-gateway correctness: hash-ring affinity and bounded-load spill,
 # per-peer shedding, the chaos sequence (backend kill → clean client
 # error → eject → survivor serves → re-admit), live registry/fleet ops,
 # client retry/backoff, two-hop TLS and the header-only frame relay —
@@ -104,14 +104,14 @@ test-gateway:
 		. ./internal/gateway ./internal/pool ./internal/cli ./internal/wire
 
 # Oblivious-memory backend correctness: the backend-equivalence grid
-# (scan vs sqrt-ORAM, identical decoded outputs across read-ahead/batch
-# settings), auto selection, negotiation mismatch rejection, the
-# wire extension and the obliv/cpu unit suites — shuffled and under the
-# race detector, as in CI's memory-backends job.
+# (scan vs sqrt-ORAM machines under the same sessions, identical decoded
+# outputs across read-ahead/batch settings), the auto rule that picks a
+# session's backend from its layout, and the obliv/cpu unit suites —
+# shuffled and under the race detector, as in CI's memory-backends job.
 test-membackend:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'MemoryBackend|MemBackend|Sqrt|Permute|Backend' \
-		. ./internal/obliv ./internal/cpu ./internal/build ./internal/proto
+		-run 'MemoryBackend|Sqrt|Permute|CacheBackend|HealthyBackends' \
+		. ./internal/obliv ./internal/cpu ./internal/build
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under
 # benchmark/, so `go build ./...` and `go test ./...` at the root never

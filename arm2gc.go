@@ -51,12 +51,11 @@ type Layout = isa.Layout
 // Program is a linked binary: the public input p of the garbled execution.
 type Program = isa.Program
 
-// Oblivious-memory backend names, re-exported at the root so callers
-// never import internal packages. MemoryAuto picks MemoryScan below
-// obliv.DefaultThreshold data words (2KB) and MemorySqrtORAM at or above
-// it — the paper's "linear scan below the ORAM break-even" rule.
+// Oblivious-memory backend names, as Machine.MemoryBackend reports them.
+// Every session picks MemoryScan below obliv.DefaultThreshold data words
+// (2KB) and MemorySqrtORAM at or above it — the paper's "linear scan below
+// the ORAM break-even" rule.
 const (
-	MemoryAuto     = obliv.Auto
 	MemoryScan     = obliv.Scan
 	MemorySqrtORAM = obliv.SqrtORAM
 )
@@ -117,9 +116,8 @@ type Machine struct {
 // conventional garbler would pay).
 func (m *Machine) Stats() circuit.Stats { return m.cpu.Circuit.Stats() }
 
-// MemoryBackend reports the resolved oblivious-memory backend this
-// machine's netlist was synthesized with (MemoryScan or MemorySqrtORAM;
-// never MemoryAuto — auto resolves before synthesis).
+// MemoryBackend reports the oblivious-memory backend this machine's
+// netlist was synthesized with: MemoryScan or MemorySqrtORAM.
 func (m *Machine) MemoryBackend() string { return m.cpu.Backend }
 
 // WriteNetlist serializes the processor netlist in the text format of

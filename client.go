@@ -206,8 +206,8 @@ func (c *Client) release() { <-c.sem }
 
 // Evaluate negotiates and runs one session over the Client's connection:
 // it proposes the named program with the explicitly set options
-// (WithOutputMode, WithCycleBatch, WithMaxCycles, WithMemoryBackend, plus
-// any WithAuthToken bearer token; unset ones take the Server's registered
+// (WithOutputMode, WithCycleBatch, WithMaxCycles, plus any WithAuthToken
+// bearer token; unset ones take the Server's registered
 // defaults), verifies the granted session id against its own program
 // copy, and plays the evaluator role contributing the bob input words. It
 // returns the server's rejection as *RejectedError, after which the
@@ -245,16 +245,6 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 	}
 	if cfg.maxCyclesSet {
 		prop.MaxCycles = cfg.maxCycles
-	}
-	if cfg.memorySet {
-		// Propose the backend resolved against this side's layout, never
-		// "auto": both parties must synthesize the same netlist, so the
-		// wire carries the concrete name the session will actually build.
-		backend, rerr := cfg.memory.Resolve(prog.Layout.DataWords())
-		if rerr != nil {
-			return nil, rerr
-		}
-		prop.MemBackend = backend
 	}
 	var grant proto.Grant
 	for attempt := 0; ; attempt++ {

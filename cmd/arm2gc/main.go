@@ -46,8 +46,8 @@
 //
 // -garble-ahead N turns on the offline/online split: background workers
 // keep N pre-garbled table streams ready per program (tune with
-// -pool-mem-bytes / -pool-workers and per-program "garble_ahead" registry
-// settings), so a session's online phase is OT plus frame I/O. Evaluating
+// -pool-mem-bytes and per-program "garble_ahead" registry settings), so a
+// session's online phase is OT plus frame I/O. Evaluating
 // roles can add -read-ahead to buffer frames off the socket ahead of the
 // cycle loop.
 //
@@ -76,29 +76,33 @@ import (
 	"arm2gc/internal/gateway"
 )
 
+// The flags are package-level so the knob-inventory test sees every one
+// of them on flag.CommandLine.
+var (
+	role        = flag.String("role", "local", "garbler | evaluator | serve | client | gateway (front a fleet of serve backends) | local (both in-process)")
+	listen      = flag.String("listen", "", "garbler/serve: address to listen on")
+	connect     = flag.String("connect", "", "evaluator/client: garbler address to dial")
+	cFile       = flag.String("c", "", "MiniC source file (gc_main entry)")
+	asmFile     = flag.String("asm", "", "assembly source file (gc_main entry)")
+	input       = flag.String("input", "", "this party's input words, comma separated")
+	otherInput  = flag.String("other-input", "", "local role only: the other party's input")
+	progName    = flag.String("program", "", "serve/client: name the program is registered and proposed under (default: the source file name)")
+	sessions    = flag.Int("sessions", 1, "client: sequential sessions to run over the one connection")
+	maxSessions = flag.Int("max-sessions", 0, "serve: concurrent-session limit (0 = unlimited)")
+	registry    = flag.String("registry", "", "serve: JSON program-registry manifest — host every listed program from one Engine (see internal/cli.RegistryManifest)")
+	metricsAddr = flag.String("metrics", "", "serve: HTTP address exposing the Prometheus /metrics endpoint (e.g. :9090)")
+	authToken   = flag.String("auth-token", "", "serve: bearer token clients must present for the -c/-asm program; client: token sent with each proposal")
+	garbleAhead = flag.Int("garble-ahead", 0, "serve: pre-garbled streams kept ready per program (0 = off); the online phase of a pooled session is OT + frame I/O")
+	poolMem     = flag.Int64("pool-mem-bytes", 0, "serve: garble-ahead bytes kept in memory (0 = default)")
+	layout      = cli.LayoutFlags("; both parties must pass the same value — it is part of the public layout the session id covers")
+	sessOpts    = cli.SessionFlags()
+	tlsOpts     = cli.TLSFlags()
+	gwOpts      = cli.GatewayFlags()
+	disasm      = flag.Bool("S", false, "print the linked program and exit")
+	dumpNetlist = flag.String("dump-netlist", "", "write the processor netlist (text format) to a file and exit")
+)
+
 func main() {
-	role := flag.String("role", "local", "garbler | evaluator | serve | client | gateway (front a fleet of serve backends) | local (both in-process)")
-	listen := flag.String("listen", "", "garbler/serve: address to listen on")
-	connect := flag.String("connect", "", "evaluator/client: garbler address to dial")
-	cFile := flag.String("c", "", "MiniC source file (gc_main entry)")
-	asmFile := flag.String("asm", "", "assembly source file (gc_main entry)")
-	input := flag.String("input", "", "this party's input words, comma separated")
-	otherInput := flag.String("other-input", "", "local role only: the other party's input")
-	progName := flag.String("program", "", "serve/client: name the program is registered and proposed under (default: the source file name)")
-	sessions := flag.Int("sessions", 1, "client: sequential sessions to run over the one connection")
-	maxSessions := flag.Int("max-sessions", 0, "serve: concurrent-session limit (0 = unlimited)")
-	registry := flag.String("registry", "", "serve: JSON program-registry manifest — host every listed program from one Engine (see internal/cli.RegistryManifest)")
-	metricsAddr := flag.String("metrics", "", "serve: HTTP address exposing the Prometheus /metrics endpoint (e.g. :9090)")
-	authToken := flag.String("auth-token", "", "serve: bearer token clients must present for the -c/-asm program; client: token sent with each proposal")
-	garbleAhead := flag.Int("garble-ahead", 0, "serve: pre-garbled streams kept ready per program (0 = off); the online phase of a pooled session is OT + frame I/O")
-	poolMem := flag.Int64("pool-mem-bytes", 0, "serve: garble-ahead bytes kept in memory (0 = default)")
-	poolWorkers := flag.Int("pool-workers", 0, "serve: background refill goroutines (0 = default)")
-	layout := cli.LayoutFlags("; both parties must pass the same value — it is part of the public layout the session id covers")
-	sessOpts := cli.SessionFlags()
-	tlsOpts := cli.TLSFlags()
-	gwOpts := cli.GatewayFlags()
-	disasm := flag.Bool("S", false, "print the linked program and exit")
-	dumpNetlist := flag.String("dump-netlist", "", "write the processor netlist (text format) to a file and exit")
 	flag.Parse()
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -205,7 +209,6 @@ func main() {
 			srvOpts = append(srvOpts, arm2gc.WithGarbleAhead(arm2gc.PoolConfig{
 				Depth:    *garbleAhead,
 				MemBytes: *poolMem,
-				Workers:  *poolWorkers,
 			}))
 		}
 		srv := arm2gc.NewServer(eng, srvOpts...)
@@ -407,7 +410,8 @@ func report(info *arm2gc.RunInfo) {
 }
 
 // dump writes the netlist of the processor a session built from opts
-// runs on — -mem-backend changes it — and returns its composition.
+// runs on — the layout picks its memory backend — and returns its
+// composition.
 func dump(eng *arm2gc.Engine, prog *arm2gc.Program, opts []arm2gc.Option, path string) (circuit.Stats, error) {
 	sess, err := eng.Session(prog, opts...)
 	if err != nil {

@@ -9,41 +9,51 @@ import (
 )
 
 // TestDumpNetlistHonorsMemoryBackend pins that -dump-netlist writes the
-// processor the session options select: on the relaxation kernel the
-// scan and the square-root ORAM netlists have their own gate counts and
-// the two files differ.
+// processor a session runs on, whose memory backend the layout picks: the
+// relaxation kernel over 648 data words dumps the square-root ORAM
+// netlist, and over 392 the scan, each with its own gate count.
 func TestDumpNetlistHonorsMemoryBackend(t *testing.T) {
 	src, err := os.ReadFile("../../examples/registry/relax.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, _, err := arm2gc.CompileC("relax", string(src), arm2gc.Layout{
-		IMemWords: 64, AliceWords: 512, BobWords: 64, OutWords: 8, ScratchWords: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := arm2gc.NewEngine()
-	gates := map[string]int{}
 	files := map[string]string{}
-	for _, backend := range []string{arm2gc.MemoryScan, arm2gc.MemorySqrtORAM} {
-		path := filepath.Join(t.TempDir(), backend+".txt")
-		st, err := dump(eng, prog, []arm2gc.Option{arm2gc.WithMemoryBackend(backend)}, path)
+	for _, tc := range []struct {
+		aliceWords int
+		backend    string
+		gates      int
+	}{
+		{512, arm2gc.MemorySqrtORAM, 82_837},
+		{256, arm2gc.MemoryScan, 37_955},
+	} {
+		prog, _, err := arm2gc.CompileC("relax", string(src), arm2gc.Layout{
+			IMemWords: 64, AliceWords: tc.aliceWords, BobWords: 64, OutWords: 8, ScratchWords: 64})
 		if err != nil {
 			t.Fatal(err)
+		}
+		sess, err := eng.Session(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.Machine().MemoryBackend(); got != tc.backend {
+			t.Fatalf("%d data words: session runs on %q, want %q", prog.Layout.DataWords(), got, tc.backend)
+		}
+		path := filepath.Join(t.TempDir(), tc.backend+".txt")
+		st, err := dump(eng, prog, nil, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Gates != tc.gates {
+			t.Errorf("%s: dumped %d gates, want %d", tc.backend, st.Gates, tc.gates)
 		}
 		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gates[backend], files[backend] = st.Gates, string(got)
-	}
-	want := map[string]int{arm2gc.MemoryScan: 55_396, arm2gc.MemorySqrtORAM: 82_837}
-	for backend, n := range want {
-		if gates[backend] != n {
-			t.Errorf("-mem-backend %s: dumped %d gates, want %d", backend, gates[backend], n)
-		}
+		files[tc.backend] = string(got)
 	}
 	if files[arm2gc.MemoryScan] == files[arm2gc.MemorySqrtORAM] {
-		t.Error("both backends dumped the same netlist file")
+		t.Error("both layouts dumped the same netlist file")
 	}
 }

@@ -102,8 +102,6 @@ type sessionConfig struct {
 	cycleBatch    int
 	cycleBatchSet bool
 	traceReuse    bool
-	memory        obliv.Config
-	memorySet     bool
 	readAhead     int
 	garbleAhead   int // 0: server default; -1: off; >0: explicit depth
 	garblerInput  []uint32
@@ -158,21 +156,6 @@ func WithCycleBatch(n int) Option {
 // recently replayed. Observe effectiveness via Engine.TraceRecordings and
 // Engine.TraceReplays.
 func WithTraceReuse() Option { return func(c *sessionConfig) { c.traceReuse = true } }
-
-// WithMemoryBackend selects the oblivious data-memory backend the
-// session's processor is synthesized with: MemoryAuto (the default; scan
-// below the 2KB break-even, square-root ORAM at or above it), MemoryScan
-// (the mux-tree linear scan), or MemorySqrtORAM. The backend changes the
-// processor netlist and therefore the garbled stream, so both parties
-// must agree: it is part of the session id, a Client proposing a backend
-// sends it by name during negotiation, and a Server rejects a proposal
-// whose backend differs from the registration's resolved one — cleanly,
-// before any cryptography, keeping the connection alive. Sessions over
-// one Engine cache one machine per (layout, backend) pair; Session.Machine
-// is the one a session runs on.
-func WithMemoryBackend(name string) Option {
-	return func(c *sessionConfig) { c.memory.Backend = name; c.memorySet = true }
-}
 
 // WithReadAhead makes an evaluating session pull up to depth frames off
 // the connection in a reader goroutine ahead of its cycle loop (default
@@ -264,13 +247,16 @@ type Session struct {
 
 // Session creates a session for a program, drawing the machine from the
 // layout cache (the first session for a Layout pays the netlist build;
-// every later one finds it for free).
+// every later one finds it for free). The machine's oblivious data memory
+// follows the auto rule — the linear scan below obliv.DefaultThreshold
+// data words, the square-root ORAM at or above — so it is a function of
+// the public layout both parties already share.
 func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 	cfg, err := newSessionConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	c, err := e.cache.GetMem(p.Layout, cfg.memory)
+	c, err := e.cache.GetMem(p.Layout, obliv.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -292,11 +278,6 @@ func newSessionConfig(opts []Option) (sessionConfig, error) {
 	}
 	if cfg.readAhead < 0 {
 		return cfg, fmt.Errorf("arm2gc: WithReadAhead(%d): depth cannot be negative", cfg.readAhead)
-	}
-	if cfg.memorySet {
-		if _, err := obliv.ParseBackend(cfg.memory.Backend); err != nil {
-			return cfg, fmt.Errorf("arm2gc: WithMemoryBackend: %w", err)
-		}
 	}
 	if cfg.garbleAhead < -1 {
 		return cfg, fmt.Errorf("arm2gc: WithGarbleAheadDepth(%d): depth must be positive", cfg.garbleAhead)
@@ -335,10 +316,11 @@ func (s *Session) traceKey(pub []bool) cpu.TraceKey {
 // trace to replay, or a claimed recording slot to settle after the run.
 // The zero value (trace reuse off) replays and records nothing.
 type traceSession struct {
-	cache  *cpu.TraceCache
-	key    cpu.TraceKey
-	trace  *core.Trace // replay this when non-nil
-	record bool        // this run holds the key's recording slot
+	cache    *cpu.TraceCache
+	key      cpu.TraceKey
+	trace    *core.Trace // replay this when non-nil
+	record   bool        // this run holds the key's recording slot
+	recorded *core.Trace // what the run recorded, set once it succeeds
 }
 
 func (s *Session) traceFor(pub []bool) traceSession {
@@ -354,18 +336,19 @@ func (s *Session) traceFor(pub []bool) traceSession {
 	return ts
 }
 
-// settle commits the recorded trace or, when the run failed to produce
-// one, releases the slot so a later run can record. A no-op unless this
-// run claimed the recording.
-func (ts traceSession) settle(tr *core.Trace, err error) {
+// settle, deferred by each run, commits the recorded trace or, when the
+// run produced none — an error, or a panic unwinding through it —
+// releases the slot so a later run can record. A no-op unless this run
+// claimed the recording.
+func (ts *traceSession) settle() {
 	if !ts.record {
 		return
 	}
-	if err != nil || tr == nil {
+	if ts.recorded == nil {
 		ts.cache.Abort(ts.key)
 		return
 	}
-	ts.cache.Commit(ts.key, tr)
+	ts.cache.Commit(ts.key, ts.recorded)
 }
 
 // Run executes the full garbled protocol in process (both parties), with
@@ -378,14 +361,14 @@ func (s *Session) Run(ctx context.Context, alice, bob []uint32) (*RunInfo, error
 		return nil, err
 	}
 	ts := s.traceFor(pub)
+	defer ts.settle()
 	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: pub, Alice: ab, Bob: bb},
 		core.RunOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Rand: s.cfg.rand, Sink: s.coreSink(),
 			Trace: ts.trace, Record: ts.record})
 	if err != nil {
-		ts.settle(nil, err)
 		return nil, err
 	}
-	ts.settle(res.Trace, nil)
+	ts.recorded = res.Trace
 	return s.m.info(s.prog, res.Outputs, res.Stats, res.Halted), nil
 }
 
@@ -428,14 +411,14 @@ func (s *Session) Garble(ctx context.Context, conn io.ReadWriter, alice []uint32
 		return nil, err
 	}
 	ts := s.traceFor(pub)
+	defer ts.settle()
 	cfg := s.protoConfig(pub)
 	cfg.Trace, cfg.Record = ts.trace, ts.record
 	res, err := proto.RunGarbler(ctx, conn, cfg, ab, s.cfg.rand)
 	if err != nil {
-		ts.settle(nil, err)
 		return nil, err
 	}
-	ts.settle(res.Trace, nil)
+	ts.recorded = res.Trace
 	info := s.m.info(s.prog, res.Outputs, res.Stats, res.Halted)
 	info.TableFrames = res.TableFrames
 	return info, nil
@@ -464,14 +447,14 @@ func (s *Session) Record(ctx context.Context) (*RecordedStream, error) {
 		return nil, err
 	}
 	ts := s.traceFor(pub)
+	defer ts.settle()
 	cfg := s.protoConfig(pub)
 	cfg.Trace, cfg.Record = ts.trace, ts.record
 	rec, res, err := proto.RecordGarbler(ctx, cfg, ab, s.cfg.rand)
 	if err != nil {
-		ts.settle(nil, err)
 		return nil, err
 	}
-	ts.settle(res.Trace, nil)
+	ts.recorded = res.Trace
 	return rec, nil
 }
 
@@ -502,14 +485,14 @@ func (s *Session) Evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32
 		return nil, err
 	}
 	ts := s.traceFor(pub)
+	defer ts.settle()
 	cfg := s.protoConfig(pub)
 	cfg.Trace, cfg.Record = ts.trace, ts.record
 	res, err := proto.RunEvaluator(ctx, conn, cfg, bb)
 	if err != nil {
-		ts.settle(nil, err)
 		return nil, err
 	}
-	ts.settle(res.Trace, nil)
+	ts.recorded = res.Trace
 	info := s.m.info(s.prog, res.Outputs, res.Stats, res.Halted)
 	info.TableFrames = res.TableFrames
 	return info, nil

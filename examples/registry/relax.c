@@ -1,12 +1,12 @@
 /* relax: a relaxation-pass kernel over a 512-word array — the access
  * pattern of a Dijkstra/Bellman-Ford distance pass, where most steps
  * only read the array and few update it. 512 words = 2KB of data
- * memory, at the square-root ORAM break-even: the registry pins
- * "memory_backend": "sqrt-oram" so the server's stash ring absorbs the
- * 16 scatter stores and never pays their bank write-backs. The array
- * is Alice's input region itself (region-aligned at word zero), which
- * keeps the secret addresses' high bits public and the scans confined
- * to the array. */
+ * memory, at the square-root ORAM break-even: over the registry's
+ * 648-word layout every session runs on the sqrt-oram, whose stash ring
+ * absorbs the 16 scatter stores and never pays their bank write-backs.
+ * The array is Alice's input region itself (region-aligned at word
+ * zero), which keeps the secret addresses' high bits public and the
+ * scans confined to the array. */
 void gc_main(int *a, const int *b, int *c) {
 	unsigned acc = 0;
 	for (int k = 0; k < 256; k = k + 1) {

@@ -41,20 +41,17 @@ type SessionOpts struct {
 	cycleBatch *int
 	outputMode *string
 	readAhead  *int
-	memBackend *string
 }
 
 // SessionFlags registers the session-option flags the two-party tools
-// share: -max-cycles, -cycle-batch, -output-mode, -read-ahead and
-// -mem-backend. Call Options after flag.Parse to assemble the option
-// list.
+// share: -max-cycles, -cycle-batch, -output-mode and -read-ahead. Call
+// Options after flag.Parse to assemble the option list.
 func SessionFlags() *SessionOpts {
 	return &SessionOpts{
 		maxCycles:  flag.Int("max-cycles", 1_000_000, "cycle budget"),
 		cycleBatch: flag.Int("cycle-batch", 1, "cycles of garbled tables per network frame (both parties must agree)"),
 		outputMode: flag.String("output-mode", "both", "who learns the outputs: both | garbler | evaluator (both parties must agree)"),
 		readAhead:  flag.Int("read-ahead", 0, "evaluator-side lookahead: frames buffered off the socket ahead of the cycle loop (0 = synchronous)"),
-		memBackend: flag.String("mem-backend", "auto", "oblivious data-memory backend: auto | scan | sqrt-oram (both parties must agree; auto picks by memory size)"),
 	}
 }
 
@@ -82,9 +79,6 @@ func (o *SessionOpts) Options(onlySet bool) ([]arm2gc.Option, error) {
 	}
 	if include("read-ahead") {
 		opts = append(opts, arm2gc.WithReadAhead(*o.readAhead))
-	}
-	if include("mem-backend") {
-		opts = append(opts, arm2gc.WithMemoryBackend(*o.memBackend))
 	}
 	return opts, nil
 }

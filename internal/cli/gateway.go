@@ -15,9 +15,7 @@ import (
 // GatewayOpts is the fleet-gateway flag set (see GatewayFlags).
 type GatewayOpts struct {
 	backends      *string
-	replicas      *int
 	maxInflight   *int
-	noAffinity    *bool
 	rate          *float64
 	burst         *float64
 	retryAfter    *time.Duration
@@ -40,9 +38,7 @@ type GatewayOpts struct {
 func GatewayFlags() *GatewayOpts {
 	return &GatewayOpts{
 		backends:      flag.String("backends", "", "gateway: comma-separated backend garbler addresses (host:port,...)"),
-		replicas:      flag.Int("gw-replicas", 0, "gateway: virtual nodes per backend on the hash ring (0 = default)"),
 		maxInflight:   flag.Int("gw-max-inflight", 0, "gateway: concurrent sessions per backend before spilling to the next ring node (0 = unbounded)"),
-		noAffinity:    flag.Bool("gw-no-affinity", false, "gateway: route round-robin instead of pinning each program to its hash-ring backend"),
 		rate:          flag.Float64("gw-rate", 0, "gateway: sessions/second each client IP may open before being shed (0 = no shedding)"),
 		burst:         flag.Float64("gw-burst", 0, "gateway: per-peer burst allowance on top of -gw-rate"),
 		retryAfter:    flag.Duration("gw-retry-after", 0, "gateway: Retry-After hint attached to shed rejections (0 = default)"),
@@ -75,20 +71,18 @@ func (o *GatewayOpts) Config(listenerTLS *tls.Config, logf func(format string, a
 		return gateway.Config{}, err
 	}
 	return gateway.Config{
-		Backends:        backends,
-		Replicas:        *o.replicas,
-		MaxInflight:     *o.maxInflight,
-		DisableAffinity: *o.noAffinity,
-		RatePerPeer:     *o.rate,
-		BurstPerPeer:    *o.burst,
-		RetryAfter:      *o.retryAfter,
-		Programs:        splitList(*o.programs),
-		ProbeInterval:   *o.probeInterval,
-		ProbeTimeout:    *o.probeTimeout,
-		DialTimeout:     *o.dialTimeout,
-		BackendTLS:      backendTLS,
-		TLS:             listenerTLS,
-		Logf:            logf,
+		Backends:      backends,
+		MaxInflight:   *o.maxInflight,
+		RatePerPeer:   *o.rate,
+		BurstPerPeer:  *o.burst,
+		RetryAfter:    *o.retryAfter,
+		Programs:      splitList(*o.programs),
+		ProbeInterval: *o.probeInterval,
+		ProbeTimeout:  *o.probeTimeout,
+		DialTimeout:   *o.dialTimeout,
+		BackendTLS:    backendTLS,
+		TLS:           listenerTLS,
+		Logf:          logf,
 	}, nil
 }
 

@@ -11,14 +11,14 @@ import (
 func testGatewayOpts(mutate func(o *GatewayOpts)) *GatewayOpts {
 	var (
 		backends, programs, token, ca, name string
-		replicas, maxInflight               int
-		noAffinity, btls, insecure          bool
+		maxInflight                         int
+		btls, insecure                      bool
 		rate, burst                         float64
 		retryAfter, probeI, probeT, dialT   time.Duration
 	)
 	o := &GatewayOpts{
-		backends: &backends, replicas: &replicas, maxInflight: &maxInflight,
-		noAffinity: &noAffinity, rate: &rate, burst: &burst,
+		backends: &backends, maxInflight: &maxInflight,
+		rate: &rate, burst: &burst,
 		retryAfter: &retryAfter, programs: &programs,
 		probeInterval: &probeI, probeTimeout: &probeT, dialTimeout: &dialT,
 		adminToken: &token,
@@ -40,7 +40,6 @@ func TestGatewayOptsConfig(t *testing.T) {
 	o := testGatewayOpts(func(o *GatewayOpts) {
 		*o.backends = " a:9001, b:9002,,"
 		*o.programs = "add,hamming"
-		*o.noAffinity = true
 		*o.maxInflight = 3
 		*o.rate = 2.5
 		*o.adminToken = "sesame"
@@ -52,7 +51,7 @@ func TestGatewayOptsConfig(t *testing.T) {
 	if len(cfg.Backends) != 2 || cfg.Backends[0] != "a:9001" || cfg.Backends[1] != "b:9002" {
 		t.Fatalf("backends parsed as %v", cfg.Backends)
 	}
-	if len(cfg.Programs) != 2 || !cfg.DisableAffinity || cfg.MaxInflight != 3 || cfg.RatePerPeer != 2.5 {
+	if len(cfg.Programs) != 2 || cfg.MaxInflight != 3 || cfg.RatePerPeer != 2.5 {
 		t.Fatalf("knobs lost in translation: %+v", cfg)
 	}
 	if cfg.BackendTLS != nil || cfg.TLS != nil {

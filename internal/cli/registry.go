@@ -22,7 +22,7 @@ import (
 //	    {"name": "addmax", "c": "addmax.c",
 //	     "garbler_input": [1000], "max_cycles": 10000,
 //	     "cycle_batch": 8,
-//	     "output_mode": "both", "memory_backend": "auto",
+//	     "output_mode": "both",
 //	     "auth_token": "team-a-secret", "garble_ahead": 4},
 //	    {"name": "hamming", "asm": "hamming.s",
 //	     "layout": {"alice_words": 4, "bob_words": 4, "out_words": 1}}
@@ -61,7 +61,6 @@ type RegistryProgram struct {
 	MaxCycles    int             `json:"max_cycles"`
 	CycleBatch   int             `json:"cycle_batch"`
 	OutputMode   string          `json:"output_mode"`
-	MemBackend   string          `json:"memory_backend"`
 	AuthToken    string          `json:"auth_token"`
 	GarbleAhead  *int            `json:"garble_ahead,omitempty"`
 	Layout       *RegistryLayout `json:"layout"`
@@ -181,9 +180,6 @@ func loadProgram(dir string, rp RegistryProgram, defLayout arm2gc.Layout) (Regis
 			return e, err
 		}
 		opts = append(opts, arm2gc.WithOutputMode(mode))
-	}
-	if rp.MemBackend != "" {
-		opts = append(opts, arm2gc.WithMemoryBackend(rp.MemBackend))
 	}
 	if rp.AuthToken != "" {
 		opts = append(opts, arm2gc.WithAuthToken(rp.AuthToken))

@@ -139,6 +139,12 @@ func TestLoadRegistryErrors(t *testing.T) {
 			wantErr:  `unknown field "pipeline"`,
 		},
 		{
+			name:     "removed memory_backend key",
+			manifest: `{"programs": [{"name": "p", "c": "add.c", "memory_backend": "scan"}]}`,
+			files:    map[string]string{"add.c": addC},
+			wantErr:  `unknown field "memory_backend"`,
+		},
+		{
 			name:     "source does not compile",
 			manifest: `{"programs": [{"name": "p", "c": "bad.c"}]}`,
 			files:    map[string]string{"bad.c": "void gc_main(int x) {"},

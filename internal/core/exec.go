@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -64,6 +65,19 @@ func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
 		}
 	})
 	return g
+}
+
+// ReadReplayGarbler is NewReplayGarbler for a randomness source that can
+// fail — the OS RNG, a caller's reader. It reads the 16·(1 + AliceBits +
+// BobBits) label bytes up front and returns a short read as an error,
+// where NewReplayGarbler would panic mid-draw. The bytes are consumed in
+// NewReplayGarbler's order, so the labels, and the wire, are identical.
+func ReadReplayGarbler(c *circuit.Circuit, rnd io.Reader) (*Garbler, error) {
+	buf := make([]byte, 16*(1+c.AliceBits+c.BobBits))
+	if _, err := io.ReadFull(rnd, buf); err != nil {
+		return nil, fmt.Errorf("core: label randomness: %w", err)
+	}
+	return NewReplayGarbler(c, bytes.NewReader(buf)), nil
 }
 
 // forEachSecretInit visits every wire initialized from a party input bit

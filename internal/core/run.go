@@ -77,7 +77,10 @@ func RunLocal(ctx context.Context, c *circuit.Circuit, in sim.Inputs, opts RunOp
 	if err != nil {
 		return nil, err
 	}
-	g := NewReplayGarbler(c, rnd)
+	g, err := ReadReplayGarbler(c, rnd)
+	if err != nil {
+		return nil, err
+	}
 	e := NewReplayEvaluator(c)
 	if err := deliverInputs(g, e, in); err != nil {
 		return nil, err

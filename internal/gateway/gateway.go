@@ -35,19 +35,10 @@ type Config struct {
 	// added (and these removed) live via AddBackend/RemoveBackend.
 	Backends []string
 
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (default 64).
-	Replicas int
-
 	// MaxInflight bounds concurrent sessions per backend; a program whose
 	// affinity backend is saturated spills to the next ring node. Zero
 	// means unbounded (no spill).
 	MaxInflight int
-
-	// DisableAffinity routes round-robin instead of by program hash —
-	// the control arm of the sharding experiment, and an escape hatch
-	// when even load matters more than warm caches.
-	DisableAffinity bool
 
 	// RatePerPeer / BurstPerPeer configure per-peer load shedding: each
 	// client IP may open RatePerPeer sessions per second with bursts up
@@ -108,7 +99,6 @@ type Gateway struct {
 	ring     *ring
 	allow    map[string]bool // nil: every program routes
 	retired  map[string]bool
-	rr       uint64 // round-robin cursor for DisableAffinity
 
 	met gatewayMetrics
 }
@@ -132,7 +122,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		logf:     cfg.Logf,
 		backends: make(map[string]*backend),
-		ring:     newRing(cfg.Replicas),
+		ring:     new(ring),
 		retired:  make(map[string]bool),
 	}
 	if g.logf == nil {
@@ -268,8 +258,7 @@ func (g *Gateway) routable(name string) bool {
 }
 
 // route picks the backend for one proposal: the program's hash-ring
-// affinity node (spilling past saturated or unhealthy ones) — or plain
-// round-robin over healthy backends with affinity disabled. tried holds
+// affinity node, spilling past saturated or unhealthy ones. tried holds
 // backends this proposal already failed on, so a retry after a dead
 // dial moves on instead of looping. Returns nil when no backend
 // qualifies.
@@ -282,18 +271,6 @@ func (g *Gateway) route(program string, tried map[string]bool) *backend {
 			return false
 		}
 		return g.cfg.MaxInflight <= 0 || b.inflight.Load() < int64(g.cfg.MaxInflight)
-	}
-	if g.cfg.DisableAffinity {
-		addrs := g.ring.addrs()
-		n := len(addrs)
-		for i := 0; i < n; i++ {
-			addr := addrs[int(g.rr%uint64(n))]
-			g.rr++
-			if ok(addr) {
-				return g.backends[addr]
-			}
-		}
-		return nil
 	}
 	if addr := g.ring.pick(program, ok); addr != "" {
 		return g.backends[addr]

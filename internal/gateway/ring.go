@@ -13,32 +13,25 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per backend on the hash
-// ring. 64 vnodes keep the keyspace split within a few percent of even
-// for small fleets while keeping ring rebuilds cheap.
-const defaultReplicas = 64
+// replicas is the virtual-node count per backend on the hash ring. 64
+// vnodes keep the keyspace split within a few percent of even for small
+// fleets while keeping ring rebuilds cheap.
+const replicas = 64
 
 // ring is a consistent-hash ring over backend addresses. Each backend
 // owns replicas points on a 32-bit circle; a key routes to the first
 // point clockwise of its hash. Adding or removing one backend moves only
 // the arcs adjacent to its own points — every other program keeps its
 // backend, which is the property that preserves warm caches across fleet
-// resizes. Not safe for concurrent use; the Gateway guards it.
+// resizes. Not safe for concurrent use; the Gateway guards it. The zero
+// value is an empty ring.
 type ring struct {
-	replicas int
-	points   []ringPoint // sorted by hash
+	points []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
 	hash uint32
 	addr string
-}
-
-func newRing(replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	return &ring{replicas: replicas}
 }
 
 func hashKey(s string) uint32 {
@@ -50,14 +43,14 @@ func hashKey(s string) uint32 {
 // add inserts a backend's virtual nodes; it reports how many ring points
 // changed (the "moves" metric — arcs whose owner is now different).
 func (r *ring) add(addr string) int {
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		r.points = append(r.points, ringPoint{
 			hash: hashKey(fmt.Sprintf("%s#%d", addr, i)),
 			addr: addr,
 		})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return r.replicas
+	return replicas
 }
 
 // remove deletes a backend's virtual nodes, reporting how many points

@@ -10,7 +10,7 @@ import (
 // only the keys that backend owned — every other key keeps its node,
 // which is the property that preserves warm caches across fleet resizes.
 func TestRingConsistency(t *testing.T) {
-	r := newRing(64)
+	r := new(ring)
 	nodes := []string{"a:1", "b:1", "c:1"}
 	for _, n := range nodes {
 		r.add(n)
@@ -38,8 +38,8 @@ func TestRingConsistency(t *testing.T) {
 		}
 	}
 
-	if moved := r.remove("b:1"); moved != 64 {
-		t.Fatalf("remove moved %d points, want 64", moved)
+	if moved := r.remove("b:1"); moved != replicas {
+		t.Fatalf("remove moved %d points, want %d", moved, replicas)
 	}
 	for k, was := range owner {
 		now := r.pick(k, all)
@@ -56,7 +56,7 @@ func TestRingConsistency(t *testing.T) {
 // pick spills to the next distinct node; when nothing qualifies it
 // reports "".
 func TestRingSpill(t *testing.T) {
-	r := newRing(16)
+	r := new(ring)
 	r.add("a:1")
 	r.add("b:1")
 	home := r.pick("key", func(string) bool { return true })
@@ -71,7 +71,7 @@ func TestRingSpill(t *testing.T) {
 	if got := r.pick("key", func(string) bool { return false }); got != "" {
 		t.Fatalf("exhausted pick = %q, want empty", got)
 	}
-	empty := newRing(16)
+	empty := new(ring)
 	if got := empty.pick("key", func(string) bool { return true }); got != "" {
 		t.Fatalf("empty-ring pick = %q, want empty", got)
 	}

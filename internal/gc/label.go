@@ -69,7 +69,9 @@ func (l Label) double() Label {
 	return Label{lo, hi}
 }
 
-// RandLabel draws a uniform label from rnd.
+// RandLabel draws a uniform label from rnd. It panics on a short read, so
+// rnd must not fail: session paths read their label bytes up front
+// (core.ReadReplayGarbler) and draw from an in-memory reader.
 func RandLabel(rnd io.Reader) Label {
 	var b [16]byte
 	if _, err := io.ReadFull(rnd, b[:]); err != nil {

@@ -1,6 +1,6 @@
 // Package obliv provides the oblivious data-memory backends of the
 // garbled processor: circuit-level implementations of the CPU's
-// word-addressed RAM, selectable per session.
+// word-addressed RAM, one per machine.
 //
 // Two backends exist. Scan is the paper's §4.4 linear scan — a MUX tree
 // over every word on loads and a full decoder + write-mux array on stores
@@ -64,8 +64,8 @@ const MinSqrtWords = 16
 const MaxDataWords = 1 << 20
 
 // Config names the memory backend a processor is built with. The zero
-// value means Auto — exactly what sessions run with unless
-// WithMemoryBackend says otherwise.
+// value means Auto, which is what every session runs with; the concrete
+// names serve tests and measurements below the session API.
 type Config struct {
 	// Backend is Auto, Scan, SqrtORAM, or "" (Auto).
 	Backend string

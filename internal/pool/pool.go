@@ -45,8 +45,10 @@ type Producer func(ctx context.Context) (*proto.Recorded, error)
 const (
 	DefaultDepth    = 2
 	DefaultMemBytes = 256 << 20
-	DefaultWorkers  = 2
 )
+
+// refillWorkers is how many refill goroutines Start launches.
+const refillWorkers = 2
 
 // Config sizes a Pool.
 type Config struct {
@@ -58,10 +60,6 @@ type Config struct {
 	// MemBytes bounds the bytes the pool holds (default DefaultMemBytes).
 	// Inserting beyond it evicts from a less recently demanded key.
 	MemBytes int64
-
-	// Workers is how many refill goroutines Start launches (default
-	// DefaultWorkers).
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -70,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemBytes <= 0 {
 		c.MemBytes = DefaultMemBytes
-	}
-	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers
 	}
 	return c
 }
@@ -215,7 +210,7 @@ func (p *Pool) Start(ctx context.Context) {
 	p.started = true
 	ctx, p.cancel = context.WithCancel(ctx)
 	p.mu.Unlock()
-	for i := 0; i < p.cfg.Workers; i++ {
+	for i := 0; i < refillWorkers; i++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -267,10 +262,12 @@ func (p *Pool) claim(skip map[*slot]bool) *slot {
 	return nil
 }
 
-// fillOne produces one entry for a claimed slot and inserts it.
+// fillOne produces one entry for a claimed slot and inserts it. A producer
+// that panics fails the refill exactly as one that returns an error: the
+// refill worker survives, and so does every other key's refill.
 func (p *Pool) fillOne(ctx context.Context, s *slot) error {
 	start := time.Now()
-	rec, err := s.produce(ctx)
+	rec, err := produce(ctx, s.produce)
 	took := time.Since(start)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -286,6 +283,16 @@ func (p *Pool) fillOne(ctx context.Context, s *slot) error {
 	}
 	p.insertLocked(s, rec)
 	return nil
+}
+
+// produce calls fn, returning a panic as an error.
+func produce(ctx context.Context, fn Producer) (rec *proto.Recorded, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pool: producer panicked: %v", r)
+		}
+	}()
+	return fn(ctx)
 }
 
 // Fill synchronously tops every registered key up to its depth — pool

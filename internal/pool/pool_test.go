@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,7 +130,7 @@ func TestPoolSingleUse(t *testing.T) {
 // after Gets drain it — woken by the Get, not by polling.
 func TestPoolDemandRefill(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p := New(Config{Depth: 3, Workers: 2})
+	p := New(Config{Depth: 3})
 	defer p.Close()
 	key := keyOf(t, cfg)
 	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
@@ -153,7 +154,7 @@ func TestPoolDemandRefill(t *testing.T) {
 // the whole run.
 func TestPoolConcurrentProducersConsumers(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p := New(Config{Depth: 2, Workers: 4})
+	p := New(Config{Depth: 2})
 	key := keyOf(t, cfg)
 	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
 		t.Fatal(err)
@@ -338,6 +339,48 @@ func TestPoolProducerFailure(t *testing.T) {
 	}
 	if rec := p.Get(good); rec == nil {
 		t.Fatal("healthy key missed")
+	}
+}
+
+// TestPoolProducerPanic: a producer that panics fails its refill like one
+// that returns an error — counted once, surfaced from Fill — and neither
+// Fill nor the background refill workers die of it: the other key fills
+// to depth and keeps being refilled on demand.
+func TestPoolProducerPanic(t *testing.T) {
+	cfgGood, aliceGood := adderConfig(t, 1)
+	p := New(Config{Depth: 2})
+	defer p.Close()
+	panicky := func(ctx context.Context) (*proto.Recorded, error) { panic("producer bug") }
+	if err := p.Register(Key{4}, "panicky", 0, panicky); err != nil {
+		t.Fatal(err)
+	}
+	good := keyOf(t, cfgGood)
+	if err := p.Register(good, "good", 0, recordProducer(cfgGood, aliceGood)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Fill(context.Background()); err == nil || !strings.Contains(err.Error(), "producer bug") {
+		t.Fatalf("Fill returned %v, want the producer's panic as an error", err)
+	}
+	st := p.Stats()
+	if st.Failures != 1 {
+		t.Fatalf("failures %d, want 1", st.Failures)
+	}
+	if st.Programs["good"].Ready != 2 {
+		t.Fatalf("healthy key ready %d, want 2", st.Programs["good"].Ready)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p.Start(ctx)
+	if p.Get(good) == nil {
+		t.Fatal("healthy key missed")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Programs["good"].Ready != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("refill workers stopped refilling after a producer panicked")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

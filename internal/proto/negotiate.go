@@ -28,18 +28,23 @@ const (
 // does not know turns into *VersionError — a parseable verdict the server
 // can turn into a rejection instead of a dead connection.
 const (
-	flagHasOutputs byte = 1 << iota
-	flagHasAuth
-	flagHasMemBackend
+	flagHasOutputs byte = 1 << 0
+	flagHasAuth    byte = 1 << 1
+
+	// flagRetiredMemoryBackend announced a memory-backend name until backend
+	// pinning was removed: every session now takes the auto rule, which
+	// both parties derive from the layout. No writer sets it; ReadProposal
+	// refuses it with a *VersionError that says why.
+	flagRetiredMemoryBackend byte = 1 << 2
 
 	// flagFramed is the protocol version: the proposer speaks the one
 	// frame format — OT messages as typed frames, and a terminal frame in
 	// each direction of every session. Every writer sets it and
 	// ReadProposal requires it, so a peer on the older protocol fails at
 	// negotiation, before any cryptography, with a readable rejection.
-	flagFramed
+	flagFramed byte = 1 << 3
 
-	knownProposalFlags = flagHasOutputs | flagHasAuth | flagHasMemBackend | flagFramed
+	knownProposalFlags = flagHasOutputs | flagHasAuth | flagFramed
 )
 
 // Negotiation bounds; proposals outside them are refused before any
@@ -51,15 +56,11 @@ const (
 	// MaxAuthToken bounds a proposal's bearer token, in bytes.
 	MaxAuthToken = 4096
 
-	// MaxMemBackend bounds a proposal's memory-backend name, in bytes.
-	MaxMemBackend = 64
-
 	// MaxProposalBytes is the largest well-formed proposal payload: the
-	// name, the 18 bytes of fixed options, and the auth and memory-backend
-	// fields at their bounds. A proposal arrives before any authorization,
-	// so a longer announced length is refused before anything is
-	// allocated for it.
-	MaxProposalBytes = 2 + MaxProgramName + 18 + 2 + MaxAuthToken + 2 + MaxMemBackend
+	// name, the 18 bytes of fixed options, and the auth field at its
+	// bound. A proposal arrives before any authorization, so a longer
+	// announced length is refused before anything is allocated for it.
+	MaxProposalBytes = 2 + MaxProgramName + 18 + 2 + MaxAuthToken
 
 	// MaxCycleBatch is the largest cycle batch a client may propose. The
 	// garbler buffers a whole batch of tables before flushing, and the
@@ -99,16 +100,6 @@ type Proposal struct {
 	// to exactly the pre-auth wire bytes, so clients without one remain
 	// byte-identical to older builds.
 	Auth string
-
-	// MemBackend optionally names the oblivious-memory backend the
-	// client resolved for the session ("scan", "sqrt-oram"). The server
-	// rejects — cleanly, keeping the connection — when it differs from
-	// the registration's own resolved backend: the two sides would
-	// synthesize different netlists, and the explicit field turns what
-	// would otherwise be an opaque session-id mismatch into a readable
-	// reason. Empty means "accept the server's registered backend" and
-	// encodes to exactly the pre-backend wire bytes.
-	MemBackend string
 }
 
 // VersionError reports a proposal that asks for something this side does
@@ -175,10 +166,7 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	if len(p.Auth) > MaxAuthToken {
 		return fmt.Errorf("proto: auth token of %d bytes exceeds %d", len(p.Auth), MaxAuthToken)
 	}
-	if len(p.MemBackend) > MaxMemBackend {
-		return fmt.Errorf("proto: memory-backend name of %d bytes exceeds %d", len(p.MemBackend), MaxMemBackend)
-	}
-	payload := make([]byte, 0, 2+len(p.Program)+2+4+8+4+2+len(p.Auth)+2+len(p.MemBackend))
+	payload := make([]byte, 0, 2+len(p.Program)+2+4+8+4+2+len(p.Auth))
 	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Program)))
 	payload = append(payload, p.Program...)
 	flags := flagFramed
@@ -188,9 +176,6 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	if p.Auth != "" {
 		flags |= flagHasAuth
 	}
-	if p.MemBackend != "" {
-		flags |= flagHasMemBackend
-	}
 	payload = append(payload, flags, byte(p.Outputs))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.CycleBatch))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.MaxCycles))
@@ -198,10 +183,6 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	if p.Auth != "" {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Auth)))
 		payload = append(payload, p.Auth...)
-	}
-	if p.MemBackend != "" {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.MemBackend)))
-		payload = append(payload, p.MemBackend...)
 	}
 	return wire.Write(w, msgPropose, payload)
 }
@@ -256,6 +237,10 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	p.Program = string(b[:n])
 	b = b[n:]
 	flags := b[0]
+	if flags&flagRetiredMemoryBackend != 0 {
+		return p, &VersionError{Program: p.Program, Reason: "a memory backend was proposed, but backend " +
+			"pinning has been removed (every session picks its backend from the layout); propose without it"}
+	}
 	if unknown := flags &^ knownProposalFlags; unknown != 0 {
 		return p, &VersionError{Program: p.Program, Flags: unknown}
 	}
@@ -286,18 +271,6 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 		}
 		p.Auth = string(b[:an])
 		b = b[an:]
-	}
-	if flags&flagHasMemBackend != 0 {
-		if len(b) < 2 {
-			return p, fmt.Errorf("proto: malformed proposal memory backend")
-		}
-		mn := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		if mn == 0 || mn > MaxMemBackend || len(b) < mn {
-			return p, fmt.Errorf("proto: malformed proposal memory backend")
-		}
-		p.MemBackend = string(b[:mn])
-		b = b[mn:]
 	}
 	if len(b) != 0 {
 		return p, fmt.Errorf("proto: %d bytes after the proposal's last field", len(b))

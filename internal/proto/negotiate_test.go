@@ -24,8 +24,7 @@ func TestProposalRoundTrip(t *testing.T) {
 		{Program: "hamming", HasOutputs: true, Outputs: OutputEvaluatorOnly, CycleBatch: 16, MaxCycles: 12345},
 		{Program: "x", HasOutputs: true, Outputs: OutputBoth},
 		{Program: "sec", Auth: "bearer-1"},
-		{Program: "mem", MemBackend: "sqrt-oram"},
-		{Program: "all", HasOutputs: true, Outputs: OutputGarblerOnly, CycleBatch: 4, MaxCycles: 9, Auth: "k", MemBackend: "scan"},
+		{Program: "all", HasOutputs: true, Outputs: OutputGarblerOnly, CycleBatch: 4, MaxCycles: 9, Auth: "k"},
 	}
 	for _, want := range cases {
 		var buf bytes.Buffer
@@ -160,55 +159,39 @@ func TestProposalRemovedWorkers(t *testing.T) {
 	}
 }
 
-// TestProposalMemBackendWire pins the memory-backend extension's
-// encoding: the flag bit, the length-prefixed name after the (absent)
-// auth field, and the malformed-truncation refusals. Backend-less
-// proposals stay byte-identical to the pre-backend format — that is
-// TestProposalWireCompat's legacy-bytes assertion.
-func TestProposalMemBackendWire(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteProposal(&buf, Proposal{Program: "m", MemBackend: "scan"}); err != nil {
+// retiredMemBackendProposal is what a build with memory-backend pinning
+// sent to pin "scan": the flags byte carries the retired 0x04 bit, and
+// the length-prefixed name follows the (absent) auth field.
+var retiredMemBackendProposal = []byte{
+	msgPropose, 27, 0, 0, 0, // frame header: type + length
+	1, 0, 'm', // name
+	0x0C, 0, // flags (framed, memory backend), mode
+	0, 0, 0, 0, // cycle batch
+	0, 0, 0, 0, 0, 0, 0, 0, // max cycles
+	0, 0, 0, 0, // reserved (the removed worker count)
+	4, 0, 's', 'c', 'a', 'n', // backend name
+}
+
+// TestProposalRemovedMemBackend pins the retired memory-backend bit's
+// read side: the exact bytes a backend-pinning client sent come back as
+// *VersionError naming the removed knob — the verdict a server turns into
+// a rejection — with the frame consumed so the next proposal on the
+// stream still parses.
+func TestProposalRemovedMemBackend(t *testing.T) {
+	buf := bytes.NewBuffer(bytes.Clone(retiredMemBackendProposal))
+	if err := WriteProposal(buf, Proposal{Program: "next"}); err != nil {
 		t.Fatal(err)
 	}
-	want := []byte{
-		msgPropose, 27, 0, 0, 0, // frame header: type + length
-		1, 0, 'm', // name
-		0x0C, 0, // flags (framed, mem-backend), mode
-		0, 0, 0, 0, // cycle batch
-		0, 0, 0, 0, 0, 0, 0, 0, // max cycles
-		0, 0, 0, 0, // reserved (the removed worker count)
-		4, 0, 's', 'c', 'a', 'n', // backend name
+	_, err := ReadProposal(buf)
+	var ve *VersionError
+	if !errors.As(err, &ve) {
+		t.Fatalf("got %v, want *VersionError", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("proposal encodes to % x, want % x", buf.Bytes(), want)
+	if ve.Program != "m" || !strings.Contains(ve.Error(), "memory backend") || !strings.Contains(ve.Error(), "removed") {
+		t.Errorf("version error carried %+v (%v)", ve, ve)
 	}
-	got, err := ReadProposal(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MemBackend != "scan" || got.Program != "m" {
-		t.Fatalf("parsed %+v", got)
-	}
-
-	if err := WriteProposal(&bytes.Buffer{}, Proposal{
-		Program: "p", MemBackend: strings.Repeat("x", MaxMemBackend+1)}); err == nil {
-		t.Error("over-long memory-backend name accepted")
-	}
-
-	// Truncations inside the backend field must be refused, not read past.
-	for cut := len(want) - 1; cut > len(want)-6; cut-- {
-		raw := append([]byte(nil), want[:cut]...)
-		raw[1] = byte(cut - 5) // fix the frame length to match
-		if _, err := ReadProposal(bytes.NewReader(raw)); err == nil {
-			t.Errorf("truncated backend field (cut at %d) accepted", cut)
-		}
-	}
-	// A zero-length name under a set flag is malformed too.
-	raw := append([]byte(nil), want[:len(want)-4]...)
-	raw[1] = byte(len(raw) - 5)
-	raw[len(raw)-2], raw[len(raw)-1] = 0, 0
-	if _, err := ReadProposal(bytes.NewReader(raw)); err == nil {
-		t.Error("zero-length backend name under a set flag accepted")
+	if next, err := ReadProposal(buf); err != nil || next.Program != "next" {
+		t.Fatalf("stream misaligned after the refusal: %+v, %v", next, err)
 	}
 }
 
@@ -488,7 +471,7 @@ func FuzzProposal(f *testing.F) {
 		return binary.LittleEndian.AppendUint32([]byte{msgPropose}, n)
 	}
 	full := frame(Proposal{Program: "all", HasOutputs: true, Outputs: OutputGarblerOnly,
-		CycleBatch: 4, MaxCycles: 9, Auth: "k", MemBackend: "scan"})
+		CycleBatch: 4, MaxCycles: 9, Auth: "k"})
 	f.Add(frame(Proposal{Program: "sum"}))
 	f.Add(full)
 	f.Add(full[:len(full)/2])
@@ -498,6 +481,7 @@ func FuzzProposal(f *testing.F) {
 	trailing[1]++
 	f.Add(trailing)
 	f.Add(append(header(18+2), make([]byte, 18+2)...)) // an empty program name
+	f.Add(retiredMemBackendProposal)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var before, after runtime.MemStats

@@ -102,7 +102,10 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	g := core.NewReplayGarbler(cfg.Circuit, rnd)
+	g, err := core.ReadReplayGarbler(cfg.Circuit, rnd)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	rec := &Recorded{
 		sid:   sid,
 		hello: append(append([]byte{}, sid[:]...), seed[:]...),

@@ -1,11 +1,10 @@
 package arm2gc
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
+
+	"arm2gc/internal/obliv"
 )
 
 // relaxSrc is a Dijkstra-class relaxation kernel: mostly gather loads at
@@ -45,6 +44,22 @@ func compileRelax(t testing.TB) *Program {
 		t.Fatalf("unexpected warnings: %v", warnings)
 	}
 	return prog
+}
+
+// sessionOn is eng.Session on a machine of the named memory backend: a
+// test hook below the API, where every session takes the auto rule.
+func sessionOn(t testing.TB, eng *Engine, backend string, p *Program, opts ...Option) *Session {
+	t.Helper()
+	s, err := eng.Session(p, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := eng.cache.GetMem(p.Layout, obliv.Config{Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.m = &Machine{cpu: c}
+	return s
 }
 
 func relaxInputs() (alice, bob []uint32) {
@@ -89,19 +104,9 @@ func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 		for _, g := range grid {
 			name := fmt.Sprintf("%s/p%d-b%d", backend, g.readAhead, g.batch)
 			t.Run(name, func(t *testing.T) {
-				common := []Option{
-					WithMaxCycles(100_000),
-					WithMemoryBackend(backend),
-					WithCycleBatch(g.batch),
-				}
-				gs, err := eng.Session(prog, common...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				es, err := eng.Session(prog, append(common, WithReadAhead(g.readAhead))...)
-				if err != nil {
-					t.Fatal(err)
-				}
+				common := []Option{WithMaxCycles(100_000), WithCycleBatch(g.batch)}
+				gs := sessionOn(t, eng, backend, prog, common...)
+				es := sessionOn(t, eng, backend, prog, append(common, WithReadAhead(g.readAhead))...)
 				if got := gs.Machine().MemoryBackend(); got != backend {
 					t.Fatalf("machine backend %q, want %q", got, backend)
 				}
@@ -132,9 +137,9 @@ func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 }
 
 // TestMemoryBackendAutoSelection pins the auto rule end to end through
-// the session API: below the threshold auto builds the scan, at 512+
-// data words it builds the square-root ORAM, and an explicit matching
-// name shares the auto-built machine.
+// the session API: below the threshold a session runs on the scan, at
+// 512+ data words on the square-root ORAM, and a machine pinned to the
+// backend auto picked is the same cached one.
 func TestMemoryBackendAutoSelection(t *testing.T) {
 	eng := NewEngine()
 	small := compileAdd(t)                              // 20 data words
@@ -161,64 +166,8 @@ func TestMemoryBackendAutoSelection(t *testing.T) {
 	}
 
 	builds := eng.Builds()
-	se, err := eng.Session(bigProg, WithMaxCycles(10_000), WithMemoryBackend(MemorySqrtORAM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if se.Machine().MemoryBackend() != MemorySqrtORAM || eng.Builds() != builds {
-		t.Errorf("explicit %q did not share auto's machine (builds %d → %d)",
+	if se := sessionOn(t, eng, MemorySqrtORAM, bigProg); se.Machine().cpu != sb.Machine().cpu || eng.Builds() != builds {
+		t.Errorf("pinned %q did not share auto's machine (builds %d → %d)",
 			MemorySqrtORAM, builds, eng.Builds())
-	}
-
-	if _, err := eng.Session(small, WithMemoryBackend("round-oram")); err == nil ||
-		!strings.Contains(err.Error(), "unknown memory backend") {
-		t.Errorf("bogus backend name: err = %v, want unknown-backend", err)
-	}
-}
-
-// TestServerMemoryBackendMismatch: a client proposing a backend other
-// than the registration's resolved one is rejected with a readable
-// reason — and the connection survives for a matching session.
-func TestServerMemoryBackendMismatch(t *testing.T) {
-	prog := compileAdd(t)
-	eng := NewEngine()
-	srv := NewServer(eng)
-	if err := srv.Register("add", prog,
-		WithMaxCycles(10_000),
-		WithMemoryBackend(MemoryScan),
-		WithGarblerInput([]uint32{100})); err != nil {
-		t.Fatal(err)
-	}
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
-
-	cl, err := Dial(context.Background(), addr, WithClientEngine(eng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Register("add", prog); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = cl.Evaluate(context.Background(), "add", []uint32{1}, WithMemoryBackend(MemorySqrtORAM))
-	var rej *RejectedError
-	if !errors.As(err, &rej) {
-		t.Fatalf("mismatched backend: got %v, want *RejectedError", err)
-	}
-	if !strings.Contains(rej.Reason, "memory backend") || !strings.Contains(rej.Reason, MemoryScan) {
-		t.Errorf("rejection reason %q does not name the backends", rej.Reason)
-	}
-
-	// Same connection, matching proposals: an explicit scan and an
-	// auto that resolves to scan must both run.
-	for _, backend := range []string{MemoryScan, MemoryAuto} {
-		info, err := cl.Evaluate(context.Background(), "add", []uint32{1}, WithMemoryBackend(backend))
-		if err != nil {
-			t.Fatalf("matching session (%q) after rejection: %v", backend, err)
-		}
-		if info.Outputs[0] != 101 {
-			t.Fatalf("sum = %d, want 101", info.Outputs[0])
-		}
 	}
 }

@@ -17,6 +17,7 @@ type serverMetrics struct {
 	served              atomic.Int64
 	rejected            atomic.Int64
 	failed              atomic.Int64
+	panics              atomic.Int64
 	active              atomic.Int64
 	negotiationFailures atomic.Int64
 	connsAccepted       atomic.Int64
@@ -85,6 +86,11 @@ type ServerMetrics struct {
 	// SessionsFailed counts sessions that died mid-protocol (peer gone,
 	// stream desynchronized); each costs its connection.
 	SessionsFailed int64 `json:"sessions_failed"`
+	// SessionPanics counts panics recovered in a connection handler or a
+	// garble-ahead refill — a caller-supplied callback that panicked, say.
+	// Each costs its connection (or fails its refill) and is logged with
+	// its stack; none reaches SessionsFailed.
+	SessionPanics int64 `json:"session_panics"`
 	// SessionsActive is the number of sessions garbling right now.
 	SessionsActive int64 `json:"sessions_active"`
 	// NegotiationFailures counts proposals that could not be negotiated at
@@ -163,6 +169,7 @@ func (s *Server) Metrics() ServerMetrics {
 		SessionsServed:      s.met.served.Load(),
 		SessionsRejected:    s.met.rejected.Load(),
 		SessionsFailed:      s.met.failed.Load(),
+		SessionPanics:       s.met.panics.Load(),
 		SessionsActive:      s.met.active.Load(),
 		NegotiationFailures: s.met.negotiationFailures.Load(),
 		ConnectionsAccepted: s.met.connsAccepted.Load(),
@@ -243,6 +250,7 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 	counter("arm2gc_sessions_served_total", "Sessions that ran the protocol to completion.", m.SessionsServed)
 	counter("arm2gc_sessions_rejected_total", "Proposals declined by policy; the connection survives.", m.SessionsRejected)
 	counter("arm2gc_sessions_failed_total", "Sessions that died mid-protocol.", m.SessionsFailed)
+	counter("arm2gc_session_panics_total", "Panics recovered in a connection handler or a pool refill.", m.SessionPanics)
 	gauge("arm2gc_sessions_active", "Sessions garbling right now.", m.SessionsActive)
 	counter("arm2gc_negotiation_failures_total", "Proposals unreadable at the frame layer (version mismatch).", m.NegotiationFailures)
 	counter("arm2gc_connections_accepted_total", "Evaluator connections accepted.", m.ConnectionsAccepted)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -32,8 +33,9 @@ const DefaultDrainTimeout = 10 * time.Second
 // the registration (unknown programs, non-registered output modes and
 // over-budget cycle counts are rejected without dropping the connection)
 // and then plays the garbler role of the ordinary wire protocol. A
-// mid-protocol failure closes only that connection; the Server and its
-// other connections keep running.
+// mid-protocol failure — or a panic in a caller-supplied callback —
+// closes only that connection; the Server and its other connections keep
+// running.
 type Server struct {
 	eng     *Engine
 	drain   time.Duration
@@ -143,9 +145,8 @@ func WithTLSConfig(cfg *tls.Config) ServerOption {
 }
 
 // PoolConfig sizes a Server's garble-ahead pool (see WithGarbleAhead):
-// the default per-program depth, the byte budget and the refill
-// concurrency. The zero value takes sane defaults throughout (see the
-// pool package constants).
+// the default per-program depth and the byte budget. The zero value takes
+// sane defaults throughout (see the pool package constants).
 type PoolConfig = pool.Config
 
 // WithGarbleAhead turns on the offline/online split: background refill
@@ -235,7 +236,16 @@ func (s *Server) Register(name string, p *Program, defaults ...Option) error {
 		return fmt.Errorf("arm2gc: Register: program %q already registered", name)
 	}
 	if psess != nil {
-		producer := func(ctx context.Context) (*RecordedStream, error) { return psess.Record(ctx) }
+		// A panicking refill (a WithStatsSink callback runs in it) is
+		// logged and counted here, then fails the refill like an error.
+		producer := func(ctx context.Context) (rec *RecordedStream, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = s.panicked(fmt.Sprintf("garble-ahead refill of %q", name), r)
+				}
+			}()
+			return psess.Record(ctx)
+		}
 		if err := s.pool.Register(reg.poolKey, name, cfg.garbleAhead, producer); err != nil {
 			return err
 		}
@@ -409,9 +419,17 @@ type rejection struct {
 
 func (r *rejection) Error() string { return "proposal rejected: " + r.reason }
 
-// handle runs one connection's propose/grant/garble loop.
+// handle runs one connection's propose/grant/garble loop. A panic inside
+// it — a WithAuthorize or WithStatsSink callback, say — costs this
+// connection only: it is logged and counted, and the deferred close ends
+// the connection while Serve and every other connection run on.
 func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
+	defer func() {
+		if r := recover(); r != nil {
+			_ = s.panicked(fmt.Sprintf("connection from %v", conn.RemoteAddr()), r)
+		}
+	}()
 	for {
 		if !s.markIdle(conn) {
 			return // shutting down
@@ -450,6 +468,16 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			return // mid-protocol failure: the stream position is unknown
 		}
 	}
+}
+
+// panicked reports a panic recovered at a per-connection or refill
+// boundary: it logs the value with the panicking goroutine's stack (call
+// it from the deferred recover, before the stack unwinds), counts it in
+// SessionPanics, and returns it as an error.
+func (s *Server) panicked(where string, r any) error {
+	s.met.panics.Add(1)
+	s.logf("arm2gc: panic in %s: %v\n%s", where, r, debug.Stack())
+	return fmt.Errorf("arm2gc: panic in %s: %v", where, r)
 }
 
 // peerOf assembles the authorization identity of a proposing connection.
@@ -603,21 +631,6 @@ func (r *registration) resolve(prop proto.Proposal) ([]Option, proto.Grant, erro
 				"cycle budget %d exceeds the registered limit %d", prop.MaxCycles, r.cfg.maxCycles)}
 		}
 		grant.MaxCycles = prop.MaxCycles
-	}
-	if prop.MemBackend != "" {
-		// The memory backend shapes the netlist itself, so there is no
-		// capping or splitting the difference: the client's resolved
-		// backend either matches the registration's resolved one or the
-		// proposal is rejected — cleanly, before any cryptography, with
-		// the connection staying open for further proposals.
-		registered, err := r.cfg.memory.Resolve(r.prog.Layout.DataWords())
-		if err != nil {
-			return nil, grant, &rejection{program: prop.Program, reason: fmt.Sprintf("memory backend: %v", err)}
-		}
-		if prop.MemBackend != registered {
-			return nil, grant, &rejection{program: prop.Program, reason: fmt.Sprintf(
-				"memory backend %q not offered (registered backend %q)", prop.MemBackend, registered)}
-		}
 	}
 	opts := append(r.defaults[:len(r.defaults):len(r.defaults)],
 		WithOutputMode(grant.Outputs),

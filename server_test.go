@@ -1,13 +1,19 @@
 package arm2gc
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"arm2gc/internal/proto"
@@ -340,6 +346,218 @@ func TestServerRejectsOlderProtocol(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.NegotiationFailures != 1 {
 		t.Errorf("negotiation failures = %d, want 1", m.NegotiationFailures)
+	}
+}
+
+// TestServerRejectsRemovedMemBackend: memory-backend pinning is gone, so a
+// proposal from a client that still pins one — its flags byte carries the
+// retired bit — gets a rejection that says why, and the next session on
+// the same connection runs on the backend the layout picks.
+func TestServerRejectsRemovedMemBackend(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	srv := NewServer(eng)
+	if err := srv.Register("add", prog, WithMaxCycles(10_000), WithGarblerInput([]uint32{1})); err != nil {
+		t.Fatal(err)
+	}
+	addr, shutdown := startServer(t, srv)
+	defer shutdown()
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The proposal a backend-pinning client sent for "scan": type, length,
+	// name, flags (framed, memory backend), mode, batch, cycles, the
+	// reserved slot, the backend name.
+	frame := []byte{
+		0x10, 29, 0, 0, 0,
+		3, 0, 'a', 'd', 'd',
+		0x0C, 0,
+		0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0,
+		4, 0, 's', 'c', 'a', 'n',
+	}
+	if _, err := raw.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.Read(raw, wire.Reject, 0, proto.MaxRejectBytes)
+	if err != nil {
+		t.Fatalf("got %v; want a rejection", err)
+	}
+	if reason := string(payload); !strings.Contains(reason, "memory backend") || !strings.Contains(reason, "removed") {
+		t.Errorf("rejection reason %q does not explain the removed knob", reason)
+	}
+
+	cl := NewClient(raw, WithClientEngine(eng))
+	if err := cl.Register("add", prog); err != nil {
+		t.Fatal(err)
+	}
+	info, err := cl.Evaluate(context.Background(), "add", []uint32{2})
+	if err != nil {
+		t.Fatalf("session after the rejection, same conn: %v", err)
+	}
+	if info.Outputs[0] != 3 {
+		t.Fatalf("sum = %d, want 3", info.Outputs[0])
+	}
+	if m := srv.Metrics(); m.NegotiationFailures != 1 {
+		t.Errorf("negotiation failures = %d, want 1", m.NegotiationFailures)
+	}
+}
+
+// TestServerPanicCostsOneConnection: a WithAuthorize callback that panics
+// closes its own connection, logged with the stack and counted in
+// SessionPanics. Sessions on another connection run on through it, and
+// Serve keeps accepting.
+func TestServerPanicCostsOneConnection(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	var logMu sync.Mutex
+	var logs strings.Builder
+	srv := NewServer(eng, WithServerLog(func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}))
+	if err := srv.Register("add", prog, WithMaxCycles(10_000), WithGarblerInput([]uint32{100})); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register("trap", prog, WithMaxCycles(10_000),
+		WithAuthorize(func(Peer, string) error { panic("policy bug") })); err != nil {
+		t.Fatal(err)
+	}
+	addr, shutdown := startServer(t, srv)
+	dial := func() *Client {
+		t.Helper()
+		cl, err := Dial(context.Background(), addr, WithClientEngine(eng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"add", "trap"} {
+			if err := cl.Register(name, prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cl
+	}
+	healthy, victim := dial(), dial()
+	defer healthy.Close()
+	defer victim.Close()
+
+	sessions := make(chan error, 1)
+	go func() {
+		for i := 0; i < 4; i++ {
+			info, err := healthy.Evaluate(context.Background(), "add", []uint32{uint32(i)})
+			if err == nil && info.Outputs[0] != 100+uint32(i) {
+				err = fmt.Errorf("sum = %d, want %d", info.Outputs[0], 100+i)
+			}
+			if err != nil {
+				sessions <- fmt.Errorf("session %d: %w", i, err)
+				return
+			}
+		}
+		sessions <- nil
+	}()
+	if _, err := victim.Evaluate(context.Background(), "trap", []uint32{1}); err == nil {
+		t.Fatal("a session whose authorization panicked succeeded")
+	}
+	if _, err := victim.Evaluate(context.Background(), "add", []uint32{1}); err == nil ||
+		!strings.Contains(err.Error(), "broken") {
+		t.Fatalf("the panicking connection still served: %v", err)
+	}
+	if err := <-sessions; err != nil {
+		t.Fatalf("concurrent session on another connection: %v", err)
+	}
+	late := dial()
+	defer late.Close()
+	if info, err := late.Evaluate(context.Background(), "add", []uint32{7}); err != nil || info.Outputs[0] != 107 {
+		t.Fatalf("a new connection after the panic: %v, %v", info, err)
+	}
+
+	// Shutdown waits for every handler, so the counters are settled.
+	shutdown()
+	if m := srv.Metrics(); m.SessionPanics != 1 || m.SessionsFailed != 0 || m.SessionsServed != 5 {
+		t.Errorf("panics %d failed %d served %d, want 1/0/5", m.SessionPanics, m.SessionsFailed, m.SessionsServed)
+	}
+	rec := httptest.NewRecorder()
+	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := "arm2gc_session_panics_total 1"; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("text scrape missing %q", want)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if got := logs.String(); !strings.Contains(got, "policy bug") || !strings.Contains(got, "goroutine ") {
+		t.Errorf("server log %q lacks the panic value and its stack", got)
+	}
+}
+
+// TestServerRefillPanicCounted: a callback that panics inside a
+// garble-ahead refill fails that refill — an error from WarmGarbleAhead,
+// a refill failure, one SessionPanics — instead of the process. The
+// refill held the trace cache's recording slot when it panicked; the slot
+// is released, so a later session records the trace and the next replays.
+func TestServerRefillPanicCounted(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	srv := NewServer(eng, WithGarbleAhead(PoolConfig{Depth: 1}))
+	if err := srv.Register("add", prog, WithMaxCycles(10_000),
+		WithStatsSink(func(CycleUpdate) { panic("sink bug") })); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WarmGarbleAhead(context.Background()); err == nil || !strings.Contains(err.Error(), "sink bug") {
+		t.Fatalf("WarmGarbleAhead returned %v, want the refill's panic as an error", err)
+	}
+	m := srv.Metrics()
+	if m.SessionPanics != 1 || m.GarbleAhead.RefillFailures != 1 {
+		t.Errorf("panics %d refill failures %d, want 1/1", m.SessionPanics, m.GarbleAhead.RefillFailures)
+	}
+	for i := 0; i < 2; i++ {
+		s, err := eng.Session(prog, WithMaxCycles(10_000), WithTraceReuse())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), []uint32{1}, []uint32{2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.TraceReplays(); got != 1 {
+		t.Errorf("trace replays %d after a panicked recording, want 1", got)
+	}
+}
+
+// TestFailingRandIsAnError: a label-randomness source that fails is an
+// error from every garbling path — in process, live and offline — and
+// nothing reaches the wire.
+func TestFailingRandIsAnError(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	errRNG := errors.New("entropy source gone")
+	session := func() *Session {
+		t.Helper()
+		// The fingerprint seed and a label or two succeed; the draw then
+		// fails part-way through the labels.
+		rnd := io.MultiReader(bytes.NewReader(make([]byte, 40)), iotest.ErrReader(errRNG))
+		s, err := eng.Session(prog, WithMaxCycles(10_000), WithRand(rnd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ctx := context.Background()
+	if _, err := session().Run(ctx, []uint32{1}, []uint32{2}); !errors.Is(err, errRNG) {
+		t.Errorf("Run: got %v, want the randomness error", err)
+	}
+	var conn bytes.Buffer
+	if _, err := session().Garble(ctx, &conn, []uint32{1}); !errors.Is(err, errRNG) {
+		t.Errorf("Garble: got %v, want the randomness error", err)
+	}
+	if conn.Len() != 0 {
+		t.Errorf("Garble wrote %d bytes before failing", conn.Len())
+	}
+	if _, err := session().Record(ctx); !errors.Is(err, errRNG) {
+		t.Errorf("Record: got %v, want the randomness error", err)
 	}
 }
 
