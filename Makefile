@@ -75,13 +75,16 @@ test-hardening:
 		. ./internal/proto ./internal/cli
 
 # Classification-trace correctness: record/replay across the core engine,
-# the trace cache, the wire protocol (byte-identical frame pinning) and
-# the Engine API, plus the sparse flip-flop commit the compiled cycles
-# carry (dense-commit oracle, its edge cases, CycleStats invariance) —
-# shuffled and under the race detector, as in CI.
+# the trace cache (one byte budget over cached traces and recordings in
+# flight, tombstones), the wire protocol (byte-identical frame pinning,
+# exact table-frame reads under replay, 1 GiB announcements) and the
+# Engine API (the WithTraceReuse no-op, the trace-cache metrics, many
+# concurrent recordings under one budget), plus the sparse flip-flop commit the
+# compiled cycles carry (dense-commit oracle, its edge cases, CycleStats
+# invariance) — shuffled and under the race detector, as in CI.
 test-trace:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'Trace|TestPipelinedStatsSink|DenseCommit|CopyDFFs|ShiftRegister|HeldRegister|CycleStatsInvariance' \
+		-run 'Trace|HostileLength|TestPipelinedStatsSink|DenseCommit|CopyDFFs|ShiftRegister|HeldRegister|CycleStatsInvariance' \
 		. ./internal/core ./internal/cpu ./internal/proto
 
 # Garble-ahead correctness: recorded streams byte-identical to live

@@ -43,8 +43,9 @@ func TestFacadeCompileRunVerify(t *testing.T) {
 
 // TestFacadeCount pins that the schedule-only Count reports exactly what a
 // garbled Run does — tables, cycles and the halt verdict — when the
-// program halts within its budget and at the budget edge before the halt,
-// counted afresh and served from a cached trace.
+// program halts within its budget and at the budget edge before the halt.
+// reuse=false counts afresh, before any run recorded a trace; reuse=true
+// counts again once the Run has cached one, and must be served from it.
 func TestFacadeCount(t *testing.T) {
 	prog, _, err := CompileC("add", addSrc, testLayout())
 	if err != nil {
@@ -52,37 +53,49 @@ func TestFacadeCount(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, budget := range []int{10_000, 3} {
-		for _, reuse := range []bool{false, true} {
-			t.Run(fmt.Sprintf("budget%d/reuse=%v", budget, reuse), func(t *testing.T) {
-				eng := NewEngine()
-				opts := []Option{WithMaxCycles(budget)}
-				if reuse {
-					opts = append(opts, WithTraceReuse())
-				}
-				sess, err := eng.Session(prog, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run, err := sess.Run(ctx, []uint32{1}, []uint32{2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				count, err := sess.Count(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if reuse && eng.TraceReplays() != 1 {
-					t.Fatalf("Count did not use the cached trace (%d replays)", eng.TraceReplays())
-				}
-				if run.Halted != (budget == 10_000) {
-					t.Fatalf("Run halted = %v within a %d-cycle budget", run.Halted, budget)
-				}
+		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
+			eng := NewEngine()
+			sess, err := eng.Session(prog, WithMaxCycles(budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := sess.Count(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := sess.Run(ctx, []uint32{1}, []uint32{2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.Halted != (budget == 10_000) {
+				t.Fatalf("Run halted = %v within a %d-cycle budget", run.Halted, budget)
+			}
+			agrees := func(t *testing.T, count *RunInfo) {
+				t.Helper()
 				if count.GarbledTables != run.GarbledTables || count.Cycles != run.Cycles || count.Halted != run.Halted {
 					t.Fatalf("Count (%d tables/%d cycles/halted %v) disagrees with Run (%d/%d/%v)",
 						count.GarbledTables, count.Cycles, count.Halted, run.GarbledTables, run.Cycles, run.Halted)
 				}
+			}
+			t.Run("reuse=false", func(t *testing.T) {
+				if eng.TraceRecordings() != 1 || eng.TraceReplays() != 0 {
+					t.Fatalf("fresh Count and Run: %d recordings, %d replays, want 1 and 0",
+						eng.TraceRecordings(), eng.TraceReplays())
+				}
+				agrees(t, fresh)
 			})
-		}
+			t.Run("reuse=true", func(t *testing.T) {
+				cached, err := sess.Count(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eng.TraceRecordings() != 1 || eng.TraceReplays() != 1 {
+					t.Fatalf("Count after Run: %d recordings, %d replays, want 1 and 1",
+						eng.TraceRecordings(), eng.TraceReplays())
+				}
+				agrees(t, cached)
+			})
+		})
 	}
 }
 

@@ -31,10 +31,14 @@ const (
 const DefaultMaxCycles = 1_000_000
 
 // DefaultTraceCacheBytes bounds an Engine's classification-trace cache
-// (see WithTraceReuse). A compiled trace costs roughly 20 bytes per live
+// (see Session). A compiled trace costs roughly 20 bytes per live
 // gate-cycle — a 500-cycle program on the 256-word layout compiles to a
 // few MB — so the default comfortably holds dozens of programs; least
-// recently replayed traces are evicted beyond the budget.
+// recently replayed traces are evicted beyond the budget. Recordings in
+// flight draw on the same budget, so an Engine never holds more than it in
+// traces however many sessions record at once; a program whose trace
+// alone outgrows it is never cached, and its sessions classify every
+// cycle.
 const DefaultTraceCacheBytes = 256 << 20
 
 // Engine is the process-wide entry point of the API: a concurrency-safe
@@ -42,7 +46,9 @@ const DefaultTraceCacheBytes = 256 << 20
 // cache. Synthesizing the processor netlist costs ~10ms for the 256-word
 // layouts (~29k wires), so the Engine builds each Layout exactly once —
 // concurrent requests for the same Layout share one in-flight build — and
-// every Session over that geometry reuses the immutable netlist.
+// every Session over that geometry reuses the immutable netlist. It also
+// holds the classification-trace cache every Session runs through (see
+// Session).
 //
 // An Engine is safe for concurrent use; a server typically holds one for
 // its lifetime. The cache never evicts (entries are a few MB and layouts
@@ -53,10 +59,14 @@ type Engine struct {
 	traces *cpu.TraceCache
 }
 
-// NewEngine creates an Engine with its own empty cache. DefaultEngine
+// NewEngine creates an Engine with its own empty caches. DefaultEngine
 // serves callers that do not need cache isolation.
-func NewEngine() *Engine {
-	return &Engine{cache: new(cpu.Cache), traces: cpu.NewTraceCache(DefaultTraceCacheBytes)}
+func NewEngine() *Engine { return newEngine(DefaultTraceCacheBytes) }
+
+// newEngine creates an Engine whose trace cache, and so every recording,
+// is bounded by traceBytes.
+func newEngine(traceBytes int64) *Engine {
+	return &Engine{cache: new(cpu.Cache), traces: cpu.NewTraceCache(traceBytes)}
 }
 
 // DefaultEngine serves callers that need no Engine of their own (and a
@@ -69,10 +79,10 @@ var DefaultEngine = &Engine{cache: cpu.SharedCache(), traces: cpu.NewTraceCache(
 // an observable for cache-effectiveness tests and monitoring.
 func (e *Engine) Builds() int64 { return e.cache.Builds() }
 
-// TraceRecordings reports how many classification traces this Engine has
-// recorded and committed to its trace cache — the SkipGate passes that
-// WithTraceReuse sessions have paid. Like Builds, an observable for
-// cache-effectiveness tests and monitoring.
+// TraceRecordings reports how many classification traces this Engine's
+// sessions have set out to record — the first session of each program
+// pays one. Like Builds, an observable for cache-effectiveness tests and
+// monitoring.
 func (e *Engine) TraceRecordings() int64 { return e.traces.Recordings() }
 
 // TraceReplays reports how many session runs were served from a cached
@@ -101,7 +111,6 @@ type sessionConfig struct {
 	outputsSet    bool
 	cycleBatch    int
 	cycleBatchSet bool
-	traceReuse    bool
 	readAhead     int
 	garbleAhead   int // 0: server default; -1: off; >0: explicit depth
 	garblerInput  []uint32
@@ -142,20 +151,11 @@ func WithCycleBatch(n int) Option {
 	return func(c *sessionConfig) { c.cycleBatch = n; c.cycleBatchSet = true }
 }
 
-// WithTraceReuse makes the session draw on the Engine's classification-
-// trace cache: the first run of a program records the per-cycle SkipGate
-// schedule as a compiled trace, and every later run of the same program
-// (same circuit, public inputs, cycle budget and stop flag) replays it,
-// garbling straight from precompiled gate lists with no classification
-// pass at all. The replayed wire stream is byte-identical to the
-// classified one — the schedule is a pure function of public data — so
-// the knob is local: it is not part of the session id and need not
-// match the peer's. Concurrent first runs singleflight the recording
-// (one records, the rest classify without recording); the cache holds up
-// to DefaultTraceCacheBytes of traces per Engine, evicting the least
-// recently replayed. Observe effectiveness via Engine.TraceRecordings and
-// Engine.TraceReplays.
-func WithTraceReuse() Option { return func(c *sessionConfig) { c.traceReuse = true } }
+// WithTraceReuse does nothing: every session draws on the Engine's
+// classification-trace cache (see Session).
+//
+// Deprecated: trace reuse is how every session runs; drop the option.
+func WithTraceReuse() Option { return func(*sessionConfig) {} }
 
 // WithReadAhead makes an evaluating session pull up to depth frames off
 // the connection in a reader goroutine ahead of its cycle loop (default
@@ -235,14 +235,29 @@ func WithStatsSink(sink StatsSink) Option { return func(c *sessionConfig) { c.si
 
 // Session is one garbled execution of a program: a cached Machine plus
 // the per-run configuration. Sessions are cheap — all the weight lives in
-// the Engine's machine cache — so create one per execution. A Session is
+// the Engine's caches — so create one per execution. A Session is
 // stateless across its method calls; reusing one for several sequential
 // runs is fine, but a single networked run should own its connection.
+//
+// Every run goes through the Engine's classification-trace cache. The
+// SkipGate schedule is a pure function of public data, so the first run
+// of a program (same circuit, public inputs, cycle budget and stop flag)
+// records it as a compiled trace, and every later run replays it, garbling
+// or evaluating straight from precompiled gate lists with no
+// classification pass at all. The replayed wire stream is byte-identical
+// to a classified one, so none of this is part of the session id: a
+// replaying party interoperates with a classifying peer. Concurrent first
+// runs singleflight the recording (one records, the rest classify without
+// recording). Recordings draw their bytes from the cache budget
+// (DefaultTraceCacheBytes) as they grow; one the budget refuses is dropped
+// and the run carries on classifying, and a program whose trace alone
+// outgrows the budget is never recorded again. Observe
+// effectiveness via Engine.TraceRecordings and Engine.TraceReplays.
 type Session struct {
 	m    *Machine
 	prog *Program
 	cfg  sessionConfig
-	eng  *Engine // its trace cache serves WithTraceReuse
+	eng  *Engine // its trace cache serves every run
 }
 
 // Session creates a session for a program, drawing the machine from the
@@ -313,42 +328,39 @@ func (s *Session) traceKey(pub []bool) cpu.TraceKey {
 }
 
 // traceSession is one run's view of the Engine trace cache: a cached
-// trace to replay, or a claimed recording slot to settle after the run.
-// The zero value (trace reuse off) replays and records nothing.
+// trace to replay, or a claimed recording slot to settle after the run,
+// or neither (another run holds the slot, or no trace of the program fits
+// the cache): classify without recording.
 type traceSession struct {
 	cache    *cpu.TraceCache
 	key      cpu.TraceKey
-	trace    *core.Trace // replay this when non-nil
-	record   bool        // this run holds the key's recording slot
-	recorded *core.Trace // what the run recorded, set once it succeeds
+	trace    *core.Trace       // replay this when non-nil
+	record   core.RecordBudget // non-nil: this run holds the key's recording slot
+	recorded *core.Trace       // what a completed run recorded
 }
 
 func (s *Session) traceFor(pub []bool) traceSession {
-	var ts traceSession
-	if !s.cfg.traceReuse {
-		return ts
-	}
-	ts.cache = s.eng.traces
-	ts.key = s.traceKey(pub)
-	if ts.trace = ts.cache.Lookup(ts.key); ts.trace == nil {
-		ts.record = ts.cache.BeginRecord(ts.key)
+	cache, key := s.eng.traces, s.traceKey(pub)
+	ts := traceSession{cache: cache, key: key, trace: cache.Lookup(key)}
+	if ts.trace == nil && cache.BeginRecord(key) {
+		ts.record = func(n int) bool { return cache.Reserve(key, n) }
 	}
 	return ts
 }
 
-// settle, deferred by each run, commits the recorded trace or, when the
-// run produced none — an error, or a panic unwinding through it —
-// releases the slot so a later run can record. A no-op unless this run
-// claimed the recording.
+// settle, deferred by each run, commits what a completed run recorded.
+// Otherwise — the run failed, a panic is unwinding through it, or the
+// cache refused the recording its bytes — it aborts the slot, leaving a
+// tombstone when the trace alone outgrew the cache. A no-op unless this
+// run claimed the recording.
 func (ts *traceSession) settle() {
-	if !ts.record {
-		return
-	}
-	if ts.recorded == nil {
+	switch {
+	case ts.record == nil:
+	case ts.recorded != nil:
+		ts.cache.Commit(ts.key, ts.recorded)
+	default:
 		ts.cache.Abort(ts.key)
-		return
 	}
-	ts.cache.Commit(ts.key, ts.recorded)
 }
 
 // Run executes the full garbled protocol in process (both parties), with
@@ -384,7 +396,7 @@ func (s *Session) Count(ctx context.Context) (*RunInfo, error) {
 	// without re-counting. (With a per-cycle sink the count still runs,
 	// so the sink sees every cycle.) Count never records — it produces
 	// no trace — so a miss just falls through.
-	if s.cfg.traceReuse && s.cfg.sink == nil {
+	if s.cfg.sink == nil {
 		if tr := s.eng.traces.Lookup(s.traceKey(pub)); tr != nil {
 			return s.m.info(s.prog, nil, tr.TotalStats(), tr.Halted()), nil
 		}
@@ -437,9 +449,9 @@ type RecordedStream = proto.Recorded
 // session's complete table stream into memory — through exactly the loop
 // a live Garble uses, so serving the result later is byte-identical to
 // garbling live — using the registration's garbler input
-// (WithGarblerInput; nil means all-zero). With WithTraceReuse the first
-// Record pays the classification pass and every later one replays the
-// cached trace, making offline passes ~an order of magnitude cheaper.
+// (WithGarblerInput; nil means all-zero). The first Record of a program
+// pays the classification pass and every later one replays the cached
+// trace, making offline passes ~an order of magnitude cheaper.
 // Cancelling ctx aborts between cycles.
 func (s *Session) Record(ctx context.Context) (*RecordedStream, error) {
 	pub, ab, err := s.m.partyBits(s.prog, circuit.Alice, s.cfg.garblerInput)

@@ -56,7 +56,7 @@ func TestDenseCommitOracleCPU(t *testing.T) {
 			c, p, w, in := hammingOnCPU(t, 64, backend)
 			const budget = 400
 			live := core.RunAgainstDenseOracle(t, c.Circuit, in,
-				core.RunOpts{Cycles: budget, StopOutput: "halted", RecordEveryCycle: true, Record: true})
+				core.RunOpts{Cycles: budget, StopOutput: "halted", RecordEveryCycle: true, Record: core.Unbounded})
 			if !live.Halted {
 				t.Fatalf("no halt within %d cycles", budget)
 			}
@@ -108,7 +108,7 @@ func TestCycleStatsInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := core.RunLocal(ctx, c.Circuit, in,
-		core.RunOpts{Cycles: budget, StopOutput: "halted", Record: true, Sink: perCycle(&live)})
+		core.RunOpts{Cycles: budget, StopOutput: "halted", Record: core.Unbounded, Sink: perCycle(&live)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCycleStatsInvariance(t *testing.T) {
 func hamming160(t *testing.T) (*cpu.CPU, sim.Inputs, *core.RunResult) {
 	t.Helper()
 	c, _, _, in := hammingOnCPU(t, 160, obliv.Scan)
-	res, err := core.RunLocal(context.Background(), c.Circuit, in, core.RunOpts{Cycles: 470, Record: true})
+	res, err := core.RunLocal(context.Background(), c.Circuit, in, core.RunOpts{Cycles: 470, Record: core.Unbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +156,25 @@ func TestHammingCycleCounters(t *testing.T) {
 	want := [...]int{13_567, 470, 480, 3_280, 57_264}
 	if got != want {
 		t.Fatalf("gates, cycles, tables, DFF commits, copies = %v, want %v", got, want)
+	}
+}
+
+// TestHammingClassifyShapes pins the measurement that decided against
+// making Classify itself cheaper, on Hamming(160)'s 470 cycles: 58.5 % of
+// gate visits have a changed input, every cycle starts from a distinct
+// flip-flop state vector, and 420 distinct action vectors cover the 470
+// cycles. A dirty-gate worklist pays only below ≈ 30 % dirty visits, and
+// a memo of classified cycles only when shapes are far fewer than cycles
+// (Hamming(512) reads the same: 59.0 % dirty, 1,313 action vectors over
+// 1,449 cycles), so classification runs once per program instead and
+// every later session replays its trace.
+func TestHammingClassifyShapes(t *testing.T) {
+	c, _, _, in := hammingOnCPU(t, 160, obliv.Scan)
+	visits, dirty, dffStates, actions := core.ClassifyShapes(c.Circuit, in.Public, 470)
+	got := [...]int{visits, dirty, dffStates, actions}
+	want := [...]int{470 * 13_567, 3_731_716, 470, 420}
+	if got != want {
+		t.Fatalf("gate visits, input-dirty visits, flip-flop state vectors, action vectors = %v, want %v", got, want)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestKernelDifferential(t *testing.T) {
 		}
 
 		var liveCycles []CycleStats
-		live, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, Record: true, Sink: perCycle(&liveCycles)})
+		live, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, Record: Unbounded, Sink: perCycle(&liveCycles)})
 		if err != nil {
 			t.Fatalf("trial %d: live run: %v", trial, err)
 		}
@@ -329,7 +329,7 @@ func TestDenseCommitOracle(t *testing.T) {
 		c, in := randomCase(rng, 60+rng.Intn(900), 4+rng.Intn(30))
 		cycles := 2 + rng.Intn(6)
 		want := sim.Run(c, in, cycles)
-		live := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles, Record: true})
+		live := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles, Record: Unbounded})
 		replay := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles, Trace: live.Trace})
 		if !slices.Equal(live.Outputs, want) || !slices.Equal(replay.Outputs, want) {
 			t.Fatalf("trial %d: outputs live %v replay %v, plaintext %v", trial, live.Outputs, replay.Outputs, want)
@@ -516,7 +516,7 @@ func TestHeldRegisterOutputCopyEmitted(t *testing.T) {
 func TestTraceMemoryBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	c, in := randomCase(rng, 500, 24)
-	res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 5, Record: true})
+	res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 5, Record: Unbounded})
 	if err != nil {
 		t.Fatal(err)
 	}

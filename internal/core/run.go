@@ -42,10 +42,13 @@ type RunOpts struct {
 	// halt.
 	Trace *Trace
 
-	// Record, when true, compiles this run's classification schedule into
-	// RunResult.Trace for later replay. Mutually exclusive with Trace (a
+	// Record, when set, compiles this run's classification schedule into
+	// RunResult.Trace for later replay, drawing the trace's bytes from the
+	// budget: once it refuses, the recording is dropped and RunResult.Trace
+	// comes back nil, while the run goes on classifying to the same result.
+	// Unbounded records without a limit. Mutually exclusive with Trace (a
 	// replayed run has no scheduler to record).
-	Record bool
+	Record RecordBudget
 }
 
 // RunResult reports a completed run.
@@ -54,7 +57,7 @@ type RunResult struct {
 	PerCycle [][]bool // per-cycle outputs when RecordEveryCycle
 	Stats    Stats
 	Halted   bool   // stopped by StopOutput
-	Trace    *Trace // the recorded schedule when RunOpts.Record
+	Trace    *Trace // the recorded schedule when RunOpts.Record, unless the budget refused it
 }
 
 // RunLocal executes the full two-party SkipGate protocol in process: one

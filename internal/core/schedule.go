@@ -44,7 +44,7 @@ func newSchedule(c *circuit.Circuit, pub []bool, o RunOpts, emit bool) (*Schedul
 		sc.outW = append(sc.outW, c.ResolveOutput(w))
 	}
 	if o.Trace != nil {
-		if o.Record {
+		if o.Record != nil {
 			return nil, fmt.Errorf("core: Record with Trace: a replayed run has no scheduler to record")
 		}
 		if err := o.Trace.Validate(o.Cycles); err != nil {
@@ -65,8 +65,9 @@ func newSchedule(c *circuit.Circuit, pub []bool, o RunOpts, emit bool) (*Schedul
 	}
 	sc.s = NewScheduler(c, o.Seed, pub)
 	sc.s.emit = emit
-	if o.Record {
+	if o.Record != nil {
 		sc.rec = NewTraceRecorder(sc.s)
+		sc.rec.budget = o.Record
 	}
 	return sc, nil
 }
@@ -130,8 +131,8 @@ func (sc *Schedule) OutputState(i int) (val bool, public bool) {
 	return sc.s.WireState(sc.outW[i])
 }
 
-// Trace returns the recorded run when RunOpts.Record was set; call it
-// once, when Done.
+// Trace returns the recorded run when RunOpts.Record was set and its
+// budget granted every byte, nil otherwise; call it once, when Done.
 func (sc *Schedule) Trace() *Trace {
 	if sc.rec == nil {
 		return nil

@@ -231,35 +231,66 @@ func (t *Trace) Validate(cycles int) error {
 // cycle, before abandoning the scheduler. The scheduler already compiled
 // the cycle for the executors, so recording is one copy of its buffer.
 type TraceRecorder struct {
-	s *Scheduler
-	t *Trace
+	s      *Scheduler
+	t      *Trace       // nil once the budget refused the recording
+	budget RecordBudget // nil: unbounded
 }
 
-// NewTraceRecorder starts recording s's run; create it before the first
-// Classify.
+// RecordBudget meters a recording's memory: the recorder asks it for
+// every byte it keeps (each cycle's, then the final output snapshot's), so
+// a Trace's MemoryBytes is exactly what its budget granted. The first
+// refusal drops the recording. Unbounded grants every request.
+type RecordBudget func(bytes int) bool
+
+// Unbounded is the RecordBudget that grants every request.
+func Unbounded(int) bool { return true }
+
+// NewTraceRecorder starts recording s's run without a budget; create it
+// before the first Classify.
 func NewTraceRecorder(s *Scheduler) *TraceRecorder {
 	s.emit = true
 	return &TraceRecorder{s: s, t: &Trace{}}
 }
 
+// grant draws n bytes from the budget for the trace, or drops the trace
+// when the budget refuses them.
+func (r *TraceRecorder) grant(n int) bool {
+	if r.budget != nil && !r.budget(n) {
+		r.t = nil
+		return false
+	}
+	r.t.bytes += n
+	return true
+}
+
 // RecordCycle keeps the current classified cycle (between Classify and
 // Commit). halted is the public halt verdict for this cycle — replay obeys
-// it instead of re-deriving wire states.
+// it instead of re-deriving wire states. Once the budget refuses a cycle
+// the recorder drops everything it holds and records nothing more, so it
+// never holds more than its budget granted plus the refused cycle.
 func (r *TraceRecorder) RecordCycle(cs CycleStats, halted bool) {
+	if r.t == nil {
+		return
+	}
 	ct := r.s.ct.clone()
+	if !r.grant(ct.memoryBytes()) {
+		return
+	}
 	ct.Stats, ct.Halted = cs, halted
 	r.t.cycles = append(r.t.cycles, ct)
 	r.t.stats.Cycles++
 	r.t.stats.Total.Add(cs)
-	r.t.bytes += ct.memoryBytes()
 }
 
 // Finish snapshots the final output-wire states and seals the trace. Call
 // it after the last recorded cycle; the resolved output wires it reads are
 // untouched by Commit, so calling before or after the final Commit is
-// equivalent.
+// equivalent. It returns nil when the budget refused the recording.
 func (r *TraceRecorder) Finish(halted bool) *Trace {
 	s, t := r.s, r.t
+	if t == nil || !r.grant(2*len(s.C.OutputWires())) {
+		return nil
+	}
 	for _, w := range s.C.OutputWires() {
 		rw := s.C.ResolveOutput(w)
 		v, pub := s.WireState(rw)
@@ -267,6 +298,5 @@ func (r *TraceRecorder) Finish(halted bool) *Trace {
 		t.outVal = append(t.outVal, v)
 	}
 	t.halted = halted
-	t.bytes += len(t.outPub) * 2
 	return t
 }

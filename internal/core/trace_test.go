@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"arm2gc/internal/circuit"
@@ -91,7 +92,7 @@ func TestRunLocalTraceRecordReplay(t *testing.T) {
 		}
 		const cycles = 5
 		recorded, err := RunLocal(ctx, c, in, RunOpts{
-			Cycles: cycles, Seed: Seed{9}, Rand: rand.New(rand.NewSource(1)), Record: true,
+			Cycles: cycles, Seed: Seed{9}, Rand: rand.New(rand.NewSource(1)), Record: Unbounded,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: record run: %v", trial, err)
@@ -155,11 +156,70 @@ func TestRunLocalTraceRecordExclusive(t *testing.T) {
 		Alice:  circtest.RandBits(rng, aBits),
 		Bob:    circtest.RandBits(rng, bBits),
 	}
-	res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 2, Record: true})
+	res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 2, Record: Unbounded})
 	if err != nil {
 		t.Fatalf("record run: %v", err)
 	}
-	if _, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 2, Record: true, Trace: res.Trace}); err == nil {
+	if _, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 2, Record: Unbounded, Trace: res.Trace}); err == nil {
 		t.Fatalf("Record together with Trace succeeded; want error")
+	}
+}
+
+// TestTraceRecordBudget pins the recorder's metering: it asks its budget
+// for every byte the trace holds, so a budget the whole trace fits keeps
+// it at exactly the bytes granted, while one that refuses partway (or
+// right at the output snapshot, the last request) drops the recording —
+// no trace, and no request after the refusal — and the run itself decodes
+// the same outputs with the same statistics.
+func TestTraceRecordBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	c, aBits, bBits := circtest.Random(rng, 400, 10)
+	in := sim.Inputs{
+		Public: circtest.RandBits(rng, c.PublicBits),
+		Alice:  circtest.RandBits(rng, aBits),
+		Bob:    circtest.RandBits(rng, bBits),
+	}
+	ctx := context.Background()
+	// run records under a budget of limit bytes and reports the bytes it
+	// granted and the requests made after the first refusal.
+	run := func(limit int) (res *RunResult, granted, late int) {
+		refused := false
+		budget := func(n int) bool {
+			if refused {
+				late++
+			}
+			if granted+n > limit {
+				refused = true
+				return false
+			}
+			granted += n
+			return true
+		}
+		res, err := RunLocal(ctx, c, in, RunOpts{Cycles: 8, Record: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, granted, late
+	}
+	full, err := RunLocal(ctx, c, in, RunOpts{Cycles: 8, Record: Unbounded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := full.Trace.MemoryBytes()
+	for _, tc := range []struct {
+		limit int
+		kept  bool
+	}{{size, true}, {size - 1, false}, {size / 2, false}, {1, false}} {
+		res, granted, late := run(tc.limit)
+		if (res.Trace != nil) != tc.kept || late != 0 {
+			t.Fatalf("budget %d of a %d-byte trace: trace kept = %v (want %v), %d requests after the refusal",
+				tc.limit, size, res.Trace != nil, tc.kept, late)
+		}
+		if tc.kept && (granted != size || res.Trace.MemoryBytes() != size) {
+			t.Fatalf("budget granted %d bytes to a trace of %d; want both %d", granted, res.Trace.MemoryBytes(), size)
+		}
+		if res.Stats != full.Stats || !slices.Equal(res.Outputs, full.Outputs) {
+			t.Fatalf("budget %d: run diverged from the unbounded recording", tc.limit)
+		}
 	}
 }

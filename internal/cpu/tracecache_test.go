@@ -23,7 +23,7 @@ func makeTrace(t *testing.T, seed int64, cycles int) *core.Trace {
 		Alice:  circtest.RandBits(rng, aBits),
 		Bob:    circtest.RandBits(rng, bBits),
 	}
-	res, err := core.RunLocal(context.Background(), c, in, core.RunOpts{Cycles: cycles, Record: true})
+	res, err := core.RunLocal(context.Background(), c, in, core.RunOpts{Cycles: cycles, Record: core.Unbounded})
 	if err != nil {
 		t.Fatalf("record run: %v", err)
 	}
@@ -118,9 +118,13 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestTraceCacheOversizedCommitDropped pins a trace larger than the whole
+// budget: Commit charges the bytes its recording did not reserve, finds
+// they cannot fit, and drops the trace. Being too large on its own, the
+// key keeps a tombstone, as a recording refused by Reserve would.
 func TestTraceCacheOversizedCommitDropped(t *testing.T) {
 	tr := makeTrace(t, 3, 4)
-	c := NewTraceCache(1) // nothing fits
+	c := NewTraceCache(tombstoneBytes) // no trace fits
 	k := key(5)
 	if !c.BeginRecord(k) {
 		t.Fatalf("BeginRecord refused")
@@ -129,11 +133,107 @@ func TestTraceCacheOversizedCommitDropped(t *testing.T) {
 	if c.Lookup(k) != nil {
 		t.Fatalf("oversized trace was cached")
 	}
-	if !c.BeginRecord(k) {
-		t.Fatalf("slot not reclaimable after an oversized commit was dropped")
+	if c.BeginRecord(k) {
+		t.Fatalf("recording slot granted again for a key no trace fits")
 	}
-	if c.Bytes() != 0 {
-		t.Fatalf("cache charges %d bytes for a dropped trace", c.Bytes())
+	if c.Uncacheable() != 1 || c.Bytes() != tombstoneBytes {
+		t.Fatalf("uncacheable %d, %d bytes, want 1 and a %d-byte tombstone", c.Uncacheable(), c.Bytes(), tombstoneBytes)
+	}
+}
+
+// TestTraceCacheTombstone pins the tombstone: a recording that alone
+// outgrew the budget leaves one on Abort that refuses the recording slot
+// (later sessions classify without recording), is charged tombstoneBytes,
+// and is evicted least-recently-used like a trace, after which the key may
+// record again.
+func TestTraceCacheTombstone(t *testing.T) {
+	c := NewTraceCache(3 * tombstoneBytes)
+	c.Abort(key(1)) // no slot held: ignored
+	if c.Reserve(key(1), 1) {
+		t.Fatal("Reserve granted bytes to a key with no recording")
+	}
+	tooBig := func(b byte) {
+		t.Helper()
+		if !c.BeginRecord(key(b)) {
+			t.Fatalf("BeginRecord(%d) refused", b)
+		}
+		if c.Reserve(key(b), 3*tombstoneBytes+1) {
+			t.Fatalf("key %d: Reserve granted past the whole budget", b)
+		}
+		c.Abort(key(b))
+	}
+	for b := byte(1); b <= 3; b++ {
+		tooBig(b)
+	}
+	if c.Lookup(key(1)) != nil || c.BeginRecord(key(1)) {
+		t.Fatal("a tombstone served a trace or granted the recording slot")
+	}
+	if c.Uncacheable() != 3 || c.Bytes() != 3*tombstoneBytes || c.Replays() != 0 {
+		t.Fatalf("uncacheable %d, %d bytes, replays %d, want 3, %d, 0",
+			c.Uncacheable(), c.Bytes(), c.Replays(), 3*tombstoneBytes)
+	}
+	// key(1) was just looked up, so key(2) is the LRU tombstone.
+	tooBig(4)
+	if c.Evictions() != 1 || c.Bytes() != 3*tombstoneBytes {
+		t.Fatalf("evictions %d, %d bytes after a fourth tombstone, want 1 and %d", c.Evictions(), c.Bytes(), 3*tombstoneBytes)
+	}
+	if !c.BeginRecord(key(2)) {
+		t.Fatal("the evicted tombstone still refuses the slot")
+	}
+	if c.BeginRecord(key(1)) || c.BeginRecord(key(3)) || c.BeginRecord(key(4)) {
+		t.Fatal("a surviving tombstone granted the slot")
+	}
+}
+
+// TestTraceCacheSharedBudget pins that recordings in flight draw on the
+// one budget: their reservations count in Bytes, evict committed traces
+// least-recently-used, and never add up past the budget. A recording
+// refused only because others hold the budget leaves no tombstone; one
+// that alone outgrows the budget does.
+func TestTraceCacheSharedBudget(t *testing.T) {
+	tr := makeTrace(t, 4, 4)
+	sz := tr.MemoryBytes()
+	c := NewTraceCache(int64(2*sz + sz/4))
+	k1, k2, k3 := key(1), key(2), key(3)
+	for _, k := range []TraceKey{k1, k2} {
+		if !c.BeginRecord(k) || !c.Reserve(k, sz) {
+			t.Fatalf("key %d: recording within the budget refused", k.Pub[0])
+		}
+	}
+	if c.Bytes() != int64(2*sz) {
+		t.Fatalf("cache charges %d bytes for two recordings in flight, want %d", c.Bytes(), 2*sz)
+	}
+	if c.Reserve(k2, sz/2) {
+		t.Fatal("a reservation past the budget the recordings hold was granted")
+	}
+	if c.Bytes() != int64(sz) {
+		t.Fatalf("the refused recording still charges: %d bytes, want %d", c.Bytes(), sz)
+	}
+	c.Abort(k2)
+	if c.Uncacheable() != 0 || !c.BeginRecord(k2) {
+		t.Fatal("a recording refused for want of shared room left a tombstone")
+	}
+	c.Abort(k2)
+
+	// k1 commits the trace it reserved; k3's recording evicts it to make
+	// room, and is refused once it alone outgrows the budget.
+	c.Commit(k1, tr)
+	if c.Lookup(k1) == nil || c.Bytes() != int64(sz) {
+		t.Fatalf("committed trace missing or charged %d bytes, want %d", c.Bytes(), sz)
+	}
+	if !c.BeginRecord(k3) || !c.Reserve(k3, 2*sz) {
+		t.Fatal("k3's recording refused room a cached trace holds")
+	}
+	if c.Lookup(k1) != nil || c.Evictions() != 1 || c.Bytes() != int64(2*sz) {
+		t.Fatalf("after k3 reserved: k1 cached %v, evictions %d, %d bytes; want evicted, 1, %d",
+			c.Lookup(k1) != nil, c.Evictions(), c.Bytes(), 2*sz)
+	}
+	if c.Reserve(k3, sz/2) {
+		t.Fatal("k3's reservation past the whole budget was granted")
+	}
+	c.Abort(k3)
+	if c.Uncacheable() != 1 || c.BeginRecord(k3) || c.Bytes() != tombstoneBytes {
+		t.Fatalf("k3 outgrew the budget alone: uncacheable %d, %d bytes; want a tombstone", c.Uncacheable(), c.Bytes())
 	}
 }
 

@@ -156,8 +156,7 @@ func registerAdd(prog *arm2gc.Program) func(*arm2gc.Server) error {
 	return func(s *arm2gc.Server) error {
 		return s.Register("add", prog,
 			arm2gc.WithMaxCycles(10_000),
-			arm2gc.WithGarblerInput([]uint32{100}),
-			arm2gc.WithTraceReuse())
+			arm2gc.WithGarblerInput([]uint32{100}))
 	}
 }
 
@@ -398,8 +397,7 @@ func TestGatewayChaosKillBackend(t *testing.T) {
 	register := func(s *arm2gc.Server) error {
 		return s.Register("slow", prog,
 			arm2gc.WithMaxCycles(10_000),
-			arm2gc.WithGarblerInput([]uint32{5}),
-			arm2gc.WithTraceReuse())
+			arm2gc.WithGarblerInput([]uint32{5}))
 	}
 	engA, engB := arm2gc.NewEngine(), arm2gc.NewEngine()
 	bA := startBackend(t, engA, "", register)

@@ -13,6 +13,7 @@ import (
 
 	"arm2gc/internal/bencher"
 	"arm2gc/internal/circuit"
+	"arm2gc/internal/core"
 	"arm2gc/internal/cpu"
 )
 
@@ -141,7 +142,7 @@ func TestGoldenWireDigest(t *testing.T) {
 			// constant: a replaying garbler and evaluator, a read-ahead
 			// evaluator, and an offline RecordGarbler stream.
 			rec := cfg
-			rec.Record = true
+			rec.Record = core.Unbounded
 			ra, rbRec, _ := runBothAsym(t, rec, rec, alice, bob, 1)
 			gR, eR := cfg, cfg
 			gR.Trace, eR.Trace = ra.Trace, rbRec.Trace

@@ -84,8 +84,11 @@ type Config struct {
 	Trace *core.Trace
 
 	// Record, when set, compiles this run's classification schedule into
-	// Result.Trace for later replay. Mutually exclusive with Trace.
-	Record bool
+	// Result.Trace for later replay, drawing its bytes from the budget as
+	// core.RunOpts.Record does: once the budget refuses, Result.Trace is nil
+	// and the run goes on classifying. Mutually exclusive with Trace; it
+	// changes no wire byte.
+	Record core.RecordBudget
 
 	// ReadAhead, when positive, makes the evaluator pull up to that many
 	// frames off the connection in a reader goroutine ahead of its cycle
@@ -259,7 +262,8 @@ type Result struct {
 	TableFrames int
 
 	// Trace is the recorded classification schedule when Config.Record
-	// was set and the run completed.
+	// was set, the run completed and the budget granted the whole
+	// recording.
 	Trace *core.Trace
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"arm2gc/internal/core"
 	"arm2gc/internal/gc"
 	"arm2gc/internal/wire"
 )
@@ -19,14 +20,16 @@ type aheadFrame struct {
 
 // frameReader is the evaluator's source for what the garbler sends after
 // the OT phase: table frames, then the decode frame that ends every
-// session. Each frame is bounded from its header before anything is
-// allocated for it — a table frame by one table per non-XOR gate per cycle
-// of its batch, the decode frame at its exact length.
+// session. Each frame is checked against its header before anything is
+// allocated for it. A replaying evaluator knows every table frame's exact
+// size from its trace — 32 bytes per table of each cycle the frame covers —
+// and a live one bounds it by one table per non-XOR gate per cycle of its
+// batch; the decode frame is read at its exact length.
 //
 // With cfg.ReadAhead off, frames are read synchronously. With it on, a
 // goroutine pulls them off the connection ahead of the cycle loop, so
-// table frames queue up while the evaluator is still crunching labels. The
-// evaluator cannot know the stream length in advance (the halt flag
+// table frames queue up while the evaluator is still crunching labels. A
+// live evaluator cannot know the stream length in advance (the halt flag
 // resolves cycle by cycle), but it does not need to: the goroutine stops
 // after the decode frame, the garbler's last of the session, and the
 // consumer's own typed read picks that up after halt detection.
@@ -36,9 +39,16 @@ type aheadFrame struct {
 // blocking read, and shutdown unwedges it by expiring the deadline.
 type frameReader struct {
 	conn      io.ReadWriter
-	maxTables int             // a table frame's bound, in bytes
+	maxTables int             // a live table frame's bound, in bytes
 	decodeLen int             // the decode frame's exact length
 	ch        chan aheadFrame // nil: synchronous mode
+
+	// Under replay, table frames are read at their exact sizes: frame k
+	// covers trace cycles nextCycle .. nextCycle+batch-1 (fewer at the
+	// end). Only the goroutine reading the connection advances nextCycle.
+	trace     *core.Trace
+	batch     int
+	nextCycle int
 }
 
 // newFrameReader starts the read-ahead goroutine when cfg allows it. The
@@ -48,6 +58,9 @@ func newFrameReader(conn io.ReadWriter, cfg Config, decodeLen int) *frameReader 
 		conn:      conn,
 		maxTables: cfg.batch() * cfg.Circuit.Stats().NonXOR * gc.TableBytes,
 		decodeLen: decodeLen,
+		trace:     cfg.Trace,
+		batch:     cfg.batch(),
+		nextCycle: 1,
 	}
 	if cfg.ReadAhead <= 0 {
 		return fr
@@ -69,20 +82,39 @@ func newFrameReader(conn io.ReadWriter, cfg Config, decodeLen int) *frameReader 
 	return fr
 }
 
-// next reads the next frame off the connection: a table frame within its
-// bound, or the decode frame at its exact length.
+// next reads the next frame off the connection: a table frame at its
+// exact size (replay) or within its bound (live), or the decode frame at
+// its exact length.
 func (fr *frameReader) next() aheadFrame {
 	h, err := wire.ReadHeader(fr.conn)
 	if err != nil {
 		return aheadFrame{err: err}
 	}
 	f := aheadFrame{typ: h.Type()}
-	if f.typ == msgDecode {
+	switch {
+	case f.typ == msgDecode:
 		f.payload, f.err = h.Payload(fr.conn, msgDecode, fr.decodeLen, fr.decodeLen)
-	} else {
+	case f.typ != msgTables || fr.trace == nil:
 		f.payload, f.err = h.Payload(fr.conn, msgTables, 0, fr.maxTables)
+	case fr.nextCycle > fr.trace.NumCycles():
+		f.err = fmt.Errorf("proto: table frame after the trace's last cycle %d", fr.trace.NumCycles())
+	default:
+		n := fr.replayFrameBytes()
+		f.payload, f.err = h.Payload(fr.conn, msgTables, n, n)
 	}
 	return f
+}
+
+// replayFrameBytes is the exact size of the next table frame under replay,
+// and moves past the cycles it covers.
+func (fr *frameReader) replayFrameBytes() int {
+	last := min(fr.nextCycle+fr.batch-1, fr.trace.NumCycles())
+	n := 0
+	for cyc := fr.nextCycle; cyc <= last; cyc++ {
+		n += fr.trace.Cycle(cyc).NumTables() * gc.TableBytes
+	}
+	fr.nextCycle = last + 1
+	return n
 }
 
 // read returns the next frame, requiring wantType — from the read-ahead

@@ -7,6 +7,8 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"arm2gc/internal/core"
 )
 
 // serveBoth plays ServeRecorded against RunEvaluator over a pipe, tapping
@@ -118,7 +120,7 @@ func TestRecordServeTraceReplay(t *testing.T) {
 	}
 
 	// Record+Record is refused: a replayed run has no scheduler to record.
-	cfgR.Record = true
+	cfgR.Record = core.Unbounded
 	if _, _, err := RecordGarbler(context.Background(), cfgR, alice, nil); err == nil {
 		t.Fatal("Record with Trace set was accepted")
 	}

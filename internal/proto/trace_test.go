@@ -15,7 +15,7 @@ import (
 func recordTraces(t *testing.T, cfg Config, alice, bob []bool, seed int64) (trG, trE *core.Trace) {
 	t.Helper()
 	rec := cfg
-	rec.Record = true
+	rec.Record = core.Unbounded
 	ra, rb, _ := runBothAsym(t, rec, rec, alice, bob, seed)
 	if ra.Trace == nil || rb.Trace == nil {
 		t.Fatalf("Record set but traces missing (garbler %v, evaluator %v)", ra.Trace, rb.Trace)
@@ -106,7 +106,7 @@ func TestTraceReplayHalted(t *testing.T) {
 	for _, batch := range []int{1, 4} {
 		cfg, alice, bob := haltingConfig(t, batch)
 		rec := cfg
-		rec.Record = true
+		rec.Record = core.Unbounded
 		ra, rb, want := runBothAsym(t, rec, rec, alice, bob, 3)
 		if !ra.Halted || !rb.Halted {
 			t.Fatalf("batch %d: recording run did not halt", batch)

@@ -114,6 +114,20 @@ type ServerMetrics struct {
 	// EngineBuilds is how many netlist syntheses the serving Engine has
 	// performed; a warm multi-program server holds this at one per layout.
 	EngineBuilds int64 `json:"engine_builds"`
+	// TraceRecordings, TraceReplays and TraceEvictions are the serving
+	// Engine's trace-cache counters: recordings started (one per program
+	// and cycle budget while it stays cached), runs served from a cached
+	// trace, and entries the byte budget pushed out; replays over
+	// recordings plus replays is the hit rate. TraceUncacheable counts
+	// recordings that alone outgrew the budget — their programs classify
+	// every session — and TraceCacheBytes gauges the cache's footprint,
+	// recordings in flight included. The Engine also counts the runs of
+	// any Client sharing it.
+	TraceRecordings  int64 `json:"trace_recordings"`
+	TraceReplays     int64 `json:"trace_replays"`
+	TraceEvictions   int64 `json:"trace_evictions"`
+	TraceUncacheable int64 `json:"trace_uncacheable"`
+	TraceCacheBytes  int64 `json:"trace_cache_bytes"`
 	// Programs holds the per-registration counters, keyed by registered
 	// name. Every registered program appears, even at zero.
 	Programs map[string]ProgramMetrics `json:"programs"`
@@ -180,6 +194,11 @@ func (s *Server) Metrics() ServerMetrics {
 		Cycles:              s.met.cycles.Load(),
 		GarbledTables:       s.met.garbledTables.Load(),
 		EngineBuilds:        s.eng.Builds(),
+		TraceRecordings:     s.eng.traces.Recordings(),
+		TraceReplays:        s.eng.traces.Replays(),
+		TraceEvictions:      s.eng.traces.Evictions(),
+		TraceUncacheable:    s.eng.traces.Uncacheable(),
+		TraceCacheBytes:     s.eng.traces.Bytes(),
 		Programs:            make(map[string]ProgramMetrics),
 	}
 	s.met.mu.Lock()
@@ -261,6 +280,11 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 	counter("arm2gc_cycles_total", "Processor cycles executed across served sessions.", m.Cycles)
 	counter("arm2gc_garbled_tables_total", "Garbled tables transferred across served sessions.", m.GarbledTables)
 	counter("arm2gc_engine_builds_total", "Netlist syntheses performed by the serving Engine.", m.EngineBuilds)
+	counter("arm2gc_trace_recordings_total", "Classification traces the serving Engine set out to record.", m.TraceRecordings)
+	counter("arm2gc_trace_replays_total", "Runs served from a cached classification trace.", m.TraceReplays)
+	counter("arm2gc_trace_evictions_total", "Trace-cache entries dropped for the byte budget.", m.TraceEvictions)
+	counter("arm2gc_trace_uncacheable_total", "Recordings that outgrew the trace-cache budget.", m.TraceUncacheable)
+	gauge("arm2gc_trace_cache_bytes", "Classification traces held in memory, cached or being recorded.", m.TraceCacheBytes)
 
 	// %q escapes backslash, double quote and newline — the exact set the
 	// Prometheus text format requires escaped in label values.

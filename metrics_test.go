@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -241,6 +242,64 @@ func TestServerMetricsHandlerNegotiatesFormat(t *testing.T) {
 	}
 	if p := m.Programs["add"]; p.Served != 1 || p.Rejected != 1 {
 		t.Fatalf("JSON per-program view %+v, want served 1 rejected 1", p)
+	}
+}
+
+// TestServerTraceCacheMetrics pins the trace-cache counters an operator
+// reads the hit rate from: three sequential sessions against a server
+// whose Engine no client shares record once and replay twice, and the
+// text scrape and the JSON view both report exactly that.
+func TestServerTraceCacheMetrics(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	srv := NewServer(eng)
+	if err := srv.Register("add", prog, WithMaxCycles(10_000), WithGarblerInput([]uint32{100})); err != nil {
+		t.Fatal(err)
+	}
+	addr, shutdown := startServer(t, srv)
+	cl, err := Dial(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register("add", prog); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Evaluate(context.Background(), "add", []uint32{uint32(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	shutdown() // joins the handlers, so every session has settled its trace
+
+	bytes := eng.traces.Bytes()
+	if bytes <= 0 {
+		t.Fatalf("trace cache holds %d bytes after a recorded session", bytes)
+	}
+	rec := httptest.NewRecorder()
+	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	for _, want := range []string{
+		"arm2gc_trace_recordings_total 1",
+		"arm2gc_trace_replays_total 2",
+		"arm2gc_trace_evictions_total 0",
+		"arm2gc_trace_uncacheable_total 0",
+		fmt.Sprintf("arm2gc_trace_cache_bytes %d", bytes),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text scrape missing %q:\n%s", want, text)
+		}
+	}
+
+	rec = httptest.NewRecorder()
+	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=json", nil))
+	var m ServerMetrics
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatalf("JSON scrape does not parse: %v", err)
+	}
+	got := [...]int64{m.TraceRecordings, m.TraceReplays, m.TraceEvictions, m.TraceUncacheable, m.TraceCacheBytes}
+	if want := [...]int64{1, 2, 0, 0, bytes}; got != want {
+		t.Fatalf("JSON trace counters (recordings, replays, evictions, uncacheable, bytes) %v, want %v", got, want)
 	}
 }
 

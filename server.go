@@ -214,14 +214,14 @@ func (s *Server) Register(name string, p *Program, defaults ...Option) error {
 	}
 	reg := &registration{prog: p, defaults: defaults, cfg: cfg}
 	// With garble-ahead on (and the program not opted out), build the
-	// producer: a session over the registration defaults plus trace reuse
-	// — the first offline pass pays the classification, every later one
-	// replays the cached trace — whose session id is the pool key clients
-	// negotiating the defaults will hit.
+	// producer: a session over the registration defaults, whose session
+	// id is the pool key clients negotiating the defaults will hit. Like
+	// every session it shares the Engine's trace cache, so the first pass
+	// over the program — offline or live — pays the classification and
+	// every later one replays the trace.
 	var psess *Session
 	if s.pool != nil && cfg.garbleAhead >= 0 {
-		prodOpts := append(defaults[:len(defaults):len(defaults)], WithTraceReuse())
-		if psess, err = s.eng.Session(p, prodOpts...); err != nil {
+		if psess, err = s.eng.Session(p, defaults...); err != nil {
 			return err
 		}
 		sid, err := psess.sessionID()

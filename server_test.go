@@ -514,7 +514,7 @@ func TestServerRefillPanicCounted(t *testing.T) {
 		t.Errorf("panics %d refill failures %d, want 1/1", m.SessionPanics, m.GarbleAhead.RefillFailures)
 	}
 	for i := 0; i < 2; i++ {
-		s, err := eng.Session(prog, WithMaxCycles(10_000), WithTraceReuse())
+		s, err := eng.Session(prog, WithMaxCycles(10_000))
 		if err != nil {
 			t.Fatal(err)
 		}
