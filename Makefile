@@ -88,12 +88,12 @@ test-trace:
 		. ./internal/core ./internal/cpu ./internal/proto
 
 # Garble-ahead correctness: recorded streams byte-identical to live
-# garbling, single-use enforcement, byte-budget eviction, evaluator
-# read-ahead and the server's pool-hit/miss paths — shuffled and under
-# the race detector, as in CI.
+# garbling, single-use enforcement, byte-budget eviction and the
+# server's pool-hit/miss paths — shuffled and under the race detector, as
+# in CI.
 test-pool:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'Record|ReadAhead|Pool|GarbleAhead' \
+		-run 'Record|Pool|GarbleAhead' \
 		. ./internal/proto ./internal/pool
 
 # Fleet-gateway correctness: hash-ring affinity and bounded-load spill,
@@ -108,7 +108,7 @@ test-gateway:
 
 # Oblivious-memory backend correctness: the backend-equivalence grid
 # (scan vs sqrt-ORAM machines under the same sessions, identical decoded
-# outputs across read-ahead/batch settings), the auto rule that picks a
+# outputs across cycle-batch settings), the auto rule that picks a
 # session's backend from its layout, and the obliv/cpu unit suites —
 # shuffled and under the race detector, as in CI's memory-backends job.
 test-membackend:

@@ -47,9 +47,7 @@
 // -garble-ahead N turns on the offline/online split: background workers
 // keep N pre-garbled table streams ready per program (tune with
 // -pool-mem-bytes and per-program "garble_ahead" registry settings), so a
-// session's online phase is OT plus frame I/O. Evaluating
-// roles can add -read-ahead to buffer frames off the socket ahead of the
-// cycle loop.
+// session's online phase is OT plus frame I/O.
 //
 // Ctrl-C cancels a run cleanly, even while blocked on a hung peer; for
 // the serve role it is a graceful shutdown (idle connections close,

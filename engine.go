@@ -111,7 +111,6 @@ type sessionConfig struct {
 	outputsSet    bool
 	cycleBatch    int
 	cycleBatchSet bool
-	readAhead     int
 	garbleAhead   int // 0: server default; -1: off; >0: explicit depth
 	garblerInput  []uint32
 	rand          io.Reader
@@ -157,15 +156,12 @@ func WithCycleBatch(n int) Option {
 // Deprecated: trace reuse is how every session runs; drop the option.
 func WithTraceReuse() Option { return func(*sessionConfig) {} }
 
-// WithReadAhead makes an evaluating session pull up to depth frames off
-// the connection in a reader goroutine ahead of its cycle loop (default
-// 0: synchronous reads). The reader buffers the table frames and then the
-// decode frame that ends every session, where it stops, so a garbler that
-// streams faster than labels evaluate — a pool-fed garbler always does —
-// never blocks on a full socket. The
-// knob is local: it changes no wire byte and is not part of the session
-// id. The garbling side and the in-process Run ignore it.
-func WithReadAhead(depth int) Option { return func(c *sessionConfig) { c.readAhead = depth } }
+// WithReadAhead does nothing: an evaluating session reads its frames
+// synchronously, and the kernel's socket buffer keeps a fast garbler
+// streaming while labels evaluate.
+//
+// Deprecated: read-ahead is gone; drop the option.
+func WithReadAhead(depth int) Option { return func(*sessionConfig) {} }
 
 // WithGarbleAheadDepth sets, on a Server registration, how many
 // pre-garbled streams the garble-ahead pool keeps ready for this program
@@ -290,9 +286,6 @@ func newSessionConfig(opts []Option) (sessionConfig, error) {
 	}
 	if cfg.cycleBatch < 1 {
 		return cfg, fmt.Errorf("arm2gc: WithCycleBatch(%d): batch must be at least 1", cfg.cycleBatch)
-	}
-	if cfg.readAhead < 0 {
-		return cfg, fmt.Errorf("arm2gc: WithReadAhead(%d): depth cannot be negative", cfg.readAhead)
 	}
 	if cfg.garbleAhead < -1 {
 		return cfg, fmt.Errorf("arm2gc: WithGarbleAheadDepth(%d): depth must be positive", cfg.garbleAhead)
@@ -518,7 +511,6 @@ func (s *Session) protoConfig(pub []bool) proto.Config {
 		StopOutput: "halted",
 		Outputs:    s.cfg.outputs,
 		CycleBatch: s.cfg.cycleBatch,
-		ReadAhead:  s.cfg.readAhead,
 		Sink:       s.coreSink(),
 	}
 }

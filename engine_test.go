@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -285,6 +286,33 @@ func runTwoParty(t *testing.T, gs, es *Session, alice, bob []uint32) (*RunInfo, 
 		t.Fatalf("garbler: %v", ga.err)
 	}
 	return ga.info, bobInfo
+}
+
+// TestWithReadAheadIsNoOp pins the deprecated option as a no-op: an
+// evaluating session with it, at any depth, reports the same RunInfo as
+// one without it.
+func TestWithReadAheadIsNoOp(t *testing.T) {
+	eng := NewEngine()
+	prog := compileAdd(t)
+	session := func(opts ...Option) *Session {
+		t.Helper()
+		s, err := eng.Session(prog, append([]Option{WithMaxCycles(10_000), WithCycleBatch(4)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	alice, bob := []uint32{40}, []uint32{2}
+	_, want := runTwoParty(t, session(), session(), alice, bob)
+	if want.Outputs[0] != 42 {
+		t.Fatalf("output %d, want 42", want.Outputs[0])
+	}
+	for _, depth := range []int{-1, 4} {
+		_, got := runTwoParty(t, session(), session(WithReadAhead(depth)), alice, bob)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("WithReadAhead(%d): RunInfo %+v, want %+v", depth, got, want)
+		}
+	}
 }
 
 func TestSessionOutputModes(t *testing.T) {

@@ -40,18 +40,16 @@ type SessionOpts struct {
 	maxCycles  *int
 	cycleBatch *int
 	outputMode *string
-	readAhead  *int
 }
 
 // SessionFlags registers the session-option flags the two-party tools
-// share: -max-cycles, -cycle-batch, -output-mode and -read-ahead. Call
+// share: -max-cycles, -cycle-batch and -output-mode. Call
 // Options after flag.Parse to assemble the option list.
 func SessionFlags() *SessionOpts {
 	return &SessionOpts{
 		maxCycles:  flag.Int("max-cycles", 1_000_000, "cycle budget"),
 		cycleBatch: flag.Int("cycle-batch", 1, "cycles of garbled tables per network frame (both parties must agree)"),
 		outputMode: flag.String("output-mode", "both", "who learns the outputs: both | garbler | evaluator (both parties must agree)"),
-		readAhead:  flag.Int("read-ahead", 0, "evaluator-side lookahead: frames buffered off the socket ahead of the cycle loop (0 = synchronous)"),
 	}
 }
 
@@ -76,9 +74,6 @@ func (o *SessionOpts) Options(onlySet bool) ([]arm2gc.Option, error) {
 			return nil, err
 		}
 		opts = append(opts, arm2gc.WithOutputMode(mode))
-	}
-	if include("read-ahead") {
-		opts = append(opts, arm2gc.WithReadAhead(*o.readAhead))
 	}
 	return opts, nil
 }

@@ -15,8 +15,7 @@ import (
 // covers the program binary and constants; the cycle budget and halt-flag
 // name shape the schedule itself (the final budget cycle classifies with
 // different fanouts, and the halt flag decides where the trace ends).
-// Cycle batching and read-ahead are deliberately absent:
-// they never change the schedule.
+// Cycle batching is deliberately absent: it never changes the schedule.
 type TraceKey struct {
 	Circuit *circuit.Circuit
 	Pub     [32]byte

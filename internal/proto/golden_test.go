@@ -139,8 +139,8 @@ func TestGoldenWireDigest(t *testing.T) {
 			}
 
 			// The other ways of producing the stream must hit the same
-			// constant: a replaying garbler and evaluator, a read-ahead
-			// evaluator, and an offline RecordGarbler stream.
+			// constant: a replaying garbler and evaluator, and an offline
+			// RecordGarbler stream.
 			rec := cfg
 			rec.Record = core.Unbounded
 			ra, rbRec, _ := runBothAsym(t, rec, rec, alice, bob, 1)
@@ -148,11 +148,6 @@ func TestGoldenWireDigest(t *testing.T) {
 			gR.Trace, eR.Trace = ra.Trace, rbRec.Trace
 			if d, _ := goldenDigest(t, gR, eR, alice, bob); d != tc.want {
 				t.Errorf("replayed wire digest %s, golden %s", d, tc.want)
-			}
-			eP := cfg
-			eP.ReadAhead = 2
-			if d, _ := goldenDigest(t, cfg, eP, alice, bob); d != tc.want {
-				t.Errorf("read-ahead wire digest %s, golden %s", d, tc.want)
 			}
 			offline, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(42)))
 			if err != nil {

@@ -181,46 +181,42 @@ func replayConfig(t *testing.T, cfg Config, alice []bool) Config {
 
 // TestTraceReplayExactTableFrames: an evaluator replaying a trace knows
 // every table frame's exact size, so a frame one table short or one table
-// long is refused from its header — synchronously and read ahead — instead
-// of being read in full and failing later in the cycle loop, and a table
-// frame past the trace's last cycle is refused too.
+// long is refused from its header instead of being read in full and
+// failing later in the cycle loop, and a table frame past the trace's last
+// cycle is refused where the decode frame is due.
 func TestTraceReplayExactTableFrames(t *testing.T) {
 	cfg, alice, bob := multiCycleConfig(t, 4)
 	replay := replayConfig(t, cfg, alice)
-	for _, ahead := range []int{0, 2} {
-		cfgE := replay
-		cfgE.ReadAhead = ahead
-		for _, tc := range []struct {
-			name string
-			edit func(frame []byte) []byte
-		}{
-			{"short", func(f []byte) []byte { return f[:len(f)-gc.TableBytes] }},
-			{"long", func(f []byte) []byte { return append(f, make([]byte, gc.TableBytes)...) }},
-		} {
-			rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := len(rec.frames[1])
-			if want < gc.TableBytes {
-				t.Fatal("second frame carries no table to tamper with")
-			}
-			rec.frames[1] = tc.edit(rec.frames[1])
-			err = serveTampered(t, cfgE, rec, bob, nil)
-			if msg := fmt.Sprintf("announces %d bytes, want %d", len(rec.frames[1]), want); err == nil || !strings.Contains(err.Error(), msg) {
-				t.Errorf("read ahead %d, %s frame: got %v, want %q", ahead, tc.name, err, msg)
-			}
-		}
+	for _, tc := range []struct {
+		name string
+		edit func(frame []byte) []byte
+	}{
+		{"short", func(f []byte) []byte { return f[:len(f)-gc.TableBytes] }},
+		{"long", func(f []byte) []byte { return append(f, make([]byte, gc.TableBytes)...) }},
+	} {
 		rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = serveTampered(t, cfgE, rec, bob, func(conn net.Conn) error {
-			return wire.Write(conn, msgTables, make([]byte, gc.TableBytes))
-		})
-		if err == nil || !strings.Contains(err.Error(), "after the trace's last cycle") {
-			t.Errorf("read ahead %d, extra frame: got %v, want a refusal past the last cycle", ahead, err)
+		want := len(rec.frames[1])
+		if want < gc.TableBytes {
+			t.Fatal("second frame carries no table to tamper with")
 		}
+		rec.frames[1] = tc.edit(rec.frames[1])
+		err = serveTampered(t, replay, rec, bob, nil)
+		if msg := fmt.Sprintf("announces %d bytes, want %d", len(rec.frames[1]), want); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s frame: got %v, want %q", tc.name, err, msg)
+		}
+	}
+	rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = serveTampered(t, replay, rec, bob, func(conn net.Conn) error {
+		return wire.Write(conn, msgTables, make([]byte, gc.TableBytes))
+	})
+	if msg := fmt.Sprintf("got frame type %#02x, want %#02x", msgTables, msgDecode); err == nil || !strings.Contains(err.Error(), msg) {
+		t.Errorf("extra frame: got %v, want %q", err, msg)
 	}
 }
 
@@ -263,18 +259,13 @@ func (c *poisonConn) Write(b []byte) (int, error) {
 }
 
 // TestHostileLengthAtEveryRead: at every read of a session — the
-// negotiation verdict, both hellos, Alice's labels, the table frames
-// (synchronous and read ahead, live and replaying a trace), the decode
-// frame and the outputs frame — a header announcing 1 GiB is refused from
-// the header alone: an error, and well under 1 MiB allocated by both
-// parties together.
+// negotiation verdict, both hellos, Alice's labels, the table frames (live
+// and replaying a trace), the decode frame and the outputs frame — a
+// header announcing 1 GiB is refused from the header alone: an error, and
+// well under 1 MiB allocated by both parties together.
 func TestHostileLengthAtEveryRead(t *testing.T) {
 	cfg, alice, bob := multiCycleConfig(t, 4)
-	ahead := cfg
-	ahead.ReadAhead = 2
 	replay := replayConfig(t, cfg, alice)
-	replayAhead := replay
-	replayAhead.ReadAhead = 2
 	sites := []struct {
 		name   string
 		typ    byte
@@ -285,11 +276,8 @@ func TestHostileLengthAtEveryRead(t *testing.T) {
 		{"hello ack", msgHello, "evaluator", cfg},
 		{"alice labels", msgAliceLabels, "garbler", cfg},
 		{"tables", msgTables, "garbler", cfg},
-		{"tables read ahead", msgTables, "garbler", ahead},
 		{"tables replayed", msgTables, "garbler", replay},
-		{"tables replayed read ahead", msgTables, "garbler", replayAhead},
 		{"decode", msgDecode, "garbler", cfg},
-		{"decode read ahead", msgDecode, "garbler", ahead},
 		{"outputs", msgOutputs, "evaluator", cfg},
 	}
 	for _, site := range sites {

@@ -24,6 +24,7 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -90,14 +91,9 @@ type Config struct {
 	// changes no wire byte.
 	Record core.RecordBudget
 
-	// ReadAhead, when positive, makes the evaluator pull up to that many
-	// frames off the connection in a reader goroutine ahead of its cycle
-	// loop: the table frames, then the decode frame that ends every
-	// session. It keeps a slow evaluator's socket drained against a
-	// garbler that streams faster than labels evaluate — a pool-fed
-	// garbler always does. The knob is evaluator-local (not part of the
-	// session id); the garbling side ignores it. It needs a
-	// deadline-capable connection (every net.Conn).
+	// ReadAhead is ignored: the evaluator reads its frames synchronously.
+	//
+	// Deprecated: read-ahead is gone; drop the field.
 	ReadAhead int
 
 	// tapTables is a test hook: the evaluator calls it with every raw
@@ -151,6 +147,10 @@ const (
 	msgDecode      = wire.Decode
 	msgOutputs     = wire.Outputs
 )
+
+// streamBufBytes sizes the evaluator's read buffer over the garbler's
+// table stream.
+const streamBufBytes = 64 << 10
 
 // helloLen is the garbler's hello payload: the session id, then the
 // garbler's public fingerprint seed. The evaluator echoes the id alone.
@@ -403,17 +403,20 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 		decodeBits = 0
 	}
 	res := &Result{}
-	// From here the garbler only sends: stream frames through the
-	// read-ahead reader (a synchronous pass-through unless cfg.ReadAhead
-	// asks for buffering), which shutdown joins on every path.
-	fr := newFrameReader(conn, cfg, bitBytes(decodeBits))
-	defer fr.shutdown()
-	if err := evalStream(ctx, fr, cfg, sched, e, res); err != nil {
+	// From here the garbler only sends: its table frames, then the decode
+	// frame that ends its side of the session. It sends nothing more until
+	// our outputs frame, so a buffer over this stretch never holds bytes of
+	// a later session on a reused connection, and it takes whatever has
+	// arrived in one read instead of two reads per frame.
+	stream := bufio.NewReaderSize(conn, streamBufBytes)
+	if err := evalStream(ctx, stream, cfg, sched, e, res); err != nil {
 		return nil, err
 	}
 	res.Stats, res.Halted, res.Trace = sched.Stats(), sched.Halted(), sched.Trace()
 
-	decBytes, err := fr.read(msgDecode)
+	// A table frame past the schedule's last cycle fails here, as a frame
+	// of the wrong type.
+	decBytes, err := readExact(stream, msgDecode, bitBytes(decodeBits))
 	if err != nil {
 		return nil, err
 	}
@@ -454,8 +457,9 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 // read a table frame at each batch start, run the kernel. Frame boundaries
 // fall where the garbler puts them — the cycle-batch edge and the run's
 // last cycle — because both sides step the same public schedule.
-func evalStream(ctx context.Context, fr *frameReader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
+func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
 	batch := cfg.batch()
+	liveMax := batch * cfg.Circuit.Stats().NonXOR * gc.TableBytes
 	var pending []gc.Table // tables of the current frame not yet consumed
 	inBatch := 0
 	for {
@@ -466,7 +470,8 @@ func evalStream(ctx context.Context, fr *frameReader, cfg Config, sched *core.Sc
 		cyc := sched.Cycle()
 		var err error
 		if inBatch == 0 {
-			if pending, err = readTables(fr, cfg, res, cyc); err != nil {
+			lo, hi := cfg.tableFrameBytes(cyc, liveMax)
+			if pending, err = readTables(r, cfg, res, cyc, lo, hi); err != nil {
 				return err
 			}
 		}
@@ -487,9 +492,26 @@ func evalStream(ctx context.Context, fr *frameReader, cfg Config, sched *core.Sc
 	}
 }
 
-// readTables reads and parses one msgTables frame.
-func readTables(fr *frameReader, cfg Config, res *Result, cyc int) ([]gc.Table, error) {
-	payload, err := fr.read(msgTables)
+// tableFrameBytes is the size range of the table frame that starts at
+// cycle cyc. A replaying evaluator knows it exactly from its trace: 32
+// bytes per table of each cycle the frame covers, fewer cycles at the
+// trace's end. A live one bounds it by liveMax, one table per non-XOR gate
+// per cycle of the batch.
+func (c Config) tableFrameBytes(cyc, liveMax int) (lo, hi int) {
+	if c.Trace == nil {
+		return 0, liveMax
+	}
+	n := 0
+	for i := cyc; i < cyc+c.batch() && i <= c.Trace.NumCycles(); i++ {
+		n += c.Trace.Cycle(i).NumTables() * gc.TableBytes
+	}
+	return n, n
+}
+
+// readTables reads and parses one msgTables frame of lo to hi bytes,
+// refusing any other size from its header.
+func readTables(r io.Reader, cfg Config, res *Result, cyc, lo, hi int) ([]gc.Table, error) {
+	payload, err := wire.Read(r, msgTables, lo, hi)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func runBoth(t *testing.T, cfg Config, alice, bob []bool) (*Result, *Result) {
 }
 
 // runBothAsym runs both parties over a pipe with per-side configs (for the
-// role-local knobs Trace and ReadAhead) and a fixed-seed garbler RNG,
+// role-local Trace) and a fixed-seed garbler RNG,
 // recording every table-frame payload the evaluator receives.
 func runBothAsym(t *testing.T, cfgG, cfgE Config, alice, bob []bool, seed int64) (*Result, *Result, [][]byte) {
 	t.Helper()

@@ -92,10 +92,11 @@ func TestRecordServeByteIdenticalGrid(t *testing.T) {
 
 // TestRecordServeTraceReplay pins the pool's steady state: offline
 // recording through a compiled classification trace (the producer's warm
-// path) must still serve the exact classified bytes.
+// path) must still serve the exact classified bytes, to a classifying
+// evaluator and to a replaying one.
 func TestRecordServeTraceReplay(t *testing.T) {
 	base, alice, bob := multiCycleConfig(t, 4)
-	trG, _ := recordTraces(t, base, alice, bob, 9)
+	trG, trE := recordTraces(t, base, alice, bob, 9)
 	_, rb, want := runBothAsym(t, base, base, alice, bob, 9)
 
 	cfgR := base
@@ -116,6 +117,17 @@ func TestRecordServeTraceReplay(t *testing.T) {
 	for i := range rb.Outputs {
 		if sb.Outputs[i] != rb.Outputs[i] {
 			t.Fatalf("trace-recorded stream: output %d differs", i)
+		}
+	}
+	cfgE := base
+	cfgE.Trace = trE
+	_, eb, _ := serveBoth(t, base, cfgE, rec, bob)
+	if eb.Stats != rb.Stats {
+		t.Fatal("trace-recorded stream: stats diverge at a replaying evaluator")
+	}
+	for i := range rb.Outputs {
+		if eb.Outputs[i] != rb.Outputs[i] {
+			t.Fatalf("trace-recorded stream: output %d differs at a replaying evaluator", i)
 		}
 	}
 

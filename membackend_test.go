@@ -76,13 +76,11 @@ func relaxInputs() (alice, bob []uint32) {
 
 // TestMemoryBackendEquivalenceGrid is the backend-equivalence suite: the
 // same relaxation program, garbled two-party under the scan and the
-// square-root ORAM across a read-ahead × cycle-batch grid (p: the
-// evaluator's read-ahead depth), must decode identical outputs — equal to
-// the native emulation — with equal cycle counts. Read-ahead is a local
-// knob and must not perturb either backend's stream.
+// square-root ORAM across cycle-batch settings, must decode identical
+// outputs — equal to the native emulation — with equal cycle counts.
 func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 	if testing.Short() {
-		t.Skip("twelve full two-party runs")
+		t.Skip("six full two-party runs")
 	}
 	prog := compileRelax(t)
 	alice, bob := relaxInputs()
@@ -92,21 +90,13 @@ func TestMemoryBackendEquivalenceGrid(t *testing.T) {
 	}
 
 	eng := NewEngine()
-	grid := []struct {
-		readAhead, batch int
-	}{
-		{0, 1},
-		{2, 4},
-		{1, 8},
-	}
 	cycles := map[string]int{}
 	for _, backend := range []string{MemoryScan, MemorySqrtORAM} {
-		for _, g := range grid {
-			name := fmt.Sprintf("%s/p%d-b%d", backend, g.readAhead, g.batch)
-			t.Run(name, func(t *testing.T) {
-				common := []Option{WithMaxCycles(100_000), WithCycleBatch(g.batch)}
-				gs := sessionOn(t, eng, backend, prog, common...)
-				es := sessionOn(t, eng, backend, prog, append(common, WithReadAhead(g.readAhead))...)
+		for _, batch := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("%s/b%d", backend, batch), func(t *testing.T) {
+				opts := []Option{WithMaxCycles(100_000), WithCycleBatch(batch)}
+				gs := sessionOn(t, eng, backend, prog, opts...)
+				es := sessionOn(t, eng, backend, prog, opts...)
 				if got := gs.Machine().MemoryBackend(); got != backend {
 					t.Fatalf("machine backend %q, want %q", got, backend)
 				}
