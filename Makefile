@@ -33,7 +33,7 @@ race:
 
 # Short fuzzing smoke runs: random instruction streams on the processor
 # circuit vs the emulator (internal/cpu FuzzInstructionStream), then an
-# attacker-shaped byte stream as the peer of each of the four OT roles
+# attacker-shaped byte stream as the peer of each of the six OT roles
 # (internal/ot FuzzOTPeer: error, never panic, never read or allocate past
 # the frames), arbitrary bytes as an unauthorized proposal (internal/proto
 # FuzzProposal: never panic, bounded allocation, accepted proposals

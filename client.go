@@ -65,7 +65,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // program is the public input both parties must know, so the Client
 // registers its own copy of every program it evaluates; the negotiation
 // cross-checks the session id, turning any program-binary or layout
-// disagreement into a clear error before the run starts.
+// disagreement into a clear error before the run starts. Registering a
+// program also runs its base OTs with the server, once per connection
+// (see Register).
 //
 // A Client is safe for concurrent use; sessions serialize on the
 // connection, and a waiter's context is honored while it queues — a
@@ -88,6 +90,7 @@ type Client struct {
 
 	mu     sync.Mutex
 	progs  map[string]*Program
+	ots    map[string]*proto.OTState // per registered program, created on first use
 	broken error
 }
 
@@ -119,7 +122,7 @@ func WithDialTLS(cfg *tls.Config) ClientOption {
 // conn: Close closes it when it implements io.Closer.
 func NewClient(conn io.ReadWriter, opts ...ClientOption) *Client {
 	c := &Client{conn: conn, eng: DefaultEngine, progs: make(map[string]*Program),
-		sem: make(chan struct{}, 1)}
+		ots: make(map[string]*proto.OTState), sem: make(chan struct{}, 1)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -172,6 +175,17 @@ func DialTLS(ctx context.Context, addr string, cfg *tls.Config, opts ...ClientOp
 // propose under (empty name means p.Name). The binary must match the
 // Server's registration bit for bit — the negotiated session id catches
 // any divergence.
+//
+// Register then runs the program's OT set-up with the server over the
+// Client's connection: the 128 base OTs, which depend on neither party's
+// input, so that every session of the program on this connection — the
+// first included — runs only the OT extension. It blocks until the server
+// answers; a Client built by NewClient over a connection nobody serves
+// yet must be registered once the server runs. A server that declines the
+// set-up (it serves the program only against a bearer token, say) leaves
+// the program registered, and its first session runs the base OTs
+// instead. An error after the set-up started breaks the Client, as a
+// failed session does.
 func (c *Client) Register(name string, p *Program) error {
 	if p == nil {
 		return fmt.Errorf("arm2gc: Register: nil program")
@@ -183,11 +197,43 @@ func (c *Client) Register(name string, p *Program) error {
 		return fmt.Errorf("arm2gc: Register: program has no name")
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.progs[name]; dup {
+		c.mu.Unlock()
 		return fmt.Errorf("arm2gc: Register: program %q already registered", name)
 	}
 	c.progs[name] = p
+	c.mu.Unlock()
+	//lint:ignore ctxflow Register is an API root whose signature carries no context; its one bounded exchange ends with the connection, as Close aborts it
+	return c.setupOT(context.Background(), name)
+}
+
+// setupOT runs the OT set-up for a registered program (see Register) and
+// holds its epoch for the program's sessions.
+func (c *Client) setupOT(ctx context.Context, name string) error {
+	if err := c.acquire(ctx); err != nil {
+		return err
+	}
+	defer c.release()
+	c.mu.Lock()
+	skip := c.broken != nil || c.ots == nil
+	c.mu.Unlock()
+	if skip {
+		return nil // a broken or closed Client fails at Evaluate instead
+	}
+	st := new(proto.OTState)
+	err := proto.SetupOT(ctx, c.conn, proto.Proposal{Program: name}, st)
+	var rej *RejectedError
+	if errors.As(err, &rej) {
+		return nil // declined: the connection lives on
+	}
+	if err != nil {
+		return c.fail(fmt.Errorf("arm2gc: OT set-up for %q: %w", name, err))
+	}
+	c.mu.Lock()
+	if c.ots != nil {
+		c.ots[name] = st
+	}
+	c.mu.Unlock()
 	return nil
 }
 
@@ -223,7 +269,11 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 	}
 	defer c.release()
 	c.mu.Lock()
-	broken, prog := c.broken, c.progs[name]
+	broken, prog, st := c.broken, c.progs[name], c.ots[name]
+	if prog != nil && st == nil && c.ots != nil {
+		st = new(proto.OTState)
+		c.ots[name] = st
+	}
 	c.mu.Unlock()
 	if broken != nil {
 		return nil, fmt.Errorf("arm2gc: client connection is broken: %w", broken)
@@ -235,7 +285,9 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 	if err != nil {
 		return nil, err
 	}
-	prop := proto.Proposal{Program: name, Auth: cfg.authToken}
+	// The proposal names the OT epoch this Client holds for the program;
+	// the grant says whether the session extends it or runs base OTs.
+	prop := proto.Proposal{Program: name, Auth: cfg.authToken, Epoch: st.Held()}
 	if cfg.outputsSet {
 		prop.HasOutputs = true
 		prop.Outputs = cfg.outputs
@@ -286,7 +338,10 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 	if !bytes.Equal(sid[:], grant.SessionID[:]) {
 		return nil, c.fail(fmt.Errorf("arm2gc: session id mismatch for %q: this client's program binary or layout differs from the server's registration", name))
 	}
-	info, err := sess.Evaluate(ctx, c.conn, bob)
+	if st != nil { // nil once Close has dropped the OT state
+		st.Epoch = grant.Epoch
+	}
+	info, err := sess.evaluate(ctx, c.conn, bob, st)
 	if err != nil {
 		return nil, c.fail(err)
 	}
@@ -300,6 +355,7 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 func (c *Client) fail(err error) error {
 	c.mu.Lock()
 	c.broken = err
+	c.ots = nil // the connection's OT state goes with it
 	c.mu.Unlock()
 	if cl, ok := c.conn.(io.Closer); ok {
 		_ = cl.Close() // the conn is already condemned; its close error adds nothing
@@ -310,6 +366,9 @@ func (c *Client) fail(err error) error {
 // Close closes the underlying connection when it supports closing; the
 // server sees a clean end-of-connection at its next proposal read.
 func (c *Client) Close() error {
+	c.mu.Lock()
+	c.ots = nil
+	c.mu.Unlock()
 	if cl, ok := c.conn.(io.Closer); ok {
 		return cl.Close()
 	}

@@ -3,6 +3,7 @@ package arm2gc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -11,13 +12,31 @@ import (
 	"arm2gc/internal/proto"
 )
 
+// declineSetup plays a peer that runs no OT set-up: it reads the set-up
+// proposal Client.Register sends and rejects it, which leaves the Client
+// to run the base OTs in its sessions.
+func declineSetup(conn net.Conn) error {
+	prop, err := proto.ReadProposal(conn)
+	if err != nil {
+		return err
+	}
+	if !prop.Setup {
+		return fmt.Errorf("first proposal is not an OT set-up: %+v", prop)
+	}
+	return proto.WriteReject(conn, "no OT set-up here")
+}
+
 // shedPeer plays the rejecting end of a Client connection over net.Pipe:
-// for each proposal it reads, it answers from the scripted verdicts
-// (positive duration: shed with that Retry-After; zero: plain reject),
-// counting proposals as it goes.
+// it declines the OT set-up, then for each session proposal it reads, it
+// answers from the scripted verdicts (positive duration: shed with that
+// Retry-After; zero: plain reject), counting proposals as it goes.
 func shedPeer(t *testing.T, conn net.Conn, verdicts []time.Duration, proposals *atomic.Int64) {
 	t.Helper()
 	go func() {
+		if err := declineSetup(conn); err != nil {
+			t.Error(err)
+			return
+		}
 		for _, after := range verdicts {
 			if _, err := proto.ReadProposal(conn); err != nil {
 				return // client gave up early; the test asserts the count

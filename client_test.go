@@ -24,7 +24,11 @@ func TestClientEvaluateCancelMidHandshake(t *testing.T) {
 
 	proposalRead := make(chan struct{})
 	go func() {
-		// The silent server: consume the proposal, then never answer.
+		// The silent server: decline the OT set-up, then consume the
+		// session proposal and never answer.
+		if err := declineSetup(cb); err != nil {
+			t.Error(err)
+		}
 		if _, err := proto.ReadProposal(cb); err != nil {
 			t.Error(err)
 		}
@@ -72,6 +76,9 @@ func TestClientEvaluateCancelWhileQueued(t *testing.T) {
 
 	// The first session wedges: its proposal is consumed, no answer comes.
 	go func() {
+		if err := declineSetup(cb); err != nil {
+			t.Error(err)
+		}
 		if _, err := proto.ReadProposal(cb); err != nil {
 			t.Error(err)
 		}

@@ -408,6 +408,11 @@ func (s *Session) Count(ctx context.Context) (*RunInfo, error) {
 // in-flight read or write when conn supports deadlines (every net.Conn
 // does) — with an error wrapping ctx.Err().
 func (s *Session) Garble(ctx context.Context, conn io.ReadWriter, alice []uint32) (*RunInfo, error) {
+	return s.garble(ctx, conn, alice, nil)
+}
+
+// garble is Garble over a connection's OT state (nil: fresh base OTs).
+func (s *Session) garble(ctx context.Context, conn io.ReadWriter, alice []uint32, st *proto.OTState) (*RunInfo, error) {
 	if alice == nil {
 		alice = s.cfg.garblerInput
 	}
@@ -418,7 +423,7 @@ func (s *Session) Garble(ctx context.Context, conn io.ReadWriter, alice []uint32
 	ts := s.traceFor(pub)
 	defer ts.settle()
 	cfg := s.protoConfig(pub)
-	cfg.Trace, cfg.Record = ts.trace, ts.record
+	cfg.Trace, cfg.Record, cfg.OT = ts.trace, ts.record, st
 	res, err := proto.RunGarbler(ctx, conn, cfg, ab, s.cfg.rand)
 	if err != nil {
 		return nil, err
@@ -469,11 +474,18 @@ func (s *Session) Record(ctx context.Context) (*RecordedStream, error) {
 // input and negotiated options (its session id is checked), and must
 // never have been served before. Cancellation behaves as in Garble.
 func (s *Session) GarbleRecorded(ctx context.Context, conn io.ReadWriter, rec *RecordedStream) (*RunInfo, error) {
+	return s.garbleRecorded(ctx, conn, rec, nil)
+}
+
+// garbleRecorded is GarbleRecorded over a connection's OT state.
+func (s *Session) garbleRecorded(ctx context.Context, conn io.ReadWriter, rec *RecordedStream, st *proto.OTState) (*RunInfo, error) {
 	pub, err := s.m.cpu.PublicBits(s.prog)
 	if err != nil {
 		return nil, err
 	}
-	res, err := proto.ServeRecorded(ctx, conn, s.protoConfig(pub), rec)
+	cfg := s.protoConfig(pub)
+	cfg.OT = st
+	res, err := proto.ServeRecorded(ctx, conn, cfg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -483,8 +495,15 @@ func (s *Session) GarbleRecorded(ctx context.Context, conn io.ReadWriter, rec *R
 }
 
 // Evaluate plays Bob (the evaluator) over a connection. Cancellation
-// behaves as in Garble.
+// behaves as in Garble. It runs fresh base OTs, since it cannot know what
+// the connection's last negotiation granted; a Client carries them across
+// its sessions instead.
 func (s *Session) Evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32) (*RunInfo, error) {
+	return s.evaluate(ctx, conn, bob, nil)
+}
+
+// evaluate is Evaluate over a connection's OT state.
+func (s *Session) evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32, st *proto.OTState) (*RunInfo, error) {
 	pub, bb, err := s.m.partyBits(s.prog, circuit.Bob, bob)
 	if err != nil {
 		return nil, err
@@ -492,7 +511,7 @@ func (s *Session) Evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32
 	ts := s.traceFor(pub)
 	defer ts.settle()
 	cfg := s.protoConfig(pub)
-	cfg.Trace, cfg.Record = ts.trace, ts.record
+	cfg.Trace, cfg.Record, cfg.OT = ts.trace, ts.record, st
 	res, err := proto.RunEvaluator(ctx, conn, cfg, bb)
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,9 +207,12 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("post-rejection session: %v, %v", info, err)
 	}
 
+	// Each Register also proposed an OT set-up, routed like a session;
+	// the backend declined ghost's.
+	const proposals = sessions + 2 + 2
 	m := g.Metrics()
-	if m.Proposals != sessions+2 {
-		t.Errorf("proposals = %d, want %d", m.Proposals, sessions+2)
+	if m.Proposals != proposals {
+		t.Errorf("proposals = %d, want %d", m.Proposals, proposals)
 	}
 	var routed int64
 	for _, b := range m.Backends {
@@ -217,8 +221,8 @@ func TestGatewayEndToEnd(t *testing.T) {
 			t.Errorf("backend %s failed = %d, want 0", b.Addr, b.Failed)
 		}
 	}
-	if routed != sessions+2 {
-		t.Errorf("routed = %d, want %d", routed, sessions+2)
+	if routed != proposals {
+		t.Errorf("routed = %d, want %d", routed, proposals)
 	}
 	waitFor(t, "fleet served count", func() bool {
 		return b1.srv.SessionsServed()+b2.srv.SessionsServed() == sessions+1
@@ -344,7 +348,8 @@ func TestGatewayOutputModes(t *testing.T) {
 
 // TestGatewayShedRateLimit: past the per-peer burst the gateway sheds
 // with a Retry-After hint, the client surfaces it as *RetryableError,
-// and the connection stays usable.
+// and the connection stays usable. The OT set-up Register proposes is
+// charged like a session: it costs the backend the base OTs.
 func TestGatewayShedRateLimit(t *testing.T) {
 	prog := compileProg(t, "add", addSrc)
 	eng := arm2gc.NewEngine()
@@ -353,7 +358,7 @@ func TestGatewayShedRateLimit(t *testing.T) {
 	addr, g, stop := startGateway(t, Config{
 		Backends:     []string{b.addr},
 		RatePerPeer:  0.01, // no meaningful refill within the test
-		BurstPerPeer: 2,
+		BurstPerPeer: 3,    // the set-up and two sessions
 	})
 	defer stop()
 
@@ -394,10 +399,23 @@ func TestGatewayShedRateLimit(t *testing.T) {
 // and once the backend comes back the prober re-admits it.
 func TestGatewayChaosKillBackend(t *testing.T) {
 	prog := compileProg(t, "slow", slowSrc)
+	// The kill lands inside the session by construction, not by racing
+	// it: once armed, the registration's stats sink parks the garbler in
+	// its cycle loop, mid-session, until the victim is dead.
+	var armed atomic.Bool
+	parked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	park := func(arm2gc.CycleUpdate) {
+		if armed.CompareAndSwap(true, false) {
+			parked <- struct{}{}
+			<-release
+		}
+	}
 	register := func(s *arm2gc.Server) error {
 		return s.Register("slow", prog,
 			arm2gc.WithMaxCycles(10_000),
-			arm2gc.WithGarblerInput([]uint32{5}))
+			arm2gc.WithGarblerInput([]uint32{5}),
+			arm2gc.WithStatsSink(park))
 	}
 	engA, engB := arm2gc.NewEngine(), arm2gc.NewEngine()
 	bA := startBackend(t, engA, "", register)
@@ -433,22 +451,29 @@ func TestGatewayChaosKillBackend(t *testing.T) {
 		victim, survivor = bB, bA
 	}
 
-	// Kill the victim mid-session: wait until the next session is
-	// actively garbling there, then cancel its Serve (drain 0 closes its
-	// connections immediately).
+	// Kill the victim mid-session: wait until the next session is parked
+	// garbling there, then cancel its Serve (drain 0 closes its
+	// connections immediately). The client sees the session die; only
+	// then is the parked garbler let go, to find its session cancelled.
 	evalErr := make(chan error, 1)
+	armed.Store(true)
 	go func() {
 		_, err := cl.Evaluate(context.Background(), "slow", []uint32{4})
 		evalErr <- err
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for victim.srv.Metrics().SessionsActive == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never went active on the victim")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never went active on the victim")
 	}
-	victim.stop()
+	if victim.srv.Metrics().SessionsActive != 1 {
+		t.Fatal("the parked session is not active on the victim")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		victim.stop()
+		close(stopped)
+	}()
 	select {
 	case err := <-evalErr:
 		if err == nil {
@@ -458,6 +483,8 @@ func TestGatewayChaosKillBackend(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("in-flight session hung after backend kill")
 	}
+	close(release)
+	<-stopped
 	cl.Close()
 
 	// The gateway has ejected the victim; a fresh client's sessions
@@ -486,7 +513,7 @@ func TestGatewayChaosKillBackend(t *testing.T) {
 	// and the program's sessions come home to the ring node.
 	reborn := startBackend(t, victim.eng, victim.addr, register)
 	defer reborn.stop()
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		healthy := false
 		for _, b := range g.Backends() {

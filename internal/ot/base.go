@@ -4,10 +4,22 @@
 // and the IKNP OT extension, which turns 128 base OTs into any number of
 // label transfers using only symmetric cryptography.
 //
+// The two halves live apart. A base state — SenderBase on the extension
+// sender (the garbler), ReceiverBase on the extension receiver (the
+// evaluator) — is one run of the 128 base OTs: an epoch id plus the seed
+// keys, (k⁰ⱼ, k¹ⱼ) on the receiver and (s, kˢʲⱼ) on the sender. It
+// depends on neither party's input nor the program, so a connection runs
+// it once and every later session pays only Extend: each extension
+// expands its columns from the seed keys under a nonce derived from the
+// epoch, the caller's session bytes and the epoch's extension ordinal, and
+// hashes its rows under a tweak derived the same way, so no two
+// extensions of one epoch share a column or a row pad. SendLabels and
+// ReceiveLabels are a fresh base state plus one Extend.
+//
 // All protocols run over an io.ReadWriter; the two parties call the
-// matching Send/Receive functions on the two ends of a connection
-// (net.Pipe in tests, TCP in the protocol layer). Every message is one
-// wire.OT frame, assembled in one buffer and written in one write.
+// matching functions on the two ends of a connection (net.Pipe in tests,
+// TCP in the protocol layer). Every message is one wire.OT frame,
+// assembled in one buffer and written in one write.
 //
 // Every frame's length is fixed by the protocol and the caller's own input
 // size, so each is read at its exact expected length: a header announcing
@@ -36,6 +48,9 @@ const (
 	// pointLen is the uncompressed encoding of a P-256 point, the unit of
 	// every base-OT message.
 	pointLen = 65
+
+	// coordLen is one P-256 coordinate at its fixed width.
+	coordLen = 32
 
 	// pointsPerFrame is how many of its points the base receiver sends per
 	// frame: small enough that the sender's multiplications on one frame
@@ -78,11 +93,15 @@ func negY(y *big.Int) *big.Int {
 	return ny.Mod(ny, p)
 }
 
+// hashPoint derives a key from a point's affine coordinates, each
+// encoded at its full 32 bytes so the encoding is injective.
 func hashPoint(x, y *big.Int) key {
+	var buf [2*coordLen + 1]byte
+	x.FillBytes(buf[:coordLen])
+	buf[coordLen] = 0x1f
+	y.FillBytes(buf[coordLen+1:])
 	h := sha256.New()
-	h.Write(x.Bytes())
-	h.Write([]byte{0x1f})
-	h.Write(y.Bytes())
+	h.Write(buf[:])
 	var k key
 	copy(k[:], h.Sum(nil))
 	return k

@@ -17,13 +17,17 @@ import (
 	"arm2gc/internal/wire"
 )
 
-// The four roles a peer can face, each with the input sizes the hostile
-// tests and the fuzzer run it at.
+// The roles a peer can face, each with the input sizes the hostile tests
+// and the fuzzer run it at: the two base-OT halves, the two whole
+// transfers (base OTs plus one extension), and the two extension-only
+// halves a session runs on an epoch its connection already holds.
 const (
 	roleBaseSender = iota
 	roleBaseReceiver
 	roleSendLabels
 	roleReceiveLabels
+	roleExtendSend
+	roleExtendReceive
 	numRoles
 
 	hostileN = 5  // base OTs of the two base roles
@@ -41,8 +45,15 @@ func runRole(role int, conn io.ReadWriter) error {
 		return err
 	case roleSendLabels:
 		return SendLabels(conn, make([][2]gc.Label, hostileM))
-	default:
+	case roleReceiveLabels:
 		_, err := ReceiveLabels(conn, make([]bool, hostileM))
+		return err
+	case roleExtendSend:
+		b := &SenderBase{epoch: Epoch{1}, n: 1}
+		return b.Extend(conn, []byte("session"), make([][2]gc.Label, hostileM))
+	default:
+		b := &ReceiverBase{epoch: Epoch{1}, n: 1}
+		_, err := b.Extend(conn, []byte("session"), make([]bool, hostileM))
 		return err
 	}
 }
@@ -84,19 +95,24 @@ func peerScript(role int) []peerFrame {
 		}
 		return out
 	}
+	cols := make([][]byte, kappa)
+	for j := range cols {
+		cols[j] = make([]byte, (hostileM+7)/8)
+	}
+	ciphertexts := peerFrame{msgs: [][]byte{make([]byte, hostileM*32)}}
 	switch role {
 	case roleBaseSender:
 		return points(hostileN)
 	case roleBaseReceiver:
 		return []peerFrame{{msgs: [][]byte{point}}}
 	case roleSendLabels:
-		cols := make([][]byte, kappa)
-		for j := range cols {
-			cols[j] = make([]byte, (hostileM+7)/8)
-		}
 		return []peerFrame{{msgs: [][]byte{point}}, {msgs: cols}}
+	case roleReceiveLabels:
+		return append(points(kappa), ciphertexts)
+	case roleExtendSend:
+		return []peerFrame{{msgs: cols}}
 	default:
-		return append(points(kappa), peerFrame{msgs: [][]byte{make([]byte, hostileM*32)}})
+		return []peerFrame{ciphertexts}
 	}
 }
 

@@ -2,6 +2,7 @@ package ot
 
 import (
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"net"
@@ -132,6 +133,18 @@ func TestSenderKeysMatchLegacyDerivation(t *testing.T) {
 	}
 }
 
+// TestHashPointInjective: coordinates are hashed at their fixed width, so
+// moving a byte across the separator makes a different key. Hashing the
+// minimal big-endian encodings, (0x01, 0x1f02) and (0x011f, 0x02) both
+// fed 01 1f 1f 02 to the hash.
+func TestHashPointInjective(t *testing.T) {
+	a := hashPoint(big.NewInt(0x01), big.NewInt(0x1f02))
+	b := hashPoint(big.NewInt(0x011f), big.NewInt(0x02))
+	if a == b {
+		t.Fatal("distinct coordinate pairs hash to the same key")
+	}
+}
+
 // transfer runs SendLabels on a and ReceiveLabels on b and checks every
 // received label is the chosen one and not the other.
 func transfer(t *testing.T, a, b net.Conn, m int, seed int64) {
@@ -250,38 +263,172 @@ func TestExtensionRejectsShortVectors(t *testing.T) {
 	}
 }
 
-// TestFlightShape pins the wire shape: one OT frame per write, the
-// sequence of frame lengths in each direction, and totals equal to the
-// benchmark's ot.bytes.
+// TestFlightShape pins the wire shape of both kinds of transfer: one OT
+// frame per write, the sequence of frame lengths in each direction, and
+// the totals. A first transfer on a connection runs the base OTs and one
+// extension (the benchmark's ot.bytes); every later transfer on the same
+// epoch is the extension alone, with no base-OT frame in either
+// direction.
 func TestFlightShape(t *testing.T) {
-	for _, tc := range []struct{ m, total int }{
-		{32, 10016},  // handshake.sum32
-		{512, 33056}, // hamming512
-		{800, 46880}, // MatMul5's Bob width
+	for _, tc := range []struct{ m, first, extension int }{
+		{32, 10016, 1546},   // handshake.sum32
+		{512, 33056, 24586}, // hamming512
+		{800, 46880, 38410}, // MatMul5's Bob width
 	} {
 		a, b := net.Pipe()
 		ra, rb := &recordingConn{Conn: a}, &recordingConn{Conn: b}
 		transfer(t, ra, rb, tc.m, 1)
-		a.Close()
-		b.Close()
 
 		mBytes := (tc.m + 7) / 8
 		wantSender := append(repeatLen(pointsPerFrame*pointLen, kappa/pointsPerFrame), tc.m*32)
 		wantReceiver := []int{pointLen, kappa * mBytes}
-		if got := ra.frames(t); !slices.Equal(got, wantSender) {
-			t.Errorf("m=%d: SendLabels wrote frame lengths %v, want %v", tc.m, got, wantSender)
+		check := func(kind string, wantSender, wantReceiver []int, total int) {
+			t.Helper()
+			if got := ra.frames(t); !slices.Equal(got, wantSender) {
+				t.Errorf("m=%d, %s: the sender wrote frame lengths %v, want %v", tc.m, kind, got, wantSender)
+			}
+			if got := rb.frames(t); !slices.Equal(got, wantReceiver) {
+				t.Errorf("m=%d, %s: the receiver wrote frame lengths %v, want %v", tc.m, kind, got, wantReceiver)
+			}
+			if got := len(ra.sent) + len(rb.sent); got != total {
+				t.Errorf("m=%d, %s: %d bytes on the wire, want %d", tc.m, kind, got, total)
+			}
+			if ra.writes != len(wantSender) || rb.writes != len(wantReceiver) {
+				t.Errorf("m=%d, %s: %d and %d writes, want one per frame (%d and %d)",
+					tc.m, kind, ra.writes, rb.writes, len(wantSender), len(wantReceiver))
+			}
 		}
-		if got := rb.frames(t); !slices.Equal(got, wantReceiver) {
-			t.Errorf("m=%d: ReceiveLabels wrote frame lengths %v, want %v", tc.m, got, wantReceiver)
+		check("first transfer", wantSender, wantReceiver, tc.first)
+
+		// The same pipe again: open an epoch off the record, then extend it
+		// once on the record.
+		sb, rbase := openEpoch(t, a, b)
+		*ra, *rb = recordingConn{Conn: a}, recordingConn{Conn: b}
+		extendOnce(t, sb, rbase, ra, rb, tc.m, 2)
+		check("extension", []int{tc.m * 32}, []int{kappa * mBytes}, tc.extension)
+		a.Close()
+		b.Close()
+	}
+}
+
+// openEpoch runs the base OTs over the two ends of a connection and
+// returns both halves of the epoch.
+func openEpoch(t testing.TB, a, b net.Conn) (*SenderBase, *ReceiverBase) {
+	t.Helper()
+	id, err := NewEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type res struct {
+		b   *SenderBase
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		sb, err := NewSenderBase(a, id)
+		ch <- res{sb, err}
+	}()
+	rb, err := NewReceiverBase(b, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := <-ch
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	if s.b.Epoch() != id || rb.Epoch() != id {
+		t.Fatalf("epochs %x and %x, opened as %x", s.b.Epoch(), rb.Epoch(), id)
+	}
+	return s.b, rb
+}
+
+// extendOnce runs one extension of an epoch with fresh random pairs and
+// choices, checks every received label is the chosen one and not the
+// other, and returns the choices.
+func extendOnce(t *testing.T, sb *SenderBase, rb *ReceiverBase, a, b io.ReadWriter, m int, seed int64) []bool {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pairs := randPairs(rng, m)
+	choices := randChoices(rng, m)
+	session := []byte(fmt.Sprintf("session %d", seed))
+	errc := make(chan error, 1)
+	go func() { errc <- sb.Extend(a, session, pairs) }()
+	got, err := rb.Extend(b, session, choices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range choices {
+		want, other := pairs[i][0], pairs[i][1]
+		if c {
+			want, other = other, want
 		}
-		if got := len(ra.sent) + len(rb.sent); got != tc.total {
-			t.Errorf("m=%d: %d bytes on the wire, want %d", tc.m, got, tc.total)
-		}
-		if ra.writes != len(wantSender) || rb.writes != len(wantReceiver) {
-			t.Errorf("m=%d: %d and %d writes, want one per frame (%d and %d)",
-				tc.m, ra.writes, rb.writes, len(wantSender), len(wantReceiver))
+		if got[i] != want || got[i] == other {
+			t.Fatalf("m=%d: OT %d: wrong label received", m, i)
 		}
 	}
+	return choices
+}
+
+// TestOTEpochReuse extends one epoch several times on one connection:
+// every extension delivers the chosen labels, and no two extensions send
+// the same correction columns — even for the same choices and session
+// bytes, since the ordinal enters every derivation.
+func TestOTEpochReuse(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	sb, rbase := openEpoch(t, a, b)
+	const m = 100
+	seen := map[string]int{}
+	for i := 0; i < 4; i++ {
+		rc := &recordingConn{Conn: b}
+		extendOnce(t, sb, rbase, a, rc, m, 9) // the same pairs, choices and session bytes each time
+		if j, dup := seen[string(rc.sent)]; dup {
+			t.Fatalf("extensions %d and %d sent identical correction columns", j, i)
+		}
+		seen[string(rc.sent)] = i
+	}
+	if sb.n != 4 || rbase.n != 4 {
+		t.Errorf("ordinals %d and %d after 4 extensions", sb.n, rbase.n)
+	}
+}
+
+// TestExtensionOrdinalsMustAgree: an extension whose parties disagree on
+// the ordinal (or the session bytes) derives different columns, so the
+// receiver decodes garbage — the reason the protocol keeps both halves
+// of an epoch in step and never lets one connection's halves drift.
+func TestExtensionOrdinalsMustAgree(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	sb, rbase := openEpoch(t, a, b)
+	sb.n++ // the sender is one extension ahead
+	rng := rand.New(rand.NewSource(4))
+	pairs, choices := randPairs(rng, 16), randChoices(rng, 16)
+	errc := make(chan error, 1)
+	go func() { errc <- sb.Extend(a, nil, pairs) }()
+	got, err := rbase.Extend(b, nil, choices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range choices {
+		if got[i] == pairs[i][btoi(c)] {
+			t.Fatalf("OT %d delivered the chosen label with the ordinals out of step", i)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // recordingConn keeps what its owner wrote and counts the writes.
@@ -404,6 +551,32 @@ func BenchmarkLabelTransfer(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				go func() { errc <- SendLabels(ca, pairs) }()
 				if _, err := ReceiveLabels(cb, choices); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-errc; err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExtension times what every session after a connection's first
+// pays for OT: one extension of an epoch over loopback TCP, at the Bob
+// widths the repo benchmark runs.
+func BenchmarkExtension(b *testing.B) {
+	for _, m := range []int{32, 512} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			ca, cb := tcpPair(b)
+			sb, rbase := openEpoch(b, ca, cb)
+			rng := rand.New(rand.NewSource(1))
+			pairs, choices := randPairs(rng, m), randChoices(rng, m)
+			session := []byte("session")
+			errc := make(chan error, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				go func() { errc <- sb.Extend(ca, session, pairs) }()
+				if _, err := rbase.Extend(cb, session, choices); err != nil {
 					b.Fatal(err)
 				}
 				if err := <-errc; err != nil {

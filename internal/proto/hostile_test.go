@@ -103,7 +103,7 @@ func serveTampered(t *testing.T, cfg Config, rec *Recorded, bob []bool, closing 
 	}()
 	go func() {
 		defer close(done)
-		if err := rec.handshake(ca); err != nil {
+		if err := rec.handshake(ca, nil); err != nil {
 			t.Error(err)
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"arm2gc/internal/ot"
 	"arm2gc/internal/wire"
 )
 
@@ -44,7 +45,20 @@ const (
 	// negotiation, before any cryptography, with a readable rejection.
 	flagFramed byte = 1 << 3
 
-	knownProposalFlags = flagHasOutputs | flagHasAuth | flagFramed
+	// flagOTEpoch is the protocol version after it: the 16 bytes after the
+	// cycle budget carry the OT epoch the proposer holds (in place of the
+	// uint32 slot that carried a worker count), and the grant names the
+	// epoch the session uses. Every writer sets it and ReadProposal
+	// requires it; a proposal without it is in the older layout, which
+	// ReadProposal still parses far enough to refuse with a reason.
+	flagOTEpoch byte = 1 << 4
+
+	// flagOTSetup asks for an OT set-up instead of a session: the grant
+	// names a fresh epoch and both parties run only the base OTs under it
+	// (see SetupOT).
+	flagOTSetup byte = 1 << 5
+
+	knownProposalFlags = flagHasOutputs | flagHasAuth | flagFramed | flagOTEpoch | flagOTSetup
 )
 
 // Negotiation bounds; proposals outside them are refused before any
@@ -57,10 +71,11 @@ const (
 	MaxAuthToken = 4096
 
 	// MaxProposalBytes is the largest well-formed proposal payload: the
-	// name, the 18 bytes of fixed options, and the auth field at its
-	// bound. A proposal arrives before any authorization, so a longer
-	// announced length is refused before anything is allocated for it.
-	MaxProposalBytes = 2 + MaxProgramName + 18 + 2 + MaxAuthToken
+	// name, the proposalFixed bytes of options and epoch, and the auth
+	// field at its bound. A proposal arrives before any authorization, so
+	// a longer announced length is refused before anything is allocated
+	// for it.
+	MaxProposalBytes = 2 + MaxProgramName + proposalFixed + 2 + MaxAuthToken
 
 	// MaxCycleBatch is the largest cycle batch a client may propose. The
 	// garbler buffers a whole batch of tables before flushing, and the
@@ -76,9 +91,18 @@ const (
 	MaxRejectBytes = 4096
 )
 
+// epochLen is the size of an ot.Epoch on the wire.
+const epochLen = 16
+
+var _ [epochLen]byte = ot.Epoch{} // fails to compile if the two sizes part
+
+// proposalFixed is the fixed part of a proposal after the name: flags,
+// output mode, cycle batch, cycle budget and OT epoch.
+const proposalFixed = 1 + 1 + 4 + 8 + epochLen
+
 // grantLen is a grant's exact payload length: the output mode, the cycle
-// batch, the cycle budget, the reserved slot and the session id.
-const grantLen = 1 + 4 + 8 + 4 + 32
+// batch, the cycle budget, the OT epoch and the session id.
+const grantLen = 1 + 4 + 8 + epochLen + 32
 
 // Proposal is the evaluator's opening move of a session: a program name
 // the server registered, plus the options it wants. Zero-valued option
@@ -96,15 +120,22 @@ type Proposal struct {
 	MaxCycles  int // 0: the server's registered default
 
 	// Auth optionally carries a bearer token the server checks against
-	// the proposed program's registration policy. An empty token encodes
-	// to exactly the pre-auth wire bytes, so clients without one remain
-	// byte-identical to older builds.
+	// the proposed program's registration policy. An empty token adds no
+	// byte to the proposal.
 	Auth string
+
+	// Epoch is the OT epoch the proposer holds for this program on this
+	// connection (see OTState), zero when it holds none.
+	Epoch ot.Epoch
+
+	// Setup makes the proposal an OT set-up (see SetupOT): no session
+	// runs, and Epoch is ignored.
+	Setup bool
 }
 
 // VersionError reports a proposal that asks for something this side does
-// not implement: a feature bit it does not know (Flags), or a value in the
-// reserved slot that only older builds honoured (Reason). The frame is
+// not implement: a feature bit it does not know (Flags), or a layout or
+// option only older builds honoured (Reason). The frame is
 // length-delimited, so the stream stays aligned: a server receiving one
 // rejects the proposal and keeps the connection for further (supported)
 // sessions.
@@ -126,10 +157,15 @@ func (e *VersionError) Error() string {
 // cross-checks against its own before running (catching program-binary or
 // layout disagreement with a clear error instead of a mid-handshake
 // abort).
+//
+// Epoch names the OT epoch the session uses: an echo of the proposal's
+// means both parties extend the epoch they hold; any other id means both
+// run the base OTs now and hold the result under it.
 type Grant struct {
 	Outputs    OutputMode
 	CycleBatch int
 	MaxCycles  int
+	Epoch      ot.Epoch
 	SessionID  [32]byte
 }
 
@@ -166,20 +202,23 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	if len(p.Auth) > MaxAuthToken {
 		return fmt.Errorf("proto: auth token of %d bytes exceeds %d", len(p.Auth), MaxAuthToken)
 	}
-	payload := make([]byte, 0, 2+len(p.Program)+2+4+8+4+2+len(p.Auth))
+	payload := make([]byte, 0, 2+len(p.Program)+proposalFixed+2+len(p.Auth))
 	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Program)))
 	payload = append(payload, p.Program...)
-	flags := flagFramed
+	flags := flagFramed | flagOTEpoch
 	if p.HasOutputs {
 		flags |= flagHasOutputs
 	}
 	if p.Auth != "" {
 		flags |= flagHasAuth
 	}
+	if p.Setup {
+		flags |= flagOTSetup
+	}
 	payload = append(payload, flags, byte(p.Outputs))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(p.CycleBatch))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.MaxCycles))
-	payload = binary.LittleEndian.AppendUint32(payload, 0) // reserved (see ReadProposal)
+	payload = append(payload, p.Epoch[:]...)
 	if p.Auth != "" {
 		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Auth)))
 		payload = append(payload, p.Auth...)
@@ -212,14 +251,9 @@ func ProgramOfProposal(payload []byte) (string, error) {
 // ReadProposal reads the next session proposal (server side). io.EOF
 // means the client finished with the connection cleanly. A proposal
 // announcing feature flags this build does not know comes back as
-// *VersionError with the program name filled in, and so does one without
-// flagFramed, from a peer on the older protocol — the frame has been fully
-// consumed, so the caller may reject it and keep reading.
-//
-// The uint32 after the cycle budget is a reserved slot: it carried a
-// per-cycle worker count until that knob was removed. Writers encode 0; a
-// value above 1 asks for parallel garbling no build offers any more and is
-// refused the same way.
+// *VersionError with the program name filled in, and so does one in an
+// older protocol version — without flagOTEpoch or flagFramed — the frame
+// has been fully consumed, so the caller may reject it and keep reading.
 func ReadProposal(r io.Reader) (Proposal, error) {
 	b, err := ReadProposalFrame(r)
 	if err != nil {
@@ -231,7 +265,7 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	}
 	n := int(binary.LittleEndian.Uint16(b))
 	b = b[2:]
-	if n == 0 || n > MaxProgramName || len(b) < n+2+4+8+4 {
+	if n == 0 || n > MaxProgramName || len(b) < n+1 {
 		return p, fmt.Errorf("proto: malformed proposal")
 	}
 	p.Program = string(b[:n])
@@ -244,22 +278,22 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	if unknown := flags &^ knownProposalFlags; unknown != 0 {
 		return p, &VersionError{Program: p.Program, Flags: unknown}
 	}
+	if flags&flagOTEpoch == 0 || flags&flagFramed == 0 {
+		return p, olderProposal(p.Program, flags, b)
+	}
+	if len(b) < proposalFixed {
+		return p, fmt.Errorf("proto: malformed proposal")
+	}
 	p.HasOutputs = flags&flagHasOutputs != 0
+	p.Setup = flags&flagOTSetup != 0
 	p.Outputs = OutputMode(b[1])
 	p.CycleBatch = int(binary.LittleEndian.Uint32(b[2:]))
 	p.MaxCycles = int(binary.LittleEndian.Uint64(b[6:]))
 	if p.CycleBatch < 0 || p.MaxCycles < 0 {
 		return p, fmt.Errorf("proto: proposal option overflow")
 	}
-	if w := binary.LittleEndian.Uint32(b[14:]); w > 1 {
-		return p, &VersionError{Program: p.Program, Reason: fmt.Sprintf(
-			"a worker count of %d was proposed, but per-cycle workers have been removed (propose 0 or 1)", w)}
-	}
-	if flags&flagFramed == 0 {
-		return p, &VersionError{Program: p.Program, Reason: "the proposal speaks an older protocol version " +
-			"(OT messages without frame headers); upgrade the client"}
-	}
-	b = b[18:]
+	copy(p.Epoch[:], b[14:])
+	b = b[proposalFixed:]
 	if flags&flagHasAuth != 0 {
 		if len(b) < 2 {
 			return p, fmt.Errorf("proto: malformed proposal auth")
@@ -278,16 +312,32 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	return p, nil
 }
 
-// WriteGrant accepts a proposal (server side). The uint32 after the cycle
-// budget is the grant's half of the reserved slot (see ReadProposal): it
-// always carries 1, the value every older client accepts, and parseGrant
-// ignores it.
+// olderProposal is the verdict on a proposal in an older protocol version,
+// whose fixed options b (from the flags byte on) end in a uint32 slot that
+// once carried a per-cycle worker count. It names the removed knob when
+// the slot asks for one, and the missing version otherwise.
+func olderProposal(program string, flags byte, b []byte) *VersionError {
+	if len(b) >= 18 {
+		if w := binary.LittleEndian.Uint32(b[14:]); w > 1 {
+			return &VersionError{Program: program, Reason: fmt.Sprintf(
+				"a worker count of %d was proposed, but per-cycle workers have been removed; upgrade the client", w)}
+		}
+	}
+	if flags&flagFramed == 0 {
+		return &VersionError{Program: program, Reason: "the proposal speaks an older protocol version " +
+			"(OT messages without frame headers); upgrade the client"}
+	}
+	return &VersionError{Program: program, Reason: "the proposal speaks an older protocol version " +
+		"(base OTs in every session, no OT epoch); upgrade the client"}
+}
+
+// WriteGrant accepts a proposal (server side).
 func WriteGrant(w io.Writer, g Grant) error {
 	payload := make([]byte, 0, grantLen)
 	payload = append(payload, byte(g.Outputs))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(g.CycleBatch))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(g.MaxCycles))
-	payload = binary.LittleEndian.AppendUint32(payload, 1)
+	payload = append(payload, g.Epoch[:]...)
 	payload = append(payload, g.SessionID[:]...)
 	return wire.Write(w, msgGrant, payload)
 }
@@ -305,7 +355,8 @@ func parseGrant(b []byte) (Grant, error) {
 	}
 	g.CycleBatch = int(binary.LittleEndian.Uint32(b[1:]))
 	g.MaxCycles = int(binary.LittleEndian.Uint64(b[5:]))
-	copy(g.SessionID[:], b[17:])
+	copy(g.Epoch[:], b[13:])
+	copy(g.SessionID[:], b[13+epochLen:])
 	if g.CycleBatch < 1 || g.MaxCycles < 1 {
 		return g, fmt.Errorf("proto: grant with unresolved options")
 	}

@@ -14,6 +14,7 @@ import (
 
 	"arm2gc/internal/build"
 	"arm2gc/internal/circuit"
+	"arm2gc/internal/ot"
 	"arm2gc/internal/sim"
 	"arm2gc/internal/wire"
 )
@@ -25,6 +26,8 @@ func TestProposalRoundTrip(t *testing.T) {
 		{Program: "x", HasOutputs: true, Outputs: OutputBoth},
 		{Program: "sec", Auth: "bearer-1"},
 		{Program: "all", HasOutputs: true, Outputs: OutputGarblerOnly, CycleBatch: 4, MaxCycles: 9, Auth: "k"},
+		{Program: "epoch", Epoch: ot.Epoch{1, 2, 3, 15: 0xff}, Auth: "t"},
+		{Program: "setup", Setup: true},
 	}
 	for _, want := range cases {
 		var buf bytes.Buffer
@@ -49,24 +52,26 @@ func TestProposalRoundTrip(t *testing.T) {
 }
 
 // TestProposalWireCompat pins the token-less encoding: a proposal without
-// a token carries no trailing auth field, and its flags byte holds the
-// framed-protocol bit beside the output-mode bit. The same bytes without
-// that bit — what every build before the one frame format sent — are
-// refused as *VersionError, with the frame consumed.
+// a token carries no trailing auth field, its flags byte holds the two
+// version bits (framed protocol, OT epoch) beside the output-mode bit,
+// and the OT epoch follows the cycle budget. The same proposal in the
+// layouts older builds sent — a uint32 slot where the epoch is, with or
+// without the framed bit — is refused as *VersionError, with the frame
+// consumed.
 func TestProposalWireCompat(t *testing.T) {
 	p := Proposal{Program: "add", HasOutputs: true, Outputs: OutputEvaluatorOnly,
-		CycleBatch: 8, MaxCycles: 10_000}
+		CycleBatch: 8, MaxCycles: 10_000, Epoch: ot.Epoch{0xe0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xef}}
 	var buf bytes.Buffer
 	if err := WriteProposal(&buf, p); err != nil {
 		t.Fatal(err)
 	}
 	pinned := []byte{
-		msgPropose, 23, 0, 0, 0, // frame header: type + length
+		msgPropose, 35, 0, 0, 0, // frame header: type + length
 		3, 0, 'a', 'd', 'd', // name
-		0x09, byte(OutputEvaluatorOnly), // flags (framed, outputs), mode
+		0x19, byte(OutputEvaluatorOnly), // flags (OT epoch, framed, outputs), mode
 		8, 0, 0, 0, // cycle batch
 		0x10, 0x27, 0, 0, 0, 0, 0, 0, // max cycles
-		0, 0, 0, 0, // reserved (the removed worker count)
+		0xe0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xef, // OT epoch
 	}
 	if !bytes.Equal(buf.Bytes(), pinned) {
 		t.Fatalf("token-less proposal encodes to % x, pinned wire format is % x", buf.Bytes(), pinned)
@@ -79,16 +84,34 @@ func TestProposalWireCompat(t *testing.T) {
 		t.Fatalf("pinned bytes parsed to %+v, want %+v", got, p)
 	}
 
-	legacy := bytes.Clone(pinned)
-	legacy[10] = 0x01 // the flags an older build sent
-	r := bytes.NewReader(append(legacy, pinned...))
-	_, err = ReadProposal(r)
-	var ve *VersionError
-	if !errors.As(err, &ve) || ve.Program != "add" || !strings.Contains(ve.Error(), "older protocol version") {
-		t.Fatalf("pre-framing proposal: got %v, want a *VersionError naming the older protocol", err)
+	older := func(flags byte) []byte {
+		return []byte{
+			msgPropose, 23, 0, 0, 0,
+			3, 0, 'a', 'd', 'd',
+			flags, byte(OutputEvaluatorOnly),
+			8, 0, 0, 0,
+			0x10, 0x27, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, // the uint32 slot that preceded the epoch
+		}
 	}
-	if next, err := ReadProposal(r); err != nil || next != p {
-		t.Fatalf("stream misaligned after the refusal: %+v, %v", next, err)
+	for _, tc := range []struct {
+		flags byte
+		want  string
+	}{
+		{0x09, "no OT epoch"},                       // framed, before the OT epoch
+		{0x01, "OT messages without frame headers"}, // before the frame format
+		{0x11, "OT messages without frame headers"}, // the epoch bit alone
+	} {
+		r := bytes.NewReader(append(older(tc.flags), pinned...))
+		_, err = ReadProposal(r)
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Program != "add" || !strings.Contains(ve.Error(), "older protocol version") ||
+			!strings.Contains(ve.Error(), tc.want) {
+			t.Fatalf("flags %#02x: got %v, want a *VersionError naming the older protocol (%s)", tc.flags, err, tc.want)
+		}
+		if next, err := ReadProposal(r); err != nil || next != p {
+			t.Fatalf("flags %#02x: stream misaligned after the refusal: %+v, %v", tc.flags, next, err)
+		}
 	}
 }
 
@@ -121,12 +144,13 @@ func TestProposalVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestProposalRemovedWorkers pins the reserved slot's read side: the exact
-// bytes an older client sent to ask for 4 per-cycle workers must come back
-// as *VersionError naming the removed knob — the verdict a server turns
-// into a rejection — with the frame consumed so the next proposal on the
-// stream still parses; a count of 1 (serial, the only thing any build does
-// now) is accepted.
+// TestProposalRemovedWorkers pins the read side of the slot that carried
+// a per-cycle worker count before the OT epoch took its bytes: the exact
+// bytes an older client sent to ask for 4 workers come back as
+// *VersionError naming the removed knob, and the same layout asking for
+// one worker — what older clients sent by default — as *VersionError
+// naming the older protocol. Each frame is consumed, so the next proposal
+// on the stream still parses: the connection is kept.
 func TestProposalRemovedWorkers(t *testing.T) {
 	proposal := func(flags, workers byte) []byte {
 		return []byte{
@@ -138,24 +162,31 @@ func TestProposalRemovedWorkers(t *testing.T) {
 			workers, 0, 0, 0, // the slot that carried the worker count
 		}
 	}
-	var buf bytes.Buffer
-	buf.Write(proposal(0x01, 4)) // what an older client asking for 4 workers sent
-	if err := WriteProposal(&buf, Proposal{Program: "next"}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadProposal(&buf)
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("got %v, want *VersionError", err)
-	}
-	if ve.Program != "add" || !strings.Contains(ve.Error(), "worker count of 4") {
-		t.Errorf("version error carried %+v (%v)", ve, ve)
-	}
-	if next, err := ReadProposal(&buf); err != nil || next.Program != "next" {
-		t.Fatalf("stream misaligned after the refusal: %+v, %v", next, err)
-	}
-	if p, err := ReadProposal(bytes.NewReader(proposal(0x09, 1))); err != nil || p.Program != "add" || p.CycleBatch != 8 {
-		t.Fatalf("a proposal for one worker parsed to %+v, %v", p, err)
+	for _, tc := range []struct {
+		flags, workers byte
+		want           string
+	}{
+		{0x01, 4, "worker count of 4"},
+		{0x09, 4, "worker count of 4"},
+		{0x09, 1, "older protocol version"},
+	} {
+		var buf bytes.Buffer
+		buf.Write(proposal(tc.flags, tc.workers))
+		if err := WriteProposal(&buf, Proposal{Program: "next"}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadProposal(&buf)
+		var ve *VersionError
+		if !errors.As(err, &ve) {
+			t.Fatalf("flags %#02x, %d workers: got %v, want *VersionError", tc.flags, tc.workers, err)
+		}
+		if ve.Program != "add" || !strings.Contains(ve.Error(), tc.want) {
+			t.Errorf("flags %#02x, %d workers: version error carried %+v (%v), want %q",
+				tc.flags, tc.workers, ve, ve, tc.want)
+		}
+		if next, err := ReadProposal(&buf); err != nil || next.Program != "next" {
+			t.Fatalf("stream misaligned after the refusal: %+v, %v", next, err)
+		}
 	}
 }
 
@@ -199,6 +230,9 @@ func TestGrantRoundTrip(t *testing.T) {
 	want := Grant{Outputs: OutputGarblerOnly, CycleBatch: 8, MaxCycles: 10_000}
 	for i := range want.SessionID {
 		want.SessionID[i] = byte(i * 7)
+	}
+	for i := range want.Epoch {
+		want.Epoch[i] = byte(0xa0 + i)
 	}
 	encode := func(g Grant) []byte {
 		t.Helper()
@@ -262,17 +296,18 @@ func TestNegotiateGrant(t *testing.T) {
 	ca, cb := net.Pipe()
 	defer ca.Close()
 	defer cb.Close()
-	want := Grant{Outputs: OutputBoth, CycleBatch: 4, MaxCycles: 99}
+	proposed := ot.Epoch{7, 15: 9}
+	want := Grant{Outputs: OutputBoth, CycleBatch: 4, MaxCycles: 99, Epoch: proposed}
 	go func() {
-		if _, err := ReadProposal(cb); err != nil {
-			t.Error(err)
+		if p, err := ReadProposal(cb); err != nil || p.Epoch != proposed {
+			t.Errorf("server read %+v, %v", p, err)
 			return
 		}
 		if err := WriteGrant(cb, want); err != nil {
 			t.Error(err)
 		}
 	}()
-	got, err := Negotiate(context.Background(), ca, Proposal{Program: "sum", CycleBatch: 4, MaxCycles: 99})
+	got, err := Negotiate(context.Background(), ca, Proposal{Program: "sum", CycleBatch: 4, MaxCycles: 99, Epoch: proposed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,9 +491,8 @@ const proposalAllocBound = 64 << 10
 // arbitrary bytes from a peer that has not been authorized. Whatever the
 // bytes, neither panics and ReadProposal allocates at most
 // proposalAllocBound. A proposal ReadProposal accepts re-encodes through
-// WriteProposal to exactly the frame it was read from — save a reserved
-// slot of 1, the legacy value TestProposalRemovedWorkers pins as accepted,
-// which encodes back as 0 — and ProgramOfProposal names the same program.
+// WriteProposal to exactly the frame it was read from, and
+// ProgramOfProposal names the same program.
 func FuzzProposal(f *testing.F) {
 	frame := func(p Proposal) []byte {
 		var buf bytes.Buffer
@@ -480,8 +514,13 @@ func FuzzProposal(f *testing.F) {
 	trailing := append(bytes.Clone(full), 0) // one byte past the last field
 	trailing[1]++
 	f.Add(trailing)
-	f.Add(append(header(18+2), make([]byte, 18+2)...)) // an empty program name
+	f.Add(append(header(proposalFixed+2), make([]byte, proposalFixed+2)...)) // an empty program name
 	f.Add(retiredMemBackendProposal)
+	f.Add(frame(Proposal{Program: "epoch", Epoch: ot.Epoch{1, 15: 2}, Auth: "k"}))
+	f.Add(frame(Proposal{Program: "setup", Setup: true}))
+	legacy := frame(Proposal{Program: "old"})[:5+2+3+18] // the layout before the OT epoch
+	legacy[1], legacy[5+2+3] = byte(len(legacy)-5), flagFramed
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var before, after runtime.MemStats
@@ -496,15 +535,11 @@ func FuzzProposal(f *testing.F) {
 			return
 		}
 		read := data[:len(data)-r.Len()]
-		want := bytes.Clone(read)
-		if slot := 5 + 2 + len(p.Program) + 14; want[slot] == 1 {
-			want[slot] = 0
-		}
 		var buf bytes.Buffer
 		if err := WriteProposal(&buf, p); err != nil {
 			t.Fatalf("accepted proposal %+v does not re-encode: %v", p, err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
+		if !bytes.Equal(buf.Bytes(), read) {
 			t.Fatalf("accepted proposal %+v re-encodes to % x, read from % x", p, buf.Bytes(), read)
 		}
 		if name, err := ProgramOfProposal(read[5:]); err != nil || name != p.Program {
@@ -546,6 +581,12 @@ func FuzzNegotiateReply(f *testing.F) {
 	f.Add(wire.AppendHeader(nil, msgReject, 1<<30))
 	f.Add(append(wire.AppendHeader(nil, msgGrant, grantLen), make([]byte, grantLen)...))
 	f.Add(wire.AppendHeader(nil, msgTables, 0))
+	var epoch bytes.Buffer
+	if err := WriteGrant(&epoch, Grant{Outputs: OutputBoth, CycleBatch: 1, MaxCycles: 5, Epoch: ot.Epoch{3, 15: 4}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(epoch.Bytes())
+	f.Add(append(wire.AppendHeader(nil, msgGrant, grantLen-12), epoch.Bytes()[wire.HeaderLen:][:grantLen-12]...)) // the grant before the OT epoch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g Grant
 		var err error
@@ -562,9 +603,7 @@ func FuzzNegotiateReply(f *testing.F) {
 			if err := WriteGrant(&buf, g); err != nil {
 				t.Fatal(err)
 			}
-			read := bytes.Clone(data[:wire.HeaderLen+grantLen])
-			read[wire.HeaderLen+13] = 1 // the reserved slot; WriteGrant always sends 1
-			read[wire.HeaderLen+14], read[wire.HeaderLen+15], read[wire.HeaderLen+16] = 0, 0, 0
+			read := data[:wire.HeaderLen+grantLen]
 			if !bytes.Equal(buf.Bytes(), read) {
 				t.Errorf("accepted grant %+v re-encodes to % x, read % x", g, buf.Bytes(), data[:wire.HeaderLen+grantLen])
 			}

@@ -1,7 +1,8 @@
 // Package proto runs the ARM2GC protocol between two parties over a byte
 // stream (TCP in the cmd tools, net.Pipe in tests): circuit/parameter
 // agreement, direct transfer of the garbler's input labels, IKNP oblivious
-// transfer for the evaluator's labels, garbled-table streaming (batched
+// transfer for the evaluator's labels (over base OTs a connection runs
+// once, see OTState), garbled-table streaming (batched
 // over CycleBatch cycles per frame) with SkipGate on both sides, and
 // two-way output decoding.
 //
@@ -36,7 +37,6 @@ import (
 	"arm2gc/internal/circuit"
 	"arm2gc/internal/core"
 	"arm2gc/internal/gc"
-	"arm2gc/internal/ot"
 	"arm2gc/internal/wire"
 )
 
@@ -90,6 +90,12 @@ type Config struct {
 	// and the run goes on classifying. Mutually exclusive with Trace; it
 	// changes no wire byte.
 	Record core.RecordBudget
+
+	// OT, when set, carries this party's base OTs across the sessions of
+	// one connection (see OTState); nil runs fresh base OTs. Like Trace it
+	// is local state, not part of the session id: the negotiation keeps
+	// the two parties' states in step.
+	OT *OTState
 
 	// ReadAhead is ignored: the evaluator reads its frames synchronously.
 	//
@@ -283,7 +289,7 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 	if err != nil {
 		return nil, err
 	}
-	if err := rec.handshake(conn); err != nil {
+	if err := rec.handshake(conn, cfg.OT); err != nil {
 		return nil, err
 	}
 	res := &Result{}
@@ -386,7 +392,7 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	for i := range choices {
 		choices[i] = i < len(bobInput) && bobInput[i]
 	}
-	bobLabels, err := ot.ReceiveLabels(conn, choices)
+	bobLabels, err := cfg.OT.receive(conn, hello, choices)
 	if err != nil {
 		return nil, fmt.Errorf("proto: OT: %w", err)
 	}

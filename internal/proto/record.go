@@ -8,7 +8,6 @@ import (
 
 	"arm2gc/internal/core"
 	"arm2gc/internal/gc"
-	"arm2gc/internal/ot"
 	"arm2gc/internal/wire"
 )
 
@@ -116,8 +115,8 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 }
 
 // handshake opens a session as the garbler: hello and its echo, Alice's
-// labels, then the OT for Bob's.
-func (r *Recorded) handshake(conn io.ReadWriter) error {
+// labels, then the OT for Bob's, over the connection's OT state.
+func (r *Recorded) handshake(conn io.ReadWriter, st *OTState) error {
 	if err := wire.Write(conn, msgHello, r.hello); err != nil {
 		return err
 	}
@@ -131,7 +130,7 @@ func (r *Recorded) handshake(conn io.ReadWriter) error {
 	if err := wire.Write(conn, msgAliceLabels, r.alice); err != nil {
 		return err
 	}
-	if err := ot.SendLabels(conn, r.pairs); err != nil {
+	if err := st.send(conn, r.hello, r.pairs); err != nil {
 		return fmt.Errorf("proto: OT: %w", err)
 	}
 	return nil
@@ -251,7 +250,7 @@ func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 	if sid != rec.sid {
 		return nil, fmt.Errorf("proto: recorded stream was garbled for a different session")
 	}
-	if err := rec.handshake(conn); err != nil {
+	if err := rec.handshake(conn, cfg.OT); err != nil {
 		return nil, err
 	}
 	res := &Result{Stats: rec.stats, Halted: rec.halted}

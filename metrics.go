@@ -29,6 +29,8 @@ type serverMetrics struct {
 	garbledTables       atomic.Int64
 	poolHits            atomic.Int64
 	poolMisses          atomic.Int64
+	otBaseRuns          atomic.Int64
+	otReuses            atomic.Int64
 
 	mu       sync.Mutex
 	programs map[string]*programCounters
@@ -111,6 +113,13 @@ type ServerMetrics struct {
 	// every served session.
 	Cycles        int64 `json:"cycles"`
 	GarbledTables int64 `json:"garbled_tables"`
+	// OTBaseRuns counts runs of the 128 base OTs: OT set-ups, and
+	// sessions whose proposal named no epoch the connection holds for the
+	// program. OTExtensionsReused counts sessions that only extended a
+	// held epoch. A Client runs the base OTs once per program and
+	// connection, at Register.
+	OTBaseRuns         int64 `json:"ot_base_runs"`
+	OTExtensionsReused int64 `json:"ot_extensions_reused"`
 	// EngineBuilds is how many netlist syntheses the serving Engine has
 	// performed; a warm multi-program server holds this at one per layout.
 	EngineBuilds int64 `json:"engine_builds"`
@@ -193,6 +202,8 @@ func (s *Server) Metrics() ServerMetrics {
 		TableFrames:         s.met.tableFrames.Load(),
 		Cycles:              s.met.cycles.Load(),
 		GarbledTables:       s.met.garbledTables.Load(),
+		OTBaseRuns:          s.met.otBaseRuns.Load(),
+		OTExtensionsReused:  s.met.otReuses.Load(),
 		EngineBuilds:        s.eng.Builds(),
 		TraceRecordings:     s.eng.traces.Recordings(),
 		TraceReplays:        s.eng.traces.Replays(),
@@ -279,6 +290,8 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 	counter("arm2gc_table_frames_total", "Garbled-table frames sent.", m.TableFrames)
 	counter("arm2gc_cycles_total", "Processor cycles executed across served sessions.", m.Cycles)
 	counter("arm2gc_garbled_tables_total", "Garbled tables transferred across served sessions.", m.GarbledTables)
+	counter("arm2gc_ot_base_runs_total", "OT set-ups and sessions that ran the base OTs.", m.OTBaseRuns)
+	counter("arm2gc_ot_extensions_reused_total", "Sessions that only extended their connection's OT epoch.", m.OTExtensionsReused)
 	counter("arm2gc_engine_builds_total", "Netlist syntheses performed by the serving Engine.", m.EngineBuilds)
 	counter("arm2gc_trace_recordings_total", "Classification traces the serving Engine set out to record.", m.TraceRecordings)
 	counter("arm2gc_trace_replays_total", "Runs served from a cached classification trace.", m.TraceReplays)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"arm2gc/internal/ot"
 	"arm2gc/internal/pool"
 	"arm2gc/internal/proto"
 )
@@ -423,6 +424,10 @@ func (r *rejection) Error() string { return "proposal rejected: " + r.reason }
 // it — a WithAuthorize or WithStatsSink callback, say — costs this
 // connection only: it is logged and counted, and the deferred close ends
 // the connection while Serve and every other connection run on.
+//
+// The connection's OT state lives here and dies with the handler: at most
+// one epoch of base OTs per registered program, which the program's
+// sessions on the connection extend.
 func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	defer func() {
@@ -430,6 +435,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			_ = s.panicked(fmt.Sprintf("connection from %v", conn.RemoteAddr()), r)
 		}
 	}()
+	ots := make(map[string]*proto.OTState)
 	for {
 		if !s.markIdle(conn) {
 			return // shutting down
@@ -450,9 +456,17 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			}
 			return // clean EOF, shutdown close, or a broken peer — this conn only
 		}
-		err = s.serveOne(ctx, conn, prop)
+		err = s.serveOne(ctx, conn, prop, ots)
 		var rej *rejection
 		if errors.As(err, &rej) {
+			if prop.Setup {
+				// A declined set-up is no refused session: the client runs
+				// the base OTs in its first session instead.
+				if proto.WriteReject(conn, rej.reason) != nil {
+					return
+				}
+				continue
+			}
 			s.met.rejected.Add(1)
 			if rej.program != "" {
 				s.met.program(rej.program).rejected.Add(1)
@@ -463,8 +477,12 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			continue // a rejected proposal does not cost the connection
 		}
 		if err != nil {
-			s.met.failed.Add(1)
-			s.logf("arm2gc: session %q from %v: %v", prop.Program, conn.RemoteAddr(), err)
+			what := "OT set-up"
+			if !prop.Setup {
+				what = "session"
+				s.met.failed.Add(1)
+			}
+			s.logf("arm2gc: %s %q from %v: %v", what, prop.Program, conn.RemoteAddr(), err)
 			return // mid-protocol failure: the stream position is unknown
 		}
 	}
@@ -523,8 +541,9 @@ func (r *registration) authorize(peer Peer, program string) error {
 	return nil
 }
 
-// serveOne negotiates and garbles a single session.
-func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposal) error {
+// serveOne negotiates and garbles a single session, or answers an OT
+// set-up, over the connection's OT state for the proposed program.
+func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposal, ots map[string]*proto.OTState) error {
 	s.mu.Lock()
 	reg := s.regs[prop.Program]
 	s.mu.Unlock()
@@ -546,6 +565,14 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	if err != nil {
 		return err
 	}
+	st := ots[prop.Program] // bounded by the registered programs
+	if st == nil {
+		st = new(proto.OTState)
+		ots[prop.Program] = st
+	}
+	if prop.Setup {
+		return s.serveSetup(ctx, conn, grant, st)
+	}
 	sess, err := s.eng.Session(reg.prog, opts...)
 	if err != nil {
 		return err
@@ -553,14 +580,16 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	if grant.SessionID, err = sess.sessionID(); err != nil {
 		return err
 	}
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	// The grant echoes the proposed OT epoch when this connection holds it
+	// and names a fresh one otherwise.
+	if grant.Epoch, err = st.Grant(prop.Epoch); err != nil {
+		return err
 	}
+	release, err := s.acquireSlot(ctx)
+	if err != nil {
+		return err
+	}
+	defer release()
 	// Garble-ahead: dequeue a pre-garbled stream for the session id the
 	// grant just pinned. A client that proposed non-default options lands
 	// on a different id than the pool fills — a miss, served live. The
@@ -577,24 +606,25 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	if err := proto.WriteGrant(conn, grant); err != nil {
 		return err
 	}
-	runCtx := ctx
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
+	runCtx, cancel := s.runContext(ctx)
+	defer cancel()
 	s.met.active.Add(1)
 	// Deferred so the gauge cannot leak on any exit path — error returns
 	// below and panics unwinding through the protocol stack alike.
 	defer s.met.active.Add(-1)
 	var info *RunInfo
 	if rec != nil {
-		info, err = sess.GarbleRecorded(runCtx, conn, rec)
+		info, err = sess.garbleRecorded(runCtx, conn, rec, st)
 	} else {
-		info, err = sess.Garble(runCtx, conn, nil)
+		info, err = sess.garble(runCtx, conn, nil, st)
 	}
 	if err != nil {
 		return err
+	}
+	if grant.Epoch == prop.Epoch {
+		s.met.otReuses.Add(1)
+	} else {
+		s.met.otBaseRuns.Add(1)
 	}
 	s.met.served.Add(1)
 	s.met.program(prop.Program).served.Add(1)
@@ -602,6 +632,52 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	s.met.cycles.Add(int64(info.Cycles))
 	s.met.garbledTables.Add(int64(info.GarbledTables))
 	return nil
+}
+
+// serveSetup answers an OT set-up for the program whose OT state st is:
+// a grant naming a fresh epoch, then the base OTs under it. It holds a
+// session slot while it runs but counts as no session.
+func (s *Server) serveSetup(ctx context.Context, conn net.Conn, grant proto.Grant, st *proto.OTState) error {
+	var err error
+	if grant.Epoch, err = st.Grant(ot.Epoch{}); err != nil {
+		return err
+	}
+	release, err := s.acquireSlot(ctx)
+	if err != nil {
+		return err
+	}
+	defer release()
+	if err := proto.WriteGrant(conn, grant); err != nil {
+		return err
+	}
+	runCtx, cancel := s.runContext(ctx)
+	defer cancel()
+	if err := proto.ServeSetup(runCtx, conn, st); err != nil {
+		return err
+	}
+	s.met.otBaseRuns.Add(1)
+	return nil
+}
+
+// acquireSlot takes one of the WithMaxSessions slots, if there is a limit.
+func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
+	if s.sem == nil {
+		return func() {}, nil
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return func() { <-s.sem }, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// runContext bounds one granted exchange by the WithSessionTimeout limit.
+func (s *Server) runContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.timeout > 0 {
+		return context.WithTimeout(ctx, s.timeout)
+	}
+	return ctx, func() {}
 }
 
 // resolve checks a proposal against the registration and produces the

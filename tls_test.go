@@ -211,9 +211,10 @@ func TestServerMutualTLSAuthorize(t *testing.T) {
 	anon, err := DialTLS(context.Background(), addr, nocert, WithClientEngine(eng))
 	if err == nil {
 		// TLS 1.3 reports missing client certs on first read, not in the
-		// handshake; the proposal must then fail.
-		if err := anon.Register("add", prog); err != nil {
-			t.Fatal(err)
+		// handshake: the OT set-up Register proposes must then fail, and
+		// so must every session after it.
+		if err := anon.Register("add", prog); err == nil {
+			t.Fatal("certificate-less client ran an OT set-up under mutual TLS")
 		}
 		if _, err := anon.Evaluate(context.Background(), "add", []uint32{1}); err == nil {
 			t.Fatal("certificate-less client ran a session under mutual TLS")
