@@ -11,8 +11,10 @@ import (
 	"arm2gc/internal/obliv"
 )
 
-// Ablations for the design decisions DESIGN.md calls out: the atomic MUX
-// cell, and the linear-scan oblivious memory of §4.4.
+// Ablations of the netlist's design decisions, one `arm2gc-bench -table
+// ablation-*` table each: the atomic MUX cell, the linear-scan oblivious
+// memory of §4.4 and the backend that replaces it in large memories, and
+// the architectural zero flag.
 
 // AblationMuxCell quantifies the MUX-cell decision: a 32-bit selection
 // between two ≈1,000-table multiplier cones, built (a) with atomic MUX

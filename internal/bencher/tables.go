@@ -168,7 +168,7 @@ func Table2(big bool) (*Table, error) {
 		Title:  "Table 2 — ARM2GC (C on the garbled processor) vs HDL synthesis (garbled non-XOR gates)",
 		Header: []string{"Function", "HDL circuit", "ARM2GC", "Overhead", "paper HDL", "paper ARM2GC"},
 		Notes: []string{
-			"SHA3/AES rows use the circuit library on both columns: the paper's own ARM2GC numbers equal its HDL numbers for these functions (see DESIGN.md)",
+			"SHA3/AES rows use the circuit library on both columns: the paper's own ARM2GC numbers equal its HDL numbers for these functions, so its processor column for them is the library circuit, not compiled C",
 		},
 	}
 	hdl := map[string]int64{}

@@ -46,10 +46,7 @@ func GarbleAnd(h *Hash, r Label, a0, b0 Label, gid uint64) (Label, Table) {
 	j0 := 2 * gid
 	j1 := 2*gid + 1
 
-	ha0 := h.H(a0, j0)
-	ha1 := h.H(a1, j0)
-	hb0 := h.H(b0, j1)
-	hb1 := h.H(b1, j1)
+	ha0, ha1, hb0, hb1 := h.hash4(a0, a1, b0, b1, j0, j1)
 
 	// Garbler half gate: computes a ∧ pb.
 	tg := ha0.Xor(ha1)
@@ -73,11 +70,10 @@ func GarbleAnd(h *Hash, r Label, a0, b0 Label, gid uint64) (Label, Table) {
 func EvalAnd(h *Hash, a, b Label, t Table, gid uint64) Label {
 	j0 := 2 * gid
 	j1 := 2*gid + 1
-	wg := h.H(a, j0)
+	wg, we := h.hash2(a, b, j0, j1)
 	if a.Bit() {
 		wg = wg.Xor(t.TG)
 	}
-	we := h.H(b, j1)
 	if b.Bit() {
 		we = we.Xor(t.TE.Xor(a))
 	}

@@ -6,6 +6,14 @@
 // TinyGarble style (every gate garbled every cycle) that serves as the
 // "w/o SkipGate" baseline.
 //
+// The fixed-key hash is the floor under every garbled table. Half gates
+// hash independent blocks — four per garbled gate, two per evaluated
+// gate — so Hash encrypts them in one multi-block pass: an AES-NI
+// assembly kernel on amd64 CPUs that have it, cipher.Block one block at
+// a time elsewhere. Every garbler and evaluator owns its Hash (the
+// generic path encrypts in the instance's scratch block), so an instance
+// is never shared between goroutines.
+//
 // Everything here is wire-stream-critical: both parties must derive
 // byte-identical public circuit state, so code in this package must be
 // fully deterministic (no map-order, wall-clock, global-rand, or

@@ -103,7 +103,8 @@ type Config struct {
 	ReadAhead int
 
 	// tapTables is a test hook: the evaluator calls it with every raw
-	// msgTables payload it receives, in arrival order.
+	// msgTables payload it receives, in arrival order. The payload's
+	// buffer is reused for the next frame, so a hook that keeps it copies.
 	tapTables func(payload []byte)
 }
 
@@ -293,8 +294,8 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 		return nil, err
 	}
 	res := &Result{}
-	err = garbleFrames(ctx, cfg, sched, g, func(payload []byte) error {
-		if err := wire.Write(conn, msgTables, payload); err != nil {
+	err = garbleFrames(ctx, cfg, sched, g, func(frame []byte) error {
+		if _, err := conn.Write(frame); err != nil {
 			return err
 		}
 		res.TableFrames++
@@ -312,28 +313,29 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 }
 
 // garbleFrames is the garbler's cycle loop: take the next compiled cycle,
-// run the kernel appending its tables to a payload buffer, and hand the
-// buffer to emit at every frame boundary — the cycle-batch edge and,
-// regardless of fill, the run's last cycle (halt or budget edge), where
-// the evaluator expects the remainder; both sides derive identical
-// boundaries from the shared public schedule. The buffer is refilled
-// once emit returns.
-func garbleFrames(ctx context.Context, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(payload []byte) error) error {
+// run the kernel appending its tables to a frame buffer behind a reserved
+// header, and hand emit the whole msgTables frame, header filled in, at
+// every frame boundary — the cycle-batch edge and, regardless of fill,
+// the run's last cycle (halt or budget edge), where the evaluator expects
+// the remainder; both sides derive identical boundaries from the shared
+// public schedule. The buffer is refilled once emit returns.
+func garbleFrames(ctx context.Context, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(frame []byte) error) error {
 	batch := cfg.batch()
-	var payload []byte
+	frame := wire.AppendHeader(nil, msgTables, 0)
 	inBatch := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		ct := sched.Next()
-		payload = g.GarbleCycleTraceAppend(ct, sched.Cycle(), payload)
+		frame = g.GarbleCycleTraceAppend(ct, sched.Cycle(), frame)
 		inBatch++
 		if inBatch == batch || sched.Done() {
-			if err := emit(payload); err != nil {
+			wire.AppendHeader(frame[:0], msgTables, len(frame)-wire.HeaderLen)
+			if err := emit(frame); err != nil {
 				return err
 			}
-			payload = payload[:0]
+			frame = frame[:wire.HeaderLen]
 			inBatch = 0
 		}
 		if sched.Done() {
@@ -466,6 +468,7 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
 	batch := cfg.batch()
 	liveMax := batch * cfg.Circuit.Stats().NonXOR * gc.TableBytes
+	var f tableFrame
 	var pending []gc.Table // tables of the current frame not yet consumed
 	inBatch := 0
 	for {
@@ -477,7 +480,7 @@ func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedu
 		var err error
 		if inBatch == 0 {
 			lo, hi := cfg.tableFrameBytes(cyc, liveMax)
-			if pending, err = readTables(r, cfg, res, cyc, lo, hi); err != nil {
+			if pending, err = f.read(r, cfg, res, cyc, lo, hi); err != nil {
 				return err
 			}
 		}
@@ -514,13 +517,26 @@ func (c Config) tableFrameBytes(cyc, liveMax int) (lo, hi int) {
 	return n, n
 }
 
-// readTables reads and parses one msgTables frame of lo to hi bytes,
-// refusing any other size from its header.
-func readTables(r io.Reader, cfg Config, res *Result, cyc, lo, hi int) ([]gc.Table, error) {
-	payload, err := wire.Read(r, msgTables, lo, hi)
+// tableFrame holds the evaluator's table-frame buffers, reused from frame
+// to frame: a frame is read only once the previous one's tables are all
+// consumed. They grow only to a length the frame's header check accepted.
+type tableFrame struct {
+	payload []byte
+	tables  []gc.Table
+}
+
+// read reads and parses one msgTables frame of lo to hi bytes, refusing
+// any other size from its header. The tables it returns are valid until
+// the next read.
+func (f *tableFrame) read(r io.Reader, cfg Config, res *Result, cyc, lo, hi int) ([]gc.Table, error) {
+	h, err := wire.ReadHeader(r)
 	if err != nil {
 		return nil, err
 	}
+	if f.payload, err = h.PayloadInto(f.payload, r, msgTables, lo, hi); err != nil {
+		return nil, err
+	}
+	payload := f.payload
 	if cfg.tapTables != nil {
 		cfg.tapTables(payload)
 	}
@@ -528,7 +544,11 @@ func readTables(r io.Reader, cfg Config, res *Result, cyc, lo, hi int) ([]gc.Tab
 	if len(payload)%gc.TableBytes != 0 {
 		return nil, fmt.Errorf("proto: cycle %d: ragged table frame of %d bytes", cyc, len(payload))
 	}
-	tables := make([]gc.Table, len(payload)/gc.TableBytes)
+	n := len(payload) / gc.TableBytes
+	if cap(f.tables) < n {
+		f.tables = make([]gc.Table, n)
+	}
+	tables := f.tables[:n]
 	for i := range tables {
 		tables[i].TG = gc.LabelFromBytes(payload[i*gc.TableBytes:])
 		tables[i].TE = gc.LabelFromBytes(payload[i*gc.TableBytes+16:])

@@ -213,8 +213,8 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	err = garbleFrames(ctx, cfg, sched, g, func(payload []byte) error {
-		rec.frames = append(rec.frames, append([]byte(nil), payload...))
+	err = garbleFrames(ctx, cfg, sched, g, func(frame []byte) error {
+		rec.frames = append(rec.frames, append([]byte(nil), frame[wire.HeaderLen:]...))
 		return nil
 	})
 	if err != nil {

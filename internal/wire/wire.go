@@ -82,6 +82,13 @@ func ReadHeader(r io.Reader) (Header, error) {
 // Payload reads the payload h announces when h is a typ frame of min to
 // max bytes, and refuses it unread otherwise.
 func (h Header) Payload(r io.Reader, typ byte, min, max int) ([]byte, error) {
+	return h.PayloadInto(nil, r, typ, min, max)
+}
+
+// PayloadInto is Payload reading into buf's storage when it has room, so
+// a reader of many frames reuses one buffer. It allocates only after the
+// header is accepted, and then exactly the announced length.
+func (h Header) PayloadInto(buf []byte, r io.Reader, typ byte, min, max int) ([]byte, error) {
 	if h.Type() != typ {
 		return nil, fmt.Errorf("wire: got frame type %#02x, want %#02x", h.Type(), typ)
 	}
@@ -91,14 +98,18 @@ func (h Header) Payload(r io.Reader, typ byte, min, max int) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("wire: frame type %#02x announces %d bytes, want %d to %d", typ, n, min, max)
 	}
-	b := make([]byte, h.Len())
-	if _, err := io.ReadFull(r, b); err != nil {
+	if n := int(h.Len()); cap(buf) < n {
+		buf = make([]byte, n)
+	} else {
+		buf = buf[:n]
+	}
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // the header promised these bytes
 		}
 		return nil, err
 	}
-	return b, nil
+	return buf, nil
 }
 
 // Read reads the next frame, which must be a typ frame of min to max

@@ -54,6 +54,36 @@ func TestReadBounds(t *testing.T) {
 	}
 }
 
+// TestPayloadIntoReusesBuffer reads frames into one buffer: a payload
+// that fits reuses its storage, a longer one gets a buffer of exactly its
+// announced length.
+func TestPayloadIntoReusesBuffer(t *testing.T) {
+	var stream []byte
+	for _, p := range []string{"abcd", "xy", "longer"} {
+		stream = append(stream, frame(Tables, []byte(p))...)
+	}
+	r := bytes.NewReader(stream)
+	read := func(buf []byte, want string) []byte {
+		t.Helper()
+		h, err := ReadHeader(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.PayloadInto(buf, r, Tables, 0, 8)
+		if err != nil || string(got) != want {
+			t.Fatalf("read %q, %v; want %q", got, err, want)
+		}
+		return got
+	}
+	first := read(nil, "abcd")
+	if second := read(first, "xy"); &second[0] != &first[0] {
+		t.Error("a payload that fits did not reuse the buffer")
+	}
+	if third := read(first, "longer"); cap(third) != len("longer") {
+		t.Errorf("grown buffer has capacity %d, want the announced %d", cap(third), len("longer"))
+	}
+}
+
 // countingWriter records what the relay wrote and in how many writes.
 type countingWriter struct {
 	bytes.Buffer
