@@ -87,10 +87,12 @@ test-trace:
 		-run 'Trace|HostileLength|TestPipelinedStatsSink|DenseCommit|CopyDFFs|ShiftRegister|HeldRegister|CycleStatsInvariance' \
 		. ./internal/core ./internal/cpu ./internal/proto
 
-# Garble-ahead correctness: recorded streams byte-identical to live
-# garbling, single-use enforcement, byte-budget eviction and the
-# server's pool-hit/miss paths — shuffled and under the race detector, as
-# in CI.
+# Garble-ahead correctness at the pool's fixed depth (pool.Depth) and
+# budget (pool.MemBytes): recorded streams byte-identical to live
+# garbling, single-use enforcement, byte-budget eviction (the tests shrink
+# the budget inside the package) and the server's pool-hit/miss paths —
+# shuffled and under the race detector, as in CI. The pool has no
+# settings left; it stays while the benchmark's fleet.mixed runs it.
 test-pool:
 	$(GO) test -race -shuffle=on -count=1 \
 		-run 'Record|Pool|GarbleAhead' \

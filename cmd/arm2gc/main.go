@@ -44,10 +44,10 @@
 //	arm2gc -role gateway -listen :9000 -backends localhost:9001,localhost:9002 \
 //	       -metrics :9090 -admin-token sesame
 //
-// -garble-ahead N turns on the offline/online split: background workers
-// keep N pre-garbled table streams ready per program (tune with
-// -pool-mem-bytes and per-program "garble_ahead" registry settings), so a
-// session's online phase is OT plus frame I/O.
+// -garble-ahead turns on the offline/online split for the serve role:
+// background workers keep two pre-garbled table streams ready for every
+// registered program, within 256 MiB, so a session's online phase is OT
+// plus frame I/O. The depth and the budget are fixed.
 //
 // Ctrl-C cancels a run cleanly, even while blocked on a hung peer; for
 // the serve role it is a graceful shutdown (idle connections close,
@@ -90,8 +90,7 @@ var (
 	registry    = flag.String("registry", "", "serve: JSON program-registry manifest — host every listed program from one Engine (see internal/cli.RegistryManifest)")
 	metricsAddr = flag.String("metrics", "", "serve: HTTP address exposing the Prometheus /metrics endpoint (e.g. :9090)")
 	authToken   = flag.String("auth-token", "", "serve: bearer token clients must present for the -c/-asm program; client: token sent with each proposal")
-	garbleAhead = flag.Int("garble-ahead", 0, "serve: pre-garbled streams kept ready per program (0 = off); the online phase of a pooled session is OT + frame I/O")
-	poolMem     = flag.Int64("pool-mem-bytes", 0, "serve: garble-ahead bytes kept in memory (0 = default)")
+	garbleAhead = flag.Bool("garble-ahead", false, "serve: keep two pre-garbled streams ready per program (256 MiB at most); the online phase of a pooled session is OT + frame I/O")
 	layout      = cli.LayoutFlags("; both parties must pass the same value — it is part of the public layout the session id covers")
 	sessOpts    = cli.SessionFlags()
 	tlsOpts     = cli.TLSFlags()
@@ -102,6 +101,9 @@ var (
 
 func main() {
 	flag.Parse()
+	if flag.NArg() > 0 { // an old "-garble-ahead N" leaves N, and every flag after it, here
+		log.Fatalf("unexpected argument %q: arm2gc takes flags only (-garble-ahead takes no value)", flag.Arg(0))
+	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -203,11 +205,8 @@ func main() {
 		if tlsCfg != nil {
 			srvOpts = append(srvOpts, arm2gc.WithTLSConfig(tlsCfg))
 		}
-		if *garbleAhead > 0 {
-			srvOpts = append(srvOpts, arm2gc.WithGarbleAhead(arm2gc.PoolConfig{
-				Depth:    *garbleAhead,
-				MemBytes: *poolMem,
-			}))
+		if *garbleAhead {
+			srvOpts = append(srvOpts, arm2gc.WithGarbleAhead(arm2gc.PoolConfig{}))
 		}
 		srv := arm2gc.NewServer(eng, srvOpts...)
 		if prog != nil {
@@ -239,7 +238,7 @@ func main() {
 				log.Printf("registered program %q from %s", e.Name, *registry)
 			}
 		}
-		if *garbleAhead > 0 {
+		if *garbleAhead {
 			if err := srv.WarmGarbleAhead(ctx); err != nil {
 				log.Fatal(err)
 			}

@@ -111,7 +111,6 @@ type sessionConfig struct {
 	outputsSet    bool
 	cycleBatch    int
 	cycleBatchSet bool
-	garbleAhead   int // 0: server default; -1: off; >0: explicit depth
 	garblerInput  []uint32
 	rand          io.Reader
 	sink          StatsSink
@@ -163,19 +162,6 @@ func WithTraceReuse() Option { return func(*sessionConfig) {} }
 // Deprecated: read-ahead is gone; drop the option.
 func WithReadAhead(depth int) Option { return func(*sessionConfig) {} }
 
-// WithGarbleAheadDepth sets, on a Server registration, how many
-// pre-garbled streams the garble-ahead pool keeps ready for this program
-// (overriding the pool's default depth). It has no effect unless the
-// Server was built WithGarbleAhead; sessions outside a Server ignore it.
-func WithGarbleAheadDepth(n int) Option {
-	return func(c *sessionConfig) { c.garbleAhead = n }
-}
-
-// WithGarbleAheadOff opts a Server registration out of the garble-ahead
-// pool: every session for the program garbles live, even on a Server
-// built WithGarbleAhead.
-func WithGarbleAheadOff() Option { return func(c *sessionConfig) { c.garbleAhead = -1 } }
-
 // WithGarblerInput fixes Alice's input words on a session's garbling
 // side. Server registrations use it to bind the server's private input to
 // a program: Server sessions garble with these words (nil means an
@@ -220,10 +206,6 @@ func WithRetry(n int) Option {
 func WithAuthorize(fn func(peer Peer, program string) error) Option {
 	return func(c *sessionConfig) { c.authorize = fn }
 }
-
-// WithRand sets the label-randomness source for the garbling side
-// (default crypto/rand). Only deterministic tests should override it.
-func WithRand(r io.Reader) Option { return func(c *sessionConfig) { c.rand = r } }
 
 // WithStatsSink streams every cycle's scheduling statistics to sink as
 // the run progresses — live SkipGate telemetry for long executions.
@@ -286,9 +268,6 @@ func newSessionConfig(opts []Option) (sessionConfig, error) {
 	}
 	if cfg.cycleBatch < 1 {
 		return cfg, fmt.Errorf("arm2gc: WithCycleBatch(%d): batch must be at least 1", cfg.cycleBatch)
-	}
-	if cfg.garbleAhead < -1 {
-		return cfg, fmt.Errorf("arm2gc: WithGarbleAheadDepth(%d): depth must be positive", cfg.garbleAhead)
 	}
 	if cfg.retries < 0 {
 		return cfg, fmt.Errorf("arm2gc: WithRetry(%d): retry count cannot be negative", cfg.retries)
@@ -434,24 +413,13 @@ func (s *Session) garble(ctx context.Context, conn io.ReadWriter, alice []uint32
 	return info, nil
 }
 
-// RecordedStream is one complete pre-garbled session: everything the
-// garbler would put on the wire (hello, input labels, OT pairs, the full
-// table stream) plus the output-decode metadata, produced offline by
-// Session.Record and served online by Session.GarbleRecorded. A stream
-// is single-use — its labels come from one fresh seed and must reach one
-// evaluator only; the garble-ahead pool enforces this, direct callers
-// must. See Server's WithGarbleAhead for the managed path.
-type RecordedStream = proto.Recorded
-
-// Record runs the garbler's offline phase with no peer: it garbles this
-// session's complete table stream into memory — through exactly the loop
-// a live Garble uses, so serving the result later is byte-identical to
-// garbling live — using the registration's garbler input
-// (WithGarblerInput; nil means all-zero). The first Record of a program
-// pays the classification pass and every later one replays the cached
-// trace, making offline passes ~an order of magnitude cheaper.
-// Cancelling ctx aborts between cycles.
-func (s *Session) Record(ctx context.Context) (*RecordedStream, error) {
+// record is the garble-ahead pool's offline phase: it garbles this
+// session's complete table stream into memory, with no peer, through
+// exactly the loop a live garble uses, so serving the result later is
+// byte-identical to garbling live. It garbles the registration's garbler
+// input (WithGarblerInput; nil means all-zero). Cancelling ctx aborts
+// between cycles.
+func (s *Session) record(ctx context.Context) (*proto.Recorded, error) {
 	pub, ab, err := s.m.partyBits(s.prog, circuit.Alice, s.cfg.garblerInput)
 	if err != nil {
 		return nil, err
@@ -468,17 +436,12 @@ func (s *Session) Record(ctx context.Context) (*RecordedStream, error) {
 	return rec, nil
 }
 
-// GarbleRecorded plays Alice from a pre-garbled stream: the online phase
-// is the handshake, OT and frame I/O — no garbling at all. The stream
-// must have been recorded by a session with the same program, public
-// input and negotiated options (its session id is checked), and must
-// never have been served before. Cancellation behaves as in Garble.
-func (s *Session) GarbleRecorded(ctx context.Context, conn io.ReadWriter, rec *RecordedStream) (*RunInfo, error) {
-	return s.garbleRecorded(ctx, conn, rec, nil)
-}
-
-// garbleRecorded is GarbleRecorded over a connection's OT state.
-func (s *Session) garbleRecorded(ctx context.Context, conn io.ReadWriter, rec *RecordedStream, st *proto.OTState) (*RunInfo, error) {
+// garbleRecorded plays Alice from a pre-garbled stream over a
+// connection's OT state: the online phase is the handshake, OT and frame
+// I/O, with no garbling at all. The stream must have been recorded by a
+// session with the same program, public input and negotiated options (its
+// session id is checked), and must never have been served before.
+func (s *Session) garbleRecorded(ctx context.Context, conn io.ReadWriter, rec *proto.Recorded, st *proto.OTState) (*RunInfo, error) {
 	pub, err := s.m.cpu.PublicBits(s.prog)
 	if err != nil {
 		return nil, err

@@ -2,10 +2,13 @@ package arm2gc
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"arm2gc/internal/pool"
 )
 
 // waitMetric polls the server's metrics until check passes or the
@@ -32,7 +35,7 @@ func waitMetric(t *testing.T, srv *Server, what string, check func(*GarbleAheadM
 func TestServerGarbleAheadHit(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
-	srv := NewServer(eng, WithGarbleAhead(PoolConfig{Depth: 2}))
+	srv := NewServer(eng, WithGarbleAhead(PoolConfig{}))
 	if err := srv.Register("add", prog,
 		WithMaxCycles(10_000), WithGarblerInput([]uint32{100})); err != nil {
 		t.Fatal(err)
@@ -40,8 +43,8 @@ func TestServerGarbleAheadHit(t *testing.T) {
 	if err := srv.WarmGarbleAhead(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if m := srv.Metrics().GarbleAhead; m == nil || m.Ready != 2 || m.Refills != 2 {
-		t.Fatalf("after warming: %+v, want 2 ready / 2 refills", m)
+	if m := srv.Metrics().GarbleAhead; m == nil || m.Ready != pool.Depth || m.Refills != pool.Depth {
+		t.Fatalf("after warming: %+v, want %d ready / %d refills", m, pool.Depth, pool.Depth)
 	}
 	addr, shutdown := startServer(t, srv)
 
@@ -53,7 +56,7 @@ func TestServerGarbleAheadHit(t *testing.T) {
 	if err := cl.Register("add", prog); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < pool.Depth; i++ {
 		info, err := cl.Evaluate(context.Background(), "add", []uint32{uint32(7 + i)})
 		if err != nil {
 			t.Fatal(err)
@@ -63,15 +66,12 @@ func TestServerGarbleAheadHit(t *testing.T) {
 		}
 	}
 	m := srv.Metrics().GarbleAhead
-	if m.Hits != 2 || m.Misses != 0 {
-		t.Fatalf("hits %d misses %d, want 2/0", m.Hits, m.Misses)
-	}
-	if p := m.Programs["add"]; p.Depth != 2 {
-		t.Fatalf("program depth %d, want 2", p.Depth)
+	if m.Hits != pool.Depth || m.Misses != 0 {
+		t.Fatalf("hits %d misses %d, want %d/0", m.Hits, m.Misses, pool.Depth)
 	}
 	// Demand-driven refill: the hits woke the workers Serve started.
 	waitMetric(t, srv, "refill to depth after hits", func(m *GarbleAheadMetrics) bool {
-		return m.Ready == 2 && m.Refills >= 4
+		return m.Ready == pool.Depth && m.Refills >= 2*pool.Depth
 	})
 
 	// The same numbers must be scrapable from the Prometheus endpoint.
@@ -79,19 +79,21 @@ func TestServerGarbleAheadHit(t *testing.T) {
 	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
-		"arm2gc_pool_hits_total 2",
+		fmt.Sprintf("arm2gc_pool_hits_total %d", pool.Depth),
 		"arm2gc_pool_misses_total 0",
-		"arm2gc_pool_ready 2",
-		`arm2gc_pool_program_ready{program="add"} 2`,
-		`arm2gc_pool_program_depth{program="add"} 2`,
+		fmt.Sprintf("arm2gc_pool_ready %d", pool.Depth),
+		fmt.Sprintf(`arm2gc_pool_program_ready{program="add"} %d`, pool.Depth),
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Fatalf("scrape missing %q:\n%s", want, body)
 		}
 	}
-	// The pool never touches disk, so no series may describe spilled bytes.
-	if strings.Contains(body, "spill") {
-		t.Fatalf("scrape still reports spill series:\n%s", body)
+	// The pool never touches disk, so no series may describe spilled
+	// bytes, and its depth is a constant, so no series reports it.
+	for _, gone := range []string{"spill", "depth"} {
+		if strings.Contains(body, gone) {
+			t.Fatalf("scrape still reports %s series:\n%s", gone, body)
+		}
 	}
 	shutdown()
 }
@@ -102,7 +104,7 @@ func TestServerGarbleAheadHit(t *testing.T) {
 func TestServerGarbleAheadMissFallsBack(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
-	srv := NewServer(eng, WithGarbleAhead(PoolConfig{Depth: 1}))
+	srv := NewServer(eng, WithGarbleAhead(PoolConfig{}))
 	if err := srv.Register("add", prog,
 		WithMaxCycles(10_000), WithGarblerInput([]uint32{50})); err != nil {
 		t.Fatal(err)
@@ -146,56 +148,5 @@ func TestServerGarbleAheadMissFallsBack(t *testing.T) {
 	}
 	if m = srv.Metrics().GarbleAhead; m.Hits != 1 {
 		t.Fatalf("hits %d after a default-option session, want 1", m.Hits)
-	}
-}
-
-// TestServerGarbleAheadOptOut: WithGarbleAheadOff keeps a program out of
-// the pool entirely — served live, counted neither hit nor miss — while a
-// WithGarbleAheadDepth sibling pools at its own depth.
-func TestServerGarbleAheadOptOut(t *testing.T) {
-	prog := compileAdd(t)
-	eng := NewEngine()
-	srv := NewServer(eng, WithGarbleAhead(PoolConfig{Depth: 1}))
-	if err := srv.Register("off", prog,
-		WithMaxCycles(10_000), WithGarblerInput([]uint32{10}), WithGarbleAheadOff()); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register("deep", prog,
-		WithMaxCycles(10_000), WithGarblerInput([]uint32{20}), WithGarbleAheadDepth(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.WarmGarbleAhead(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m := srv.Metrics().GarbleAhead
-	if m.Ready != 3 {
-		t.Fatalf("ready %d, want 3 (only the deep program pools)", m.Ready)
-	}
-	if _, pooled := m.Programs["off"]; pooled {
-		t.Fatal("opted-out program appears in the pool")
-	}
-	if p := m.Programs["deep"]; p.Depth != 3 || p.Ready != 3 {
-		t.Fatalf("deep program %+v, want depth 3 ready 3", p)
-	}
-	addr, shutdown := startServer(t, srv)
-	defer shutdown()
-
-	cl, err := Dial(context.Background(), addr, WithClientEngine(eng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Register("off", prog); err != nil {
-		t.Fatal(err)
-	}
-	info, err := cl.Evaluate(context.Background(), "off", []uint32{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Outputs[0] != 15 {
-		t.Fatalf("sum = %d, want 15", info.Outputs[0])
-	}
-	if m = srv.Metrics().GarbleAhead; m.Hits != 0 || m.Misses != 0 {
-		t.Fatalf("opted-out session counted against the pool: hits %d misses %d", m.Hits, m.Misses)
 	}
 }

@@ -23,7 +23,7 @@ import (
 //	     "garbler_input": [1000], "max_cycles": 10000,
 //	     "cycle_batch": 8,
 //	     "output_mode": "both",
-//	     "auth_token": "team-a-secret", "garble_ahead": 4},
+//	     "auth_token": "team-a-secret"},
 //	    {"name": "hamming", "asm": "hamming.s",
 //	     "layout": {"alice_words": 4, "bob_words": 4, "out_words": 1}}
 //	  ]
@@ -48,11 +48,6 @@ type RegistryLayout struct {
 // or asm), the server's private input, and the registration's option
 // bounds. Zero option fields are simply not passed, taking the API
 // defaults.
-//
-// GarbleAhead tunes the server's garble-ahead pool for this program (it
-// only matters when the serve role runs with pooling on): absent, the
-// program is pooled at the pool's default depth; 0 opts it out; a
-// positive value is its target depth of ready pre-garbled streams.
 type RegistryProgram struct {
 	Name         string          `json:"name"`
 	C            string          `json:"c"`
@@ -62,7 +57,6 @@ type RegistryProgram struct {
 	CycleBatch   int             `json:"cycle_batch"`
 	OutputMode   string          `json:"output_mode"`
 	AuthToken    string          `json:"auth_token"`
-	GarbleAhead  *int            `json:"garble_ahead,omitempty"`
 	Layout       *RegistryLayout `json:"layout"`
 }
 
@@ -183,16 +177,6 @@ func loadProgram(dir string, rp RegistryProgram, defLayout arm2gc.Layout) (Regis
 	}
 	if rp.AuthToken != "" {
 		opts = append(opts, arm2gc.WithAuthToken(rp.AuthToken))
-	}
-	if rp.GarbleAhead != nil {
-		switch n := *rp.GarbleAhead; {
-		case n < 0:
-			return e, fmt.Errorf("garble_ahead %d: depth cannot be negative (0 opts out)", n)
-		case n == 0:
-			opts = append(opts, arm2gc.WithGarbleAheadOff())
-		default:
-			opts = append(opts, arm2gc.WithGarbleAheadDepth(n))
-		}
 	}
 	return RegistryEntry{Name: rp.Name, Program: prog, Options: opts, Warnings: warnings}, nil
 }

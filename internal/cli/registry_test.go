@@ -145,6 +145,12 @@ func TestLoadRegistryErrors(t *testing.T) {
 			wantErr:  `unknown field "memory_backend"`,
 		},
 		{
+			name:     "removed garble_ahead key",
+			manifest: `{"programs": [{"name": "p", "c": "add.c", "garble_ahead": 2}]}`,
+			files:    map[string]string{"add.c": addC},
+			wantErr:  `unknown field "garble_ahead"`,
+		},
+		{
 			name:     "source does not compile",
 			manifest: `{"programs": [{"name": "p", "c": "bad.c"}]}`,
 			files:    map[string]string{"bad.c": "void gc_main(int x) {"},

@@ -9,9 +9,9 @@
 //     sessions can ever serve the same pre-garbled stream — each entry's
 //     labels come from one fresh seed and must reach one evaluator only.
 //   - Producers race consumers: refill workers garble in the background
-//     while Get drains the front. The per-key target depth bounds how far
-//     producers run ahead; a Get below target wakes them (demand-driven
-//     refill, no polling).
+//     while Get drains the front. Depth bounds how far producers run
+//     ahead per key; a Get below it wakes them (demand-driven refill, no
+//     polling).
 //   - Entries live in memory only. An entry written to disk would hold
 //     both labels of every evaluator input wire at rest — a reusable
 //     garbled circuit for anyone who can read the file.
@@ -41,42 +41,21 @@ type Key [32]byte
 // refill workers concurrently with other producers and with Get.
 type Producer func(ctx context.Context) (*proto.Recorded, error)
 
-// Defaults for zero Config fields.
+// Depth is the number of ready entries the pool keeps per registered
+// key, and MemBytes bounds the bytes it holds across all keys; inserting
+// beyond MemBytes evicts from a less recently demanded key.
 const (
-	DefaultDepth    = 2
-	DefaultMemBytes = 256 << 20
+	Depth    = 2
+	MemBytes = 256 << 20
 )
 
 // refillWorkers is how many refill goroutines Start launches.
 const refillWorkers = 2
 
-// Config sizes a Pool.
-type Config struct {
-	// Depth is the target number of ready entries per registered key
-	// (default DefaultDepth). A key registered with its own depth
-	// overrides it.
-	Depth int
-
-	// MemBytes bounds the bytes the pool holds (default DefaultMemBytes).
-	// Inserting beyond it evicts from a less recently demanded key.
-	MemBytes int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Depth <= 0 {
-		c.Depth = DefaultDepth
-	}
-	if c.MemBytes <= 0 {
-		c.MemBytes = DefaultMemBytes
-	}
-	return c
-}
-
 // slot is one registered key's queue plus its counters.
 type slot struct {
 	key     Key
 	name    string // for stats; the registered program name
-	depth   int    // target number of ready entries
 	produce Producer
 
 	entries []*proto.Recorded // FIFO: oldest first
@@ -97,13 +76,13 @@ func (s *slot) deficit() int {
 	if s.parked {
 		return 0
 	}
-	return s.depth - len(s.entries) - s.filling
+	return Depth - len(s.entries) - s.filling
 }
 
 // Pool is the garble-ahead store. All methods are safe for concurrent
 // use.
 type Pool struct {
-	cfg Config
+	memBudget int64 // MemBytes; tests shrink it to exercise eviction
 
 	mu       sync.Mutex
 	slots    map[Key]*slot
@@ -120,22 +99,19 @@ type Pool struct {
 }
 
 // New creates a Pool.
-func New(cfg Config) *Pool {
+func New() *Pool {
 	return &Pool{
-		cfg:   cfg.withDefaults(),
-		slots: make(map[Key]*slot),
-		wake:  make(chan struct{}, 1),
+		memBudget: MemBytes,
+		slots:     make(map[Key]*slot),
+		wake:      make(chan struct{}, 1),
 	}
 }
 
-// Register adds a key the pool keeps topped up. depth overrides the
-// config default when positive. produce garbles one entry per call.
-func (p *Pool) Register(key Key, name string, depth int, produce Producer) error {
+// Register adds a key the pool keeps topped up to Depth. produce garbles
+// one entry per call.
+func (p *Pool) Register(key Key, name string, produce Producer) error {
 	if produce == nil {
 		return fmt.Errorf("pool: Register(%q): nil producer", name)
-	}
-	if depth <= 0 {
-		depth = p.cfg.Depth
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -145,7 +121,7 @@ func (p *Pool) Register(key Key, name string, depth int, produce Producer) error
 	if _, dup := p.slots[key]; dup {
 		return fmt.Errorf("pool: Register(%q): key already registered", name)
 	}
-	s := &slot{key: key, name: name, depth: depth, produce: produce}
+	s := &slot{key: key, name: name, produce: produce}
 	p.slots[key] = s
 	p.order = append(p.order, s)
 	p.kick()
@@ -156,7 +132,7 @@ func (p *Pool) Register(key Key, name string, depth int, produce Producer) error
 // unregistered or momentarily dry (the caller falls back to live
 // garbling). A successful Get consumes the entry permanently — single
 // use is enforced right here, under the pool lock — and wakes the refill
-// workers to restore the key's depth.
+// workers to restore the key's Depth.
 func (p *Pool) Get(key Key) *proto.Recorded {
 	p.mu.Lock()
 	s := p.slots[key]
@@ -295,7 +271,7 @@ func produce(ctx context.Context, fn Producer) (rec *proto.Recorded, err error) 
 	return fn(ctx)
 }
 
-// Fill synchronously tops every registered key up to its depth — pool
+// Fill synchronously tops every registered key up to Depth — pool
 // warming for server startup and deterministic tests. It runs on the
 // calling goroutine, one entry at a time, and returns the first producer
 // error (later keys are still attempted).
@@ -329,12 +305,12 @@ func (p *Pool) Fill(ctx context.Context) error {
 // for nothing.
 func (p *Pool) insertLocked(s *slot, rec *proto.Recorded) {
 	size := int64(rec.SizeBytes())
-	if size > p.cfg.MemBytes {
+	if size > p.memBudget {
 		s.evictions++
 		s.parked = true
 		return
 	}
-	for p.memBytes+size > p.cfg.MemBytes {
+	for p.memBytes+size > p.memBudget {
 		if !p.evictOneLocked(s) {
 			// Nothing evictable but this key's own entries: refusing the
 			// newest stream is the only move left.
@@ -452,7 +428,6 @@ type Stats struct {
 // several keys were registered under one name their counters sum.
 type ProgramStats struct {
 	Ready   int // entries ready right now
-	Depth   int // target depth
 	Hits    int64
 	Misses  int64
 	Refills int64
@@ -476,7 +451,6 @@ func (p *Pool) Stats() Stats {
 		st.Ready += len(s.entries)
 		ps := st.Programs[s.name]
 		ps.Ready += len(s.entries)
-		ps.Depth += s.depth
 		ps.Hits += s.hits
 		ps.Misses += s.misses
 		ps.Refills += s.refills

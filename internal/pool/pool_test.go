@@ -71,23 +71,23 @@ func waitReady(t *testing.T, p *Pool, want int) {
 	}
 }
 
-// TestPoolSingleUse is the core guarantee: with 4 entries filled and 32
-// concurrent Gets racing, exactly 4 succeed and no stream is ever handed
-// out twice (every Recorded carries a fresh seed; duplicates would share
+// TestPoolSingleUse is the core guarantee: with Depth entries filled and
+// 32 concurrent Gets racing, exactly Depth succeed and no stream is ever
+// handed out twice (every Recorded carries a fresh seed; duplicates would share
 // one). Run under -race in CI.
 func TestPoolSingleUse(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p := New(Config{Depth: 4})
+	p := New()
 	defer p.Close()
 	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
+	if err := p.Register(key, "adder", recordProducer(cfg, alice)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Fill(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Ready != 4 || st.Refills != 4 {
-		t.Fatalf("after Fill: ready %d refills %d, want 4/4", st.Ready, st.Refills)
+	if st := p.Stats(); st.Ready != Depth || st.Refills != Depth {
+		t.Fatalf("after Fill: ready %d refills %d, want %d/%d", st.Ready, st.Refills, Depth, Depth)
 	}
 
 	var mu sync.Mutex
@@ -109,8 +109,8 @@ func TestPoolSingleUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if hits != 4 {
-		t.Fatalf("%d Gets succeeded, want exactly 4", hits)
+	if hits != Depth {
+		t.Fatalf("%d Gets succeeded, want exactly %d", hits, Depth)
 	}
 	for s, n := range seeds {
 		if n != 1 {
@@ -118,34 +118,34 @@ func TestPoolSingleUse(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Hits != 4 || st.Misses != 28 {
-		t.Fatalf("hits %d misses %d, want 4/28", st.Hits, st.Misses)
+	if st.Hits != Depth || st.Misses != 32-Depth {
+		t.Fatalf("hits %d misses %d, want %d/%d", st.Hits, st.Misses, Depth, 32-Depth)
 	}
 	if got := p.Get(Key{0xff}); got != nil {
 		t.Fatal("unregistered key returned an entry")
 	}
 }
 
-// TestPoolDemandRefill: background workers must restore a key's depth
+// TestPoolDemandRefill: background workers must restore a key's Depth
 // after Gets drain it — woken by the Get, not by polling.
 func TestPoolDemandRefill(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p := New(Config{Depth: 3})
+	p := New()
 	defer p.Close()
 	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
+	if err := p.Register(key, "adder", recordProducer(cfg, alice)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	p.Start(ctx)
-	waitReady(t, p, 3)
+	waitReady(t, p, Depth)
 	if p.Get(key) == nil {
 		t.Fatal("warm pool missed")
 	}
-	waitReady(t, p, 3) // the Get kicked a refill
-	if st := p.Stats(); st.Refills < 4 {
-		t.Fatalf("refills %d, want at least 4", st.Refills)
+	waitReady(t, p, Depth) // the Get kicked a refill
+	if st := p.Stats(); st.Refills < Depth+1 {
+		t.Fatalf("refills %d, want at least %d", st.Refills, Depth+1)
 	}
 }
 
@@ -154,9 +154,9 @@ func TestPoolDemandRefill(t *testing.T) {
 // the whole run.
 func TestPoolConcurrentProducersConsumers(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p := New(Config{Depth: 2})
+	p := New()
 	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
+	if err := p.Register(key, "adder", recordProducer(cfg, alice)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -196,7 +196,7 @@ func TestPoolConcurrentProducersConsumers(t *testing.T) {
 	}
 }
 
-// TestPoolByteEviction: a MemBytes budget of two entries across two keys
+// TestPoolByteEviction: a byte budget of two entries across two keys
 // must evict the least-recently-demanded key's oldest entry for the
 // incoming one, and never exceed the budget.
 func TestPoolByteEviction(t *testing.T) {
@@ -204,16 +204,17 @@ func TestPoolByteEviction(t *testing.T) {
 	cfgB, aliceB := adderConfig(t, 1)
 	size := oneEntrySize(t, cfgA, aliceA)
 	budget := 2*size + size/2
-	p := New(Config{Depth: 2, MemBytes: budget})
+	p := New()
+	p.memBudget = budget
 	defer p.Close()
 	keyA, keyB := keyOf(t, cfgA), keyOf(t, cfgB)
-	if err := p.Register(keyA, "a", 0, recordProducer(cfgA, aliceA)); err != nil {
+	if err := p.Register(keyA, "a", recordProducer(cfgA, aliceA)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Register(keyB, "b", 0, recordProducer(cfgB, aliceB)); err != nil {
+	if err := p.Register(keyB, "b", recordProducer(cfgB, aliceB)); err != nil {
 		t.Fatal(err)
 	}
-	// Fill wants 4 entries; only ~2 fit.
+	// Fill wants 2·Depth entries; only ~2 fit.
 	p.Fill(context.Background())
 	st := p.Stats()
 	if st.MemBytes > budget {
@@ -251,16 +252,17 @@ func TestPoolOversizedEntryKeepsColderEntries(t *testing.T) {
 	if big := oneEntrySize(t, cfgBig, aliceBig); big <= budget {
 		t.Fatalf("big entry of %d bytes fits the %d-byte budget; the test needs it not to", big, budget)
 	}
-	p := New(Config{Depth: 2, MemBytes: budget})
+	p := New()
+	p.memBudget = budget
 	defer p.Close()
 	keySmall, keyBig := keyOf(t, cfgSmall), keyOf(t, cfgBig)
-	if err := p.Register(keySmall, "small", 0, recordProducer(cfgSmall, aliceSmall)); err != nil {
+	if err := p.Register(keySmall, "small", recordProducer(cfgSmall, aliceSmall)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Fill(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Register(keyBig, "big", 0, recordProducer(cfgBig, aliceBig)); err != nil {
+	if err := p.Register(keyBig, "big", recordProducer(cfgBig, aliceBig)); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
@@ -271,9 +273,9 @@ func TestPoolOversizedEntryKeepsColderEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := p.Stats()
-		if got := st.Programs["small"]; got.Ready != 2 || got.Refills != 2 {
-			t.Fatalf("round %d: small key ready %d refills %d, want its 2 warmed entries untouched",
-				round, got.Ready, got.Refills)
+		if got := st.Programs["small"]; got.Ready != Depth || got.Refills != Depth {
+			t.Fatalf("round %d: small key ready %d refills %d, want its %d warmed entries untouched",
+				round, got.Ready, got.Refills, Depth)
 		}
 		if st.Evictions != int64(round+1) || st.Programs["big"].Ready != 0 {
 			t.Fatalf("round %d: evictions %d big ready %d, want only the oversized entries refused",
@@ -286,19 +288,19 @@ func TestPoolOversizedEntryKeepsColderEntries(t *testing.T) {
 // closed-pool behavior.
 func TestPoolRegisterValidation(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p := New(Config{})
+	p := New()
 	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, nil); err == nil {
+	if err := p.Register(key, "adder", nil); err == nil {
 		t.Fatal("nil producer accepted")
 	}
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
+	if err := p.Register(key, "adder", recordProducer(cfg, alice)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err == nil {
+	if err := p.Register(key, "adder", recordProducer(cfg, alice)); err == nil {
 		t.Fatal("duplicate key accepted")
 	}
 	p.Close()
-	if err := p.Register(Key{2}, "late", 0, recordProducer(cfg, alice)); err == nil {
+	if err := p.Register(Key{2}, "late", recordProducer(cfg, alice)); err == nil {
 		t.Fatal("closed pool accepted a registration")
 	}
 	if rec := p.Get(key); rec != nil {
@@ -311,16 +313,16 @@ func TestPoolRegisterValidation(t *testing.T) {
 // serving (misses fall back to live garbling upstream).
 func TestPoolProducerFailure(t *testing.T) {
 	cfgGood, aliceGood := adderConfig(t, 1)
-	p := New(Config{Depth: 2})
+	p := New()
 	defer p.Close()
 	bad := func(ctx context.Context) (*proto.Recorded, error) {
 		return nil, fmt.Errorf("boom")
 	}
-	if err := p.Register(Key{3}, "bad", 0, bad); err != nil {
+	if err := p.Register(Key{3}, "bad", bad); err != nil {
 		t.Fatal(err)
 	}
 	good := keyOf(t, cfgGood)
-	if err := p.Register(good, "good", 0, recordProducer(cfgGood, aliceGood)); err != nil {
+	if err := p.Register(good, "good", recordProducer(cfgGood, aliceGood)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Fill(context.Background()); err == nil {
@@ -331,8 +333,8 @@ func TestPoolProducerFailure(t *testing.T) {
 		t.Fatal("producer failure not counted")
 	}
 	// The healthy key still filled to depth despite the sick one.
-	if st.Programs["good"].Ready != 2 {
-		t.Fatalf("healthy key ready %d, want 2", st.Programs["good"].Ready)
+	if st.Programs["good"].Ready != Depth {
+		t.Fatalf("healthy key ready %d, want %d", st.Programs["good"].Ready, Depth)
 	}
 	if rec := p.Get(Key{3}); rec != nil {
 		t.Fatal("failing key served an entry")
@@ -348,14 +350,14 @@ func TestPoolProducerFailure(t *testing.T) {
 // to depth and keeps being refilled on demand.
 func TestPoolProducerPanic(t *testing.T) {
 	cfgGood, aliceGood := adderConfig(t, 1)
-	p := New(Config{Depth: 2})
+	p := New()
 	defer p.Close()
 	panicky := func(ctx context.Context) (*proto.Recorded, error) { panic("producer bug") }
-	if err := p.Register(Key{4}, "panicky", 0, panicky); err != nil {
+	if err := p.Register(Key{4}, "panicky", panicky); err != nil {
 		t.Fatal(err)
 	}
 	good := keyOf(t, cfgGood)
-	if err := p.Register(good, "good", 0, recordProducer(cfgGood, aliceGood)); err != nil {
+	if err := p.Register(good, "good", recordProducer(cfgGood, aliceGood)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Fill(context.Background()); err == nil || !strings.Contains(err.Error(), "producer bug") {
@@ -365,8 +367,8 @@ func TestPoolProducerPanic(t *testing.T) {
 	if st.Failures != 1 {
 		t.Fatalf("failures %d, want 1", st.Failures)
 	}
-	if st.Programs["good"].Ready != 2 {
-		t.Fatalf("healthy key ready %d, want 2", st.Programs["good"].Ready)
+	if st.Programs["good"].Ready != Depth {
+		t.Fatalf("healthy key ready %d, want %d", st.Programs["good"].Ready, Depth)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -376,7 +378,7 @@ func TestPoolProducerPanic(t *testing.T) {
 		t.Fatal("healthy key missed")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for p.Stats().Programs["good"].Ready != 2 {
+	for p.Stats().Programs["good"].Ready != Depth {
 		if time.Now().After(deadline) {
 			t.Fatal("refill workers stopped refilling after a producer panicked")
 		}
@@ -389,10 +391,10 @@ func TestPoolProducerPanic(t *testing.T) {
 // for a fresh registration.
 func TestPoolRetire(t *testing.T) {
 	cfg, alice := adderConfig(t, 0)
-	p := New(Config{Depth: 3})
+	p := New()
 	defer p.Close()
 	key := keyOf(t, cfg)
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
+	if err := p.Register(key, "adder", recordProducer(cfg, alice)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Fill(context.Background()); err != nil {
@@ -419,13 +421,13 @@ func TestPoolRetire(t *testing.T) {
 		t.Fatalf("retired key refilled to %d, want 0", got)
 	}
 	// The key can be registered afresh.
-	if err := p.Register(key, "adder", 0, recordProducer(cfg, alice)); err != nil {
+	if err := p.Register(key, "adder", recordProducer(cfg, alice)); err != nil {
 		t.Fatalf("re-register after Retire: %v", err)
 	}
 	if err := p.Fill(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().Ready; got != 3 {
-		t.Fatalf("re-registered key refilled to %d, want 3", got)
+	if got := p.Stats().Ready; got != Depth {
+		t.Fatalf("re-registered key refilled to %d, want %d", got, Depth)
 	}
 }

@@ -168,12 +168,11 @@ type GarbleAheadMetrics struct {
 	Programs map[string]GarbleAheadProgram `json:"programs"`
 }
 
-// GarbleAheadProgram is one pooled program's depth and traffic. Its
+// GarbleAheadProgram is one pooled program's readiness and traffic. Its
 // Hits/Misses count only default-option sessions (the streams the pool
 // actually fills); the top-level counters include off-key sessions too.
 type GarbleAheadProgram struct {
 	Ready   int   `json:"ready"`
-	Depth   int   `json:"depth"`
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Refills int64 `json:"refills"`
@@ -231,7 +230,7 @@ func (s *Server) Metrics() ServerMetrics {
 			Programs:       make(map[string]GarbleAheadProgram, len(ps.Programs)),
 		}
 		for name, p := range ps.Programs {
-			ga.Programs[name] = GarbleAheadProgram{Ready: p.Ready, Depth: p.Depth,
+			ga.Programs[name] = GarbleAheadProgram{Ready: p.Ready,
 				Hits: p.Hits, Misses: p.Misses, Refills: p.Refills}
 		}
 		m.GarbleAhead = ga
@@ -335,11 +334,6 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 		fmt.Fprintf(w, "# TYPE arm2gc_pool_program_ready gauge\n")
 		for _, name := range pnames {
 			fmt.Fprintf(w, "arm2gc_pool_program_ready{program=%q} %d\n", name, ga.Programs[name].Ready)
-		}
-		fmt.Fprintf(w, "# HELP arm2gc_pool_program_depth Target pool depth, by program.\n")
-		fmt.Fprintf(w, "# TYPE arm2gc_pool_program_depth gauge\n")
-		for _, name := range pnames {
-			fmt.Fprintf(w, "arm2gc_pool_program_depth{program=%q} %d\n", name, ga.Programs[name].Depth)
 		}
 	}
 }

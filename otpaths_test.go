@@ -80,7 +80,7 @@ func TestOTPathsExactRunInfo(t *testing.T) {
 	liveAddr, stopLive := startServer(t, live)
 	defer stopLive()
 
-	pooled := NewServer(eng, WithGarbleAhead(PoolConfig{Depth: 2}))
+	pooled := NewServer(eng, WithGarbleAhead(PoolConfig{}))
 	register(pooled)
 	if err := pooled.WarmGarbleAhead(context.Background()); err != nil {
 		t.Fatal(err)

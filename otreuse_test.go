@@ -252,3 +252,61 @@ func TestClientOTStateFreedOnClose(t *testing.T) {
 			m.OTBaseRuns, m.OTExtensionsReused, m.SessionsRejected)
 	}
 }
+
+// TestServerRefusesSecondOTSetup: a connection that holds base OTs for a
+// program gets no second set-up for it. The repeat is rejected before any
+// cryptography, the connection survives, the rejection counts as no
+// session, and a following session still extends the first set-up's
+// epoch.
+func TestServerRefusesSecondOTSetup(t *testing.T) {
+	prog := compileAdd(t)
+	eng := NewEngine()
+	srv := NewServer(eng)
+	if err := srv.Register("add", prog, WithMaxCycles(10_000), WithGarblerInput([]uint32{30})); err != nil {
+		t.Fatal(err)
+	}
+	addr, shutdown := startServer(t, srv)
+	defer shutdown()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx := context.Background()
+	held := new(proto.OTState)
+	if err := proto.SetupOT(ctx, conn, proto.Proposal{Program: "add"}, held); err != nil {
+		t.Fatal(err)
+	}
+	var rej *proto.Rejected
+	if err := proto.SetupOT(ctx, conn, proto.Proposal{Program: "add"}, new(proto.OTState)); !errors.As(err, &rej) {
+		t.Fatalf("second set-up on one connection: got %v, want *proto.Rejected", err)
+	}
+	if m := srv.Metrics(); m.OTBaseRuns != 1 || m.SessionsRejected != 0 {
+		t.Fatalf("base runs %d, rejected %d: want 1 and 0", m.OTBaseRuns, m.SessionsRejected)
+	}
+
+	grant, err := proto.Negotiate(ctx, conn, proto.Proposal{Program: "add", Epoch: held.Held()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grant.Epoch != held.Held() {
+		t.Fatal("the session after a refused set-up was not granted the held epoch")
+	}
+	held.Epoch = grant.Epoch
+	sess, err := eng.Session(prog, WithOutputMode(grant.Outputs), WithCycleBatch(grant.CycleBatch),
+		WithMaxCycles(grant.MaxCycles))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sess.evaluate(ctx, conn, []uint32{12}, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Outputs[0] != 42 {
+		t.Fatalf("sum = %d, want 42", info.Outputs[0])
+	}
+	waitServed(t, srv, 1)
+	if m := srv.Metrics(); m.OTBaseRuns != 1 || m.OTExtensionsReused != 1 {
+		t.Fatalf("base runs %d, reused %d: want 1 and 1", m.OTBaseRuns, m.OTExtensionsReused)
+	}
+}

@@ -92,7 +92,6 @@ type registration struct {
 	prog     *Program
 	defaults []Option
 	cfg      sessionConfig
-	pooled   bool     // garble-ahead entries exist for this program
 	poolKey  pool.Key // the default-options session id the pool fills
 }
 
@@ -145,24 +144,24 @@ func WithTLSConfig(cfg *tls.Config) ServerOption {
 	return func(s *Server) { s.tls = cfg }
 }
 
-// PoolConfig sizes a Server's garble-ahead pool (see WithGarbleAhead):
-// the default per-program depth and the byte budget. The zero value takes
-// sane defaults throughout (see the pool package constants).
-type PoolConfig = pool.Config
+// PoolConfig is the argument WithGarbleAhead takes. It has no fields:
+// the pool's depth and byte budget are the constants pool.Depth (2) and
+// pool.MemBytes (256 MiB).
+//
+// Deprecated: pass PoolConfig{}; there is nothing to set.
+type PoolConfig struct{}
 
 // WithGarbleAhead turns on the offline/online split: background refill
-// workers pre-garble complete per-session table streams for every
-// registered program (WithGarbleAheadOff opts one out;
-// WithGarbleAheadDepth overrides cfg.Depth per program), and serveOne
-// dequeues a ready stream instead of garbling live — the online phase
-// collapses to OT plus frame I/O, keeping tail latency flat under load
-// spikes. Entries are single-use and byte-identical to live garbling on
-// the wire; a client proposing non-default options simply misses the
+// workers keep pool.Depth pre-garbled session streams ready for every
+// registered program, within pool.MemBytes, and serveOne dequeues a
+// ready stream instead of garbling live, so the online phase is OT plus
+// frame I/O. Entries are single-use and byte-identical to live garbling
+// on the wire; a client proposing non-default options simply misses the
 // pool and is garbled live. Refill starts with Serve (or explicitly via
 // WarmGarbleAhead); Serve's shutdown stops it and drops the ready
 // streams.
-func WithGarbleAhead(cfg PoolConfig) ServerOption {
-	return func(s *Server) { s.pool = pool.New(cfg) }
+func WithGarbleAhead(PoolConfig) ServerOption {
+	return func(s *Server) { s.pool = pool.New() }
 }
 
 // NewServer creates a Server over an Engine (nil means DefaultEngine).
@@ -206,51 +205,40 @@ func (s *Server) Register(name string, p *Program, defaults ...Option) error {
 	if len(name) > proto.MaxProgramName {
 		return fmt.Errorf("arm2gc: Register: name of %d bytes exceeds %d", len(name), proto.MaxProgramName)
 	}
-	cfg, err := newSessionConfig(defaults)
+	// One session over the defaults validates them and, with garble-ahead
+	// on, is the pool's producer: its session id is the key clients
+	// negotiating the defaults hit. Like every session it shares the
+	// Engine's trace cache, so the first pass over the program, offline or
+	// live, pays the classification and every later one replays the trace.
+	sess, err := s.eng.Session(p, defaults...)
 	if err != nil {
 		return err
 	}
-	if _, err := s.eng.Session(p, defaults...); err != nil {
-		return err
-	}
-	reg := &registration{prog: p, defaults: defaults, cfg: cfg}
-	// With garble-ahead on (and the program not opted out), build the
-	// producer: a session over the registration defaults, whose session
-	// id is the pool key clients negotiating the defaults will hit. Like
-	// every session it shares the Engine's trace cache, so the first pass
-	// over the program — offline or live — pays the classification and
-	// every later one replays the trace.
-	var psess *Session
-	if s.pool != nil && cfg.garbleAhead >= 0 {
-		if psess, err = s.eng.Session(p, defaults...); err != nil {
-			return err
-		}
-		sid, err := psess.sessionID()
-		if err != nil {
-			return err
-		}
-		reg.poolKey = pool.Key(sid)
-	}
+	reg := &registration{prog: p, defaults: defaults, cfg: sess.cfg}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.regs[name]; dup {
 		return fmt.Errorf("arm2gc: Register: program %q already registered", name)
 	}
-	if psess != nil {
+	if s.pool != nil {
+		sid, err := sess.sessionID()
+		if err != nil {
+			return err
+		}
+		reg.poolKey = pool.Key(sid)
 		// A panicking refill (a WithStatsSink callback runs in it) is
 		// logged and counted here, then fails the refill like an error.
-		producer := func(ctx context.Context) (rec *RecordedStream, err error) {
+		producer := func(ctx context.Context) (rec *proto.Recorded, err error) {
 			defer func() {
 				if r := recover(); r != nil {
 					err = s.panicked(fmt.Sprintf("garble-ahead refill of %q", name), r)
 				}
 			}()
-			return psess.Record(ctx)
+			return sess.record(ctx)
 		}
-		if err := s.pool.Register(reg.poolKey, name, cfg.garbleAhead, producer); err != nil {
+		if err := s.pool.Register(reg.poolKey, name, producer); err != nil {
 			return err
 		}
-		reg.pooled = true
 	}
 	s.regs[name] = reg
 	s.met.program(name) // listed in Metrics from registration on, even at zero
@@ -271,16 +259,17 @@ func (s *Server) Retire(name string) error {
 	}
 	delete(s.regs, name)
 	s.mu.Unlock()
-	if s.pool != nil && reg.pooled {
+	if s.pool != nil {
 		s.pool.Retire(reg.poolKey)
 	}
 	return nil
 }
 
-// WarmGarbleAhead synchronously fills the garble-ahead pool to every
-// registered program's depth before serving — so the very first client
-// hits a ready stream. A no-op without WithGarbleAhead. Serve's refill
-// workers keep the pool topped up afterwards; calling this is optional.
+// WarmGarbleAhead synchronously fills the garble-ahead pool to
+// pool.Depth streams per registered program before serving — so the very
+// first client hits a ready stream. A no-op without WithGarbleAhead.
+// Serve's refill workers keep the pool topped up afterwards; calling this
+// is optional.
 func (s *Server) WarmGarbleAhead(ctx context.Context) error {
 	if s.pool == nil {
 		return nil
@@ -461,7 +450,8 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		if errors.As(err, &rej) {
 			if prop.Setup {
 				// A declined set-up is no refused session: the client runs
-				// the base OTs in its first session instead.
+				// the base OTs in its first session instead, or, refused for
+				// holding them already, extends the ones it holds.
 				if proto.WriteReject(conn, rej.reason) != nil {
 					return
 				}
@@ -571,6 +561,12 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 		ots[prop.Program] = st
 	}
 	if prop.Setup {
+		if st.Held() != (ot.Epoch{}) {
+			// A Client sets up once per program and connection; another
+			// set-up would buy a peer 128 base OTs per proposal for free.
+			return &rejection{program: prop.Program,
+				reason: fmt.Sprintf("OT set-up for %q refused: this connection already holds its base OTs", prop.Program)}
+		}
 		return s.serveSetup(ctx, conn, grant, st)
 	}
 	sess, err := s.eng.Session(reg.prog, opts...)
@@ -595,8 +591,8 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	// on a different id than the pool fills — a miss, served live. The
 	// dequeue sits after the session slot is acquired so an entry is never
 	// burned on a session that queues past shutdown.
-	var rec *RecordedStream
-	if s.pool != nil && reg.pooled {
+	var rec *proto.Recorded
+	if s.pool != nil {
 		if rec = s.pool.Get(pool.Key(grant.SessionID)); rec != nil {
 			s.met.poolHits.Add(1)
 		} else {

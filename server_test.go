@@ -500,7 +500,7 @@ func TestServerPanicCostsOneConnection(t *testing.T) {
 func TestServerRefillPanicCounted(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
-	srv := NewServer(eng, WithGarbleAhead(PoolConfig{Depth: 1}))
+	srv := NewServer(eng, WithGarbleAhead(PoolConfig{}))
 	if err := srv.Register("add", prog, WithMaxCycles(10_000),
 		WithStatsSink(func(CycleUpdate) { panic("sink bug") })); err != nil {
 		t.Fatal(err)
@@ -555,7 +555,7 @@ func TestFailingRandIsAnError(t *testing.T) {
 	if conn.Len() != 0 {
 		t.Errorf("Garble wrote %d bytes before failing", conn.Len())
 	}
-	if _, err := session().Record(ctx); !errors.Is(err, errRNG) {
+	if _, err := session().record(ctx); !errors.Is(err, errRNG) {
 		t.Errorf("Record: got %v, want the randomness error", err)
 	}
 }
@@ -666,7 +666,7 @@ func TestServerRegisterValidation(t *testing.T) {
 func TestServerRetire(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
-	srv := NewServer(eng, WithGarbleAhead(PoolConfig{Depth: 2}))
+	srv := NewServer(eng, WithGarbleAhead(PoolConfig{}))
 	if err := srv.Register("add", prog,
 		WithMaxCycles(10_000),
 		WithGarblerInput([]uint32{100})); err != nil {
