@@ -100,7 +100,8 @@ test-pool:
 
 # Fleet-gateway correctness: hash-ring affinity and bounded-load spill,
 # per-peer shedding, the chaos sequence (backend kill → clean client
-# error → eject → survivor serves → re-admit), live registry/fleet ops,
+# error → eject → survivor serves → re-admit), client faults that keep
+# the backend, one goroutine per idle connection, live registry/fleet ops,
 # client retry/backoff, two-hop TLS and the header-only frame relay —
 # shuffled and under the race detector, as in CI's fleet job.
 test-gateway:
@@ -115,8 +116,8 @@ test-gateway:
 # shuffled and under the race detector, as in CI's memory-backends job.
 test-membackend:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'MemoryBackend|Sqrt|Permute|CacheBackend|HealthyBackends' \
-		. ./internal/obliv ./internal/cpu ./internal/build
+		-run 'MemoryBackend|Sqrt|CacheBackend|HealthyBackends' \
+		. ./internal/obliv ./internal/cpu
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under
 # benchmark/, so `go build ./...` and `go test ./...` at the root never

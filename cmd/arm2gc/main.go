@@ -380,10 +380,9 @@ func serveOps(ctx context.Context, addr string, mount func(mux *http.ServeMux)) 
 			log.Printf("metrics endpoint: %v", err)
 		}
 	}()
-	go func() {
-		<-ctx.Done()
+	context.AfterFunc(ctx, func() {
 		_ = hs.Close() // shutdown teardown; the server's exit error is reported elsewhere
-	}()
+	})
 	log.Printf("metrics on http://%s/metrics", addr)
 	return func() { <-done }
 }
@@ -432,15 +431,10 @@ func dump(eng *arm2gc.Engine, prog *arm2gc.Program, opts []arm2gc.Option, path s
 // acceptCtx is Accept with cancellation: Ctrl-C while waiting for the
 // evaluator to dial closes the listener instead of hanging.
 func acceptCtx(ctx context.Context, ln net.Listener) (net.Conn, error) {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = ln.Close() // unblocks Accept; the accept loop reports the real error
-		case <-done:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		_ = ln.Close() // unblocks Accept; the accept loop reports the real error
+	})
+	defer stop()
 	conn, err := ln.Accept()
 	if err != nil && ctx.Err() != nil {
 		return nil, ctx.Err()

@@ -83,7 +83,7 @@ type backend struct {
 	healthy  atomic.Bool
 	inflight atomic.Int64
 	routed   atomic.Int64 // proposals forwarded
-	failed   atomic.Int64 // sessions that died on this backend
+	failed   atomic.Int64 // sessions that died on this backend's side
 }
 
 // Gateway fronts a fleet of backend garblers. Create with New, serve
@@ -335,21 +335,15 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	// Connection handlers are tracked so Serve returns only when every
 	// relay goroutine has; shutdown closes the listener and all conns.
 	var conns sync.Map
-	closer := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		select {
-		case <-ctx.Done():
-		case <-closer:
-			return
-		}
+	closed := make(chan struct{})
+	stopClose := context.AfterFunc(ctx, func() {
+		defer close(closed)
 		_ = ln.Close() // unblocks Accept; the accept loop reports the real error
 		conns.Range(func(k, _ any) bool {
 			_ = k.(net.Conn).Close()
 			return true
 		})
-	}()
+	})
 
 	var acceptErr error
 	for {
@@ -376,7 +370,9 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 			g.handle(ctx, nc)
 		}(nc)
 	}
-	close(closer)
+	if !stopClose() {
+		<-closed // the shutdown closes under way land before Serve returns
+	}
 	stopProbe()
 	wg.Wait()
 	return acceptErr

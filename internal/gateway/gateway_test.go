@@ -540,6 +540,151 @@ func TestGatewayChaosKillBackend(t *testing.T) {
 	waitFor(t, "affinity to come home", func() bool { return reborn.srv.SessionsServed() == 1 })
 }
 
+// TestGatewayClientFaultKeepsBackend: a client that breaks its session
+// after the grant — by hanging up, or by sending a frame its direction
+// never carries — costs its own connection and nothing else. The backend
+// is not ejected and counts no failed session, and the next client's
+// session is served with no probe to re-admit anything.
+func TestGatewayClientFaultKeepsBackend(t *testing.T) {
+	prog := compileProg(t, "add", addSrc)
+	eng := arm2gc.NewEngine()
+	b := startBackend(t, eng, "", registerAdd(prog))
+	defer b.stop()
+	addr, g, stop := startGateway(t, Config{Backends: []string{b.addr}, ProbeInterval: time.Hour})
+	defer stop()
+
+	for i, fault := range []struct {
+		name  string
+		after func(net.Conn) error // what the client does after its grant
+	}{
+		{"hang-up", func(net.Conn) error { return nil }},
+		{"tables from the client", func(nc net.Conn) error {
+			if err := wire.Write(nc, wire.Tables, make([]byte, 32)); err != nil {
+				return err
+			}
+			// The gateway ends the connection: EOF, or a reset.
+			_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+			_, err := io.Copy(io.Discard, nc)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				return err
+			}
+			return nil
+		}},
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := proto.Negotiate(context.Background(), nc, proto.Proposal{Program: "add"}); err != nil {
+			t.Fatalf("%s: %v", fault.name, err)
+		}
+		if err := fault.after(nc); err != nil {
+			t.Fatalf("%s: %v", fault.name, err)
+		}
+		nc.Close()
+		waitFor(t, fault.name+" to count", func() bool { return g.Metrics().ClientFaults == int64(i+1) })
+	}
+
+	m := g.Metrics()
+	if m.Ejections != 0 {
+		t.Errorf("ejections = %d after client faults, want 0", m.Ejections)
+	}
+	for _, bs := range m.Backends {
+		if !bs.Healthy || bs.Failed != 0 {
+			t.Errorf("backend %s: healthy %v, failed %d after client faults, want healthy, 0", bs.Addr, bs.Healthy, bs.Failed)
+		}
+	}
+	cl, err := arm2gc.Dial(context.Background(), addr, arm2gc.WithClientEngine(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Register("add", prog); err != nil {
+		t.Fatalf("next client's set-up: %v", err)
+	}
+	if info, err := cl.Evaluate(context.Background(), "add", []uint32{5}); err != nil || info.Outputs[0] != 105 {
+		t.Fatalf("next client's session: %v, %v", info, err)
+	}
+}
+
+// TestGatewayIdleConnOneGoroutine: a client connection idle between
+// sessions, after sessions on links to two backends, is served by exactly
+// one gateway goroutine — nothing per link outlives its session.
+func TestGatewayIdleConnOneGoroutine(t *testing.T) {
+	prog := compileProg(t, "add", addSrc)
+	eng := arm2gc.NewEngine()
+	b1 := startBackend(t, eng, "", func(*arm2gc.Server) error { return nil })
+	defer b1.stop()
+	b2 := startBackend(t, eng, "", func(*arm2gc.Server) error { return nil })
+	defer b2.stop()
+	addr, g, stop := startGateway(t, Config{Backends: []string{b1.addr, b2.addr}})
+	defer stop()
+
+	// One program name homed on each backend.
+	homes := make(map[string]string) // backend → program
+	for i := 0; len(homes) < 2; i++ {
+		if i == 1000 {
+			t.Fatal("no program name homes on the second backend")
+		}
+		name := fmt.Sprintf("add%d", i)
+		if home := g.route(name, nil).addr; homes[home] == "" {
+			homes[home] = name
+		}
+	}
+	cl, err := arm2gc.Dial(context.Background(), addr, arm2gc.WithClientEngine(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, b := range []*testBackend{b1, b2} {
+		name := homes[b.addr]
+		if err := b.srv.Register(name, prog, arm2gc.WithMaxCycles(10_000), arm2gc.WithGarblerInput([]uint32{100})); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Register(name, prog); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Evaluate(context.Background(), name, []uint32{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "a session on each backend", func() bool {
+		return b1.srv.SessionsServed() == 1 && b2.srv.SessionsServed() == 1
+	})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for n := connGoroutines(); n != 1; n = connGoroutines() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d gateway goroutines serve one idle connection, want 1", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// connGoroutines counts the goroutines serving gateway client
+// connections: those running handle, or a method of proxyConn or
+// backendLink.
+func connGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		for _, fn := range []string{"gateway.(*Gateway).handle(", "gateway.(*proxyConn).", "gateway.(*backendLink)."} {
+			if strings.Contains(stack, "arm2gc/internal/"+fn) {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
+
 // TestGatewayAdminOps: the authenticated admin endpoint retires and
 // re-registers programs and resizes the fleet live; bad or missing
 // credentials are refused in constant time.
@@ -618,6 +763,23 @@ func TestGatewayAdminOps(t *testing.T) {
 	var rej *arm2gc.RejectedError
 	if _, err := cl.Evaluate(context.Background(), "add", []uint32{1}); !errors.As(err, &rej) {
 		t.Fatalf("retired program: got %v, want *RejectedError", err)
+	}
+	// The gateway words it exactly as a backend words a program it does
+	// not host, so the two cannot be told apart.
+	bare := startBackend(t, eng, "", func(*arm2gc.Server) error { return nil })
+	defer bare.stop()
+	nc, err := net.Dial("tcp", bare.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = proto.Negotiate(context.Background(), nc, proto.Proposal{Program: "add"})
+	nc.Close()
+	var unknown *proto.Rejected
+	if !errors.As(err, &unknown) {
+		t.Fatalf("unknown program at a backend: got %v, want *proto.Rejected", err)
+	}
+	if rej.Reason != unknown.Reason {
+		t.Errorf("gateway rejects a retired program with %q, a backend an unknown one with %q", rej.Reason, unknown.Reason)
 	}
 	post("/programs?op=register&name=add", http.StatusOK)
 	if _, err := cl.Evaluate(context.Background(), "add", []uint32{2}); err != nil {

@@ -17,6 +17,7 @@ type gatewayMetrics struct {
 	shedRate      atomic.Int64
 	shedNoBackend atomic.Int64
 	rejectedLocal atomic.Int64
+	clientFaults  atomic.Int64
 	ringMoves     atomic.Int64
 	ejections     atomic.Int64
 	readmissions  atomic.Int64
@@ -48,6 +49,11 @@ type Metrics struct {
 	// RejectedLocal counts proposals the gateway rejected on its own
 	// policy (malformed, unlisted or retired program).
 	RejectedLocal int64 `json:"rejected_local"`
+	// ClientFaults counts sessions a client broke once a backend had its
+	// proposal: a hang-up, a failed read or write, or a frame its
+	// direction may not send. Each ends that client's connection and
+	// costs the backend nothing: no ejection, no failed session.
+	ClientFaults int64 `json:"client_faults"`
 	// RingMoves counts virtual-node ownership changes from backend
 	// adds/removes — the keyspace churn the consistent hash bounds.
 	RingMoves int64 `json:"ring_moves"`
@@ -70,6 +76,7 @@ func (g *Gateway) Metrics() Metrics {
 		ShedRateLimit:       g.met.shedRate.Load(),
 		ShedNoBackend:       g.met.shedNoBackend.Load(),
 		RejectedLocal:       g.met.rejectedLocal.Load(),
+		ClientFaults:        g.met.clientFaults.Load(),
 		RingMoves:           g.met.ringMoves.Load(),
 		Ejections:           g.met.ejections.Load(),
 		Readmissions:        g.met.readmissions.Load(),
@@ -114,6 +121,7 @@ func writeProm(w http.ResponseWriter, m Metrics) {
 	counter("arm2gc_gateway_shed_rate_limit_total", "Proposals shed by the per-peer rate limit.", m.ShedRateLimit)
 	counter("arm2gc_gateway_shed_no_backend_total", "Proposals shed for lack of an available backend.", m.ShedNoBackend)
 	counter("arm2gc_gateway_rejected_local_total", "Proposals rejected by gateway policy.", m.RejectedLocal)
+	counter("arm2gc_gateway_client_faults_total", "Sessions broken by their client.", m.ClientFaults)
 	counter("arm2gc_gateway_ring_moves_total", "Hash-ring virtual-node ownership changes.", m.RingMoves)
 	counter("arm2gc_gateway_ejections_total", "Backends ejected after failures.", m.Ejections)
 	counter("arm2gc_gateway_readmissions_total", "Ejected backends re-admitted by the prober.", m.Readmissions)

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -25,56 +26,66 @@ var (
 	clientFrames  = wire.TypeSet(wire.Hello, wire.OT, wire.Outputs)
 )
 
-// proxyConn is one client connection's relay state. The driver goroutine
-// (handle → run) owns the client→backend direction; each backendLink
-// runs a relayer goroutine for its backend→client direction. Only one
-// backend streams at a time — sessions are sequential per connection —
-// but writes to the client still go through one mutex so a shed verdict
-// injected by the driver can never tear a frame.
+// proxyConn is one client connection's relay state. A connection carries
+// its sessions one after another, so the goroutine that serves it
+// (handle → run) drives each one: it forwards the proposal, relays the
+// verdict, and after a grant relays the client's half of the session
+// while one goroutine, started for the session and waited for at its
+// end, relays the backend's half. One goroutine at a time writes to the
+// client.
 type proxyConn struct {
 	g      *Gateway
 	client net.Conn
 	cr     *bufio.Reader
 	peer   string // client IP, the shedding key
 
-	wmu   sync.Mutex
 	links map[string]*backendLink
 
-	up wire.Relay // client→backend frames, toward whichever link is live
+	toClient sink       // where the verdict and the backend's half go
+	up       wire.Relay // client→backend frames, toward whichever link is live
 }
 
-// backendLink is one pooled backend connection plus its relayer.
+// backendLink is one pooled backend connection.
 type backendLink struct {
-	b  *backend
-	nc net.Conn
-	br *bufio.Reader
-
-	// owed carries one token per forwarded proposal: the relayer reads a
-	// verdict only when one is owed, so bytes a backend sends unasked never
-	// reach the client. run closes it when it is done with the link.
-	owed chan struct{}
-	// verdicts carries the owed verdict, true for a grant; it closes when
-	// the relayer dies, which is how run observes backend death during
-	// negotiation.
-	verdicts chan bool
-	relayErr error // set before verdicts closes
-
-	down wire.Relay // backend→client frames; the relayer's alone
+	b         *backend
+	nc        net.Conn
+	br        *bufio.Reader
+	toBackend sink       // the client's half's destination
+	down      wire.Relay // backend→client frames
 }
 
-func (p *proxyConn) writeClient(fn func(io.Writer) error) error {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	return fn(p.client)
+// fault is a relay failure tagged with the side of the pipe it came from.
+// A client's fault costs that client's connection; a backend's also
+// ejects the backend.
+type fault struct {
+	error
+	client bool
 }
 
-// clientWriter is the client side of the pipe as an io.Writer: every
-// Write holds the client write lock, and a failure is errClientWrite.
-type clientWriter struct{ p *proxyConn }
+// blame tags a relay half's failure: a failed write already names its
+// side, and anything else — a failed read, a hang-up, a frame the
+// direction may not send — is the source's.
+func blame(err error, client bool) error {
+	var f *fault
+	if err == nil || errors.As(err, &f) {
+		return err
+	}
+	return &fault{err, client}
+}
 
-func (c clientWriter) Write(b []byte) (n int, err error) {
-	if c.p.writeClient(func(w io.Writer) error { n, err = w.Write(b); return err }) != nil {
-		err = errClientWrite
+// sink is one side of the pipe as a relay's destination: it counts the
+// bytes that reached that side and blames a failed write on it.
+type sink struct {
+	w      io.Writer
+	client bool
+	n      int64
+}
+
+func (s *sink) Write(b []byte) (int, error) {
+	n, err := s.w.Write(b)
+	s.n += int64(n)
+	if err != nil {
+		err = &fault{err, s.client}
 	}
 	return n, err
 }
@@ -89,11 +100,12 @@ func (g *Gateway) handle(ctx context.Context, nc net.Conn) {
 		peer = host
 	}
 	p := &proxyConn{
-		g:      g,
-		client: nc,
-		cr:     bufio.NewReader(nc),
-		peer:   peer,
-		links:  make(map[string]*backendLink),
+		g:        g,
+		client:   nc,
+		cr:       bufio.NewReader(nc),
+		peer:     peer,
+		links:    make(map[string]*backendLink),
+		toClient: sink{w: nc, client: true},
 	}
 	defer p.close()
 	if err := p.run(ctx); err != nil && err != io.EOF && ctx.Err() == nil {
@@ -104,7 +116,7 @@ func (g *Gateway) handle(ctx context.Context, nc net.Conn) {
 func (p *proxyConn) close() {
 	_ = p.client.Close()
 	for _, l := range p.links {
-		p.dropLink(l) // teardown; link errors were already reported by the relayers
+		p.dropLink(l) // teardown; link errors were already reported by session
 	}
 }
 
@@ -133,7 +145,7 @@ func (p *proxyConn) run(ctx context.Context) error {
 		}
 		if !p.g.routable(name) {
 			p.g.met.rejectedLocal.Add(1)
-			if err := p.reject(fmt.Sprintf("program %q is not available to this peer", name), 0); err != nil {
+			if err := p.reject(proto.NotAvailable(name), 0); err != nil {
 				return err
 			}
 			continue
@@ -156,16 +168,15 @@ func (p *proxyConn) run(ctx context.Context) error {
 // reject answers the pending proposal at the gateway itself; a positive
 // hint makes it a shed the client may retry.
 func (p *proxyConn) reject(reason string, after time.Duration) error {
-	return p.writeClient(func(w io.Writer) error {
-		return proto.WriteRejectRetry(w, reason, after)
-	})
+	return proto.WriteRejectRetry(p.client, reason, after)
 }
 
 // session routes one proposal and relays the resulting session. A
-// backend that fails before its verdict costs nothing visible: the
-// proposal retries on the next ring node. Once any bytes of a granted
-// session have flowed, a failure is terminal for the connection — the
-// stream position is unknown, exactly like a direct server failure.
+// backend that fails before any byte reached the client costs nothing
+// visible: the proposal retries on the next ring node. Past that point a
+// failure is terminal for the connection — the stream position is
+// unknown, exactly like a direct server failure — and it ejects the
+// backend only when the backend is at fault.
 func (p *proxyConn) session(ctx context.Context, name string, payload []byte) error {
 	tried := make(map[string]bool)
 	for {
@@ -183,53 +194,80 @@ func (p *proxyConn) session(ctx context.Context, name string, payload []byte) er
 		}
 		b.routed.Add(1)
 		b.inflight.Add(1)
-		done, err := p.relayOne(ctx, l, payload)
+		err = p.relayOne(ctx, l, payload)
 		b.inflight.Add(-1)
-		if err != nil {
-			p.dropLink(l)
-			p.g.eject(b, err)
-			b.failed.Add(1)
-			if !done {
-				continue // nothing reached the client; retry elsewhere
-			}
-			return fmt.Errorf("backend %s mid-session: %w", b.addr, err)
-		}
-		return nil
-	}
-}
-
-// relayOne forwards one proposal to a linked backend and relays the
-// session. done reports whether any backend bytes reached the client —
-// the point past which a failure can no longer be retried transparently.
-func (p *proxyConn) relayOne(ctx context.Context, l *backendLink, payload []byte) (done bool, err error) {
-	l.owed <- struct{}{}
-	if err := wire.Write(l.nc, wire.Propose, payload); err != nil {
-		return false, fmt.Errorf("forwarding proposal: %w", err)
-	}
-	granted, ok := <-l.verdicts
-	if !ok {
-		// The relayer died before a verdict crossed. If it failed while
-		// writing to the client, the connection is beyond saving; a pure
-		// backend-side death is retryable.
-		err := l.relayErr
 		if err == nil {
-			err = io.ErrUnexpectedEOF
+			return nil
 		}
-		return err == errClientWrite, err
+		p.dropLink(l) // either way the backend's session is dead
+		var f *fault
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err() // shutdown closed the pipe; nobody is at fault
+		case errors.As(err, &f) && f.client:
+			p.g.met.clientFaults.Add(1)
+			return fmt.Errorf("client mid-session: %w", err)
+		}
+		p.g.eject(b, err)
+		b.failed.Add(1)
+		if p.toClient.n == 0 {
+			continue // nothing reached the client; retry elsewhere
+		}
+		return fmt.Errorf("backend %s mid-session: %w", b.addr, err)
 	}
-	if !granted {
-		return true, nil // rejection relayed; the connection lives on
-	}
-	// The client's half of the session; the backend's half runs
-	// concurrently in the link's relayer.
-	if err := p.up.Until(l.nc, p.cr, clientFrames, wire.Outputs); err != nil {
-		return true, fmt.Errorf("client frames: %w", err)
-	}
-	return true, nil
 }
 
-// link returns (dialing on first use) the pooled connection to a
-// backend, with its relayer running.
+// relayOne forwards one proposal to a linked backend, relays its verdict
+// and, after a grant, the session; p.toClient counts what reached the
+// client meanwhile.
+func (p *proxyConn) relayOne(ctx context.Context, l *backendLink, payload []byte) error {
+	// Shutdown closes the backend side as well as the client side, which
+	// Serve closes, so a stalled backend cannot hold the connection.
+	defer context.AfterFunc(ctx, func() { _ = l.nc.Close() })()
+	p.toClient.n = 0
+	if err := wire.Write(&l.toBackend, wire.Propose, payload); err != nil {
+		return fmt.Errorf("forwarding proposal: %w", err)
+	}
+	typ, err := l.down.Frame(&p.toClient, l.br, verdictFrames)
+	if err == nil {
+		err = l.down.Flush(&p.toClient)
+	}
+	if err != nil {
+		return blame(err, false)
+	}
+	if typ != wire.Grant {
+		return nil // a rejection relayed; the connection lives on
+	}
+
+	// The session: the backend's half on its own goroutine, the client's
+	// half here. The half that fails first is the cause; it closes the
+	// other half's source, whose failure then is only the close it
+	// provoked, so neither half waits on a peer that will not send again.
+	var (
+		first sync.Once
+		cause error
+	)
+	fail := func(err error, src net.Conn) {
+		first.Do(func() {
+			cause = err
+			_ = src.Close()
+		})
+	}
+	down := make(chan struct{})
+	go func() {
+		defer close(down)
+		if err := l.down.Until(&p.toClient, l.br, backendFrames, wire.Decode); err != nil {
+			fail(blame(err, false), p.client)
+		}
+	}()
+	if err := p.up.Until(&l.toBackend, p.cr, clientFrames, wire.Outputs); err != nil {
+		fail(blame(fmt.Errorf("client frames: %w", err), true), l.nc)
+	}
+	<-down
+	return cause
+}
+
+// link returns (dialing on first use) the pooled connection to a backend.
 func (p *proxyConn) link(ctx context.Context, b *backend) (*backendLink, error) {
 	if l := p.links[b.addr]; l != nil {
 		return l, nil
@@ -238,59 +276,12 @@ func (p *proxyConn) link(ctx context.Context, b *backend) (*backendLink, error) 
 	if err != nil {
 		return nil, fmt.Errorf("dialing %s: %w", b.addr, err)
 	}
-	l := &backendLink{
-		b:        b,
-		nc:       nc,
-		br:       bufio.NewReader(nc),
-		owed:     make(chan struct{}, 1),
-		verdicts: make(chan bool, 1),
-	}
+	l := &backendLink{b: b, nc: nc, br: bufio.NewReader(nc), toBackend: sink{w: nc}}
 	p.links[b.addr] = l
-	go l.relay(p)
 	return l, nil
 }
 
 func (p *proxyConn) dropLink(l *backendLink) {
-	close(l.owed)
 	_ = l.nc.Close() // the link is already condemned; its close error adds nothing
 	delete(p.links, l.b.addr)
-}
-
-// errClientWrite marks relayer failures on the client side of the pipe,
-// which are terminal for the whole connection.
-var errClientWrite = fmt.Errorf("gateway: client write failed")
-
-// relay runs a link's backend→client direction: the verdict owed for
-// each forwarded proposal and, after a grant, the session's frames
-// through the decode frame.
-func (l *backendLink) relay(p *proxyConn) {
-	defer close(l.verdicts)
-	l.relayErr = l.relayLoop(p)
-}
-
-func (l *backendLink) relayLoop(p *proxyConn) error {
-	w := clientWriter{p}
-	for range l.owed {
-		typ, err := l.down.Frame(w, l.br, verdictFrames)
-		if err == nil {
-			err = l.down.Flush(w)
-		}
-		if err != nil {
-			return err // backend gone (or idle link torn down)
-		}
-		l.verdicts <- typ == wire.Grant
-		if typ != wire.Grant {
-			continue
-		}
-		if err := l.down.Until(w, l.br, backendFrames, wire.Decode); err != nil {
-			// Mid-session death is terminal for the whole connection, and
-			// both the client and run may be blocked on reads that will
-			// never complete (the client waiting for tables, run waiting
-			// for the client's next frame). Closing the client conn
-			// unwinds them both.
-			_ = p.client.Close()
-			return err
-		}
-	}
-	return nil // run is done with the link
 }

@@ -70,16 +70,19 @@ func runRelay(tb testing.TB, clientIn, backendIn []byte, stall int) relayRun {
 	if stall < len(clientIn) {
 		clientSide = io.MultiReader(bytes.NewReader(clientIn[:stall]), waitReader{received}, bytes.NewReader(clientIn[stall:]))
 	}
-	p := &proxyConn{g: g, client: client, cr: bufio.NewReader(clientSide), links: make(map[string]*backendLink)}
-	l := &backendLink{
-		b:        g.backends[addr],
-		nc:       backend,
-		br:       bufio.NewReader(bytes.NewReader(backendIn)),
-		owed:     make(chan struct{}, 1),
-		verdicts: make(chan bool, 1),
+	p := &proxyConn{
+		g:        g,
+		client:   client,
+		cr:       bufio.NewReader(clientSide),
+		links:    make(map[string]*backendLink),
+		toClient: sink{w: client, client: true},
 	}
-	p.links[addr] = l
-	go l.relay(p)
+	p.links[addr] = &backendLink{
+		b:         g.backends[addr],
+		nc:        backend,
+		br:        bufio.NewReader(bytes.NewReader(backendIn)),
+		toBackend: sink{w: backend},
+	}
 	done := make(chan error, 1)
 	go func() { done <- p.run(context.Background()) }()
 	select {
@@ -88,8 +91,6 @@ func runRelay(tb testing.TB, clientIn, backendIn []byte, stall int) relayRun {
 		tb.Fatal("the relay never returned")
 	}
 	p.close()
-	for range l.verdicts { // the relayer has exited
-	}
 	<-drained
 	<-drained
 

@@ -390,6 +390,14 @@ const (
 // not a multi-day ban).
 const MaxRetryAfter = time.Hour
 
+// NotAvailable is the one rejection reason for a program a peer may not
+// run: unknown to a server, behind a failed token check, or unlisted or
+// retired at a gateway. Every such case reads the same, so comparing
+// rejection texts cannot enumerate a catalog.
+func NotAvailable(program string) string {
+	return fmt.Sprintf("program %q is not available to this peer", program)
+}
+
 // WriteReject declines a proposal with a reason (server side); the
 // connection stays usable for further proposals.
 func WriteReject(w io.Writer, reason string) error {

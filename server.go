@@ -512,7 +512,7 @@ func peerOf(conn net.Conn, token string) Peer {
 // catalog by comparing rejection texts. (WithAuthorize callback errors
 // are sent verbatim — what a policy reveals is the operator's choice.)
 func notAvailable(program string) *rejection {
-	return &rejection{reason: fmt.Sprintf("program %q is not available to this peer", program)}
+	return &rejection{reason: proto.NotAvailable(program)}
 }
 
 // authorize applies the registration's admission policy to a proposal:
