@@ -80,11 +80,12 @@ test-hardening:
 # exact table-frame reads under replay, 1 GiB announcements) and the
 # Engine API (the WithTraceReuse no-op, the trace-cache metrics, many
 # concurrent recordings under one budget), plus the sparse flip-flop commit the
-# compiled cycles carry (dense-commit oracle, its edge cases, CycleStats
-# invariance) — shuffled and under the race detector, as in CI.
+# compiled cycles carry (dense-commit oracle, its edge cases, registers
+# swapping through aliased hold-MUXes, CycleStats invariance) — shuffled
+# and under the race detector, as in CI.
 test-trace:
 	$(GO) test -race -shuffle=on -count=1 \
-		-run 'Trace|HostileLength|TestPipelinedStatsSink|DenseCommit|CopyDFFs|ShiftRegister|HeldRegister|CycleStatsInvariance' \
+		-run 'Trace|HostileLength|TestPipelinedStatsSink|DenseCommit|CopyDFFs|ShiftRegister|HeldRegister|SwapRegister|CycleStatsInvariance' \
 		. ./internal/core ./internal/cpu ./internal/proto
 
 # Garble-ahead correctness at the pool's fixed depth (pool.Depth) and

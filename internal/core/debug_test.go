@@ -30,7 +30,9 @@ func TestWireLevelEquivalence(t *testing.T) {
 }
 
 // diagnose compares every wire's plaintext value against the SkipGate
-// state/decoded label, cycle by cycle.
+// state/decoded label, cycle by cycle. A secret wire's label is read from
+// the slot it lives in, which is an upstream wire's for a plain
+// passthrough.
 func diagnose(t *testing.T, c *circuit.Circuit, in sim.Inputs, cycles int, rng *rand.Rand) {
 	t.Helper()
 	s := NewScheduler(c, Seed{}, in.Public)
@@ -81,13 +83,14 @@ func diagnose(t *testing.T, c *circuit.Circuit, in sim.Inputs, cycles int, rng *
 			if gi >= 0 && s.fan[gi] <= 0 {
 				continue // dead: label intentionally not materialized
 			}
-			x := e.Active(wire)
+			slot := s.LabelWire(wire)
+			x := e.Active(slot)
 			switch x {
-			case g.X0(wire):
+			case g.X0(slot):
 				if truth {
 					t.Fatalf("cycle %d wire %d (act %d): decodes 0, truth 1", cyc, w, actOf(s, gi))
 				}
-			case g.X0(wire).Xor(g.R):
+			case g.X0(slot).Xor(g.R):
 				if !truth {
 					t.Fatalf("cycle %d wire %d (act %d): decodes 1, truth 0", cyc, w, actOf(s, gi))
 				}

@@ -23,6 +23,7 @@ type Garbler struct {
 	alice   []gc.Label // X0 per Alice input bit
 	bob     []gc.Label // X0 per Bob input bit
 	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
+	dSrc    []int32    // the slots their D labels live in
 	dffNext []gc.Label // CopyDFFs' gather buffer
 	scratch []gc.Table // GarbleCycleTraceAppend's reusable table buffer
 }
@@ -133,13 +134,13 @@ func (g *Garbler) GarbleCycle(dst []gc.Table) []gc.Table {
 }
 
 // GarbleCycleTrace is the garbler's gate-execution kernel: it runs compiled
-// cycle ct as 1-based cycle cyc, computing false labels for every live
-// secret wire and appending one table per garbled op to dst, in emission
+// cycle ct as 1-based cycle cyc, computing the false label of every op's
+// output and appending one table per garbled op to dst, in emission
 // (gate) order. It never consults a scheduler: the op arrays drive the
 // label work directly, so a cycle costs its label XORs plus the
 // fixed-key AES of the surviving garbled gates.
 func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc.Table {
-	g.dirty = ct.dirty
+	g.dirty, g.dSrc = ct.dirty, ct.dirtySrc
 	base := uint64(cyc-1) * uint64(len(g.c.Gates))
 	x0, r := g.x0, g.R
 	ci, gi := 0, 0
@@ -147,8 +148,6 @@ func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc
 		for end := ci + int(seg.copies); ci < end; ci++ {
 			out := ct.copyOut[ci]
 			switch ct.copyAct[ci] {
-			case topCopy:
-				x0[out] = x0[ct.copyA[ci]]
 			case topCopyInv:
 				x0[out] = x0[ct.copyA[ci]].Xor(r)
 			case topXor:
@@ -202,14 +201,15 @@ func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []
 // nothing — so before the first kernel run, and after a final budget
 // cycle, it does nothing.
 func (g *Garbler) CopyDFFs() {
-	g.dffNext = copyDFFs(g.c, g.x0, g.dirty, g.dffNext[:0])
+	g.dffNext = copyDFFs(g.c, g.x0, g.dirty, g.dSrc, g.dffNext[:0])
 }
 
-// copyDFFs moves the label on each dirty flip-flop's D wire to its Q wire,
-// gathering into next before scattering: a D may be another flip-flop's Q.
-func copyDFFs(c *circuit.Circuit, labels []gc.Label, dirty []int32, next []gc.Label) []gc.Label {
-	for _, i := range dirty {
-		next = append(next, labels[c.DFFs[i].D])
+// copyDFFs moves each dirty flip-flop's D label, read from the slot src
+// names, to its Q wire, gathering into next before scattering: a D's label
+// may live in another flip-flop's Q.
+func copyDFFs(c *circuit.Circuit, labels []gc.Label, dirty, src []int32, next []gc.Label) []gc.Label {
+	for _, w := range src {
+		next = append(next, labels[w])
 	}
 	for k, i := range dirty {
 		labels[c.QWire(int(i))] = next[k]
@@ -217,10 +217,14 @@ func copyDFFs(c *circuit.Circuit, labels []gc.Label, dirty []int32, next []gc.La
 	return next
 }
 
-// DecodeBit returns the point-and-permute decode bit for a secret wire.
+// DecodeBit returns the point-and-permute decode bit of the label in slot
+// w (see X0).
 func (g *Garbler) DecodeBit(w circuit.Wire) bool { return g.x0[w].Bit() }
 
-// X0 exposes a wire's false label (tests and the protocol layer).
+// X0 exposes the false label in slot w (tests and the protocol layer). A
+// slot is indexed by wire, but a plain passthrough's label lives in its
+// source's slot: resolve a wire first, through Schedule.OutputWires for
+// outputs or Scheduler.LabelWire for any wire of the current cycle.
 func (g *Garbler) X0(w circuit.Wire) gc.Label { return g.x0[w] }
 
 // Evaluator is Bob's crypto executor, mirroring Garbler with active labels
@@ -232,6 +236,7 @@ type Evaluator struct {
 	h       *gc.Hash
 	x       []gc.Label
 	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
+	dSrc    []int32    // the slots their D labels live in
 	dffNext []gc.Label // CopyDFFs' gather buffer
 }
 
@@ -288,7 +293,7 @@ func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc
 		return nil, fmt.Errorf("core: table stream exhausted: cycle %d needs %d tables, have %d",
 			cyc, len(ct.garbKind), len(ts))
 	}
-	e.dirty = ct.dirty
+	e.dirty, e.dSrc = ct.dirty, ct.dirtySrc
 	base := uint64(cyc-1) * uint64(len(e.c.Gates))
 	x := e.x
 	ci, gi := 0, 0
@@ -296,7 +301,7 @@ func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc
 		for end := ci + int(seg.copies); ci < end; ci++ {
 			out := ct.copyOut[ci]
 			// The evaluator holds active labels: inversions are the
-			// garbler's business, so the four copy codes collapse to two.
+			// garbler's business, so the three copy codes collapse to two.
 			if ct.copyAct[ci] < topXor {
 				x[out] = x[ct.copyA[ci]]
 			} else {
@@ -323,12 +328,13 @@ func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc
 // CopyDFFs performs the end-of-cycle flip-flop label copy, mirroring
 // Garbler.CopyDFFs.
 func (e *Evaluator) CopyDFFs() {
-	e.dffNext = copyDFFs(e.c, e.x, e.dirty, e.dffNext[:0])
+	e.dffNext = copyDFFs(e.c, e.x, e.dirty, e.dSrc, e.dffNext[:0])
 }
 
-// ActiveBit returns the point-and-permute bit of Bob's active label on a
-// secret wire.
+// ActiveBit returns the point-and-permute bit of Bob's active label in slot
+// w (see Active).
 func (e *Evaluator) ActiveBit(w circuit.Wire) bool { return e.x[w].Bit() }
 
-// Active exposes a wire's active label.
+// Active exposes the active label in slot w, which, as with Garbler.X0, is
+// a resolved wire: Schedule.OutputWires or Scheduler.LabelWire.
 func (e *Evaluator) Active(w circuit.Wire) gc.Label { return e.x[w] }

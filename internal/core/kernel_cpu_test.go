@@ -141,19 +141,28 @@ func hamming160(t *testing.T) (*cpu.CPU, sim.Inputs, *core.RunResult) {
 // TestHammingCycleCounters pins the machine-independent work of a garbled
 // processor run: netlist gates classified per cycle, garbled tables,
 // flip-flop label commits and executed copies over Hamming(160)'s 470
-// cycles (1.021 tables, 6.979 commits and 121.8 copies per cycle). They
+// cycles (1.021 tables, 6.979 commits and 3.906 copies per cycle). They
 // are exact properties of the scheduler and the trace compiler; a change
-// that moves one moves the cost of every session.
+// that moves one moves the cost of every session. The copies are inverted
+// passthroughs and free XORs only: a plain passthrough is compiled to an
+// alias, so replaying the trace never executes one.
 func TestHammingCycleCounters(t *testing.T) {
 	c, _, res := hamming160(t)
 	tr := res.Trace
+	g := core.NewReplayGarbler(c.Circuit, gc.CryptoRand)
 	dffs, copies := 0, 0
 	for cyc := 1; cyc <= tr.NumCycles(); cyc++ {
-		dffs += tr.Cycle(cyc).NumDFFs()
-		copies += tr.Cycle(cyc).NumCopies()
+		ct := tr.Cycle(cyc)
+		dffs += ct.NumDFFs()
+		copies += ct.NumCopies()
+		g.GarbleCycleTrace(ct, cyc, nil)
+		if n := core.PlainCopies(g, ct); n != 0 {
+			t.Fatalf("cycle %d executes %d plain copies", cyc, n)
+		}
+		g.CopyDFFs()
 	}
 	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), res.Stats.Total.Garbled, dffs, copies}
-	want := [...]int{13_567, 470, 480, 3_280, 57_264}
+	want := [...]int{13_567, 470, 480, 3_280, 1_836}
 	if got != want {
 		t.Fatalf("gates, cycles, tables, DFF commits, copies = %v, want %v", got, want)
 	}

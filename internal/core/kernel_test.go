@@ -180,12 +180,14 @@ func (o *denseOracle) cycle(t testing.TB, final bool) {
 	}
 }
 
-// copyDFFs is the dense commit: every flip-flop, every cycle.
+// copyDFFs is the dense commit: every flip-flop, every cycle, each D
+// label read from the slot it lives in.
 func (o *denseOracle) copyDFFs() {
 	c := o.s.C
 	for i, d := range c.DFFs {
 		o.nextSt[i], o.nextFP[i] = o.s.st[d.D], o.s.fp[d.D]
-		o.nextG[i], o.nextE[i] = o.g.x0[d.D], o.e.x[d.D]
+		src := o.s.ref[d.D]
+		o.nextG[i], o.nextE[i] = o.g.x0[src], o.e.x[src]
 	}
 	for i := range c.DFFs {
 		w := c.QWire(i)
@@ -316,6 +318,20 @@ func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts
 	}
 	res.Stats, res.Halted, res.Trace = sc.Stats(), sc.Halted(), sc.Trace()
 	return res
+}
+
+// PlainCopies counts the copy ops of ct that left their label unchanged
+// when g ran the cycle — plain copies, which the compiler should have
+// turned into aliases. An inverted copy adds R and a free XOR adds a
+// second label, so neither can. Call it after g ran ct, before CopyDFFs.
+func PlainCopies(g *Garbler, ct *CycleTrace) int {
+	n := 0
+	for i, out := range ct.copyOut {
+		if g.x0[out] == g.x0[ct.copyA[i]] {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDenseCommitOracle: on random netlists — whose D wires hit other
@@ -450,10 +466,10 @@ func TestShiftRegisterCommit(t *testing.T) {
 }
 
 // TestHeldRegisterOutputCopyEmitted: two secret registers hold their value
-// behind a hold-MUX whose public select is 0. The MUX that feeds only its
-// own flip-flop is counted as a passthrough but never executed; the one
-// whose output is also a circuit output still gets its copy, because the
-// decoder reads that label.
+// behind a hold-MUX whose public select is 0. Both MUXes are counted as
+// passthroughs and neither is executed: the one that feeds only its own
+// flip-flop is never read, and the one whose output is also a circuit
+// output is an alias, so the decoder reads the register's own label.
 func TestHeldRegisterOutputCopyEmitted(t *testing.T) {
 	// Wires: 0,1 constants; 2 public en; 3 Bob b; 4,5 the registers' Q;
 	// 6 = MUX(en, Q4, b) → D4 and output; 7 = MUX(en, Q5, b) → D5 only.
@@ -491,8 +507,8 @@ func TestHeldRegisterOutputCopyEmitted(t *testing.T) {
 	if ct.Stats.Passthrough != 2 {
 		t.Fatalf("counted %d passthroughs, want both hold-MUXes", ct.Stats.Passthrough)
 	}
-	if len(ct.copyOut) != 1 || ct.copyOut[0] != 6 {
-		t.Fatalf("emitted copies to wires %v, want only the output-feeding MUX (wire 6)", ct.copyOut)
+	if len(ct.copyOut) != 0 {
+		t.Fatalf("emitted copies to wires %v, want none: a plain passthrough is an alias", ct.copyOut)
 	}
 	if len(ct.dirty) != 0 {
 		t.Fatalf("held registers are dirty: %v", ct.dirty)
@@ -501,12 +517,74 @@ func TestHeldRegisterOutputCopyEmitted(t *testing.T) {
 	if _, err := e.EvalCycleTrace(ct, 1, nil); err != nil {
 		t.Fatal(err)
 	}
+	if w := sc.OutputWires()[0]; w != 4 {
+		t.Fatalf("output label lives in wire %d, want the register's Q (wire 4)", w)
+	}
 	out, err := decodeOutputs(sc, g, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out[0] {
 		t.Fatal("held register decodes to 0, Alice's bit is 1")
+	}
+}
+
+// TestSwapRegisterCommit: two secret registers swap through hold-MUXes
+// whose public select is 0, so both flip-flops are dirty every cycle and
+// each D is an alias of the other register's Q. Decoding after every
+// cycle, live and replayed, must match the plaintext: a commit that read
+// the raw D wire (never written) or resolved its sources after scattering
+// (both registers end up with one label) decodes wrong.
+func TestSwapRegisterCommit(t *testing.T) {
+	// Wires: 0,1 constants; 2 public en; 3,4 the registers' Q (Alice's
+	// and Bob's bit); 5 = MUX(en, Q4, Q3) → D3; 6 = MUX(en, Q3, Q4) → D4.
+	c := &circuit.Circuit{
+		Name: "swap", PortBase: 2, DFFBase: 3, GateBase: 5,
+		PublicBits: 1, AliceBits: 1, BobBits: 1,
+		Ports: []circuit.Port{{Name: "en", Owner: circuit.Public, Base: 2, Bits: 1}},
+		DFFs: []circuit.DFF{
+			{D: 5, Init: circuit.Init{Kind: circuit.InitAlice, Idx: 0}},
+			{D: 6, Init: circuit.Init{Kind: circuit.InitBob, Idx: 0}},
+		},
+		Gates: []circuit.Gate{
+			{Op: circuit.MUX, S: 2, A: 4, B: 3},
+			{Op: circuit.MUX, S: 2, A: 3, B: 4},
+		},
+		Outputs: []circuit.Output{{Name: "q", Wires: []circuit.Wire{3, 4}}},
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	in := sim.Inputs{Public: []bool{false}, Alice: []bool{true}, Bob: []bool{false}}
+	ctx := context.Background()
+	const cycles = 6
+	live, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, RecordEveryCycle: true, Record: Unbounded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cyc := 1; cyc <= cycles; cyc++ {
+		want := sim.Run(c, in, cyc)
+		if got := live.PerCycle[cyc-1]; !slices.Equal(got, want) {
+			t.Fatalf("live cycle %d: outputs %v, plaintext %v", cyc, got, want)
+		}
+		ct := live.Trace.Cycle(cyc)
+		if len(ct.copyAct) != 0 {
+			t.Fatalf("cycle %d executes %d copies, want none: both MUXes are aliases", cyc, len(ct.copyAct))
+		}
+		if cyc < cycles && !slices.Equal(ct.dirtySrc, []int32{4, 3}) {
+			t.Fatalf("cycle %d: D labels read from %v, want the other register's Q [4 3]", cyc, ct.dirtySrc)
+		}
+		rec, err := RunLocal(ctx, c, in, RunOpts{Cycles: cyc, Record: Unbounded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := RunLocal(ctx, c, in, RunOpts{Cycles: cyc, Trace: rec.Trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(replay.Outputs, want) {
+			t.Fatalf("replayed budget %d: outputs %v, plaintext %v", cyc, replay.Outputs, want)
+		}
 	}
 }
 
@@ -527,7 +605,7 @@ func TestTraceMemoryBytes(t *testing.T) {
 	var short, long CycleTrace
 	short.dirty = make([]int32, 1)
 	long.dirty = make([]int32, 1000)
-	short, long = short.clone(), long.clone()
+	short, long = *short.clone(), *long.clone()
 	if s, l := short.memoryBytes(), long.memoryBytes(); l < s+4*999 {
 		t.Fatalf("memoryBytes ignores the dirty list: %d entries cost %d, 1 costs %d", len(long.dirty), l, s)
 	}

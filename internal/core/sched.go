@@ -107,6 +107,12 @@ type Scheduler struct {
 	emit bool
 	ct   CycleTrace
 
+	// ref is, per wire, the wire whose label slot holds its label in the
+	// cycle last compiled: a plain passthrough emits no op but aliases its
+	// output to its source's slot, and every emitted op writes its own.
+	// Ports, flip-flop outputs and constants always map to themselves.
+	ref []int32
+
 	pub   []bool
 	cycle int // 1-based during a cycle; 0 before Start
 }
@@ -123,7 +129,11 @@ func NewScheduler(c *circuit.Circuit, seed Seed, pub []bool) *Scheduler {
 		fanNormal: c.Fanout(true),
 		fanFinal:  c.Fanout(false),
 		holds:     make([]int32, len(c.Gates)),
+		ref:       make([]int32, c.NumWires()),
 		pub:       pub,
+	}
+	for w := range s.ref {
+		s.ref[w] = int32(w)
 	}
 	s.deltaF = s.gen.delta()
 
@@ -349,13 +359,14 @@ func (s *Scheduler) classify() {
 
 // settle is the second pass: one walk over the settled fanouts that counts
 // the cycle's scheduling outcomes and, when emit is set, compiles every live
-// gate into the CycleTrace buffer the executors run — copy ops for
-// passthroughs and free XORs, garble ops (MUX shape baked in) for
-// surviving category-iv gates, in gate order, which is the table-emission
-// order on the wire. A copy-class gate whose whole remaining fanout is
-// flip-flops that hold their value is counted like any other but not
-// emitted: nobody reads the label it would compute. A garbled gate is
-// always emitted, because its table is on the wire.
+// gate into the CycleTrace buffer the executors run — an alias for a plain
+// passthrough, copy ops for inverted passthroughs and free XORs, garble ops
+// (MUX shape baked in) for surviving category-iv gates, in gate order,
+// which is the table-emission order on the wire. A copy-class gate whose
+// whole remaining fanout is flip-flops that hold their value is counted
+// like any other but not emitted: nobody reads the label it would compute.
+// A garbled gate is always emitted, because its table is on the wire. Last,
+// each dirty flip-flop's D is resolved to the slot its label lives in.
 func (s *Scheduler) settle(src []int32) CycleStats {
 	ct := &s.ct
 	var cs CycleStats
@@ -394,39 +405,49 @@ func (s *Scheduler) settle(src []int32) CycleStats {
 		s.emitGate(ct, i, act)
 	}
 	ct.flush()
+	for _, i := range ct.dirty {
+		ct.dirtySrc = append(ct.dirtySrc, s.ref[s.C.DFFs[i].D])
+	}
 	ct.Stats = cs
 	return cs
 }
 
 // emitGate compiles live gate i into ct: the one place a scheduler action
-// is translated into an executable op.
+// is translated into an executable op. Operands are read through ref, so
+// an op reads each input from the slot its label lives in. A plain
+// passthrough emits nothing: its output becomes an alias of its source.
+// Gate order is topological and every wire is written once per cycle, so
+// a resolved operand is this cycle's label or a flip-flop output, which
+// holds its label until CopyDFFs.
 func (s *Scheduler) emitGate(ct *CycleTrace, i int, act uint8) {
 	g := &s.C.Gates[i]
 	out := int32(s.C.GateBase) + int32(i)
+	a, b, sel := s.ref[g.A], s.ref[g.B], s.ref[g.S]
+	s.ref[out] = out
 	switch act {
 	case actCopyA:
-		ct.addCopy(topCopy, out, int32(g.A), 0)
+		s.ref[out] = a
 	case actCopyAInv:
-		ct.addCopy(topCopyInv, out, int32(g.A), 0)
+		ct.addCopy(topCopyInv, out, a, 0)
 	case actCopyB:
-		ct.addCopy(topCopy, out, int32(g.B), 0)
+		s.ref[out] = b
 	case actCopyBInv:
-		ct.addCopy(topCopyInv, out, int32(g.B), 0)
+		ct.addCopy(topCopyInv, out, b, 0)
 	case actCopyS:
-		ct.addCopy(topCopy, out, int32(g.S), 0)
+		s.ref[out] = sel
 	case actCopySInv:
-		ct.addCopy(topCopyInv, out, int32(g.S), 0)
+		ct.addCopy(topCopyInv, out, sel, 0)
 	case actXor:
 		if g.Op == circuit.XNOR {
-			ct.addCopy(topXorInv, out, int32(g.A), int32(g.B))
+			ct.addCopy(topXorInv, out, a, b)
 		} else {
-			ct.addCopy(topXor, out, int32(g.A), int32(g.B))
+			ct.addCopy(topXor, out, a, b)
 		}
 	case actMuxXor:
-		ct.addCopy(topXor, out, int32(g.S), int32(g.A))
+		ct.addCopy(topXor, out, sel, a)
 	case actGarble:
 		if g.Op != circuit.MUX {
-			ct.addGarb(tgGate, uint8(g.Op), int32(i), out, int32(g.A), int32(g.B), 0)
+			ct.addGarb(tgGate, uint8(g.Op), int32(i), out, a, b, 0)
 			return
 		}
 		// A category-iv MUX with both data inputs secret is the atomic
@@ -435,19 +456,19 @@ func (s *Scheduler) emitGate(ct *CycleTrace, i int, act uint8) {
 		sa, sb := s.st[g.A], s.st[g.B]
 		switch {
 		case sa == stSecret && sb == stSecret:
-			ct.addGarb(tgMux, 0, int32(i), out, int32(g.A), int32(g.B), int32(g.S))
+			ct.addGarb(tgMux, 0, int32(i), out, a, b, sel)
 		case sa != stSecret:
 			kind := uint8(tgAndFF)
 			if sa == stPub1 {
 				kind = tgAndFTT
 			}
-			ct.addGarb(kind, 0, int32(i), out, int32(g.S), int32(g.B), 0)
+			ct.addGarb(kind, 0, int32(i), out, sel, b, 0)
 		default:
 			kind := uint8(tgAndTFF)
 			if sb == stPub1 {
 				kind = tgAndTTT
 			}
-			ct.addGarb(kind, 0, int32(i), out, int32(g.S), int32(g.A), 0)
+			ct.addGarb(kind, 0, int32(i), out, sel, a, 0)
 		}
 	}
 }
@@ -704,6 +725,12 @@ func (s *Scheduler) reduce(w circuit.Wire) {
 		}
 	}
 }
+
+// LabelWire returns the wire whose label slot holds w's label in the cycle
+// last classified: w itself unless w is the output of a plain passthrough.
+// Only wires whose labels the cycle's executors compute resolve
+// meaningfully.
+func (s *Scheduler) LabelWire(w circuit.Wire) circuit.Wire { return circuit.Wire(s.ref[w]) }
 
 // WireState reports the classification of a wire after Classify: public
 // value (ok=true) or secret (ok=false).

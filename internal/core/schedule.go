@@ -19,6 +19,7 @@ type Schedule struct {
 	stop   circuit.Wire // resolved halt-flag wire, or -1
 	sink   func(cycle int, cs CycleStats)
 	outW   []circuit.Wire // resolved output wires, circuit.OutputWires order
+	outL   []circuit.Wire // their label slots, as OutputWires last returned
 
 	cyc    int
 	halted bool
@@ -118,8 +119,23 @@ func (sc *Schedule) Halted() bool { return sc.halted }
 // Stats returns the statistics accumulated over the cycles produced so far.
 func (sc *Schedule) Stats() Stats { return sc.stats }
 
-// OutputWires returns the resolved wire of every flattened output bit.
-func (sc *Schedule) OutputWires() []circuit.Wire { return sc.outW }
+// OutputWires returns, for every flattened output bit, the slot its label
+// lives in — the wire to hand Garbler.X0 or Evaluator.Active — as of the
+// cycle Next returned last (a replayed run knows only the final cycle's,
+// so call it once the run is done). Plain passthroughs are compiled to
+// aliases, so a slot may be an upstream wire or a flip-flop output: its
+// label is the cycle's output from the kernel run until CopyDFFs. Only
+// secret outputs' slots are meaningful.
+func (sc *Schedule) OutputWires() []circuit.Wire {
+	if sc.tr != nil {
+		return sc.tr.outSrc
+	}
+	sc.outL = sc.outL[:0]
+	for _, w := range sc.outW {
+		sc.outL = append(sc.outL, sc.s.LabelWire(w))
+	}
+	return sc.outL
+}
 
 // OutputState returns output bit i's wire state as of the cycle Next
 // returned last (a replayed run knows only the final cycle's): val is

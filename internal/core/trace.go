@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"unsafe"
+
+	"arm2gc/internal/circuit"
 )
 
 // A CycleTrace is the only form a cycle is ever executed in: the
@@ -28,13 +30,14 @@ import (
 // probability that intra-session correctness already assumes. Replaying a
 // trace under a different session seed therefore adds no new failure mode.
 
-// Copy-op codes of a CycleTrace. The garbler applies the Inv variants by
-// XORing its global delta R into the copied label; the evaluator, holding
-// active labels, ignores the inversion (an inverted wire carries the same
-// label with swapped meaning).
+// Copy-op codes of a CycleTrace. A plain copy has no code: the compiler
+// resolves it to an alias (Scheduler.emitGate), so its consumers read the
+// source's slot. The garbler applies the Inv variants by XORing its global
+// delta R into the label; the evaluator, holding active labels, ignores
+// the inversion (an inverted wire carries the same label with swapped
+// meaning).
 const (
-	topCopy    uint8 = iota // out = src
-	topCopyInv              // garbler: out = src ⊕ R; evaluator: out = src
+	topCopyInv uint8 = iota // garbler: out = src ⊕ R; evaluator: out = src
 	topXor                  // out = a ⊕ b
 	topXorInv               // garbler: out = a ⊕ b ⊕ R; evaluator: out = a ⊕ b
 )
@@ -66,6 +69,12 @@ type traceSeg struct {
 // CycleTrace is one cycle's compiled schedule in struct-of-arrays form:
 // parallel arrays per op class, indexed densely in emission order, so the
 // kernels touch only the fields they need.
+//
+// Where a label lives: every operand is the wire whose label slot holds
+// the input's label, not the netlist's input wire. A plain passthrough is
+// compiled away, so its output wire's own slot is never written; it and
+// its consumers read the source's slot (Scheduler.LabelWire), which is a
+// label of this cycle or a flip-flop output stable until CopyDFFs.
 type CycleTrace struct {
 	Stats  CycleStats // the cycle's scheduling outcome, handed to sinks
 	Halted bool       // public halt flag fired at the end of this cycle
@@ -73,7 +82,7 @@ type CycleTrace struct {
 	segs []traceSeg
 	open traceSeg // the segment addCopy/addGarb are filling
 
-	// Copy ops (passthroughs, free XORs): out = f(a[, b]).
+	// Copy ops (inverted passthroughs, free XORs): out = f(a[, b]).
 	copyAct []uint8
 	copyOut []int32
 	copyA   []int32
@@ -91,16 +100,19 @@ type CycleTrace struct {
 
 	// The flip-flops (circuit.DFFs indices) whose next state is a label
 	// their Q wire does not already carry: all that CopyDFFs commits after
-	// this cycle. Empty on a final budget cycle.
-	dirty []int32
+	// this cycle. Empty on a final budget cycle. dirtySrc is, per dirty
+	// flip-flop, the slot its D's label lives in.
+	dirty    []int32
+	dirtySrc []int32
 }
 
 // NumTables returns how many garbled tables this cycle puts on the wire.
 func (ct *CycleTrace) NumTables() int { return len(ct.garbKind) }
 
-// NumCopies returns how many copy ops (passthroughs and free XORs) the
-// kernels execute this cycle — at most what CycleStats counts, which
-// includes the copies only held flip-flops would have read.
+// NumCopies returns how many copy ops (inverted passthroughs and free XORs)
+// the kernels execute this cycle — at most what CycleStats counts, which
+// includes the plain passthroughs, compiled to aliases, and the copies
+// only held flip-flops would have read.
 func (ct *CycleTrace) NumCopies() int { return len(ct.copyAct) }
 
 // NumDFFs returns how many flip-flop labels CopyDFFs commits after this
@@ -114,7 +126,7 @@ func (ct *CycleTrace) reset() {
 	ct.copyAct, ct.copyOut, ct.copyA, ct.copyB = ct.copyAct[:0], ct.copyOut[:0], ct.copyA[:0], ct.copyB[:0]
 	ct.garbKind, ct.garbOp, ct.garbGate = ct.garbKind[:0], ct.garbOp[:0], ct.garbGate[:0]
 	ct.garbOut, ct.garbA, ct.garbB, ct.garbS = ct.garbOut[:0], ct.garbA[:0], ct.garbB[:0], ct.garbS[:0]
-	ct.dirty = ct.dirty[:0]
+	ct.dirty, ct.dirtySrc = ct.dirty[:0], ct.dirtySrc[:0]
 }
 
 // flush closes the segment being filled.
@@ -149,7 +161,7 @@ func (ct *CycleTrace) addGarb(kind, op uint8, gate, out, a, b, sw int32) {
 
 // clone returns a copy that does not alias ct's arrays: ct is the
 // scheduler's buffer, overwritten by the next Classify.
-func (ct *CycleTrace) clone() CycleTrace {
+func (ct *CycleTrace) clone() *CycleTrace {
 	cp := *ct
 	cp.segs = slices.Clone(ct.segs)
 	cp.copyAct, cp.copyOut = slices.Clone(ct.copyAct), slices.Clone(ct.copyOut)
@@ -157,20 +169,20 @@ func (ct *CycleTrace) clone() CycleTrace {
 	cp.garbKind, cp.garbOp, cp.garbGate = slices.Clone(ct.garbKind), slices.Clone(ct.garbOp), slices.Clone(ct.garbGate)
 	cp.garbOut, cp.garbA = slices.Clone(ct.garbOut), slices.Clone(ct.garbA)
 	cp.garbB, cp.garbS = slices.Clone(ct.garbB), slices.Clone(ct.garbS)
-	cp.dirty = slices.Clone(ct.dirty)
-	return cp
+	cp.dirty, cp.dirtySrc = slices.Clone(ct.dirty), slices.Clone(ct.dirtySrc)
+	return &cp
 }
 
 // memoryBytes is the cycle's heap footprint: the struct itself (a dozen
-// slice headers and the statistics — a real share of a sparse cycle) plus
-// every array's allocated capacity.
+// slice headers and the statistics — a real share of a sparse cycle), its
+// slot in the trace's cycle list, and every array's allocated capacity.
 func (ct *CycleTrace) memoryBytes() int {
-	return int(unsafe.Sizeof(*ct)) +
+	return int(unsafe.Sizeof(*ct)) + int(unsafe.Sizeof(ct)) +
 		cap(ct.segs)*int(unsafe.Sizeof(traceSeg{})) +
 		cap(ct.copyAct) + 4*(cap(ct.copyOut)+cap(ct.copyA)+cap(ct.copyB)) +
 		cap(ct.garbKind) + cap(ct.garbOp) +
 		4*(cap(ct.garbGate)+cap(ct.garbOut)+cap(ct.garbA)+cap(ct.garbB)+cap(ct.garbS)) +
-		4*cap(ct.dirty)
+		4*(cap(ct.dirty)+cap(ct.dirtySrc))
 }
 
 // Trace is a recorded classification schedule for one (circuit, public
@@ -178,15 +190,18 @@ func (ct *CycleTrace) memoryBytes() int {
 // later sessions. A Trace is immutable after TraceRecorder.Finish and safe
 // for concurrent replay.
 type Trace struct {
-	cycles []CycleTrace
+	// One allocation per cycle, so the list's spare capacity is pointers,
+	// not cycle structs: a short trace's heap stays near its MemoryBytes.
+	cycles []*CycleTrace
 	stats  Stats
 	halted bool
 
 	// Final output-wire states (resolved wires, circuit.OutputWires order):
 	// public outputs carry their value in the trace; secret outputs are
-	// decoded from labels as usual.
+	// decoded from the labels in the slots outSrc names.
 	outPub []bool
 	outVal []bool
+	outSrc []circuit.Wire
 
 	bytes int
 }
@@ -196,7 +211,7 @@ type Trace struct {
 func (t *Trace) NumCycles() int { return len(t.cycles) }
 
 // Cycle returns the compiled schedule of 1-based cycle cyc.
-func (t *Trace) Cycle(cyc int) *CycleTrace { return &t.cycles[cyc-1] }
+func (t *Trace) Cycle(cyc int) *CycleTrace { return t.cycles[cyc-1] }
 
 // TotalStats returns the recorded run's accumulated scheduling statistics
 // — exactly those a fresh Classify run would produce.
@@ -282,13 +297,14 @@ func (r *TraceRecorder) RecordCycle(cs CycleStats, halted bool) {
 	r.t.stats.Total.Add(cs)
 }
 
-// Finish snapshots the final output-wire states and seals the trace. Call
-// it after the last recorded cycle; the resolved output wires it reads are
-// untouched by Commit, so calling before or after the final Commit is
-// equivalent. It returns nil when the budget refused the recording.
+// Finish snapshots the final output-wire states and label slots and seals
+// the trace. Call it after the last recorded cycle; the resolved output
+// wires and slots it reads are untouched by Commit, so calling before or
+// after the final Commit is equivalent. It returns nil when the budget
+// refused the recording.
 func (r *TraceRecorder) Finish(halted bool) *Trace {
 	s, t := r.s, r.t
-	if t == nil || !r.grant(2*len(s.C.OutputWires())) {
+	if t == nil || !r.grant(6*len(s.C.OutputWires())) {
 		return nil
 	}
 	for _, w := range s.C.OutputWires() {
@@ -296,6 +312,7 @@ func (r *TraceRecorder) Finish(halted bool) *Trace {
 		v, pub := s.WireState(rw)
 		t.outPub = append(t.outPub, pub)
 		t.outVal = append(t.outVal, v)
+		t.outSrc = append(t.outSrc, s.LabelWire(rw))
 	}
 	t.halted = halted
 	return t

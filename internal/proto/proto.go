@@ -402,14 +402,6 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 		return nil, err
 	}
 
-	// The decode frame ends the garbler's side of every session; in
-	// garbler-only mode it is empty, the decode bits never leave the
-	// garbler.
-	outWires := sched.OutputWires()
-	decodeBits := len(outWires)
-	if cfg.Outputs == OutputGarblerOnly {
-		decodeBits = 0
-	}
 	res := &Result{}
 	// From here the garbler only sends: its table frames, then the decode
 	// frame that ends its side of the session. It sends nothing more until
@@ -421,6 +413,15 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 		return nil, err
 	}
 	res.Stats, res.Halted, res.Trace = sched.Stats(), sched.Halted(), sched.Trace()
+
+	// The decode frame ends the garbler's side of every session; in
+	// garbler-only mode it is empty, the decode bits never leave the
+	// garbler. The output labels' slots are known once the last cycle ran.
+	outWires := sched.OutputWires()
+	decodeBits := len(outWires)
+	if cfg.Outputs == OutputGarblerOnly {
+		decodeBits = 0
+	}
 
 	// A table frame past the schedule's last cycle fails here, as a frame
 	// of the wrong type.

@@ -31,6 +31,7 @@ type serverMetrics struct {
 	poolMisses          atomic.Int64
 	otBaseRuns          atomic.Int64
 	otReuses            atomic.Int64
+	otDeclined          atomic.Int64
 
 	mu       sync.Mutex
 	programs map[string]*programCounters
@@ -117,9 +118,14 @@ type ServerMetrics struct {
 	// sessions whose proposal named no epoch the connection holds for the
 	// program. OTExtensionsReused counts sessions that only extended a
 	// held epoch. A Client runs the base OTs once per program and
-	// connection, at Register.
+	// connection, at Register. OTSetupsDeclined counts OT set-ups the
+	// server refused (an unknown program, a policy, a set-up for a
+	// program the connection already holds); the client's sessions then
+	// run the base OTs or extend the epoch it holds. A refused set-up is
+	// no rejected session.
 	OTBaseRuns         int64 `json:"ot_base_runs"`
 	OTExtensionsReused int64 `json:"ot_extensions_reused"`
+	OTSetupsDeclined   int64 `json:"ot_setups_declined"`
 	// EngineBuilds is how many netlist syntheses the serving Engine has
 	// performed; a warm multi-program server holds this at one per layout.
 	EngineBuilds int64 `json:"engine_builds"`
@@ -203,6 +209,7 @@ func (s *Server) Metrics() ServerMetrics {
 		GarbledTables:       s.met.garbledTables.Load(),
 		OTBaseRuns:          s.met.otBaseRuns.Load(),
 		OTExtensionsReused:  s.met.otReuses.Load(),
+		OTSetupsDeclined:    s.met.otDeclined.Load(),
 		EngineBuilds:        s.eng.Builds(),
 		TraceRecordings:     s.eng.traces.Recordings(),
 		TraceReplays:        s.eng.traces.Replays(),
@@ -291,6 +298,7 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 	counter("arm2gc_garbled_tables_total", "Garbled tables transferred across served sessions.", m.GarbledTables)
 	counter("arm2gc_ot_base_runs_total", "OT set-ups and sessions that ran the base OTs.", m.OTBaseRuns)
 	counter("arm2gc_ot_extensions_reused_total", "Sessions that only extended their connection's OT epoch.", m.OTExtensionsReused)
+	counter("arm2gc_ot_setups_declined_total", "OT set-ups refused; they count as no rejected session.", m.OTSetupsDeclined)
 	counter("arm2gc_engine_builds_total", "Netlist syntheses performed by the serving Engine.", m.EngineBuilds)
 	counter("arm2gc_trace_recordings_total", "Classification traces the serving Engine set out to record.", m.TraceRecordings)
 	counter("arm2gc_trace_replays_total", "Runs served from a cached classification trace.", m.TraceReplays)

@@ -281,8 +281,9 @@ func TestServerRefusesSecondOTSetup(t *testing.T) {
 	if err := proto.SetupOT(ctx, conn, proto.Proposal{Program: "add"}, new(proto.OTState)); !errors.As(err, &rej) {
 		t.Fatalf("second set-up on one connection: got %v, want *proto.Rejected", err)
 	}
-	if m := srv.Metrics(); m.OTBaseRuns != 1 || m.SessionsRejected != 0 {
-		t.Fatalf("base runs %d, rejected %d: want 1 and 0", m.OTBaseRuns, m.SessionsRejected)
+	if m := srv.Metrics(); m.OTBaseRuns != 1 || m.SessionsRejected != 0 || m.OTSetupsDeclined != 1 {
+		t.Fatalf("base runs %d, rejected %d, set-ups declined %d: want 1, 0 and 1",
+			m.OTBaseRuns, m.SessionsRejected, m.OTSetupsDeclined)
 	}
 
 	grant, err := proto.Negotiate(ctx, conn, proto.Proposal{Program: "add", Epoch: held.Held()})

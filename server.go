@@ -452,6 +452,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 				// A declined set-up is no refused session: the client runs
 				// the base OTs in its first session instead, or, refused for
 				// holding them already, extends the ones it holds.
+				s.met.otDeclined.Add(1)
 				if proto.WriteReject(conn, rej.reason) != nil {
 					return
 				}

@@ -275,7 +275,11 @@ func TestWithTraceReuseIsNoOp(t *testing.T) {
 func TestSessionTraceRecorderBounded(t *testing.T) {
 	prog := compileAdd(t)
 	ctx := context.Background()
+	// Two collections: garbage with a finalizer (an earlier test's
+	// connections) is freed only by the second, and one left over would
+	// shift the whole baseline by its size.
 	liveHeap := func() int64 {
+		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -433,6 +437,7 @@ func TestSessionTraceRecordingsShareBudget(t *testing.T) {
 			}()
 		}
 		arrived.Wait()
+		runtime.GC() // twice, as in TestSessionTraceRecorderBounded
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
