@@ -586,3 +586,14 @@ func BenchmarkExtension(b *testing.B) {
 		})
 	}
 }
+
+// fixedBases builds both halves of an epoch from given base keys — the
+// receiver's pairs (k⁰ⱼ, k¹ⱼ) and the sender's s, which picks kˢʲⱼ — with
+// no base OTs.
+func fixedBases(epoch Epoch, s [kappa / 8]byte, keys [kappa][2]key) (*SenderBase, *ReceiverBase) {
+	sb := &SenderBase{epoch: epoch, s: s}
+	for j := range keys {
+		sb.keys[j] = keys[j][s[j/8]>>uint(j%8)&1]
+	}
+	return sb, &ReceiverBase{epoch: epoch, keys: keys}
+}
