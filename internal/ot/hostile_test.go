@@ -49,13 +49,25 @@ func runRole(role int, conn io.ReadWriter) error {
 		_, err := ReceiveLabels(conn, make([]bool, hostileM))
 		return err
 	case roleExtendSend:
-		b := &SenderBase{epoch: Epoch{1}, n: 1}
-		return b.Extend(conn, []byte("session"), make([][2]gc.Label, hostileM))
+		return extendSenderBase().Extend(conn, []byte("session"), make([][2]gc.Label, hostileM))
 	default:
-		b := &ReceiverBase{epoch: Epoch{1}, n: 1}
-		_, err := b.Extend(conn, []byte("session"), make([]bool, hostileM))
+		_, err := extendReceiverBase().Extend(conn, []byte("session"), make([]bool, hostileM))
 		return err
 	}
+}
+
+// extendSenderBase and extendReceiverBase are the base states the two
+// extension-only roles extend: all-zero keys, past their first extension.
+func extendSenderBase() *SenderBase {
+	b := newSenderBase(Epoch{1}, [kappa / 8]byte{}, make([]key, kappa))
+	b.n = 1
+	return b
+}
+
+func extendReceiverBase() *ReceiverBase {
+	b := newReceiverBase(Epoch{1}, make([][2]key, kappa))
+	b.n = 1
+	return b
 }
 
 // runRoleCountingBytes is runRole plus the heap bytes allocated meanwhile:
@@ -77,11 +89,11 @@ type peerFrame struct {
 	msgs [][]byte
 }
 
-// peerScript is a well-formed frame sequence for the peer of role: valid
-// curve points where points are due, zeros of the right length elsewhere.
-// None of it can be told from an honest peer's stream by the role reading
-// it, so the role runs to completion on it.
-func peerScript(role int) []peerFrame {
+// peerScript is a well-formed frame sequence for the peer of role run at
+// m labels: valid curve points where points are due, zeros of the right
+// length elsewhere. None of it can be told from an honest peer's stream
+// by the role reading it, so the role runs to completion on it.
+func peerScript(role, m int) []peerFrame {
 	point := elliptic.Marshal(curve, curve.Params().Gx, curve.Params().Gy)
 	points := func(n int) []peerFrame {
 		var out []peerFrame
@@ -97,9 +109,9 @@ func peerScript(role int) []peerFrame {
 	}
 	cols := make([][]byte, kappa)
 	for j := range cols {
-		cols[j] = make([]byte, (hostileM+7)/8)
+		cols[j] = make([]byte, (m+7)/8)
 	}
-	ciphertexts := peerFrame{msgs: [][]byte{make([]byte, hostileM*32)}}
+	ciphertexts := peerFrame{msgs: [][]byte{make([]byte, m*32)}}
 	switch role {
 	case roleBaseSender:
 		return points(hostileN)
@@ -161,7 +173,7 @@ func (p *scriptedPeer) Write(b []byte) (int, error) { return len(b), nil }
 
 func TestHonestScriptsComplete(t *testing.T) {
 	for role := 0; role < numRoles; role++ {
-		stream, _ := encode(peerScript(role))
+		stream, _ := encode(peerScript(role, hostileM))
 		peer := &scriptedPeer{r: bytes.NewReader(stream)}
 		if err := runRole(role, peer); err != nil {
 			t.Errorf("role %d: %v", role, err)
@@ -181,7 +193,7 @@ func TestHonestScriptsComplete(t *testing.T) {
 // a wrong frame and then stalls cannot hold the role.
 func TestHostilePeer(t *testing.T) {
 	for role := 0; role < numRoles; role++ {
-		script := peerScript(role)
+		script := peerScript(role, hostileM)
 		honest, msgs := encode(script)
 		for _, k := range slices.Compact([]int{0, len(msgs) / 2, len(msgs) - 1}) {
 			m := msgs[k]
@@ -280,7 +292,7 @@ func (p *stallingPeer) Write(b []byte) (int, error) { return len(b), nil }
 func FuzzOTPeer(f *testing.F) {
 	frames := make([]int, numRoles)
 	for role := 0; role < numRoles; role++ {
-		stream, _ := encode(peerScript(role))
+		stream, _ := encode(peerScript(role, hostileM))
 		frames[role] = len(stream)
 		f.Add(uint8(role), stream)
 		f.Add(uint8(role), stream[:len(stream)/2])

@@ -1,11 +1,15 @@
 package ot
 
 import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"fmt"
 	"io"
 	"math/big"
 	"math/rand"
 	"net"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -186,23 +190,136 @@ func TestExtensionSizes(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := 40
-	cols := make([][]byte, kappa)
-	for j := range cols {
-		cols[j] = make([]byte, (m+7)/8)
-		rng.Read(cols[j])
+// transposeRef is the bit-at-a-time transpose the extension shipped with:
+// the oracle transpose must match. It converts kappa column bit-vectors of
+// m bits into m rows of kappa bits.
+func transposeRef(cols [][]byte, m int) [][]byte {
+	rows := make([][]byte, m)
+	for i := range rows {
+		rows[i] = make([]byte, kappa/8)
 	}
-	rows := transpose(cols, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < kappa; j++ {
-			cb := cols[j][i/8]&(1<<uint(i%8)) != 0
-			rb := rows[i][j/8]&(1<<uint(j%8)) != 0
-			if cb != rb {
-				t.Fatalf("transpose mismatch at row %d col %d", i, j)
+	for j, col := range cols {
+		byteJ, bitJ := j/8, uint(j%8)
+		for i := 0; i < m; i++ {
+			if col[i/8]&(1<<uint(i%8)) != 0 {
+				rows[i][byteJ] |= 1 << bitJ
 			}
 		}
+	}
+	return rows
+}
+
+// TestTranspose checks the tiled transpose against transposeRef at widths
+// that are and are not whole tiles, with random bits throughout —
+// including the padding bits past m in each column's last byte, which
+// must not reach a row.
+func TestTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, m := range []int{1, 7, 8, 9, 40, 511, 512, 800, 1024} {
+		mBytes := (m + 7) / 8
+		flat := make([]byte, kappa*mBytes)
+		rng.Read(flat)
+		cols := make([][]byte, kappa)
+		for j := range cols {
+			cols[j] = flat[j*mBytes : (j+1)*mBytes]
+		}
+		rows := make([]byte, m*kappa/8)
+		transpose(rows, flat, m)
+		for i, want := range transposeRef(cols, m) {
+			if got := rows[i*kappa/8 : (i+1)*kappa/8]; !slices.Equal(got, want) {
+				t.Fatalf("m=%d: row %d is %x, want %x", m, i, got, want)
+			}
+		}
+	}
+}
+
+// TestPRGMatchesCipherCTR checks the column expansion against
+// cipher.NewCTR over the same key and nonce — the definition it
+// reimplements — at lengths around a block and at nonces whose counter
+// carries out of its low 64 bits and wraps at 2¹²⁸.
+func TestPRGMatchesCipherCTR(t *testing.T) {
+	k := key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	ones := [16]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	lowOnes := ones
+	clear(lowOnes[:8])
+	lowNearlyOnes := lowOnes
+	lowNearlyOnes[15] = 0xfe
+	block, err := aes.NewCipher(k[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newPRG(k)
+	var c ctrScratch
+	for _, nonce := range [][16]byte{{}, {0x80, 7}, ones, lowOnes, lowNearlyOnes} {
+		for _, n := range []int{1, 15, 16, 17, 64, 100} {
+			want := make([]byte, n)
+			cipher.NewCTR(block, nonce[:]).XORKeyStream(want, want)
+			got := make([]byte, n)
+			c.prg(g, nonce, got)
+			if !slices.Equal(got, want) {
+				t.Errorf("nonce %x, %d bytes: %x, want %x", nonce, n, got, want)
+			}
+		}
+	}
+}
+
+// TestExtendAllocs bounds what one extension allocates, in objects: a
+// fixed count per Extend — its frames, its flat column and row matrices,
+// its results — the same at m = 32 as at m = 512, and well under one per
+// base key, so nothing is allocated per column, per row or per key.
+func TestExtendAllocs(t *testing.T) {
+	session := []byte("session")
+	for _, role := range []int{roleExtendSend, roleExtendReceive} {
+		var counts []float64
+		for _, m := range []int{32, 512} {
+			stream, _ := encode(peerScript(role, m))
+			peer := &scriptedPeer{r: bytes.NewReader(stream)}
+			sb, rb := extendSenderBase(), extendReceiverBase()
+			pairs, choices := make([][2]gc.Label, m), make([]bool, m)
+			counts = append(counts, testing.AllocsPerRun(20, func() {
+				peer.r.Reset(stream)
+				var err error
+				if role == roleExtendSend {
+					err = sb.Extend(peer, session, pairs)
+				} else {
+					_, err = rb.Extend(peer, session, choices)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("role %d: %v allocations per Extend at m = 32 and 512", role, counts)
+		if counts[0] != counts[1] || counts[1] > kappa/16 {
+			t.Errorf("role %d: %v allocations per Extend at m = 32 and 512, want one count of at most %d",
+				role, counts, kappa/16)
+		}
+	}
+}
+
+// TestEpochFootprint pins the heap one connection's OT state costs, most
+// of it the expanded AES schedule of every base key (512 B each): 128
+// keys on the sender, 256 on the receiver.
+func TestEpochFootprint(t *testing.T) {
+	const builds = 8
+	chosen, pairs := make([]key, kappa), make([][2]key, kappa)
+	heap := func(build func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < builds; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / builds
+	}
+	sender := heap(func() { newSenderBase(Epoch{1}, [kappa / 8]byte{}, chosen) })
+	receiver := heap(func() { newReceiverBase(Epoch{1}, pairs) })
+	t.Logf("SenderBase %d B, ReceiverBase %d B", sender, receiver)
+	if sender > 72<<10 {
+		t.Errorf("a SenderBase takes %d bytes of heap, want at most 72 KiB", sender)
+	}
+	if receiver > 140<<10 {
+		t.Errorf("a ReceiverBase takes %d bytes of heap, want at most 140 KiB", receiver)
 	}
 }
 
@@ -591,9 +708,19 @@ func BenchmarkExtension(b *testing.B) {
 // receiver's pairs (k⁰ⱼ, k¹ⱼ) and the sender's s, which picks kˢʲⱼ — with
 // no base OTs.
 func fixedBases(epoch Epoch, s [kappa / 8]byte, keys [kappa][2]key) (*SenderBase, *ReceiverBase) {
-	sb := &SenderBase{epoch: epoch, s: s}
+	chosen := make([]key, kappa)
 	for j := range keys {
-		sb.keys[j] = keys[j][s[j/8]>>uint(j%8)&1]
+		chosen[j] = keys[j][s[j/8]>>uint(j%8)&1]
 	}
-	return sb, &ReceiverBase{epoch: epoch, keys: keys}
+	return newSenderBase(epoch, s, chosen), newReceiverBase(epoch, keys[:])
+}
+
+// BenchmarkTranspose times the bit transpose of one extension at
+// hamming512's Bob width, which each party runs once per extension.
+func BenchmarkTranspose(b *testing.B) {
+	const m = 512
+	cols, rows := make([]byte, kappa*m/8), make([]byte, m*kappa/8)
+	for b.Loop() {
+		transpose(rows, cols, m)
+	}
 }
