@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet analyze test race fuzz-smoke cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark
+.PHONY: all build vet analyze test race fuzz-smoke cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark loc
 
 all: build vet test
 
@@ -126,6 +126,14 @@ test-membackend:
 # silently break it.
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The line metric the ROADMAP tracks: non-test Go lines outside
+# benchmark/ added, deleted and net since LOC_BASE (the commit the
+# benchmark was defined at), over committed files.
+LOC_BASE ?= 21d10ad
+loc:
+	@git diff --numstat $(LOC_BASE) HEAD -- '*.go' ':!benchmark' ':!*_test.go' | \
+		awk '{a += $$1; d += $$2} END {print a + 0, d + 0, a - d}'
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

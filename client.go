@@ -323,6 +323,9 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 			return nil, serr
 		}
 	}
+	if err := grantHonors(prop, grant); err != nil {
+		return nil, c.fail(err) // the server expects a session this side won't run
+	}
 	resolved := append(opts[:len(opts):len(opts)],
 		WithOutputMode(grant.Outputs),
 		WithCycleBatch(grant.CycleBatch),
@@ -346,6 +349,22 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 		return nil, c.fail(err)
 	}
 	return info, nil
+}
+
+// grantHonors checks a grant against the options its proposal set
+// explicitly: the server may resolve an unset option to its default, but a
+// grant that changes a set one — decoded outputs handed to the garbler the
+// client asked to keep them from, say — is refused before the session runs.
+func grantHonors(p proto.Proposal, g proto.Grant) error {
+	switch {
+	case p.HasOutputs && g.Outputs != p.Outputs:
+		return fmt.Errorf("arm2gc: grant for %q has output mode %v, the proposal asked for %v", p.Program, g.Outputs, p.Outputs)
+	case p.CycleBatch != 0 && g.CycleBatch != p.CycleBatch:
+		return fmt.Errorf("arm2gc: grant for %q has cycle batch %d, the proposal asked for %d", p.Program, g.CycleBatch, p.CycleBatch)
+	case p.MaxCycles != 0 && g.MaxCycles != p.MaxCycles:
+		return fmt.Errorf("arm2gc: grant for %q has max cycles %d, the proposal asked for %d", p.Program, g.MaxCycles, p.MaxCycles)
+	}
+	return nil
 }
 
 // fail latches err as the Client's terminal state and closes the

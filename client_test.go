@@ -3,6 +3,7 @@ package arm2gc
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -236,5 +237,84 @@ func TestServerShutdownWithIdleAndFreshConns(t *testing.T) {
 	}
 	if m.ConnectionsActive != 0 {
 		t.Fatalf("connections still active after shutdown: %d", m.ConnectionsActive)
+	}
+}
+
+// TestClientRefusesContradictingGrant: a grant that changes an option the
+// proposal set explicitly — even one carrying the session id the client
+// itself derives from the granted options — fails Evaluate, and the
+// client writes no byte after its proposal. The scripted server checks the
+// proposal it reads, answers with the contradicting grant, then counts
+// what the client sends until it hangs up.
+func TestClientRefusesContradictingGrant(t *testing.T) {
+	prog := compileAdd(t)
+	for _, tc := range []struct {
+		name  string
+		opt   Option
+		grant proto.Grant
+	}{
+		{"outputs", WithOutputMode(OutputEvaluatorOnly), proto.Grant{Outputs: OutputBoth, CycleBatch: 1, MaxCycles: 1000}},
+		{"cycle-batch", WithCycleBatch(4), proto.Grant{Outputs: OutputBoth, CycleBatch: 8, MaxCycles: 1000}},
+		{"max-cycles", WithMaxCycles(500), proto.Grant{Outputs: OutputBoth, CycleBatch: 1, MaxCycles: 501}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := NewEngine().Session(prog, WithOutputMode(tc.grant.Outputs),
+				WithCycleBatch(tc.grant.CycleBatch), WithMaxCycles(tc.grant.MaxCycles))
+			if err != nil {
+				t.Fatal(err)
+			}
+			grant := tc.grant
+			if grant.SessionID, err = sess.sessionID(); err != nil {
+				t.Fatal(err)
+			}
+			grant.Epoch[0] = 1 // a fresh epoch: the session would run the base OTs
+
+			ca, cb := net.Pipe()
+			defer ca.Close()
+			defer cb.Close()
+			after := make(chan int64, 1)
+			go func() {
+				defer close(after)
+				if err := declineSetup(cb); err != nil {
+					t.Error(err)
+					return
+				}
+				prop, err := proto.ReadProposal(cb)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !prop.HasOutputs && prop.CycleBatch == 0 && prop.MaxCycles == 0 {
+					t.Errorf("proposal sets no option: %+v", prop)
+				}
+				if err := proto.WriteGrant(cb, grant); err != nil {
+					t.Error(err)
+					return
+				}
+				n, _ := io.Copy(io.Discard, cb)
+				after <- n
+			}()
+
+			cl := NewClient(ca, WithClientEngine(NewEngine()))
+			if err := cl.Register("add", prog); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := cl.Evaluate(context.Background(), "add", []uint32{1}, tc.opt)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "the proposal asked for") {
+					t.Fatalf("Evaluate under a contradicting grant: %v, want a refusal", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Evaluate ran on under a grant that contradicts its proposal")
+			}
+			if n := <-after; n != 0 {
+				t.Fatalf("client wrote %d bytes after its proposal", n)
+			}
+		})
 	}
 }

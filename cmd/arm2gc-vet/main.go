@@ -124,9 +124,9 @@ func selectPackages(root, modPath string, pkgs []*analysis.Package, args []strin
 	return keep, nil
 }
 
-// lintNetlist builds the processor circuit a program would run on and
-// runs the structural linter over it, including the memory backend's
-// width self-check (via cpu.DebugLint inside BuildMem).
+// lintNetlist builds the processor circuit a program would run on — BuildMem
+// runs the memory backend's width self-check — and runs the structural
+// linter over it.
 func lintNetlist(path string, l arm2gc.Layout, backend string, expectNonXOR int) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -146,7 +146,6 @@ func lintNetlist(path string, l arm2gc.Layout, backend string, expectNonXOR int)
 	if err != nil {
 		return err
 	}
-	cpu.DebugLint = true // BuildMem fails on backend width-check or lint errors
 	c, err := cpu.BuildMem(prog.Layout, obliv.Config{Backend: resolved})
 	if err != nil {
 		return err

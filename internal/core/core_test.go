@@ -8,46 +8,14 @@ import (
 	"arm2gc/internal/build"
 	"arm2gc/internal/circuit"
 	"arm2gc/internal/circuit/circtest"
-	"arm2gc/internal/gc"
 	"arm2gc/internal/sim"
 )
 
-// runConventional is the baseline oracle: the gc package engine, which
-// garbles every gate every cycle.
-func runConventional(t *testing.T, c *circuit.Circuit, in sim.Inputs, cycles int) []bool {
-	t.Helper()
-	g := gc.NewGarbler(c, gc.CryptoRand)
-	e := gc.NewEvaluator(c)
-	pairs := g.BobPairs()
-	chosen := make([]gc.Label, len(pairs))
-	for i := range pairs {
-		if in.Bit(circuit.Bob, i) {
-			chosen[i] = pairs[i][1]
-		} else {
-			chosen[i] = pairs[i][0]
-		}
-	}
-	if err := e.SetInitLabels(g.ActiveInitLabels(in.Public, in.Alice), chosen); err != nil {
-		t.Fatal(err)
-	}
-	for cyc := 0; cyc < cycles; cyc++ {
-		ts := g.GarbleCycle(nil)
-		rest, err := e.EvalCycle(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("conventional: %d leftover tables", len(rest))
-		}
-	}
-	ws := c.OutputWires()
-	return e.Decode(ws, g.DecodeBits(ws))
-}
-
-// TestSkipGateMatchesSimAndConventional is the central correctness
-// property: on random sequential circuits with random public/private
-// inputs, SkipGate, conventional GC, and the plaintext simulator agree.
-func TestSkipGateMatchesSimAndConventional(t *testing.T) {
+// TestSkipGateMatchesSim is the central correctness property: on random
+// sequential circuits with random public/private inputs, SkipGate decodes
+// to the plaintext simulator's outputs and never sends more tables than
+// conventional GC, which garbles every non-XOR gate every cycle.
+func TestSkipGateMatchesSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 60; trial++ {
 		c, nA, nB := circtest.Random(rng, 80, 10)
@@ -58,15 +26,11 @@ func TestSkipGateMatchesSimAndConventional(t *testing.T) {
 		}
 		cycles := 1 + rng.Intn(5)
 		want := sim.Run(c, in, cycles)
-		conv := runConventional(t, c, in, cycles)
 		res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: cycles})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := range want {
-			if conv[i] != want[i] {
-				t.Fatalf("trial %d bit %d: conventional %v, sim %v", trial, i, conv[i], want[i])
-			}
 			if res.Outputs[i] != want[i] {
 				t.Fatalf("trial %d bit %d: skipgate %v, sim %v", trial, i, res.Outputs[i], want[i])
 			}

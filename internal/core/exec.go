@@ -161,19 +161,10 @@ func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc
 			a, b := x0[ct.garbA[gi]], x0[ct.garbB[gi]]
 			var c0 gc.Label
 			var t gc.Table
-			switch ct.garbKind[gi] {
-			case tgGate:
-				c0, t = gc.GarbleGate(g.h, r, circuit.Op(ct.garbOp[gi]), a, b, gid)
-			case tgMux:
+			if k := ct.garbKind[gi]; k == tgMux {
 				c0, t = gc.GarbleMux(g.h, r, x0[ct.garbS[gi]], a, b, gid)
-			case tgAndFF:
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, false, false, false)
-			case tgAndFTT:
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, false, true, true)
-			case tgAndTFF:
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, true, false, false)
-			default: // tgAndTTT
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, true, true, true)
+			} else {
+				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, k&tgAInv != 0, k&tgBInv != 0, k&tgOutInv != 0)
 			}
 			x0[ct.garbOut[gi]] = c0
 			dst = append(dst, t)
@@ -312,12 +303,11 @@ func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc
 			gid := base + uint64(ct.garbGate[gi])
 			t := ts[gi]
 			a, b := x[ct.garbA[gi]], x[ct.garbB[gi]]
-			switch ct.garbKind[gi] {
-			case tgGate:
-				x[ct.garbOut[gi]] = gc.EvalGate(e.h, circuit.Op(ct.garbOp[gi]), a, b, t, gid)
-			case tgMux:
+			// Complements live entirely on the garbler's side, so every AND
+			// form evaluates as a plain half-gates AND.
+			if ct.garbKind[gi] == tgMux {
 				x[ct.garbOut[gi]] = gc.EvalMux(e.h, x[ct.garbS[gi]], a, b, t, gid)
-			default: // the AndInv shapes all evaluate as a half-gates AND
+			} else {
 				x[ct.garbOut[gi]] = gc.EvalAnd(e.h, a, b, t, gid)
 			}
 		}

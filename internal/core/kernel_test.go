@@ -117,6 +117,89 @@ func TestKernelTableStreamBounds(t *testing.T) {
 	t.Fatal("no random netlist garbled a table in its first cycle")
 }
 
+// TestKernelGarbledShapes runs every garbled shape the compiler emits
+// through GarbleCycleTrace and EvalCycleTrace on a one-gate circuit, for
+// every input combination: the gate compiles to the expected kind and
+// complement mask, and the evaluator's label decodes to the op's truth
+// table. The shapes are the four AND-class operators, the MUX with a
+// public-0 or public-1 A or B input, and the MUX with both data inputs
+// secret. Wires 2–5 are the ports p (public), a (Alice), b (Bob) and
+// s (Alice); the gate's output is wire 6.
+func TestKernelGarbledShapes(t *testing.T) {
+	const p, a, b, s circuit.Wire = 2, 3, 4, 5
+	shapes := []struct {
+		name string
+		gate circuit.Gate
+		kind func(pub bool) uint8 // the expected kind under public input pub
+	}{
+		{"AND", circuit.Gate{Op: circuit.AND, A: a, B: b}, func(bool) uint8 { return 0 }},
+		{"NAND", circuit.Gate{Op: circuit.NAND, A: a, B: b}, func(bool) uint8 { return tgOutInv }},
+		{"OR", circuit.Gate{Op: circuit.OR, A: a, B: b}, func(bool) uint8 { return tgAInv | tgBInv | tgOutInv }},
+		{"NOR", circuit.Gate{Op: circuit.NOR, A: a, B: b}, func(bool) uint8 { return tgAInv | tgBInv }},
+		{"MUX(s,p,b)", circuit.Gate{Op: circuit.MUX, S: s, A: p, B: b}, func(pub bool) uint8 {
+			if pub {
+				return tgBInv | tgOutInv // ¬(S ∧ ¬B)
+			}
+			return 0 // S ∧ B
+		}},
+		{"MUX(s,b,p)", circuit.Gate{Op: circuit.MUX, S: s, A: b, B: p}, func(pub bool) uint8 {
+			if pub {
+				return tgAInv | tgBInv | tgOutInv // ¬(¬S ∧ ¬A)
+			}
+			return tgAInv // ¬S ∧ A
+		}},
+		{"MUX(s,a,b)", circuit.Gate{Op: circuit.MUX, S: s, A: a, B: b}, func(bool) uint8 { return tgMux }},
+	}
+	for _, sh := range shapes {
+		c := &circuit.Circuit{
+			Ports: []circuit.Port{
+				{Name: "p", Owner: circuit.Public, Base: p, Bits: 1},
+				{Name: "a", Owner: circuit.Alice, Base: a, Bits: 1},
+				{Name: "b", Owner: circuit.Bob, Base: b, Bits: 1},
+				{Name: "s", Owner: circuit.Alice, Base: s, Bits: 1, Off: 1},
+			},
+			Gates:    []circuit.Gate{sh.gate},
+			Outputs:  []circuit.Output{{Name: "out", Wires: []circuit.Wire{6}}},
+			PortBase: 2, DFFBase: 6, GateBase: 6,
+			PublicBits: 1, AliceBits: 2, BobBits: 1,
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		for v := 0; v < 16; v++ {
+			val := [6]bool{p: v&1 != 0, a: v&2 != 0, b: v&4 != 0, s: v&8 != 0}
+			in := sim.Inputs{Public: []bool{val[p]}, Alice: []bool{val[a], val[s]}, Bob: []bool{val[b]}}
+			g := sh.gate
+			want := g.Op.Eval
+			if g.Op == circuit.MUX {
+				want = func(x, y bool) bool { return circuit.EvalMux(val[s], x, y) }
+			}
+			sc := NewScheduler(c, Seed{}, in.Public)
+			gb, ev := NewGarbler(sc, rand.New(rand.NewSource(int64(v)))), NewEvaluator(sc)
+			if err := deliverInputs(gb, ev, in); err != nil {
+				t.Fatal(err)
+			}
+			sc.Classify(true)
+			ct := &sc.ct
+			if len(ct.garbKind) != 1 || ct.garbKind[0] != sh.kind(val[p]) {
+				t.Fatalf("%s, p=%v: compiled kinds %v, want [%d]", sh.name, val[p], ct.garbKind, sh.kind(val[p]))
+			}
+			tables := gb.GarbleCycleTrace(ct, 1, nil)
+			if rest, err := ev.EvalCycleTrace(ct, 1, tables); err != nil || len(rest) != 0 {
+				t.Fatalf("%s: %d tables left, err %v", sh.name, len(rest), err)
+			}
+			w := sc.LabelWire(6)
+			x0, x := gb.X0(w), ev.Active(w)
+			if x != x0 && x != x0.Xor(gb.R) {
+				t.Fatalf("%s, inputs %04b: active label matches neither X0 nor X1", sh.name, v)
+			}
+			if got, want := x != x0, want(val[g.A], val[g.B]); got != want {
+				t.Fatalf("%s, p=%v a=%v b=%v s=%v: decoded %v, want %v", sh.name, val[p], val[a], val[b], val[s], got, want)
+			}
+		}
+	}
+}
+
 // randomCase draws a random netlist and inputs for all three owners.
 func randomCase(rng *rand.Rand, nGates, nDFFs int) (*circuit.Circuit, sim.Inputs) {
 	c, aBits, bBits := circtest.Random(rng, nGates, nDFFs)

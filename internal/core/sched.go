@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"arm2gc/internal/circuit"
+	"arm2gc/internal/gc"
 )
 
 // Wire states. Public wires carry a Boolean value known to both parties;
@@ -447,28 +448,24 @@ func (s *Scheduler) emitGate(ct *CycleTrace, i int, act uint8) {
 		ct.addCopy(topXor, out, sel, a)
 	case actGarble:
 		if g.Op != circuit.MUX {
-			ct.addGarb(tgGate, uint8(g.Op), int32(i), out, a, b, 0)
+			ct.addGarb(andKind(gc.AndForm(g.Op)), int32(i), out, a, b, 0)
 			return
 		}
 		// A category-iv MUX with both data inputs secret is the atomic
 		// A ⊕ AND(S, A⊕B) form; with one data input public (which has no
-		// label under SkipGate) it degenerates to a 2-secret AND/OR shape.
+		// label under SkipGate) it degenerates to an AND form of S and the
+		// other data input: S ? B : p is ¬(S ∧ ¬B) for p = 1 and S ∧ B for
+		// p = 0, and S ? p : A is ¬(¬S ∧ ¬A) for p = 1 and ¬S ∧ A for p = 0.
 		sa, sb := s.st[g.A], s.st[g.B]
 		switch {
 		case sa == stSecret && sb == stSecret:
-			ct.addGarb(tgMux, 0, int32(i), out, a, b, sel)
+			ct.addGarb(tgMux, int32(i), out, a, b, sel)
 		case sa != stSecret:
-			kind := uint8(tgAndFF)
-			if sa == stPub1 {
-				kind = tgAndFTT
-			}
-			ct.addGarb(kind, 0, int32(i), out, sel, b, 0)
+			p := sa == stPub1
+			ct.addGarb(andKind(false, p, p), int32(i), out, sel, b, 0)
 		default:
-			kind := uint8(tgAndTFF)
-			if sb == stPub1 {
-				kind = tgAndTTT
-			}
-			ct.addGarb(kind, 0, int32(i), out, sel, a, 0)
+			p := sb == stPub1
+			ct.addGarb(andKind(true, p, p), int32(i), out, sel, a, 0)
 		}
 	}
 }

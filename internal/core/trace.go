@@ -42,18 +42,33 @@ const (
 	topXorInv               // garbler: out = a ⊕ b ⊕ R; evaluator: out = a ⊕ b
 )
 
-// Garbled-op kinds of a CycleTrace. tgGate carries its circuit.Op in the
-// parallel op array; the MUX-derived kinds bake in the shape the scheduler
-// derived from the data inputs' wire states, so the kernels never consult
-// a scheduler.
+// Garbled-op kinds of a CycleTrace. Every garbled gate but the atomic MUX
+// is a half-gates AND with free complements, outInv ⊕ AND(a ⊕ aInv,
+// b ⊕ bInv): the compiler (Scheduler.emitGate) sets its three mask bits
+// from the gate's operator or, for a MUX with one public data input, from
+// that input's value, so the kernels never consult an operator or a
+// scheduler.
 const (
-	tgGate   uint8 = iota // binary AND-class gate; op array holds the circuit.Op
-	tgMux                 // both data inputs secret: atomic A ⊕ AND(S, A⊕B)
-	tgAndFF               // out = S ∧ X        (MUX with public-0 A input)
-	tgAndFTT              // out = ¬(S ∧ ¬X)    (MUX with public-1 A input)
-	tgAndTFF              // out = ¬S ∧ X       (MUX with public-0 B input)
-	tgAndTTT              // out = ¬(¬S ∧ ¬X)   (MUX with public-1 B input)
+	tgAInv   uint8 = 1 << iota // complement the first operand
+	tgBInv                     // complement the second operand
+	tgOutInv                   // complement the output
+	tgMux                      // both data inputs secret: atomic A ⊕ AND(S, A⊕B)
 )
+
+// andKind packs an AND form's complement mask into a garbled-op kind.
+func andKind(aInv, bInv, outInv bool) uint8 {
+	var k uint8
+	if aInv {
+		k |= tgAInv
+	}
+	if bInv {
+		k |= tgBInv
+	}
+	if outInv {
+		k |= tgOutInv
+	}
+	return k
+}
 
 // traceSeg is a maximal run of copy ops followed by a run of garbled ops,
 // in original gate order. Copies and garbles interleave dependency-wise
@@ -91,7 +106,6 @@ type CycleTrace struct {
 	// Garbled ops, in table-emission order (ascending gate index). gate is
 	// the producing gate's index, which keys the table's unique gid.
 	garbKind []uint8
-	garbOp   []uint8
 	garbGate []int32
 	garbOut  []int32
 	garbA    []int32
@@ -124,7 +138,7 @@ func (ct *CycleTrace) reset() {
 	ct.Stats, ct.Halted, ct.open = CycleStats{}, false, traceSeg{}
 	ct.segs = ct.segs[:0]
 	ct.copyAct, ct.copyOut, ct.copyA, ct.copyB = ct.copyAct[:0], ct.copyOut[:0], ct.copyA[:0], ct.copyB[:0]
-	ct.garbKind, ct.garbOp, ct.garbGate = ct.garbKind[:0], ct.garbOp[:0], ct.garbGate[:0]
+	ct.garbKind, ct.garbGate = ct.garbKind[:0], ct.garbGate[:0]
 	ct.garbOut, ct.garbA, ct.garbB, ct.garbS = ct.garbOut[:0], ct.garbA[:0], ct.garbB[:0], ct.garbS[:0]
 	ct.dirty, ct.dirtySrc = ct.dirty[:0], ct.dirtySrc[:0]
 }
@@ -148,10 +162,9 @@ func (ct *CycleTrace) addCopy(act uint8, out, a, b int32) {
 	ct.copyB = append(ct.copyB, b)
 }
 
-func (ct *CycleTrace) addGarb(kind, op uint8, gate, out, a, b, sw int32) {
+func (ct *CycleTrace) addGarb(kind uint8, gate, out, a, b, sw int32) {
 	ct.open.garbles++
 	ct.garbKind = append(ct.garbKind, kind)
-	ct.garbOp = append(ct.garbOp, op)
 	ct.garbGate = append(ct.garbGate, gate)
 	ct.garbOut = append(ct.garbOut, out)
 	ct.garbA = append(ct.garbA, a)
@@ -166,7 +179,7 @@ func (ct *CycleTrace) clone() *CycleTrace {
 	cp.segs = slices.Clone(ct.segs)
 	cp.copyAct, cp.copyOut = slices.Clone(ct.copyAct), slices.Clone(ct.copyOut)
 	cp.copyA, cp.copyB = slices.Clone(ct.copyA), slices.Clone(ct.copyB)
-	cp.garbKind, cp.garbOp, cp.garbGate = slices.Clone(ct.garbKind), slices.Clone(ct.garbOp), slices.Clone(ct.garbGate)
+	cp.garbKind, cp.garbGate = slices.Clone(ct.garbKind), slices.Clone(ct.garbGate)
 	cp.garbOut, cp.garbA = slices.Clone(ct.garbOut), slices.Clone(ct.garbA)
 	cp.garbB, cp.garbS = slices.Clone(ct.garbB), slices.Clone(ct.garbS)
 	cp.dirty, cp.dirtySrc = slices.Clone(ct.dirty), slices.Clone(ct.dirtySrc)
@@ -180,7 +193,7 @@ func (ct *CycleTrace) memoryBytes() int {
 	return int(unsafe.Sizeof(*ct)) + int(unsafe.Sizeof(ct)) +
 		cap(ct.segs)*int(unsafe.Sizeof(traceSeg{})) +
 		cap(ct.copyAct) + 4*(cap(ct.copyOut)+cap(ct.copyA)+cap(ct.copyB)) +
-		cap(ct.garbKind) + cap(ct.garbOp) +
+		cap(ct.garbKind) +
 		4*(cap(ct.garbGate)+cap(ct.garbOut)+cap(ct.garbA)+cap(ct.garbB)+cap(ct.garbS)) +
 		4*(cap(ct.dirty)+cap(ct.dirtySrc))
 }

@@ -15,7 +15,6 @@ package cpu
 
 import (
 	"fmt"
-	"os"
 
 	"arm2gc/internal/build"
 	"arm2gc/internal/circuit"
@@ -34,15 +33,6 @@ type CPU struct {
 	// built with (obliv.Scan or obliv.SqrtORAM, never obliv.Auto).
 	Backend string
 }
-
-// DebugLint makes BuildMem run the netlist structural linter
-// (build.Lint) and the memory backend's width self-check on every
-// compiled circuit, failing the build on any Error-severity finding.
-// Off by default: the checks are O(gates) per cold build and the
-// builder's own fold rules make them redundant in healthy operation.
-// Tests and `arm2gc-vet -netlist` turn it on; set ARM2GC_DEBUG_LINT=1
-// to enable it process-wide.
-var DebugLint = os.Getenv("ARM2GC_DEBUG_LINT") == "1"
 
 // Build generates the processor circuit for a memory layout with the
 // linear-scan data memory — the historical netlist, bit-for-bit. New code
@@ -320,13 +310,11 @@ func BuildMem(l isa.Layout, mc obliv.Config) (*CPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	if DebugLint {
-		if err := mem.Check(); err != nil {
-			return nil, err
-		}
-		if err := build.Lint(c, build.LintOpts{}).Err(); err != nil {
-			return nil, err
-		}
+	// The backend's width self-check is O(data words), noise next to the
+	// build; the O(gates) structural lint runs only where it is asked for
+	// (arm2gc-vet -netlist, build.Lint).
+	if err := mem.Check(); err != nil {
+		return nil, err
 	}
 	return &CPU{Circuit: c, Layout: l, Backend: mem.Name()}, nil
 }

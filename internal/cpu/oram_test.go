@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"arm2gc/internal/build"
 	"arm2gc/internal/circuit"
 	"arm2gc/internal/isa"
 	"arm2gc/internal/obliv"
@@ -383,19 +384,19 @@ func TestCacheBackendSeparation(t *testing.T) {
 	}
 }
 
-// TestDebugLint: with ARM2GC_DEBUG_LINT on, BuildMem runs the backend's
-// width self-check and the netlist structural lint on every build — both
-// backends must come through clean, proving the debug assertion is
-// usable (a failure here means either a backend regression or a lint
-// false positive on a real processor netlist).
+// TestDebugLint: both backends' processor netlists come through BuildMem
+// (which runs the backend's width self-check) and the netlist structural
+// lint clean — a failure here means either a backend regression or a lint
+// false positive on a real processor netlist.
 func TestDebugLint(t *testing.T) {
-	old := DebugLint
-	DebugLint = true
-	defer func() { DebugLint = old }()
 	l := isa.Layout{IMemWords: 64, AliceWords: 4, BobWords: 4, OutWords: 4, ScratchWords: 20}
 	for _, backend := range []string{obliv.Scan, obliv.SqrtORAM} {
-		if _, err := BuildMem(l, obliv.Config{Backend: backend}); err != nil {
-			t.Errorf("BuildMem(%s) under debug lint: %v", backend, err)
+		c, err := BuildMem(l, obliv.Config{Backend: backend})
+		if err != nil {
+			t.Fatalf("BuildMem(%s): %v", backend, err)
+		}
+		if err := build.Lint(c.Circuit, build.LintOpts{}).Err(); err != nil {
+			t.Errorf("lint of the %s netlist: %v", backend, err)
 		}
 	}
 }

@@ -6,10 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"arm2gc/internal/build"
 	"arm2gc/internal/circuit"
-	"arm2gc/internal/circuit/circtest"
-	"arm2gc/internal/sim"
 )
 
 func TestLabelAlgebra(t *testing.T) {
@@ -201,8 +198,9 @@ func TestHalfGatesDoNotAllocate(t *testing.T) {
 	_ = out
 }
 
-// TestHalfGatesTruthTables garbles each AND-class op and checks all four
-// input combinations decode to the op's truth table.
+// TestHalfGatesTruthTables garbles each AND-class op in its AND form
+// (AndForm + GarbleAndInv), evaluates it as a plain EvalAnd, and checks
+// that all four input combinations decode to the op's truth table.
 func TestHalfGatesTruthTables(t *testing.T) {
 	h := NewHash()
 	ops := []circuit.Op{circuit.AND, circuit.OR, circuit.NAND, circuit.NOR}
@@ -212,7 +210,8 @@ func TestHalfGatesTruthTables(t *testing.T) {
 		b0 := RandLabel(CryptoRand)
 		for _, op := range ops {
 			gid := uint64(trial*4) + uint64(op)
-			c0, tab := GarbleGate(h, r, op, a0, b0, gid)
+			aInv, bInv, outInv := AndForm(op)
+			c0, tab := GarbleAndInv(h, r, a0, b0, gid, aInv, bInv, outInv)
 			for _, va := range []bool{false, true} {
 				for _, vb := range []bool{false, true} {
 					a := a0
@@ -223,7 +222,7 @@ func TestHalfGatesTruthTables(t *testing.T) {
 					if vb {
 						b = b.Xor(r)
 					}
-					got := EvalGate(h, op, a, b, tab, gid)
+					got := EvalAnd(h, a, b, tab, gid)
 					want := c0
 					if op.Eval(va, vb) {
 						want = want.Xor(r)
@@ -235,120 +234,4 @@ func TestHalfGatesTruthTables(t *testing.T) {
 			}
 		}
 	}
-}
-
-// runConventional executes the full conventional protocol in process and
-// returns decoded outputs after the given number of cycles.
-func runConventional(t *testing.T, c *circuit.Circuit, in sim.Inputs, cycles int) []bool {
-	t.Helper()
-	g := NewGarbler(c, CryptoRand)
-	e := NewEvaluator(c)
-
-	// OT is simulated: hand Bob his chosen labels directly.
-	pairs := g.BobPairs()
-	chosen := make([]Label, len(pairs))
-	for i := range pairs {
-		if in.Bit(circuit.Bob, i) {
-			chosen[i] = pairs[i][1]
-		} else {
-			chosen[i] = pairs[i][0]
-		}
-	}
-	if err := e.SetInitLabels(g.ActiveInitLabels(in.Public, in.Alice), chosen); err != nil {
-		t.Fatal(err)
-	}
-	for cyc := 0; cyc < cycles; cyc++ {
-		ts := g.GarbleCycle(nil)
-		rest, err := e.EvalCycle(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("cycle %d: %d tables left over", cyc, len(rest))
-		}
-	}
-	ws := c.OutputWires()
-	return e.Decode(ws, g.DecodeBits(ws))
-}
-
-func TestConventionalAdder(t *testing.T) {
-	b := build.New("adder")
-	a := b.Input(circuit.Alice, "a", 16)
-	x := b.Input(circuit.Bob, "x", 16)
-	sum, cout := b.AddCarry(a, x, build.F)
-	b.Output("sum", append(sum, cout))
-	c := b.MustCompile()
-
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ {
-		av := uint64(rng.Uint32() & 0xffff)
-		xv := uint64(rng.Uint32() & 0xffff)
-		in := sim.Inputs{Alice: sim.UnpackUint(av, 16), Bob: sim.UnpackUint(xv, 16)}
-		got := sim.PackUint(runConventional(t, c, in, 1))
-		if got != av+xv {
-			t.Fatalf("garbled add(%d,%d) = %d, want %d", av, xv, got, av+xv)
-		}
-	}
-}
-
-func TestConventionalSequential(t *testing.T) {
-	// Accumulator: acc += alice_in XOR bob_in each cycle via DFF feedback,
-	// initialized from Alice and Bob memory bits.
-	b := build.New("accum")
-	aOff := b.AllocInputBits(circuit.Alice, 8)
-	bOff := b.AllocInputBits(circuit.Bob, 8)
-	inits := make([]circuit.Init, 8)
-	for i := range inits {
-		inits[i] = circuit.Init{Kind: circuit.InitAlice, Idx: aOff + i}
-	}
-	ra := b.RegInit("ra", inits)
-	for i := range inits {
-		inits[i] = circuit.Init{Kind: circuit.InitBob, Idx: bOff + i}
-	}
-	rb := b.RegInit("rb", inits)
-	acc := b.Reg("acc", 8)
-	acc.SetNext(b.Add(acc.Q(), b.XorBus(ra.Q(), rb.Q())))
-	ra.SetNext(ra.Q())
-	rb.SetNext(rb.Q())
-	b.Output("acc", acc.Q())
-	c := b.MustCompile()
-
-	const cycles = 5
-	av, bv := uint64(0x5a), uint64(0x33)
-	in := sim.Inputs{Alice: sim.UnpackUint(av, 8), Bob: sim.UnpackUint(bv, 8)}
-	want := sim.PackUint(sim.Run(c, in, cycles))
-	got := sim.PackUint(runConventional(t, c, in, cycles))
-	if got != want {
-		t.Fatalf("sequential garbled = %d, want %d (plaintext %d)", got, want, ((av^bv)*(cycles-1))&0xff)
-	}
-}
-
-// TestConventionalRandomCircuits cross-checks garbled evaluation against
-// the plaintext simulator on randomly generated sequential circuits.
-func TestConventionalRandomCircuits(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 25; trial++ {
-		c, nAlice, nBob := circtest.Random(rng, 60, 8)
-		in := sim.Inputs{
-			Alice:  randBits(rng, nAlice),
-			Bob:    randBits(rng, nBob),
-			Public: randBits(rng, c.PublicBits),
-		}
-		cycles := 1 + rng.Intn(4)
-		want := sim.Run(c, in, cycles)
-		got := runConventional(t, c, in, cycles)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: output bit %d = %v, want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func randBits(rng *rand.Rand, n int) []bool {
-	b := make([]bool, n)
-	for i := range b {
-		b[i] = rng.Intn(2) == 1
-	}
-	return b
 }

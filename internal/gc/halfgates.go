@@ -16,11 +16,11 @@ type Table struct {
 // TableBytes is the wire size of one garbled table.
 const TableBytes = 32
 
-// andForm maps each AND-class operator onto an AND with optional input and
+// AndForm maps each AND-class operator onto an AND with optional input and
 // output complements: op(a,b) = outInv ⊕ AND(a ⊕ aInv, b ⊕ bInv).
 // Complements are free: the garbler offsets the corresponding false label
-// by R; the evaluator's computation is unchanged.
-func andForm(op circuit.Op) (aInv, bInv, outInv bool) {
+// by R (GarbleAndInv); the evaluator's computation is unchanged (EvalAnd).
+func AndForm(op circuit.Op) (aInv, bInv, outInv bool) {
 	switch op {
 	case circuit.AND:
 		return false, false, false
@@ -97,13 +97,6 @@ func GarbleAndInv(h *Hash, r Label, a0, b0 Label, gid uint64, aInv, bInv, outInv
 	return c0, t
 }
 
-// GarbleGate garbles any AND-class gate (AND/OR/NAND/NOR) by reducing it to
-// an AND with complemented terminals.
-func GarbleGate(h *Hash, r Label, op circuit.Op, a0, b0 Label, gid uint64) (Label, Table) {
-	aInv, bInv, outInv := andForm(op)
-	return GarbleAndInv(h, r, a0, b0, gid, aInv, bInv, outInv)
-}
-
 // GarbleMux garbles the atomic multiplexer out = S ? B : A as
 // A ⊕ AND(S, A⊕B): one table.
 func GarbleMux(h *Hash, r Label, s0, a0, b0 Label, gid uint64) (Label, Table) {
@@ -114,14 +107,4 @@ func GarbleMux(h *Hash, r Label, s0, a0, b0 Label, gid uint64) (Label, Table) {
 // EvalMux evaluates a garbled multiplexer.
 func EvalMux(h *Hash, s, a, b Label, t Table, gid uint64) Label {
 	return EvalAnd(h, s, a.Xor(b), t, gid).Xor(a)
-}
-
-// EvalGate evaluates any AND-class gate garbled by GarbleGate. The
-// complements live entirely on the garbler's side, so evaluation is plain
-// EvalAnd.
-func EvalGate(h *Hash, op circuit.Op, a, b Label, t Table, gid uint64) Label {
-	if op != circuit.AND && op != circuit.OR && op != circuit.NAND && op != circuit.NOR {
-		panic(fmt.Sprintf("gc: %v is not an AND-class op", op))
-	}
-	return EvalAnd(h, a, b, t, gid)
 }

@@ -1,10 +1,10 @@
-// Package gc implements the Yao garbled-circuit back-end used by both the
-// conventional engine and SkipGate: 128-bit wire labels with the free-XOR
-// convention [Kolesnikov-Schneider], point-and-permute, fixed-key-AES
-// hashing [Bellare et al.], and half-gates AND garbling [Zahur-Rosulek-
-// Evans], plus a conventional sequential-circuit garbler/evaluator in the
-// TinyGarble style (every gate garbled every cycle) that serves as the
-// "w/o SkipGate" baseline.
+// Package gc implements the Yao garbled-circuit primitives SkipGate's
+// kernels run: 128-bit wire labels with the free-XOR convention
+// [Kolesnikov-Schneider], point-and-permute, fixed-key-AES hashing
+// [Bellare et al.], and half-gates AND garbling [Zahur-Rosulek-Evans].
+// Every garbled gate is a half-gates AND with free complements (AndForm,
+// GarbleAndInv) or the atomic MUX. The "w/o SkipGate" baseline is a count
+// (cycles × non-XOR gates), not an executor.
 //
 // The fixed-key hash is the floor under every garbled table. Half gates
 // hash independent blocks — four per garbled gate, two per evaluated
@@ -42,10 +42,6 @@ func (l Label) Xor(m Label) Label { return Label{l.Lo ^ m.Lo, l.Hi ^ m.Hi} }
 
 // Bit returns the point-and-permute (low) bit.
 func (l Label) Bit() bool { return l.Lo&1 != 0 }
-
-// IsZero reports whether the label is all-zero (the engine's "no label"
-// sentinel; a random label is zero with probability 2^-128).
-func (l Label) IsZero() bool { return l.Lo == 0 && l.Hi == 0 }
 
 // Bytes serializes the label little-endian.
 func (l Label) Bytes() [16]byte {

@@ -29,8 +29,8 @@ func instantiate(t *testing.T, name string) Memory {
 }
 
 // TestCheckHealthyBackends: both backends pass their width self-check
-// right after instantiation — the state cpu.BuildMem verifies under
-// ARM2GC_DEBUG_LINT.
+// right after instantiation — the state cpu.BuildMem verifies on every
+// build.
 func TestCheckHealthyBackends(t *testing.T) {
 	for _, name := range []string{Scan, SqrtORAM} {
 		if err := instantiate(t, name).Check(); err != nil {

@@ -151,7 +151,7 @@ type Memory interface {
 
 	// Check verifies the backend's internal width invariants (bank size
 	// vs layout, stash tag/data/slot-counter widths) after construction.
-	// cpu.BuildMem runs it when debug linting is on; a failure means the
+	// cpu.BuildMem runs it on every build; a failure means the
 	// backend wired a bus that cannot address or hold what the layout
 	// requires, which would otherwise surface only as wrong outputs.
 	Check() error
