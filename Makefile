@@ -128,11 +128,10 @@ test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The line metric the ROADMAP tracks: non-test Go lines outside
-# benchmark/ added, deleted and net since LOC_BASE (the commit the
+# benchmark/ added, deleted and net since 21d10ad (the commit the
 # benchmark was defined at), over committed files.
-LOC_BASE ?= 21d10ad
 loc:
-	@git diff --numstat $(LOC_BASE) HEAD -- '*.go' ':!benchmark' ':!*_test.go' | \
+	@git diff --numstat 21d10ad HEAD -- '*.go' ':!benchmark' ':!*_test.go' | \
 		awk '{a += $$1; d += $$2} END {print a + 0, d + 0, a - d}'
 
 cover:
