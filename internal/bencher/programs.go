@@ -362,7 +362,7 @@ func sortWorkload(name string, n int, src string) *Workload {
 	alice := make([]uint32, n)
 	bob := make([]uint32, n)
 	for i := range alice {
-		alice[i] = uint32((i*2654435761 + 17) % 100000)
+		alice[i] = uint32((uint64(i)*2654435761 + 17) % 100000)
 		bob[i] = uint32((i * i * 37) % 100000)
 	}
 	return &Workload{
@@ -428,7 +428,7 @@ void gc_main(const int *a, const int *b, int *c, int *s) {
 		adj[i*n+(i+3)%n] = uint32(5 + i%2)
 	}
 	for i := range adj {
-		adjA[i] = uint32(i*2654435761 + 99)
+		adjA[i] = uint32(i)*2654435761 + 99
 		adjB[i] = adjA[i] ^ adj[i]
 	}
 	return &Workload{
@@ -582,7 +582,7 @@ void gc_main(int *a, const int *b, int *c) {
 	alice := make([]uint32, n)
 	bob := make([]uint32, 64)
 	for i := range alice {
-		alice[i] = uint32(i*2654435761 + 17)
+		alice[i] = uint32(i)*2654435761 + 17
 	}
 	for i := range bob {
 		bob[i] = uint32(i*40499 + 3)

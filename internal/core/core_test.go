@@ -14,7 +14,8 @@ import (
 // TestSkipGateMatchesSim is the central correctness property: on random
 // sequential circuits with random public/private inputs, SkipGate decodes
 // to the plaintext simulator's outputs and never sends more tables than
-// conventional GC, which garbles every non-XOR gate every cycle.
+// conventional GC, which garbles every non-XOR gate every cycle. Every
+// compiled cycle is in wave form (CheckWaves).
 func TestSkipGateMatchesSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 60; trial++ {
@@ -26,9 +27,14 @@ func TestSkipGateMatchesSim(t *testing.T) {
 		}
 		cycles := 1 + rng.Intn(5)
 		want := sim.Run(c, in, cycles)
-		res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: cycles})
+		res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: cycles, Record: Unbounded})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for cyc := 1; cyc <= res.Trace.NumCycles(); cyc++ {
+			if err := CheckWaves(res.Trace.Cycle(cyc)); err != nil {
+				t.Fatalf("trial %d, cycle %d: %v", trial, cyc, err)
+			}
 		}
 		for i := range want {
 			if res.Outputs[i] != want[i] {

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"arm2gc/internal/circuit"
 	"arm2gc/internal/gc"
 )
 
 // Garbler is Alice's crypto executor: it runs compiled cycles through its
-// one kernel, GarbleCycleTrace, doing label work only for the gates the
-// schedule kept. S is the scheduler it was attached to by NewGarbler, or
+// one kernel, GarbleCycleTraceAppend, doing label work only for the gates
+// the schedule kept. S is the scheduler it was attached to by NewGarbler, or
 // nil for an executor fed CycleTraces from elsewhere (NewReplayGarbler).
 type Garbler struct {
 	S *Scheduler
@@ -25,7 +26,7 @@ type Garbler struct {
 	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
 	dSrc    []int32    // the slots their D labels live in
 	dffNext []gc.Label // CopyDFFs' gather buffer
-	scratch []gc.Table // GarbleCycleTraceAppend's reusable table buffer
+	scratch []byte     // GarbleCycleTrace's table bytes
 }
 
 // NewGarbler creates Alice's executor attached to a scheduler — from then
@@ -133,13 +134,29 @@ func (g *Garbler) GarbleCycle(dst []gc.Table) []gc.Table {
 	return g.GarbleCycleTrace(&g.S.ct, g.S.cycle, dst)
 }
 
-// GarbleCycleTrace is the garbler's gate-execution kernel: it runs compiled
-// cycle ct as 1-based cycle cyc, computing the false label of every op's
-// output and appending one table per garbled op to dst, in emission
-// (gate) order. It never consults a scheduler: the op arrays drive the
-// label work directly, so a cycle costs its label XORs plus the
-// fixed-key AES of the surviving garbled gates.
+// GarbleCycleTrace is GarbleCycleTraceAppend returning the cycle's tables
+// as values, appended to dst in emission (gate) order.
 func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc.Table {
+	g.scratch = g.GarbleCycleTraceAppend(ct, cyc, g.scratch[:0])
+	for b := g.scratch; len(b) > 0; b = b[gc.TableBytes:] {
+		dst = append(dst, gc.TableFromBytes(b))
+	}
+	return dst
+}
+
+// GarbleCycleTraceAppend is the garbler's gate-execution kernel: it runs
+// compiled cycle ct as 1-based cycle cyc, computing the false label of
+// every op's output, and appends the cycle's tables to dst in wire form
+// and emission (gate) order — what the protocol's frames carry. It never
+// consults a scheduler: the op arrays drive the label work directly, so a
+// cycle costs its label XORs plus the fixed-key AES of the surviving
+// garbled gates. It walks the cycle wave by wave; a wave's garbled ANDs
+// are independent, so they go to the hash GarbleBatch at a time
+// (gc.GarbleAnds), and each table is written straight to its slot in dst.
+func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, ct.NumTables()*gc.TableBytes)[:n+ct.NumTables()*gc.TableBytes]
+	tables := dst[n:]
 	g.dirty, g.dSrc = ct.dirty, ct.dirtySrc
 	base := uint64(cyc-1) * uint64(len(g.c.Gates))
 	x0, r := g.x0, g.R
@@ -156,32 +173,15 @@ func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc
 				x0[out] = x0[ct.copyA[ci]].Xor(x0[ct.copyB[ci]]).Xor(r)
 			}
 		}
-		for end := gi + int(seg.garbles); gi < end; gi++ {
-			gid := base + uint64(ct.garbGate[gi])
-			a, b := x0[ct.garbA[gi]], x0[ct.garbB[gi]]
-			var c0 gc.Label
-			var t gc.Table
-			if k := ct.garbKind[gi]; k == tgMux {
-				c0, t = gc.GarbleMux(g.h, r, x0[ct.garbS[gi]], a, b, gid)
-			} else {
-				c0, t = gc.GarbleAndInv(g.h, r, a, b, gid, k&tgAInv != 0, k&tgBInv != 0, k&tgOutInv != 0)
-			}
+		// The wave's ANDs, then its MUXes, one gate at a time.
+		end, m := gi+int(seg.garbles), ct.muxes(gi, gi+int(seg.garbles))
+		run := ct.ands(gi, m, base)
+		gc.GarbleAnds(g.h, r, x0, &run, tables)
+		for gi = m; gi < end; gi++ {
+			c0, t := gc.GarbleMux(g.h, r, x0[ct.garbS[gi]], x0[ct.garbA[gi]], x0[ct.garbB[gi]], base+uint64(ct.garbGate[gi]))
 			x0[ct.garbOut[gi]] = c0
-			dst = append(dst, t)
+			t.Put(tables[int(ct.garbSlot[gi])*gc.TableBytes:])
 		}
-	}
-	return dst
-}
-
-// GarbleCycleTraceAppend is GarbleCycleTrace serializing the tables
-// straight into a payload buffer in wire order (TG then TE per table) —
-// what the protocol's frame producer fills its frames with.
-func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []byte {
-	g.scratch = g.GarbleCycleTrace(ct, cyc, g.scratch[:0])
-	for _, t := range g.scratch {
-		tg, te := t.TG.Bytes(), t.TE.Bytes()
-		dst = append(dst, tg[:]...)
-		dst = append(dst, te[:]...)
 	}
 	return dst
 }
@@ -219,7 +219,7 @@ func (g *Garbler) DecodeBit(w circuit.Wire) bool { return g.x0[w].Bit() }
 func (g *Garbler) X0(w circuit.Wire) gc.Label { return g.x0[w] }
 
 // Evaluator is Bob's crypto executor, mirroring Garbler with active labels
-// and EvalCycleTrace as its one kernel.
+// and EvalCycleTraceBytes as its one kernel.
 type Evaluator struct {
 	S *Scheduler
 
@@ -229,6 +229,7 @@ type Evaluator struct {
 	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
 	dSrc    []int32    // the slots their D labels live in
 	dffNext []gc.Label // CopyDFFs' gather buffer
+	scratch []byte     // EvalCycleTrace's table bytes
 }
 
 // NewEvaluator creates Bob's executor attached to a scheduler (see
@@ -276,14 +277,37 @@ func (e *Evaluator) EvalCycle(ts []gc.Table) ([]gc.Table, error) {
 	return e.EvalCycleTrace(&e.S.ct, e.S.cycle, ts)
 }
 
-// EvalCycleTrace is the evaluator's gate-execution kernel: it runs compiled
-// cycle ct as 1-based cycle cyc, consuming one table per garbled op from
-// ts in order, and returns the unconsumed remainder.
+// EvalCycleTrace is EvalCycleTraceBytes over tables given as values: it
+// consumes one table per garbled op from ts, in emission order, and
+// returns the unconsumed remainder.
 func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc.Table, error) {
-	if len(ts) < len(ct.garbKind) {
-		return nil, fmt.Errorf("core: table stream exhausted: cycle %d needs %d tables, have %d",
-			cyc, len(ct.garbKind), len(ts))
+	n := ct.NumTables()
+	if len(ts) < n {
+		return nil, exhausted(cyc, n, len(ts))
 	}
+	e.scratch = slices.Grow(e.scratch[:0], n*gc.TableBytes)[:n*gc.TableBytes]
+	for i, t := range ts[:n] {
+		t.Put(e.scratch[i*gc.TableBytes:])
+	}
+	if _, err := e.EvalCycleTraceBytes(ct, cyc, e.scratch); err != nil {
+		return nil, err
+	}
+	return ts[n:], nil
+}
+
+// EvalCycleTraceBytes is the evaluator's gate-execution kernel: it runs
+// compiled cycle ct as 1-based cycle cyc, reading each garbled op's table
+// in wire form from its slot in tables, and returns the bytes past the
+// cycle's tables. Like the garbler's kernel it walks the cycle wave by
+// wave, EvalBatch independent ANDs to a hash pass (gc.EvalAnds); the
+// tables are read where the frame holds them, never copied out.
+func (e *Evaluator) EvalCycleTraceBytes(ct *CycleTrace, cyc int, tables []byte) ([]byte, error) {
+	n := ct.NumTables()
+	if len(tables) < n*gc.TableBytes {
+		return nil, exhausted(cyc, n, len(tables)/gc.TableBytes)
+	}
+	rest := tables[n*gc.TableBytes:]
+	tables = tables[:n*gc.TableBytes]
 	e.dirty, e.dSrc = ct.dirty, ct.dirtySrc
 	base := uint64(cyc-1) * uint64(len(e.c.Gates))
 	x := e.x
@@ -299,20 +323,22 @@ func (e *Evaluator) EvalCycleTrace(ct *CycleTrace, cyc int, ts []gc.Table) ([]gc
 				x[out] = x[ct.copyA[ci]].Xor(x[ct.copyB[ci]])
 			}
 		}
-		for end := gi + int(seg.garbles); gi < end; gi++ {
-			gid := base + uint64(ct.garbGate[gi])
-			t := ts[gi]
-			a, b := x[ct.garbA[gi]], x[ct.garbB[gi]]
-			// Complements live entirely on the garbler's side, so every AND
-			// form evaluates as a plain half-gates AND.
-			if ct.garbKind[gi] == tgMux {
-				x[ct.garbOut[gi]] = gc.EvalMux(e.h, x[ct.garbS[gi]], a, b, t, gid)
-			} else {
-				x[ct.garbOut[gi]] = gc.EvalAnd(e.h, a, b, t, gid)
-			}
+		// Complements live entirely on the garbler's side, so every AND
+		// form evaluates as a plain half-gates AND.
+		end, m := gi+int(seg.garbles), ct.muxes(gi, gi+int(seg.garbles))
+		run := ct.ands(gi, m, base)
+		gc.EvalAnds(e.h, x, &run, tables)
+		for gi = m; gi < end; gi++ {
+			t := gc.TableFromBytes(tables[int(ct.garbSlot[gi])*gc.TableBytes:])
+			x[ct.garbOut[gi]] = gc.EvalMux(e.h, x[ct.garbS[gi]], x[ct.garbA[gi]], x[ct.garbB[gi]], t, base+uint64(ct.garbGate[gi]))
 		}
 	}
-	return ts[len(ct.garbKind):], nil
+	return rest, nil
+}
+
+// exhausted is the error for a table stream that ends inside cycle cyc.
+func exhausted(cyc, need, have int) error {
+	return fmt.Errorf("core: table stream exhausted: cycle %d needs %d tables, have %d", cyc, need, have)
 }
 
 // CopyDFFs performs the end-of-cycle flip-flop label copy, mirroring

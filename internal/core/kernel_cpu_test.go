@@ -21,7 +21,13 @@ import (
 // the halt flag, small enough for a unit test.
 func hammingOnCPU(t *testing.T, n int, backend string) (*cpu.CPU, *isa.Program, *bencher.Workload, sim.Inputs) {
 	t.Helper()
-	w := bencher.HammingWorkload(n)
+	return workloadOnCPU(t, bencher.HammingWorkload(n), backend)
+}
+
+// workloadOnCPU binds a bencher workload's program to its garbled
+// processor on the given memory backend ("" picks it by size).
+func workloadOnCPU(t testing.TB, w *bencher.Workload, backend string) (*cpu.CPU, *isa.Program, *bencher.Workload, sim.Inputs) {
+	t.Helper()
 	p, _, err := w.Program()
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +174,27 @@ func TestHammingCycleCounters(t *testing.T) {
 	}
 }
 
+// TestHammingWaves: every compiled cycle of Hamming(160)'s trace is in
+// wave form (core.CheckWaves) — on the processor's netlist, register file
+// and memory included, not only on random circuits.
+func TestHammingWaves(t *testing.T) {
+	_, _, res := hamming160(t)
+	split := 0
+	for cyc := 1; cyc <= res.Trace.NumCycles(); cyc++ {
+		ct := res.Trace.Cycle(cyc)
+		if err := core.CheckWaves(ct); err != nil {
+			t.Fatalf("cycle %d: %v", cyc, err)
+		}
+		if core.NumWaves(ct) > 1 {
+			split++
+		}
+	}
+	if split == 0 {
+		t.Fatal("no cycle runs in more than one wave")
+	}
+	t.Logf("%d of %d cycles run in more than one wave", split, res.Trace.NumCycles())
+}
+
 // TestHammingClassifyShapes pins the measurement that decided against
 // making Classify itself cheaper, on Hamming(160)'s 470 cycles: 58.5 % of
 // gate visits have a changed input, every cycle starts from a distinct
@@ -243,4 +270,61 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	if evalErr != nil {
 		t.Fatal(evalErr)
 	}
+}
+
+// BenchmarkReplayKernels times the two replay kernels over the recorded
+// trace of matmul5 (5×5 matrix product, 5,133 cycles, 127,225 tables,
+// all but 3,100 of them in 125 multiply cycles of AND depth 31): "garble"
+// is GarbleCycleTraceAppend writing every cycle's tables into a frame
+// buffer, "eval" is EvalCycleTraceBytes reading them from it, each with
+// CopyDFFs between cycles, as a replayed session runs them. One op is the
+// whole trace. The trace is recorded once, outside the timer.
+//
+//	go test -run '^$' -bench ReplayKernels -benchtime 20x ./internal/core
+func BenchmarkReplayKernels(b *testing.B) {
+	c, _, _, in := workloadOnCPU(b, bencher.MatrixMultWorkload(5), "")
+	res, err := core.RunLocal(context.Background(), c.Circuit, in,
+		core.RunOpts{Cycles: 20_000, StopOutput: "halted", Record: core.Unbounded})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := res.Trace
+	n := tr.NumCycles()
+	if n != 5_133 || res.Stats.Total.Garbled != 127_225 {
+		b.Fatalf("matmul5 ran %d cycles and %d tables, want 5133 and 127225", n, res.Stats.Total.Garbled)
+	}
+	g := core.NewReplayGarbler(c.Circuit, gc.CryptoRand)
+	e := core.NewReplayEvaluator(c.Circuit)
+	pairs := g.BobPairs()
+	chosen := make([]gc.Label, len(pairs))
+	for i := range pairs {
+		chosen[i] = pairs[i][0]
+	}
+	if err := e.SetInputs(g.AliceActiveLabels(nil), chosen); err != nil {
+		b.Fatal(err)
+	}
+	frames := make([][]byte, n+1)
+	for cyc := 1; cyc <= n; cyc++ {
+		frames[cyc] = g.GarbleCycleTraceAppend(tr.Cycle(cyc), cyc, nil)
+		g.CopyDFFs()
+	}
+	b.Run("garble", func(b *testing.B) {
+		var frame []byte
+		for range b.N {
+			for cyc := 1; cyc <= n; cyc++ {
+				frame = g.GarbleCycleTraceAppend(tr.Cycle(cyc), cyc, frame[:0])
+				g.CopyDFFs()
+			}
+		}
+	})
+	b.Run("eval", func(b *testing.B) {
+		for range b.N {
+			for cyc := 1; cyc <= n; cyc++ {
+				if _, err := e.EvalCycleTraceBytes(tr.Cycle(cyc), cyc, frames[cyc]); err != nil {
+					b.Fatal(err)
+				}
+				e.CopyDFFs()
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -124,7 +125,11 @@ func TestKernelTableStreamBounds(t *testing.T) {
 // table. The shapes are the four AND-class operators, the MUX with a
 // public-0 or public-1 A or B input, and the MUX with both data inputs
 // secret. Wires 2–5 are the ports p (public), a (Alice), b (Bob) and
-// s (Alice); the gate's output is wire 6.
+// s (Alice); the gate's output is wire 6. Last, all the shapes and three
+// more ANDs run side by side in one circuit: ten independent garbled gates
+// in one wave, so the kernels take full batches of ANDs, a tail and the
+// single-gate MUX path in one cycle, and every output decodes to its
+// truth table.
 func TestKernelGarbledShapes(t *testing.T) {
 	const p, a, b, s circuit.Wire = 2, 3, 4, 5
 	shapes := []struct {
@@ -198,6 +203,64 @@ func TestKernelGarbledShapes(t *testing.T) {
 			}
 		}
 	}
+
+	gates := []circuit.Gate{
+		{Op: circuit.AND, A: a, B: s}, {Op: circuit.NOR, A: s, B: b}, {Op: circuit.NAND, A: b, B: s},
+	}
+	for _, sh := range shapes {
+		gates = append(gates, sh.gate)
+	}
+	c := &circuit.Circuit{
+		Ports: []circuit.Port{
+			{Name: "p", Owner: circuit.Public, Base: p, Bits: 1},
+			{Name: "a", Owner: circuit.Alice, Base: a, Bits: 1},
+			{Name: "b", Owner: circuit.Bob, Base: b, Bits: 1},
+			{Name: "s", Owner: circuit.Alice, Base: s, Bits: 1, Off: 1},
+		},
+		Gates:    gates,
+		PortBase: 2, DFFBase: 6, GateBase: 6,
+		PublicBits: 1, AliceBits: 2, BobBits: 1,
+	}
+	for i := range gates {
+		c.Outputs = append(c.Outputs, circuit.Output{Name: fmt.Sprint("out", i), Wires: []circuit.Wire{circuit.Wire(6 + i)}})
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 16; v++ {
+		val := [6]bool{p: v&1 != 0, a: v&2 != 0, b: v&4 != 0, s: v&8 != 0}
+		in := sim.Inputs{Public: []bool{val[p]}, Alice: []bool{val[a], val[s]}, Bob: []bool{val[b]}}
+		sc := NewScheduler(c, Seed{}, in.Public)
+		gb, ev := NewGarbler(sc, rand.New(rand.NewSource(int64(v)))), NewEvaluator(sc)
+		if err := deliverInputs(gb, ev, in); err != nil {
+			t.Fatal(err)
+		}
+		sc.Classify(true)
+		ct := &sc.ct
+		if len(ct.segs) != 1 || len(ct.garbKind) != len(gates) || ct.garbKind[len(gates)-1] != tgMux {
+			t.Fatalf("inputs %04b: %d waves, kinds %v: want one wave of %d garbled gates, the MUX last", v, len(ct.segs), ct.garbKind, len(gates))
+		}
+		tables := gb.GarbleCycleTrace(ct, 1, nil)
+		if rest, err := ev.EvalCycleTrace(ct, 1, tables); err != nil || len(rest) != 0 {
+			t.Fatalf("inputs %04b: %d tables left, err %v", v, len(rest), err)
+		}
+		for i, g := range gates {
+			w := sc.LabelWire(circuit.Wire(6 + i))
+			x0, x := gb.X0(w), ev.Active(w)
+			if x != x0 && x != x0.Xor(gb.R) {
+				t.Fatalf("gate %d, inputs %04b: active label matches neither X0 nor X1", i, v)
+			}
+			var want bool
+			if g.Op == circuit.MUX {
+				want = circuit.EvalMux(val[s], val[g.A], val[g.B])
+			} else {
+				want = g.Op.Eval(val[g.A], val[g.B])
+			}
+			if got := x != x0; got != want {
+				t.Fatalf("gate %d (%v), p=%v a=%v b=%v s=%v: decoded %v, want %v", i, g.Op, val[p], val[a], val[b], val[s], got, want)
+			}
+		}
+	}
 }
 
 // randomCase draws a random netlist and inputs for all three owners.
@@ -257,6 +320,7 @@ func (o *denseOracle) cycle(t testing.TB, final bool) {
 		}
 	}
 	o.ct.flush()
+	s.waves(&o.ct)
 	tables := o.g.GarbleCycleTrace(&o.ct, s.cycle, nil)
 	if rest, err := o.e.EvalCycleTrace(&o.ct, s.cycle, tables); err != nil || len(rest) != 0 {
 		t.Fatalf("oracle cycle %d: %d tables left, err %v", s.cycle, len(rest), err)

@@ -90,19 +90,19 @@ func RunLocal(ctx context.Context, c *circuit.Circuit, in sim.Inputs, opts RunOp
 	}
 
 	res := &RunResult{}
-	var tables []gc.Table
+	var tables []byte
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		ct := sc.Next()
-		tables = g.GarbleCycleTrace(ct, sc.Cycle(), tables[:0])
-		rest, err := e.EvalCycleTrace(ct, sc.Cycle(), tables)
+		tables = g.GarbleCycleTraceAppend(ct, sc.Cycle(), tables[:0])
+		rest, err := e.EvalCycleTraceBytes(ct, sc.Cycle(), tables)
 		if err != nil {
 			return nil, err
 		}
 		if len(rest) != 0 {
-			return nil, fmt.Errorf("core: cycle %d: %d garbled tables unconsumed", sc.Cycle(), len(rest))
+			return nil, fmt.Errorf("core: cycle %d: %d garbled table bytes unconsumed", sc.Cycle(), len(rest))
 		}
 		if opts.RecordEveryCycle || sc.Done() {
 			if res.Outputs, err = decodeOutputs(sc, g, e); err != nil {

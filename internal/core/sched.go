@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"arm2gc/internal/circuit"
 	"arm2gc/internal/gc"
@@ -113,6 +114,15 @@ type Scheduler struct {
 	// output to its source's slot, and every emitted op writes its own.
 	// Ports, flip-flop outputs and constants always map to themselves.
 	ref []int32
+
+	// The wave pass's scratch (waves): per wire, the AND depth of the label
+	// an op of the cycle wrote (zero between passes); per op, its sort key,
+	// then its place in wave order; the per-key counts; and the arrays the
+	// ops are sorted into, swapped with ct's.
+	lvl              []int32
+	copyLvl, garbLvl []int32
+	waveCnt          []int32
+	spare            CycleTrace
 
 	pub   []bool
 	cycle int // 1-based during a cycle; 0 before Start
@@ -366,8 +376,10 @@ func (s *Scheduler) classify() {
 // which is the table-emission order on the wire. A copy-class gate whose
 // whole remaining fanout is flip-flops that hold their value is counted
 // like any other but not emitted: nobody reads the label it would compute.
-// A garbled gate is always emitted, because its table is on the wire. Last,
-// each dirty flip-flop's D is resolved to the slot its label lives in.
+// A garbled gate is always emitted, because its table is on the wire. The
+// emitted ops are then reordered into AND-depth waves (waves), each keeping
+// its table slot. Last, each dirty flip-flop's D is resolved to the slot
+// its label lives in.
 func (s *Scheduler) settle(src []int32) CycleStats {
 	ct := &s.ct
 	var cs CycleStats
@@ -406,11 +418,119 @@ func (s *Scheduler) settle(src []int32) CycleStats {
 		s.emitGate(ct, i, act)
 	}
 	ct.flush()
+	s.waves(ct)
 	for _, i := range ct.dirty {
 		ct.dirtySrc = append(ct.dirtySrc, s.ref[s.C.DFFs[i].D])
 	}
 	ct.Stats = cs
 	return cs
+}
+
+// waves reorders the cycle compiled in ct from gate order into AND-depth
+// waves (traceSeg): a stable counting sort of each op class by depth. A
+// label not written this cycle has depth 0; a copy op's output has its
+// deepest operand's depth, a garbled op's one more. So a garbled op of
+// depth d reads only labels of depth below d, written by earlier waves or
+// by its own wave's copies, and no garbled op of its wave; copies of one
+// depth keep their gate order, which is topological. Within a wave the
+// MUX ops follow the ANDs, so the ANDs form one run for the batched hash.
+// Each garbled op keeps its table slot, so the wire still carries tables
+// in gate order. A cycle with no garbled op is one wave already.
+func (s *Scheduler) waves(ct *CycleTrace) {
+	if len(ct.garbKind) == 0 {
+		return
+	}
+	if s.lvl == nil {
+		s.lvl = make([]int32, s.C.NumWires())
+	}
+	// A copy's sort key is its depth; a garbled op's is 2·(depth−1), plus
+	// one for a MUX.
+	lvl, cl, gl := s.lvl, s.copyLvl[:0], s.garbLvl[:0]
+	var depth int32
+	ci, gi := 0, 0
+	for _, seg := range ct.segs {
+		for end := ci + int(seg.copies); ci < end; ci++ {
+			d := max(lvl[ct.copyA[ci]], lvl[ct.copyB[ci]])
+			lvl[ct.copyOut[ci]] = d
+			cl = append(cl, d)
+		}
+		for end := gi + int(seg.garbles); gi < end; gi++ {
+			d := max(lvl[ct.garbA[gi]], lvl[ct.garbB[gi]], lvl[ct.garbS[gi]]) + 1
+			lvl[ct.garbOut[gi]] = d
+			key := 2 * (d - 1)
+			if ct.garbKind[gi] == tgMux {
+				key++
+			}
+			gl = append(gl, key)
+			depth = max(depth, d)
+		}
+	}
+	for _, w := range ct.copyOut {
+		lvl[w] = 0
+	}
+	for _, w := range ct.garbOut {
+		lvl[w] = 0
+	}
+	s.copyLvl, s.garbLvl = cl, gl
+
+	// Wave k is the copies of depth k, then the garbled ops of depth k+1.
+	// Every depth from 1 to the deepest has a garbled op, so only the last
+	// wave can be empty.
+	n := int(depth) + 1
+	cnt := slices.Grow(s.waveCnt[:0], 3*n)[:3*n]
+	clear(cnt)
+	s.waveCnt = cnt
+	cc, gcnt := cnt[:n], cnt[n:]
+	for _, d := range cl {
+		cc[d]++
+	}
+	for _, key := range gl {
+		gcnt[key]++
+	}
+	ct.segs = ct.segs[:0]
+	for k := range n {
+		if g := gcnt[2*k] + gcnt[2*k+1]; cc[k] != 0 || g != 0 {
+			ct.segs = append(ct.segs, traceSeg{copies: cc[k], garbles: g})
+		}
+	}
+	// Counts become first positions, and each op's key its position.
+	var at int32
+	for k := range cc {
+		cc[k], at = at, at+cc[k]
+	}
+	at = 0
+	for k := range gcnt {
+		gcnt[k], at = at, at+gcnt[k]
+	}
+	for i, d := range cl {
+		cl[i] = cc[d]
+		cc[d]++
+	}
+	for i, key := range gl {
+		gl[i] = gcnt[key]
+		gcnt[key]++
+	}
+	sp := &s.spare
+	ct.copyAct, sp.copyAct = scatter(sp.copyAct, ct.copyAct, cl), ct.copyAct
+	ct.copyOut, sp.copyOut = scatter(sp.copyOut, ct.copyOut, cl), ct.copyOut
+	ct.copyA, sp.copyA = scatter(sp.copyA, ct.copyA, cl), ct.copyA
+	ct.copyB, sp.copyB = scatter(sp.copyB, ct.copyB, cl), ct.copyB
+	ct.garbKind, sp.garbKind = scatter(sp.garbKind, ct.garbKind, gl), ct.garbKind
+	ct.garbGate, sp.garbGate = scatter(sp.garbGate, ct.garbGate, gl), ct.garbGate
+	ct.garbOut, sp.garbOut = scatter(sp.garbOut, ct.garbOut, gl), ct.garbOut
+	ct.garbA, sp.garbA = scatter(sp.garbA, ct.garbA, gl), ct.garbA
+	ct.garbB, sp.garbB = scatter(sp.garbB, ct.garbB, gl), ct.garbB
+	ct.garbS, sp.garbS = scatter(sp.garbS, ct.garbS, gl), ct.garbS
+	ct.garbSlot, sp.garbSlot = scatter(sp.garbSlot, ct.garbSlot, gl), ct.garbSlot
+}
+
+// scatter returns dst, resized to src's length, holding src[i] at pos[i].
+func scatter[T any](dst, src []T, pos []int32) []T {
+	dst = slices.Grow(dst[:0], len(src))[:len(src)]
+	for i, p := range pos {
+		dst[p] = src[i]
+	}
+	return dst
 }
 
 // emitGate compiles live gate i into ct: the one place a scheduler action

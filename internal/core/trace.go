@@ -6,14 +6,18 @@ import (
 	"unsafe"
 
 	"arm2gc/internal/circuit"
+	"arm2gc/internal/gc"
 )
 
 // A CycleTrace is the only form a cycle is ever executed in: the
-// Scheduler's settle pass compiles each classified cycle into one, and
-// Garbler.GarbleCycleTrace / Evaluator.EvalCycleTrace — the single
-// gate-execution kernel of each party — run it. A live cycle is "classify,
-// then run the kernel on the scheduler's buffer"; everything else is
-// scheduling around that kernel.
+// Scheduler's settle pass compiles each classified cycle into one, ordered
+// in AND-depth waves, and Garbler.GarbleCycleTraceAppend /
+// Evaluator.EvalCycleTraceBytes — the single gate-execution kernel of each
+// party — run it, batching each wave's independent garbled gates through
+// the hash. A live cycle is "classify, then run the kernel on the
+// scheduler's buffer"; everything else is scheduling around that kernel.
+// The wave pass runs once per compiled cycle, so a recorded trace replays
+// in wave order without paying for it again.
 //
 // Classification-trace reuse: the SkipGate schedule depends only on public
 // data — the circuit, the public input p and the cycle budget — so it is
@@ -47,12 +51,13 @@ const (
 // b ⊕ bInv): the compiler (Scheduler.emitGate) sets its three mask bits
 // from the gate's operator or, for a MUX with one public data input, from
 // that input's value, so the kernels never consult an operator or a
-// scheduler.
+// scheduler. The bits are gc.Ands.Inv's, so an AND's kind is its
+// complement mask as the batched hash passes take it.
 const (
-	tgAInv   uint8 = 1 << iota // complement the first operand
-	tgBInv                     // complement the second operand
-	tgOutInv                   // complement the output
-	tgMux                      // both data inputs secret: atomic A ⊕ AND(S, A⊕B)
+	tgAInv   = gc.AInv   // complement the first operand
+	tgBInv   = gc.BInv   // complement the second operand
+	tgOutInv = gc.OutInv // complement the output
+	tgMux    = 1 << 3    // both data inputs secret: atomic A ⊕ AND(S, A⊕B)
 )
 
 // andKind packs an AND form's complement mask into a garbled-op kind.
@@ -70,20 +75,25 @@ func andKind(aInv, bInv, outInv bool) uint8 {
 	return k
 }
 
-// traceSeg is a maximal run of copy ops followed by a run of garbled ops,
-// in original gate order. Copies and garbles interleave dependency-wise
+// traceSeg is one wave of a compiled cycle: a run of copy ops followed by
+// a run of garbled ops. Copies and garbles interleave dependency-wise
 // inside a cycle (a garbled gate may read a copied label and vice versa),
-// so a cycle cannot be split into one copy pass and one garble pass;
-// segments preserve the topological order while still letting the kernels
-// run each garbled stretch as a tight, branch-light AES loop.
+// so a cycle cannot be split into one copy pass and one garble pass. The
+// compiler (Scheduler.waves) orders each cycle by AND depth instead: wave
+// k runs the copies whose inputs are ready after depth k, in gate order,
+// then the garbled ops of depth k+1, which read nothing the wave's other
+// garbled ops write. The kernels hash a garble run in batches of
+// independent gates, several AES blocks per pass.
 type traceSeg struct {
 	copies  int32
 	garbles int32
 }
 
 // CycleTrace is one cycle's compiled schedule in struct-of-arrays form:
-// parallel arrays per op class, indexed densely in emission order, so the
-// kernels touch only the fields they need.
+// parallel arrays per op class, indexed densely in wave order (traceSeg),
+// so the kernels touch only the fields they need. The kernels rely on the
+// wave order: they hash a wave's garbled ANDs in batches, which is sound
+// only because no op of a wave's garble run reads what another writes.
 //
 // Where a label lives: every operand is the wire whose label slot holds
 // the input's label, not the netlist's input wire. A plain passthrough is
@@ -103,14 +113,17 @@ type CycleTrace struct {
 	copyA   []int32
 	copyB   []int32
 
-	// Garbled ops, in table-emission order (ascending gate index). gate is
-	// the producing gate's index, which keys the table's unique gid.
+	// Garbled ops, in wave order. gate is the producing gate's index,
+	// which keys the table's unique gid; slot is the op's index in
+	// table-emission order (ascending gate index), where its table sits in
+	// the cycle's stretch of the frame.
 	garbKind []uint8
 	garbGate []int32
 	garbOut  []int32
 	garbA    []int32
 	garbB    []int32
 	garbS    []int32
+	garbSlot []int32
 
 	// The flip-flops (circuit.DFFs indices) whose next state is a label
 	// their Q wire does not already carry: all that CopyDFFs commits after
@@ -140,6 +153,7 @@ func (ct *CycleTrace) reset() {
 	ct.copyAct, ct.copyOut, ct.copyA, ct.copyB = ct.copyAct[:0], ct.copyOut[:0], ct.copyA[:0], ct.copyB[:0]
 	ct.garbKind, ct.garbGate = ct.garbKind[:0], ct.garbGate[:0]
 	ct.garbOut, ct.garbA, ct.garbB, ct.garbS = ct.garbOut[:0], ct.garbA[:0], ct.garbB[:0], ct.garbS[:0]
+	ct.garbSlot = ct.garbSlot[:0]
 	ct.dirty, ct.dirtySrc = ct.dirty[:0], ct.dirtySrc[:0]
 }
 
@@ -164,12 +178,30 @@ func (ct *CycleTrace) addCopy(act uint8, out, a, b int32) {
 
 func (ct *CycleTrace) addGarb(kind uint8, gate, out, a, b, sw int32) {
 	ct.open.garbles++
+	ct.garbSlot = append(ct.garbSlot, int32(len(ct.garbKind)))
 	ct.garbKind = append(ct.garbKind, kind)
 	ct.garbGate = append(ct.garbGate, gate)
 	ct.garbOut = append(ct.garbOut, out)
 	ct.garbA = append(ct.garbA, a)
 	ct.garbB = append(ct.garbB, b)
 	ct.garbS = append(ct.garbS, sw)
+}
+
+// muxes returns where the MUX ops of the garble run [i, end) begin: the
+// wave pass puts them after the run's ANDs.
+func (ct *CycleTrace) muxes(i, end int) int {
+	for end > i && ct.garbKind[end-1] == tgMux {
+		end--
+	}
+	return end
+}
+
+// ands returns the AND ops [i, end) of a garble run as the batched hash
+// passes take them, their gate ids based at base. The kinds of AND ops are
+// their complement masks.
+func (ct *CycleTrace) ands(i, end int, base uint64) gc.Ands {
+	return gc.Ands{A: ct.garbA[i:end], B: ct.garbB[i:end], Out: ct.garbOut[i:end], Table: ct.garbSlot[i:end],
+		Gate: ct.garbGate[i:end], Inv: ct.garbKind[i:end], Base: base}
 }
 
 // clone returns a copy that does not alias ct's arrays: ct is the
@@ -182,6 +214,7 @@ func (ct *CycleTrace) clone() *CycleTrace {
 	cp.garbKind, cp.garbGate = slices.Clone(ct.garbKind), slices.Clone(ct.garbGate)
 	cp.garbOut, cp.garbA = slices.Clone(ct.garbOut), slices.Clone(ct.garbA)
 	cp.garbB, cp.garbS = slices.Clone(ct.garbB), slices.Clone(ct.garbS)
+	cp.garbSlot = slices.Clone(ct.garbSlot)
 	cp.dirty, cp.dirtySrc = slices.Clone(ct.dirty), slices.Clone(ct.dirtySrc)
 	return &cp
 }
@@ -194,7 +227,7 @@ func (ct *CycleTrace) memoryBytes() int {
 		cap(ct.segs)*int(unsafe.Sizeof(traceSeg{})) +
 		cap(ct.copyAct) + 4*(cap(ct.copyOut)+cap(ct.copyA)+cap(ct.copyB)) +
 		cap(ct.garbKind) +
-		4*(cap(ct.garbGate)+cap(ct.garbOut)+cap(ct.garbA)+cap(ct.garbB)+cap(ct.garbS)) +
+		4*(cap(ct.garbGate)+cap(ct.garbOut)+cap(ct.garbA)+cap(ct.garbB)+cap(ct.garbS)+cap(ct.garbSlot)) +
 		4*(cap(ct.dirty)+cap(ct.dirtySrc))
 }
 

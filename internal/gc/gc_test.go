@@ -1,8 +1,10 @@
 package gc
 
 import (
+	"bytes"
 	"crypto/aes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,9 +123,13 @@ var piXorPaths = map[string]func(h *Hash, blocks []Label){
 }
 
 // TestHashBatchMatchesScalar checks the garbler's 4-block and the
-// evaluator's 2-block hash against the scalar H, and every π(k) ⊕ k pass
-// against crypto/aes, over random labels (half with the top bit set,
-// which double carries out) and random tweaks plus 0, 1, 2⁶³ and 2⁶⁴−1.
+// evaluator's 2-block hash against the scalar H, every π(k) ⊕ k pass
+// against crypto/aes, and GarbleAnds and EvalAnds (with AES-NI, the
+// batched passes, which gather, double and tweak in registers) against H,
+// over random labels (half with the top bit set, which double carries
+// out) and random tweaks plus 0, 1, 2⁶³ and 2⁶⁴−1 (a run's tweaks are
+// 2·gid and 2·gid+1, so its edge gate-id bases are 0, 2⁶²−1, 2⁶², 2⁶³
+// and 2⁶⁴−2²⁰, which the gates' offsets carry past 2⁶⁴).
 func TestHashBatchMatchesScalar(t *testing.T) {
 	pi, err := aes.NewCipher(fixedKey)
 	if err != nil {
@@ -145,6 +151,8 @@ func TestHashBatchMatchesScalar(t *testing.T) {
 		return l
 	}
 	edges := []uint64{0, 1, 1 << 63, ^uint64(0)}
+	gidEdges := []uint64{0, 1<<62 - 1, 1 << 62, 1 << 63, ^uint64(0) - 1<<20}
+	labels := make([]Label, 32+EvalBatch)
 	for i := 0; i < 10_000; i++ {
 		a0, a1, b0, b1 := label(), label(), label(), label()
 		j0, j1 := rng.Uint64(), rng.Uint64()
@@ -173,6 +181,53 @@ func TestHashBatchMatchesScalar(t *testing.T) {
 				}
 			}
 		}
+
+		// A run of EvalBatch ANDs with random complements over random
+		// slots (repeats allowed) of the first 32 labels, writing the last
+		// ones, with distinct random table indexes: the garbler's is
+		// checked against H and garbleOne, the evaluator's, on random
+		// table bytes, against EvalAnd.
+		for k := range labels {
+			labels[k] = label()
+		}
+		run := &Ands{Base: rng.Uint64() >> 1}
+		if i < len(gidEdges) {
+			run.Base = gidEdges[i]
+		}
+		perm := rng.Perm(2 * EvalBatch)
+		for k := range EvalBatch {
+			run.A = append(run.A, int32(rng.Intn(32)))
+			run.B = append(run.B, int32(rng.Intn(32)))
+			run.Out = append(run.Out, int32(32+k))
+			run.Table = append(run.Table, int32(perm[k]))
+			run.Gate = append(run.Gate, int32(rng.Intn(1<<20)))
+			run.Inv = append(run.Inv, uint8(rng.Intn(8)))
+		}
+		r := label()
+		r.Lo |= 1
+		wantGL, wantGT := slices.Clone(labels), make([]byte, 2*EvalBatch*TableBytes)
+		for k := range EvalBatch {
+			x, y, gid := labels[run.A[k]], labels[run.B[k]], run.Base+uint64(run.Gate[k])
+			ha0, ha1, hb0, hb1 := h.H(x, 2*gid), h.H(x.Xor(r), 2*gid), h.H(y, 2*gid+1), h.H(y.Xor(r), 2*gid+1)
+			garbleOne(r, wantGL, run, k, wantGT, ha0, ha1, hb0, hb1)
+		}
+		gotGL, gotGT := slices.Clone(labels), make([]byte, len(wantGT))
+		GarbleAnds(h, r, gotGL, run, gotGT)
+		if !slices.Equal(gotGL, wantGL) || !bytes.Equal(gotGT, wantGT) {
+			t.Fatalf("GarbleAnds(%+v): labels %v tables %x, want %v %x", run, gotGL[32:], gotGT, wantGL[32:], wantGT)
+		}
+		tables := make([]byte, 2*EvalBatch*TableBytes)
+		rng.Read(tables)
+		wantE := slices.Clone(labels)
+		for k := range EvalBatch {
+			x, y, gid := labels[run.A[k]], labels[run.B[k]], run.Base+uint64(run.Gate[k])
+			wantE[run.Out[k]] = EvalAnd(h, x, y, TableFromBytes(tables[TableBytes*int(run.Table[k]):]), gid)
+		}
+		gotE := slices.Clone(labels)
+		EvalAnds(h, gotE, run, tables)
+		if !slices.Equal(gotE, wantE) {
+			t.Fatalf("EvalAnds(%+v) = %v, want %v", run, gotE[32:], wantE[32:])
+		}
 	}
 }
 
@@ -199,35 +254,76 @@ func TestHalfGatesDoNotAllocate(t *testing.T) {
 }
 
 // TestHalfGatesTruthTables garbles each AND-class op in its AND form
-// (AndForm + GarbleAndInv), evaluates it as a plain EvalAnd, and checks
-// that all four input combinations decode to the op's truth table.
+// (AndForm as the AND's complements) through GarbleAnds, evaluates it
+// through EvalAnds, and checks that all four input combinations decode to
+// the op's truth table. Each trial runs the four ops as one run, which
+// takes the garbler's 8-block passes and then one op alone, the path a
+// batch's tail takes, and the same run again op by op; both must write
+// the same labels and the same table bytes, which must equal GarbleAnd's
+// for the uncomplemented AND. The evaluator's run holds each op twice,
+// a full EvalBatch pass and a tail.
 func TestHalfGatesTruthTables(t *testing.T) {
 	h := NewHash()
-	ops := []circuit.Op{circuit.AND, circuit.OR, circuit.NAND, circuit.NOR}
+	ops := []circuit.Op{circuit.AND, circuit.OR, circuit.NAND, circuit.NOR, circuit.AND}
 	for trial := 0; trial < 50; trial++ {
 		r := RandDelta(CryptoRand)
-		a0 := RandLabel(CryptoRand)
-		b0 := RandLabel(CryptoRand)
-		for _, op := range ops {
-			gid := uint64(trial*4) + uint64(op)
+		// Slots 0 and 1 hold a's labels (false, true), 2 and 3 b's; the
+		// outputs go to 4 onwards.
+		a0, b0 := RandLabel(CryptoRand), RandLabel(CryptoRand)
+		in := []Label{a0, a0.Xor(r), b0, b0.Xor(r)}
+		run := &Ands{Base: uint64(trial * 8)}
+		for i, op := range ops {
 			aInv, bInv, outInv := AndForm(op)
-			c0, tab := GarbleAndInv(h, r, a0, b0, gid, aInv, bInv, outInv)
-			for _, va := range []bool{false, true} {
-				for _, vb := range []bool{false, true} {
-					a := a0
-					if va {
-						a = a.Xor(r)
-					}
-					b := b0
-					if vb {
-						b = b.Xor(r)
-					}
-					got := EvalAnd(h, a, b, tab, gid)
-					want := c0
-					if op.Eval(va, vb) {
+			var inv uint8
+			if aInv {
+				inv |= AInv
+			}
+			if bInv {
+				inv |= BInv
+			}
+			if outInv {
+				inv |= OutInv
+			}
+			run.A, run.B = append(run.A, 0), append(run.B, 2)
+			run.Out, run.Table = append(run.Out, int32(4+i)), append(run.Table, int32(len(ops)-1-i))
+			run.Gate, run.Inv = append(run.Gate, int32(i)), append(run.Inv, inv)
+		}
+		batched := append(slices.Clone(in), make([]Label, len(ops))...)
+		single := slices.Clone(batched)
+		tables := make([]byte, len(ops)*TableBytes)
+		GarbleAnds(h, r, batched, run, tables)
+		alone := make([]byte, len(tables))
+		for i := range ops {
+			one := &Ands{A: run.A[i : i+1], B: run.B[i : i+1], Out: run.Out[i : i+1], Table: run.Table[i : i+1],
+				Gate: run.Gate[i : i+1], Inv: run.Inv[i : i+1], Base: run.Base}
+			GarbleAnds(h, r, single, one, alone)
+		}
+		if !slices.Equal(batched, single) || !bytes.Equal(tables, alone) {
+			t.Fatalf("trial %d: the batched garbler pass and the single-gate path disagree", trial)
+		}
+		c0, tab := GarbleAnd(h, r, a0, b0, run.Base)
+		if c0 != batched[4] || TableFromBytes(tables[TableBytes*(len(ops)-1):]) != tab {
+			t.Fatalf("trial %d: GarbleAnds' AND differs from GarbleAnd's", trial)
+		}
+		for _, va := range []int32{0, 1} {
+			for _, vb := range []int32{0, 1} {
+				// Each op twice, over the active labels for (va, vb).
+				ev := &Ands{Base: run.Base}
+				for i := range 2 * len(ops) {
+					k := i % len(ops)
+					ev.A, ev.B = append(ev.A, va), append(ev.B, 2+vb)
+					ev.Out, ev.Table = append(ev.Out, int32(4+i)), append(ev.Table, run.Table[k])
+					ev.Gate = append(ev.Gate, run.Gate[k])
+				}
+				labels := append(slices.Clone(in), make([]Label, 2*len(ops))...)
+				EvalAnds(h, labels, ev, tables)
+				for i := range 2 * len(ops) {
+					op := ops[i%len(ops)]
+					want := batched[4+i%len(ops)]
+					if op.Eval(va == 1, vb == 1) {
 						want = want.Xor(r)
 					}
-					if got != want {
+					if labels[4+i] != want {
 						t.Fatalf("%v(%v,%v): eval label mismatch", op, va, vb)
 					}
 				}

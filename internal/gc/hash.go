@@ -12,11 +12,15 @@ import (
 //
 // Half gates hash several independent blocks per gate: the garbler four
 // (both labels of each input), the evaluator two (one per input). hash4
-// and hash2 take them through π(k) ⊕ k in one pass, so on an amd64 CPU
-// with AES-NI the AES rounds of the blocks overlap in the pipeline
-// (hash_amd64.s, round keys expanded once per process). Elsewhere, and on
+// and hash2 take one gate's blocks through π(k) ⊕ k in one pass, so on
+// an amd64 CPU with AES-NI the AES rounds of the blocks overlap in the
+// pipeline (hash_amd64.s, round keys expanded once per process). There,
+// garbleBatches and evalBatches also take a batch of independent gates —
+// two garbled or four evaluated, eight blocks either way — through one
+// pass that gathers each operand label from its slot, doubles and tweaks
+// it on the way in, and finishes the gates in place. Elsewhere, and on
 // amd64 without AES-NI, the blocks go one after another through
-// cipher.Block.
+// cipher.Block, gate by gate.
 //
 // A Hash belongs to one garbler or one evaluator for a whole session: the
 // generic path encrypts in the instance's own scratch block (a local

@@ -3,16 +3,18 @@
 // [Kolesnikov-Schneider], point-and-permute, fixed-key-AES hashing
 // [Bellare et al.], and half-gates AND garbling [Zahur-Rosulek-Evans].
 // Every garbled gate is a half-gates AND with free complements (AndForm,
-// GarbleAndInv) or the atomic MUX. The "w/o SkipGate" baseline is a count
+// Ands) or the atomic MUX. The "w/o SkipGate" baseline is a count
 // (cycles × non-XOR gates), not an executor.
 //
 // The fixed-key hash is the floor under every garbled table. Half gates
 // hash independent blocks — four per garbled gate, two per evaluated
-// gate — so Hash encrypts them in one multi-block pass: an AES-NI
-// assembly kernel on amd64 CPUs that have it, cipher.Block one block at
-// a time elsewhere. Every garbler and evaluator owns its Hash (the
-// generic path encrypts in the instance's scratch block), so an instance
-// is never shared between goroutines.
+// gate — and a cycle's kernel hands GarbleAnds and EvalAnds runs of
+// mutually independent gates, so on amd64 CPUs with AES-NI an assembly
+// kernel encrypts eight blocks, two garbled or four evaluated gates, per
+// pass. Elsewhere cipher.Block encrypts one block at a time, gate by
+// gate. Every garbler and evaluator owns its Hash (the generic path
+// encrypts in the instance's scratch block), so an instance is never
+// shared between goroutines.
 //
 // Everything here is wire-stream-critical: both parties must derive
 // byte-identical public circuit state, so code in this package must be
@@ -42,6 +44,12 @@ func (l Label) Xor(m Label) Label { return Label{l.Lo ^ m.Lo, l.Hi ^ m.Hi} }
 
 // Bit returns the point-and-permute (low) bit.
 func (l Label) Bit() bool { return l.Lo&1 != 0 }
+
+// mask is all ones when the point-and-permute bit is set, zero otherwise.
+func (l Label) mask() uint64 { return -(l.Lo & 1) }
+
+// and returns l with each word ANDed with m.
+func (l Label) and(m uint64) Label { return Label{l.Lo & m, l.Hi & m} }
 
 // Bytes serializes the label little-endian.
 func (l Label) Bytes() [16]byte {

@@ -469,8 +469,8 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
 	batch := cfg.batch()
 	liveMax := batch * cfg.Circuit.Stats().NonXOR * gc.TableBytes
-	var f tableFrame
-	var pending []gc.Table // tables of the current frame not yet consumed
+	var payload []byte // the frame buffer, reused: read only once its tables are consumed
+	var pending []byte // tables of the current frame not yet consumed
 	inBatch := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -481,17 +481,18 @@ func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedu
 		var err error
 		if inBatch == 0 {
 			lo, hi := cfg.tableFrameBytes(cyc, liveMax)
-			if pending, err = f.read(r, cfg, res, cyc, lo, hi); err != nil {
+			if payload, err = readTables(r, cfg, res, payload, cyc, lo, hi); err != nil {
 				return err
 			}
+			pending = payload
 		}
-		if pending, err = e.EvalCycleTrace(ct, cyc, pending); err != nil {
+		if pending, err = e.EvalCycleTraceBytes(ct, cyc, pending); err != nil {
 			return err
 		}
 		inBatch++
 		if inBatch == batch || sched.Done() {
 			if len(pending) != 0 {
-				return fmt.Errorf("proto: cycle %d: %d unconsumed tables at batch end", cyc, len(pending))
+				return fmt.Errorf("proto: cycle %d: %d unconsumed tables at batch end", cyc, len(pending)/gc.TableBytes)
 			}
 			inBatch = 0
 		}
@@ -518,26 +519,18 @@ func (c Config) tableFrameBytes(cyc, liveMax int) (lo, hi int) {
 	return n, n
 }
 
-// tableFrame holds the evaluator's table-frame buffers, reused from frame
-// to frame: a frame is read only once the previous one's tables are all
-// consumed. They grow only to a length the frame's header check accepted.
-type tableFrame struct {
-	payload []byte
-	tables  []gc.Table
-}
-
-// read reads and parses one msgTables frame of lo to hi bytes, refusing
-// any other size from its header. The tables it returns are valid until
-// the next read.
-func (f *tableFrame) read(r io.Reader, cfg Config, res *Result, cyc, lo, hi int) ([]gc.Table, error) {
+// readTables reads one msgTables frame of lo to hi bytes into buf, grown
+// only to a length the header check accepted, refusing any other size from
+// its header. The kernel reads the tables where the payload holds them.
+func readTables(r io.Reader, cfg Config, res *Result, buf []byte, cyc, lo, hi int) ([]byte, error) {
 	h, err := wire.ReadHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	if f.payload, err = h.PayloadInto(f.payload, r, msgTables, lo, hi); err != nil {
+	payload, err := h.PayloadInto(buf, r, msgTables, lo, hi)
+	if err != nil {
 		return nil, err
 	}
-	payload := f.payload
 	if cfg.tapTables != nil {
 		cfg.tapTables(payload)
 	}
@@ -545,14 +538,5 @@ func (f *tableFrame) read(r io.Reader, cfg Config, res *Result, cyc, lo, hi int)
 	if len(payload)%gc.TableBytes != 0 {
 		return nil, fmt.Errorf("proto: cycle %d: ragged table frame of %d bytes", cyc, len(payload))
 	}
-	n := len(payload) / gc.TableBytes
-	if cap(f.tables) < n {
-		f.tables = make([]gc.Table, n)
-	}
-	tables := f.tables[:n]
-	for i := range tables {
-		tables[i].TG = gc.LabelFromBytes(payload[i*gc.TableBytes:])
-		tables[i].TE = gc.LabelFromBytes(payload[i*gc.TableBytes+16:])
-	}
-	return tables, nil
+	return payload, nil
 }
