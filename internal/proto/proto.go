@@ -4,7 +4,8 @@
 // transfer for the evaluator's labels (over base OTs a connection runs
 // once, see OTState), garbled-table streaming (batched
 // over CycleBatch cycles per frame) with SkipGate on both sides, and
-// two-way output decoding.
+// two-way output decoding. Each party's frames leave in flights
+// (wire.Flight): a write once 2 KiB are pending, and before every read.
 //
 // Both parties independently run the shared SkipGate scheduler from the
 // same public data, so no classification information is ever exchanged —
@@ -64,10 +65,11 @@ type Config struct {
 	Outputs OutputMode
 
 	// CycleBatch is how many cycles of garbled tables share one msgTables
-	// frame (default 1: a frame per cycle). Batching cuts the frame count
-	// — and, over a real network, the syscall and round-trip overhead —
-	// by the batch factor without changing a single table byte. Both
-	// parties must agree; it is part of the session id.
+	// frame (default 1: a frame per cycle). Batching cuts the frame count,
+	// and with it the header bytes, by the batch factor without changing
+	// a single table byte; how many writes carry the frames is the
+	// flights' business (wire.Flight). Both parties must agree; it is part
+	// of the session id.
 	CycleBatch int
 
 	// Sink, when set, receives every cycle's scheduling outcome as the
@@ -265,7 +267,8 @@ type Result struct {
 	Halted  bool
 
 	// TableFrames is the number of msgTables frames that crossed the
-	// wire; with CycleBatch > 1 it is ~Cycles/CycleBatch.
+	// wire, not of the flights that carried them; with CycleBatch > 1 it
+	// is ~Cycles/CycleBatch.
 	TableFrames int
 
 	// Trace is the recorded classification schedule when Config.Record
@@ -274,15 +277,31 @@ type Result struct {
 	Trace *core.Trace
 }
 
-// RunGarbler plays Alice.
-func RunGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
+// inFlight runs one party's side of a session over a wire.Flight on
+// conn, under ctx's watcher: the party's frames leave in flights, and the
+// last one when run returns without error.
+func inFlight(ctx context.Context, conn io.ReadWriter, run func(ctx context.Context, f io.ReadWriter) (*Result, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	stop := watchContext(ctx, conn)
 	defer stop()
-	res, err := runGarbler(ctx, conn, cfg, aliceInput, rnd)
-	return res, abortErr(ctx, err)
+	f := wire.NewFlight(conn)
+	res, err := run(ctx, f)
+	if err == nil {
+		err = f.Flush()
+	}
+	if err != nil {
+		return nil, abortErr(ctx, err)
+	}
+	return res, nil
+}
+
+// RunGarbler plays Alice.
+func RunGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
+	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter) (*Result, error) {
+		return runGarbler(ctx, f, cfg, aliceInput, rnd)
+	})
 }
 
 func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
@@ -354,13 +373,9 @@ func (c Config) schedule(seed core.Seed) (*core.Schedule, error) {
 
 // RunEvaluator plays Bob.
 func RunEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput []bool) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stop := watchContext(ctx, conn)
-	defer stop()
-	res, err := runEvaluator(ctx, conn, cfg, bobInput)
-	return res, abortErr(ctx, err)
+	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter) (*Result, error) {
+		return runEvaluator(ctx, f, cfg, bobInput)
+	})
 }
 
 func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput []bool) (*Result, error) {

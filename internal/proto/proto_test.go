@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,9 +17,13 @@ import (
 	"arm2gc/internal/sim"
 )
 
-// runBoth executes the protocol on both ends of a pipe.
+// runBoth executes the protocol on both ends of a pipe, under a deadline:
+// the pipe is unbuffered, so a party that waits with frames of its own
+// unwritten deadlocks the session, and the deadline makes that a failure.
 func runBoth(t *testing.T, cfg Config, alice, bob []bool) (*Result, *Result) {
 	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	ca, cb := net.Pipe()
 	defer ca.Close()
 	defer cb.Close()
@@ -27,10 +33,10 @@ func runBoth(t *testing.T, cfg Config, alice, bob []bool) (*Result, *Result) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		r, err := RunGarbler(context.Background(), ca, cfg, alice, nil)
+		r, err := RunGarbler(ctx, ca, cfg, alice, nil)
 		ch <- res{r, err}
 	}()
-	rb, err := RunEvaluator(context.Background(), cb, cfg, bob)
+	rb, err := RunEvaluator(ctx, cb, cfg, bob)
 	if err != nil {
 		t.Fatalf("evaluator: %v", err)
 	}
@@ -179,7 +185,10 @@ func TestCycleBatchMismatchRejected(t *testing.T) {
 	<-errc
 }
 
+// TestContextCancelUnblocks: a cancelled party returns the context's error
+// wherever it waits, and no goroutine outlives the calls.
 func TestContextCancelUnblocks(t *testing.T) {
+	before := runtime.NumGoroutine()
 	b := build.New("stall")
 	a := b.Input(circuit.Alice, "a", 8)
 	b.Output("o", a)
@@ -223,6 +232,91 @@ func TestContextCancelUnblocks(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled evaluator did not return")
+	}
+
+	// A session cancelled while the garbler holds a flight it has not
+	// written: the OT ciphertexts and the first two table frames, about
+	// 1.5 KB against the 2 KiB threshold, with the evaluator waiting on
+	// them. The garbler writes nothing after the cancellation.
+	mc, alice, bob := multiCycleConfig(t, 1)
+	ctx3, cancel3 := context.WithCancel(context.Background())
+	defer cancel3()
+	pa, pb := net.Pipe()
+	defer pa.Close()
+	defer pb.Close()
+	rc := &writeCounter{Conn: pa}
+	cfgG, cfgE := mc, mc
+	atCancel := -1
+	cfgG.Sink = func(cyc int, _ core.CycleStats) {
+		if cyc == 2 {
+			atCancel = rc.writes
+			cancel3()
+		}
+	}
+	tables := 0
+	cfgE.tapTables = func([]byte) { tables++ }
+	go func() {
+		_, err := RunGarbler(ctx3, rc, cfgG, alice, nil)
+		errc <- err
+	}()
+	if _, err := RunEvaluator(ctx3, pb, cfgE, bob); !errors.Is(err, context.Canceled) {
+		t.Fatalf("evaluator of a streaming session returned %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("garbler of a streaming session returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled streaming garbler did not return")
+	}
+	if atCancel < 0 || rc.writes != atCancel || tables != 0 {
+		t.Errorf("garbler wrote %d times by the cancellation and %d in all, and %d table frames arrived: the pending flight left",
+			atCancel, rc.writes, tables)
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled sessions, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// writeCounter counts its owner's writes.
+type writeCounter struct {
+	net.Conn
+	writes int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+// TestFlightsEveryOutputMode runs Hamming(64), whose table frames share
+// flights, once in each output mode: every flight must leave before its
+// party waits, or the unbuffered pipe deadlocks the session.
+func TestFlightsEveryOutputMode(t *testing.T) {
+	var want []bool
+	for _, mode := range []OutputMode{OutputBoth, OutputGarblerOnly, OutputEvaluatorOnly} {
+		cfg, alice, bob := hammingConfig(t, 10_000, 1)
+		cfg.Outputs = mode
+		ra, rb := runBoth(t, cfg, alice, bob)
+		switch mode {
+		case OutputBoth:
+			want = rb.Outputs
+			if !slices.Equal(ra.Outputs, want) {
+				t.Fatalf("both: the parties decoded different outputs")
+			}
+		case OutputGarblerOnly:
+			if !slices.Equal(ra.Outputs, want) || rb.Outputs != nil {
+				t.Fatalf("garbler-only: garbler %v, evaluator %v", ra.Outputs, rb.Outputs)
+			}
+		case OutputEvaluatorOnly:
+			if !slices.Equal(rb.Outputs, want) || ra.Outputs != nil {
+				t.Fatalf("evaluator-only: evaluator %v, garbler %v", rb.Outputs, ra.Outputs)
+			}
+		}
 	}
 }
 

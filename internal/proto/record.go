@@ -233,13 +233,9 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 // stream's session id (it fixes the output mode the decode phase runs
 // under). The caller guarantees rec has never been served before.
 func ServeRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Recorded) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stop := watchContext(ctx, conn)
-	defer stop()
-	res, err := serveRecorded(ctx, conn, cfg, rec)
-	return res, abortErr(ctx, err)
+	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter) (*Result, error) {
+		return serveRecorded(ctx, f, cfg, rec)
+	})
 }
 
 func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Recorded) (*Result, error) {

@@ -12,6 +12,9 @@
 // (empty when that direction has nothing to reveal), so a relay knows
 // where every session ends from the frame types alone.
 //
+// Write boundaries are not part of the contract: a session's frames leave
+// in flights (see Flight), and a reader takes the stream as it comes.
+//
 // Every read here is refused from its header — wrong type, or a length
 // outside what the reader expects — before anything is allocated for the
 // payload.
@@ -54,20 +57,14 @@ func AppendHeader(b []byte, typ byte, n int) []byte {
 	return binary.LittleEndian.AppendUint32(append(b, typ), uint32(n))
 }
 
-// Write writes one frame: the header, then the payload.
+// Write writes one frame, header and payload, in one write: a frame sent
+// alone is one segment on a TCP_NODELAY connection, and the peer never
+// wakes on a header without its payload. The write is never empty (a
+// 0-byte net.Pipe write blocks until *some* read arrives, and a reader's
+// ReadFull never issues one), so an empty payload costs only its header.
 func Write(w io.Writer, typ byte, payload []byte) error {
-	hdr := AppendHeader(make([]byte, 0, HeaderLen), typ, len(payload))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		// Skip the zero-byte write: a reader's ReadFull never issues the
-		// matching zero-byte read, and a 0-byte net.Pipe write blocks
-		// until *some* read arrives — a deadlock when the peer's next
-		// operation is itself a write.
-		return nil
-	}
-	_, err := w.Write(payload)
+	frame := AppendHeader(make([]byte, 0, HeaderLen+len(payload)), typ, len(payload))
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 

@@ -205,7 +205,9 @@ func TestRelayRejects(t *testing.T) {
 		t.Errorf("a refused frame left %d bytes to forward (%v)", dst.Len(), err)
 	}
 
-	huge := append(AppendHeader(nil, Tables, 0xFFFFFFFF), "only a few bytes follow"...)
+	// The header is spelled out: AppendHeader takes an int, and 0xFFFFFFFF
+	// overflows one on a 32-bit target.
+	huge := append([]byte{Tables, 0xFF, 0xFF, 0xFF, 0xFF}, "only a few bytes follow"...)
 	_, err = r.Frame(io.Discard, bufio.NewReader(bytes.NewReader(huge)), TypeSet(Tables))
 	if err != io.ErrUnexpectedEOF && err != io.EOF {
 		t.Errorf("truncated 4 GiB frame: %v, want an EOF error", err)

@@ -1,8 +1,11 @@
 package arm2gc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"slices"
@@ -262,17 +265,35 @@ func TestWithTraceReuseIsNoOp(t *testing.T) {
 	}
 }
 
+// recorderChildEnv marks the child process TestSessionTraceRecorderBounded
+// measures in.
+const recorderChildEnv = "ARM2GC_RECORDER_BOUNDED_CHILD"
+
 // TestSessionTraceRecorderBounded runs three sessions of a program whose
 // trace is four times the Engine's trace budget. The first claims the
 // recording, drops it once the cache refuses its next cycle and leaves a
 // tombstone; the other two classify without recording. Outputs stay
 // correct, and the heap held by the recorder never exceeds the budget plus
 // one cycle. It is measured after every cycle as the live heap over that
-// of the same run
-// with no recorder at all (its recording slot held elsewhere); one cycle
-// is the largest step an unbounded recording of the run takes before it
-// reaches the budget.
+// of the same run with no recorder at all (its recording slot held
+// elsewhere); one cycle is the largest step an unbounded recording of the
+// run takes before it reaches the budget.
+//
+// The heap is the whole process's, so the measuring runs in a child
+// process of the test binary that runs this test alone, with spare
+// threads started first: neither an allocation another test left behind
+// nor a thread the runtime starts can land between two readings.
 func TestSessionTraceRecorderBounded(t *testing.T) {
+	if os.Getenv(recorderChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSessionTraceRecorderBounded$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), recorderChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestSessionTraceRecorderBounded")) {
+			t.Fatalf("measuring child process: %v\n%s", err, out)
+		}
+		return
+	}
+	startIdleThreads(4)
 	prog := compileAdd(t)
 	ctx := context.Background()
 	// Two collections: garbage with a finalizer (an earlier test's
@@ -361,6 +382,34 @@ func TestSessionTraceRecorderBounded(t *testing.T) {
 	if got := eng.traces.Bytes(); got <= 0 || got > budget/4 {
 		t.Fatalf("cache charges %d bytes for the tombstone", got)
 	}
+}
+
+// startIdleThreads makes the runtime start n more OS threads and leaves
+// them idle for it to use. The runtime starts a thread when it wakes a
+// processor and finds no idle thread, at moments that vary from run to
+// run (a forced collection's restart is one), and each thread's runtime
+// state stays on the heap for good: 5,504 B with Go 1.24 on linux/amd64.
+// One started between two readings of the live heap reads as 5.5 KB held
+// by whatever the test measures. Each of the n goroutines wires itself to
+// a thread until all are wired, so each needs a thread of its own;
+// unwired, the threads stay with the runtime.
+func startIdleThreads(n int) {
+	var wired, done sync.WaitGroup
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wired.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			wired.Done()
+			<-release
+		}()
+	}
+	wired.Wait()
+	close(release)
+	done.Wait()
 }
 
 // TestSessionTraceRecordingsShareBudget runs eight sessions at once, each
