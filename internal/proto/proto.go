@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"arm2gc/internal/circuit"
@@ -312,6 +313,17 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 	if err := rec.handshake(conn, cfg.OT); err != nil {
 		return nil, err
 	}
+	// The handshake's last read woke this goroutine from the network
+	// poller, and the table stream below computes for milliseconds without
+	// blocking. The runtime starts no spinning thread when a goroutine
+	// returns from a blocking netpoll, and sysmon polls only once the last
+	// poll is 10 ms old, so until then no thread watches the poller: a
+	// goroutine whose socket has data — the evaluator, when both parties
+	// share a process — stays parked while an idle core waits, and the
+	// two parties run one after the other. A yield wakes an idle P
+	// (Gosched calls wakep), whose thread polls the network and runs that
+	// goroutine beside the stream.
+	runtime.Gosched()
 	res := &Result{}
 	err = garbleFrames(ctx, cfg, sched, g, func(frame []byte) error {
 		if _, err := conn.Write(frame); err != nil {

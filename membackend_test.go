@@ -66,7 +66,7 @@ func relaxInputs() (alice, bob []uint32) {
 	alice = make([]uint32, 32)
 	bob = make([]uint32, 16)
 	for i := range alice {
-		alice[i] = uint32(i*2654435761 + 17)
+		alice[i] = uint32(i)*2654435761 + 17
 	}
 	for i := range bob {
 		bob[i] = uint32(i*40499 + 3)
