@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet analyze test race fuzz-smoke cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark loc
+.PHONY: all build vet analyze test race fuzz-smoke cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark bench-session loc
 
 all: build vet test
 
@@ -126,6 +126,14 @@ test-membackend:
 # silently break it.
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# One replayed session, both parties over net.Pipe with the trace and the
+# OTs warm, on sum32 and Hamming(512): time and heap per session
+# (internal/proto BenchmarkReplayedSession). BENCHTIME=1x only checks that
+# it still builds and runs, as CI does.
+BENCHTIME ?= 2s
+bench-session:
+	$(GO) test -run '^$$' -bench '^BenchmarkReplayedSession$$' -benchmem -benchtime $(BENCHTIME) ./internal/proto
 
 # The line metric the ROADMAP tracks: non-test Go lines outside
 # benchmark/ added, deleted and net since 21d10ad (the commit the

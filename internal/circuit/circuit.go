@@ -209,9 +209,14 @@ type Circuit struct {
 	// Names for diagnostics; may be empty.
 	Name string
 
-	// digest memoizes Hash: a frozen netlist has one digest for life.
+	// digest memoizes Hash, stats Stats and inputs SecretInputs: a frozen
+	// netlist has one of each for life.
 	digestOnce sync.Once
 	digest     [32]byte
+	statsOnce  sync.Once
+	stats      Stats
+	inputsOnce sync.Once
+	inputs     []SecretInput
 }
 
 // NumWires returns the size of the wire space.
@@ -251,8 +256,15 @@ type Stats struct {
 	Ports  int
 }
 
-// Stats computes gate composition statistics.
+// Stats returns the gate composition statistics. Every session asks for
+// them, so, like Hash, they are counted on the first call and kept.
 func (c *Circuit) Stats() Stats {
+	c.statsOnce.Do(func() { c.stats = c.countStats() })
+	return c.stats
+}
+
+// countStats counts the netlist's gates by class.
+func (c *Circuit) countStats() Stats {
 	s := Stats{Gates: len(c.Gates), DFFs: len(c.DFFs), Ports: len(c.Ports)}
 	for _, g := range c.Gates {
 		switch g.Op {
@@ -265,6 +277,42 @@ func (c *Circuit) Stats() Stats {
 		}
 	}
 	return s
+}
+
+// SecretInput is a wire initialized from a party's input bit: a port wire
+// of Alice or Bob, or a flip-flop output with an InitAlice or InitBob
+// initial value.
+type SecretInput struct {
+	Wire  Wire
+	Owner Owner // Alice or Bob
+	Idx   int   // bit index into the owner's input vector
+}
+
+// SecretInputs lists the wires initialized from a party input bit: the
+// secret ports' wires in port order, then the secret-initialized
+// flip-flops' outputs in flip-flop order. Public and constant
+// initializations are absent. The list is built on the first call and
+// kept; callers must not modify it.
+func (c *Circuit) SecretInputs() []SecretInput {
+	c.inputsOnce.Do(func() {
+		for _, p := range c.Ports {
+			if p.Owner == Public {
+				continue
+			}
+			for b := 0; b < p.Bits; b++ {
+				c.inputs = append(c.inputs, SecretInput{Wire: p.Base + Wire(b), Owner: p.Owner, Idx: p.Off + b})
+			}
+		}
+		for i, d := range c.DFFs {
+			switch d.Init.Kind {
+			case InitAlice:
+				c.inputs = append(c.inputs, SecretInput{Wire: c.QWire(i), Owner: Alice, Idx: d.Init.Idx})
+			case InitBob:
+				c.inputs = append(c.inputs, SecretInput{Wire: c.QWire(i), Owner: Bob, Idx: d.Init.Idx})
+			}
+		}
+	})
+	return c.inputs
 }
 
 // Validate checks structural well-formedness: wire ranges, topological

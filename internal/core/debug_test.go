@@ -83,7 +83,10 @@ func diagnose(t *testing.T, c *circuit.Circuit, in sim.Inputs, cycles int, rng *
 			if gi >= 0 && s.fan[gi] <= 0 {
 				continue // dead: label intentionally not materialized
 			}
-			slot := s.LabelWire(wire)
+			slot := s.LabelSlot(wire)
+			if slot < 0 {
+				continue // read only by held flip-flops: never compiled, never named
+			}
 			x := e.Active(slot)
 			switch x {
 			case g.X0(slot):

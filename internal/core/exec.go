@@ -20,10 +20,10 @@ type Garbler struct {
 
 	c       *circuit.Circuit
 	h       *gc.Hash
-	x0      []gc.Label
+	x0      []gc.Label // false label per slot, grown to each cycle's width
 	alice   []gc.Label // X0 per Alice input bit
 	bob     []gc.Label // X0 per Bob input bit
-	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
+	dirty   []int32    // the Q slots the cycle the kernel last ran commits
 	dSrc    []int32    // the slots their D labels live in
 	dffNext []gc.Label // CopyDFFs' gather buffer
 	scratch []byte     // GarbleCycleTrace's table bytes
@@ -44,12 +44,14 @@ func NewGarbler(s *Scheduler, rnd io.Reader) *Garbler {
 // The label draws (R, then Alice's bits, then Bob's) happen in one fixed
 // order, so executors given the same randomness produce the same labels —
 // and therefore the same wire bytes — however their cycles are sourced.
+// Its label array holds the input slots until the first cycle widens it.
 func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
+	ins := c.SecretInputs()
 	g := &Garbler{
 		c:     c,
 		R:     gc.RandDelta(rnd),
 		h:     gc.NewHash(),
-		x0:    make([]gc.Label, c.NumWires()),
+		x0:    make([]gc.Label, len(ins)),
 		alice: make([]gc.Label, c.AliceBits),
 		bob:   make([]gc.Label, c.BobBits),
 	}
@@ -59,13 +61,13 @@ func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
 	for i := range g.bob {
 		g.bob[i] = gc.RandLabel(rnd)
 	}
-	forEachSecretInit(c, func(w circuit.Wire, owner circuit.Owner, idx int) {
-		if owner == circuit.Alice {
-			g.x0[w] = g.alice[idx]
+	for k, in := range ins {
+		if in.Owner == circuit.Alice {
+			g.x0[k] = g.alice[in.Idx]
 		} else {
-			g.x0[w] = g.bob[idx]
+			g.x0[k] = g.bob[in.Idx]
 		}
-	})
+	}
 	return g
 }
 
@@ -82,25 +84,25 @@ func ReadReplayGarbler(c *circuit.Circuit, rnd io.Reader) (*Garbler, error) {
 	return NewReplayGarbler(c, bytes.NewReader(buf)), nil
 }
 
-// forEachSecretInit visits every wire initialized from a party input bit
-// (ports and flip-flop initial values). Public and constant
-// initializations carry no labels under SkipGate.
-func forEachSecretInit(c *circuit.Circuit, f func(w circuit.Wire, owner circuit.Owner, idx int)) {
-	for _, p := range c.Ports {
-		if p.Owner == circuit.Public {
-			continue
-		}
-		for b := 0; b < p.Bits; b++ {
-			f(p.Base+circuit.Wire(b), p.Owner, p.Off+b)
-		}
+// fit returns labels lengthened to width slots when it is shorter. A live
+// run's width grows cycle by cycle, so the array grows as append does; a
+// replayed trace names its whole width in every cycle, so the array grows
+// once.
+func fit(labels []gc.Label, width int32) []gc.Label {
+	if n := int(width); len(labels) < n {
+		labels = slices.Grow(labels, n-len(labels))[:n]
 	}
-	for i, d := range c.DFFs {
-		switch d.Init.Kind {
-		case circuit.InitAlice:
-			f(c.QWire(i), circuit.Alice, d.Init.Idx)
-		case circuit.InitBob:
-			f(c.QWire(i), circuit.Bob, d.Init.Idx)
-		}
+	return labels
+}
+
+// checkWidth panics, before the kernel touches a label, unless labels
+// holds every slot of ct and tables every one of its tables: the compiler
+// validated each op's slots against the cycle's width (Scheduler.seal),
+// so these two checks are all the batched hash passes need.
+func checkWidth(ct *CycleTrace, labels []gc.Label, tables []byte) {
+	if len(labels) < int(ct.width) || len(tables) < ct.NumTables()*gc.TableBytes {
+		panic(fmt.Sprintf("core: cycle of width %d and %d tables run on %d labels and %d table bytes",
+			ct.width, ct.NumTables(), len(labels), len(tables)))
 	}
 }
 
@@ -156,10 +158,16 @@ func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc
 func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []byte {
 	n := len(dst)
 	dst = slices.Grow(dst, ct.NumTables()*gc.TableBytes)[:n+ct.NumTables()*gc.TableBytes]
-	tables := dst[n:]
+	g.x0 = fit(g.x0, ct.width)
 	g.dirty, g.dSrc = ct.dirty, ct.dirtySrc
-	base := uint64(cyc-1) * uint64(len(g.c.Gates))
-	x0, r := g.x0, g.R
+	garbleCycle(g.h, g.R, g.x0, ct, uint64(cyc-1)*uint64(len(g.c.Gates)), dst[n:])
+	return dst
+}
+
+// garbleCycle is the garbler's kernel proper: ct's ops over the false
+// labels x0, gate ids based at base, tables written into tables.
+func garbleCycle(h *gc.Hash, r gc.Label, x0 []gc.Label, ct *CycleTrace, base uint64, tables []byte) {
+	checkWidth(ct, x0, tables)
 	ci, gi := 0, 0
 	for _, seg := range ct.segs {
 		for end := ci + int(seg.copies); ci < end; ci++ {
@@ -176,14 +184,13 @@ func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []
 		// The wave's ANDs, then its MUXes, one gate at a time.
 		end, m := gi+int(seg.garbles), ct.muxes(gi, gi+int(seg.garbles))
 		run := ct.ands(gi, m, base)
-		gc.GarbleAnds(g.h, r, x0, &run, tables)
+		gc.GarbleAnds(h, r, x0, &run, tables)
 		for gi = m; gi < end; gi++ {
-			c0, t := gc.GarbleMux(g.h, r, x0[ct.garbS[gi]], x0[ct.garbA[gi]], x0[ct.garbB[gi]], base+uint64(ct.garbGate[gi]))
+			c0, t := gc.GarbleMux(h, r, x0[ct.garbS[gi]], x0[ct.garbA[gi]], x0[ct.garbB[gi]], base+uint64(ct.garbGate[gi]))
 			x0[ct.garbOut[gi]] = c0
 			t.Put(tables[int(ct.garbSlot[gi])*gc.TableBytes:])
 		}
 	}
-	return dst
 }
 
 // CopyDFFs performs the end-of-cycle flip-flop label copy for the cycle the
@@ -192,31 +199,31 @@ func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []
 // nothing — so before the first kernel run, and after a final budget
 // cycle, it does nothing.
 func (g *Garbler) CopyDFFs() {
-	g.dffNext = copyDFFs(g.c, g.x0, g.dirty, g.dSrc, g.dffNext[:0])
+	g.dffNext = copyDFFs(g.x0, g.dirty, g.dSrc, g.dffNext[:0])
 }
 
 // copyDFFs moves each dirty flip-flop's D label, read from the slot src
-// names, to its Q wire, gathering into next before scattering: a D's label
-// may live in another flip-flop's Q.
-func copyDFFs(c *circuit.Circuit, labels []gc.Label, dirty, src []int32, next []gc.Label) []gc.Label {
+// names, to its Q's slot in dst, gathering into next before scattering: a
+// D's label may live in another flip-flop's Q.
+func copyDFFs(labels []gc.Label, dst, src []int32, next []gc.Label) []gc.Label {
 	for _, w := range src {
 		next = append(next, labels[w])
 	}
-	for k, i := range dirty {
-		labels[c.QWire(int(i))] = next[k]
+	for k, q := range dst {
+		labels[q] = next[k]
 	}
 	return next
 }
 
 // DecodeBit returns the point-and-permute decode bit of the label in slot
 // w (see X0).
-func (g *Garbler) DecodeBit(w circuit.Wire) bool { return g.x0[w].Bit() }
+func (g *Garbler) DecodeBit(w int32) bool { return g.x0[w].Bit() }
 
-// X0 exposes the false label in slot w (tests and the protocol layer). A
-// slot is indexed by wire, but a plain passthrough's label lives in its
-// source's slot: resolve a wire first, through Schedule.OutputWires for
-// outputs or Scheduler.LabelWire for any wire of the current cycle.
-func (g *Garbler) X0(w circuit.Wire) gc.Label { return g.x0[w] }
+// X0 exposes the false label in slot w (tests and the protocol layer).
+// Slots are the compiler's, not wires: resolve a wire first, through
+// Schedule.OutputSlots for outputs or Scheduler.LabelSlot for any wire of
+// the current cycle.
+func (g *Garbler) X0(w int32) gc.Label { return g.x0[w] }
 
 // Evaluator is Bob's crypto executor, mirroring Garbler with active labels
 // and EvalCycleTraceBytes as its one kernel.
@@ -225,8 +232,8 @@ type Evaluator struct {
 
 	c       *circuit.Circuit
 	h       *gc.Hash
-	x       []gc.Label
-	dirty   []int32    // dirty flip-flops of the cycle the kernel last ran
+	x       []gc.Label // active label per slot, grown to each cycle's width
+	dirty   []int32    // the Q slots the cycle the kernel last ran commits
 	dSrc    []int32    // the slots their D labels live in
 	dffNext []gc.Label // CopyDFFs' gather buffer
 	scratch []byte     // EvalCycleTrace's table bytes
@@ -247,7 +254,7 @@ func NewReplayEvaluator(c *circuit.Circuit) *Evaluator {
 	return &Evaluator{
 		c: c,
 		h: gc.NewHash(),
-		x: make([]gc.Label, c.NumWires()),
+		x: make([]gc.Label, len(c.SecretInputs())),
 	}
 }
 
@@ -261,13 +268,13 @@ func (e *Evaluator) SetInputs(aliceActive, bobChosen []gc.Label) error {
 	if len(bobChosen) != c.BobBits {
 		return fmt.Errorf("core: %d bob labels, want %d", len(bobChosen), c.BobBits)
 	}
-	forEachSecretInit(c, func(w circuit.Wire, owner circuit.Owner, idx int) {
-		if owner == circuit.Alice {
-			e.x[w] = aliceActive[idx]
+	for k, in := range c.SecretInputs() {
+		if in.Owner == circuit.Alice {
+			e.x[k] = aliceActive[in.Idx]
 		} else {
-			e.x[w] = bobChosen[idx]
+			e.x[k] = bobChosen[in.Idx]
 		}
-	})
+	}
 	return nil
 }
 
@@ -306,11 +313,16 @@ func (e *Evaluator) EvalCycleTraceBytes(ct *CycleTrace, cyc int, tables []byte) 
 	if len(tables) < n*gc.TableBytes {
 		return nil, exhausted(cyc, n, len(tables)/gc.TableBytes)
 	}
-	rest := tables[n*gc.TableBytes:]
-	tables = tables[:n*gc.TableBytes]
+	e.x = fit(e.x, ct.width)
 	e.dirty, e.dSrc = ct.dirty, ct.dirtySrc
-	base := uint64(cyc-1) * uint64(len(e.c.Gates))
-	x := e.x
+	evalCycle(e.h, e.x, ct, uint64(cyc-1)*uint64(len(e.c.Gates)), tables[:n*gc.TableBytes])
+	return tables[n*gc.TableBytes:], nil
+}
+
+// evalCycle is the evaluator's kernel proper: ct's ops over the active
+// labels x, gate ids based at base, tables read from tables.
+func evalCycle(h *gc.Hash, x []gc.Label, ct *CycleTrace, base uint64, tables []byte) {
+	checkWidth(ct, x, tables)
 	ci, gi := 0, 0
 	for _, seg := range ct.segs {
 		for end := ci + int(seg.copies); ci < end; ci++ {
@@ -327,13 +339,12 @@ func (e *Evaluator) EvalCycleTraceBytes(ct *CycleTrace, cyc int, tables []byte) 
 		// form evaluates as a plain half-gates AND.
 		end, m := gi+int(seg.garbles), ct.muxes(gi, gi+int(seg.garbles))
 		run := ct.ands(gi, m, base)
-		gc.EvalAnds(e.h, x, &run, tables)
+		gc.EvalAnds(h, x, &run, tables)
 		for gi = m; gi < end; gi++ {
 			t := gc.TableFromBytes(tables[int(ct.garbSlot[gi])*gc.TableBytes:])
-			x[ct.garbOut[gi]] = gc.EvalMux(e.h, x[ct.garbS[gi]], x[ct.garbA[gi]], x[ct.garbB[gi]], t, base+uint64(ct.garbGate[gi]))
+			x[ct.garbOut[gi]] = gc.EvalMux(h, x[ct.garbS[gi]], x[ct.garbA[gi]], x[ct.garbB[gi]], t, base+uint64(ct.garbGate[gi]))
 		}
 	}
-	return rest, nil
 }
 
 // exhausted is the error for a table stream that ends inside cycle cyc.
@@ -344,13 +355,13 @@ func exhausted(cyc, need, have int) error {
 // CopyDFFs performs the end-of-cycle flip-flop label copy, mirroring
 // Garbler.CopyDFFs.
 func (e *Evaluator) CopyDFFs() {
-	e.dffNext = copyDFFs(e.c, e.x, e.dirty, e.dSrc, e.dffNext[:0])
+	e.dffNext = copyDFFs(e.x, e.dirty, e.dSrc, e.dffNext[:0])
 }
 
 // ActiveBit returns the point-and-permute bit of Bob's active label in slot
 // w (see Active).
-func (e *Evaluator) ActiveBit(w circuit.Wire) bool { return e.x[w].Bit() }
+func (e *Evaluator) ActiveBit(w int32) bool { return e.x[w].Bit() }
 
 // Active exposes the active label in slot w, which, as with Garbler.X0, is
-// a resolved wire: Schedule.OutputWires or Scheduler.LabelWire.
-func (e *Evaluator) Active(w circuit.Wire) gc.Label { return e.x[w] }
+// a compiler's slot: Schedule.OutputSlots or Scheduler.LabelSlot.
+func (e *Evaluator) Active(w int32) gc.Label { return e.x[w] }

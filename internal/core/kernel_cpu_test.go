@@ -147,9 +147,12 @@ func hamming160(t *testing.T) (*cpu.CPU, sim.Inputs, *core.RunResult) {
 // TestHammingCycleCounters pins the machine-independent work of a garbled
 // processor run: netlist gates classified per cycle, garbled tables,
 // flip-flop label commits and executed copies over Hamming(160)'s 470
-// cycles (1.021 tables, 6.979 commits and 3.906 copies per cycle). They
-// are exact properties of the scheduler and the trace compiler; a change
-// that moves one moves the cost of every session. The copies are inverted
+// cycles (1.021 tables, 6.979 commits and 3.906 copies per cycle), and the
+// trace's width: the 679 label slots a replaying executor holds, the
+// distinct wires its ops and commits name, inputs included, where a
+// per-wire array holds one label for each of 19,046 wires. They are exact
+// properties of the scheduler and the trace compiler; a change that moves
+// one moves the cost of every session. The copies are inverted
 // passthroughs and free XORs only: a plain passthrough is compiled to an
 // alias, so replaying the trace never executes one.
 func TestHammingCycleCounters(t *testing.T) {
@@ -167,10 +170,10 @@ func TestHammingCycleCounters(t *testing.T) {
 		}
 		g.CopyDFFs()
 	}
-	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), res.Stats.Total.Garbled, dffs, copies}
-	want := [...]int{13_567, 470, 480, 3_280, 1_836}
+	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), res.Stats.Total.Garbled, dffs, copies, tr.Width()}
+	want := [...]int{13_567, 470, 480, 3_280, 1_836, 679}
 	if got != want {
-		t.Fatalf("gates, cycles, tables, DFF commits, copies = %v, want %v", got, want)
+		t.Fatalf("gates, cycles, tables, DFF commits, copies, label slots = %v, want %v", got, want)
 	}
 }
 

@@ -193,7 +193,7 @@ func TestKernelGarbledShapes(t *testing.T) {
 			if rest, err := ev.EvalCycleTrace(ct, 1, tables); err != nil || len(rest) != 0 {
 				t.Fatalf("%s: %d tables left, err %v", sh.name, len(rest), err)
 			}
-			w := sc.LabelWire(6)
+			w := sc.LabelSlot(6)
 			x0, x := gb.X0(w), ev.Active(w)
 			if x != x0 && x != x0.Xor(gb.R) {
 				t.Fatalf("%s, inputs %04b: active label matches neither X0 nor X1", sh.name, v)
@@ -245,7 +245,7 @@ func TestKernelGarbledShapes(t *testing.T) {
 			t.Fatalf("inputs %04b: %d tables left, err %v", v, len(rest), err)
 		}
 		for i, g := range gates {
-			w := sc.LabelWire(circuit.Wire(6 + i))
+			w := sc.LabelSlot(circuit.Wire(6 + i))
 			x0, x := gb.X0(w), ev.Active(w)
 			if x != x0 && x != x0.Xor(gb.R) {
 				t.Fatalf("gate %d, inputs %04b: active label matches neither X0 nor X1", i, v)
@@ -321,31 +321,39 @@ func (o *denseOracle) cycle(t testing.TB, final bool) {
 	}
 	o.ct.flush()
 	s.waves(&o.ct)
+	s.seal(&o.ct)
 	tables := o.g.GarbleCycleTrace(&o.ct, s.cycle, nil)
 	if rest, err := o.e.EvalCycleTrace(&o.ct, s.cycle, tables); err != nil || len(rest) != 0 {
 		t.Fatalf("oracle cycle %d: %d tables left, err %v", s.cycle, len(rest), err)
 	}
 }
 
-// copyDFFs is the dense commit: every flip-flop, every cycle, each D
-// label read from the slot it lives in.
+// copyDFFs is the dense commit: every flip-flop, every cycle, each secret
+// D label read from the slot it lives in and written to its Q's slot (a
+// public one has no label to move).
 func (o *denseOracle) copyDFFs() {
 	c := o.s.C
 	for i, d := range c.DFFs {
 		o.nextSt[i], o.nextFP[i] = o.s.st[d.D], o.s.fp[d.D]
-		src := o.s.ref[d.D]
-		o.nextG[i], o.nextE[i] = o.g.x0[src], o.e.x[src]
+		if o.nextSt[i] == stSecret {
+			src := o.s.ref[d.D]
+			o.nextG[i], o.nextE[i] = o.g.x0[src], o.e.x[src]
+		}
 	}
 	for i := range c.DFFs {
 		w := c.QWire(i)
 		o.s.st[w], o.s.fp[w] = o.nextSt[i], o.nextFP[i]
-		o.g.x0[w], o.e.x[w] = o.nextG[i], o.nextE[i]
+		if o.nextSt[i] == stSecret {
+			q := o.s.at(w)
+			o.g.x0, o.e.x = fit(o.g.x0, o.s.width), fit(o.e.x, o.s.width)
+			o.g.x0[q], o.e.x[q] = o.nextG[i], o.nextE[i]
+		}
 	}
 }
 
 // checkLabels asserts that every secret Q wire carries the reference's
-// labels on both executors under test.
-func (o *denseOracle) checkLabels(t testing.TB, g *Garbler, e *Evaluator) {
+// labels on both executors under test, whose slots s names.
+func (o *denseOracle) checkLabels(t testing.TB, s *Scheduler, g *Garbler, e *Evaluator) {
 	t.Helper()
 	c := o.s.C
 	for i := range c.DFFs {
@@ -353,10 +361,11 @@ func (o *denseOracle) checkLabels(t testing.TB, g *Garbler, e *Evaluator) {
 		if o.s.st[w] != stSecret {
 			continue
 		}
-		if g.X0(w) != o.g.X0(w) {
+		q, oq := s.LabelSlot(w), o.s.LabelSlot(w)
+		if g.X0(q) != o.g.X0(oq) {
 			t.Fatalf("after cycle %d: flip-flop %d: garbler X0 differs from the dense commit's", o.s.cycle, i)
 		}
-		if e.Active(w) != o.e.Active(w) {
+		if e.Active(q) != o.e.Active(oq) {
 			t.Fatalf("after cycle %d: flip-flop %d: evaluator active label differs from the dense commit's", o.s.cycle, i)
 		}
 	}
@@ -376,7 +385,8 @@ func (o *denseOracle) checkScheduler(t testing.TB, s *Scheduler) {
 }
 
 // checkDirtyLists recomputes, by brute force over every flip-flop, what
-// the cycle s just classified must commit, and compares both lists.
+// the cycle s just classified must commit, and compares both lists; the
+// compiled cycle must name the dirty flip-flops' Q slots.
 func checkDirtyLists(t testing.TB, s *Scheduler, final bool) {
 	t.Helper()
 	c := s.C
@@ -402,8 +412,13 @@ func checkDirtyLists(t testing.TB, s *Scheduler, final bool) {
 	if !slices.Equal(got, changed) {
 		t.Fatalf("cycle %d: scheduler commits Q wires %v, want %v", s.cycle, got, changed)
 	}
-	if !slices.Equal(s.ct.dirty, dirty) {
-		t.Fatalf("cycle %d: dirty flip-flops %v, want %v", s.cycle, s.ct.dirty, dirty)
+	if !slices.Equal(s.dirtyFF, dirty) {
+		t.Fatalf("cycle %d: dirty flip-flops %v, want %v", s.cycle, s.dirtyFF, dirty)
+	}
+	for k, i := range dirty {
+		if q := s.LabelSlot(c.QWire(int(i))); s.ct.dirty[k] != q {
+			t.Fatalf("cycle %d: dirty flip-flop %d commits to slot %d, its Q's is %d", s.cycle, i, s.ct.dirty[k], q)
+		}
 	}
 }
 
@@ -411,13 +426,24 @@ func checkDirtyLists(t testing.TB, s *Scheduler, final bool) {
 // feeding the two kernels and their CopyDFFs, live and recording when
 // opts.Trace is nil, replaying otherwise — in lockstep with a denseOracle,
 // and compares flip-flop labels (and, live, scheduler state and the dirty
-// lists) after every cycle. It returns what RunLocal would.
+// lists) after every cycle. A replayed run has no scheduler to name its
+// slots, so a live schedule of the same run steps beside it as a mirror:
+// the trace's slots are the ones its compiler assigned. It returns what
+// RunLocal would.
 func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts RunOpts) *RunResult {
 	t.Helper()
 	const labelSeed = 77
 	sc, err := NewSchedule(c, in.Public, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	live := sc
+	if opts.Trace != nil {
+		mirror := opts
+		mirror.Trace = nil
+		if live, err = NewSchedule(c, in.Public, mirror); err != nil {
+			t.Fatal(err)
+		}
 	}
 	g := NewReplayGarbler(c, rand.New(rand.NewSource(labelSeed)))
 	e := NewReplayEvaluator(c)
@@ -429,6 +455,9 @@ func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts
 	var tables []gc.Table
 	for {
 		ct := sc.Next()
+		if live != sc {
+			live.Next()
+		}
 		final := sc.Cycle() == opts.Cycles
 		if sc.s != nil {
 			if sc.Cycle() > 1 {
@@ -436,7 +465,7 @@ func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts
 			}
 			checkDirtyLists(t, sc.s, final)
 		}
-		for _, i := range ct.dirty {
+		for _, i := range live.s.dirtyFF {
 			if c.DFFs[i].D == c.QWire(int(i)) {
 				t.Fatalf("cycle %d: self-loop flip-flop %d is dirty", sc.Cycle(), i)
 			}
@@ -461,7 +490,7 @@ func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts
 		g.CopyDFFs()
 		e.CopyDFFs()
 		o.copyDFFs()
-		o.checkLabels(t, g, e)
+		o.checkLabels(t, live.s, g, e)
 	}
 	res.Stats, res.Halted, res.Trace = sc.Stats(), sc.Halted(), sc.Trace()
 	return res
@@ -581,8 +610,10 @@ func TestShiftRegisterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var x0, x [n]gc.Label
+	q := make([]int32, n)
 	for i := range x0 {
-		x0[i], x[i] = g.X0(c.QWire(i)), e.Active(c.QWire(i))
+		q[i] = s.LabelSlot(c.QWire(i))
+		x0[i], x[i] = g.X0(q[i]), e.Active(q[i])
 	}
 	for cyc := 1; cyc <= 6; cyc++ {
 		s.Classify(false)
@@ -597,7 +628,7 @@ func TestShiftRegisterCommit(t *testing.T) {
 		s.Commit()
 		for i := 0; i < n; i++ {
 			from := ((i-cyc)%n + n) % n
-			if g.X0(c.QWire(i)) != x0[from] || e.Active(c.QWire(i)) != x[from] {
+			if g.X0(q[i]) != x0[from] || e.Active(q[i]) != x[from] {
 				t.Fatalf("cycle %d: stage %d does not hold stage %d's initial label", cyc, i, from)
 			}
 		}
@@ -664,8 +695,8 @@ func TestHeldRegisterOutputCopyEmitted(t *testing.T) {
 	if _, err := e.EvalCycleTrace(ct, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if w := sc.OutputWires()[0]; w != 4 {
-		t.Fatalf("output label lives in wire %d, want the register's Q (wire 4)", w)
+	if w, q := sc.OutputSlots()[0], sc.s.LabelSlot(4); w != q {
+		t.Fatalf("output label lives in slot %d, want the register's Q (wire 4, slot %d)", w, q)
 	}
 	out, err := decodeOutputs(sc, g, e)
 	if err != nil {
@@ -718,8 +749,10 @@ func TestSwapRegisterCommit(t *testing.T) {
 		if len(ct.copyAct) != 0 {
 			t.Fatalf("cycle %d executes %d copies, want none: both MUXes are aliases", cyc, len(ct.copyAct))
 		}
-		if cyc < cycles && !slices.Equal(ct.dirtySrc, []int32{4, 3}) {
-			t.Fatalf("cycle %d: D labels read from %v, want the other register's Q [4 3]", cyc, ct.dirtySrc)
+		// The registers' Q wires 3 and 4 are the secret inputs, so slots
+		// 0 and 1: each commits to its own slot from the other's.
+		if cyc < cycles && (!slices.Equal(ct.dirty, []int32{0, 1}) || !slices.Equal(ct.dirtySrc, []int32{1, 0})) {
+			t.Fatalf("cycle %d: D labels move from slots %v to %v, want the other register's Q [1 0] to [0 1]", cyc, ct.dirtySrc, ct.dirty)
 		}
 		rec, err := RunLocal(ctx, c, in, RunOpts{Cycles: cyc, Record: Unbounded})
 		if err != nil {
@@ -755,5 +788,93 @@ func TestTraceMemoryBytes(t *testing.T) {
 	short, long = *short.clone(), *long.clone()
 	if s, l := short.memoryBytes(), long.memoryBytes(); l < s+4*999 {
 		t.Fatalf("memoryBytes ignores the dirty list: %d entries cost %d, 1 costs %d", len(long.dirty), l, s)
+	}
+}
+
+// TestKernelRefusesNarrowLabels: the kernels' batched hash passes index
+// labels by slot unchecked, so a cycle wider than the label array it is
+// run on must fail before any op runs — no label written, no table
+// touched — on both parties, however few of its ops name a high slot.
+func TestKernelRefusesNarrowLabels(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 50; trial++ {
+		c, in := randomCase(rng, 400, 16)
+		s := NewScheduler(c, Seed{}, in.Public)
+		s.emit = true
+		s.Classify(true)
+		ct := &s.ct
+		if ct.NumTables() < gc.EvalBatch {
+			continue
+		}
+		h := gc.NewHash()
+		labels := make([]gc.Label, ct.width-1)
+		for i := range labels {
+			labels[i] = gc.Label{Lo: uint64(i) + 1}
+		}
+		want := slices.Clone(labels)
+		tables := make([]byte, ct.NumTables()*gc.TableBytes)
+		refused := func(name string, run func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s ran a cycle of width %d on %d labels", name, ct.width, len(labels))
+				}
+				if !slices.Equal(labels, want) || slices.ContainsFunc(tables, func(b byte) bool { return b != 0 }) {
+					t.Fatalf("%s wrote labels or tables before refusing the cycle", name)
+				}
+			}()
+			run()
+		}
+		refused("garbleCycle", func() { garbleCycle(h, gc.Label{Lo: 1}, labels, ct, 0, tables) })
+		refused("evalCycle", func() { evalCycle(h, labels, ct, 0, tables) })
+		refused("garbleCycle with short tables", func() {
+			garbleCycle(h, gc.Label{Lo: 1}, slices.Grow(labels, 1)[:ct.width], ct, 0, tables[:len(tables)-1])
+		})
+		return
+	}
+	t.Fatal("no random netlist compiled a cycle of a full evaluator batch")
+}
+
+// TestValidateCompiledCycle: the compiler's check of every cycle it seals
+// accepts what it compiles and refuses, one field at a time, a slot at or
+// past the width, a table slot out of range or repeated, a gate index past
+// the netlist, and arrays the waves do not cover.
+func TestValidateCompiledCycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var ct *CycleTrace
+	var nGates int
+	for ct == nil || ct.NumTables() < 2 || ct.NumCopies() == 0 || ct.NumDFFs() == 0 {
+		c, in := randomCase(rng, 400, 16)
+		s := NewScheduler(c, Seed{}, in.Public)
+		s.emit = true
+		s.Classify(false)
+		ct, nGates = s.ct.clone(), len(c.Gates)
+	}
+	seen := make([]bool, ct.NumTables())
+	if err := ct.validate(nGates, seen); err != nil {
+		t.Fatalf("compiled cycle refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(bad *CycleTrace)
+	}{
+		{"copy output at the width", func(bad *CycleTrace) { bad.copyOut[0] = bad.width }},
+		{"negative copy operand", func(bad *CycleTrace) { bad.copyA[0] = -1 }},
+		{"garbled operand past the width", func(bad *CycleTrace) { bad.garbB[1] = bad.width + 7 }},
+		{"garbled output at the width", func(bad *CycleTrace) { bad.garbOut[0] = bad.width }},
+		{"commit target at the width", func(bad *CycleTrace) { bad.dirty[0] = bad.width }},
+		{"commit source at the width", func(bad *CycleTrace) { bad.dirtySrc[0] = bad.width }},
+		{"narrowed width", func(bad *CycleTrace) { bad.width = 0 }},
+		{"repeated table slot", func(bad *CycleTrace) { bad.garbSlot[1] = bad.garbSlot[0] }},
+		{"table slot past the tables", func(bad *CycleTrace) { bad.garbSlot[0] = int32(bad.NumTables()) }},
+		{"gate past the netlist", func(bad *CycleTrace) { bad.garbGate[0] = int32(nGates) }},
+		{"short garbled array", func(bad *CycleTrace) { bad.garbA = bad.garbA[:len(bad.garbA)-1] }},
+		{"copies outside the waves", func(bad *CycleTrace) { bad.segs[0].copies++ }},
+	} {
+		bad := ct.clone()
+		tc.mutate(bad)
+		if err := bad.validate(nGates, seen); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -141,9 +141,9 @@ func deliverInputs(g *Garbler, e *Evaluator, in sim.Inputs) error {
 // decoding of secret wires, cross-checking Bob's active label against
 // Alice's label pair.
 func decodeOutputs(sc *Schedule, g *Garbler, e *Evaluator) ([]bool, error) {
-	ws := sc.OutputWires()
-	out := make([]bool, len(ws))
-	for i, w := range ws {
+	slots := sc.OutputSlots()
+	out := make([]bool, len(slots))
+	for i, w := range slots {
 		if v, pub := sc.OutputState(i); pub {
 			out[i] = v
 			continue
@@ -152,7 +152,7 @@ func decodeOutputs(sc *Schedule, g *Garbler, e *Evaluator) ([]bool, error) {
 		// must be one of Alice's pair.
 		x := e.Active(w)
 		if x != g.X0(w) && x != g.X0(w).Xor(g.R) {
-			return nil, fmt.Errorf("core: output wire %d: active label matches neither X0 nor X1", w)
+			return nil, fmt.Errorf("core: output %d (slot %d): active label matches neither X0 nor X1", i, w)
 		}
 		out[i] = e.ActiveBit(w) != g.DecodeBit(w)
 	}

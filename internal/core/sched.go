@@ -106,23 +106,37 @@ type Scheduler struct {
 	// The current cycle's compiled schedule, rebuilt in place by every
 	// Classify once emit is set (NewGarbler, NewEvaluator, NewTraceRecorder
 	// and NewSchedule set it; a bare counting scheduler never pays for it).
-	emit bool
-	ct   CycleTrace
+	// dirtyFF lists, in scan order, the flip-flops the cycle's commit
+	// moves a label into; settle resolves them to the trace's slots.
+	emit    bool
+	ct      CycleTrace
+	dirtyFF []int32
 
-	// ref is, per wire, the wire whose label slot holds its label in the
-	// cycle last compiled: a plain passthrough emits no op but aliases its
-	// output to its source's slot, and every emitted op writes its own.
-	// Ports, flip-flop outputs and constants always map to themselves.
-	ref []int32
+	// Label slots (see CycleTrace): the executors' label arrays are
+	// indexed by slot, a dense space the compiler assigns in first-use
+	// order — the secret inputs first, in circuit.SecretInputs order, then
+	// each wire the first time an op or a flip-flop commit names it (a
+	// secret output's label is always one of those). width counts the
+	// slots assigned so far.
+	//
+	// ref is, per wire, the slot that holds its label in the cycle last
+	// compiled, or -1 before one is named: a plain passthrough emits no op
+	// but aliases its output to its source's slot, and every emitted op
+	// writes its gate's own slot, own per gate. A port or flip-flop output
+	// only ever has its own slot.
+	ref   []int32
+	own   []int32
+	width int32
 
-	// The wave pass's scratch (waves): per wire, the AND depth of the label
+	// The wave pass's scratch (waves): per slot, the AND depth of the label
 	// an op of the cycle wrote (zero between passes); per op, its sort key,
 	// then its place in wave order; the per-key counts; and the arrays the
-	// ops are sorted into, swapped with ct's.
+	// ops are sorted into, swapped with ct's. seen is validate's.
 	lvl              []int32
 	copyLvl, garbLvl []int32
 	waveCnt          []int32
 	spare            CycleTrace
+	seen             []bool
 
 	pub   []bool
 	cycle int // 1-based during a cycle; 0 before Start
@@ -141,10 +155,18 @@ func NewScheduler(c *circuit.Circuit, seed Seed, pub []bool) *Scheduler {
 		fanFinal:  c.Fanout(false),
 		holds:     make([]int32, len(c.Gates)),
 		ref:       make([]int32, c.NumWires()),
+		own:       make([]int32, len(c.Gates)),
 		pub:       pub,
 	}
 	for w := range s.ref {
-		s.ref[w] = int32(w)
+		s.ref[w] = -1
+	}
+	for i := range s.own {
+		s.own[i] = -1
+	}
+	for _, in := range c.SecretInputs() {
+		s.ref[in.Wire] = s.width
+		s.width++
 	}
 	s.deltaF = s.gen.delta()
 
@@ -210,6 +232,7 @@ func (s *Scheduler) Classify(final bool) CycleStats {
 	s.classify()
 	s.ct.reset()
 	s.changed = s.changed[:0]
+	s.dirtyFF = s.dirtyFF[:0]
 	if !final {
 		s.scanDFFs()
 	}
@@ -379,7 +402,7 @@ func (s *Scheduler) classify() {
 // A garbled gate is always emitted, because its table is on the wire. The
 // emitted ops are then reordered into AND-depth waves (waves), each keeping
 // its table slot. Last, each dirty flip-flop's D is resolved to the slot
-// its label lives in.
+// its label lives in and its Q to its own slot, and the cycle is sealed.
 func (s *Scheduler) settle(src []int32) CycleStats {
 	ct := &s.ct
 	var cs CycleStats
@@ -419,11 +442,49 @@ func (s *Scheduler) settle(src []int32) CycleStats {
 	}
 	ct.flush()
 	s.waves(ct)
-	for _, i := range ct.dirty {
-		ct.dirtySrc = append(ct.dirtySrc, s.ref[s.C.DFFs[i].D])
+	for _, i := range s.dirtyFF {
+		ct.dirtySrc = append(ct.dirtySrc, s.at(s.C.DFFs[i].D))
+		ct.dirty = append(ct.dirty, s.at(s.C.QWire(int(i))))
 	}
+	s.seal(ct)
 	ct.Stats = cs
 	return cs
+}
+
+// at returns the slot w's label lives in this cycle, giving w its own slot
+// the first time one is named for it. Only a port or flip-flop output can
+// be unnamed when read: gate order is topological, so a gate output an op
+// reads was written, or aliased, earlier in the cycle.
+func (s *Scheduler) at(w circuit.Wire) int32 {
+	if r := s.ref[w]; r >= 0 {
+		return r
+	}
+	s.ref[w] = s.width
+	s.width++
+	return s.ref[w]
+}
+
+// write returns the slot gate i's emitted op writes — the gate's own,
+// assigned on its first emission — and points its output wire at it.
+func (s *Scheduler) write(i int) int32 {
+	if s.own[i] < 0 {
+		s.own[i] = s.width
+		s.width++
+	}
+	s.ref[int(s.C.GateBase)+i] = s.own[i]
+	return s.own[i]
+}
+
+// seal closes compiled cycle ct: its width is the slots assigned so far,
+// and it must pass validate, since the kernels' batched hash passes index
+// labels and tables by its slots without a check of their own. A cycle
+// that fails is a compiler fault, not bad input, so seal panics.
+func (s *Scheduler) seal(ct *CycleTrace) {
+	ct.width = s.width
+	s.seen = slices.Grow(s.seen[:0], ct.NumTables())[:ct.NumTables()]
+	if err := ct.validate(len(s.C.Gates), s.seen); err != nil {
+		panic(fmt.Sprintf("core: cycle %d compiled out of bounds: %v", s.cycle, err))
+	}
 }
 
 // waves reorders the cycle compiled in ct from gate order into AND-depth
@@ -440,8 +501,8 @@ func (s *Scheduler) waves(ct *CycleTrace) {
 	if len(ct.garbKind) == 0 {
 		return
 	}
-	if s.lvl == nil {
-		s.lvl = make([]int32, s.C.NumWires())
+	if n := int(s.width); len(s.lvl) < n {
+		s.lvl = slices.Grow(s.lvl, n-len(s.lvl))[:n]
 	}
 	// A copy's sort key is its depth; a garbled op's is 2·(depth−1), plus
 	// one for a MUX.
@@ -534,41 +595,47 @@ func scatter[T any](dst, src []T, pos []int32) []T {
 }
 
 // emitGate compiles live gate i into ct: the one place a scheduler action
-// is translated into an executable op. Operands are read through ref, so
-// an op reads each input from the slot its label lives in. A plain
-// passthrough emits nothing: its output becomes an alias of its source.
-// Gate order is topological and every wire is written once per cycle, so
-// a resolved operand is this cycle's label or a flip-flop output, which
-// holds its label until CopyDFFs.
+// is translated into an executable op. Operands are read through ref (at),
+// so an op reads each input from the slot its label lives in, and only the
+// inputs it consumes are resolved. A plain passthrough emits nothing: its
+// output becomes an alias of its source. Any other op writes its gate's
+// own slot (write), named after its operands. Gate order is topological
+// and every wire is written once per cycle, so a resolved operand is this
+// cycle's label or a flip-flop output, which holds its label until
+// CopyDFFs.
 func (s *Scheduler) emitGate(ct *CycleTrace, i int, act uint8) {
 	g := &s.C.Gates[i]
-	out := int32(s.C.GateBase) + int32(i)
-	a, b, sel := s.ref[g.A], s.ref[g.B], s.ref[g.S]
-	s.ref[out] = out
+	out := s.C.GateOut(i)
 	switch act {
 	case actCopyA:
-		s.ref[out] = a
+		s.ref[out] = s.at(g.A)
 	case actCopyAInv:
-		ct.addCopy(topCopyInv, out, a, 0)
+		a := s.at(g.A)
+		ct.addCopy(topCopyInv, s.write(i), a, 0)
 	case actCopyB:
-		s.ref[out] = b
+		s.ref[out] = s.at(g.B)
 	case actCopyBInv:
-		ct.addCopy(topCopyInv, out, b, 0)
+		b := s.at(g.B)
+		ct.addCopy(topCopyInv, s.write(i), b, 0)
 	case actCopyS:
-		s.ref[out] = sel
+		s.ref[out] = s.at(g.S)
 	case actCopySInv:
-		ct.addCopy(topCopyInv, out, sel, 0)
+		sel := s.at(g.S)
+		ct.addCopy(topCopyInv, s.write(i), sel, 0)
 	case actXor:
+		a, b := s.at(g.A), s.at(g.B)
 		if g.Op == circuit.XNOR {
-			ct.addCopy(topXorInv, out, a, b)
+			ct.addCopy(topXorInv, s.write(i), a, b)
 		} else {
-			ct.addCopy(topXor, out, a, b)
+			ct.addCopy(topXor, s.write(i), a, b)
 		}
 	case actMuxXor:
-		ct.addCopy(topXor, out, sel, a)
+		sel, a := s.at(g.S), s.at(g.A)
+		ct.addCopy(topXor, s.write(i), sel, a)
 	case actGarble:
 		if g.Op != circuit.MUX {
-			ct.addGarb(andKind(gc.AndForm(g.Op)), int32(i), out, a, b, 0)
+			a, b := s.at(g.A), s.at(g.B)
+			ct.addGarb(andKind(gc.AndForm(g.Op)), int32(i), s.write(i), a, b, 0)
 			return
 		}
 		// A category-iv MUX with both data inputs secret is the atomic
@@ -579,13 +646,16 @@ func (s *Scheduler) emitGate(ct *CycleTrace, i int, act uint8) {
 		sa, sb := s.st[g.A], s.st[g.B]
 		switch {
 		case sa == stSecret && sb == stSecret:
-			ct.addGarb(tgMux, int32(i), out, a, b, sel)
+			a, b, sel := s.at(g.A), s.at(g.B), s.at(g.S)
+			ct.addGarb(tgMux, int32(i), s.write(i), a, b, sel)
 		case sa != stSecret:
 			p := sa == stPub1
-			ct.addGarb(andKind(false, p, p), int32(i), out, sel, b, 0)
+			sel, b := s.at(g.S), s.at(g.B)
+			ct.addGarb(andKind(false, p, p), int32(i), s.write(i), sel, b, 0)
 		default:
 			p := sb == stPub1
-			ct.addGarb(andKind(true, p, p), int32(i), out, sel, a, 0)
+			sel, a := s.at(g.S), s.at(g.A)
+			ct.addGarb(andKind(true, p, p), int32(i), s.write(i), sel, a, 0)
 		}
 	}
 }
@@ -703,8 +773,8 @@ type dffCommit struct {
 
 // scanDFFs compares every scanned flip-flop's next state (st[D], fp[D])
 // with its current one (st[Q], fp[Q]). It gathers the ones that differ into
-// changed for Commit and — for the executors — names in the cycle trace's
-// dirty list those whose next state is a label Q does not already carry.
+// changed for Commit and — for the executors — lists in dirtyFF those
+// whose next state is a label Q does not already carry.
 // Equal fingerprints mean equal labels (fingerprint.go), so a secret
 // flip-flop with an unchanged fingerprint needs no label copy; holds
 // records, on the gate driving its D, that this consumer reads nothing.
@@ -734,7 +804,7 @@ func (s *Scheduler) scanDFFs() {
 		}
 		s.changed = append(s.changed, dffCommit{q: q, st: stSecret, fp: fpd})
 		if s.emit {
-			s.ct.dirty = append(s.ct.dirty, i)
+			s.dirtyFF = append(s.dirtyFF, i)
 		}
 	}
 }
@@ -843,11 +913,11 @@ func (s *Scheduler) reduce(w circuit.Wire) {
 	}
 }
 
-// LabelWire returns the wire whose label slot holds w's label in the cycle
-// last classified: w itself unless w is the output of a plain passthrough.
-// Only wires whose labels the cycle's executors compute resolve
-// meaningfully.
-func (s *Scheduler) LabelWire(w circuit.Wire) circuit.Wire { return circuit.Wire(s.ref[w]) }
+// LabelSlot returns the label slot that holds w's label in the cycle last
+// compiled — the index to hand Garbler.X0 or Evaluator.Active — or -1 when
+// no op, commit or input has named one for it. Only wires whose labels the
+// cycle's executors compute, or hold, resolve meaningfully.
+func (s *Scheduler) LabelSlot(w circuit.Wire) int32 { return s.ref[w] }
 
 // WireState reports the classification of a wire after Classify: public
 // value (ok=true) or secret (ok=false).

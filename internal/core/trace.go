@@ -5,7 +5,6 @@ import (
 	"slices"
 	"unsafe"
 
-	"arm2gc/internal/circuit"
 	"arm2gc/internal/gc"
 )
 
@@ -95,14 +94,21 @@ type traceSeg struct {
 // wave order: they hash a wave's garbled ANDs in batches, which is sound
 // only because no op of a wave's garble run reads what another writes.
 //
-// Where a label lives: every operand is the wire whose label slot holds
-// the input's label, not the netlist's input wire. A plain passthrough is
-// compiled away, so its output wire's own slot is never written; it and
-// its consumers read the source's slot (Scheduler.LabelWire), which is a
-// label of this cycle or a flip-flop output stable until CopyDFFs.
+// Where a label lives: every operand and output is a label slot, an index
+// into the executor's label array, not a netlist wire. Slots are
+// trace-local: the compiler assigns them densely in first-use order — the
+// secret inputs first, in circuit.SecretInputs order, then each wire the
+// first time an op or a flip-flop commit names it — so a run's
+// label arrays span the wires its ops touch, not the netlist. width is the
+// slots assigned once the cycle is compiled, or the whole trace's once a
+// recording is finished, and bounds every slot the cycle names. A plain
+// passthrough is compiled away, so it and its consumers read the source's
+// slot (Scheduler.LabelSlot), which holds a label of this cycle or a
+// flip-flop output stable until CopyDFFs.
 type CycleTrace struct {
 	Stats  CycleStats // the cycle's scheduling outcome, handed to sinks
 	Halted bool       // public halt flag fired at the end of this cycle
+	width  int32      // label slots the executors hold (see above)
 
 	segs []traceSeg
 	open traceSeg // the segment addCopy/addGarb are filling
@@ -125,10 +131,10 @@ type CycleTrace struct {
 	garbS    []int32
 	garbSlot []int32
 
-	// The flip-flops (circuit.DFFs indices) whose next state is a label
-	// their Q wire does not already carry: all that CopyDFFs commits after
-	// this cycle. Empty on a final budget cycle. dirtySrc is, per dirty
-	// flip-flop, the slot its D's label lives in.
+	// The slots of the flip-flop outputs whose next state is a label their
+	// Q does not already carry: all that CopyDFFs commits after this cycle.
+	// Empty on a final budget cycle. dirtySrc is, per dirty flip-flop, the
+	// slot its D's label lives in.
 	dirty    []int32
 	dirtySrc []int32
 }
@@ -145,6 +151,52 @@ func (ct *CycleTrace) NumCopies() int { return len(ct.copyAct) }
 // NumDFFs returns how many flip-flop labels CopyDFFs commits after this
 // cycle.
 func (ct *CycleTrace) NumDFFs() int { return len(ct.dirty) }
+
+// validate checks what the kernels' batched hash passes rely on without a
+// check of their own: every op class's arrays are as long as its waves
+// say, every slot an op, a commit or a gather names is below the width,
+// every gate index is below numGates, and the table slots are a
+// permutation of [0, NumTables). seen is scratch of NumTables entries.
+func (ct *CycleTrace) validate(numGates int, seen []bool) error {
+	var copies, garbles int
+	for _, seg := range ct.segs {
+		copies += int(seg.copies)
+		garbles += int(seg.garbles)
+	}
+	if n := len(ct.copyAct); copies != n || len(ct.copyOut) != n || len(ct.copyA) != n || len(ct.copyB) != n {
+		return fmt.Errorf("waves hold %d copies, copy arrays %d/%d/%d/%d", copies, n, len(ct.copyOut), len(ct.copyA), len(ct.copyB))
+	}
+	n := len(ct.garbKind)
+	if garbles != n || len(ct.garbGate) != n || len(ct.garbOut) != n || len(ct.garbA) != n ||
+		len(ct.garbB) != n || len(ct.garbS) != n || len(ct.garbSlot) != n {
+		return fmt.Errorf("waves hold %d garbled ops, garbled arrays %d/%d/%d/%d/%d/%d/%d", garbles,
+			n, len(ct.garbGate), len(ct.garbOut), len(ct.garbA), len(ct.garbB), len(ct.garbS), len(ct.garbSlot))
+	}
+	if len(ct.dirty) != len(ct.dirtySrc) {
+		return fmt.Errorf("%d dirty flip-flops, %d D slots", len(ct.dirty), len(ct.dirtySrc))
+	}
+	w := uint32(ct.width)
+	for _, slots := range [...][]int32{ct.copyOut, ct.copyA, ct.copyB, ct.garbOut, ct.garbA, ct.garbB, ct.garbS, ct.dirty, ct.dirtySrc} {
+		for _, x := range slots {
+			if uint32(x) >= w {
+				return fmt.Errorf("slot %d outside width %d", x, w)
+			}
+		}
+	}
+	for _, g := range ct.garbGate {
+		if uint32(g) >= uint32(numGates) {
+			return fmt.Errorf("gate %d outside %d gates", g, numGates)
+		}
+	}
+	clear(seen)
+	for _, t := range ct.garbSlot {
+		if uint32(t) >= uint32(n) || seen[t] {
+			return fmt.Errorf("table slots %v are not a permutation of [0, %d)", ct.garbSlot, n)
+		}
+		seen[t] = true
+	}
+	return nil
+}
 
 // reset empties the trace for the next cycle, keeping the arrays' capacity.
 func (ct *CycleTrace) reset() {
@@ -241,16 +293,22 @@ type Trace struct {
 	cycles []*CycleTrace
 	stats  Stats
 	halted bool
+	width  int32 // label slots, set in every cycle by Finish
 
 	// Final output-wire states (resolved wires, circuit.OutputWires order):
 	// public outputs carry their value in the trace; secret outputs are
 	// decoded from the labels in the slots outSrc names.
 	outPub []bool
 	outVal []bool
-	outSrc []circuit.Wire
+	outSrc []int32
 
 	bytes int
 }
+
+// Width returns how many label slots a replay of the trace holds per
+// executor: the distinct wires its ops and flip-flop commits name,
+// inputs included.
+func (t *Trace) Width() int { return int(t.width) }
 
 // NumCycles returns how many cycles the recorded run executed (at most the
 // budget it was recorded under; fewer when the program halted).
@@ -344,10 +402,11 @@ func (r *TraceRecorder) RecordCycle(cs CycleStats, halted bool) {
 }
 
 // Finish snapshots the final output-wire states and label slots and seals
-// the trace. Call it after the last recorded cycle; the resolved output
-// wires and slots it reads are untouched by Commit, so calling before or
-// after the final Commit is equivalent. It returns nil when the budget
-// refused the recording.
+// the trace, giving every cycle the whole trace's width: a replaying
+// executor sizes its label arrays once, at its first cycle. Call it after
+// the last recorded cycle; the resolved output wires and slots it reads
+// are untouched by Commit, so calling before or after the final Commit is
+// equivalent. It returns nil when the budget refused the recording.
 func (r *TraceRecorder) Finish(halted bool) *Trace {
 	s, t := r.s, r.t
 	if t == nil || !r.grant(6*len(s.C.OutputWires())) {
@@ -358,8 +417,11 @@ func (r *TraceRecorder) Finish(halted bool) *Trace {
 		v, pub := s.WireState(rw)
 		t.outPub = append(t.outPub, pub)
 		t.outVal = append(t.outVal, v)
-		t.outSrc = append(t.outSrc, s.LabelWire(rw))
+		t.outSrc = append(t.outSrc, s.LabelSlot(rw))
 	}
-	t.halted = halted
+	t.halted, t.width = halted, s.width
+	for _, ct := range t.cycles {
+		ct.width = s.width
+	}
 	return t
 }

@@ -86,6 +86,12 @@ func evalHalfGates(a, b Label, t Table, wg, we Label) Label {
 // the garbler reads. The slices are equally long, and no AND of a run
 // reads a slot another writes, so GarbleAnds and EvalAnds may take them
 // in any grouping.
+//
+// Bounds are the caller's contract: every slot a run names must be below
+// len(labels) and every table index below len(tables)/TableBytes. On
+// AES-NI the batched passes index both unchecked; the trace compiler
+// validates each cycle's slots and tables once, when it compiles the
+// cycle (internal/core), instead of once per AND here.
 type Ands struct {
 	A, B, Out, Table, Gate []int32
 	Inv                    []uint8

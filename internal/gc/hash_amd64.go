@@ -35,17 +35,14 @@ func (h *Hash) piXor2(b *[2]Label) {
 // batch remains, and returns how many it garbled: each batch takes one
 // AES-NI pass, which gathers, doubles and tweaks the operand labels and
 // finishes the gates in registers. Without AES-NI it garbles none, as
-// the generic path gains nothing from a batch.
+// the generic path gains nothing from a batch. The passes index labels
+// and tables unchecked, by the run's bounds contract (Ands).
 func (h *Hash) garbleBatches(labels []Label, r Label, run *Ands, tables []byte) int {
 	if roundKeys == nil {
 		return 0
 	}
-	n := len(run.A) - len(run.A)%GarbleBatch
+	n := run.batched(GarbleBatch, true)
 	for i := 0; i < n; i += GarbleBatch {
-		for j := i; j < i+GarbleBatch; j++ {
-			checkAnd(labels, run, j, tables)
-			_ = run.Inv[j]
-		}
 		aesGarbleAnds(roundKeys, &labels[0], &run.A[i], &run.B[i], &run.Out[i], &run.Table[i], &run.Gate[i], &run.Inv[i],
 			run.Base, &r, &tables[0])
 	}
@@ -57,22 +54,23 @@ func (h *Hash) evalBatches(labels []Label, run *Ands, tables []byte) int {
 	if roundKeys == nil {
 		return 0
 	}
-	n := len(run.A) - len(run.A)%EvalBatch
+	n := run.batched(EvalBatch, false)
 	for i := 0; i < n; i += EvalBatch {
-		for j := i; j < i+EvalBatch; j++ {
-			checkAnd(labels, run, j, tables)
-		}
 		aesEvalAnds(roundKeys, &labels[0], &run.A[i], &run.B[i], &run.Out[i], &run.Table[i], &run.Gate[i], run.Base, &tables[0])
 	}
 	return n
 }
 
-// checkAnd panics, as an index out of range, unless run has an AND i that
-// names slots in labels and a table in tables: the AES-NI passes read and
-// write them unchecked.
-func checkAnd(labels []Label, run *Ands, i int, tables []byte) {
-	_, _, _, _ = labels[run.A[i]], labels[run.B[i]], labels[run.Out[i]], run.Gate[i]
-	_ = tables[TableBytes*int(run.Table[i]) : TableBytes*(int(run.Table[i])+1)]
+// batched returns how many of run's ANDs whole passes of size ANDs cover,
+// after checking, once per run, that the slices a pass reads — Inv only
+// when inv, on the garbler's — are as long as A: a pass reads size
+// entries of each from the index it is handed.
+func (run *Ands) batched(size int, inv bool) int {
+	n := len(run.A)
+	if len(run.B) != n || len(run.Out) != n || len(run.Table) != n || len(run.Gate) != n || inv && len(run.Inv) != n {
+		panic("gc: Ands slices of unequal length")
+	}
+	return n - n%size
 }
 
 // cpuHasAES reports CPUID.1:ECX.AES, the AES-NI feature bit.
@@ -103,7 +101,7 @@ func aesPiXor2(enc *[176]byte, b *[2]Label)
 // H(y ⊕ R, 2·gid+1) in one 8-block pass (doubling is linear, so
 // 2(x ⊕ R) = 2x ⊕ 2R), and finishes each gate as garbleOne does, writing
 // its table to tables and its output label to labels, at indexes the
-// caller has bounds checked.
+// caller guarantees in range (Ands).
 //
 //go:noescape
 func aesGarbleAnds(enc *[176]byte, labels *Label, a, b, out, table, gate *int32, inv *uint8, base uint64, r *Label, tables *byte)
@@ -112,8 +110,8 @@ func aesGarbleAnds(enc *[176]byte, labels *Label, a, b, out, table, gate *int32,
 // out, table and gate point at: it gathers, doubles and tweaks as
 // aesGarbleAnds does, hashes H(x, 2·gid) and H(y, 2·gid+1) of each, and
 // finishes each gate as evalOne does, reading its table from tables and
-// writing its output label to labels, at indexes the caller has bounds
-// checked.
+// writing its output label to labels, at indexes the caller guarantees
+// in range (Ands).
 //
 //go:noescape
 func aesEvalAnds(enc *[176]byte, labels *Label, a, b, out, table, gate *int32, base uint64, tables *byte)

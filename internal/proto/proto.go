@@ -158,9 +158,9 @@ const (
 	msgOutputs     = wire.Outputs
 )
 
-// streamBufBytes sizes the evaluator's read buffer over the garbler's
-// table stream.
-const streamBufBytes = 64 << 10
+// streamBufCap caps the evaluator's read buffer over the garbler's table
+// stream.
+const streamBufCap = 64 << 10
 
 // helloLen is the garbler's hello payload: the session id, then the
 // garbler's public fingerprint seed. The evaluator echoes the id alone.
@@ -435,7 +435,7 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	// our outputs frame, so a buffer over this stretch never holds bytes of
 	// a later session on a reused connection, and it takes whatever has
 	// arrived in one read instead of two reads per frame.
-	stream := bufio.NewReaderSize(conn, streamBufBytes)
+	stream := bufio.NewReaderSize(conn, cfg.streamBufBytes())
 	if err := evalStream(ctx, stream, cfg, sched, e, res); err != nil {
 		return nil, err
 	}
@@ -444,8 +444,8 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	// The decode frame ends the garbler's side of every session; in
 	// garbler-only mode it is empty, the decode bits never leave the
 	// garbler. The output labels' slots are known once the last cycle ran.
-	outWires := sched.OutputWires()
-	decodeBits := len(outWires)
+	outSlots := sched.OutputSlots()
+	decodeBits := len(outSlots)
 	if cfg.Outputs == OutputGarblerOnly {
 		decodeBits = 0
 	}
@@ -464,8 +464,8 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	// values in OutputBoth mode, the active labels' permute bits in
 	// garbler-only mode (without the decode bits they reveal nothing to
 	// us and everything to the garbler), empty in evaluator-only mode.
-	out := make([]bool, len(outWires))
-	for i, w := range outWires {
+	out := make([]bool, len(outSlots))
+	for i, w := range outSlots {
 		v, pub := sched.OutputState(i)
 		switch {
 		case cfg.Outputs == OutputGarblerOnly:
@@ -495,7 +495,10 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 // last cycle — because both sides step the same public schedule.
 func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
 	batch := cfg.batch()
-	liveMax := batch * cfg.Circuit.Stats().NonXOR * gc.TableBytes
+	liveMax := 0 // a replaying evaluator knows every frame's size exactly
+	if cfg.Trace == nil {
+		liveMax = batch * cfg.Circuit.Stats().NonXOR * gc.TableBytes
+	}
 	var payload []byte // the frame buffer, reused: read only once its tables are consumed
 	var pending []byte // tables of the current frame not yet consumed
 	inBatch := 0
@@ -544,6 +547,26 @@ func (c Config) tableFrameBytes(cyc, liveMax int) (lo, hi int) {
 		n += c.Trace.Cycle(i).NumTables() * gc.TableBytes
 	}
 	return n, n
+}
+
+// streamBufBytes sizes the evaluator's read buffer over the garbler's
+// side of the stream, which is its table frames and then the decode
+// frame: streamBufCap, or that side's exact byte count when a trace gives
+// it and it is smaller.
+func (c Config) streamBufBytes() int {
+	if c.Trace == nil {
+		return streamBufCap
+	}
+	cycles, batch := c.Trace.NumCycles(), c.batch()
+	frames := (cycles + batch - 1) / batch
+	decodeBits := 0
+	if c.Outputs != OutputGarblerOnly {
+		for _, o := range c.Circuit.Outputs {
+			decodeBits += len(o.Wires)
+		}
+	}
+	n := c.Trace.TotalStats().Total.Garbled*gc.TableBytes + (frames+1)*wire.HeaderLen + bitBytes(decodeBits)
+	return min(n, streamBufCap)
 }
 
 // readTables reads one msgTables frame of lo to hi bytes into buf, grown

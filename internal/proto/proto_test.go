@@ -20,7 +20,7 @@ import (
 // runBoth executes the protocol on both ends of a pipe, under a deadline:
 // the pipe is unbuffered, so a party that waits with frames of its own
 // unwritten deadlocks the session, and the deadline makes that a failure.
-func runBoth(t *testing.T, cfg Config, alice, bob []bool) (*Result, *Result) {
+func runBoth(t testing.TB, cfg Config, alice, bob []bool) (*Result, *Result) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

@@ -140,11 +140,11 @@ func (r *Recorded) handshake(conn io.ReadWriter, st *OTState) error {
 // garbled: the run's outcome and every output bit's final verdict.
 func (r *Recorded) finish(sched *core.Schedule, g *core.Garbler) {
 	r.stats, r.halted = sched.Stats(), sched.Halted()
-	ws := sched.OutputWires()
-	r.outPub = make([]bool, len(ws))
-	r.outVal = make([]bool, len(ws))
-	r.outDec = make([]bool, len(ws))
-	for i, w := range ws {
+	slots := sched.OutputSlots()
+	r.outPub = make([]bool, len(slots))
+	r.outVal = make([]bool, len(slots))
+	r.outDec = make([]bool, len(slots))
+	for i, w := range slots {
 		v, pub := sched.OutputState(i)
 		r.outPub[i], r.outVal[i] = pub, v && pub
 		if !pub {
