@@ -74,12 +74,15 @@ test-hardening:
 		-run 'TestServer|TestClient|TestProposal|TestNegotiate|TestLoadRegistry' \
 		. ./internal/proto ./internal/cli
 
-# Classification-trace correctness: record/replay across the core engine,
-# the trace cache (one byte budget over cached traces and recordings in
-# flight, tombstones), the wire protocol (byte-identical frame pinning,
-# exact table-frame reads under replay, 1 GiB announcements) and the
-# Engine API (the WithTraceReuse no-op, the trace-cache metrics, many
-# concurrent recordings under one budget), plus the sparse flip-flop commit the
+# Classification-trace correctness: compile/replay across the core engine,
+# the trace cache (one compile per key with the rest waiting, a waiter's
+# cancellation, a cancelled compile handing over to a waiter, one byte
+# budget over cached traces and compiles in flight, tombstones), the wire
+# protocol (byte-identical frame pinning, exact table-frame reads under
+# replay, 1 GiB announcements) and the Engine API (the WithTraceReuse
+# no-op, the trace-cache metrics, eight concurrent first sessions through
+# Server and Client compiling once, many concurrent compiles under one
+# budget; every such test has Trace in its name), plus the sparse flip-flop commit the
 # compiled cycles carry (dense-commit oracle, its edge cases, registers
 # swapping through aliased hold-MUXes, CycleStats invariance) — shuffled
 # and under the race detector, as in CI.

@@ -42,6 +42,7 @@ import (
 	"arm2gc/internal/isa"
 	"arm2gc/internal/minicc"
 	"arm2gc/internal/obliv"
+	"arm2gc/internal/proto"
 )
 
 // Layout is the processor memory geometry: instruction words plus the four
@@ -144,7 +145,39 @@ type RunInfo struct {
 	TableFrames int
 
 	Detail core.CycleStats
+
+	// Phases is this party's wall time in a networked session by phase:
+	// from the proposal to its last frame on a Server or Client session,
+	// from the protocol's first step on a bare Garble or Evaluate, which
+	// has no negotiate phase. A session that compiled its program's trace,
+	// or waited for a concurrent session's compile, shows it in
+	// PhaseCompile; one that found the trace cached shows zero there. Zero
+	// for in-process runs.
+	Phases Phases
+
+	path sessionPath // how a networked session's table stream was produced
 }
+
+// Phases is one party's session wall time split by phase (see
+// RunInfo.Phases); index it with the Phase constants.
+type Phases = proto.Phases
+
+// Phase names one stretch of a session; String gives its metric label.
+type Phase = proto.Phase
+
+// The phases of a session.
+const (
+	PhaseNegotiate   = proto.PhaseNegotiate
+	PhaseOTSetup     = proto.PhaseOTSetup
+	PhaseOTExtension = proto.PhaseOTExtension
+	PhaseCompile     = proto.PhaseCompile
+	PhaseKernel      = proto.PhaseKernel
+	PhaseCommit      = proto.PhaseCommit
+	PhaseWrite       = proto.PhaseWrite
+	PhaseReadWait    = proto.PhaseReadWait
+	PhaseDecode      = proto.PhaseDecode
+	NumPhases        = proto.NumPhases
+)
 
 func (m *Machine) inputs(p *Program, alice, bob []uint32) (pub, ab, bb []bool, err error) {
 	pub, err = m.cpu.PublicBits(p)

@@ -268,6 +268,7 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 		return nil, err
 	}
 	defer c.release()
+	start := time.Now()
 	c.mu.Lock()
 	broken, prog, st := c.broken, c.progs[name], c.ots[name]
 	if prog != nil && st == nil && c.ots != nil {
@@ -344,10 +345,12 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 	if st != nil { // nil once Close has dropped the OT state
 		st.Epoch = grant.Epoch
 	}
+	negotiate := time.Since(start)
 	info, err := sess.evaluate(ctx, c.conn, bob, st)
 	if err != nil {
 		return nil, c.fail(err)
 	}
+	info.Phases[PhaseNegotiate] += negotiate
 	return info, nil
 }
 

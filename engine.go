@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"arm2gc/internal/circuit"
 	"arm2gc/internal/core"
@@ -34,11 +35,11 @@ const DefaultMaxCycles = 1_000_000
 // (see Session). A compiled trace costs roughly 20 bytes per live
 // gate-cycle — a 500-cycle program on the 256-word layout compiles to a
 // few MB — so the default comfortably holds dozens of programs; least
-// recently replayed traces are evicted beyond the budget. Recordings in
+// recently replayed traces are evicted beyond the budget. Compiles in
 // flight draw on the same budget, so an Engine never holds more than it in
-// traces however many sessions record at once; a program whose trace
+// traces however many sessions compile at once; a program whose trace
 // alone outgrows it is never cached, and its sessions classify every
-// cycle.
+// cycle live.
 const DefaultTraceCacheBytes = 256 << 20
 
 // Engine is the process-wide entry point of the API: a concurrency-safe
@@ -63,8 +64,8 @@ type Engine struct {
 // serves callers that do not need cache isolation.
 func NewEngine() *Engine { return newEngine(DefaultTraceCacheBytes) }
 
-// newEngine creates an Engine whose trace cache, and so every recording,
-// is bounded by traceBytes.
+// newEngine creates an Engine whose trace cache, and so every compile, is
+// bounded by traceBytes.
 func newEngine(traceBytes int64) *Engine {
 	return &Engine{cache: new(cpu.Cache), traces: cpu.NewTraceCache(traceBytes)}
 }
@@ -80,13 +81,15 @@ var DefaultEngine = &Engine{cache: cpu.SharedCache(), traces: cpu.NewTraceCache(
 func (e *Engine) Builds() int64 { return e.cache.Builds() }
 
 // TraceRecordings reports how many classification traces this Engine's
-// sessions have set out to record — the first session of each program
-// pays one. Like Builds, an observable for cache-effectiveness tests and
-// monitoring.
-func (e *Engine) TraceRecordings() int64 { return e.traces.Recordings() }
+// sessions have set out to compile — the first session of each program
+// pays one, and concurrent first sessions share it. Like Builds, an
+// observable for cache-effectiveness tests and monitoring.
+func (e *Engine) TraceRecordings() int64 { return e.traces.Compiles() }
 
-// TraceReplays reports how many session runs were served from a cached
-// classification trace, skipping the SkipGate pass entirely.
+// TraceReplays reports how many session runs were served a classification
+// trace they did not compile themselves — cached, or compiled by a
+// concurrent session they waited for — skipping the SkipGate pass
+// entirely.
 func (e *Engine) TraceReplays() int64 { return e.traces.Replays() }
 
 // StatsSink receives per-cycle scheduling statistics as a run progresses
@@ -220,17 +223,19 @@ func WithStatsSink(sink StatsSink) Option { return func(c *sessionConfig) { c.si
 // Every run goes through the Engine's classification-trace cache. The
 // SkipGate schedule is a pure function of public data, so the first run
 // of a program (same circuit, public inputs, cycle budget and stop flag)
-// records it as a compiled trace, and every later run replays it, garbling
-// or evaluating straight from precompiled gate lists with no
-// classification pass at all. The replayed wire stream is byte-identical
-// to a classified one, so none of this is part of the session id: a
-// replaying party interoperates with a classifying peer. Concurrent first
-// runs singleflight the recording (one records, the rest classify without
-// recording). Recordings draw their bytes from the cache budget
-// (DefaultTraceCacheBytes) as they grow; one the budget refuses is dropped
-// and the run carries on classifying, and a program whose trace alone
-// outgrows the budget is never recorded again. Observe
-// effectiveness via Engine.TraceRecordings and Engine.TraceReplays.
+// compiles it into a trace before its first cryptographic step — with no
+// peer and no label — and then replays it, as every later run does,
+// garbling or evaluating straight from precompiled gate lists with no
+// classification pass at all. A networked run compiles after the grant,
+// so both parties' compiles overlap. The replayed wire stream is
+// byte-identical to a classified one, so none of this is part of the
+// session id: a replaying party interoperates with a classifying peer.
+// Concurrent first runs singleflight the compile: one compiles, the rest
+// wait for it and replay. A compile draws its bytes from the cache budget
+// (DefaultTraceCacheBytes) as it grows; a program whose trace alone
+// outgrows the budget is never compiled again, and its runs classify
+// every cycle live, recording nothing. Observe effectiveness via
+// Engine.TraceRecordings and Engine.TraceReplays.
 type Session struct {
 	m    *Machine
 	prog *Program
@@ -299,39 +304,26 @@ func (s *Session) traceKey(pub []bool) cpu.TraceKey {
 		Cycles: s.cfg.maxCycles, Stop: "halted"}
 }
 
-// traceSession is one run's view of the Engine trace cache: a cached
-// trace to replay, or a claimed recording slot to settle after the run,
-// or neither (another run holds the slot, or no trace of the program fits
-// the cache): classify without recording.
-type traceSession struct {
-	cache    *cpu.TraceCache
-	key      cpu.TraceKey
-	trace    *core.Trace       // replay this when non-nil
-	record   core.RecordBudget // non-nil: this run holds the key's recording slot
-	recorded *core.Trace       // what a completed run recorded
-}
-
-func (s *Session) traceFor(pub []bool) traceSession {
-	cache, key := s.eng.traces, s.traceKey(pub)
-	ts := traceSession{cache: cache, key: key, trace: cache.Lookup(key)}
-	if ts.trace == nil && cache.BeginRecord(key) {
-		ts.record = func(n int) bool { return cache.Reserve(key, n) }
+// trace returns this session's compiled trace from the Engine's cache,
+// compiling it on a miss or waiting for a concurrent session's compile
+// (see Session), or nil when no trace of the program fits the cache and
+// the run classifies live. compile is the time spent compiling or
+// waiting: zero when the trace was cached.
+func (s *Session) trace(ctx context.Context, pub []bool) (tr *core.Trace, compile time.Duration, err error) {
+	start := time.Now()
+	tr, cached, err := s.eng.traces.Get(ctx, s.traceKey(pub), s.compiler(pub))
+	if !cached {
+		compile = time.Since(start)
 	}
-	return ts
+	return tr, compile, err
 }
 
-// settle, deferred by each run, commits what a completed run recorded.
-// Otherwise — the run failed, a panic is unwinding through it, or the
-// cache refused the recording its bytes — it aborts the slot, leaving a
-// tombstone when the trace alone outgrew the cache. A no-op unless this
-// run claimed the recording.
-func (ts *traceSession) settle() {
-	switch {
-	case ts.record == nil:
-	case ts.recorded != nil:
-		ts.cache.Commit(ts.key, ts.recorded)
-	default:
-		ts.cache.Abort(ts.key)
+// compiler compiles this session's trace under public input pub: the
+// whole run, with no executor, drawing from the cache's budget.
+func (s *Session) compiler(pub []bool) cpu.Compiler {
+	c, cycles := s.m.cpu.Circuit, s.cfg.maxCycles
+	return func(ctx context.Context, budget core.RecordBudget) (*core.Trace, error) {
+		return core.Compile(ctx, c, pub, core.CountOpts{Cycles: cycles, StopOutput: "halted"}, budget)
 	}
 }
 
@@ -344,15 +336,15 @@ func (s *Session) Run(ctx context.Context, alice, bob []uint32) (*RunInfo, error
 	if err != nil {
 		return nil, err
 	}
-	ts := s.traceFor(pub)
-	defer ts.settle()
-	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: pub, Alice: ab, Bob: bb},
-		core.RunOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Rand: s.cfg.rand, Sink: s.coreSink(),
-			Trace: ts.trace, Record: ts.record})
+	tr, _, err := s.trace(ctx, pub)
 	if err != nil {
 		return nil, err
 	}
-	ts.recorded = res.Trace
+	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: pub, Alice: ab, Bob: bb},
+		core.RunOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Rand: s.cfg.rand, Sink: s.coreSink(), Trace: tr})
+	if err != nil {
+		return nil, err
+	}
 	return s.m.info(s.prog, res.Outputs, res.Stats, res.Halted), nil
 }
 
@@ -366,8 +358,8 @@ func (s *Session) Count(ctx context.Context) (*RunInfo, error) {
 	}
 	// A cached trace already holds the exact schedule totals; serve them
 	// without re-counting. (With a per-cycle sink the count still runs,
-	// so the sink sees every cycle.) Count never records — it produces
-	// no trace — so a miss just falls through.
+	// so the sink sees every cycle.) Count never compiles — it needs no
+	// trace — so a miss just falls through.
 	if s.cfg.sink == nil {
 		if tr := s.eng.traces.Lookup(s.traceKey(pub)); tr != nil {
 			return s.m.info(s.prog, nil, tr.TotalStats(), tr.Halted()), nil
@@ -395,22 +387,23 @@ func (s *Session) garble(ctx context.Context, conn io.ReadWriter, alice []uint32
 	if alice == nil {
 		alice = s.cfg.garblerInput
 	}
+	start := time.Now()
 	pub, ab, err := s.m.partyBits(s.prog, circuit.Alice, alice)
 	if err != nil {
 		return nil, err
 	}
-	ts := s.traceFor(pub)
-	defer ts.settle()
+	tr, compile, err := s.trace(ctx, pub)
+	if err != nil {
+		return nil, err
+	}
 	cfg := s.protoConfig(pub)
-	cfg.Trace, cfg.Record, cfg.OT = ts.trace, ts.record, st
+	cfg.Trace, cfg.OT = tr, st
+	prep := time.Since(start) - compile
 	res, err := proto.RunGarbler(ctx, conn, cfg, ab, s.cfg.rand)
 	if err != nil {
 		return nil, err
 	}
-	ts.recorded = res.Trace
-	info := s.m.info(s.prog, res.Outputs, res.Stats, res.Halted)
-	info.TableFrames = res.TableFrames
-	return info, nil
+	return s.networkedInfo(res, tr, prep, compile), nil
 }
 
 // record is the garble-ahead pool's offline phase: it garbles this
@@ -424,16 +417,14 @@ func (s *Session) record(ctx context.Context) (*proto.Recorded, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts := s.traceFor(pub)
-	defer ts.settle()
-	cfg := s.protoConfig(pub)
-	cfg.Trace, cfg.Record = ts.trace, ts.record
-	rec, res, err := proto.RecordGarbler(ctx, cfg, ab, s.cfg.rand)
+	tr, _, err := s.trace(ctx, pub)
 	if err != nil {
 		return nil, err
 	}
-	ts.recorded = res.Trace
-	return rec, nil
+	cfg := s.protoConfig(pub)
+	cfg.Trace = tr
+	rec, _, err := proto.RecordGarbler(ctx, cfg, ab, s.cfg.rand)
+	return rec, err
 }
 
 // garbleRecorded plays Alice from a pre-garbled stream over a
@@ -452,8 +443,8 @@ func (s *Session) garbleRecorded(ctx context.Context, conn io.ReadWriter, rec *p
 	if err != nil {
 		return nil, err
 	}
-	info := s.m.info(s.prog, res.Outputs, res.Stats, res.Halted)
-	info.TableFrames = res.TableFrames
+	info := s.networkedInfo(res, nil, 0, 0)
+	info.path = pathPool
 	return info, nil
 }
 
@@ -467,22 +458,42 @@ func (s *Session) Evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32
 
 // evaluate is Evaluate over a connection's OT state.
 func (s *Session) evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32, st *proto.OTState) (*RunInfo, error) {
+	start := time.Now()
 	pub, bb, err := s.m.partyBits(s.prog, circuit.Bob, bob)
 	if err != nil {
 		return nil, err
 	}
-	ts := s.traceFor(pub)
-	defer ts.settle()
+	tr, compile, err := s.trace(ctx, pub)
+	if err != nil {
+		return nil, err
+	}
 	cfg := s.protoConfig(pub)
-	cfg.Trace, cfg.Record, cfg.OT = ts.trace, ts.record, st
+	cfg.Trace, cfg.OT = tr, st
+	prep := time.Since(start) - compile
 	res, err := proto.RunEvaluator(ctx, conn, cfg, bb)
 	if err != nil {
 		return nil, err
 	}
-	ts.recorded = res.Trace
+	return s.networkedInfo(res, tr, prep, compile), nil
+}
+
+// networkedInfo is the RunInfo of a networked run that replayed tr (nil:
+// classified live). Its phases are the protocol run's, plus the trace's
+// compile (or the wait for it), the input encoding before the run (prep,
+// charged to the kernel) and the output words' decoding here.
+func (s *Session) networkedInfo(res *proto.Result, tr *core.Trace, prep, compile time.Duration) *RunInfo {
+	start := time.Now()
 	info := s.m.info(s.prog, res.Outputs, res.Stats, res.Halted)
 	info.TableFrames = res.TableFrames
-	return info, nil
+	info.path = pathReplay
+	if tr == nil {
+		info.path = pathClassify
+	}
+	info.Phases = res.Phases
+	info.Phases[PhaseCompile] += compile
+	info.Phases[PhaseKernel] += prep
+	info.Phases[PhaseDecode] += time.Since(start)
+	return info
 }
 
 func (s *Session) protoConfig(pub []bool) proto.Config {

@@ -26,9 +26,9 @@ func (c writeCountingConn) Write(p []byte) (int, error) {
 // session, propose and grant included, at the benchmark's cycle batch of
 // 8. A session's frames leave in flights of at least 2 KiB or when a
 // party turns to read, so the counts follow from frame sizes and the
-// protocol's turn-taking alone. Each program's first session classifies
-// and its second replays the recorded trace; both put the same bytes on
-// the wire in the same writes. Written a frame at a time, with header and
+// protocol's turn-taking alone. Each program's first session compiles
+// its trace before replaying it, and its second replays the cached trace;
+// both put the same bytes on the wire in the same writes. Written a frame at a time, with header and
 // payload apart, the same sessions took 7 and 12 writes (sum32) and 7 and
 // 68 (Hamming(160)).
 func TestSessionWriteCounts(t *testing.T) {
@@ -73,7 +73,7 @@ func TestSessionWriteCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tc.w.Check(tc.w.Alice, tc.w.Bob)
-			for i, path := range []string{"classified", "replayed"} {
+			for i, path := range []string{"compiled", "replayed"} {
 				cw.Store(0)
 				sw.Store(0)
 				info, err := cl.Evaluate(ctx, "p", tc.w.Bob)

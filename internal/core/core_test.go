@@ -27,12 +27,13 @@ func TestSkipGateMatchesSim(t *testing.T) {
 		}
 		cycles := 1 + rng.Intn(5)
 		want := sim.Run(c, in, cycles)
-		res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: cycles, Record: Unbounded})
+		res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: cycles})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for cyc := 1; cyc <= res.Trace.NumCycles(); cyc++ {
-			if err := CheckWaves(res.Trace.Cycle(cyc)); err != nil {
+		tr := compileRun(t, c, in.Public, RunOpts{Cycles: cycles})
+		for cyc := 1; cyc <= tr.NumCycles(); cyc++ {
+			if err := CheckWaves(tr.Cycle(cyc)); err != nil {
 				t.Fatalf("trial %d, cycle %d: %v", trial, cyc, err)
 			}
 		}

@@ -20,7 +20,8 @@ type Garbler struct {
 
 	c       *circuit.Circuit
 	h       *gc.Hash
-	x0      []gc.Label // false label per slot, grown to each cycle's width
+	x0      []gc.Label // false label per slot, grown to each cycle's width; nil until labels
+	width   int        // the capacity labels gives x0 (Reserve)
 	alice   []gc.Label // X0 per Alice input bit
 	bob     []gc.Label // X0 per Bob input bit
 	dirty   []int32    // the Q slots the cycle the kernel last ran commits
@@ -44,14 +45,13 @@ func NewGarbler(s *Scheduler, rnd io.Reader) *Garbler {
 // The label draws (R, then Alice's bits, then Bob's) happen in one fixed
 // order, so executors given the same randomness produce the same labels —
 // and therefore the same wire bytes — however their cycles are sourced.
-// Its label array holds the input slots until the first cycle widens it.
+// Its label array is allocated at the first cycle (or label read), holding
+// the input slots, with the capacity Reserve gave it.
 func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
-	ins := c.SecretInputs()
 	g := &Garbler{
 		c:     c,
 		R:     gc.RandDelta(rnd),
 		h:     gc.NewHash(),
-		x0:    make([]gc.Label, len(ins)),
 		alice: make([]gc.Label, c.AliceBits),
 		bob:   make([]gc.Label, c.BobBits),
 	}
@@ -61,14 +61,29 @@ func NewReplayGarbler(c *circuit.Circuit, rnd io.Reader) *Garbler {
 	for i := range g.bob {
 		g.bob[i] = gc.RandLabel(rnd)
 	}
-	for k, in := range ins {
-		if in.Owner == circuit.Alice {
-			g.x0[k] = g.alice[in.Idx]
-		} else {
-			g.x0[k] = g.bob[in.Idx]
+	return g
+}
+
+// Reserve sizes the label array for a run whose cycles name width slots —
+// a compiled trace's Width — so the first cycle does not grow it: the
+// array is allocated once. Call it before the first cycle.
+func (g *Garbler) Reserve(width int) { g.width = width }
+
+// labels returns the label array, allocating it on first use with the
+// input slots installed.
+func (g *Garbler) labels() []gc.Label {
+	if g.x0 == nil {
+		ins := g.c.SecretInputs()
+		g.x0 = make([]gc.Label, len(ins), max(len(ins), g.width))
+		for k, in := range ins {
+			if in.Owner == circuit.Alice {
+				g.x0[k] = g.alice[in.Idx]
+			} else {
+				g.x0[k] = g.bob[in.Idx]
+			}
 		}
 	}
-	return g
+	return g.x0
 }
 
 // ReadReplayGarbler is NewReplayGarbler for a randomness source that can
@@ -158,7 +173,7 @@ func (g *Garbler) GarbleCycleTrace(ct *CycleTrace, cyc int, dst []gc.Table) []gc
 func (g *Garbler) GarbleCycleTraceAppend(ct *CycleTrace, cyc int, dst []byte) []byte {
 	n := len(dst)
 	dst = slices.Grow(dst, ct.NumTables()*gc.TableBytes)[:n+ct.NumTables()*gc.TableBytes]
-	g.x0 = fit(g.x0, ct.width)
+	g.x0 = fit(g.labels(), ct.width)
 	g.dirty, g.dSrc = ct.dirty, ct.dirtySrc
 	garbleCycle(g.h, g.R, g.x0, ct, uint64(cyc-1)*uint64(len(g.c.Gates)), dst[n:])
 	return dst
@@ -217,13 +232,13 @@ func copyDFFs(labels []gc.Label, dst, src []int32, next []gc.Label) []gc.Label {
 
 // DecodeBit returns the point-and-permute decode bit of the label in slot
 // w (see X0).
-func (g *Garbler) DecodeBit(w int32) bool { return g.x0[w].Bit() }
+func (g *Garbler) DecodeBit(w int32) bool { return g.labels()[w].Bit() }
 
 // X0 exposes the false label in slot w (tests and the protocol layer).
 // Slots are the compiler's, not wires: resolve a wire first, through
 // Schedule.OutputSlots for outputs or Scheduler.LabelSlot for any wire of
 // the current cycle.
-func (g *Garbler) X0(w int32) gc.Label { return g.x0[w] }
+func (g *Garbler) X0(w int32) gc.Label { return g.labels()[w] }
 
 // Evaluator is Bob's crypto executor, mirroring Garbler with active labels
 // and EvalCycleTraceBytes as its one kernel.
@@ -233,6 +248,7 @@ type Evaluator struct {
 	c       *circuit.Circuit
 	h       *gc.Hash
 	x       []gc.Label // active label per slot, grown to each cycle's width
+	width   int        // the capacity SetInputs gives x (Reserve)
 	dirty   []int32    // the Q slots the cycle the kernel last ran commits
 	dSrc    []int32    // the slots their D labels live in
 	dffNext []gc.Label // CopyDFFs' gather buffer
@@ -249,14 +265,14 @@ func NewEvaluator(s *Scheduler) *Evaluator {
 }
 
 // NewReplayEvaluator creates Bob's executor with no scheduler (see
-// NewReplayGarbler).
+// NewReplayGarbler). SetInputs allocates its label array.
 func NewReplayEvaluator(c *circuit.Circuit) *Evaluator {
-	return &Evaluator{
-		c: c,
-		h: gc.NewHash(),
-		x: make([]gc.Label, len(c.SecretInputs())),
-	}
+	return &Evaluator{c: c, h: gc.NewHash()}
 }
+
+// Reserve sizes the label array for a run whose cycles name width slots,
+// as Garbler.Reserve does; call it before SetInputs.
+func (e *Evaluator) Reserve(width int) { e.width = width }
 
 // SetInputs installs the labels for Alice's bits (sent directly) and Bob's
 // bits (chosen via OT) on every wire they initialize.
@@ -268,7 +284,9 @@ func (e *Evaluator) SetInputs(aliceActive, bobChosen []gc.Label) error {
 	if len(bobChosen) != c.BobBits {
 		return fmt.Errorf("core: %d bob labels, want %d", len(bobChosen), c.BobBits)
 	}
-	for k, in := range c.SecretInputs() {
+	ins := c.SecretInputs()
+	e.x = make([]gc.Label, len(ins), max(len(ins), e.width))
+	for k, in := range ins {
 		if in.Owner == circuit.Alice {
 			e.x[k] = aliceActive[in.Idx]
 		} else {

@@ -62,7 +62,7 @@ func TestDenseCommitOracleCPU(t *testing.T) {
 			c, p, w, in := hammingOnCPU(t, 64, backend)
 			const budget = 400
 			live := core.RunAgainstDenseOracle(t, c.Circuit, in,
-				core.RunOpts{Cycles: budget, StopOutput: "halted", RecordEveryCycle: true, Record: core.Unbounded})
+				core.RunOpts{Cycles: budget, StopOutput: "halted", RecordEveryCycle: true})
 			if !live.Halted {
 				t.Fatalf("no halt within %d cycles", budget)
 			}
@@ -88,7 +88,7 @@ func TestDenseCommitOracleCPU(t *testing.T) {
 				t.Fatalf("emulator output %v, reference %v", m.Output(), want)
 			}
 			replay := core.RunAgainstDenseOracle(t, c.Circuit, in,
-				core.RunOpts{Cycles: budget, StopOutput: "halted", Trace: live.Trace})
+				core.RunOpts{Cycles: budget, StopOutput: "halted", Trace: compile(t, c.Circuit, in.Public, budget)})
 			if !slices.Equal(replay.Outputs, live.Outputs) || replay.Stats != live.Stats {
 				t.Fatalf("replay decodes %v with %+v, live %v with %+v", replay.Outputs, replay.Stats, live.Outputs, live.Stats)
 			}
@@ -113,13 +113,12 @@ func TestCycleStatsInvariance(t *testing.T) {
 		core.CountOpts{Cycles: budget, StopOutput: "halted", Sink: perCycle(&counted)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunLocal(ctx, c.Circuit, in,
-		core.RunOpts{Cycles: budget, StopOutput: "halted", Record: core.Unbounded, Sink: perCycle(&live)})
-	if err != nil {
+	if _, err := core.RunLocal(ctx, c.Circuit, in,
+		core.RunOpts{Cycles: budget, StopOutput: "halted", Sink: perCycle(&live)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunLocal(ctx, c.Circuit, in,
-		core.RunOpts{Cycles: budget, StopOutput: "halted", Trace: res.Trace, Sink: perCycle(&replayed)}); err != nil {
+	if _, err := core.RunLocal(ctx, c.Circuit, in, core.RunOpts{Cycles: budget, StopOutput: "halted",
+		Trace: compile(t, c.Circuit, in.Public, budget), Sink: perCycle(&replayed)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(counted) == 0 || len(live) != len(counted) || len(replayed) != len(counted) {
@@ -132,16 +131,23 @@ func TestCycleStatsInvariance(t *testing.T) {
 	}
 }
 
-// hamming160 records the Hamming(160) run on the scan processor over its
+// hamming160 compiles the Hamming(160) run on the scan processor over its
 // 470 cycles, the program whose per-cycle work the counters below pin.
-func hamming160(t *testing.T) (*cpu.CPU, sim.Inputs, *core.RunResult) {
+func hamming160(t *testing.T) (*cpu.CPU, sim.Inputs, *core.Trace) {
 	t.Helper()
 	c, _, _, in := hammingOnCPU(t, 160, obliv.Scan)
-	res, err := core.RunLocal(context.Background(), c.Circuit, in, core.RunOpts{Cycles: 470, Record: core.Unbounded})
+	return c, in, compile(t, c.Circuit, in.Public, 470)
+}
+
+// compile compiles the trace of c's run under pub within budget cycles,
+// stopping at the processor's halt flag.
+func compile(tb testing.TB, c *circuit.Circuit, pub []bool, budget int) *core.Trace {
+	tb.Helper()
+	tr, err := core.Compile(context.Background(), c, pub, core.CountOpts{Cycles: budget, StopOutput: "halted"}, nil)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return c, in, res
+	return tr
 }
 
 // TestHammingCycleCounters pins the machine-independent work of a garbled
@@ -156,8 +162,7 @@ func hamming160(t *testing.T) (*cpu.CPU, sim.Inputs, *core.RunResult) {
 // passthroughs and free XORs only: a plain passthrough is compiled to an
 // alias, so replaying the trace never executes one.
 func TestHammingCycleCounters(t *testing.T) {
-	c, _, res := hamming160(t)
-	tr := res.Trace
+	c, _, tr := hamming160(t)
 	g := core.NewReplayGarbler(c.Circuit, gc.CryptoRand)
 	dffs, copies := 0, 0
 	for cyc := 1; cyc <= tr.NumCycles(); cyc++ {
@@ -170,7 +175,7 @@ func TestHammingCycleCounters(t *testing.T) {
 		}
 		g.CopyDFFs()
 	}
-	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), res.Stats.Total.Garbled, dffs, copies, tr.Width()}
+	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), tr.TotalStats().Total.Garbled, dffs, copies, tr.Width()}
 	want := [...]int{13_567, 470, 480, 3_280, 1_836, 679}
 	if got != want {
 		t.Fatalf("gates, cycles, tables, DFF commits, copies, label slots = %v, want %v", got, want)
@@ -181,10 +186,10 @@ func TestHammingCycleCounters(t *testing.T) {
 // wave form (core.CheckWaves) — on the processor's netlist, register file
 // and memory included, not only on random circuits.
 func TestHammingWaves(t *testing.T) {
-	_, _, res := hamming160(t)
+	_, _, tr := hamming160(t)
 	split := 0
-	for cyc := 1; cyc <= res.Trace.NumCycles(); cyc++ {
-		ct := res.Trace.Cycle(cyc)
+	for cyc := 1; cyc <= tr.NumCycles(); cyc++ {
+		ct := tr.Cycle(cyc)
 		if err := core.CheckWaves(ct); err != nil {
 			t.Fatalf("cycle %d: %v", cyc, err)
 		}
@@ -195,7 +200,7 @@ func TestHammingWaves(t *testing.T) {
 	if split == 0 {
 		t.Fatal("no cycle runs in more than one wave")
 	}
-	t.Logf("%d of %d cycles run in more than one wave", split, res.Trace.NumCycles())
+	t.Logf("%d of %d cycles run in more than one wave", split, tr.NumCycles())
 }
 
 // TestHammingClassifyShapes pins the measurement that decided against
@@ -223,8 +228,7 @@ func TestHammingClassifyShapes(t *testing.T) {
 // evaluator's EvalCycleTrace and CopyDFFs over the whole Hamming(160)
 // trace.
 func TestKernelsDoNotAllocate(t *testing.T) {
-	c, in, res := hamming160(t)
-	tr := res.Trace
+	c, in, tr := hamming160(t)
 	n := tr.NumCycles()
 
 	s := core.NewScheduler(c.Circuit, core.Seed{}, in.Public)
@@ -286,15 +290,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 //	go test -run '^$' -bench ReplayKernels -benchtime 20x ./internal/core
 func BenchmarkReplayKernels(b *testing.B) {
 	c, _, _, in := workloadOnCPU(b, bencher.MatrixMultWorkload(5), "")
-	res, err := core.RunLocal(context.Background(), c.Circuit, in,
-		core.RunOpts{Cycles: 20_000, StopOutput: "halted", Record: core.Unbounded})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := res.Trace
+	tr := compile(b, c.Circuit, in.Public, 20_000)
 	n := tr.NumCycles()
-	if n != 5_133 || res.Stats.Total.Garbled != 127_225 {
-		b.Fatalf("matmul5 ran %d cycles and %d tables, want 5133 and 127225", n, res.Stats.Total.Garbled)
+	if garbled := tr.TotalStats().Total.Garbled; n != 5_133 || garbled != 127_225 {
+		b.Fatalf("matmul5 ran %d cycles and %d tables, want 5133 and 127225", n, garbled)
 	}
 	g := core.NewReplayGarbler(c.Circuit, gc.CryptoRand)
 	e := core.NewReplayEvaluator(c.Circuit)

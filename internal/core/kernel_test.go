@@ -37,10 +37,11 @@ func TestKernelDifferential(t *testing.T) {
 		}
 
 		var liveCycles []CycleStats
-		live, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, Record: Unbounded, Sink: perCycle(&liveCycles)})
+		live, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, Sink: perCycle(&liveCycles)})
 		if err != nil {
 			t.Fatalf("trial %d: live run: %v", trial, err)
 		}
+		tr := compileRun(t, c, in.Public, RunOpts{Cycles: cycles})
 		want := sim.Run(c, in, cycles)
 		for i := range want {
 			if live.Outputs[i] != want[i] {
@@ -49,7 +50,7 @@ func TestKernelDifferential(t *testing.T) {
 		}
 
 		var replayCycles []CycleStats
-		replay, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, Trace: live.Trace, Sink: perCycle(&replayCycles)})
+		replay, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, Trace: tr, Sink: perCycle(&replayCycles)})
 		if err != nil {
 			t.Fatalf("trial %d: replay run: %v", trial, err)
 		}
@@ -68,7 +69,7 @@ func TestKernelDifferential(t *testing.T) {
 			if replayCycles[cyc-1] != liveCycles[cyc-1] {
 				t.Fatalf("trial %d: cycle %d: replay stats %+v, live %+v", trial, cyc, replayCycles[cyc-1], liveCycles[cyc-1])
 			}
-			if got := live.Trace.Cycle(cyc).NumTables(); got != liveCycles[cyc-1].Garbled {
+			if got := tr.Cycle(cyc).NumTables(); got != liveCycles[cyc-1].Garbled {
 				t.Fatalf("trial %d: cycle %d: trace holds %d garble ops, live run garbled %d", trial, cyc, got, liveCycles[cyc-1].Garbled)
 			}
 		}
@@ -492,7 +493,7 @@ func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts
 		o.copyDFFs()
 		o.checkLabels(t, live.s, g, e)
 	}
-	res.Stats, res.Halted, res.Trace = sc.Stats(), sc.Halted(), sc.Trace()
+	res.Stats, res.Halted = sc.Stats(), sc.Halted()
 	return res
 }
 
@@ -521,13 +522,14 @@ func TestDenseCommitOracle(t *testing.T) {
 		c, in := randomCase(rng, 60+rng.Intn(900), 4+rng.Intn(30))
 		cycles := 2 + rng.Intn(6)
 		want := sim.Run(c, in, cycles)
-		live := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles, Record: Unbounded})
-		replay := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles, Trace: live.Trace})
+		live := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles})
+		tr := compileRun(t, c, in.Public, RunOpts{Cycles: cycles})
+		replay := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles, Trace: tr})
 		if !slices.Equal(live.Outputs, want) || !slices.Equal(replay.Outputs, want) {
 			t.Fatalf("trial %d: outputs live %v replay %v, plaintext %v", trial, live.Outputs, replay.Outputs, want)
 		}
 		for cyc := 1; cyc <= cycles; cyc++ {
-			ct := live.Trace.Cycle(cyc)
+			ct := tr.Cycle(cyc)
 			dirty += len(ct.dirty)
 			unexecuted += ct.Stats.Passthrough + ct.Stats.FreeXOR - len(ct.copyAct)
 		}
@@ -736,16 +738,17 @@ func TestSwapRegisterCommit(t *testing.T) {
 	in := sim.Inputs{Public: []bool{false}, Alice: []bool{true}, Bob: []bool{false}}
 	ctx := context.Background()
 	const cycles = 6
-	live, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, RecordEveryCycle: true, Record: Unbounded})
+	live, err := RunLocal(ctx, c, in, RunOpts{Cycles: cycles, RecordEveryCycle: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := compileRun(t, c, in.Public, RunOpts{Cycles: cycles})
 	for cyc := 1; cyc <= cycles; cyc++ {
 		want := sim.Run(c, in, cyc)
 		if got := live.PerCycle[cyc-1]; !slices.Equal(got, want) {
 			t.Fatalf("live cycle %d: outputs %v, plaintext %v", cyc, got, want)
 		}
-		ct := live.Trace.Cycle(cyc)
+		ct := tr.Cycle(cyc)
 		if len(ct.copyAct) != 0 {
 			t.Fatalf("cycle %d executes %d copies, want none: both MUXes are aliases", cyc, len(ct.copyAct))
 		}
@@ -754,11 +757,7 @@ func TestSwapRegisterCommit(t *testing.T) {
 		if cyc < cycles && (!slices.Equal(ct.dirty, []int32{0, 1}) || !slices.Equal(ct.dirtySrc, []int32{1, 0})) {
 			t.Fatalf("cycle %d: D labels move from slots %v to %v, want the other register's Q [1 0] to [0 1]", cyc, ct.dirtySrc, ct.dirty)
 		}
-		rec, err := RunLocal(ctx, c, in, RunOpts{Cycles: cyc, Record: Unbounded})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay, err := RunLocal(ctx, c, in, RunOpts{Cycles: cyc, Trace: rec.Trace})
+		replay, err := RunLocal(ctx, c, in, RunOpts{Cycles: cyc, Trace: compileRun(t, c, in.Public, RunOpts{Cycles: cyc})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -774,11 +773,7 @@ func TestSwapRegisterCommit(t *testing.T) {
 func TestTraceMemoryBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	c, in := randomCase(rng, 500, 24)
-	res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 5, Record: Unbounded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Trace
+	tr := compileRun(t, c, in.Public, RunOpts{Cycles: 5})
 	if floor := tr.NumCycles() * int(unsafe.Sizeof(CycleTrace{})); tr.MemoryBytes() < floor {
 		t.Fatalf("MemoryBytes %d is below %d cycles of bare struct (%d)", tr.MemoryBytes(), tr.NumCycles(), floor)
 	}

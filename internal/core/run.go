@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -35,20 +36,12 @@ type RunOpts struct {
 	// classified — live progress for long runs.
 	Sink func(cycle int, cs CycleStats)
 
-	// Trace, when set, replays a recorded classification schedule instead
+	// Trace, when set, replays a compiled classification schedule instead
 	// of running the Scheduler: no Classify, just trace-driven label work.
-	// The trace must have been recorded for the same circuit, public input
-	// and Cycles budget; StopOutput is served from the trace's recorded
-	// halt.
+	// The trace must have been compiled (Compile) for the same circuit,
+	// public input and Cycles budget; StopOutput is served from the
+	// trace's recorded halt.
 	Trace *Trace
-
-	// Record, when set, compiles this run's classification schedule into
-	// RunResult.Trace for later replay, drawing the trace's bytes from the
-	// budget: once it refuses, the recording is dropped and RunResult.Trace
-	// comes back nil, while the run goes on classifying to the same result.
-	// Unbounded records without a limit. Mutually exclusive with Trace (a
-	// replayed run has no scheduler to record).
-	Record RecordBudget
 }
 
 // RunResult reports a completed run.
@@ -56,8 +49,7 @@ type RunResult struct {
 	Outputs  []bool   // all output buses flattened, final cycle
 	PerCycle [][]bool // per-cycle outputs when RecordEveryCycle
 	Stats    Stats
-	Halted   bool   // stopped by StopOutput
-	Trace    *Trace // the recorded schedule when RunOpts.Record, unless the budget refused it
+	Halted   bool // stopped by StopOutput
 }
 
 // RunLocal executes the full two-party SkipGate protocol in process: one
@@ -85,6 +77,10 @@ func RunLocal(ctx context.Context, c *circuit.Circuit, in sim.Inputs, opts RunOp
 		return nil, err
 	}
 	e := NewReplayEvaluator(c)
+	if opts.Trace != nil {
+		g.Reserve(opts.Trace.Width())
+		e.Reserve(opts.Trace.Width())
+	}
 	if err := deliverInputs(g, e, in); err != nil {
 		return nil, err
 	}
@@ -118,7 +114,7 @@ func RunLocal(ctx context.Context, c *circuit.Circuit, in sim.Inputs, opts RunOp
 		g.CopyDFFs()
 		e.CopyDFFs()
 	}
-	res.Stats, res.Halted, res.Trace = sc.Stats(), sc.Halted(), sc.Trace()
+	res.Stats, res.Halted = sc.Stats(), sc.Halted()
 	return res, nil
 }
 
@@ -192,4 +188,44 @@ func Count(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts) 
 		sc.Next()
 	}
 	return sc.Stats(), sc.Halted(), nil
+}
+
+// ErrTraceBudget is what Compile returns when its RecordBudget refuses a
+// byte: the program's trace does not fit, and its runs classify live.
+var ErrTraceBudget = errors.New("core: compiled trace outgrew its budget")
+
+// Compile runs the Scheduler and a TraceRecorder over the whole run of c
+// under public input pub, with no executor and no label — the schedule
+// is a pure function of public data — and returns the compiled Trace that
+// RunOpts.Trace and proto.Config.Trace replay. Of opts it reads Cycles,
+// StopOutput and Seed; a Sink sees every cycle as it is compiled. The
+// recorder draws every byte it keeps from budget (nil: unbounded) and
+// Compile stops with ErrTraceBudget at the first refusal, having held at
+// most what the budget granted plus the refused cycle. Cancelling ctx
+// aborts between cycles with ctx.Err().
+func Compile(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts, budget RecordBudget) (*Trace, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sc, err := newSchedule(c, pub, RunOpts{Cycles: opts.Cycles, StopOutput: opts.StopOutput,
+		Seed: opts.Seed, Sink: opts.Sink}, true)
+	if err != nil {
+		return nil, err
+	}
+	rec := NewTraceRecorder(sc.s)
+	rec.budget = budget
+	for !sc.Done() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ct := sc.Next()
+		rec.RecordCycle(ct.Stats, ct.Halted)
+		if rec.t == nil {
+			return nil, ErrTraceBudget
+		}
+	}
+	if t := rec.Finish(sc.Halted()); t != nil {
+		return t, nil
+	}
+	return nil, ErrTraceBudget
 }

@@ -8,13 +8,12 @@ import (
 
 // Schedule is the one source of compiled cycles a run's executors consume:
 // Next classifies the next cycle on a live Scheduler, or steps through a
-// recorded Trace — the cycle loops above it cannot tell which. The halt
+// compiled Trace — the cycle loops above it cannot tell which. The halt
 // verdict, the accumulated statistics and the final output-wire states are
 // read from here in both cases.
 type Schedule struct {
-	s      *Scheduler     // nil when replaying
-	tr     *Trace         // nil when classifying
-	rec    *TraceRecorder // non-nil when recording
+	s      *Scheduler // nil when replaying
+	tr     *Trace     // nil when classifying
 	budget int
 	stop   circuit.Wire // resolved halt-flag wire, or -1
 	sink   func(cycle int, cs CycleStats)
@@ -28,8 +27,8 @@ type Schedule struct {
 
 // NewSchedule prepares a run of c under public input pub for executors:
 // every classified cycle is compiled for the kernels. Of o it reads the
-// run's public shape — Cycles, StopOutput, Seed, Sink, Trace, Record; Rand
-// and RecordEveryCycle are the executors' business.
+// run's public shape — Cycles, StopOutput, Seed, Sink, Trace; Rand and
+// RecordEveryCycle are the executors' business.
 func NewSchedule(c *circuit.Circuit, pub []bool, o RunOpts) (*Schedule, error) {
 	return newSchedule(c, pub, o, true)
 }
@@ -45,9 +44,6 @@ func newSchedule(c *circuit.Circuit, pub []bool, o RunOpts, emit bool) (*Schedul
 		sc.outW = append(sc.outW, c.ResolveOutput(w))
 	}
 	if o.Trace != nil {
-		if o.Record != nil {
-			return nil, fmt.Errorf("core: Record with Trace: a replayed run has no scheduler to record")
-		}
 		if err := o.Trace.Validate(o.Cycles); err != nil {
 			return nil, err
 		}
@@ -66,10 +62,6 @@ func newSchedule(c *circuit.Circuit, pub []bool, o RunOpts, emit bool) (*Schedul
 	}
 	sc.s = NewScheduler(c, o.Seed, pub)
 	sc.s.emit = emit
-	if o.Record != nil {
-		sc.rec = NewTraceRecorder(sc.s)
-		sc.rec.budget = o.Record
-	}
 	return sc, nil
 }
 
@@ -89,16 +81,13 @@ func (sc *Schedule) Next() *CycleTrace {
 			sc.s.Commit()
 		}
 		sc.cyc++
-		cs := sc.s.Classify(sc.cyc == sc.budget)
+		sc.s.Classify(sc.cyc == sc.budget)
 		ct = &sc.s.ct
 		// The halt verdict is schedule-only (a public wire state), so it
 		// is known right after Classify.
 		if sc.stop >= 0 {
 			v, pub := sc.s.WireState(sc.stop)
 			ct.Halted = pub && v
-		}
-		if sc.rec != nil {
-			sc.rec.RecordCycle(cs, ct.Halted)
 		}
 	}
 	sc.halted = ct.Halted
@@ -145,13 +134,4 @@ func (sc *Schedule) OutputState(i int) (val bool, public bool) {
 		return sc.tr.outVal[i], sc.tr.outPub[i]
 	}
 	return sc.s.WireState(sc.outW[i])
-}
-
-// Trace returns the recorded run when RunOpts.Record was set and its
-// budget granted every byte, nil otherwise; call it once, when Done.
-func (sc *Schedule) Trace() *Trace {
-	if sc.rec == nil {
-		return nil
-	}
-	return sc.rec.Finish(sc.halted)
 }

@@ -283,9 +283,9 @@ func (ct *CycleTrace) memoryBytes() int {
 		4*(cap(ct.dirty)+cap(ct.dirtySrc))
 }
 
-// Trace is a recorded classification schedule for one (circuit, public
-// input, cycle budget, halt flag) tuple, ready for replay by any number of
-// later sessions. A Trace is immutable after TraceRecorder.Finish and safe
+// Trace is a compiled classification schedule (Compile) for one (circuit,
+// public input, cycle budget, halt flag) tuple, ready for replay by any
+// number of sessions. A Trace is immutable after TraceRecorder.Finish and safe
 // for concurrent replay.
 type Trace struct {
 	// One allocation per cycle, so the list's spare capacity is pointers,
@@ -358,11 +358,8 @@ type TraceRecorder struct {
 // RecordBudget meters a recording's memory: the recorder asks it for
 // every byte it keeps (each cycle's, then the final output snapshot's), so
 // a Trace's MemoryBytes is exactly what its budget granted. The first
-// refusal drops the recording. Unbounded grants every request.
+// refusal drops the recording (Compile returns ErrTraceBudget).
 type RecordBudget func(bytes int) bool
-
-// Unbounded is the RecordBudget that grants every request.
-func Unbounded(int) bool { return true }
 
 // NewTraceRecorder starts recording s's run without a budget; create it
 // before the first Classify.

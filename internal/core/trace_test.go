@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -92,22 +93,20 @@ func TestRunLocalTraceRecordReplay(t *testing.T) {
 		}
 		const cycles = 5
 		recorded, err := RunLocal(ctx, c, in, RunOpts{
-			Cycles: cycles, Seed: Seed{9}, Rand: rand.New(rand.NewSource(1)), Record: Unbounded,
+			Cycles: cycles, Seed: Seed{9}, Rand: rand.New(rand.NewSource(1)),
 		})
 		if err != nil {
-			t.Fatalf("trial %d: record run: %v", trial, err)
+			t.Fatalf("trial %d: live run: %v", trial, err)
 		}
-		if recorded.Trace == nil {
-			t.Fatalf("trial %d: Record set but no trace returned", trial)
+		tr := compileRun(t, c, pub, RunOpts{Cycles: cycles, Seed: Seed{9}})
+		if tr.MemoryBytes() <= 0 {
+			t.Fatalf("trial %d: trace reports %d bytes", trial, tr.MemoryBytes())
 		}
-		if recorded.Trace.MemoryBytes() <= 0 {
-			t.Fatalf("trial %d: trace reports %d bytes", trial, recorded.Trace.MemoryBytes())
-		}
-		if got := recorded.Trace.TotalStats(); got != recorded.Stats {
+		if got := tr.TotalStats(); got != recorded.Stats {
 			t.Fatalf("trial %d: trace stats %+v, run stats %+v", trial, got, recorded.Stats)
 		}
 		replayed, err := RunLocal(ctx, c, in, RunOpts{
-			Cycles: cycles, Seed: Seed{42}, Rand: rand.New(rand.NewSource(2)), Trace: recorded.Trace,
+			Cycles: cycles, Seed: Seed{42}, Rand: rand.New(rand.NewSource(2)), Trace: tr,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: replay run: %v", trial, err)
@@ -147,7 +146,9 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
-// TestRunLocalTraceRecordExclusive pins the Record×Trace guard.
+// TestRunLocalTraceRecordExclusive pins the RecordEveryCycle×Trace guard:
+// a replayed run knows only the final cycle's output states, so it cannot
+// decode the outputs after every cycle.
 func TestRunLocalTraceRecordExclusive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c, aBits, bBits := circtest.Random(rng, 120, 4)
@@ -156,21 +157,30 @@ func TestRunLocalTraceRecordExclusive(t *testing.T) {
 		Alice:  circtest.RandBits(rng, aBits),
 		Bob:    circtest.RandBits(rng, bBits),
 	}
-	res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 2, Record: Unbounded})
-	if err != nil {
-		t.Fatalf("record run: %v", err)
-	}
-	if _, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 2, Record: Unbounded, Trace: res.Trace}); err == nil {
-		t.Fatalf("Record together with Trace succeeded; want error")
+	tr := compileRun(t, c, in.Public, RunOpts{Cycles: 2})
+	if _, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: 2, RecordEveryCycle: true, Trace: tr}); err == nil {
+		t.Fatalf("RecordEveryCycle together with Trace succeeded; want error")
 	}
 }
 
-// TestTraceRecordBudget pins the recorder's metering: it asks its budget
-// for every byte the trace holds, so a budget the whole trace fits keeps
-// it at exactly the bytes granted, while one that refuses partway (or
-// right at the output snapshot, the last request) drops the recording —
-// no trace, and no request after the refusal — and the run itself decodes
-// the same outputs with the same statistics.
+// compileRun compiles the trace of the run opts describes, unbounded.
+func compileRun(t testing.TB, c *circuit.Circuit, pub []bool, opts RunOpts) *Trace {
+	t.Helper()
+	tr, err := Compile(context.Background(), c, pub,
+		CountOpts{Cycles: opts.Cycles, StopOutput: opts.StopOutput, Seed: opts.Seed}, nil)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return tr
+}
+
+// TestTraceRecordBudget pins the compile's metering: the recorder asks
+// its budget for every byte the trace holds, so a budget the whole trace
+// fits keeps it at exactly the bytes granted, while one that refuses
+// partway (or right at the output snapshot, the last request) stops the
+// compile with ErrTraceBudget — no trace, and no request after the
+// refusal. The kept trace replays to the live run's outputs and
+// statistics.
 func TestTraceRecordBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c, aBits, bBits := circtest.Random(rng, 400, 10)
@@ -180,9 +190,9 @@ func TestTraceRecordBudget(t *testing.T) {
 		Bob:    circtest.RandBits(rng, bBits),
 	}
 	ctx := context.Background()
-	// run records under a budget of limit bytes and reports the bytes it
-	// granted and the requests made after the first refusal.
-	run := func(limit int) (res *RunResult, granted, late int) {
+	// compile compiles under a budget of limit bytes and reports the bytes
+	// it granted and the requests made after the first refusal.
+	compile := func(limit int) (tr *Trace, granted, late int) {
 		refused := false
 		budget := func(n int) bool {
 			if refused {
@@ -195,31 +205,38 @@ func TestTraceRecordBudget(t *testing.T) {
 			granted += n
 			return true
 		}
-		res, err := RunLocal(ctx, c, in, RunOpts{Cycles: 8, Record: budget})
-		if err != nil {
-			t.Fatal(err)
+		tr, err := Compile(ctx, c, in.Public, CountOpts{Cycles: 8}, budget)
+		if (tr == nil) != errors.Is(err, ErrTraceBudget) || (tr == nil && err == nil) {
+			t.Fatalf("budget %d: trace %v, err %v", limit, tr != nil, err)
 		}
-		return res, granted, late
+		return tr, granted, late
 	}
-	full, err := RunLocal(ctx, c, in, RunOpts{Cycles: 8, Record: Unbounded})
+	full, err := RunLocal(ctx, c, in, RunOpts{Cycles: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := full.Trace.MemoryBytes()
+	size := compileRun(t, c, in.Public, RunOpts{Cycles: 8}).MemoryBytes()
 	for _, tc := range []struct {
 		limit int
 		kept  bool
 	}{{size, true}, {size - 1, false}, {size / 2, false}, {1, false}} {
-		res, granted, late := run(tc.limit)
-		if (res.Trace != nil) != tc.kept || late != 0 {
+		tr, granted, late := compile(tc.limit)
+		if (tr != nil) != tc.kept || late != 0 {
 			t.Fatalf("budget %d of a %d-byte trace: trace kept = %v (want %v), %d requests after the refusal",
-				tc.limit, size, res.Trace != nil, tc.kept, late)
+				tc.limit, size, tr != nil, tc.kept, late)
 		}
-		if tc.kept && (granted != size || res.Trace.MemoryBytes() != size) {
-			t.Fatalf("budget granted %d bytes to a trace of %d; want both %d", granted, res.Trace.MemoryBytes(), size)
+		if !tc.kept {
+			continue
+		}
+		if granted != size || tr.MemoryBytes() != size {
+			t.Fatalf("budget granted %d bytes to a trace of %d; want both %d", granted, tr.MemoryBytes(), size)
+		}
+		res, err := RunLocal(ctx, c, in, RunOpts{Cycles: 8, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
 		}
 		if res.Stats != full.Stats || !slices.Equal(res.Outputs, full.Outputs) {
-			t.Fatalf("budget %d: run diverged from the unbounded recording", tc.limit)
+			t.Fatalf("budget %d: replay diverged from the live run", tc.limit)
 		}
 	}
 }

@@ -78,40 +78,49 @@ func (s *OTState) epoch() ot.Epoch {
 }
 
 // send is the garbler's OT for Bob's label pairs, bound to the session's
-// hello payload.
-func (s *OTState) send(conn io.ReadWriter, hello []byte, pairs [][2]gc.Label) error {
+// hello payload. The base OTs, when it runs them, and the extension are
+// charged to their phases on clk.
+func (s *OTState) send(conn io.ReadWriter, clk *clock, hello []byte, pairs [][2]gc.Label) error {
 	if len(pairs) == 0 {
 		return nil
 	}
+	var b *ot.SenderBase
 	if s != nil && s.sender != nil && s.extends(s.sender.Epoch()) {
-		return s.sender.Extend(conn, hello, pairs)
+		b = s.sender
+	} else {
+		clk.enter(PhaseOTSetup)
+		var err error
+		if b, err = ot.NewSenderBase(conn, s.epoch()); err != nil {
+			return err
+		}
+		if s != nil {
+			s.sender = b
+		}
 	}
-	b, err := ot.NewSenderBase(conn, s.epoch())
-	if err != nil {
-		return err
-	}
-	if s != nil {
-		s.sender = b
-	}
+	clk.enter(PhaseOTExtension)
 	return b.Extend(conn, hello, pairs)
 }
 
 // receive is the evaluator's OT for its choice bits, bound to the
-// session's hello payload.
-func (s *OTState) receive(conn io.ReadWriter, hello []byte, choices []bool) ([]gc.Label, error) {
+// session's hello payload. Phases are charged as in send.
+func (s *OTState) receive(conn io.ReadWriter, clk *clock, hello []byte, choices []bool) ([]gc.Label, error) {
 	if len(choices) == 0 {
 		return nil, nil
 	}
+	var b *ot.ReceiverBase
 	if s != nil && s.receiver != nil && s.extends(s.receiver.Epoch()) {
-		return s.receiver.Extend(conn, hello, choices)
+		b = s.receiver
+	} else {
+		clk.enter(PhaseOTSetup)
+		var err error
+		if b, err = ot.NewReceiverBase(conn, s.epoch()); err != nil {
+			return nil, err
+		}
+		if s != nil {
+			s.receiver = b
+		}
 	}
-	b, err := ot.NewReceiverBase(conn, s.epoch())
-	if err != nil {
-		return nil, err
-	}
-	if s != nil {
-		s.receiver = b
-	}
+	clk.enter(PhaseOTExtension)
 	return b.Extend(conn, hello, choices)
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"arm2gc/internal/bencher"
 	"arm2gc/internal/circuit"
-	"arm2gc/internal/core"
 	"arm2gc/internal/cpu"
 )
 
@@ -141,11 +140,9 @@ func TestGoldenWireDigest(t *testing.T) {
 			// The other ways of producing the stream must hit the same
 			// constant: a replaying garbler and evaluator, and an offline
 			// RecordGarbler stream.
-			rec := cfg
-			rec.Record = core.Unbounded
-			ra, rbRec, _ := runBothAsym(t, rec, rec, alice, bob, 1)
 			gR, eR := cfg, cfg
-			gR.Trace, eR.Trace = ra.Trace, rbRec.Trace
+			gR.Trace = compileTrace(t, cfg)
+			eR.Trace = gR.Trace
 			if d, _ := goldenDigest(t, gR, eR, alice, bob); d != tc.want {
 				t.Errorf("replayed wire digest %s, golden %s", d, tc.want)
 			}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"arm2gc/internal/core"
 	"arm2gc/internal/gc"
 	"arm2gc/internal/ot"
 	"arm2gc/internal/wire"
@@ -103,7 +102,7 @@ func serveTampered(t *testing.T, cfg Config, rec *Recorded, bob []bool, closing 
 	}()
 	go func() {
 		defer close(done)
-		if err := rec.handshake(ca, nil); err != nil {
+		if err := rec.handshake(ca, nil, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -165,17 +164,11 @@ func TestTamperedTableStream(t *testing.T) {
 	}
 }
 
-// replayConfig returns cfg with the classification trace a recorded run
-// of it produced: the evaluator config of a replaying party.
-func replayConfig(t *testing.T, cfg Config, alice []bool) Config {
+// replayConfig returns cfg with its compiled classification trace: the
+// evaluator config of a replaying party.
+func replayConfig(t *testing.T, cfg Config) Config {
 	t.Helper()
-	rc := cfg
-	rc.Record = core.Unbounded
-	_, res, err := RecordGarbler(context.Background(), rc, alice, mrand.New(mrand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Trace = res.Trace
+	cfg.Trace = compileTrace(t, cfg)
 	return cfg
 }
 
@@ -186,7 +179,7 @@ func replayConfig(t *testing.T, cfg Config, alice []bool) Config {
 // cycle is refused where the decode frame is due.
 func TestTraceReplayExactTableFrames(t *testing.T) {
 	cfg, alice, bob := multiCycleConfig(t, 4)
-	replay := replayConfig(t, cfg, alice)
+	replay := replayConfig(t, cfg)
 	for _, tc := range []struct {
 		name string
 		edit func(frame []byte) []byte
@@ -265,7 +258,7 @@ func (c *poisonConn) Write(b []byte) (int, error) {
 // well under 1 MiB allocated by both parties together.
 func TestHostileLengthAtEveryRead(t *testing.T) {
 	cfg, alice, bob := multiCycleConfig(t, 4)
-	replay := replayConfig(t, cfg, alice)
+	replay := replayConfig(t, cfg)
 	sites := []struct {
 		name   string
 		typ    byte

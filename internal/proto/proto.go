@@ -77,22 +77,15 @@ type Config struct {
 	// cycle is produced, on both roles.
 	Sink func(cycle int, cs core.CycleStats)
 
-	// Trace, when set, replays a recorded classification schedule instead
-	// of running the SkipGate scheduler: the role's kernel is fed the
-	// recorded cycles, collapsing its hot path to fixed-key-AES label work.
-	// The trace must come from the same (circuit, public input, cycle
-	// budget, halt flag) tuple — see core.Trace. The wire stream is
-	// byte-identical to a classified run's, so the knob is local: it is
-	// not part of the session id, and a replaying role interoperates with
-	// a classifying peer.
+	// Trace, when set, replays a compiled classification schedule
+	// (core.Compile) instead of running the SkipGate scheduler: the role's
+	// kernel is fed the compiled cycles, collapsing its hot path to
+	// fixed-key-AES label work. The trace must come from the same
+	// (circuit, public input, cycle budget, halt flag) tuple — see
+	// core.Trace. The wire stream is byte-identical to a classified run's,
+	// so the knob is local: it is not part of the session id, and a
+	// replaying role interoperates with a classifying peer.
 	Trace *core.Trace
-
-	// Record, when set, compiles this run's classification schedule into
-	// Result.Trace for later replay, drawing its bytes from the budget as
-	// core.RunOpts.Record does: once the budget refuses, Result.Trace is nil
-	// and the run goes on classifying. Mutually exclusive with Trace; it
-	// changes no wire byte.
-	Record core.RecordBudget
 
 	// OT, when set, carries this party's base OTs across the sessions of
 	// one connection (see OTState); nil runs fresh base OTs. Like Trace it
@@ -272,24 +265,31 @@ type Result struct {
 	// is ~Cycles/CycleBatch.
 	TableFrames int
 
-	// Trace is the recorded classification schedule when Config.Record
-	// was set, the run completed and the budget granted the whole
-	// recording.
-	Trace *core.Trace
+	// Phases is this party's wall time in the run, from entry to its last
+	// write, by phase; its negotiate and compile phases are the caller's.
+	Phases Phases
 }
 
 // inFlight runs one party's side of a session over a wire.Flight on
 // conn, under ctx's watcher: the party's frames leave in flights, and the
-// last one when run returns without error.
-func inFlight(ctx context.Context, conn io.ReadWriter, run func(ctx context.Context, f io.ReadWriter) (*Result, error)) (*Result, error) {
+// last one when run returns without error. The run's wall time, to the
+// watcher's exit, is charged to phases on clk, whose connection calls it
+// times under the flight.
+func inFlight(ctx context.Context, conn io.ReadWriter, run func(ctx context.Context, f io.ReadWriter, clk *clock) (*Result, error)) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	clk := newClock()
+	defer func() {
+		if res != nil {
+			clk.enter(clk.cur)
+			res.Phases = clk.ph
+		}
+	}()
 	stop := watchContext(ctx, conn)
 	defer stop()
-	f := wire.NewFlight(conn)
-	res, err := run(ctx, f)
-	if err == nil {
+	f := wire.NewFlight(timedConn{conn: conn, clk: clk})
+	if res, err = run(ctx, f, clk); err == nil {
 		err = f.Flush()
 	}
 	if err != nil {
@@ -300,17 +300,17 @@ func inFlight(ctx context.Context, conn io.ReadWriter, run func(ctx context.Cont
 
 // RunGarbler plays Alice.
 func RunGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
-	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter) (*Result, error) {
-		return runGarbler(ctx, f, cfg, aliceInput, rnd)
+	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter, clk *clock) (*Result, error) {
+		return runGarbler(ctx, f, clk, cfg, aliceInput, rnd)
 	})
 }
 
-func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
+func runGarbler(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
 	rec, sched, g, err := setupGarbler(cfg, aliceInput, rnd)
 	if err != nil {
 		return nil, err
 	}
-	if err := rec.handshake(conn, cfg.OT); err != nil {
+	if err := rec.handshake(conn, clk, cfg.OT); err != nil {
 		return nil, err
 	}
 	// The handshake's last read woke this goroutine from the network
@@ -325,7 +325,7 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 	// goroutine beside the stream.
 	runtime.Gosched()
 	res := &Result{}
-	err = garbleFrames(ctx, cfg, sched, g, func(frame []byte) error {
+	err = garbleFrames(ctx, clk, cfg, sched, g, func(frame []byte) error {
 		if _, err := conn.Write(frame); err != nil {
 			return err
 		}
@@ -335,8 +335,9 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 	if err != nil {
 		return nil, err
 	}
+	clk.enter(PhaseDecode)
 	rec.finish(sched, g)
-	res.Stats, res.Halted, res.Trace = rec.stats, rec.halted, sched.Trace()
+	res.Stats, res.Halted = rec.stats, rec.halted
 	if res.Outputs, err = rec.exchangeOutputs(conn, cfg.Outputs); err != nil {
 		return nil, err
 	}
@@ -349,16 +350,19 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 // every frame boundary — the cycle-batch edge and, regardless of fill,
 // the run's last cycle (halt or budget edge), where the evaluator expects
 // the remainder; both sides derive identical boundaries from the shared
-// public schedule. The buffer is refilled once emit returns.
-func garbleFrames(ctx context.Context, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(frame []byte) error) error {
+// public schedule. The buffer is refilled once emit returns. A live
+// cycle's classification and flip-flop commit are charged to their phases
+// on clk; a replayed cycle is all kernel.
+func garbleFrames(ctx context.Context, clk *clock, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(frame []byte) error) error {
 	batch := cfg.batch()
 	frame := wire.AppendHeader(nil, msgTables, 0)
 	inBatch := 0
+	live := cfg.Trace == nil
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ct := sched.Next()
+		ct := next(clk, live, sched)
 		frame = g.GarbleCycleTraceAppend(ct, sched.Cycle(), frame)
 		inBatch++
 		if inBatch == batch || sched.Done() {
@@ -372,25 +376,40 @@ func garbleFrames(ctx context.Context, cfg Config, sched *core.Schedule, g *core
 		if sched.Done() {
 			return nil
 		}
+		if live {
+			clk.enter(PhaseCommit)
+		}
 		g.CopyDFFs()
 	}
+}
+
+// next takes the schedule's next cycle, charging a live one's
+// classification to PhaseCompile and returning to the kernel.
+func next(clk *clock, live bool, sched *core.Schedule) *core.CycleTrace {
+	if !live {
+		return sched.Next()
+	}
+	clk.enter(PhaseCompile)
+	ct := sched.Next()
+	clk.enter(PhaseKernel)
+	return ct
 }
 
 // schedule builds the role's source of compiled cycles: a live scheduler
 // under the session's fingerprint seed, or cfg.Trace.
 func (c Config) schedule(seed core.Seed) (*core.Schedule, error) {
 	return core.NewSchedule(c.Circuit, c.Public, core.RunOpts{Cycles: c.Cycles, StopOutput: c.StopOutput,
-		Seed: seed, Sink: c.Sink, Trace: c.Trace, Record: c.Record})
+		Seed: seed, Sink: c.Sink, Trace: c.Trace})
 }
 
 // RunEvaluator plays Bob.
 func RunEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput []bool) (*Result, error) {
-	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter) (*Result, error) {
-		return runEvaluator(ctx, f, cfg, bobInput)
+	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter, clk *clock) (*Result, error) {
+		return runEvaluator(ctx, f, clk, cfg, bobInput)
 	})
 }
 
-func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput []bool) (*Result, error) {
+func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config, bobInput []bool) (*Result, error) {
 	sid, err := cfg.SessionID()
 	if err != nil {
 		return nil, err
@@ -413,6 +432,9 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 		return nil, err
 	}
 	e := core.NewReplayEvaluator(cfg.Circuit)
+	if cfg.Trace != nil {
+		e.Reserve(cfg.Trace.Width())
+	}
 	aliceBytes, err := readExact(conn, msgAliceLabels, 16*cfg.Circuit.AliceBits)
 	if err != nil {
 		return nil, err
@@ -421,10 +443,11 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	for i := range choices {
 		choices[i] = i < len(bobInput) && bobInput[i]
 	}
-	bobLabels, err := cfg.OT.receive(conn, hello, choices)
+	bobLabels, err := cfg.OT.receive(conn, clk, hello, choices)
 	if err != nil {
 		return nil, fmt.Errorf("proto: OT: %w", err)
 	}
+	clk.enter(PhaseKernel)
 	if err := e.SetInputs(unpackLabels(aliceBytes), bobLabels); err != nil {
 		return nil, err
 	}
@@ -436,10 +459,11 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	// a later session on a reused connection, and it takes whatever has
 	// arrived in one read instead of two reads per frame.
 	stream := bufio.NewReaderSize(conn, cfg.streamBufBytes())
-	if err := evalStream(ctx, stream, cfg, sched, e, res); err != nil {
+	if err := evalStream(ctx, stream, clk, cfg, sched, e, res); err != nil {
 		return nil, err
 	}
-	res.Stats, res.Halted, res.Trace = sched.Stats(), sched.Halted(), sched.Trace()
+	clk.enter(PhaseDecode)
+	res.Stats, res.Halted = sched.Stats(), sched.Halted()
 
 	// The decode frame ends the garbler's side of every session; in
 	// garbler-only mode it is empty, the decode bits never leave the
@@ -492,11 +516,13 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 // evalStream is the evaluator's cycle loop: take the next compiled cycle,
 // read a table frame at each batch start, run the kernel. Frame boundaries
 // fall where the garbler puts them — the cycle-batch edge and the run's
-// last cycle — because both sides step the same public schedule.
-func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
+// last cycle — because both sides step the same public schedule. Phases
+// are charged as in garbleFrames.
+func evalStream(ctx context.Context, r io.Reader, clk *clock, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
 	batch := cfg.batch()
+	live := cfg.Trace == nil
 	liveMax := 0 // a replaying evaluator knows every frame's size exactly
-	if cfg.Trace == nil {
+	if live {
 		liveMax = batch * cfg.Circuit.Stats().NonXOR * gc.TableBytes
 	}
 	var payload []byte // the frame buffer, reused: read only once its tables are consumed
@@ -506,7 +532,7 @@ func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedu
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ct := sched.Next()
+		ct := next(clk, live, sched)
 		cyc := sched.Cycle()
 		var err error
 		if inBatch == 0 {
@@ -528,6 +554,9 @@ func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedu
 		}
 		if sched.Done() {
 			return nil
+		}
+		if live {
+			clk.enter(PhaseCommit)
 		}
 		e.CopyDFFs()
 	}

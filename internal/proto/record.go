@@ -105,6 +105,9 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	if cfg.Trace != nil {
+		g.Reserve(cfg.Trace.Width())
+	}
 	rec := &Recorded{
 		sid:   sid,
 		hello: append(append([]byte{}, sid[:]...), seed[:]...),
@@ -116,7 +119,7 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 
 // handshake opens a session as the garbler: hello and its echo, Alice's
 // labels, then the OT for Bob's, over the connection's OT state.
-func (r *Recorded) handshake(conn io.ReadWriter, st *OTState) error {
+func (r *Recorded) handshake(conn io.ReadWriter, clk *clock, st *OTState) error {
 	if err := wire.Write(conn, msgHello, r.hello); err != nil {
 		return err
 	}
@@ -130,9 +133,10 @@ func (r *Recorded) handshake(conn io.ReadWriter, st *OTState) error {
 	if err := wire.Write(conn, msgAliceLabels, r.alice); err != nil {
 		return err
 	}
-	if err := st.send(conn, r.hello, r.pairs); err != nil {
+	if err := st.send(conn, clk, r.hello, r.pairs); err != nil {
 		return fmt.Errorf("proto: OT: %w", err)
 	}
+	clk.enter(PhaseKernel)
 	return nil
 }
 
@@ -201,10 +205,8 @@ func (r *Recorded) exchangeOutputs(conn io.ReadWriter, mode OutputMode) ([]bool,
 // replayed from cfg.Trace), and captures the label and decode metadata.
 // ServeRecorded then replays the result to one evaluator with a wire
 // stream byte-identical to what RunGarbler would have produced from the
-// same randomness.
-//
-// The returned Result carries the run's stats and — when cfg.Record is
-// set — the compiled classification trace, exactly as RunGarbler would.
+// same randomness. The returned Result carries the run's stats, as
+// RunGarbler's would.
 func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -213,7 +215,7 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	err = garbleFrames(ctx, cfg, sched, g, func(frame []byte) error {
+	err = garbleFrames(ctx, nil, cfg, sched, g, func(frame []byte) error {
 		rec.frames = append(rec.frames, append([]byte(nil), frame[wire.HeaderLen:]...))
 		return nil
 	})
@@ -222,7 +224,7 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 	}
 	rec.finish(sched, g)
 	rec.computeSize()
-	res := &Result{Stats: rec.stats, Halted: rec.halted, TableFrames: len(rec.frames), Trace: sched.Trace()}
+	res := &Result{Stats: rec.stats, Halted: rec.halted, TableFrames: len(rec.frames)}
 	return rec, res, nil
 }
 
@@ -233,12 +235,12 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 // stream's session id (it fixes the output mode the decode phase runs
 // under). The caller guarantees rec has never been served before.
 func ServeRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Recorded) (*Result, error) {
-	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter) (*Result, error) {
-		return serveRecorded(ctx, f, cfg, rec)
+	return inFlight(ctx, conn, func(ctx context.Context, f io.ReadWriter, clk *clock) (*Result, error) {
+		return serveRecorded(ctx, f, clk, cfg, rec)
 	})
 }
 
-func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Recorded) (*Result, error) {
+func serveRecorded(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config, rec *Recorded) (*Result, error) {
 	sid, err := cfg.SessionID()
 	if err != nil {
 		return nil, err
@@ -246,7 +248,7 @@ func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 	if sid != rec.sid {
 		return nil, fmt.Errorf("proto: recorded stream was garbled for a different session")
 	}
-	if err := rec.handshake(conn, cfg.OT); err != nil {
+	if err := rec.handshake(conn, clk, cfg.OT); err != nil {
 		return nil, err
 	}
 	res := &Result{Stats: rec.stats, Halted: rec.halted}
@@ -259,6 +261,7 @@ func serveRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 		}
 		res.TableFrames++
 	}
+	clk.enter(PhaseDecode)
 	if res.Outputs, err = rec.exchangeOutputs(conn, cfg.Outputs); err != nil {
 		return nil, err
 	}

@@ -7,8 +7,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-
-	"arm2gc/internal/core"
 )
 
 // serveBoth plays ServeRecorded against RunEvaluator over a pipe, tapping
@@ -96,11 +94,11 @@ func TestRecordServeByteIdenticalGrid(t *testing.T) {
 // evaluator and to a replaying one.
 func TestRecordServeTraceReplay(t *testing.T) {
 	base, alice, bob := multiCycleConfig(t, 4)
-	trG, trE := recordTraces(t, base, alice, bob, 9)
+	tr := compileTrace(t, base)
 	_, rb, want := runBothAsym(t, base, base, alice, bob, 9)
 
 	cfgR := base
-	cfgR.Trace = trG
+	cfgR.Trace = tr
 	rec, _, err := RecordGarbler(context.Background(), cfgR, alice, mrand.New(mrand.NewSource(9)))
 	if err != nil {
 		t.Fatalf("record via trace: %v", err)
@@ -120,7 +118,7 @@ func TestRecordServeTraceReplay(t *testing.T) {
 		}
 	}
 	cfgE := base
-	cfgE.Trace = trE
+	cfgE.Trace = tr
 	_, eb, _ := serveBoth(t, base, cfgE, rec, bob)
 	if eb.Stats != rb.Stats {
 		t.Fatal("trace-recorded stream: stats diverge at a replaying evaluator")
@@ -129,12 +127,6 @@ func TestRecordServeTraceReplay(t *testing.T) {
 		if eb.Outputs[i] != rb.Outputs[i] {
 			t.Fatalf("trace-recorded stream: output %d differs at a replaying evaluator", i)
 		}
-	}
-
-	// Record+Record is refused: a replayed run has no scheduler to record.
-	cfgR.Record = core.Unbounded
-	if _, _, err := RecordGarbler(context.Background(), cfgR, alice, nil); err == nil {
-		t.Fatal("Record with Trace set was accepted")
 	}
 }
 

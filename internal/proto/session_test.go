@@ -8,7 +8,6 @@ import (
 
 	"arm2gc/internal/bencher"
 	"arm2gc/internal/circuit"
-	"arm2gc/internal/core"
 	"arm2gc/internal/cpu"
 	"arm2gc/internal/obliv"
 	"arm2gc/internal/wire"
@@ -16,8 +15,8 @@ import (
 
 // replayedSessions binds workload w to its garbled processor and prepares
 // replayed sessions over one net.Pipe, as a connection serving one
-// program runs them: a first session records the program's trace, a
-// second runs the base OTs, and every session from then on replays the
+// program runs them: the program's trace is compiled once, a first
+// session runs the base OTs, and every session from then on replays the
 // trace on both parties and extends the OTs. run plays one more such
 // session; stop closes the pipe.
 func replayedSessions(tb testing.TB, w *bencher.Workload) (c *circuit.Circuit, run func(), stop func()) {
@@ -43,13 +42,7 @@ func replayedSessions(tb testing.TB, w *bencher.Workload) (c *circuit.Circuit, r
 		tb.Fatal(err)
 	}
 	cfg := Config{Circuit: m.Circuit, Public: pub, Cycles: 20_000, StopOutput: "halted", CycleBatch: 8}
-	rec := cfg
-	rec.Record = core.Unbounded
-	ra, _ := runBoth(tb, rec, alice, bob)
-	if ra.Trace == nil {
-		tb.Fatal("the recording session kept no trace")
-	}
-	cfg.Trace = ra.Trace
+	cfg.Trace = compileTrace(tb, cfg)
 
 	a, b := net.Pipe()
 	gst, est := new(OTState), new(OTState)
@@ -131,8 +124,7 @@ func TestStreamBufferFitsReplayedStream(t *testing.T) {
 		for _, mode := range []OutputMode{OutputBoth, OutputGarblerOnly, OutputEvaluatorOnly} {
 			cfg, alice, _ := haltingConfig(t, batch)
 			cfg.Outputs = mode
-			cfg.Record = core.Unbounded
-			rec, res, err := RecordGarbler(context.Background(), cfg, alice, nil)
+			rec, _, err := RecordGarbler(context.Background(), cfg, alice, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +135,7 @@ func TestStreamBufferFitsReplayedStream(t *testing.T) {
 			for _, f := range rec.frames {
 				want += wire.HeaderLen + len(f)
 			}
-			cfg.Record, cfg.Trace = nil, res.Trace
+			cfg.Trace = compileTrace(t, cfg)
 			if got := cfg.streamBufBytes(); got != want {
 				t.Errorf("batch %d, mode %d: stream buffer of %d B for a %d B stream", batch, mode, got, want)
 			}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"arm2gc/internal/build"
@@ -10,17 +11,16 @@ import (
 	"arm2gc/internal/sim"
 )
 
-// recordTraces runs one classified session with Record set on both roles
-// and returns the garbler's and evaluator's compiled traces.
-func recordTraces(t *testing.T, cfg Config, alice, bob []bool, seed int64) (trG, trE *core.Trace) {
-	t.Helper()
-	rec := cfg
-	rec.Record = core.Unbounded
-	ra, rb, _ := runBothAsym(t, rec, rec, alice, bob, seed)
-	if ra.Trace == nil || rb.Trace == nil {
-		t.Fatalf("Record set but traces missing (garbler %v, evaluator %v)", ra.Trace, rb.Trace)
+// compileTrace compiles cfg's classification trace, as a session's first
+// contact does, with no peer and no label.
+func compileTrace(tb testing.TB, cfg Config) *core.Trace {
+	tb.Helper()
+	tr, err := core.Compile(context.Background(), cfg.Circuit, cfg.Public,
+		core.CountOpts{Cycles: cfg.Cycles, StopOutput: cfg.StopOutput}, nil)
+	if err != nil {
+		tb.Fatalf("compile: %v", err)
 	}
-	return ra.Trace, rb.Trace
+	return tr
 }
 
 // TestTraceReplayByteIdenticalGrid: replayed sessions must put exactly
@@ -29,7 +29,7 @@ func recordTraces(t *testing.T, cfg Config, alice, bob []bool, seed int64) (trG,
 // local knob) and with both roles replaying.
 func TestTraceReplayByteIdenticalGrid(t *testing.T) {
 	base, alice, bob := multiCycleConfig(t, 1)
-	trG, trE := recordTraces(t, base, alice, bob, 7)
+	tr := compileTrace(t, base)
 
 	for _, batch := range []int{1, 8} {
 		cfg := base
@@ -63,13 +63,13 @@ func TestTraceReplayByteIdenticalGrid(t *testing.T) {
 
 		// Garbler replays; evaluator classifies.
 		gR := cfg
-		gR.Trace = trG
+		gR.Trace = tr
 		raR, _, got := runBothAsym(t, gR, cfg, alice, bob, 7)
 		check("garbler-replay", raR, got)
 
 		// Both roles replay.
 		eR := cfg
-		eR.Trace = trE
+		eR.Trace = tr
 		raR2, rbR2, got2 := runBothAsym(t, gR, eR, alice, bob, 7)
 		check("both-replay", raR2, got2)
 		if rbR2.Stats != ra.Stats {
@@ -105,21 +105,20 @@ func haltingConfig(t *testing.T, batch int) (Config, []bool, []bool) {
 func TestTraceReplayHalted(t *testing.T) {
 	for _, batch := range []int{1, 4} {
 		cfg, alice, bob := haltingConfig(t, batch)
-		rec := cfg
-		rec.Record = core.Unbounded
-		ra, rb, want := runBothAsym(t, rec, rec, alice, bob, 3)
+		ra, rb, want := runBothAsym(t, cfg, cfg, alice, bob, 3)
 		if !ra.Halted || !rb.Halted {
-			t.Fatalf("batch %d: recording run did not halt", batch)
+			t.Fatalf("batch %d: classified run did not halt", batch)
 		}
-		if ra.Trace.NumCycles() != int(ra.Stats.Cycles) {
-			t.Fatalf("batch %d: trace has %d cycles, run executed %d", batch, ra.Trace.NumCycles(), ra.Stats.Cycles)
+		tr := compileTrace(t, cfg)
+		if tr.NumCycles() != int(ra.Stats.Cycles) {
+			t.Fatalf("batch %d: trace has %d cycles, run executed %d", batch, tr.NumCycles(), ra.Stats.Cycles)
 		}
-		if !ra.Trace.Halted() {
+		if !tr.Halted() {
 			t.Fatalf("batch %d: trace does not record the halt", batch)
 		}
 
 		gR, eR := cfg, cfg
-		gR.Trace, eR.Trace = ra.Trace, rb.Trace
+		gR.Trace, eR.Trace = tr, tr
 		raR, rbR, got := runBothAsym(t, gR, eR, alice, bob, 3)
 		if !raR.Halted || !rbR.Halted {
 			t.Fatalf("batch %d: replay did not halt", batch)

@@ -6,8 +6,11 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"arm2gc/internal/proto"
 )
 
 // serverMetrics is the Server's live counter set. Everything is atomic so
@@ -33,8 +36,79 @@ type serverMetrics struct {
 	otReuses            atomic.Int64
 	otDeclined          atomic.Int64
 
+	// phases holds the served sessions' phase histograms, by path.
+	phases [numPaths][proto.NumPhases]phaseHistogram
+
 	mu       sync.Mutex
 	programs map[string]*programCounters
+}
+
+// sessionPath is how a served session's table stream was produced: the
+// path label of arm2gc_session_phase_seconds.
+type sessionPath uint8
+
+const (
+	pathReplay   sessionPath = iota // replayed a compiled trace
+	pathClassify                    // classified live: no trace of the program fits the cache
+	pathPool                        // served a pre-garbled stream
+	numPaths
+)
+
+var pathNames = [numPaths]string{"replay", "classify", "pool"}
+
+// phaseBuckets are the upper bounds, in seconds, of the session-phase
+// histograms: a decade each from 10 µs to 10 s.
+var phaseBuckets = [...]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}
+
+// phaseHistogram is one (phase, path) histogram: a count per bucket (the
+// last one past every bound) and the sum of the observations.
+type phaseHistogram struct {
+	counts [len(phaseBuckets) + 1]atomic.Int64
+	sumNs  atomic.Int64
+}
+
+// observePhases adds a served session's phases to its path's histograms.
+func (m *serverMetrics) observePhases(info *RunInfo) {
+	for p, d := range info.Phases {
+		h := &m.phases[info.path][p]
+		h.counts[sort.SearchFloat64s(phaseBuckets[:], d.Seconds())].Add(1)
+		h.sumNs.Add(int64(d))
+	}
+}
+
+// PhaseHistogram is one (phase, path) histogram of a Server's sessions:
+// Buckets[i] counts the sessions whose phase took at most 10^(i−5)
+// seconds — 10 µs up to 10 s — cumulative, as Prometheus reads it.
+type PhaseHistogram struct {
+	Phase      string  `json:"phase"`
+	Path       string  `json:"path"`
+	Buckets    []int64 `json:"buckets"`
+	Count      int64   `json:"count"`
+	SumSeconds float64 `json:"sum_seconds"`
+}
+
+// phaseSnapshot snapshots the histograms of every path that has served a
+// session.
+func (m *serverMetrics) phaseSnapshot() []PhaseHistogram {
+	var out []PhaseHistogram
+	for path := range m.phases {
+		for p := range m.phases[path] {
+			h := &m.phases[path][p]
+			ph := PhaseHistogram{Phase: proto.Phase(p).String(), Path: pathNames[path],
+				Buckets: make([]int64, len(phaseBuckets)), SumSeconds: float64(h.sumNs.Load()) / 1e9}
+			for i := range h.counts {
+				ph.Count += h.counts[i].Load()
+				if i < len(ph.Buckets) {
+					ph.Buckets[i] = ph.Count
+				}
+			}
+			if ph.Count == 0 {
+				break // a path's phases all count its sessions
+			}
+			out = append(out, ph)
+		}
+	}
+	return out
 }
 
 // programCounters is one registered program's slice of the counters.
@@ -130,14 +204,14 @@ type ServerMetrics struct {
 	// performed; a warm multi-program server holds this at one per layout.
 	EngineBuilds int64 `json:"engine_builds"`
 	// TraceRecordings, TraceReplays and TraceEvictions are the serving
-	// Engine's trace-cache counters: recordings started (one per program
-	// and cycle budget while it stays cached), runs served from a cached
-	// trace, and entries the byte budget pushed out; replays over
-	// recordings plus replays is the hit rate. TraceUncacheable counts
-	// recordings that alone outgrew the budget — their programs classify
-	// every session — and TraceCacheBytes gauges the cache's footprint,
-	// recordings in flight included. The Engine also counts the runs of
-	// any Client sharing it.
+	// Engine's trace-cache counters: trace compiles started (one per
+	// program and cycle budget while it stays cached, however many
+	// sessions wait for it), runs served a trace they did not compile, and
+	// entries the byte budget pushed out; replays over compiles plus
+	// replays is the hit rate. TraceUncacheable counts compiles that alone
+	// outgrew the budget — their programs classify every session live —
+	// and TraceCacheBytes gauges the cache's footprint, compiles in flight
+	// included. The Engine also counts the runs of any Client sharing it.
 	TraceRecordings  int64 `json:"trace_recordings"`
 	TraceReplays     int64 `json:"trace_replays"`
 	TraceEvictions   int64 `json:"trace_evictions"`
@@ -146,6 +220,10 @@ type ServerMetrics struct {
 	// Programs holds the per-registration counters, keyed by registered
 	// name. Every registered program appears, even at zero.
 	Programs map[string]ProgramMetrics `json:"programs"`
+	// SessionPhases holds the served sessions' wall time by phase (see
+	// RunInfo.Phases), one histogram per phase and path — replay,
+	// classify or pool — for every path that has served a session.
+	SessionPhases []PhaseHistogram `json:"session_phases"`
 	// GarbleAhead reports the garble-ahead pool; nil unless the Server
 	// was built WithGarbleAhead.
 	GarbleAhead *GarbleAheadMetrics `json:"garble_ahead,omitempty"`
@@ -211,12 +289,13 @@ func (s *Server) Metrics() ServerMetrics {
 		OTExtensionsReused:  s.met.otReuses.Load(),
 		OTSetupsDeclined:    s.met.otDeclined.Load(),
 		EngineBuilds:        s.eng.Builds(),
-		TraceRecordings:     s.eng.traces.Recordings(),
+		TraceRecordings:     s.eng.traces.Compiles(),
 		TraceReplays:        s.eng.traces.Replays(),
 		TraceEvictions:      s.eng.traces.Evictions(),
 		TraceUncacheable:    s.eng.traces.Uncacheable(),
 		TraceCacheBytes:     s.eng.traces.Bytes(),
 		Programs:            make(map[string]ProgramMetrics),
+		SessionPhases:       s.met.phaseSnapshot(),
 	}
 	s.met.mu.Lock()
 	for name, c := range s.met.programs {
@@ -300,11 +379,24 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 	counter("arm2gc_ot_extensions_reused_total", "Sessions that only extended their connection's OT epoch.", m.OTExtensionsReused)
 	counter("arm2gc_ot_setups_declined_total", "OT set-ups refused; they count as no rejected session.", m.OTSetupsDeclined)
 	counter("arm2gc_engine_builds_total", "Netlist syntheses performed by the serving Engine.", m.EngineBuilds)
-	counter("arm2gc_trace_recordings_total", "Classification traces the serving Engine set out to record.", m.TraceRecordings)
-	counter("arm2gc_trace_replays_total", "Runs served from a cached classification trace.", m.TraceReplays)
+	counter("arm2gc_trace_recordings_total", "Classification-trace compiles the serving Engine started; concurrent sessions share one.", m.TraceRecordings)
+	counter("arm2gc_trace_replays_total", "Runs served a classification trace they did not compile.", m.TraceReplays)
 	counter("arm2gc_trace_evictions_total", "Trace-cache entries dropped for the byte budget.", m.TraceEvictions)
-	counter("arm2gc_trace_uncacheable_total", "Recordings that outgrew the trace-cache budget.", m.TraceUncacheable)
-	gauge("arm2gc_trace_cache_bytes", "Classification traces held in memory, cached or being recorded.", m.TraceCacheBytes)
+	counter("arm2gc_trace_uncacheable_total", "Trace compiles that outgrew the trace-cache budget.", m.TraceUncacheable)
+	gauge("arm2gc_trace_cache_bytes", "Classification traces held in memory, cached or being compiled.", m.TraceCacheBytes)
+
+	fmt.Fprintf(w, "# HELP arm2gc_session_phase_seconds Served sessions' wall time by phase and path (replay, classify or pool).\n")
+	fmt.Fprintf(w, "# TYPE arm2gc_session_phase_seconds histogram\n")
+	for _, h := range m.SessionPhases {
+		labels := fmt.Sprintf("phase=%q,path=%q", h.Phase, h.Path)
+		for i, n := range h.Buckets {
+			le := strconv.FormatFloat(phaseBuckets[i], 'g', -1, 64)
+			fmt.Fprintf(w, "arm2gc_session_phase_seconds_bucket{%s,le=%q} %d\n", labels, le, n)
+		}
+		fmt.Fprintf(w, "arm2gc_session_phase_seconds_bucket{%s,le=\"+Inf\"} %d\n", labels, h.Count)
+		fmt.Fprintf(w, "arm2gc_session_phase_seconds_sum{%s} %g\n", labels, h.SumSeconds)
+		fmt.Fprintf(w, "arm2gc_session_phase_seconds_count{%s} %d\n", labels, h.Count)
+	}
 
 	// %q escapes backslash, double quote and newline — the exact set the
 	// Prometheus text format requires escaped in label values.

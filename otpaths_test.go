@@ -3,7 +3,6 @@ package arm2gc
 import (
 	"context"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -144,7 +143,7 @@ func TestOTPathsExactRunInfo(t *testing.T) {
 		{"gateway to live", relay(liveAddr)},
 		{"gateway to pooled", relay(pooledAddr)},
 	} {
-		if got := evaluate(route.addr); !reflect.DeepEqual(got, want) {
+		if got := evaluate(route.addr); !sameRun(got, want) {
 			t.Errorf("%s: RunInfo %+v, live session %+v", route.name, got, want)
 		}
 	}

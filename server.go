@@ -53,6 +53,10 @@ type Server struct {
 	stopping bool
 
 	met serverMetrics
+
+	// served, when set, is called with every served session's RunInfo and
+	// its wall time from the proposal to the session's end.
+	served func(info *RunInfo, wall time.Duration)
 }
 
 // Peer identifies the remote side of a negotiation to an authorization
@@ -535,6 +539,7 @@ func (r *registration) authorize(peer Peer, program string) error {
 // serveOne negotiates and garbles a single session, or answers an OT
 // set-up, over the connection's OT state for the proposed program.
 func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposal, ots map[string]*proto.OTState) error {
+	start := time.Now()
 	s.mu.Lock()
 	reg := s.regs[prop.Program]
 	s.mu.Unlock()
@@ -603,6 +608,7 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	if err := proto.WriteGrant(conn, grant); err != nil {
 		return err
 	}
+	negotiate := time.Since(start)
 	runCtx, cancel := s.runContext(ctx)
 	defer cancel()
 	s.met.active.Add(1)
@@ -618,6 +624,7 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	if err != nil {
 		return err
 	}
+	wall := time.Since(start)
 	if grant.Epoch == prop.Epoch {
 		s.met.otReuses.Add(1)
 	} else {
@@ -628,6 +635,11 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	s.met.tableFrames.Add(int64(info.TableFrames))
 	s.met.cycles.Add(int64(info.Cycles))
 	s.met.garbledTables.Add(int64(info.GarbledTables))
+	info.Phases[PhaseNegotiate] += negotiate
+	s.met.observePhases(info)
+	if s.served != nil {
+		s.served(info, wall)
+	}
 	return nil
 }
 

@@ -495,8 +495,8 @@ func TestServerPanicCostsOneConnection(t *testing.T) {
 // TestServerRefillPanicCounted: a callback that panics inside a
 // garble-ahead refill fails that refill — an error from WarmGarbleAhead,
 // a refill failure, one SessionPanics — instead of the process. The
-// refill held the trace cache's recording slot when it panicked; the slot
-// is released, so a later session records the trace and the next replays.
+// refill compiled the program's trace before its stream called the sink,
+// so both later sessions replay it.
 func TestServerRefillPanicCounted(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
@@ -521,8 +521,8 @@ func TestServerRefillPanicCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := eng.TraceReplays(); got != 1 {
-		t.Errorf("trace replays %d after a panicked recording, want 1", got)
+	if got, compiles := eng.TraceReplays(), eng.TraceRecordings(); got != 2 || compiles != 1 {
+		t.Errorf("trace replays %d and compiles %d after a panicked refill, want 2 and 1", got, compiles)
 	}
 }
 

@@ -4,22 +4,28 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"net"
 	"os"
 	"os/exec"
 	"reflect"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"arm2gc/internal/bencher"
+	"arm2gc/internal/core"
+	"arm2gc/internal/cpu"
+	"arm2gc/internal/wire"
 )
 
 // TestSessionTraceReuseLocal pins the trace-reuse lifecycle every session
-// runs, with no option set, in process: the first Run records the
-// classification trace, later Runs replay it (no SkipGate pass), Count is
-// served from the cache, and the outputs and cost accounting never
-// change.
+// runs, with no option set, in process: the first Run compiles the
+// classification trace and replays it, later Runs replay it (no SkipGate
+// pass), Count is served from the cache, and the outputs and cost
+// accounting never change.
 func TestSessionTraceReuseLocal(t *testing.T) {
 	eng := NewEngine()
 	prog := compileAdd(t)
@@ -103,9 +109,9 @@ func TestSessionTraceReuseLocal(t *testing.T) {
 }
 
 // TestSessionTraceReuseConcurrent races N first runs of one program: the
-// recording must singleflight (exactly one SkipGate pass records; the
-// rest classify without recording, never blocking), and every later run
-// replays. Run under -race in CI.
+// compile must singleflight (exactly one SkipGate pass compiles; the rest
+// wait for it and replay), and every later run replays. Run under -race
+// in CI.
 func TestSessionTraceReuseConcurrent(t *testing.T) {
 	eng := NewEngine()
 	prog := compileAdd(t)
@@ -155,8 +161,9 @@ func TestSessionTraceReuseConcurrent(t *testing.T) {
 }
 
 // TestSessionTraceReuseNetworked drives two-party sessions sharing one
-// Engine: the first pair records (one side wins the slot), the second
-// pair replays on both roles, and outputs stay identical.
+// Engine: in the first pair one side compiles and the other waits for its
+// compile, the second pair replays on both roles, and outputs stay
+// identical.
 func TestSessionTraceReuseNetworked(t *testing.T) {
 	eng := NewEngine()
 	prog := compileAdd(t)
@@ -174,7 +181,7 @@ func TestSessionTraceReuseNetworked(t *testing.T) {
 		t.Fatalf("cold pair outputs %v / %v", ga.Outputs, ev.Outputs)
 	}
 	if got := eng.TraceRecordings(); got != 1 {
-		t.Fatalf("cold pair recorded %d traces, want 1 (singleflight across roles)", got)
+		t.Fatalf("cold pair compiled %d traces, want 1 (singleflight across roles)", got)
 	}
 
 	ga2, ev2 := runTwoParty(t, mk(), mk(), []uint32{30}, []uint32{12})
@@ -190,9 +197,10 @@ func TestSessionTraceReuseNetworked(t *testing.T) {
 	}
 }
 
-// TestSessionTraceReuseStatsSink pins that a replayed run still streams
-// per-cycle stats: the sink fires once per cycle, in order, with the
-// same stats the recording run reported.
+// TestSessionTraceReuseStatsSink pins that a replayed run streams
+// per-cycle stats: the sink fires once per cycle, in order, with the same
+// stats on the run that compiled the trace (the compile itself reports
+// none) as on a later run, and the same stats as a run classified live.
 func TestSessionTraceReuseStatsSink(t *testing.T) {
 	eng := NewEngine()
 	prog := compileAdd(t)
@@ -216,12 +224,18 @@ func TestSessionTraceReuseStatsSink(t *testing.T) {
 	if eng.TraceReplays() != 1 {
 		t.Fatalf("replays = %d, want 1", eng.TraceReplays())
 	}
-	if len(rep) != len(rec) {
-		t.Fatalf("replay sink fired %d times, recording %d", len(rep), len(rec))
+	eng = newEngine(1 << 10) // room for a tombstone, and no trace: runs classify live
+	live := collect()
+	if eng.TraceRecordings() != 1 || eng.traces.Uncacheable() != 1 {
+		t.Fatalf("a run on an Engine no trace fits: recordings %d, uncacheable %d; want 1 and 1",
+			eng.TraceRecordings(), eng.traces.Uncacheable())
+	}
+	if len(rep) != len(rec) || len(live) != len(rec) {
+		t.Fatalf("sinks fired %d times on the compiling run, %d on the replay, %d live", len(rec), len(rep), len(live))
 	}
 	for i := range rec {
-		if rep[i] != rec[i] {
-			t.Fatalf("cycle %d stats differ under replay: %+v vs %+v", i+1, rep[i], rec[i])
+		if rep[i] != rec[i] || live[i] != rec[i] {
+			t.Fatalf("cycle %d stats differ: compiling run %+v, replay %+v, live %+v", i+1, rec[i], rep[i], live[i])
 		}
 	}
 }
@@ -261,120 +275,146 @@ func TestWithTraceReuseIsNoOp(t *testing.T) {
 			optedCounters, plainCounters)
 	}
 	if want := [...]int64{1, 1, 3, 0}; plainCounters != want {
-		t.Fatalf("Engine counters %v, want %v: one recording, then every run and Count replays", plainCounters, want)
+		t.Fatalf("Engine counters %v, want %v: one compile, then every later run and Count replays", plainCounters, want)
 	}
 }
 
-// recorderChildEnv marks the child process TestSessionTraceRecorderBounded
-// measures in.
-const recorderChildEnv = "ARM2GC_RECORDER_BOUNDED_CHILD"
+// heapChildEnv marks the child process the heap-measuring tests below
+// measure in.
+const heapChildEnv = "ARM2GC_HEAP_CHILD"
 
-// TestSessionTraceRecorderBounded runs three sessions of a program whose
-// trace is four times the Engine's trace budget. The first claims the
-// recording, drops it once the cache refuses its next cycle and leaves a
-// tombstone; the other two classify without recording. Outputs stay
-// correct, and the heap held by the recorder never exceeds the budget plus
-// one cycle. It is measured after every cycle as the live heap over that
-// of the same run with no recorder at all (its recording slot held
-// elsewhere); one cycle is the largest step an unbounded recording of the
-// run takes before it reaches the budget.
+// inChild reruns the test named name alone in a child process of the test
+// binary and reports false, unless this is that child: the heap is the
+// whole process's, so no allocation another test left behind may land
+// between two readings.
+func inChild(t *testing.T, name string) bool {
+	if os.Getenv(heapChildEnv) != "" {
+		return true
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), heapChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("--- PASS: "+name)) {
+		t.Fatalf("measuring child process: %v\n%s", err, out)
+	}
+	return false
+}
+
+// liveHeap reads the live heap after two collections: garbage with a
+// finalizer (an earlier session's connections) is freed only by the
+// second, and one left over would shift a baseline by its size.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// measured wraps a session's compiler so that every budget request —
+// one per compiled cycle, then the output snapshot's — first calls at,
+// with the request's 1-based index and the bytes the recorder asks for.
+func measured(compile cpu.Compiler, at func(call, n int)) cpu.Compiler {
+	return func(ctx context.Context, budget core.RecordBudget) (*core.Trace, error) {
+		call := 0
+		return compile(ctx, func(n int) bool {
+			call++
+			at(call, n)
+			return budget(n)
+		})
+	}
+}
+
+// TestSessionTraceRecorderBounded compiles a program whose trace is four
+// times the Engine's trace budget, through the cache call and the
+// compiler its sessions use. The compile stops once the cache refuses its
+// next cycle and leaves a tombstone; then three sessions of the program
+// classify live, compiling nothing. Outputs stay correct, and the heap
+// held by the compile's recorder never exceeds the budget plus one cycle.
+// It is measured at every budget request, before the request is granted,
+// as the live heap over that at the first request: the scheduler's own
+// arrays are all allocated by then, so what grows is the recording. One
+// cycle is the largest step an unbounded compile of the program takes
+// before it reaches the budget.
 //
-// The heap is the whole process's, so the measuring runs in a child
-// process of the test binary that runs this test alone, with spare
-// threads started first: neither an allocation another test left behind
-// nor a thread the runtime starts can land between two readings.
+// The measuring runs in a child process of the test binary that runs
+// this test alone, with spare threads started first, so that neither an
+// allocation another test left behind nor a thread the runtime starts can
+// land between two readings.
 func TestSessionTraceRecorderBounded(t *testing.T) {
-	if os.Getenv(recorderChildEnv) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestSessionTraceRecorderBounded$", "-test.count=1", "-test.v")
-		cmd.Env = append(os.Environ(), recorderChildEnv+"=1")
-		out, err := cmd.CombinedOutput()
-		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestSessionTraceRecorderBounded")) {
-			t.Fatalf("measuring child process: %v\n%s", err, out)
-		}
+	if !inChild(t, "TestSessionTraceRecorderBounded") {
 		return
 	}
 	startIdleThreads(4)
 	prog := compileAdd(t)
 	ctx := context.Background()
-	// Two collections: garbage with a finalizer (an earlier test's
-	// connections) is freed only by the second, and one left over would
-	// shift the whole baseline by its size.
-	liveHeap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
+	session := func(eng *Engine) (*Session, []bool) {
+		s, err := eng.Session(prog, WithMaxCycles(10_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, err := s.m.cpu.PublicBits(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, pub
 	}
-	// run returns the session's outputs and the live heap after each
-	// cycle, relative to the first.
-	run := func(eng *Engine, hold bool, a, b uint32) ([]uint32, []int64) {
-		var growth []int64
+	// compile compiles the program's trace on eng and returns the heap
+	// its recorder held at every budget request.
+	compile := func(eng *Engine) (*core.Trace, []int64) {
+		s, pub := session(eng)
+		var held []int64
 		var base int64
-		s, err := eng.Session(prog, WithMaxCycles(10_000), WithStatsSink(func(u CycleUpdate) {
+		tr, _, err := eng.traces.Get(ctx, s.traceKey(pub), measured(s.compiler(pub), func(call, _ int) {
 			h := liveHeap()
-			if u.Cycle == 1 {
+			if call == 1 {
 				base = h
 			}
-			growth = append(growth, h-base)
+			held = append(held, h-base)
 		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hold {
-			pub, err := s.m.cpu.PublicBits(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !eng.traces.BeginRecord(s.traceKey(pub)) {
-				t.Fatal("could not hold the recording slot")
-			}
-		}
-		info, err := s.Run(ctx, []uint32{a}, []uint32{b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Outputs, growth
-	}
-	// held is the heap a recording holds after each cycle of a run.
-	_, bare := run(NewEngine(), true, 40, 2)
-	held := func(growth []int64) []int64 {
-		if len(growth) != len(bare) {
-			t.Fatalf("run of %d cycles, bare run %d", len(growth), len(bare))
-		}
-		out := make([]int64, len(growth))
-		for i := range growth {
-			out[i] = growth[i] - bare[i]
-		}
-		return out
+		return tr, held
 	}
 
 	ref := NewEngine()
-	_, refGrowth := run(ref, false, 40, 2)
-	refHeld := held(refGrowth)
+	if tr, _ := compile(ref); tr == nil {
+		t.Fatal("the unbounded compile kept no trace")
+	}
+	_, refHeld := compile(NewEngine()) // the same compile, measured warm
 	budget := ref.traces.Bytes() / 4
 	var cycle int64
 	for i := 1; i < len(refHeld) && refHeld[i-1] <= budget; i++ {
 		cycle = max(cycle, refHeld[i]-refHeld[i-1])
 	}
 	if slices.Max(refHeld) < 2*(budget+cycle) {
-		t.Fatalf("unbounded recording holds at most %d bytes: too small against budget %d + one cycle %d",
+		t.Fatalf("unbounded compile holds at most %d bytes: too small against budget %d + one cycle %d",
 			slices.Max(refHeld), budget, cycle)
 	}
 
 	eng := newEngine(budget)
+	tr, held := compile(eng)
+	if tr != nil {
+		t.Fatal("a compile four times the budget kept its trace")
+	}
+	if peak := slices.Max(held); peak > budget+cycle {
+		t.Fatalf("the recorder held %d bytes, want at most budget %d + one cycle %d", peak, budget, cycle)
+	}
+	t.Logf("budget %d, one cycle %d: the refused compile held at most %d bytes over %d requests",
+		budget, cycle, slices.Max(held), len(held))
 	for i, in := range [][2]uint32{{40, 2}, {7, 35}, {1000, 24}} {
-		out, growth := run(eng, false, in[0], in[1])
-		if want := in[0] + in[1]; out[0] != want || out[1] != max(in[0], in[1]) {
-			t.Fatalf("session %d: outputs %v, want [%d %d]", i+1, out, want, max(in[0], in[1]))
+		s, _ := session(eng)
+		info, err := s.Run(ctx, []uint32{in[0]}, []uint32{in[1]})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if peak := slices.Max(held(growth)); peak > budget+cycle {
-			t.Fatalf("session %d: the recorder held %d bytes, want at most budget %d + one cycle %d",
-				i+1, peak, budget, cycle)
+		if want := in[0] + in[1]; info.Outputs[0] != want || info.Outputs[1] != max(in[0], in[1]) {
+			t.Fatalf("session %d: outputs %v, want [%d %d]", i+1, info.Outputs, want, max(in[0], in[1]))
 		}
 	}
 	if got := eng.TraceRecordings(); got != 1 {
-		t.Fatalf("recordings = %d, want 1: the tombstone must stop re-recording", got)
+		t.Fatalf("recordings = %d, want 1: the tombstone must stop compiling again", got)
 	}
 	if eng.traces.Uncacheable() != 1 || eng.TraceReplays() != 0 {
 		t.Fatalf("uncacheable %d, replays %d, want 1 and 0", eng.traces.Uncacheable(), eng.TraceReplays())
@@ -412,18 +452,24 @@ func startIdleThreads(n int) {
 	done.Wait()
 }
 
-// TestSessionTraceRecordingsShareBudget runs eight sessions at once, each
-// with its own cycle budget and so its own trace key and recording slot,
-// on an Engine whose trace budget fits two and a half of the program's
-// traces. All eight stop together after their last cycle, holding
-// whatever they recorded, and the live heap is measured there against
-// the same eight sessions with no recorder (their slots held elsewhere).
-// The recordings in flight must hold no more than the budget between
-// them, where eight unbounded ones would hold three times as much (the
-// cache's charge exactly, the heap within the slack of its estimate); the
-// sessions refused room must leave no tombstone, and outputs stay
-// correct.
+// TestSessionTraceRecordingsShareBudget runs eight compiles at once, each
+// for its own cycle budget and so its own trace key, through the cache
+// call and compiler their sessions use, on an Engine whose trace budget
+// fits two and a half of the program's traces. Every compile stops at its
+// last cycle's budget request, or returns once the cache refuses it, and
+// the cache's charge and the live heap are read there, with all eight
+// stopped. The compiles in flight must hold no more than the budget
+// between them, where eight unbounded ones would hold three times as
+// much: the cache's charge exactly, and the heap within the slack of the
+// charge's estimate, over that of as many compiles as were stopped in
+// flight, each stopped at its first request (a refused compile has
+// returned, its scheduler with it). The compiles refused room must leave
+// no tombstone, and sessions of every key then run to correct outputs.
 func TestSessionTraceRecordingsShareBudget(t *testing.T) {
+	if !inChild(t, "TestSessionTraceRecordingsShareBudget") {
+		return
+	}
+	startIdleThreads(4)
 	prog := compileAdd(t)
 	ctx := context.Background()
 	const n = 8
@@ -439,95 +485,95 @@ func TestSessionTraceRecordingsShareBudget(t *testing.T) {
 	cycles, trace := info.Cycles, ref.traces.Bytes()
 	budget := 2*trace + trace/2
 
-	// run starts the n sessions, stops them all after their last cycle,
-	// and reports the live heap there and the cache's charge.
-	run := func(eng *Engine, hold bool) (heap, charged int64) {
+	// run compiles k keys at once on eng, stops each compile at budget
+	// request stop (a final cycle's, or the first) or where it returns,
+	// and reports the live heap there, the cache's charge and how many
+	// compiles were stopped in flight.
+	run := func(eng *Engine, stop, k int) (heap, charged int64, stopped int) {
 		var arrived, done sync.WaitGroup
+		var inFlight atomic.Int64
 		release := make(chan struct{})
-		sessions := make([]*Session, n)
-		reached := make([]bool, n) // each written only by its session's goroutine
-		for i := range sessions {
-			s, err := eng.Session(prog, WithMaxCycles(10_000+i), WithStatsSink(func(u CycleUpdate) {
-				if u.Cycle == cycles {
-					reached[i] = true
-					arrived.Done()
-					<-release
-				}
-			}))
+		arrived.Add(k)
+		done.Add(k)
+		for i := range k {
+			s, err := eng.Session(prog, WithMaxCycles(10_000+i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hold {
-				pub, err := s.m.cpu.PublicBits(prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !eng.traces.BeginRecord(s.traceKey(pub)) {
-					t.Fatal("could not hold the recording slot")
-				}
+			pub, err := s.m.cpu.PublicBits(prog)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sessions[i] = s
-		}
-		errs := make([]error, n)
-		arrived.Add(n)
-		done.Add(n)
-		for i, s := range sessions {
 			go func() {
 				defer done.Done()
-				a, b := uint32(100+i), uint32(i)
-				info, err := s.Run(ctx, []uint32{a}, []uint32{b})
-				if !reached[i] { // failed early: do not leave the others waiting
+				reached := false
+				wait := func(call, _ int) {
+					if call == stop {
+						reached = true
+						inFlight.Add(1)
+						arrived.Done()
+						<-release
+					}
+				}
+				_, _, err := eng.traces.Get(ctx, s.traceKey(pub), measured(s.compiler(pub), wait))
+				if !reached { // refused, or failed: do not leave the others waiting
 					arrived.Done()
 				}
-				if err == nil && (info.Outputs[0] != a+b || info.Outputs[1] != a) {
-					err = fmt.Errorf("session %d: outputs %v, want [%d %d]", i, info.Outputs, a+b, a)
+				if err != nil {
+					t.Error(err)
 				}
-				errs[i] = err
 			}()
 		}
 		arrived.Wait()
-		runtime.GC() // twice, as in TestSessionTraceRecorderBounded
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		heap, charged = int64(ms.HeapAlloc), eng.traces.Bytes()
+		heap, charged = liveHeap(), eng.traces.Bytes()
 		close(release)
 		done.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return heap, charged
+		return heap, charged, int(inFlight.Load())
 	}
-	bare, _ := run(newEngine(budget), true)
 	eng := newEngine(budget)
-	heap, charged := run(eng, false)
-	t.Logf("%d sessions of %d cycles, %d-byte trace, budget %d: recorders hold %d bytes, cache charges %d",
-		n, cycles, trace, budget, heap-bare, charged)
+	heap, charged, stopped := run(eng, cycles, n)
+	// The same machine, so the two heaps hold one netlist.
+	bare, _, _ := run(&Engine{cache: eng.cache, traces: cpu.NewTraceCache(0)}, 1, stopped)
+	t.Logf("%d compiles of %d cycles, %d-byte trace, budget %d: %d stopped in flight, their recorders hold %d bytes, cache charges %d",
+		n, cycles, trace, budget, stopped, heap-bare, charged)
 	if charged > budget {
-		t.Errorf("the cache charges %d bytes for recordings in flight, past its budget %d", charged, budget)
+		t.Errorf("the cache charges %d bytes for compiles in flight, past its budget %d", charged, budget)
 	}
 	// MemoryBytes approximates the heap: it leaves out the spare capacity
 	// of each trace's growing cycle list, hence the quarter of slack.
 	if heap-bare > budget+budget/4 {
-		t.Errorf("recordings in flight hold %d bytes of heap, past the budget %d", heap-bare, budget)
+		t.Errorf("compiles in flight hold %d bytes of heap, past the budget %d", heap-bare, budget)
 	}
 	if eng.TraceRecordings() != n || eng.traces.Uncacheable() != 0 {
 		t.Errorf("recordings %d, uncacheable %d, want %d and 0", eng.TraceRecordings(), eng.traces.Uncacheable(), n)
 	}
 	if got := eng.traces.Bytes(); got > budget {
-		t.Errorf("the cache holds %d bytes once the sessions end, past its budget %d", got, budget)
+		t.Errorf("the cache holds %d bytes once the compiles end, past its budget %d", got, budget)
+	}
+	for i := range n {
+		s, err := eng.Session(prog, WithMaxCycles(10_000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := uint32(100+i), uint32(i)
+		info, err := s.Run(ctx, []uint32{a}, []uint32{b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Outputs[0] != a+b || info.Outputs[1] != a {
+			t.Fatalf("session %d: outputs %v, want [%d %d]", i, info.Outputs, a+b, a)
+		}
 	}
 }
 
 // BenchmarkFirstContact prices a session on a trace key its Engine has
 // not seen — a program's first session, or one under a fresh cycle budget
-// — on Hamming(512), in process. "record" records the trace, as every
-// such session now does; "classify" holds the recording slot elsewhere,
-// so the session classifies without recording, which is all a session did
-// before trace reuse became the default. Each iteration uses its own
-// cycle budget, so each is a fresh key. Compare ns/op, B/op and allocs/op:
+// — on Hamming(512), in process. "compile" compiles the trace and replays
+// it, as every such session does; "classify" runs on an Engine no trace
+// fits, so the session classifies live after a compile refused at its
+// first cycle, which is all a session did before trace reuse became the
+// default. Each iteration uses its own cycle budget, so each is a fresh
+// key. Compare ns/op, B/op and allocs/op:
 //
 //	go test -run '^$' -bench FirstContact -benchmem -benchtime 8x .
 func BenchmarkFirstContact(b *testing.B) {
@@ -537,29 +583,166 @@ func BenchmarkFirstContact(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, record := range []bool{true, false} {
-		name := map[bool]string{true: "record", false: "classify"}[record]
+	for _, compile := range []bool{true, false} {
+		name := map[bool]string{true: "compile", false: "classify"}[compile]
 		b.Run(name, func(b *testing.B) {
 			eng := NewEngine()
+			if !compile {
+				eng = newEngine(1 << 10)
+			}
 			for i := 0; i < b.N; i++ {
 				s, err := eng.Session(prog, WithMaxCycles(DefaultMaxCycles-i))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !record {
-					pub, err := s.m.cpu.PublicBits(prog)
-					if err != nil {
-						b.Fatal(err)
-					}
-					eng.traces.BeginRecord(s.traceKey(pub))
-				}
 				if _, err := s.Run(ctx, w.Alice, w.Bob); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if kept := eng.traces.Bytes() > 0; kept != record {
+			if kept := eng.traces.Uncacheable() == 0; kept != compile {
 				b.Fatalf("%s: traces kept = %v", name, kept)
 			}
 		})
+	}
+}
+
+// patternRand is label randomness that every Read starts afresh: the
+// same seeded bytes for each call, so concurrent sessions sharing it draw
+// the same seed and labels, whatever order their calls interleave in.
+type patternRand struct{}
+
+func (patternRand) Read(b []byte) (int, error) {
+	return rand.New(rand.NewSource(41)).Read(b)
+}
+
+// tapConn keeps every byte its owner reads.
+type tapConn struct {
+	net.Conn
+	mu  sync.Mutex
+	got bytes.Buffer
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.got.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+// tableFrames splits a stream of frames into the payloads of its table
+// frames.
+func tableFrames(t *testing.T, stream []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(stream) > 0 {
+		if len(stream) < wire.HeaderLen {
+			t.Fatalf("stream ends inside a frame header")
+		}
+		h := wire.Header(stream[:wire.HeaderLen])
+		end := wire.HeaderLen + int(h.Len())
+		if end > len(stream) {
+			t.Fatalf("stream ends inside a frame of %d bytes", h.Len())
+		}
+		if h.Type() == wire.Tables {
+			out = append(out, stream[wire.HeaderLen:end])
+		}
+		stream = stream[end:]
+	}
+	return out
+}
+
+// TestSessionTraceCompileOnce runs eight concurrent first sessions of one
+// program, eight Clients sharing one Engine against a Server on another,
+// over net.Pipe: each Engine runs exactly one compile, and the other
+// sessions wait for it. All eight decode the right output, and each
+// session's table stream is byte-identical to that of a lone session
+// whose parties classify every cycle live (Engines no trace fits) — the
+// classified reference TestTraceReplayByteIdenticalGrid compares replays
+// with. The garbler draws the same labels in every session (patternRand),
+// so the streams can be compared byte for byte.
+func TestSessionTraceCompileOnce(t *testing.T) {
+	w := bencher.HammingWorkload(160)
+	prog, _, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := w.Check(w.Alice, w.Bob)
+	// sessions runs n concurrent sessions, each on its own connection,
+	// and returns the table frames each client read.
+	sessions := func(seng, ceng *Engine, n int) [][][]byte {
+		srv := NewServer(seng)
+		if err := srv.Register("p", prog, WithCycleBatch(8), WithMaxCycles(20_000),
+			WithGarblerInput(w.Alice), WithRand(patternRand{})); err != nil {
+			t.Fatal(err)
+		}
+		ln := newPipeListener()
+		ctx, cancel := context.WithCancel(context.Background())
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ctx, ln) }()
+		defer func() {
+			cancel()
+			if err := <-served; err != nil {
+				t.Error(err)
+			}
+		}()
+		taps := make([]*tapConn, n)
+		clients := make([]*Client, n)
+		for i := range clients {
+			a, b := net.Pipe()
+			ln.conns <- b
+			taps[i] = &tapConn{Conn: a}
+			clients[i] = NewClient(taps[i], WithClientEngine(ceng))
+			defer clients[i].Close()
+			if err := clients[i].Register("p", prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for i, cl := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				info, err := cl.Evaluate(ctx, "p", w.Bob)
+				if err != nil {
+					t.Errorf("session %d: %v", i, err)
+					return
+				}
+				if got := info.Outputs[:len(want)]; !slices.Equal(got, want) {
+					t.Errorf("session %d: outputs %v, want %v", i, got, want)
+				}
+			}()
+		}
+		wg.Wait()
+		frames := make([][][]byte, n)
+		for i, tc := range taps {
+			tc.mu.Lock()
+			frames[i] = tableFrames(t, tc.got.Bytes())
+			tc.mu.Unlock()
+		}
+		return frames
+	}
+
+	classified := sessions(newEngine(1<<10), newEngine(1<<10), 1)[0]
+	if len(classified) == 0 {
+		t.Fatal("the classified session sent no table frame")
+	}
+	seng, ceng := NewEngine(), NewEngine()
+	for i, got := range sessions(seng, ceng, 8) {
+		if len(got) != len(classified) {
+			t.Fatalf("session %d: %d table frames, the classified session %d", i, len(got), len(classified))
+		}
+		for f := range got {
+			if !bytes.Equal(got[f], classified[f]) {
+				t.Fatalf("session %d: table frame %d differs from the classified session's", i, f)
+			}
+		}
+	}
+	if seng.TraceRecordings() != 1 || ceng.TraceRecordings() != 1 {
+		t.Fatalf("eight first sessions compiled %d traces on the server's Engine and %d on the clients', want 1 and 1",
+			seng.TraceRecordings(), ceng.TraceRecordings())
+	}
+	if seng.TraceReplays() != 7 || ceng.TraceReplays() != 7 {
+		t.Fatalf("replays %d and %d, want 7 and 7: every session but the compiling one", seng.TraceReplays(), ceng.TraceReplays())
 	}
 }
