@@ -176,16 +176,19 @@ func DialTLS(ctx context.Context, addr string, cfg *tls.Config, opts ...ClientOp
 // Server's registration bit for bit — the negotiated session id catches
 // any divergence.
 //
-// Register then runs the program's OT set-up with the server over the
-// Client's connection: the 128 base OTs, which depend on neither party's
-// input, so that every session of the program on this connection — the
-// first included — runs only the OT extension. It blocks until the server
-// answers; a Client built by NewClient over a connection nobody serves
-// yet must be registered once the server runs. A server that declines the
-// set-up (it serves the program only against a bearer token, say) leaves
-// the program registered, and its first session runs the base OTs
-// instead. An error after the set-up started breaks the Client, as a
-// failed session does.
+// Register draws the program's machine from the Client's Engine first,
+// so that no session's negotiation waits on a netlist build while the
+// server holds its grant, and returns any build error with nothing
+// registered. It then runs the program's OT set-up with the server over
+// the Client's connection: the 128 base OTs, which depend on neither
+// party's input, so that every session of the program on this connection
+// — the first included — runs only the OT extension. It blocks until the
+// server answers; a Client built by NewClient over a connection nobody
+// serves yet must be registered once the server runs. A server that
+// declines the set-up (it serves the program only against a bearer
+// token, say) leaves the program registered, and its first session runs
+// the base OTs instead. An error after the set-up started breaks the
+// Client, as a failed session does.
 func (c *Client) Register(name string, p *Program) error {
 	if p == nil {
 		return fmt.Errorf("arm2gc: Register: nil program")
@@ -195,6 +198,9 @@ func (c *Client) Register(name string, p *Program) error {
 	}
 	if name == "" {
 		return fmt.Errorf("arm2gc: Register: program has no name")
+	}
+	if _, err := c.eng.machine(p); err != nil {
+		return fmt.Errorf("arm2gc: Register %q: %w", name, err)
 	}
 	c.mu.Lock()
 	if _, dup := c.progs[name]; dup {

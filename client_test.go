@@ -64,6 +64,47 @@ func TestClientEvaluateCancelMidHandshake(t *testing.T) {
 	}
 }
 
+// TestClientBuildsMachineAtRegister: a Client on its own Engine builds the
+// program's netlist in Register, before its OT set-up, so no session's
+// negotiation waits on the synthesis; its sessions find the machine cached.
+func TestClientBuildsMachineAtRegister(t *testing.T) {
+	prog := compileAdd(t)
+	srv := NewServer(NewEngine())
+	if err := srv.Register("add", prog, WithMaxCycles(10_000), WithGarblerInput([]uint32{7})); err != nil {
+		t.Fatal(err)
+	}
+	addr, shutdown := startServer(t, srv)
+	defer shutdown()
+
+	ceng := NewEngine()
+	cl, err := Dial(context.Background(), addr, WithClientEngine(ceng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if got := ceng.Builds(); got != 0 {
+		t.Fatalf("builds before Register = %d, want 0", got)
+	}
+	if err := cl.Register("add", prog); err != nil {
+		t.Fatal(err)
+	}
+	if got := ceng.Builds(); got != 1 {
+		t.Fatalf("builds after Register = %d, want 1", got)
+	}
+	for i := uint32(0); i < 2; i++ {
+		info, err := cl.Evaluate(context.Background(), "add", []uint32{i})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if info.Outputs[0] != 7+i {
+			t.Fatalf("session %d: sum = %d, want %d", i, info.Outputs[0], 7+i)
+		}
+		if got := ceng.Builds(); got != 1 {
+			t.Fatalf("builds after session %d = %d, want 1", i, got)
+		}
+	}
+}
+
 // TestClientEvaluateCancelWhileQueued pins the pre-handshake window the
 // seed left open: sessions serialize on the connection, and a caller
 // queued behind a stuck session used to block on a bare mutex with its

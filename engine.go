@@ -254,11 +254,17 @@ func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := e.cache.GetMem(p.Layout, obliv.Config{})
+	c, err := e.machine(p)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{m: &Machine{cpu: c}, prog: p, cfg: cfg, eng: e}, nil
+}
+
+// machine draws p's processor from the layout cache, building it on the
+// layout's first use: the one cache key Session and Client.Register share.
+func (e *Engine) machine(p *Program) (*cpu.CPU, error) {
+	return e.cache.GetMem(p.Layout, obliv.Config{})
 }
 
 // newSessionConfig applies opts over the defaults and validates — the one

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"testing"
 )
 
@@ -180,11 +182,51 @@ func TestModuleClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !slices.ContainsFunc(pkgs, func(p *Package) bool { return p.Path == l.ModulePath+"/cmd/dev-certs" }) {
+		t.Errorf("LoadModule skipped %s/cmd/dev-certs", l.ModulePath)
+	}
 	diags, err := Run(Suite(), pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLoadModuleSkipsOnlyRootDevCerts: LoadModule skips the module root's
+// dev-certs directory (throwaway TLS material, never source) but loads
+// every other directory of that name, such as cmd/dev-certs. The root's
+// copy here holds a file that does not type-check, so loading it fails.
+func TestLoadModuleSkipsOnlyRootDevCerts(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":                "module fixmod\n",
+		"dev-certs/junk.go":     "package junk\n\nvar x int = \"not an int\"\n",
+		"cmd/dev-certs/main.go": "package main\n\nfunc main() {}\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if want := []string{"fixmod/cmd/dev-certs"}; !slices.Equal(got, want) {
+		t.Fatalf("LoadModule loaded %q, want %q", got, want)
 	}
 }

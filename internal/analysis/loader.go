@@ -104,9 +104,11 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		if !d.IsDir() {
 			return nil
 		}
+		// The root's dev-certs holds throwaway TLS material (make
+		// dev-certs); cmd/dev-certs, which writes it, is source.
 		name := d.Name()
 		if p != l.ModuleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "dev-certs") {
+			name == "testdata" || p == filepath.Join(l.ModuleRoot, "dev-certs")) {
 			return filepath.SkipDir
 		}
 		gofiles, _ := filepath.Glob(filepath.Join(p, "*.go"))

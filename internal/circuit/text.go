@@ -4,13 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
 // Text serialization of netlists — a simple line format in the spirit of
-// structural netlist interchange, so circuits can be inspected, diffed,
-// stored, and exchanged with external tooling:
+// structural netlist interchange, so circuits can be inspected, diffed and
+// handed to external tooling:
 //
 //	circuit <name>
 //	port <name> <owner> <bits> <off>
@@ -19,8 +18,9 @@ import (
 //	output <name> <wire...>
 //	end
 //
-// Wires use the frozen dense numbering; the reader rebuilds and validates
-// the layout, so a corrupted file cannot produce an inconsistent circuit.
+// Wires use the frozen dense numbering. The format is write-only: both
+// parties synthesize the processor netlist from the public layout, so
+// nothing in the system loads a circuit back.
 
 // WriteText serializes the circuit.
 func (c *Circuit) WriteText(w io.Writer) error {
@@ -69,181 +69,4 @@ func nameOrAnon(s string) string {
 		return "_"
 	}
 	return strings.ReplaceAll(s, " ", "_")
-}
-
-var opByName = func() map[string]Op {
-	m := make(map[string]Op)
-	for op := Op(0); op < numOps; op++ {
-		m[op.String()] = op
-	}
-	return m
-}()
-
-var ownerByName = map[string]Owner{"public": Public, "alice": Alice, "bob": Bob}
-
-var initByName = map[string]InitKind{
-	"zero": InitZero, "one": InitOne, "public": InitPublic,
-	"alice": InitAlice, "bob": InitBob,
-}
-
-// ReadText parses a serialized circuit and validates it.
-func ReadText(r io.Reader) (*Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	c := &Circuit{PortBase: 2}
-	next := Wire(2)
-	line := 0
-	sawEnd := false
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		bad := func(why string) error {
-			return fmt.Errorf("circuit text line %d: %s: %q", line, why, sc.Text())
-		}
-		switch fields[0] {
-		case "circuit":
-			if len(fields) != 2 {
-				return nil, bad("want: circuit <name>")
-			}
-			if fields[1] != "_" {
-				c.Name = fields[1]
-			}
-		case "port":
-			if len(fields) != 5 {
-				return nil, bad("want: port <name> <owner> <bits> <off>")
-			}
-			owner, ok := ownerByName[fields[2]]
-			if !ok {
-				return nil, bad("unknown owner")
-			}
-			bits, e1 := strconv.Atoi(fields[3])
-			off, e2 := strconv.Atoi(fields[4])
-			if e1 != nil || e2 != nil || bits <= 0 {
-				return nil, bad("bad numbers")
-			}
-			p := Port{Name: fields[1], Owner: owner, Base: next, Bits: bits, Off: off}
-			if p.Name == "_" {
-				p.Name = ""
-			}
-			c.Ports = append(c.Ports, p)
-			next += Wire(bits)
-			bumpBits(c, owner, off+bits)
-		case "dff":
-			if len(fields) < 3 {
-				return nil, bad("want: dff <D> <init> [idx]")
-			}
-			d, e1 := strconv.Atoi(fields[1])
-			kind, ok := initByName[fields[2]]
-			if e1 != nil || !ok {
-				return nil, bad("bad D or init kind")
-			}
-			dff := DFF{D: Wire(d), Init: Init{Kind: kind}}
-			if kind == InitPublic || kind == InitAlice || kind == InitBob {
-				if len(fields) != 4 {
-					return nil, bad("init kind needs an index")
-				}
-				idx, err := strconv.Atoi(fields[3])
-				if err != nil {
-					return nil, bad("bad init index")
-				}
-				dff.Init.Idx = idx
-				owner := Public
-				if kind == InitAlice {
-					owner = Alice
-				} else if kind == InitBob {
-					owner = Bob
-				}
-				bumpBits(c, owner, idx+1)
-			}
-			c.DFFs = append(c.DFFs, dff)
-		case "gate":
-			if len(fields) < 3 {
-				return nil, bad("want: gate <op> <wires>")
-			}
-			op, ok := opByName[fields[1]]
-			if !ok {
-				return nil, bad("unknown op")
-			}
-			args := make([]Wire, 0, 3)
-			for _, f := range fields[2:] {
-				v, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, bad("bad wire")
-				}
-				args = append(args, Wire(v))
-			}
-			g := Gate{Op: op}
-			switch {
-			case op == MUX:
-				if len(args) != 3 {
-					return nil, bad("MUX needs A B S")
-				}
-				g.A, g.B, g.S = args[0], args[1], args[2]
-			case op.IsUnary():
-				if len(args) != 1 {
-					return nil, bad("unary gate needs one wire")
-				}
-				g.A, g.B = args[0], args[0]
-			default:
-				if len(args) != 2 {
-					return nil, bad("binary gate needs two wires")
-				}
-				g.A, g.B = args[0], args[1]
-			}
-			c.Gates = append(c.Gates, g)
-		case "output":
-			if len(fields) < 2 {
-				return nil, bad("want: output <name> <wires>")
-			}
-			o := Output{Name: fields[1]}
-			if o.Name == "_" {
-				o.Name = ""
-			}
-			for _, f := range fields[2:] {
-				v, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, bad("bad wire")
-				}
-				o.Wires = append(o.Wires, Wire(v))
-			}
-			c.Outputs = append(c.Outputs, o)
-		case "end":
-			sawEnd = true
-		default:
-			return nil, bad("unknown directive")
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawEnd {
-		return nil, fmt.Errorf("circuit text: missing end directive")
-	}
-	// DFF and gate bases follow the ports.
-	c.DFFBase = next
-	c.GateBase = next + Wire(len(c.DFFs))
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("circuit text: %w", err)
-	}
-	return c, nil
-}
-
-func bumpBits(c *Circuit, owner Owner, n int) {
-	switch owner {
-	case Public:
-		if n > c.PublicBits {
-			c.PublicBits = n
-		}
-	case Alice:
-		if n > c.AliceBits {
-			c.AliceBits = n
-		}
-	case Bob:
-		if n > c.BobBits {
-			c.BobBits = n
-		}
-	}
 }

@@ -116,16 +116,6 @@ func (o DPOp) String() string { return dpNames[o&15] }
 // WritesRd reports whether the opcode writes a destination register.
 func (o DPOp) WritesRd() bool { return o < OpTST || o > OpCMN }
 
-// IsLogical reports whether the opcode leaves C and V unchanged when S is
-// set (this ISA does not model shifter carry-out).
-func (o DPOp) IsLogical() bool {
-	switch o {
-	case OpAND, OpEOR, OpTST, OpTEQ, OpORR, OpMOV, OpBIC, OpMVN:
-		return true
-	}
-	return false
-}
-
 // Shift is an operand-2 shift type.
 type Shift uint8
 
