@@ -130,13 +130,17 @@ test-membackend:
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# One replayed session, both parties over net.Pipe with the trace and the
-# OTs warm, on sum32 and Hamming(512): time and heap per session
-# (internal/proto BenchmarkReplayedSession). BENCHTIME=1x only checks that
-# it still builds and runs, as CI does.
+# One replayed session with the trace and the OTs warm, on sum32 and
+# Hamming(512): time and heap per session with both parties over net.Pipe,
+# where a round trip is a goroutine switch (internal/proto
+# BenchmarkReplayedSession), then as a Client sees it against a Server
+# over loopback TCP, where a round trip is a socket wake-up, with the
+# client's read_wait and negotiate phases (root BenchmarkClientEvaluate).
+# BENCHTIME=1x only checks that both still build and run, as CI does.
 BENCHTIME ?= 2s
 bench-session:
 	$(GO) test -run '^$$' -bench '^BenchmarkReplayedSession$$' -benchmem -benchtime $(BENCHTIME) ./internal/proto
+	$(GO) test -run '^$$' -bench '^BenchmarkClientEvaluate$$' -benchmem -benchtime $(BENCHTIME) .
 
 # The line metric the ROADMAP tracks: non-test Go lines outside
 # benchmark/ added, deleted and net since 21d10ad (the commit the

@@ -190,7 +190,7 @@ func (pipeAddr) String() string  { return "pipe" }
 func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
 
 // dial hands one end of a fresh pipe to the accept loop.
-func (l *pipeListener) dial(t *testing.T) net.Conn {
+func (l *pipeListener) dial(t testing.TB) net.Conn {
 	t.Helper()
 	a, b := net.Pipe()
 	select {

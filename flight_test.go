@@ -26,18 +26,21 @@ func (c writeCountingConn) Write(p []byte) (int, error) {
 // session, propose and grant included, at the benchmark's cycle batch of
 // 8. A session's frames leave in flights of at least 2 KiB or when a
 // party turns to read, so the counts follow from frame sizes and the
-// protocol's turn-taking alone. Each program's first session compiles
-// its trace before replaying it, and its second replays the cached trace;
-// both put the same bytes on the wire in the same writes. Written a frame at a time, with header and
-// payload apart, the same sessions took 7 and 12 writes (sum32) and 7 and
-// 68 (Hamming(160)).
+// protocol's turn-taking alone: the server's hello and Alice's labels
+// leave in one flight, and the client's hello echo with its OT
+// correction in one. Each program's first session compiles its trace
+// before replaying it, and its second replays the cached trace; both put
+// the same bytes on the wire in the same writes. Written a frame at a
+// time, with header and payload apart, the same sessions took 7 and 12
+// writes (sum32) and 7 and 68 (Hamming(160)); with the echo read before
+// Alice's labels were sent, 4 and 4 (sum32) and 4 and 11 (Hamming(160)).
 func TestSessionWriteCounts(t *testing.T) {
 	for _, tc := range []struct {
 		w              *bencher.Workload
 		client, server int64 // writes per session
 	}{
-		{bencher.SumWorkload(32), 4, 4},
-		{bencher.HammingWorkload(160), 4, 11},
+		{bencher.SumWorkload(32), 3, 3},
+		{bencher.HammingWorkload(160), 3, 10},
 	} {
 		t.Run(tc.w.Name, func(t *testing.T) {
 			prog, _, err := tc.w.Program()

@@ -1,12 +1,14 @@
 package proto
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	mrand "math/rand"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -31,11 +33,11 @@ func hostileEvaluator(t *testing.T, conn net.Conn, cfg Config) {
 		t.Error(err)
 		return
 	}
-	if err := wire.Write(conn, msgHello, sid[:]); err != nil {
+	if _, err := readExact(conn, msgAliceLabels, 16*cfg.Circuit.AliceBits); err != nil {
 		t.Error(err)
 		return
 	}
-	if _, err := readExact(conn, msgAliceLabels, 16*cfg.Circuit.AliceBits); err != nil {
+	if err := wire.Write(conn, msgHello, sid[:]); err != nil {
 		t.Error(err)
 		return
 	}
@@ -84,6 +86,133 @@ func TestShortOutputsFrameGarbler(t *testing.T) {
 			ca.Close()
 			<-done
 			cb.Close()
+		}
+	}
+}
+
+// TestOldOrderPeerWedges: a peer scripted in the order before the opening
+// flight — it echoes the hello before it reads Alice's labels — and the
+// garbler wait on each other over net.Pipe, where a write returns only
+// once the peer has read it all: the garbler's opening flight stays half
+// read while the peer's echo waits for a reader. Both sides stall until
+// their deadlines. This is why the order is a protocol version
+// (flagOpeningFlight) that negotiation refuses before a session starts.
+func TestOldOrderPeerWedges(t *testing.T) {
+	cfg, alice, _ := multiCycleConfig(t, 4)
+	sid, err := cfg.SessionID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, cb := net.Pipe()
+	defer ca.Close()
+	defer cb.Close()
+	const stall = 200 * time.Millisecond
+	peer := make(chan error, 1)
+	go func() {
+		_ = cb.SetDeadline(time.Now().Add(stall))
+		if _, err := readExact(cb, msgHello, helloLen); err != nil {
+			peer <- err
+			return
+		}
+		peer <- wire.Write(cb, msgHello, sid[:])
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), stall)
+	defer cancel()
+	if _, err := RunGarbler(ctx, ca, cfg, alice, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("garbler: got %v, want a stall until its deadline", err)
+	}
+	if err := <-peer; !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("old-order peer: got %v, want its echo stalled until its deadline", err)
+	}
+}
+
+// wrongEchoPeer reads the garbler's opening flight on conn, answers it
+// with a wrong session id echo and a well-formed OT correction frame in
+// one write, and returns every byte it received until the garbler hung up.
+func wrongEchoPeer(conn net.Conn, cfg Config) []byte {
+	var got bytes.Buffer
+	r := io.TeeReader(conn, &got)
+	if _, err := readExact(r, msgHello, helloLen); err != nil {
+		return got.Bytes()
+	}
+	if _, err := readExact(r, msgAliceLabels, 16*cfg.Circuit.AliceBits); err != nil {
+		return got.Bytes()
+	}
+	sid, _ := cfg.SessionID()
+	sid[0] ^= 1
+	flight := append(wire.AppendHeader(nil, msgHello, len(sid)), sid[:]...)
+	corr := 128 * bitBytes(cfg.Circuit.BobBits) // kappa columns of one bit per choice
+	flight = append(wire.AppendHeader(flight, wire.OT, corr), make([]byte, corr)...)
+	_, _ = conn.Write(flight) // the garbler hangs up after the echo
+	_, _ = io.Copy(io.Discard, r)
+	return got.Bytes()
+}
+
+// TestWrongEchoBeforeAnySecret: the garbler sends its opening flight
+// before it has seen the evaluator's echo, but nothing after it. A peer
+// that answers with a wrong echo beside a well-formed OT correction for a
+// held epoch fails the session with the session-mismatch error, live and
+// pre-garbled, and what it received is the hello and Alice's labels
+// alone: no OT ciphertext frame, no table frame. The ciphertext frame is
+// at least a flight's 2 KiB here, so a garbler that encrypted before its
+// check would put it on the wire, not only into its flight's buffer.
+func TestWrongEchoBeforeAnySecret(t *testing.T) {
+	cfg, alice, bob := hammingConfig(t, 300, 8)
+	if 32*cfg.Circuit.BobBits < 2<<10 {
+		t.Fatalf("%d evaluator input bits: the OT ciphertext frame would fit in a flight's buffer", cfg.Circuit.BobBits)
+	}
+	// One honest session leaves both parties holding an epoch, so the
+	// correction frame is the OT message the garbler reads next.
+	a, b := net.Pipe()
+	gst, est := new(OTState), new(OTState)
+	granted, err := gst.Grant(est.Held())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.Epoch = granted
+	if gerr, eerr, _ := session(cfg, alice, bob, a, b, gst, est); gerr != nil || eerr != nil {
+		t.Fatalf("honest session: garbler %v, evaluator %v", gerr, eerr)
+	}
+	a.Close()
+	b.Close()
+	gcfg := cfg
+	gcfg.OT = gst
+	roles := map[string]func(conn net.Conn) error{
+		"RunGarbler": func(conn net.Conn) error {
+			_, err := RunGarbler(context.Background(), conn, gcfg, alice, nil)
+			return err
+		},
+		"ServeRecorded": func(conn net.Conn) error {
+			rec, _, err := RecordGarbler(context.Background(), gcfg, alice, nil)
+			if err != nil {
+				return err
+			}
+			_, err = ServeRecorded(context.Background(), conn, gcfg, rec)
+			return err
+		},
+	}
+	for name, garble := range roles {
+		if _, err := gst.Grant(gst.Held()); err != nil { // the session extends the held epoch
+			t.Fatal(err)
+		}
+		ca, cb := net.Pipe()
+		got := make(chan []byte, 1)
+		go func() { got <- wrongEchoPeer(cb, cfg) }()
+		err := garble(ca)
+		ca.Close()
+		received := <-got
+		cb.Close()
+		if err == nil || !strings.Contains(err.Error(), "evaluator session mismatch") {
+			t.Errorf("%s: got %v, want the session-mismatch error", name, err)
+		}
+		var types []byte
+		for rest := received; len(rest) >= wire.HeaderLen; {
+			h := wire.Header(rest)
+			types = append(types, h.Type())
+			rest = rest[min(len(rest), wire.HeaderLen+int(h.Len())):]
+		}
+		if want := []byte{msgHello, msgAliceLabels}; !bytes.Equal(types, want) {
+			t.Errorf("%s: the peer received frames of types % x, want % x only", name, types, want)
 		}
 	}
 }

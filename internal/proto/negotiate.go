@@ -58,7 +58,16 @@ const (
 	// (see SetupOT).
 	flagOTSetup byte = 1 << 5
 
-	knownProposalFlags = flagHasOutputs | flagHasAuth | flagFramed | flagOTEpoch | flagOTSetup
+	// flagOpeningFlight is the protocol version after flagOTEpoch: the
+	// garbler's opening flight carries the hello and Alice's labels, and
+	// the evaluator's hello echo leaves with its first OT message. Each
+	// party reads before it writes where the older order wrote first, so a
+	// pair of mixed versions would wait for each other: every writer sets
+	// the bit and ReadProposal requires it, refusing a proposal without it
+	// with a reason.
+	flagOpeningFlight byte = 1 << 6
+
+	knownProposalFlags = flagHasOutputs | flagHasAuth | flagFramed | flagOTEpoch | flagOTSetup | flagOpeningFlight
 )
 
 // Negotiation bounds; proposals outside them are refused before any
@@ -205,7 +214,7 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	payload := make([]byte, 0, 2+len(p.Program)+proposalFixed+2+len(p.Auth))
 	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Program)))
 	payload = append(payload, p.Program...)
-	flags := flagFramed | flagOTEpoch
+	flags := flagFramed | flagOTEpoch | flagOpeningFlight
 	if p.HasOutputs {
 		flags |= flagHasOutputs
 	}
@@ -252,8 +261,9 @@ func ProgramOfProposal(payload []byte) (string, error) {
 // means the client finished with the connection cleanly. A proposal
 // announcing feature flags this build does not know comes back as
 // *VersionError with the program name filled in, and so does one in an
-// older protocol version — without flagOTEpoch or flagFramed — the frame
-// has been fully consumed, so the caller may reject it and keep reading.
+// older protocol version — without flagOpeningFlight, flagOTEpoch or
+// flagFramed — the frame has been fully consumed, so the caller may reject
+// it and keep reading.
 func ReadProposal(r io.Reader) (Proposal, error) {
 	b, err := ReadProposalFrame(r)
 	if err != nil {
@@ -280,6 +290,10 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 	}
 	if flags&flagOTEpoch == 0 || flags&flagFramed == 0 {
 		return p, olderProposal(p.Program, flags, b)
+	}
+	if flags&flagOpeningFlight == 0 {
+		return p, &VersionError{Program: p.Program, Reason: "the proposal speaks an older protocol version " +
+			"(the garbler's labels after the hello echo); upgrade the client"}
 	}
 	if len(b) < proposalFixed {
 		return p, fmt.Errorf("proto: malformed proposal")

@@ -52,12 +52,13 @@ func TestProposalRoundTrip(t *testing.T) {
 }
 
 // TestProposalWireCompat pins the token-less encoding: a proposal without
-// a token carries no trailing auth field, its flags byte holds the two
-// version bits (framed protocol, OT epoch) beside the output-mode bit,
-// and the OT epoch follows the cycle budget. The same proposal in the
-// layouts older builds sent — a uint32 slot where the epoch is, with or
-// without the framed bit — is refused as *VersionError, with the frame
-// consumed.
+// a token carries no trailing auth field, its flags byte holds the three
+// version bits (framed protocol, OT epoch, opening flight) beside the
+// output-mode bit, and the OT epoch follows the cycle budget. The same
+// proposal as older builds sent it — in this layout without the
+// opening-flight bit, or in the layout with a uint32 slot where the epoch
+// is, with or without the framed bit — is refused as *VersionError, with
+// the frame consumed.
 func TestProposalWireCompat(t *testing.T) {
 	p := Proposal{Program: "add", HasOutputs: true, Outputs: OutputEvaluatorOnly,
 		CycleBatch: 8, MaxCycles: 10_000, Epoch: ot.Epoch{0xe0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xef}}
@@ -68,7 +69,7 @@ func TestProposalWireCompat(t *testing.T) {
 	pinned := []byte{
 		msgPropose, 35, 0, 0, 0, // frame header: type + length
 		3, 0, 'a', 'd', 'd', // name
-		0x19, byte(OutputEvaluatorOnly), // flags (OT epoch, framed, outputs), mode
+		0x59, byte(OutputEvaluatorOnly), // flags (opening flight, OT epoch, framed, outputs), mode
 		8, 0, 0, 0, // cycle batch
 		0x10, 0x27, 0, 0, 0, 0, 0, 0, // max cycles
 		0xe0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xef, // OT epoch
@@ -85,6 +86,11 @@ func TestProposalWireCompat(t *testing.T) {
 	}
 
 	older := func(flags byte) []byte {
+		if flags&flagOTEpoch != 0 && flags&flagFramed != 0 {
+			b := bytes.Clone(pinned) // this layout, an older version bit set
+			b[10] = flags
+			return b
+		}
 		return []byte{
 			msgPropose, 23, 0, 0, 0,
 			3, 0, 'a', 'd', 'd',
@@ -98,6 +104,7 @@ func TestProposalWireCompat(t *testing.T) {
 		flags byte
 		want  string
 	}{
+		{0x19, "labels after the hello echo"},       // the OT epoch, before the opening flight
 		{0x09, "no OT epoch"},                       // framed, before the OT epoch
 		{0x01, "OT messages without frame headers"}, // before the frame format
 		{0x11, "OT messages without frame headers"}, // the epoch bit alone

@@ -409,6 +409,12 @@ func RunEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 	})
 }
 
+// runEvaluator is Bob's session. It reads the garbler's opening flight —
+// the hello, whose session id it checks, and Alice's labels — before it
+// writes anything, and then answers with its echo of the session id and
+// its first OT message in one flight, so a session on a held OT epoch
+// turns from writing to reading once here, for the OT's label
+// ciphertexts, which the table stream follows.
 func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config, bobInput []bool) (*Result, error) {
 	sid, err := cfg.SessionID()
 	if err != nil {
@@ -423,7 +429,8 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Confi
 	}
 	var seed core.Seed
 	copy(seed[:], hello[32:])
-	if err := wire.Write(conn, msgHello, sid[:]); err != nil {
+	aliceBytes, err := readExact(conn, msgAliceLabels, 16*cfg.Circuit.AliceBits)
+	if err != nil {
 		return nil, err
 	}
 
@@ -435,8 +442,7 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Confi
 	if cfg.Trace != nil {
 		e.Reserve(cfg.Trace.Width())
 	}
-	aliceBytes, err := readExact(conn, msgAliceLabels, 16*cfg.Circuit.AliceBits)
-	if err != nil {
+	if err := wire.Write(conn, msgHello, sid[:]); err != nil {
 		return nil, err
 	}
 	choices := make([]bool, cfg.Circuit.BobBits)

@@ -117,10 +117,19 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 	return rec, sched, g, nil
 }
 
-// handshake opens a session as the garbler: hello and its echo, Alice's
-// labels, then the OT for Bob's, over the connection's OT state.
+// handshake opens a session as the garbler, over the connection's OT
+// state. Its opening flight is the hello and Alice's active labels, which
+// need nothing from the evaluator; it then reads the evaluator's echo of
+// the session id, which leaves with the evaluator's first OT message, and
+// runs the OT for Bob's labels, so on a held OT epoch the evaluator waits
+// once in this exchange, for the OT's reply. The echo is checked before
+// this side writes any OT message or table: Alice's active labels alone
+// are random strings to a peer that holds neither R nor the tables.
 func (r *Recorded) handshake(conn io.ReadWriter, clk *clock, st *OTState) error {
 	if err := wire.Write(conn, msgHello, r.hello); err != nil {
+		return err
+	}
+	if err := wire.Write(conn, msgAliceLabels, r.alice); err != nil {
 		return err
 	}
 	ack, err := readExact(conn, msgHello, len(r.sid))
@@ -129,9 +138,6 @@ func (r *Recorded) handshake(conn io.ReadWriter, clk *clock, st *OTState) error 
 	}
 	if !bytes.Equal(ack, r.sid[:]) {
 		return fmt.Errorf("proto: evaluator session mismatch")
-	}
-	if err := wire.Write(conn, msgAliceLabels, r.alice); err != nil {
-		return err
 	}
 	if err := st.send(conn, clk, r.hello, r.pairs); err != nil {
 		return fmt.Errorf("proto: OT: %w", err)

@@ -22,7 +22,7 @@ import (
 
 // startServer spins up a Server over a fresh TCP listener and returns its
 // address plus a shutdown function that cancels Serve and waits for it.
-func startServer(t *testing.T, srv *Server) (addr string, shutdown func()) {
+func startServer(t testing.TB, srv *Server) (addr string, shutdown func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -293,10 +293,11 @@ func TestServerRejectsRemovedWorkers(t *testing.T) {
 	}
 }
 
-// TestServerRejectsOlderProtocol: a proposal from a client on the protocol
-// before the one frame format — its flags byte lacks the framed bit — gets
-// a rejection that says why, before any cryptography, and the next session
-// on the same connection runs.
+// TestServerRejectsOlderProtocol: a proposal from a client on an older
+// protocol — before the one frame format, its flags byte without the
+// framed bit, or before the opening flight, its flags byte 0x19 without
+// the opening-flight bit — gets a rejection that says why, before any
+// cryptography, and the next session on the same connection runs.
 func TestServerRejectsOlderProtocol(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
@@ -312,25 +313,39 @@ func TestServerRejectsOlderProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	// The proposal an older client sent: type, length, name, flags (none),
-	// mode, batch, cycles, the reserved slot.
-	frame := []byte{
-		0x10, 23, 0, 0, 0,
-		3, 0, 'a', 'd', 'd',
-		0, 0,
-		0, 0, 0, 0,
-		0, 0, 0, 0, 0, 0, 0, 0,
-		0, 0, 0, 0,
+	older := [][]byte{
+		// Before the frame format: type, length, name, flags (none), mode,
+		// batch, cycles, the reserved slot.
+		{
+			0x10, 23, 0, 0, 0,
+			3, 0, 'a', 'd', 'd',
+			0, 0,
+			0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0,
+		},
+		// Before the opening flight: type, length, name, flags (OT epoch,
+		// framed, outputs), mode, batch, cycles, the OT epoch.
+		{
+			0x10, 35, 0, 0, 0,
+			3, 0, 'a', 'd', 'd',
+			0x19, 0,
+			0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		},
 	}
-	if _, err := raw.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := wire.Read(raw, wire.Reject, 0, proto.MaxRejectBytes)
-	if err != nil {
-		t.Fatalf("got %v; want a rejection", err)
-	}
-	if reason := string(payload); !strings.Contains(reason, "older protocol version") {
-		t.Errorf("rejection reason %q does not name the protocol version", reason)
+	for _, frame := range older {
+		if _, err := raw.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.Read(raw, wire.Reject, 0, proto.MaxRejectBytes)
+		if err != nil {
+			t.Fatalf("flags %#02x: got %v; want a rejection", frame[10], err)
+		}
+		if reason := string(payload); !strings.Contains(reason, "older protocol version") || !strings.Contains(reason, "upgrade") {
+			t.Errorf("flags %#02x: rejection reason %q does not name the protocol version", frame[10], reason)
+		}
 	}
 
 	cl := NewClient(raw, WithClientEngine(eng))
@@ -344,8 +359,8 @@ func TestServerRejectsOlderProtocol(t *testing.T) {
 	if info.Outputs[0] != 3 {
 		t.Fatalf("sum = %d, want 3", info.Outputs[0])
 	}
-	if m := srv.Metrics(); m.NegotiationFailures != 1 {
-		t.Errorf("negotiation failures = %d, want 1", m.NegotiationFailures)
+	if m := srv.Metrics(); m.NegotiationFailures != 2 {
+		t.Errorf("negotiation failures = %d, want 2", m.NegotiationFailures)
 	}
 }
 
