@@ -77,12 +77,14 @@ test-hardening:
 # Classification-trace correctness: compile/replay across the core engine,
 # the trace cache (one compile per key with the rest waiting, a waiter's
 # cancellation, a cancelled compile handing over to a waiter, one byte
-# budget over cached traces and compiles in flight, tombstones), the wire
-# protocol (byte-identical frame pinning, exact table-frame reads under
-# replay, 1 GiB announcements) and the Engine API (the WithTraceReuse
-# no-op, the trace-cache metrics, eight concurrent first sessions through
-# Server and Client compiling once, many concurrent compiles under one
-# budget; every such test has Trace in its name), plus the sparse flip-flop commit the
+# budget over cached traces and compiles in flight, a compile refused room
+# waiting for another to end and compiling again, tombstones returning
+# ErrTraceBudget), the wire protocol (byte-identical frame pinning, exact
+# table-frame reads, 1 GiB announcements) and the Engine API (the
+# WithTraceReuse no-op, the trace-cache metrics, eight concurrent first
+# sessions through Server and Client compiling once, many concurrent
+# compiles under one budget, a Server refusing a program no trace fits
+# before the grant; every such test has Trace in its name), plus the sparse flip-flop commit the
 # compiled cycles carry (dense-commit oracle, its edge cases, registers
 # swapping through aliased hold-MUXes, CycleStats invariance) — shuffled
 # and under the race detector, as in CI.

@@ -172,28 +172,11 @@ const (
 	PhaseOTExtension = proto.PhaseOTExtension
 	PhaseCompile     = proto.PhaseCompile
 	PhaseKernel      = proto.PhaseKernel
-	PhaseCommit      = proto.PhaseCommit
 	PhaseWrite       = proto.PhaseWrite
 	PhaseReadWait    = proto.PhaseReadWait
 	PhaseDecode      = proto.PhaseDecode
 	NumPhases        = proto.NumPhases
 )
-
-func (m *Machine) inputs(p *Program, alice, bob []uint32) (pub, ab, bb []bool, err error) {
-	pub, err = m.cpu.PublicBits(p)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ab, err = m.cpu.InputBits(circuit.Alice, alice)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	bb, err = m.cpu.InputBits(circuit.Bob, bob)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return pub, ab, bb, nil
-}
 
 func (m *Machine) info(p *Program, outBits []bool, st core.Stats, halted bool) *RunInfo {
 	info := &RunInfo{
@@ -207,18 +190,6 @@ func (m *Machine) info(p *Program, outBits []bool, st core.Stats, halted bool) *
 		info.Outputs = cpu.OutWords(outBits[:p.Layout.OutWords*32])
 	}
 	return info
-}
-
-func (m *Machine) partyBits(p *Program, owner circuit.Owner, words []uint32) ([]bool, []bool, error) {
-	pub, err := m.cpu.PublicBits(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	bits, err := m.cpu.InputBits(owner, words)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pub, bits, nil
 }
 
 // Disassemble renders a linked program.

@@ -2,6 +2,7 @@ package arm2gc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -38,9 +39,15 @@ const DefaultMaxCycles = 1_000_000
 // recently replayed traces are evicted beyond the budget. Compiles in
 // flight draw on the same budget, so an Engine never holds more than it in
 // traces however many sessions compile at once; a program whose trace
-// alone outgrows it is never cached, and its sessions classify every
-// cycle live.
+// alone outgrows it has no networked session (ErrTraceBudget).
 const DefaultTraceCacheBytes = 256 << 20
+
+// ErrTraceBudget is what a networked session fails with, before it writes
+// any frame, when the program's classification trace alone outgrows its
+// Engine's trace-cache budget (DefaultTraceCacheBytes); match it with
+// errors.Is. A Server then rejects the program's proposals before the
+// grant.
+var ErrTraceBudget = core.ErrTraceBudget
 
 // Engine is the process-wide entry point of the API: a concurrency-safe
 // factory of garbled-processor sessions with a layout-keyed machine
@@ -227,20 +234,27 @@ func WithStatsSink(sink StatsSink) Option { return func(c *sessionConfig) { c.si
 // peer and no label — and then replays it, as every later run does,
 // garbling or evaluating straight from precompiled gate lists with no
 // classification pass at all. A networked run compiles after the grant,
-// so both parties' compiles overlap. The replayed wire stream is
-// byte-identical to a classified one, so none of this is part of the
-// session id: a replaying party interoperates with a classifying peer.
-// Concurrent first runs singleflight the compile: one compiles, the rest
-// wait for it and replay. A compile draws its bytes from the cache budget
-// (DefaultTraceCacheBytes) as it grows; a program whose trace alone
-// outgrows the budget is never compiled again, and its runs classify
-// every cycle live, recording nothing. Observe effectiveness via
-// Engine.TraceRecordings and Engine.TraceReplays.
+// so both parties' compiles overlap. The trace is local: it is not part
+// of the session id, and the wire stream is the same whichever party
+// compiled and whichever waited. Concurrent first runs singleflight the
+// compile: one compiles, the rest wait for it and replay. A compile draws
+// its bytes from the cache budget (DefaultTraceCacheBytes) as it grows; a
+// program whose trace alone outgrows the budget is never compiled again,
+// and its networked runs fail with ErrTraceBudget before any frame (Run,
+// in process, classifies such a program live instead). Observe
+// effectiveness via Engine.TraceRecordings and Engine.TraceReplays.
 type Session struct {
 	m    *Machine
 	prog *Program
 	cfg  sessionConfig
 	eng  *Engine // its trace cache serves every run
+	pub  []bool  // the program's public input bits
+
+	// key identifies the run's schedule in the Engine's trace cache. The
+	// SkipGate schedule is a pure function of the circuit, the public
+	// input bits, the cycle budget (the final cycle switches fanout
+	// handling) and the stop flag — exactly the key's fields.
+	key cpu.TraceKey
 }
 
 // Session creates a session for a program, drawing the machine from the
@@ -248,7 +262,8 @@ type Session struct {
 // every later one finds it for free). The machine's oblivious data memory
 // follows the auto rule — the linear scan below obliv.DefaultThreshold
 // data words, the square-root ORAM at or above — so it is a function of
-// the public layout both parties already share.
+// the public layout both parties already share. The program's public
+// input, and the trace key it digests to, are computed here once.
 func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 	cfg, err := newSessionConfig(opts)
 	if err != nil {
@@ -258,7 +273,12 @@ func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{m: &Machine{cpu: c}, prog: p, cfg: cfg, eng: e}, nil
+	pub, err := c.PublicBits(p)
+	if err != nil {
+		return nil, err
+	}
+	key := cpu.TraceKey{Circuit: c.Circuit, Pub: cpu.TracePubDigest(pub), Cycles: cfg.maxCycles, Stop: "halted"}
+	return &Session{m: &Machine{cpu: c}, prog: p, cfg: cfg, eng: e, pub: pub, key: key}, nil
 }
 
 // machine draws p's processor from the layout cache, building it on the
@@ -301,33 +321,24 @@ func (s *Session) coreSink() func(int, core.CycleStats) {
 	return func(cyc int, cs core.CycleStats) { sink(CycleUpdate{Cycle: cyc, Stats: cs}) }
 }
 
-// traceKey identifies this session's schedule in the Engine's trace
-// cache. The SkipGate schedule is a pure function of the circuit, the
-// public input bits, the cycle budget (the final cycle switches fanout
-// handling) and the stop flag — exactly the key's fields.
-func (s *Session) traceKey(pub []bool) cpu.TraceKey {
-	return cpu.TraceKey{Circuit: s.m.cpu.Circuit, Pub: cpu.TracePubDigest(pub),
-		Cycles: s.cfg.maxCycles, Stop: "halted"}
-}
-
 // trace returns this session's compiled trace from the Engine's cache,
 // compiling it on a miss or waiting for a concurrent session's compile
-// (see Session), or nil when no trace of the program fits the cache and
-// the run classifies live. compile is the time spent compiling or
+// (see Session); it fails with ErrTraceBudget when the program's trace
+// alone outgrows the cache. compile is the time spent compiling or
 // waiting: zero when the trace was cached.
-func (s *Session) trace(ctx context.Context, pub []bool) (tr *core.Trace, compile time.Duration, err error) {
+func (s *Session) trace(ctx context.Context) (tr *core.Trace, compile time.Duration, err error) {
 	start := time.Now()
-	tr, cached, err := s.eng.traces.Get(ctx, s.traceKey(pub), s.compiler(pub))
+	tr, cached, err := s.eng.traces.Get(ctx, s.key, s.compiler())
 	if !cached {
 		compile = time.Since(start)
 	}
 	return tr, compile, err
 }
 
-// compiler compiles this session's trace under public input pub: the
-// whole run, with no executor, drawing from the cache's budget.
-func (s *Session) compiler(pub []bool) cpu.Compiler {
-	c, cycles := s.m.cpu.Circuit, s.cfg.maxCycles
+// compiler compiles this session's trace: the whole run, with no
+// executor, drawing from the cache's budget.
+func (s *Session) compiler() cpu.Compiler {
+	c, pub, cycles := s.m.cpu.Circuit, s.pub, s.cfg.maxCycles
 	return func(ctx context.Context, budget core.RecordBudget) (*core.Trace, error) {
 		return core.Compile(ctx, c, pub, core.CountOpts{Cycles: cycles, StopOutput: "halted"}, budget)
 	}
@@ -335,18 +346,26 @@ func (s *Session) compiler(pub []bool) cpu.Compiler {
 
 // Run executes the full garbled protocol in process (both parties), with
 // real garbling and evaluation; use it to validate programs and measure
-// costs before deploying the two-party version. Cancelling ctx aborts the
-// cycle loop with ctx.Err().
+// costs before deploying the two-party version. A program whose trace
+// outgrows the Engine's trace cache runs too, classifying every cycle
+// live. Cancelling ctx aborts the cycle loop with ctx.Err().
 func (s *Session) Run(ctx context.Context, alice, bob []uint32) (*RunInfo, error) {
-	pub, ab, bb, err := s.m.inputs(s.prog, alice, bob)
+	ab, err := s.m.cpu.InputBits(circuit.Alice, alice)
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := s.trace(ctx, pub)
+	bb, err := s.m.cpu.InputBits(circuit.Bob, bob)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: pub, Alice: ab, Bob: bb},
+	tr, _, err := s.trace(ctx)
+	if errors.Is(err, ErrTraceBudget) {
+		tr, err = nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: s.pub, Alice: ab, Bob: bb},
 		core.RunOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Rand: s.cfg.rand, Sink: s.coreSink(), Trace: tr})
 	if err != nil {
 		return nil, err
@@ -358,20 +377,16 @@ func (s *Session) Run(ctx context.Context, alice, bob []uint32) (*RunInfo, error
 // any cryptography (the schedule is independent of label values, so the
 // counts are exact). Cancelling ctx aborts with ctx.Err().
 func (s *Session) Count(ctx context.Context) (*RunInfo, error) {
-	pub, err := s.m.cpu.PublicBits(s.prog)
-	if err != nil {
-		return nil, err
-	}
 	// A cached trace already holds the exact schedule totals; serve them
 	// without re-counting. (With a per-cycle sink the count still runs,
 	// so the sink sees every cycle.) Count never compiles — it needs no
 	// trace — so a miss just falls through.
 	if s.cfg.sink == nil {
-		if tr := s.eng.traces.Lookup(s.traceKey(pub)); tr != nil {
+		if tr := s.eng.traces.Lookup(s.key); tr != nil {
 			return s.m.info(s.prog, nil, tr.TotalStats(), tr.Halted()), nil
 		}
 	}
-	st, halted, err := core.Count(ctx, s.m.cpu.Circuit, pub,
+	st, halted, err := core.Count(ctx, s.m.cpu.Circuit, s.pub,
 		core.CountOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Sink: s.coreSink()})
 	if err != nil {
 		return nil, err
@@ -393,23 +408,9 @@ func (s *Session) garble(ctx context.Context, conn io.ReadWriter, alice []uint32
 	if alice == nil {
 		alice = s.cfg.garblerInput
 	}
-	start := time.Now()
-	pub, ab, err := s.m.partyBits(s.prog, circuit.Alice, alice)
-	if err != nil {
-		return nil, err
-	}
-	tr, compile, err := s.trace(ctx, pub)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.protoConfig(pub)
-	cfg.Trace, cfg.OT = tr, st
-	prep := time.Since(start) - compile
-	res, err := proto.RunGarbler(ctx, conn, cfg, ab, s.cfg.rand)
-	if err != nil {
-		return nil, err
-	}
-	return s.networkedInfo(res, tr, prep, compile), nil
+	return s.networked(ctx, st, circuit.Alice, alice, func(cfg proto.Config, bits []bool) (*proto.Result, error) {
+		return proto.RunGarbler(ctx, conn, cfg, bits, s.cfg.rand)
+	})
 }
 
 // record is the garble-ahead pool's offline phase: it garbles this
@@ -419,15 +420,15 @@ func (s *Session) garble(ctx context.Context, conn io.ReadWriter, alice []uint32
 // input (WithGarblerInput; nil means all-zero). Cancelling ctx aborts
 // between cycles.
 func (s *Session) record(ctx context.Context) (*proto.Recorded, error) {
-	pub, ab, err := s.m.partyBits(s.prog, circuit.Alice, s.cfg.garblerInput)
+	ab, err := s.m.cpu.InputBits(circuit.Alice, s.cfg.garblerInput)
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := s.trace(ctx, pub)
+	tr, _, err := s.trace(ctx)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.protoConfig(pub)
+	cfg := s.protoConfig()
 	cfg.Trace = tr
 	rec, _, err := proto.RecordGarbler(ctx, cfg, ab, s.cfg.rand)
 	return rec, err
@@ -439,17 +440,13 @@ func (s *Session) record(ctx context.Context) (*proto.Recorded, error) {
 // session with the same program, public input and negotiated options (its
 // session id is checked), and must never have been served before.
 func (s *Session) garbleRecorded(ctx context.Context, conn io.ReadWriter, rec *proto.Recorded, st *proto.OTState) (*RunInfo, error) {
-	pub, err := s.m.cpu.PublicBits(s.prog)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.protoConfig(pub)
+	cfg := s.protoConfig()
 	cfg.OT = st
 	res, err := proto.ServeRecorded(ctx, conn, cfg, rec)
 	if err != nil {
 		return nil, err
 	}
-	info := s.networkedInfo(res, nil, 0, 0)
+	info := s.networkedInfo(res, 0, 0)
 	info.path = pathPool
 	return info, nil
 }
@@ -464,37 +461,44 @@ func (s *Session) Evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32
 
 // evaluate is Evaluate over a connection's OT state.
 func (s *Session) evaluate(ctx context.Context, conn io.ReadWriter, bob []uint32, st *proto.OTState) (*RunInfo, error) {
-	start := time.Now()
-	pub, bb, err := s.m.partyBits(s.prog, circuit.Bob, bob)
-	if err != nil {
-		return nil, err
-	}
-	tr, compile, err := s.trace(ctx, pub)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.protoConfig(pub)
-	cfg.Trace, cfg.OT = tr, st
-	prep := time.Since(start) - compile
-	res, err := proto.RunEvaluator(ctx, conn, cfg, bb)
-	if err != nil {
-		return nil, err
-	}
-	return s.networkedInfo(res, tr, prep, compile), nil
+	return s.networked(ctx, st, circuit.Bob, bob, func(cfg proto.Config, bits []bool) (*proto.Result, error) {
+		return proto.RunEvaluator(ctx, conn, cfg, bits)
+	})
 }
 
-// networkedInfo is the RunInfo of a networked run that replayed tr (nil:
-// classified live). Its phases are the protocol run's, plus the trace's
-// compile (or the wait for it), the input encoding before the run (prep,
-// charged to the kernel) and the output words' decoding here.
-func (s *Session) networkedInfo(res *proto.Result, tr *core.Trace, prep, compile time.Duration) *RunInfo {
+// networked is one party's side of a networked session over OT state st:
+// it encodes the party's input words, draws the session's trace — so a
+// program no trace fits fails with ErrTraceBudget before any frame — and
+// then runs the protocol role.
+func (s *Session) networked(ctx context.Context, st *proto.OTState, owner circuit.Owner, words []uint32, run func(proto.Config, []bool) (*proto.Result, error)) (*RunInfo, error) {
+	start := time.Now()
+	bits, err := s.m.cpu.InputBits(owner, words)
+	if err != nil {
+		return nil, err
+	}
+	tr, compile, err := s.trace(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cfg := s.protoConfig()
+	cfg.Trace, cfg.OT = tr, st
+	prep := time.Since(start) - compile
+	res, err := run(cfg, bits)
+	if err != nil {
+		return nil, err
+	}
+	return s.networkedInfo(res, prep, compile), nil
+}
+
+// networkedInfo is the RunInfo of a networked run that replayed a trace.
+// Its phases are the protocol run's, plus the trace's compile (or the
+// wait for it), the input encoding before the run (prep, charged to the
+// kernel) and the output words' decoding here.
+func (s *Session) networkedInfo(res *proto.Result, prep, compile time.Duration) *RunInfo {
 	start := time.Now()
 	info := s.m.info(s.prog, res.Outputs, res.Stats, res.Halted)
 	info.TableFrames = res.TableFrames
 	info.path = pathReplay
-	if tr == nil {
-		info.path = pathClassify
-	}
 	info.Phases = res.Phases
 	info.Phases[PhaseCompile] += compile
 	info.Phases[PhaseKernel] += prep
@@ -502,10 +506,10 @@ func (s *Session) networkedInfo(res *proto.Result, tr *core.Trace, prep, compile
 	return info
 }
 
-func (s *Session) protoConfig(pub []bool) proto.Config {
+func (s *Session) protoConfig() proto.Config {
 	return proto.Config{
 		Circuit:    s.m.cpu.Circuit,
-		Public:     pub,
+		Public:     s.pub,
 		Cycles:     s.cfg.maxCycles,
 		StopOutput: "halted",
 		Outputs:    s.cfg.outputs,
@@ -517,13 +521,7 @@ func (s *Session) protoConfig(pub []bool) proto.Config {
 // sessionID is the protocol session digest this session would handshake
 // with; Server and Client exchange it during negotiation to verify full
 // program/layout/option agreement before a run starts.
-func (s *Session) sessionID() ([32]byte, error) {
-	pub, err := s.m.cpu.PublicBits(s.prog)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return s.protoConfig(pub).SessionID()
-}
+func (s *Session) sessionID() ([32]byte, error) { return s.protoConfig().SessionID() }
 
 // Verify cross-checks a garbled run against native execution, returning
 // an error on any mismatch — the quickest way to validate a new program.

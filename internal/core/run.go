@@ -191,7 +191,8 @@ func Count(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts) 
 }
 
 // ErrTraceBudget is what Compile returns when its RecordBudget refuses a
-// byte: the program's trace does not fit, and its runs classify live.
+// byte: the program's trace does not fit, and no networked session of it
+// runs under that budget.
 var ErrTraceBudget = errors.New("core: compiled trace outgrew its budget")
 
 // Compile runs the Scheduler and a TraceRecorder over the whole run of c

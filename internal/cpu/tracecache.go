@@ -46,9 +46,9 @@ func TracePubDigest(pub []bool) [32]byte {
 // enforces is one call:
 //
 //	tr, cached, err := cache.Get(ctx, key, compile)
-//	err != nil  -> ctx ended while waiting or compiling, or the compile failed
-//	tr != nil   -> replay tr
-//	tr == nil   -> no trace of key fits: classify live, recording nothing
+//	err == nil                        -> replay tr, never nil
+//	errors.Is(err, ErrTraceBudget)    -> key's trace alone outgrows the budget
+//	any other err                     -> ctx ended, or the compile failed
 //
 // On a miss the caller compiles the key's trace itself; concurrent callers
 // on the key wait for that one compile. A waiter whose context ends
@@ -59,10 +59,10 @@ func TracePubDigest(pub []bool) [32]byte {
 // traces: settled ones and compiles in flight alike. A compile reserves
 // its bytes as it grows, evicting least-recently-used settled entries to
 // make room; when no room is left it is refused. A compile refused because
-// it alone outgrew the budget leaves a tombstone: its session and every
-// later one on the key get no trace and classify live, without compiling
-// again. One refused only because other compiles held the budget leaves
-// nothing, so the key may compile later. A tombstone is charged
+// it alone outgrew the budget leaves a tombstone (see Oversized): its call
+// and every later one on the key return core.ErrTraceBudget without
+// compiling again. One refused only because other compiles held the budget
+// waits until one of them ends and compiles again. A tombstone is charged
 // tombstoneBytes and evicted like a trace, so keys no trace fits cannot
 // grow the map without bound.
 type TraceCache struct {
@@ -72,6 +72,7 @@ type TraceCache struct {
 	reserved int64 // the part of bytes compiles in flight hold
 	tick     int64 // monotonic use-stamp for LRU ordering, under mu
 	entries  map[TraceKey]*traceEntry
+	freed    chan struct{} // closed, and replaced, whenever a compile ends
 
 	compiles    atomic.Int64
 	replays     atomic.Int64
@@ -96,6 +97,7 @@ type traceEntry struct {
 	trace   *core.Trace
 	done    chan struct{} // closed when the compile settles; nil once settled
 	tooBig  bool          // the compile alone outgrew the budget
+	retry   chan struct{} // set by a refusal for room: closed once a compile ends
 	size    int64
 	lastUse int64
 }
@@ -104,7 +106,7 @@ type traceEntry struct {
 // settled or being compiled (approximate, per Trace.MemoryBytes);
 // maxBytes <= 0 means no bound.
 func NewTraceCache(maxBytes int64) *TraceCache {
-	return &TraceCache{budget: maxBytes, entries: make(map[TraceKey]*traceEntry)}
+	return &TraceCache{budget: maxBytes, entries: make(map[TraceKey]*traceEntry), freed: make(chan struct{})}
 }
 
 // Lookup returns the cached trace for key, or nil, without compiling or
@@ -124,6 +126,15 @@ func (c *TraceCache) Lookup(key TraceKey) *core.Trace {
 	return e.trace
 }
 
+// Oversized reports whether key holds a tombstone: Get would return
+// core.ErrTraceBudget without compiling.
+func (c *TraceCache) Oversized(key TraceKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	return e != nil && e.done == nil && e.trace == nil
+}
+
 // Get returns key's trace, compiling it with compile on a miss (see
 // TraceCache). cached reports that the key was settled when Get was
 // called, so the caller neither compiled nor waited. A trace this call
@@ -134,10 +145,11 @@ func (c *TraceCache) Get(ctx context.Context, key TraceKey, compile Compiler) (t
 		e := c.entries[key]
 		if e.done == nil {
 			c.touch(e)
-			if e.trace != nil {
-				c.replays.Add(1)
-			}
 			c.mu.Unlock()
+			if e.trace == nil {
+				return nil, cached, core.ErrTraceBudget
+			}
+			c.replays.Add(1)
 			return e.trace, cached, nil
 		}
 		done := e.done
@@ -155,27 +167,23 @@ func (c *TraceCache) Get(ctx context.Context, key TraceKey, compile Compiler) (t
 	c.mu.Unlock()
 
 	// Settle the entry however the compile ends, a panic included, and
-	// wake the waiters.
+	// wake the waiters on the key and the compiles refused room.
 	done := e.done
 	defer func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		defer close(done)
-		if err == nil && tr != nil && c.reserve(e, int64(tr.MemoryBytes())-e.size) {
-			// The compile reserved the trace's bytes as it grew; any rest
-			// is charged now, as its budget would have.
+		close(c.freed)
+		c.freed = make(chan struct{})
+		if err == nil && tr != nil {
 			c.reserved -= e.size
 			e.trace, e.done = tr, nil
 			c.touch(e)
 			return
 		}
 		c.release(e)
-		refused := err == nil && tr != nil || errors.Is(err, core.ErrTraceBudget)
-		if refused {
-			tr, err = nil, nil
-		}
-		if !refused || !e.tooBig || !c.makeRoom(tombstoneBytes) {
-			delete(c.entries, key) // failed, cancelled, panicked or refused for room
+		if !errors.Is(err, core.ErrTraceBudget) || !e.tooBig || !c.makeRoom(tombstoneBytes) {
+			delete(c.entries, key) // failed, cancelled or panicked
 			return
 		}
 		c.uncacheable.Add(1)
@@ -183,21 +191,50 @@ func (c *TraceCache) Get(ctx context.Context, key TraceKey, compile Compiler) (t
 		c.bytes += e.size
 		c.touch(e)
 	}()
-	tr, err = compile(ctx, func(n int) bool {
+	budget := func(n int) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return c.reserve(e, int64(n))
-	})
-	return tr, false, err
+	}
+	for {
+		tr, err = compile(ctx, budget)
+		var size int64
+		if err == nil {
+			size = int64(tr.MemoryBytes()) // outside mu: a nil trace panics as the compile would
+		}
+		c.mu.Lock()
+		if err == nil && !c.reserve(e, size-e.size) {
+			// The compile reserved the trace's bytes as it grew; any rest
+			// is charged now, as its budget would have.
+			tr, err = nil, core.ErrTraceBudget
+		}
+		retry := e.retry
+		e.retry = nil
+		c.mu.Unlock()
+		if retry == nil || !errors.Is(err, core.ErrTraceBudget) {
+			return tr, false, err
+		}
+		// Refused only for the room compiles in flight hold: one of them
+		// ends, and then this one compiles again.
+		select {
+		case <-retry:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+	}
 }
 
 // reserve charges n more bytes to compile e, evicting least-recently-used
 // settled entries to make room. It reports false, and frees the compile's
-// whole reservation, when the bytes do not fit. Under mu.
+// whole reservation, when the bytes do not fit: e.tooBig records whether
+// they would not fit even alone, and otherwise e.retry is closed once a
+// compile ends. Under mu.
 func (c *TraceCache) reserve(e *traceEntry, n int64) bool {
 	if c.budget > 0 && c.reserved+n > c.budget {
 		// Evicting every settled entry would not make room.
-		e.tooBig = e.size+n > c.budget
+		if e.tooBig = e.size+n > c.budget; !e.tooBig {
+			e.retry = c.freed
+		}
 		c.release(e)
 		return false
 	}

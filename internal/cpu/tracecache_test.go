@@ -61,6 +61,17 @@ func mustGet(t *testing.T, c *TraceCache, k TraceKey, compile Compiler) (*core.T
 	return tr, cached
 }
 
+// refusedGet is Get on a key whose trace alone outgrows the budget: it
+// must return no trace and core.ErrTraceBudget, and reports cached.
+func refusedGet(t *testing.T, c *TraceCache, k TraceKey, compile Compiler) bool {
+	t.Helper()
+	tr, cached, err := c.Get(context.Background(), k, compile)
+	if tr != nil || !errors.Is(err, core.ErrTraceBudget) {
+		t.Fatalf("Get(%d) = trace %v, %v; want no trace and ErrTraceBudget", k.Pub[0], tr != nil, err)
+	}
+	return cached
+}
+
 // get is Get with no error expected, on any goroutine.
 func get(t *testing.T, c *TraceCache, k TraceKey, compile Compiler) *core.Trace {
 	tr, _, err := c.Get(context.Background(), k, compile)
@@ -262,21 +273,21 @@ func TestTraceCacheLRUEviction(t *testing.T) {
 
 // TestTraceCacheOversizedCommitDropped pins a trace larger than the whole
 // budget whose compile reserved none of it: settling charges the bytes
-// the compile did not reserve, finds they cannot fit, and drops the
-// trace. Being too large on its own, the key keeps a tombstone, as a
-// compile its budget refused would.
+// the compile did not reserve, finds they cannot fit, drops the trace and
+// returns core.ErrTraceBudget. Being too large on its own, the key keeps
+// a tombstone, as a compile its budget refused would.
 func TestTraceCacheOversizedCommitDropped(t *testing.T) {
 	tr := makeTrace(t, 3, 4)
 	c := NewTraceCache(tombstoneBytes) // no trace fits
 	k := key(5)
-	if got, _ := mustGet(t, c, k, compileBytes(tr, 0)); got != nil {
-		t.Fatalf("oversized trace was served")
+	if refusedGet(t, c, k, compileBytes(tr, 0)) {
+		t.Fatalf("a fresh key was cached")
 	}
-	if c.Lookup(k) != nil {
-		t.Fatalf("oversized trace was cached")
+	if c.Lookup(k) != nil || !c.Oversized(k) {
+		t.Fatalf("oversized trace was cached, or left no tombstone")
 	}
-	if got, cached := mustGet(t, c, k, compileOf(tr)); got != nil || !cached || c.Compiles() != 1 {
-		t.Fatalf("a key no trace fits compiled again (trace %v, cached %v, %d compiles)", got != nil, cached, c.Compiles())
+	if cached := refusedGet(t, c, k, compileOf(tr)); !cached || c.Compiles() != 1 {
+		t.Fatalf("a key no trace fits compiled again (cached %v, %d compiles)", cached, c.Compiles())
 	}
 	if c.Uncacheable() != 1 || c.Bytes() != tombstoneBytes {
 		t.Fatalf("uncacheable %d, %d bytes, want 1 and a %d-byte tombstone", c.Uncacheable(), c.Bytes(), tombstoneBytes)
@@ -284,24 +295,24 @@ func TestTraceCacheOversizedCommitDropped(t *testing.T) {
 }
 
 // TestTraceCacheTombstone pins the tombstone: a compile that alone
-// outgrew the budget leaves one, which makes Get return no trace without
-// compiling (the session classifies live), is charged tombstoneBytes, and
+// outgrew the budget leaves one, which makes Get return
+// core.ErrTraceBudget without compiling, is charged tombstoneBytes, and
 // is evicted least-recently-used like a trace, after which the key may
 // compile again.
 func TestTraceCacheTombstone(t *testing.T) {
 	c := NewTraceCache(3 * tombstoneBytes)
 	tooBig := func(b byte) {
 		t.Helper()
-		if got, cached := mustGet(t, c, key(b), compileBytes(nil, 2*(3*tombstoneBytes+1))); got != nil || cached {
-			t.Fatalf("key %d: a compile past the whole budget served a trace (cached %v)", b, cached)
+		if refusedGet(t, c, key(b), compileBytes(nil, 2*(3*tombstoneBytes+1))) {
+			t.Fatalf("key %d: a fresh key was cached", b)
 		}
 	}
 	for b := byte(1); b <= 3; b++ {
 		tooBig(b)
 	}
 	compiles := c.Compiles()
-	if got, cached := mustGet(t, c, key(1), compileBytes(nil, 1)); got != nil || !cached || c.Compiles() != compiles {
-		t.Fatal("a tombstone served a trace or compiled again")
+	if cached := refusedGet(t, c, key(1), compileBytes(nil, 1)); !cached || c.Compiles() != compiles {
+		t.Fatal("a tombstone compiled again")
 	}
 	if c.Uncacheable() != 3 || c.Bytes() != 3*tombstoneBytes || c.Replays() != 0 {
 		t.Fatalf("uncacheable %d, %d bytes, replays %d, want 3, %d, 0",
@@ -313,7 +324,7 @@ func TestTraceCacheTombstone(t *testing.T) {
 		t.Fatalf("evictions %d, %d bytes after a fourth tombstone, want 1 and %d", c.Evictions(), c.Bytes(), 3*tombstoneBytes)
 	}
 	for _, b := range []byte{1, 3, 4} {
-		if _, cached := mustGet(t, c, key(b), compileBytes(nil, 1)); !cached {
+		if !refusedGet(t, c, key(b), compileBytes(nil, 1)) {
 			t.Fatalf("surviving tombstone %d let its key compile", b)
 		}
 	}
@@ -327,78 +338,86 @@ func TestTraceCacheTombstone(t *testing.T) {
 // TestTraceCacheSharedBudget pins that compiles in flight draw on the one
 // budget: their reservations count in Bytes, evict settled traces
 // least-recently-used, and never add up past the budget. A compile refused
-// only because others hold the budget leaves no tombstone; one that alone
-// outgrows the budget does.
+// only because others hold the budget leaves no tombstone and does not
+// return: it waits until another compile ends, then compiles again. One
+// that alone outgrows the budget returns core.ErrTraceBudget and leaves a
+// tombstone.
 func TestTraceCacheSharedBudget(t *testing.T) {
 	tr := makeTrace(t, 4, 4)
 	sz := tr.MemoryBytes()
 	c := NewTraceCache(int64(2*sz + sz/4))
 	k1, k2, k3 := key(1), key(2), key(3)
 
-	// k1 and k2 compile at once, each holding its reservation until
-	// released; k2, released first, then asks for past what the two leave.
-	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
-	held := make(chan struct{}, 2)
-	hold := func(i, extra int) Compiler {
-		return func(_ context.Context, budget core.RecordBudget) (*core.Trace, error) {
-			if !budget(sz) {
-				t.Error("a reservation within the budget was refused")
-			}
-			held <- struct{}{}
-			<-release[i]
-			if extra > 0 && budget(extra) {
-				t.Error("a reservation past the budget the compiles hold was granted")
-			}
-			if extra > 0 {
-				return nil, core.ErrTraceBudget
-			}
-			return tr, nil
+	// k1 and k2 compile at once, each holding sz; k2 then asks for half
+	// as much again, past what the two leave, and is refused while k1
+	// holds its reservation.
+	k1held, release := make(chan struct{}), make(chan struct{})
+	k1compile := func(_ context.Context, budget core.RecordBudget) (*core.Trace, error) {
+		if !budget(sz) {
+			t.Error("k1's reservation within the budget was refused")
 		}
+		close(k1held)
+		<-release
+		return tr, nil
 	}
-	results := make([]*core.Trace, 2)
-	done := make([]chan struct{}, 2)
+	var attempts atomic.Int64
+	refused := make(chan struct{})
+	k2compile := func(_ context.Context, budget core.RecordBudget) (*core.Trace, error) {
+		first := attempts.Add(1) == 1
+		if !budget(sz) {
+			t.Error("k2's reservation within the budget was refused")
+		}
+		if first {
+			<-k1held
+		}
+		if budget(sz/2) == first {
+			t.Errorf("attempt %d: k2's growth granted %v", attempts.Load(), !first)
+		}
+		if first {
+			close(refused)
+			return nil, core.ErrTraceBudget
+		}
+		return tr, nil
+	}
+	done := make([]chan *core.Trace, 2)
 	for i, k := range []TraceKey{k1, k2} {
-		done[i] = make(chan struct{})
+		done[i] = make(chan *core.Trace, 1)
 		go func() {
-			defer close(done[i])
-			results[i] = get(t, c, k, hold(i, i*sz/2))
+			done[i] <- get(t, c, k, []Compiler{k1compile, k2compile}[i])
 		}()
 	}
-	<-held
-	<-held
-	if c.Bytes() != int64(2*sz) {
-		t.Fatalf("cache charges %d bytes for two compiles in flight, want %d", c.Bytes(), 2*sz)
+	<-refused
+	if c.Bytes() != int64(sz) || c.Uncacheable() != 0 {
+		t.Fatalf("after k2 was refused for want of shared room: %d bytes, uncacheable %d; want k1's %d and no tombstone",
+			c.Bytes(), c.Uncacheable(), sz)
 	}
-	close(release[1])
-	<-done[1]
-	close(release[0])
-	<-done[0]
-	if results[0] != tr || results[1] != nil {
-		t.Fatalf("k1 got %v, k2 got %v; want k1 settled and k2 refused", results[0] != nil, results[1] != nil)
+	close(release)
+	if got1, got2 := <-done[0], <-done[1]; got1 != tr || got2 != tr || attempts.Load() != 2 {
+		t.Fatalf("k1 got %v, k2 got %v after %d attempts; want both the trace, k2 on its second",
+			got1 != nil, got2 != nil, attempts.Load())
 	}
-	if c.Uncacheable() != 0 || c.Bytes() != int64(sz) || c.Lookup(k2) != nil {
-		t.Fatalf("after k2 was refused for want of shared room: uncacheable %d, %d bytes; want no tombstone and %d",
-			c.Uncacheable(), c.Bytes(), sz)
+	// k2's second attempt grew past the room k1's settled trace left.
+	if c.Lookup(k1) != nil || c.Evictions() != 1 || c.Bytes() != int64(sz) {
+		t.Fatalf("k1 cached %v, %d evictions, %d bytes; want k1 evicted and k2's %d",
+			c.Lookup(k1) != nil, c.Evictions(), c.Bytes(), sz)
 	}
 
-	// k3's compile evicts k1 to make room, and is refused once it alone
+	// k3's compile evicts k2 to make room, and is refused once it alone
 	// outgrows the budget.
 	k3compile := func(_ context.Context, budget core.RecordBudget) (*core.Trace, error) {
 		if !budget(2 * sz) {
 			t.Error("k3's compile refused room a settled trace holds")
 		}
-		if c.Lookup(k1) != nil || c.Evictions() != 1 {
-			t.Errorf("k3 reserved without evicting k1 (evictions %d)", c.Evictions())
+		if c.Lookup(k2) != nil || c.Evictions() != 2 {
+			t.Errorf("k3 reserved without evicting k2 (evictions %d)", c.Evictions())
 		}
 		if budget(sz / 2) {
 			t.Error("k3's reservation past the whole budget was granted")
 		}
 		return nil, core.ErrTraceBudget
 	}
-	if got, _ := mustGet(t, c, k3, k3compile); got != nil {
-		t.Fatal("k3 was served a trace")
-	}
-	if _, cached := mustGet(t, c, k3, compileOf(tr)); c.Uncacheable() != 1 || !cached || c.Bytes() != tombstoneBytes {
+	refusedGet(t, c, k3, k3compile)
+	if cached := refusedGet(t, c, k3, compileOf(tr)); c.Uncacheable() != 1 || !cached || c.Bytes() != tombstoneBytes {
 		t.Fatalf("k3 outgrew the budget alone: uncacheable %d, %d bytes; want a tombstone", c.Uncacheable(), c.Bytes())
 	}
 }

@@ -320,8 +320,10 @@ func (b *ReceiverBase) Extend(conn io.ReadWriter, session []byte, choices []bool
 		return nil, err
 	}
 
-	// The row pads H(tweak, i, t_i) need nothing from the sender: compute
-	// them while its ciphertexts are on their way.
+	// The row pads H(tweak, i, t_i) need nothing from the sender. They run
+	// while its ciphertexts are on their way only once the frame above has
+	// left: a session's flight (wire.Flight) holds a frame under 2 KiB
+	// (fewer than 128 choice bits) until the read below.
 	rows := make([]byte, m*kappa/8)
 	transpose(rows, t, m)
 	out := make([]gc.Label, m)

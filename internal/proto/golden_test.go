@@ -73,7 +73,7 @@ func cutFrame(t *testing.T, b []byte, wantType byte) (payload, rest []byte) {
 	return b[5 : 5+n], b[5+n:]
 }
 
-// goldenDigest runs one live session from a fixed label seed and digests
+// goldenDigest runs one session from a fixed label seed and digests
 // everything deterministic the garbler put on the wire: the hello payload,
 // Alice's active labels, and every table-frame payload in arrival order.
 func goldenDigest(t *testing.T, cfgG, cfgE Config, alice, bob []bool) (string, *Result) {
@@ -138,7 +138,7 @@ func TestGoldenWireDigest(t *testing.T) {
 			}
 
 			// The other ways of producing the stream must hit the same
-			// constant: a replaying garbler and evaluator, and an offline
+			// constant: parties handed the compiled trace, and an offline
 			// RecordGarbler stream.
 			gR, eR := cfg, cfg
 			gR.Trace = compileTrace(t, cfg)

@@ -266,79 +266,57 @@ func TestShortDecodeFrameEvaluator(t *testing.T) {
 	}
 }
 
-// TestTamperedTableStream: a table stream one table short, or one table
-// long, is refused by the evaluator's cycle loop — the kernel's
-// exhausted-stream check and the batch-end leftover check.
-func TestTamperedTableStream(t *testing.T) {
-	cfg, alice, bob := multiCycleConfig(t, 4)
-	for _, tc := range []struct {
-		name, want string
-		edit       func(frame []byte) []byte
-	}{
-		{"truncated", "table stream exhausted", func(f []byte) []byte { return f[:len(f)-gc.TableBytes] }},
-		{"padded", "unconsumed tables", func(f []byte) []byte { return append(f, make([]byte, gc.TableBytes)...) }},
-	} {
-		rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rec.frames[1]) < gc.TableBytes {
-			t.Fatal("second frame carries no table to tamper with")
-		}
-		rec.frames[1] = tc.edit(rec.frames[1])
-		err = serveTampered(t, cfg, rec, bob, nil)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s stream: got %v, want %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// replayConfig returns cfg with its compiled classification trace: the
-// evaluator config of a replaying party.
+// replayConfig returns cfg with its compiled classification trace handed
+// in, as an Engine's session hands in its cached one.
 func replayConfig(t *testing.T, cfg Config) Config {
 	t.Helper()
 	cfg.Trace = compileTrace(t, cfg)
 	return cfg
 }
 
-// TestTraceReplayExactTableFrames: an evaluator replaying a trace knows
-// every table frame's exact size, so a frame one table short or one table
-// long is refused from its header instead of being read in full and
-// failing later in the cycle loop, and a table frame past the trace's last
-// cycle is refused where the decode frame is due.
+// TestTraceReplayExactTableFrames: an evaluator knows every table frame's
+// exact size from its trace, whether it was handed one or compiled its
+// own, so a frame one table short or one table long is refused from its
+// header instead of being read in full and failing later in the cycle
+// loop, and a table frame past the trace's last cycle is refused where the
+// decode frame is due.
 func TestTraceReplayExactTableFrames(t *testing.T) {
 	cfg, alice, bob := multiCycleConfig(t, 4)
-	replay := replayConfig(t, cfg)
-	for _, tc := range []struct {
+	for _, ecfg := range []struct {
 		name string
-		edit func(frame []byte) []byte
-	}{
-		{"short", func(f []byte) []byte { return f[:len(f)-gc.TableBytes] }},
-		{"long", func(f []byte) []byte { return append(f, make([]byte, gc.TableBytes)...) }},
-	} {
+		cfg  Config
+	}{{"compiled", cfg}, {"handed", replayConfig(t, cfg)}} {
+		for _, tc := range []struct {
+			name string
+			edit func(frame []byte) []byte
+		}{
+			{"short", func(f []byte) []byte { return f[:len(f)-gc.TableBytes] }},
+			{"long", func(f []byte) []byte { return append(f, make([]byte, gc.TableBytes)...) }},
+		} {
+			rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(rec.frames[1])
+			if want < gc.TableBytes {
+				t.Fatal("second frame carries no table to tamper with")
+			}
+			rec.frames[1] = tc.edit(rec.frames[1])
+			err = serveTampered(t, ecfg.cfg, rec, bob, nil)
+			if msg := fmt.Sprintf("announces %d bytes, want %d", len(rec.frames[1]), want); err == nil || !strings.Contains(err.Error(), msg) {
+				t.Errorf("%s trace, %s frame: got %v, want %q", ecfg.name, tc.name, err, msg)
+			}
+		}
 		rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := len(rec.frames[1])
-		if want < gc.TableBytes {
-			t.Fatal("second frame carries no table to tamper with")
+		err = serveTampered(t, ecfg.cfg, rec, bob, func(conn net.Conn) error {
+			return wire.Write(conn, msgTables, make([]byte, gc.TableBytes))
+		})
+		if msg := fmt.Sprintf("got frame type %#02x, want %#02x", msgTables, msgDecode); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s trace, extra frame: got %v, want %q", ecfg.name, err, msg)
 		}
-		rec.frames[1] = tc.edit(rec.frames[1])
-		err = serveTampered(t, replay, rec, bob, nil)
-		if msg := fmt.Sprintf("announces %d bytes, want %d", len(rec.frames[1]), want); err == nil || !strings.Contains(err.Error(), msg) {
-			t.Errorf("%s frame: got %v, want %q", tc.name, err, msg)
-		}
-	}
-	rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = serveTampered(t, replay, rec, bob, func(conn net.Conn) error {
-		return wire.Write(conn, msgTables, make([]byte, gc.TableBytes))
-	})
-	if msg := fmt.Sprintf("got frame type %#02x, want %#02x", msgTables, msgDecode); err == nil || !strings.Contains(err.Error(), msg) {
-		t.Errorf("extra frame: got %v, want %q", err, msg)
 	}
 }
 
@@ -381,8 +359,8 @@ func (c *poisonConn) Write(b []byte) (int, error) {
 }
 
 // TestHostileLengthAtEveryRead: at every read of a session — the
-// negotiation verdict, both hellos, Alice's labels, the table frames (live
-// and replaying a trace), the decode frame and the outputs frame — a
+// negotiation verdict, both hellos, Alice's labels, the table frames (the
+// evaluator compiling its trace, or handed one), the decode frame and the outputs frame — a
 // header announcing 1 GiB is refused from the header alone: an error, and
 // well under 1 MiB allocated by both parties together.
 func TestHostileLengthAtEveryRead(t *testing.T) {

@@ -412,6 +412,13 @@ func NotAvailable(program string) string {
 	return fmt.Sprintf("program %q is not available to this peer", program)
 }
 
+// TraceTooLarge is the rejection reason for a program whose
+// classification trace alone outgrows the server's trace budget: none of
+// its sessions can run there, so the proposal is refused before the grant.
+func TraceTooLarge(program string) string {
+	return fmt.Sprintf("program %q: its classification trace outgrows this server's trace budget", program)
+}
+
 // WriteReject declines a proposal with a reason (server side); the
 // connection stays usable for further proposals.
 func WriteReject(w io.Writer, reason string) error {

@@ -13,9 +13,8 @@ const (
 	PhaseNegotiate   Phase = iota // proposal, grant and the session's set-up
 	PhaseOTSetup                  // the 128 base OTs, when the session runs them
 	PhaseOTExtension              // the OT extension for Bob's input labels
-	PhaseCompile                  // compiling the trace, or classifying live cycles
+	PhaseCompile                  // compiling the trace, or waiting for its compile
 	PhaseKernel                   // garbling or evaluating: labels, the cycle kernels, framing
-	PhaseCommit                   // flip-flop commits of live cycles
 	PhaseWrite                    // inside the connection's Write calls
 	PhaseReadWait                 // inside the connection's Read calls, waiting for the peer
 	PhaseDecode                   // the output exchange's compute
@@ -23,7 +22,7 @@ const (
 )
 
 var phaseNames = [NumPhases]string{"negotiate", "ot_setup", "ot_extension", "compile",
-	"kernel", "commit", "write", "read_wait", "decode"}
+	"kernel", "write", "read_wait", "decode"}
 
 // String returns the phase's metric label, e.g. "read_wait".
 func (p Phase) String() string {
@@ -38,10 +37,8 @@ func (p Phase) String() string {
 // calls, whatever the session was doing; every other phase is compute
 // between them. The clock is read only where the phase changes and
 // around each connection call — a few readings per flight — so a
-// replayed session's flip-flop commits, a few label moves per cycle and
-// cheaper than the readings that would time them, count in Kernel, and
-// Commit holds only the commits of cycles classified live, which are
-// timed cycle by cycle beside their classification. The phases of one
+// session's flip-flop commits, a few label moves per cycle and cheaper
+// than the readings that would time them, count in Kernel. The phases of one
 // party sum to its wall time from proposal to last frame, less the
 // caller's own bookkeeping around the protocol run.
 type Phases [NumPhases]time.Duration

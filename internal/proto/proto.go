@@ -7,9 +7,10 @@
 // two-way output decoding. Each party's frames leave in flights
 // (wire.Flight): a write once 2 KiB are pending, and before every read.
 //
-// Both parties independently run the shared SkipGate scheduler from the
-// same public data, so no classification information is ever exchanged —
-// only garbled tables and labels cross the wire, exactly as in the paper.
+// Both parties replay a classification trace compiled from the same
+// public data (core.Compile), so no classification information is ever
+// exchanged — only garbled tables and labels cross the wire, exactly as in
+// the paper.
 //
 // Both entry points take a context.Context: cancellation aborts the run
 // between cycles, and — when the connection supports deadlines (net.Conn,
@@ -77,14 +78,14 @@ type Config struct {
 	// cycle is produced, on both roles.
 	Sink func(cycle int, cs core.CycleStats)
 
-	// Trace, when set, replays a compiled classification schedule
-	// (core.Compile) instead of running the SkipGate scheduler: the role's
-	// kernel is fed the compiled cycles, collapsing its hot path to
-	// fixed-key-AES label work. The trace must come from the same
+	// Trace is the compiled classification schedule (core.Compile) the
+	// role replays: its kernel is fed the compiled cycles, so its hot
+	// path is fixed-key-AES label work. It must come from the same
 	// (circuit, public input, cycle budget, halt flag) tuple — see
-	// core.Trace. The wire stream is byte-identical to a classified run's,
-	// so the knob is local: it is not part of the session id, and a
-	// replaying role interoperates with a classifying peer.
+	// core.Trace. A nil Trace is compiled, with no budget, before the
+	// role's first frame and charged to PhaseCompile. It is local: not
+	// part of the session id, and the wire stream is the same whether a
+	// party brought its trace or compiled it.
 	Trace *core.Trace
 
 	// OT, when set, carries this party's base OTs across the sessions of
@@ -155,8 +156,10 @@ const (
 // stream.
 const streamBufCap = 64 << 10
 
-// helloLen is the garbler's hello payload: the session id, then the
-// garbler's public fingerprint seed. The evaluator echoes the id alone.
+// helloLen is the garbler's hello payload: the session id, then 16 seed
+// bytes the garbler draws. No schedule reads the seed (a replayed one
+// needs no fingerprint seed); it enters only the OT extension's nonce,
+// with the rest of the hello. The evaluator echoes the id alone.
 const helloLen = 32 + len(core.Seed{})
 
 // readExact reads the next frame, which must be a typ frame of exactly n
@@ -266,7 +269,8 @@ type Result struct {
 	TableFrames int
 
 	// Phases is this party's wall time in the run, from entry to its last
-	// write, by phase; its negotiate and compile phases are the caller's.
+	// write, by phase. Its negotiate phase is the caller's, and so is its
+	// compile phase unless Config.Trace was nil.
 	Phases Phases
 }
 
@@ -306,7 +310,7 @@ func RunGarbler(ctx context.Context, conn io.ReadWriter, cfg Config, aliceInput 
 }
 
 func runGarbler(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config, aliceInput []bool, rnd io.Reader) (*Result, error) {
-	rec, sched, g, err := setupGarbler(cfg, aliceInput, rnd)
+	rec, sched, g, err := setupGarbler(ctx, clk, cfg, aliceInput, rnd)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +329,7 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config,
 	// goroutine beside the stream.
 	runtime.Gosched()
 	res := &Result{}
-	err = garbleFrames(ctx, clk, cfg, sched, g, func(frame []byte) error {
+	err = garbleFrames(ctx, cfg, sched, g, func(frame []byte) error {
 		if _, err := conn.Write(frame); err != nil {
 			return err
 		}
@@ -350,19 +354,16 @@ func runGarbler(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config,
 // every frame boundary — the cycle-batch edge and, regardless of fill,
 // the run's last cycle (halt or budget edge), where the evaluator expects
 // the remainder; both sides derive identical boundaries from the shared
-// public schedule. The buffer is refilled once emit returns. A live
-// cycle's classification and flip-flop commit are charged to their phases
-// on clk; a replayed cycle is all kernel.
-func garbleFrames(ctx context.Context, clk *clock, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(frame []byte) error) error {
+// public schedule. The buffer is refilled once emit returns.
+func garbleFrames(ctx context.Context, cfg Config, sched *core.Schedule, g *core.Garbler, emit func(frame []byte) error) error {
 	batch := cfg.batch()
 	frame := wire.AppendHeader(nil, msgTables, 0)
 	inBatch := 0
-	live := cfg.Trace == nil
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ct := next(clk, live, sched)
+		ct := sched.Next()
 		frame = g.GarbleCycleTraceAppend(ct, sched.Cycle(), frame)
 		inBatch++
 		if inBatch == batch || sched.Done() {
@@ -376,30 +377,26 @@ func garbleFrames(ctx context.Context, clk *clock, cfg Config, sched *core.Sched
 		if sched.Done() {
 			return nil
 		}
-		if live {
-			clk.enter(PhaseCommit)
-		}
 		g.CopyDFFs()
 	}
 }
 
-// next takes the schedule's next cycle, charging a live one's
-// classification to PhaseCompile and returning to the kernel.
-func next(clk *clock, live bool, sched *core.Schedule) *core.CycleTrace {
-	if !live {
-		return sched.Next()
+// schedule builds the role's source of compiled cycles, a replay of
+// c.Trace, which it compiles first when c has none: with no budget, and
+// charged to PhaseCompile on clk.
+func (c *Config) schedule(ctx context.Context, clk *clock) (*core.Schedule, error) {
+	if c.Trace == nil {
+		was := clk.phase()
+		clk.enter(PhaseCompile)
+		tr, err := core.Compile(ctx, c.Circuit, c.Public, core.CountOpts{Cycles: c.Cycles, StopOutput: c.StopOutput}, nil)
+		clk.enter(was)
+		if err != nil {
+			return nil, err
+		}
+		c.Trace = tr
 	}
-	clk.enter(PhaseCompile)
-	ct := sched.Next()
-	clk.enter(PhaseKernel)
-	return ct
-}
-
-// schedule builds the role's source of compiled cycles: a live scheduler
-// under the session's fingerprint seed, or cfg.Trace.
-func (c Config) schedule(seed core.Seed) (*core.Schedule, error) {
 	return core.NewSchedule(c.Circuit, c.Public, core.RunOpts{Cycles: c.Cycles, StopOutput: c.StopOutput,
-		Seed: seed, Sink: c.Sink, Trace: c.Trace})
+		Sink: c.Sink, Trace: c.Trace})
 }
 
 // RunEvaluator plays Bob.
@@ -420,6 +417,10 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Confi
 	if err != nil {
 		return nil, err
 	}
+	sched, err := cfg.schedule(ctx, clk)
+	if err != nil {
+		return nil, err
+	}
 	hello, err := readExact(conn, msgHello, helloLen)
 	if err != nil {
 		return nil, err
@@ -427,21 +428,13 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Confi
 	if !bytes.Equal(hello[:32], sid[:]) {
 		return nil, fmt.Errorf("proto: garbler session mismatch")
 	}
-	var seed core.Seed
-	copy(seed[:], hello[32:])
 	aliceBytes, err := readExact(conn, msgAliceLabels, 16*cfg.Circuit.AliceBits)
 	if err != nil {
 		return nil, err
 	}
 
-	sched, err := cfg.schedule(seed)
-	if err != nil {
-		return nil, err
-	}
 	e := core.NewReplayEvaluator(cfg.Circuit)
-	if cfg.Trace != nil {
-		e.Reserve(cfg.Trace.Width())
-	}
+	e.Reserve(cfg.Trace.Width())
 	if err := wire.Write(conn, msgHello, sid[:]); err != nil {
 		return nil, err
 	}
@@ -465,7 +458,7 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Confi
 	// a later session on a reused connection, and it takes whatever has
 	// arrived in one read instead of two reads per frame.
 	stream := bufio.NewReaderSize(conn, cfg.streamBufBytes())
-	if err := evalStream(ctx, stream, clk, cfg, sched, e, res); err != nil {
+	if err := evalStream(ctx, stream, cfg, sched, e, res); err != nil {
 		return nil, err
 	}
 	clk.enter(PhaseDecode)
@@ -522,28 +515,20 @@ func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Confi
 // evalStream is the evaluator's cycle loop: take the next compiled cycle,
 // read a table frame at each batch start, run the kernel. Frame boundaries
 // fall where the garbler puts them — the cycle-batch edge and the run's
-// last cycle — because both sides step the same public schedule. Phases
-// are charged as in garbleFrames.
-func evalStream(ctx context.Context, r io.Reader, clk *clock, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
-	batch := cfg.batch()
-	live := cfg.Trace == nil
-	liveMax := 0 // a replaying evaluator knows every frame's size exactly
-	if live {
-		liveMax = batch * cfg.Circuit.Stats().NonXOR * gc.TableBytes
-	}
+// last cycle — because both sides step the same public schedule, and each
+// frame is read at the size the trace gives it.
+func evalStream(ctx context.Context, r io.Reader, cfg Config, sched *core.Schedule, e *core.Evaluator, res *Result) error {
 	var payload []byte // the frame buffer, reused: read only once its tables are consumed
 	var pending []byte // tables of the current frame not yet consumed
-	inBatch := 0
-	for {
+	for inBatch := 0; ; inBatch = (inBatch + 1) % cfg.batch() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ct := next(clk, live, sched)
+		ct := sched.Next()
 		cyc := sched.Cycle()
 		var err error
 		if inBatch == 0 {
-			lo, hi := cfg.tableFrameBytes(cyc, liveMax)
-			if payload, err = readTables(r, cfg, res, payload, cyc, lo, hi); err != nil {
+			if payload, err = readTables(r, cfg, res, payload, cfg.tableFrameBytes(cyc)); err != nil {
 				return err
 			}
 			pending = payload
@@ -551,47 +536,28 @@ func evalStream(ctx context.Context, r io.Reader, clk *clock, cfg Config, sched 
 		if pending, err = e.EvalCycleTraceBytes(ct, cyc, pending); err != nil {
 			return err
 		}
-		inBatch++
-		if inBatch == batch || sched.Done() {
-			if len(pending) != 0 {
-				return fmt.Errorf("proto: cycle %d: %d unconsumed tables at batch end", cyc, len(pending)/gc.TableBytes)
-			}
-			inBatch = 0
-		}
 		if sched.Done() {
 			return nil
-		}
-		if live {
-			clk.enter(PhaseCommit)
 		}
 		e.CopyDFFs()
 	}
 }
 
-// tableFrameBytes is the size range of the table frame that starts at
-// cycle cyc. A replaying evaluator knows it exactly from its trace: 32
-// bytes per table of each cycle the frame covers, fewer cycles at the
-// trace's end. A live one bounds it by liveMax, one table per non-XOR gate
-// per cycle of the batch.
-func (c Config) tableFrameBytes(cyc, liveMax int) (lo, hi int) {
-	if c.Trace == nil {
-		return 0, liveMax
-	}
+// tableFrameBytes is the exact size of the table frame that starts at
+// cycle cyc, from the trace: 32 bytes per table of each cycle the frame
+// covers, fewer cycles at the trace's end.
+func (c Config) tableFrameBytes(cyc int) int {
 	n := 0
 	for i := cyc; i < cyc+c.batch() && i <= c.Trace.NumCycles(); i++ {
 		n += c.Trace.Cycle(i).NumTables() * gc.TableBytes
 	}
-	return n, n
+	return n
 }
 
 // streamBufBytes sizes the evaluator's read buffer over the garbler's
 // side of the stream, which is its table frames and then the decode
-// frame: streamBufCap, or that side's exact byte count when a trace gives
-// it and it is smaller.
+// frame: that side's exact byte count from the trace, up to streamBufCap.
 func (c Config) streamBufBytes() int {
-	if c.Trace == nil {
-		return streamBufCap
-	}
 	cycles, batch := c.Trace.NumCycles(), c.batch()
 	frames := (cycles + batch - 1) / batch
 	decodeBits := 0
@@ -604,15 +570,16 @@ func (c Config) streamBufBytes() int {
 	return min(n, streamBufCap)
 }
 
-// readTables reads one msgTables frame of lo to hi bytes into buf, grown
-// only to a length the header check accepted, refusing any other size from
-// its header. The kernel reads the tables where the payload holds them.
-func readTables(r io.Reader, cfg Config, res *Result, buf []byte, cyc, lo, hi int) ([]byte, error) {
+// readTables reads one msgTables frame of exactly n bytes into buf, grown
+// only once the header check accepted the length, refusing any other size
+// from its header. The kernel reads the tables where the payload holds
+// them.
+func readTables(r io.Reader, cfg Config, res *Result, buf []byte, n int) ([]byte, error) {
 	h, err := wire.ReadHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := h.PayloadInto(buf, r, msgTables, lo, hi)
+	payload, err := h.PayloadInto(buf, r, msgTables, n, n)
 	if err != nil {
 		return nil, err
 	}
@@ -620,8 +587,5 @@ func readTables(r io.Reader, cfg Config, res *Result, buf []byte, cyc, lo, hi in
 		cfg.tapTables(payload)
 	}
 	res.TableFrames++
-	if len(payload)%gc.TableBytes != 0 {
-		return nil, fmt.Errorf("proto: cycle %d: ragged table frame of %d bytes", cyc, len(payload))
-	}
 	return payload, nil
 }

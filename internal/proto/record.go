@@ -77,13 +77,14 @@ func (r *Recorded) computeSize() {
 }
 
 // setupGarbler does everything the garbler decides before a peer matters:
-// it draws the fingerprint seed and the labels from rnd — seed, R, Alice's
-// bits, Bob's bits, in that fixed order, so live garbling, offline
-// recording and replay put the same bytes on the wire from the same
-// randomness — and builds the schedule and the executor. The returned
+// it draws the hello's seed bytes and the labels from rnd — seed, R,
+// Alice's bits, Bob's bits, in that fixed order, so live garbling and
+// offline recording put the same bytes on the wire from the same
+// randomness — and builds the schedule (see Config.schedule) and the
+// executor. The returned
 // Recorded holds the session head (hello, Alice's labels, Bob's OT pairs);
 // its table frames and decode metadata are filled in as the run proceeds.
-func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *core.Schedule, *core.Garbler, error) {
+func setupGarbler(ctx context.Context, clk *clock, cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *core.Schedule, *core.Garbler, error) {
 	sid, err := cfg.SessionID()
 	if err != nil {
 		return nil, nil, nil, err
@@ -91,13 +92,14 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 	if rnd == nil {
 		rnd = gc.CryptoRand
 	}
-	// The seed is public and garbler-chosen; it matters to a classifying
-	// peer even when this side replays a trace and never uses it.
+	// The hello still carries 16 seed bytes, which no schedule reads (a
+	// replayed one needs no fingerprint seed); they enter the OT
+	// extension's nonce with the rest of the hello.
 	var seed core.Seed
 	if _, err := io.ReadFull(rnd, seed[:]); err != nil {
 		return nil, nil, nil, err
 	}
-	sched, err := cfg.schedule(seed)
+	sched, err := cfg.schedule(ctx, clk)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -105,9 +107,7 @@ func setupGarbler(cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *cor
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if cfg.Trace != nil {
-		g.Reserve(cfg.Trace.Width())
-	}
+	g.Reserve(cfg.Trace.Width())
 	rec := &Recorded{
 		sid:   sid,
 		hello: append(append([]byte{}, sid[:]...), seed[:]...),
@@ -207,8 +207,8 @@ func (r *Recorded) exchangeOutputs(conn io.ReadWriter, mode OutputMode) ([]bool,
 
 // RecordGarbler runs the garbler's entire offline phase with no peer: it
 // draws a fresh seed from rnd, garbles the complete table stream into
-// memory through exactly the loop the live path uses (classified, or
-// replayed from cfg.Trace), and captures the label and decode metadata.
+// memory through exactly the loop the live path uses (replaying cfg.Trace,
+// compiled first when nil), and captures the label and decode metadata.
 // ServeRecorded then replays the result to one evaluator with a wire
 // stream byte-identical to what RunGarbler would have produced from the
 // same randomness. The returned Result carries the run's stats, as
@@ -217,11 +217,11 @@ func RecordGarbler(ctx context.Context, cfg Config, aliceInput []bool, rnd io.Re
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rec, sched, g, err := setupGarbler(cfg, aliceInput, rnd)
+	rec, sched, g, err := setupGarbler(ctx, nil, cfg, aliceInput, rnd)
 	if err != nil {
 		return nil, nil, err
 	}
-	err = garbleFrames(ctx, nil, cfg, sched, g, func(frame []byte) error {
+	err = garbleFrames(ctx, cfg, sched, g, func(frame []byte) error {
 		rec.frames = append(rec.frames, append([]byte(nil), frame[wire.HeaderLen:]...))
 		return nil
 	})

@@ -89,9 +89,10 @@ func TestRecordServeByteIdenticalGrid(t *testing.T) {
 }
 
 // TestRecordServeTraceReplay pins the pool's steady state: offline
-// recording through a compiled classification trace (the producer's warm
-// path) must still serve the exact classified bytes, to a classifying
-// evaluator and to a replaying one.
+// recording through a compiled classification trace handed in (the
+// producer's warm path) must still serve the bytes of a session whose
+// parties compile their own, to an evaluator compiling its own trace and
+// to one handed it.
 func TestRecordServeTraceReplay(t *testing.T) {
 	base, alice, bob := multiCycleConfig(t, 4)
 	tr := compileTrace(t, base)
@@ -105,7 +106,7 @@ func TestRecordServeTraceReplay(t *testing.T) {
 	}
 	_, sb, got := serveBoth(t, base, base, rec, bob)
 	if len(got) != len(want) {
-		t.Fatalf("trace-recorded stream: %d frames, classified sent %d", len(got), len(want))
+		t.Fatalf("trace-recorded stream: %d frames, compiled sent %d", len(got), len(want))
 	}
 	for i := range want {
 		if !bytes.Equal(want[i], got[i]) {
@@ -121,11 +122,11 @@ func TestRecordServeTraceReplay(t *testing.T) {
 	cfgE.Trace = tr
 	_, eb, _ := serveBoth(t, base, cfgE, rec, bob)
 	if eb.Stats != rb.Stats {
-		t.Fatal("trace-recorded stream: stats diverge at a replaying evaluator")
+		t.Fatal("trace-recorded stream: stats diverge at an evaluator handed the trace")
 	}
 	for i := range rb.Outputs {
 		if eb.Outputs[i] != rb.Outputs[i] {
-			t.Fatalf("trace-recorded stream: output %d differs at a replaying evaluator", i)
+			t.Fatalf("trace-recorded stream: output %d differs at an evaluator handed the trace", i)
 		}
 	}
 }

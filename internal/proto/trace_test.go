@@ -23,10 +23,11 @@ func compileTrace(tb testing.TB, cfg Config) *core.Trace {
 	return tr
 }
 
-// TestTraceReplayByteIdenticalGrid: replayed sessions must put exactly
-// the classified bytes on the wire for every cycle batch — with the
-// garbler replaying against a classifying evaluator (trace reuse is a
-// local knob) and with both roles replaying.
+// TestTraceReplayByteIdenticalGrid: sessions whose parties are handed a
+// compiled trace must put exactly the bytes on the wire, for every cycle
+// batch, that sessions whose parties compile their own put there. That
+// either equals a classified run's is core's TestTraceReplayByteIdentical
+// and the golden digests' business.
 func TestTraceReplayByteIdenticalGrid(t *testing.T) {
 	base, alice, bob := multiCycleConfig(t, 1)
 	tr := compileTrace(t, base)
@@ -35,53 +36,39 @@ func TestTraceReplayByteIdenticalGrid(t *testing.T) {
 		cfg := base
 		cfg.CycleBatch = batch
 
-		// Classified reference at this grid point.
+		// Reference at this grid point: each party compiles its own trace.
 		ra, _, want := runBothAsym(t, cfg, cfg, alice, bob, 7)
 		if len(want) == 0 {
 			t.Fatalf("b%d: no reference frames", batch)
 		}
 
-		check := func(name string, gotRes *Result, got [][]byte) {
-			t.Helper()
-			if len(got) != len(want) {
-				t.Fatalf("b%d %s: %d frames, classified sent %d", batch, name, len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("b%d %s: frame %d differs from classified", batch, name, i)
-				}
-			}
-			if gotRes.Stats != ra.Stats {
-				t.Fatalf("b%d %s: stats %+v, classified %+v", batch, name, gotRes.Stats, ra.Stats)
-			}
-			for i := range ra.Outputs {
-				if gotRes.Outputs[i] != ra.Outputs[i] {
-					t.Fatalf("b%d %s: output %d differs", batch, name, i)
-				}
+		// Both roles are handed the trace.
+		handed := cfg
+		handed.Trace = tr
+		raR, rbR, got := runBothAsym(t, handed, handed, alice, bob, 7)
+		if len(got) != len(want) {
+			t.Fatalf("b%d: %d frames, compiled sent %d", batch, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(want[i], got[i]) {
+				t.Fatalf("b%d: frame %d differs from compiled", batch, i)
 			}
 		}
-
-		// Garbler replays; evaluator classifies.
-		gR := cfg
-		gR.Trace = tr
-		raR, _, got := runBothAsym(t, gR, cfg, alice, bob, 7)
-		check("garbler-replay", raR, got)
-
-		// Both roles replay.
-		eR := cfg
-		eR.Trace = tr
-		raR2, rbR2, got2 := runBothAsym(t, gR, eR, alice, bob, 7)
-		check("both-replay", raR2, got2)
-		if rbR2.Stats != ra.Stats {
-			t.Fatalf("b%d: replaying evaluator stats %+v, classified %+v", batch, rbR2.Stats, ra.Stats)
+		if raR.Stats != ra.Stats || rbR.Stats != ra.Stats {
+			t.Fatalf("b%d: handed stats %+v and %+v, compiled %+v", batch, raR.Stats, rbR.Stats, ra.Stats)
+		}
+		for i := range ra.Outputs {
+			if raR.Outputs[i] != ra.Outputs[i] {
+				t.Fatalf("b%d: output %d differs", batch, i)
+			}
 		}
 	}
 }
 
 // haltingConfig builds an accumulator that raises a public done flag
 // after 6 cycles, under a much larger budget — the trace must end at the
-// recorded halt and the replayed frame boundaries must land exactly where
-// the classified ones do.
+// recorded halt and the frame boundaries must land on it whether the
+// parties compile the trace or are handed it.
 func haltingConfig(t *testing.T, batch int) (Config, []bool, []bool) {
 	t.Helper()
 	b := build.New("haltacc")
@@ -107,7 +94,7 @@ func TestTraceReplayHalted(t *testing.T) {
 		cfg, alice, bob := haltingConfig(t, batch)
 		ra, rb, want := runBothAsym(t, cfg, cfg, alice, bob, 3)
 		if !ra.Halted || !rb.Halted {
-			t.Fatalf("batch %d: classified run did not halt", batch)
+			t.Fatalf("batch %d: run did not halt", batch)
 		}
 		tr := compileTrace(t, cfg)
 		if tr.NumCycles() != int(ra.Stats.Cycles) {
@@ -124,7 +111,7 @@ func TestTraceReplayHalted(t *testing.T) {
 			t.Fatalf("batch %d: replay did not halt", batch)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("batch %d: replay sent %d frames, classified %d", batch, len(got), len(want))
+			t.Fatalf("batch %d: handed trace sent %d frames, compiled %d", batch, len(got), len(want))
 		}
 		for i := range want {
 			if !bytes.Equal(want[i], got[i]) {

@@ -6,8 +6,8 @@ import "io"
 // is small enough that a peer reading a stream of small frames (Hamming's
 // ~300 B table frames) lags the writer by only a few of them, and large
 // enough that such a stream leaves in a few dozen writes instead of one
-// per frame. Larger flights let a classifying evaluator fall further
-// behind its garbler, and none measured faster end to end.
+// per frame. Larger flights let an evaluator fall further behind its
+// garbler, and none measured faster end to end.
 const flightBytes = 2 << 10
 
 // Flight is one party's side of a connection during a session. It follows

@@ -48,13 +48,12 @@ type serverMetrics struct {
 type sessionPath uint8
 
 const (
-	pathReplay   sessionPath = iota // replayed a compiled trace
-	pathClassify                    // classified live: no trace of the program fits the cache
-	pathPool                        // served a pre-garbled stream
+	pathReplay sessionPath = iota // replayed a compiled trace
+	pathPool                      // served a pre-garbled stream
 	numPaths
 )
 
-var pathNames = [numPaths]string{"replay", "classify", "pool"}
+var pathNames = [numPaths]string{"replay", "pool"}
 
 // phaseBuckets are the upper bounds, in seconds, of the session-phase
 // histograms: a decade each from 10 µs to 10 s.
@@ -209,8 +208,8 @@ type ServerMetrics struct {
 	// sessions wait for it), runs served a trace they did not compile, and
 	// entries the byte budget pushed out; replays over compiles plus
 	// replays is the hit rate. TraceUncacheable counts compiles that alone
-	// outgrew the budget — their programs classify every session live —
-	// and TraceCacheBytes gauges the cache's footprint, compiles in flight
+	// outgrew the budget — their programs' proposals are rejected from
+	// then on — and TraceCacheBytes gauges the cache's footprint, compiles in flight
 	// included. The Engine also counts the runs of any Client sharing it.
 	TraceRecordings  int64 `json:"trace_recordings"`
 	TraceReplays     int64 `json:"trace_replays"`
@@ -221,8 +220,8 @@ type ServerMetrics struct {
 	// name. Every registered program appears, even at zero.
 	Programs map[string]ProgramMetrics `json:"programs"`
 	// SessionPhases holds the served sessions' wall time by phase (see
-	// RunInfo.Phases), one histogram per phase and path — replay,
-	// classify or pool — for every path that has served a session.
+	// RunInfo.Phases), one histogram per phase and path — replay or
+	// pool — for every path that has served a session.
 	SessionPhases []PhaseHistogram `json:"session_phases"`
 	// GarbleAhead reports the garble-ahead pool; nil unless the Server
 	// was built WithGarbleAhead.
@@ -385,7 +384,7 @@ func writeProm(w http.ResponseWriter, m ServerMetrics) {
 	counter("arm2gc_trace_uncacheable_total", "Trace compiles that outgrew the trace-cache budget.", m.TraceUncacheable)
 	gauge("arm2gc_trace_cache_bytes", "Classification traces held in memory, cached or being compiled.", m.TraceCacheBytes)
 
-	fmt.Fprintf(w, "# HELP arm2gc_session_phase_seconds Served sessions' wall time by phase and path (replay, classify or pool).\n")
+	fmt.Fprintf(w, "# HELP arm2gc_session_phase_seconds Served sessions' wall time by phase and path (replay or pool).\n")
 	fmt.Fprintf(w, "# TYPE arm2gc_session_phase_seconds histogram\n")
 	for _, h := range m.SessionPhases {
 		labels := fmt.Sprintf("phase=%q,path=%q", h.Phase, h.Path)

@@ -213,7 +213,7 @@ func (s *Server) Register(name string, p *Program, defaults ...Option) error {
 	// on, is the pool's producer: its session id is the key clients
 	// negotiating the defaults hit. Like every session it shares the
 	// Engine's trace cache, so the first pass over the program, offline or
-	// live, pays the classification and every later one replays the trace.
+	// live, pays the trace's compile and every later one replays it.
 	sess, err := s.eng.Session(p, defaults...)
 	if err != nil {
 		return err
@@ -581,6 +581,11 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 	}
 	if grant.SessionID, err = sess.sessionID(); err != nil {
 		return err
+	}
+	// A program whose trace alone outgrew the Engine's budget has no
+	// session to grant; the tombstone makes saying so cheap.
+	if s.eng.traces.Oversized(sess.key) {
+		return &rejection{reason: proto.TraceTooLarge(prop.Program), program: prop.Program}
 	}
 	// The grant echoes the proposed OT epoch when this connection holds it
 	// and names a fresh one otherwise.

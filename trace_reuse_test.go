@@ -3,6 +3,7 @@ package arm2gc
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -11,13 +12,16 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"arm2gc/internal/bencher"
 	"arm2gc/internal/core"
 	"arm2gc/internal/cpu"
+	"arm2gc/internal/proto"
 	"arm2gc/internal/wire"
 )
 
@@ -224,7 +228,7 @@ func TestSessionTraceReuseStatsSink(t *testing.T) {
 	if eng.TraceReplays() != 1 {
 		t.Fatalf("replays = %d, want 1", eng.TraceReplays())
 	}
-	eng = newEngine(1 << 10) // room for a tombstone, and no trace: runs classify live
+	eng = newEngine(1 << 10) // room for a tombstone, and no trace: Run classifies live
 	live := collect()
 	if eng.TraceRecordings() != 1 || eng.traces.Uncacheable() != 1 {
 		t.Fatalf("a run on an Engine no trace fits: recordings %d, uncacheable %d; want 1 and 1",
@@ -328,8 +332,9 @@ func measured(compile cpu.Compiler, at func(call, n int)) cpu.Compiler {
 // TestSessionTraceRecorderBounded compiles a program whose trace is four
 // times the Engine's trace budget, through the cache call and the
 // compiler its sessions use. The compile stops once the cache refuses its
-// next cycle and leaves a tombstone; then three sessions of the program
-// classify live, compiling nothing. Outputs stay correct, and the heap
+// next cycle, fails with ErrTraceBudget and leaves a tombstone; then three
+// in-process runs of the program classify live, compiling nothing.
+// Outputs stay correct, and the heap
 // held by the compile's recorder never exceeds the budget plus one cycle.
 // It is measured at every budget request, before the request is granted,
 // as the live heap over that at the first request: the scheduler's own
@@ -348,31 +353,28 @@ func TestSessionTraceRecorderBounded(t *testing.T) {
 	startIdleThreads(4)
 	prog := compileAdd(t)
 	ctx := context.Background()
-	session := func(eng *Engine) (*Session, []bool) {
+	session := func(eng *Engine) *Session {
 		s, err := eng.Session(prog, WithMaxCycles(10_000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub, err := s.m.cpu.PublicBits(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, pub
+		return s
 	}
-	// compile compiles the program's trace on eng and returns the heap
-	// its recorder held at every budget request.
+	// compile compiles the program's trace on eng and returns it, or nil
+	// when it outgrew eng's budget, and the heap its recorder held at
+	// every budget request.
 	compile := func(eng *Engine) (*core.Trace, []int64) {
-		s, pub := session(eng)
+		s := session(eng)
 		var held []int64
 		var base int64
-		tr, _, err := eng.traces.Get(ctx, s.traceKey(pub), measured(s.compiler(pub), func(call, _ int) {
+		tr, _, err := eng.traces.Get(ctx, s.key, measured(s.compiler(), func(call, _ int) {
 			h := liveHeap()
 			if call == 1 {
 				base = h
 			}
 			held = append(held, h-base)
 		}))
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrTraceBudget) {
 			t.Fatal(err)
 		}
 		return tr, held
@@ -404,8 +406,7 @@ func TestSessionTraceRecorderBounded(t *testing.T) {
 	t.Logf("budget %d, one cycle %d: the refused compile held at most %d bytes over %d requests",
 		budget, cycle, slices.Max(held), len(held))
 	for i, in := range [][2]uint32{{40, 2}, {7, 35}, {1000, 24}} {
-		s, _ := session(eng)
-		info, err := s.Run(ctx, []uint32{in[0]}, []uint32{in[1]})
+		info, err := session(eng).Run(ctx, []uint32{in[0]}, []uint32{in[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,8 +464,9 @@ func startIdleThreads(n int) {
 // much: the cache's charge exactly, and the heap within the slack of the
 // charge's estimate, over that of as many compiles as were stopped in
 // flight, each stopped at its first request (a refused compile has
-// returned, its scheduler with it). The compiles refused room must leave
-// no tombstone, and sessions of every key then run to correct outputs.
+// returned from its compiler, its scheduler with it). The compiles refused
+// room must compile again once the others end, leaving no tombstone, and
+// sessions of every key then run to correct outputs.
 func TestSessionTraceRecordingsShareBudget(t *testing.T) {
 	if !inChild(t, "TestSessionTraceRecordingsShareBudget") {
 		return
@@ -486,9 +488,10 @@ func TestSessionTraceRecordingsShareBudget(t *testing.T) {
 	budget := 2*trace + trace/2
 
 	// run compiles k keys at once on eng, stops each compile at budget
-	// request stop (a final cycle's, or the first) or where it returns,
-	// and reports the live heap there, the cache's charge and how many
-	// compiles were stopped in flight.
+	// request stop (a final cycle's, or the first) or where the cache
+	// refuses it, and reports the live heap there, the cache's charge and
+	// how many compiles were stopped in flight. A goroutine arrives once:
+	// a refused compile that compiles again passes its stop.
 	run := func(eng *Engine, stop, k int) (heap, charged int64, stopped int) {
 		var arrived, done sync.WaitGroup
 		var inFlight atomic.Int64
@@ -500,25 +503,33 @@ func TestSessionTraceRecordingsShareBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pub, err := s.m.cpu.PublicBits(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
 			go func() {
 				defer done.Done()
-				reached := false
-				wait := func(call, _ int) {
-					if call == stop {
-						reached = true
-						inFlight.Add(1)
-						arrived.Done()
-						<-release
+				counted := false
+				arrive := func() bool {
+					if counted {
+						return false
 					}
-				}
-				_, _, err := eng.traces.Get(ctx, s.traceKey(pub), measured(s.compiler(pub), wait))
-				if !reached { // refused, or failed: do not leave the others waiting
+					counted = true
 					arrived.Done()
+					return true
 				}
+				compile := func(ctx context.Context, budget core.RecordBudget) (*core.Trace, error) {
+					call := 0
+					return s.compiler()(ctx, func(n int) bool {
+						if call++; call == stop && arrive() {
+							inFlight.Add(1)
+							<-release
+						}
+						if !budget(n) {
+							arrive()
+							return false
+						}
+						return true
+					})
+				}
+				_, _, err := eng.traces.Get(ctx, s.key, compile)
+				arrive() // failed: do not leave the others waiting
 				if err != nil {
 					t.Error(err)
 				}
@@ -570,9 +581,8 @@ func TestSessionTraceRecordingsShareBudget(t *testing.T) {
 // not seen — a program's first session, or one under a fresh cycle budget
 // — on Hamming(512), in process. "compile" compiles the trace and replays
 // it, as every such session does; "classify" runs on an Engine no trace
-// fits, so the session classifies live after a compile refused at its
-// first cycle, which is all a session did before trace reuse became the
-// default. Each iteration uses its own cycle budget, so each is a fresh
+// fits, so the in-process run classifies live after a compile refused at
+// its first cycle (a networked session fails there with ErrTraceBudget). Each iteration uses its own cycle budget, so each is a fresh
 // key. Compare ns/op, B/op and allocs/op:
 //
 //	go test -run '^$' -bench FirstContact -benchmem -benchtime 8x .
@@ -656,11 +666,10 @@ func tableFrames(t *testing.T, stream []byte) [][]byte {
 // program, eight Clients sharing one Engine against a Server on another,
 // over net.Pipe: each Engine runs exactly one compile, and the other
 // sessions wait for it. All eight decode the right output, and each
-// session's table stream is byte-identical to that of a lone session
-// whose parties classify every cycle live (Engines no trace fits) — the
-// classified reference TestTraceReplayByteIdenticalGrid compares replays
-// with. The garbler draws the same labels in every session (patternRand),
-// so the streams can be compared byte for byte.
+// session's table stream is byte-identical to that of a lone session on
+// Engines of its own, which compile for it alone. The garbler draws the
+// same labels in every session (patternRand), so the streams can be
+// compared byte for byte.
 func TestSessionTraceCompileOnce(t *testing.T) {
 	w := bencher.HammingWorkload(160)
 	prog, _, err := w.Program()
@@ -723,18 +732,18 @@ func TestSessionTraceCompileOnce(t *testing.T) {
 		return frames
 	}
 
-	classified := sessions(newEngine(1<<10), newEngine(1<<10), 1)[0]
-	if len(classified) == 0 {
-		t.Fatal("the classified session sent no table frame")
+	lone := sessions(NewEngine(), NewEngine(), 1)[0]
+	if len(lone) == 0 {
+		t.Fatal("the lone session sent no table frame")
 	}
 	seng, ceng := NewEngine(), NewEngine()
 	for i, got := range sessions(seng, ceng, 8) {
-		if len(got) != len(classified) {
-			t.Fatalf("session %d: %d table frames, the classified session %d", i, len(got), len(classified))
+		if len(got) != len(lone) {
+			t.Fatalf("session %d: %d table frames, the lone session %d", i, len(got), len(lone))
 		}
 		for f := range got {
-			if !bytes.Equal(got[f], classified[f]) {
-				t.Fatalf("session %d: table frame %d differs from the classified session's", i, f)
+			if !bytes.Equal(got[f], lone[f]) {
+				t.Fatalf("session %d: table frame %d differs from the lone session's", i, f)
 			}
 		}
 	}
@@ -744,5 +753,159 @@ func TestSessionTraceCompileOnce(t *testing.T) {
 	}
 	if seng.TraceReplays() != 7 || ceng.TraceReplays() != 7 {
 		t.Fatalf("replays %d and %d, want 7 and 7: every session but the compiling one", seng.TraceReplays(), ceng.TraceReplays())
+	}
+}
+
+// TestServerTraceOversizedRefused serves sum32 and Hamming(160) from an
+// Engine whose trace budget fits sum32's trace but not Hamming(160)'s.
+// The first Hamming(160) session fails after its grant and before any
+// table, with ErrTraceBudget on the server, while a sum32 session on
+// another connection runs beside it to correct outputs. From then on the
+// tombstone refuses the program before the grant: the next proposal gets
+// the TraceTooLarge rejection, counted as a rejected session, and its
+// connection serves sum32 next. A bare Garble, Evaluate or garble-ahead
+// recording of the program fails the same way without writing a byte, and
+// no goroutine outlives the server.
+func TestServerTraceOversizedRefused(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	ctx := context.Background()
+	sum, ham := bencher.SumWorkload(32), bencher.HammingWorkload(160)
+	progs := map[string]*Program{}
+	size := map[string]int{}
+	for name, w := range map[string]*bencher.Workload{"sum": sum, "ham": ham} {
+		prog, _, err := w.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewEngine().Session(prog, WithMaxCycles(20_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := s.compiler()(ctx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[name], size[name] = prog, tr.MemoryBytes()
+	}
+	if 2*size["sum"] >= size["ham"] {
+		t.Fatalf("sum32's trace (%d B) is not well under Hamming(160)'s (%d B)", size["sum"], size["ham"])
+	}
+	eng := newEngine(int64(2 * size["sum"]))
+	var logs strings.Builder
+	var logMu sync.Mutex
+	srv := NewServer(eng, WithServerLog(func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}))
+	for name, w := range map[string]*bencher.Workload{"sum": sum, "ham": ham} {
+		if err := srv.Register(name, progs[name], WithCycleBatch(8), WithMaxCycles(20_000), WithGarblerInput(w.Alice)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addr, shutdown := startServer(t, srv)
+	dial := func(tap *tapConn, names ...string) *Client {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap.Conn = nc
+		cl := NewClient(tap)
+		for _, name := range names {
+			if err := cl.Register(name, progs[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cl
+	}
+	evalSum := func(cl *Client) error {
+		info, err := cl.Evaluate(ctx, "sum", sum.Bob)
+		if err != nil {
+			return err
+		}
+		if want := sum.Check(sum.Alice, sum.Bob); !slices.Equal(info.Outputs[:len(want)], want) {
+			return fmt.Errorf("sum32 outputs %v, want %v", info.Outputs[:len(want)], want)
+		}
+		return nil
+	}
+
+	// The first Hamming(160) session, with sum32 sessions beside it.
+	first, side := new(tapConn), new(tapConn)
+	cl1, cl2 := dial(first, "ham"), dial(side, "sum")
+	sideErr := make(chan error, 1)
+	go func() {
+		for range 3 {
+			if err := evalSum(cl2); err != nil {
+				sideErr <- err
+				return
+			}
+		}
+		sideErr <- nil
+	}()
+	if _, err := cl1.Evaluate(ctx, "ham", ham.Bob); err == nil {
+		t.Fatal("a Hamming(160) session ran on an Engine its trace does not fit")
+	}
+	if err := <-sideErr; err != nil {
+		t.Fatalf("concurrent sum32 session: %v", err)
+	}
+	first.mu.Lock()
+	if n := len(tableFrames(t, first.got.Bytes())); n != 0 {
+		t.Errorf("the refused session's client read %d table frames", n)
+	}
+	first.mu.Unlock()
+	if m := srv.Metrics(); m.SessionsFailed != 1 || m.TraceUncacheable != 1 {
+		t.Errorf("after the first session: %d failed, %d uncacheable; want 1 and 1", m.SessionsFailed, m.TraceUncacheable)
+	}
+
+	// The next proposal is refused before the grant, and the connection
+	// serves sum32 after it.
+	cl3 := dial(new(tapConn), "ham", "sum")
+	_, err := cl3.Evaluate(ctx, "ham", ham.Bob)
+	var rej *RejectedError
+	if !errors.As(err, &rej) || rej.Reason != proto.TraceTooLarge("ham") {
+		t.Fatalf("second Hamming(160) proposal: %v, want the %q rejection", err, proto.TraceTooLarge("ham"))
+	}
+	if err := evalSum(cl3); err != nil {
+		t.Fatalf("sum32 after the rejection, same connection: %v", err)
+	}
+	if m := srv.Metrics(); m.SessionsRejected != 1 || m.Programs["ham"].Rejected != 1 || m.SessionsFailed != 1 {
+		t.Errorf("rejected %d (ham %d), failed %d; want 1, 1 and 1", m.SessionsRejected, m.Programs["ham"].Rejected, m.SessionsFailed)
+	}
+
+	// Bare sessions of the program on the same Engine fail before any
+	// frame.
+	s, err := eng.Session(progs["ham"], WithCycleBatch(8), WithMaxCycles(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wrote bytes.Buffer
+	if _, err := s.Garble(ctx, &wrote, ham.Alice); !errors.Is(err, ErrTraceBudget) {
+		t.Errorf("bare Garble: %v, want ErrTraceBudget", err)
+	}
+	if _, err := s.Evaluate(ctx, &wrote, ham.Bob); !errors.Is(err, ErrTraceBudget) {
+		t.Errorf("bare Evaluate: %v, want ErrTraceBudget", err)
+	}
+	if _, err := s.record(ctx); !errors.Is(err, ErrTraceBudget) {
+		t.Errorf("garble-ahead recording: %v, want ErrTraceBudget", err)
+	}
+	if wrote.Len() != 0 {
+		t.Errorf("refused sessions wrote %d bytes", wrote.Len())
+	}
+
+	for _, cl := range []*Client{cl1, cl2, cl3} {
+		cl.Close()
+	}
+	shutdown()
+	logMu.Lock()
+	if !strings.Contains(logs.String(), ErrTraceBudget.Error()) {
+		t.Errorf("the server logged no ErrTraceBudget failure:\n%s", logs.String())
+	}
+	logMu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the server started", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
