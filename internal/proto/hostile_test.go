@@ -274,49 +274,62 @@ func replayConfig(t *testing.T, cfg Config) Config {
 	return cfg
 }
 
-// TestTraceReplayExactTableFrames: an evaluator knows every table frame's
-// exact size from its trace, whether it was handed one or compiled its
-// own, so a frame one table short or one table long is refused from its
-// header instead of being read in full and failing later in the cycle
-// loop, and a table frame past the trace's last cycle is refused where the
-// decode frame is due.
+// TestTamperedTableStream: a table stream one table short, or one table
+// long, is refused by an evaluator compiling its own trace, as a Config
+// without one does: it knows every table frame's exact size, so the
+// tampered frame is refused from its header.
+func TestTamperedTableStream(t *testing.T) {
+	cfg, alice, bob := multiCycleConfig(t, 4)
+	testExactTableFrames(t, cfg, cfg, alice, bob)
+}
+
+// TestTraceReplayExactTableFrames: an evaluator handed its trace, as an
+// Engine's session hands in its cached one, knows every table frame's
+// exact size too, so a frame one table short or one table long is refused
+// from its header instead of being read in full and failing later in the
+// cycle loop, and a table frame past the trace's last cycle is refused
+// where the decode frame is due.
 func TestTraceReplayExactTableFrames(t *testing.T) {
 	cfg, alice, bob := multiCycleConfig(t, 4)
-	for _, ecfg := range []struct {
+	testExactTableFrames(t, cfg, replayConfig(t, cfg), alice, bob)
+}
+
+// testExactTableFrames serves the evaluator config ecfg a recording of
+// cfg's garbler with its second frame one table short, then one table
+// long, then with an extra table frame where the decode frame is due, and
+// checks that each is refused from a frame header.
+func testExactTableFrames(t *testing.T, cfg, ecfg Config, alice, bob []bool) {
+	t.Helper()
+	for _, tc := range []struct {
 		name string
-		cfg  Config
-	}{{"compiled", cfg}, {"handed", replayConfig(t, cfg)}} {
-		for _, tc := range []struct {
-			name string
-			edit func(frame []byte) []byte
-		}{
-			{"short", func(f []byte) []byte { return f[:len(f)-gc.TableBytes] }},
-			{"long", func(f []byte) []byte { return append(f, make([]byte, gc.TableBytes)...) }},
-		} {
-			rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := len(rec.frames[1])
-			if want < gc.TableBytes {
-				t.Fatal("second frame carries no table to tamper with")
-			}
-			rec.frames[1] = tc.edit(rec.frames[1])
-			err = serveTampered(t, ecfg.cfg, rec, bob, nil)
-			if msg := fmt.Sprintf("announces %d bytes, want %d", len(rec.frames[1]), want); err == nil || !strings.Contains(err.Error(), msg) {
-				t.Errorf("%s trace, %s frame: got %v, want %q", ecfg.name, tc.name, err, msg)
-			}
-		}
+		edit func(frame []byte) []byte
+	}{
+		{"short", func(f []byte) []byte { return f[:len(f)-gc.TableBytes] }},
+		{"long", func(f []byte) []byte { return append(f, make([]byte, gc.TableBytes)...) }},
+	} {
 		rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = serveTampered(t, ecfg.cfg, rec, bob, func(conn net.Conn) error {
-			return wire.Write(conn, msgTables, make([]byte, gc.TableBytes))
-		})
-		if msg := fmt.Sprintf("got frame type %#02x, want %#02x", msgTables, msgDecode); err == nil || !strings.Contains(err.Error(), msg) {
-			t.Errorf("%s trace, extra frame: got %v, want %q", ecfg.name, err, msg)
+		want := len(rec.frames[1])
+		if want < gc.TableBytes {
+			t.Fatal("second frame carries no table to tamper with")
 		}
+		rec.frames[1] = tc.edit(rec.frames[1])
+		err = serveTampered(t, ecfg, rec, bob, nil)
+		if msg := fmt.Sprintf("announces %d bytes, want %d", len(rec.frames[1]), want); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Errorf("%s frame: got %v, want %q", tc.name, err, msg)
+		}
+	}
+	rec, _, err := RecordGarbler(context.Background(), cfg, alice, mrand.New(mrand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = serveTampered(t, ecfg, rec, bob, func(conn net.Conn) error {
+		return wire.Write(conn, msgTables, make([]byte, gc.TableBytes))
+	})
+	if msg := fmt.Sprintf("got frame type %#02x, want %#02x", msgTables, msgDecode); err == nil || !strings.Contains(err.Error(), msg) {
+		t.Errorf("extra frame: got %v, want %q", err, msg)
 	}
 }
 
