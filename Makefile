@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet analyze test race fuzz-smoke cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark bench-session loc
+.PHONY: all build vet analyze test race fuzz-smoke cover ci dev-certs serve-tls test-hardening test-trace test-pool test-gateway test-membackend test-benchmark bench-session loc paper-tables
 
 all: build vet test
 
@@ -48,6 +48,17 @@ fuzz-smoke:
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzProposal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzNegotiateReply$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzGatewayRelay$$' -fuzztime $(FUZZTIME)
+
+# The paper's Tables 2, 3 and 4 as arm2gc-bench regenerates them (about
+# 1 s each), into the committed PAPER_TABLES.md. CI regenerates the file
+# and fails on any difference, so a change that moves a garbled-table
+# count shows the rows it moves in review.
+paper-tables:
+	@{ echo '# Paper tables'; echo; \
+	  echo 'Generated by `make paper-tables` from `go run ./cmd/arm2gc-bench -table N`; do not edit by hand.'; \
+	  for n in 2 3 4; do echo; echo "## Table $$n"; echo; echo '```text'; \
+	    $(GO) run ./cmd/arm2gc-bench -table $$n || exit 1; echo '```'; done; } > PAPER_TABLES.md.tmp
+	@mv PAPER_TABLES.md.tmp PAPER_TABLES.md
 
 # Throwaway development TLS material (CA + server/client leaves, valid
 # 24h, loopback only) under ./dev-certs — never commit it; .gitignore'd.
