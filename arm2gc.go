@@ -132,8 +132,16 @@ type RunInfo struct {
 	Halted  bool
 
 	// GarbledTables is the number of garbled tables transferred — the
-	// paper's "# of garbled non-XOR gates" metric.
+	// paper's "# of garbled non-XOR gates" metric: Detail.Garbled less
+	// DroppedTables.
 	GarbledTables int
+
+	// DroppedTables counts the tables that per-cycle SkipGate keeps
+	// (Detail.Garbled) but the compiled trace's cross-cycle liveness pass
+	// drops, because their labels die before anything reads them. Zero
+	// for a run that classifies live (Session.Run over a trace the cache
+	// refuses).
+	DroppedTables int
 
 	// Conventional is cycles × processor non-XOR gates: the cost without
 	// SkipGate (Table 4's w/o column).
@@ -144,6 +152,8 @@ type RunInfo struct {
 	// runs.
 	TableFrames int
 
+	// Detail is the per-cycle SkipGate outcome summed over the run —
+	// exactly what Scheduler.Classify counts, before the cross-cycle pass.
 	Detail core.CycleStats
 
 	// Phases is this party's wall time in a networked session by phase:
@@ -182,7 +192,8 @@ func (m *Machine) info(p *Program, outBits []bool, st core.Stats, halted bool) *
 	info := &RunInfo{
 		Cycles:        st.Cycles,
 		Halted:        halted,
-		GarbledTables: st.Total.Garbled,
+		GarbledTables: st.Tables(),
+		DroppedTables: st.Dropped,
 		Conventional:  int64(st.Cycles) * int64(m.cpu.Circuit.Stats().NonXOR),
 		Detail:        st.Total,
 	}

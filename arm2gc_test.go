@@ -41,7 +41,7 @@ func TestFacadeCompileRunVerify(t *testing.T) {
 	}
 }
 
-// TestFacadeCount pins that the schedule-only Count reports exactly what a
+// TestFacadeCount pins that the crypto-free Count reports exactly what a
 // garbled Run does — tables, cycles and the halt verdict — when the
 // program halts within its budget and at the budget edge before the halt.
 // reuse=false counts afresh, before any run recorded a trace; reuse=true

@@ -89,7 +89,7 @@ type Client struct {
 	sem chan struct{}
 
 	mu     sync.Mutex
-	progs  map[string]*Program
+	progs  map[string]*programState
 	ots    map[string]*proto.OTState // per registered program, created on first use
 	broken error
 }
@@ -121,7 +121,7 @@ func WithDialTLS(cfg *tls.Config) ClientOption {
 // NewClient wraps an established connection to a Server. The Client owns
 // conn: Close closes it when it implements io.Closer.
 func NewClient(conn io.ReadWriter, opts ...ClientOption) *Client {
-	c := &Client{conn: conn, eng: DefaultEngine, progs: make(map[string]*Program),
+	c := &Client{conn: conn, eng: DefaultEngine, progs: make(map[string]*programState),
 		ots: make(map[string]*proto.OTState), sem: make(chan struct{}, 1)}
 	for _, o := range opts {
 		o(c)
@@ -177,9 +177,10 @@ func DialTLS(ctx context.Context, addr string, cfg *tls.Config, opts ...ClientOp
 // any divergence.
 //
 // Register draws the program's machine from the Client's Engine first,
-// so that no session's negotiation waits on a netlist build while the
-// server holds its grant, and returns any build error with nothing
-// registered. It then runs the program's OT set-up with the server over
+// and computes the program's public input and its digest once for all its
+// sessions, so that no session's negotiation waits on a netlist build or
+// a digest while the server holds its grant; it returns any build error
+// with nothing registered. It then runs the program's OT set-up with the server over
 // the Client's connection: the 128 base OTs, which depend on neither
 // party's input, so that every session of the program on this connection
 // — the first included — runs only the OT extension. It blocks until the
@@ -199,7 +200,8 @@ func (c *Client) Register(name string, p *Program) error {
 	if name == "" {
 		return fmt.Errorf("arm2gc: Register: program has no name")
 	}
-	if _, err := c.eng.machine(p); err != nil {
+	ps, err := c.eng.programState(p)
+	if err != nil {
 		return fmt.Errorf("arm2gc: Register %q: %w", name, err)
 	}
 	c.mu.Lock()
@@ -207,7 +209,7 @@ func (c *Client) Register(name string, p *Program) error {
 		c.mu.Unlock()
 		return fmt.Errorf("arm2gc: Register: program %q already registered", name)
 	}
-	c.progs[name] = p
+	c.progs[name] = ps
 	c.mu.Unlock()
 	//lint:ignore ctxflow Register is an API root whose signature carries no context; its one bounded exchange ends with the connection, as Close aborts it
 	return c.setupOT(context.Background(), name)
@@ -337,10 +339,11 @@ func (c *Client) Evaluate(ctx context.Context, name string, bob []uint32, opts .
 		WithOutputMode(grant.Outputs),
 		WithCycleBatch(grant.CycleBatch),
 		WithMaxCycles(grant.MaxCycles))
-	sess, err := c.eng.Session(prog, resolved...)
+	scfg, err := newSessionConfig(resolved)
 	if err != nil {
 		return nil, c.fail(err) // the server expects a session this side won't run
 	}
+	sess := c.eng.session(prog, scfg)
 	sid, err := sess.sessionID()
 	if err != nil {
 		return nil, c.fail(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"arm2gc/internal/circuit"
@@ -244,11 +245,10 @@ func WithStatsSink(sink StatsSink) Option { return func(c *sessionConfig) { c.si
 // in process, classifies such a program live instead). Observe
 // effectiveness via Engine.TraceRecordings and Engine.TraceReplays.
 type Session struct {
-	m    *Machine
-	prog *Program
-	cfg  sessionConfig
-	eng  *Engine // its trace cache serves every run
-	pub  []bool  // the program's public input bits
+	m   *Machine
+	cfg sessionConfig
+	eng *Engine       // its trace cache serves every run
+	ps  *programState // the program, its public input bits and session ids
 
 	// key identifies the run's schedule in the Engine's trace cache. The
 	// SkipGate schedule is a pure function of the circuit, the public
@@ -269,6 +269,42 @@ func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	ps, err := e.programState(p)
+	if err != nil {
+		return nil, err
+	}
+	return e.session(ps, cfg), nil
+}
+
+// programState is what every session of one program on one Engine
+// shares, computed once — for a Server per registration, for a Client per
+// registered program: the machine, the program's public input bits and
+// their trace-key digest, and the session ids of the resolved options its
+// sessions ran under.
+type programState struct {
+	prog   *Program
+	m      *Machine
+	pub    []bool
+	digest [32]byte // cpu.TracePubDigest(pub)
+
+	mu  sync.Mutex
+	ids map[idKey][32]byte // at most maxMemoIDs entries
+}
+
+// idKey is what a session id depends on beyond the program: the resolved
+// cycle budget, cycle batch and output mode.
+type idKey struct {
+	cycles, batch int
+	outputs       OutputMode
+}
+
+// maxMemoIDs bounds a programState's session-id memo: a peer proposing
+// ever new budgets or batches gets correct ids, digested afresh past the
+// bound, and cannot grow the memo.
+const maxMemoIDs = 16
+
+// programState computes p's shared state on e's machine for its layout.
+func (e *Engine) programState(p *Program) (*programState, error) {
 	c, err := e.machine(p)
 	if err != nil {
 		return nil, err
@@ -277,8 +313,36 @@ func (e *Engine) Session(p *Program, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := cpu.TraceKey{Circuit: c.Circuit, Pub: cpu.TracePubDigest(pub), Cycles: cfg.maxCycles, Stop: "halted"}
-	return &Session{m: &Machine{cpu: c}, prog: p, cfg: cfg, eng: e, pub: pub, key: key}, nil
+	return &programState{prog: p, m: &Machine{cpu: c}, pub: pub, digest: cpu.TracePubDigest(pub),
+		ids: make(map[idKey][32]byte)}, nil
+}
+
+// session is a Session of ps's program under the validated cfg.
+func (e *Engine) session(ps *programState, cfg sessionConfig) *Session {
+	key := cpu.TraceKey{Circuit: ps.m.cpu.Circuit, Pub: ps.digest, Cycles: cfg.maxCycles, Stop: "halted"}
+	return &Session{m: ps.m, cfg: cfg, eng: e, ps: ps, key: key}
+}
+
+// sessionID returns the session id of cfg, a Config of ps's program,
+// from the memo or digested and memoized.
+func (ps *programState) sessionID(cfg proto.Config) ([32]byte, error) {
+	k := idKey{cycles: cfg.Cycles, batch: cfg.CycleBatch, outputs: cfg.Outputs}
+	ps.mu.Lock()
+	id, ok := ps.ids[k]
+	ps.mu.Unlock()
+	if ok {
+		return id, nil
+	}
+	id, err := cfg.SessionID()
+	if err != nil {
+		return id, err
+	}
+	ps.mu.Lock()
+	if len(ps.ids) < maxMemoIDs {
+		ps.ids[k] = id
+	}
+	ps.mu.Unlock()
+	return id, nil
 }
 
 // machine draws p's processor from the layout cache, building it on the
@@ -310,7 +374,7 @@ func newSessionConfig(opts []Option) (sessionConfig, error) {
 func (s *Session) Machine() *Machine { return s.m }
 
 // Program returns the program this session executes.
-func (s *Session) Program() *Program { return s.prog }
+func (s *Session) Program() *Program { return s.ps.prog }
 
 // coreSink adapts the session's StatsSink to the cycle-loop callback.
 func (s *Session) coreSink() func(int, core.CycleStats) {
@@ -338,7 +402,7 @@ func (s *Session) trace(ctx context.Context) (tr *core.Trace, compile time.Durat
 // compiler compiles this session's trace: the whole run, with no
 // executor, drawing from the cache's budget.
 func (s *Session) compiler() cpu.Compiler {
-	c, pub, cycles := s.m.cpu.Circuit, s.pub, s.cfg.maxCycles
+	c, pub, cycles := s.m.cpu.Circuit, s.ps.pub, s.cfg.maxCycles
 	return func(ctx context.Context, budget core.RecordBudget) (*core.Trace, error) {
 		return core.Compile(ctx, c, pub, core.CountOpts{Cycles: cycles, StopOutput: "halted"}, budget)
 	}
@@ -348,7 +412,9 @@ func (s *Session) compiler() cpu.Compiler {
 // real garbling and evaluation; use it to validate programs and measure
 // costs before deploying the two-party version. A program whose trace
 // outgrows the Engine's trace cache runs too, classifying every cycle
-// live. Cancelling ctx aborts the cycle loop with ctx.Err().
+// live: that run keeps per-cycle SkipGate only, so it garbles the tables
+// the compiled trace's liveness pass would drop and reports 0
+// DroppedTables. Cancelling ctx aborts the cycle loop with ctx.Err().
 func (s *Session) Run(ctx context.Context, alice, bob []uint32) (*RunInfo, error) {
 	ab, err := s.m.cpu.InputBits(circuit.Alice, alice)
 	if err != nil {
@@ -365,33 +431,34 @@ func (s *Session) Run(ctx context.Context, alice, bob []uint32) (*RunInfo, error
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: s.pub, Alice: ab, Bob: bb},
+	res, err := core.RunLocal(ctx, s.m.cpu.Circuit, sim.Inputs{Public: s.ps.pub, Alice: ab, Bob: bb},
 		core.RunOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Rand: s.cfg.rand, Sink: s.coreSink(), Trace: tr})
 	if err != nil {
 		return nil, err
 	}
-	return s.m.info(s.prog, res.Outputs, res.Stats, res.Halted), nil
+	return s.m.info(s.ps.prog, res.Outputs, res.Stats, res.Halted), nil
 }
 
 // Count measures the garbled-table counts of the program without doing
 // any cryptography (the schedule is independent of label values, so the
-// counts are exact). Cancelling ctx aborts with ctx.Err().
+// counts are exact): GarbledTables is what a networked session puts on
+// the wire. Cancelling ctx aborts with ctx.Err().
 func (s *Session) Count(ctx context.Context) (*RunInfo, error) {
 	// A cached trace already holds the exact schedule totals; serve them
 	// without re-counting. (With a per-cycle sink the count still runs,
-	// so the sink sees every cycle.) Count never compiles — it needs no
-	// trace — so a miss just falls through.
+	// so the sink sees every cycle.) A miss compiles outside the cache:
+	// core.Count keeps only the totals, and no session's budget is spent.
 	if s.cfg.sink == nil {
 		if tr := s.eng.traces.Lookup(s.key); tr != nil {
-			return s.m.info(s.prog, nil, tr.TotalStats(), tr.Halted()), nil
+			return s.m.info(s.ps.prog, nil, tr.TotalStats(), tr.Halted()), nil
 		}
 	}
-	st, halted, err := core.Count(ctx, s.m.cpu.Circuit, s.pub,
+	st, halted, err := core.Count(ctx, s.m.cpu.Circuit, s.ps.pub,
 		core.CountOpts{Cycles: s.cfg.maxCycles, StopOutput: "halted", Sink: s.coreSink()})
 	if err != nil {
 		return nil, err
 	}
-	return s.m.info(s.prog, nil, st, halted), nil
+	return s.m.info(s.ps.prog, nil, st, halted), nil
 }
 
 // Garble plays Alice (the garbler) over a connection: she contributes the
@@ -428,7 +495,10 @@ func (s *Session) record(ctx context.Context) (*proto.Recorded, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.protoConfig()
+	cfg, err := s.protoConfig()
+	if err != nil {
+		return nil, err
+	}
 	cfg.Trace = tr
 	rec, _, err := proto.RecordGarbler(ctx, cfg, ab, s.cfg.rand)
 	return rec, err
@@ -440,7 +510,10 @@ func (s *Session) record(ctx context.Context) (*proto.Recorded, error) {
 // session with the same program, public input and negotiated options (its
 // session id is checked), and must never have been served before.
 func (s *Session) garbleRecorded(ctx context.Context, conn io.ReadWriter, rec *proto.Recorded, st *proto.OTState) (*RunInfo, error) {
-	cfg := s.protoConfig()
+	cfg, err := s.protoConfig()
+	if err != nil {
+		return nil, err
+	}
 	cfg.OT = st
 	res, err := proto.ServeRecorded(ctx, conn, cfg, rec)
 	if err != nil {
@@ -480,7 +553,10 @@ func (s *Session) networked(ctx context.Context, st *proto.OTState, owner circui
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.protoConfig()
+	cfg, err := s.protoConfig()
+	if err != nil {
+		return nil, err
+	}
 	cfg.Trace, cfg.OT = tr, st
 	prep := time.Since(start) - compile
 	res, err := run(cfg, bits)
@@ -496,7 +572,7 @@ func (s *Session) networked(ctx context.Context, st *proto.OTState, owner circui
 // kernel) and the output words' decoding here.
 func (s *Session) networkedInfo(res *proto.Result, prep, compile time.Duration) *RunInfo {
 	start := time.Now()
-	info := s.m.info(s.prog, res.Outputs, res.Stats, res.Halted)
+	info := s.m.info(s.ps.prog, res.Outputs, res.Stats, res.Halted)
 	info.TableFrames = res.TableFrames
 	info.path = pathReplay
 	info.Phases = res.Phases
@@ -506,22 +582,32 @@ func (s *Session) networkedInfo(res *proto.Result, prep, compile time.Duration) 
 	return info
 }
 
-func (s *Session) protoConfig() proto.Config {
-	return proto.Config{
+// protoConfig is the session's protocol configuration, its session id
+// included.
+func (s *Session) protoConfig() (proto.Config, error) {
+	cfg := proto.Config{
 		Circuit:    s.m.cpu.Circuit,
-		Public:     s.pub,
+		Public:     s.ps.pub,
 		Cycles:     s.cfg.maxCycles,
 		StopOutput: "halted",
 		Outputs:    s.cfg.outputs,
 		CycleBatch: s.cfg.cycleBatch,
 		Sink:       s.coreSink(),
 	}
+	var err error
+	cfg.ID, err = s.ps.sessionID(cfg)
+	return cfg, err
 }
 
 // sessionID is the protocol session digest this session would handshake
 // with; Server and Client exchange it during negotiation to verify full
-// program/layout/option agreement before a run starts.
-func (s *Session) sessionID() ([32]byte, error) { return s.protoConfig().SessionID() }
+// program/layout/option agreement before a run starts. It is memoized per
+// program state, so a registration's sessions digest it once per
+// resolved option combination.
+func (s *Session) sessionID() ([32]byte, error) {
+	cfg, err := s.protoConfig()
+	return cfg.ID, err
+}
 
 // Verify cross-checks a garbled run against native execution, returning
 // an error on any mismatch — the quickest way to validate a new program.

@@ -469,7 +469,81 @@ func TestSessionStatsSink(t *testing.T) {
 		}
 		total += u.Stats.Garbled
 	}
-	if total != info.GarbledTables {
-		t.Fatalf("per-cycle garbled sum %d != total %d", total, info.GarbledTables)
+	if total != info.Detail.Garbled || info.GarbledTables != total-info.DroppedTables {
+		t.Fatalf("per-cycle garbled sum %d, Detail %d, %d on the wire after %d dropped",
+			total, info.Detail.Garbled, info.GarbledTables, info.DroppedTables)
+	}
+}
+
+// TestProgramStateMemoized pins the per-registration memo: once a
+// program's state is computed (at Server.Register or Client.Register), a
+// session of it and its session id — the work each session does before the
+// grant — allocate at most the Session, and digest neither the public
+// bits nor the config again for an option combination already seen; a
+// fresh Engine.Session does both. The memo is bounded:
+// ever new cycle budgets get correct ids but no new entries.
+func TestProgramStateMemoized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	eng := NewEngine()
+	prog := compileAdd(t)
+	ps, err := eng.programState(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := newSessionConfig([]Option{WithMaxCycles(1000), WithCycleBatch(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo, err := eng.session(ps, cfg).sessionID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := eng.Session(prog, WithMaxCycles(1000), WithCycleBatch(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := fresh.sessionID(); memo != want {
+		t.Fatalf("memoized session id %x, fresh %x", memo, want)
+	}
+	memoAllocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.session(ps, cfg).sessionID(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	freshAllocs := testing.AllocsPerRun(100, func() {
+		s, err := eng.Session(prog, WithMaxCycles(1000), WithCycleBatch(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.sessionID(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("session and id: %.0f allocs from the program state, %.0f fresh", memoAllocs, freshAllocs)
+	if memoAllocs > 1 || freshAllocs <= memoAllocs {
+		t.Fatalf("session and id: %.0f allocs from the program state, %.0f fresh; want at most 1, and fewer than fresh",
+			memoAllocs, freshAllocs)
+	}
+
+	for cycles := 1; cycles <= 2*maxMemoIDs; cycles++ {
+		c, err := newSessionConfig([]Option{WithMaxCycles(cycles)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := eng.session(ps, c)
+		got, err := s.sessionID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, _ := s.protoConfig()
+		pc.ID = [32]byte{}
+		if want, _ := pc.SessionID(); got != want {
+			t.Fatalf("budget %d: session id %x, digest %x", cycles, got, want)
+		}
+	}
+	if n := len(ps.ids); n != maxMemoIDs {
+		t.Fatalf("memo holds %d session ids, want its bound %d", n, maxMemoIDs)
 	}
 }

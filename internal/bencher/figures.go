@@ -58,7 +58,7 @@ func Figure1() (*Table, error) {
 			want = 1 // only the AND producing s survives
 		}
 		_ = want
-		t.Rows = append(t.Rows, []string{tc.name, tc.pub, tc.becomes, fmt.Sprintf("%d", st.Total.Garbled)})
+		t.Rows = append(t.Rows, []string{tc.name, tc.pub, tc.becomes, fmt.Sprintf("%d", st.Tables())})
 	}
 	t.Notes = append(t.Notes,
 		"constant cases release the secret producer cone recursively (0 tables); wire/inverter cases keep only the producer (1 table)")
@@ -116,10 +116,10 @@ func Figure2() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st.Total.Garbled != tc.want {
-			return nil, fmt.Errorf("figure 2 %s: garbled %d, want %d", tc.name, st.Total.Garbled, tc.want)
+		if st.Tables() != tc.want {
+			return nil, fmt.Errorf("figure 2 %s: garbled %d, want %d", tc.name, st.Tables(), tc.want)
 		}
-		t.Rows = append(t.Rows, []string{tc.name, tc.rel, tc.becomes, fmt.Sprintf("%d", st.Total.Garbled)})
+		t.Rows = append(t.Rows, []string{tc.name, tc.rel, tc.becomes, fmt.Sprintf("%d", st.Tables())})
 	}
 	return t, nil
 }
@@ -159,8 +159,8 @@ func Figure3() (*Table, error) {
 		Title:  "Figure 3 — recursive label_fanout reduction",
 		Header: []string{"Public input", "Garbled tables", "Explanation"},
 		Rows: [][]string{
-			{"p = 1 (chain consumed)", fmt.Sprintf("%d", stOff.Total.Garbled), "5-gate chain + 1 independent gate all garbled"},
-			{"p = 0 (AND kills chain)", fmt.Sprintf("%d", stOn.Total.Garbled), "reduction cascades through the chain; only the independent gate ships"},
+			{"p = 1 (chain consumed)", fmt.Sprintf("%d", stOff.Tables()), "5-gate chain + 1 independent gate all garbled"},
+			{"p = 0 (AND kills chain)", fmt.Sprintf("%d", stOn.Tables()), "reduction cascades through the chain; only the independent gate ships"},
 		},
 	}, nil
 }
@@ -220,7 +220,7 @@ gc_main:
 		if err != nil {
 			return 0, 0, err
 		}
-		return int64(st.Total.Garbled), st.Cycles, nil
+		return int64(st.Tables()), st.Cycles, nil
 	}
 	gb, _, err := costOf(branchy)
 	if err != nil {

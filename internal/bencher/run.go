@@ -28,7 +28,7 @@ type CPUResult struct {
 }
 
 // Garbled is the headline metric: garbled tables actually transferred.
-func (r *CPUResult) Garbled() int { return r.Stats.Total.Garbled }
+func (r *CPUResult) Garbled() int { return r.Stats.Tables() }
 
 // RunOnCPU compiles the workload, validates it on the emulator against its
 // reference function, builds the processor for its memory layout, and runs

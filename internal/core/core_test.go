@@ -258,8 +258,9 @@ func TestMaterializationInvariant(t *testing.T) {
 	}
 }
 
-// TestCountMatchesRunLocal: the schedule-only Count API reports exactly
-// the statistics of a full crypto run.
+// TestCountMatchesRunLocal: Count reports exactly the statistics of a
+// full crypto run over the compiled trace, whose per-cycle outcome is the
+// live run's.
 func TestCountMatchesRunLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 15; trial++ {
@@ -270,7 +271,12 @@ func TestCountMatchesRunLocal(t *testing.T) {
 			Public: circtest.RandBits(rng, c.PublicBits),
 		}
 		cycles := 1 + rng.Intn(4)
-		res, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: cycles})
+		live, err := RunLocal(context.Background(), c, in, RunOpts{Cycles: cycles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunLocal(context.Background(), c, in,
+			RunOpts{Cycles: cycles, Trace: compileRun(t, c, in.Public, RunOpts{Cycles: cycles})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,8 +284,8 @@ func TestCountMatchesRunLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st != res.Stats {
-			t.Fatalf("trial %d: Count %+v != RunLocal %+v", trial, st, res.Stats)
+		if st != res.Stats || st.Total != live.Stats.Total {
+			t.Fatalf("trial %d: Count %+v, RunLocal over the trace %+v, live %+v", trial, st, res.Stats, live.Stats)
 		}
 	}
 }

@@ -87,20 +87,23 @@ func TestDenseCommitOracleCPU(t *testing.T) {
 			if want := w.Check(w.Alice, w.Bob); !slices.Equal(m.Output(), want) {
 				t.Fatalf("emulator output %v, reference %v", m.Output(), want)
 			}
+			tr := compile(t, c.Circuit, in.Public, budget)
 			replay := core.RunAgainstDenseOracle(t, c.Circuit, in,
-				core.RunOpts{Cycles: budget, StopOutput: "halted", Trace: compile(t, c.Circuit, in.Public, budget)})
-			if !slices.Equal(replay.Outputs, live.Outputs) || replay.Stats != live.Stats {
+				core.RunOpts{Cycles: budget, StopOutput: "halted", Trace: tr})
+			want := live.Stats
+			want.Dropped = tr.TotalStats().Dropped
+			if !slices.Equal(replay.Outputs, live.Outputs) || replay.Stats != want || live.Stats.Dropped != 0 {
 				t.Fatalf("replay decodes %v with %+v, live %v with %+v", replay.Outputs, replay.Stats, live.Outputs, live.Stats)
 			}
 		})
 	}
 }
 
-// TestCycleStatsInvariance pins that skipping the emission of a copy never
-// reaches the paper's categories: the schedule-only Count (no cycle is
-// compiled), a live executor run (compiled, copies skipped) and a replay
-// of its trace report the same CycleStats for every cycle of the CPU
-// Hamming(64) run.
+// TestCycleStatsInvariance pins that skipping the emission of a copy, or
+// dropping ops across cycles, never reaches the paper's categories: a bare
+// scheduler (no executor, so no cycle is compiled), a live executor run
+// (compiled, copies skipped) and a replay of the pruned trace report the
+// same CycleStats for every cycle of the CPU Hamming(64) run.
 func TestCycleStatsInvariance(t *testing.T) {
 	c, _, _, in := hammingOnCPU(t, 64, obliv.Scan)
 	const budget = 400
@@ -109,9 +112,14 @@ func TestCycleStatsInvariance(t *testing.T) {
 		return func(_ int, cs core.CycleStats) { *dst = append(*dst, cs) }
 	}
 	var counted, live, replayed []core.CycleStats
-	if _, _, err := core.Count(ctx, c.Circuit, in.Public,
-		core.CountOpts{Cycles: budget, StopOutput: "halted", Sink: perCycle(&counted)}); err != nil {
-		t.Fatal(err)
+	s := core.NewScheduler(c.Circuit, core.Seed{}, in.Public)
+	halt := c.Circuit.ResolveOutput(c.Circuit.FindOutput("halted").Wires[0])
+	for cyc := 1; cyc <= budget; cyc++ {
+		counted = append(counted, s.Classify(cyc == budget))
+		if v, public := s.WireState(halt); public && v {
+			break
+		}
+		s.Commit()
 	}
 	if _, err := core.RunLocal(ctx, c.Circuit, in,
 		core.RunOpts{Cycles: budget, StopOutput: "halted", Sink: perCycle(&live)}); err != nil {
@@ -122,11 +130,11 @@ func TestCycleStatsInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(counted) == 0 || len(live) != len(counted) || len(replayed) != len(counted) {
-		t.Fatalf("Count saw %d cycles, live %d, replay %d", len(counted), len(live), len(replayed))
+		t.Fatalf("the bare scheduler saw %d cycles, live %d, replay %d", len(counted), len(live), len(replayed))
 	}
 	for cyc, want := range counted {
 		if live[cyc] != want || replayed[cyc] != want {
-			t.Fatalf("cycle %d: Count %+v, live %+v, replay %+v", cyc+1, want, live[cyc], replayed[cyc])
+			t.Fatalf("cycle %d: bare scheduler %+v, live %+v, replay %+v", cyc+1, want, live[cyc], replayed[cyc])
 		}
 	}
 }
@@ -151,9 +159,10 @@ func compile(tb testing.TB, c *circuit.Circuit, pub []bool, budget int) *core.Tr
 }
 
 // TestHammingCycleCounters pins the machine-independent work of a garbled
-// processor run: netlist gates classified per cycle, garbled tables,
-// flip-flop label commits and executed copies over Hamming(160)'s 470
-// cycles (1.021 tables, 6.979 commits and 3.906 copies per cycle), and the
+// processor run: netlist gates classified per cycle, garbled tables on the
+// wire, flip-flop label commits and executed copies over Hamming(160)'s
+// 470 cycles (0.830 tables, 6.979 commits and 3.321 copies per cycle,
+// after the liveness pass dropped 90 tables and 275 copies), and the
 // trace's width: the 679 label slots a replaying executor holds, the
 // distinct wires its ops and commits name, inputs included, where a
 // per-wire array holds one label for each of 19,046 wires. They are exact
@@ -175,8 +184,8 @@ func TestHammingCycleCounters(t *testing.T) {
 		}
 		g.CopyDFFs()
 	}
-	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), tr.TotalStats().Total.Garbled, dffs, copies, tr.Width()}
-	want := [...]int{13_567, 470, 480, 3_280, 1_836, 679}
+	got := [...]int{len(c.Circuit.Gates), tr.NumCycles(), tr.TotalStats().Tables(), dffs, copies, tr.Width()}
+	want := [...]int{13_567, 470, 390, 3_280, 1_561, 679}
 	if got != want {
 		t.Fatalf("gates, cycles, tables, DFF commits, copies, label slots = %v, want %v", got, want)
 	}

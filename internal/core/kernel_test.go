@@ -18,9 +18,10 @@ import (
 
 // TestKernelDifferential checks the one gate-execution kernel against
 // plaintext on random netlists: a live run decodes to the simulator's
-// outputs; a replay of the trace that run recorded garbles the same number
-// of tables with the same per-cycle statistics and decodes to the same
-// outputs; and the schedule-only Count reports the executed run's totals.
+// outputs and drops nothing across cycles; a replay of the compiled trace
+// reports the same per-cycle statistics, garbles each cycle's tables less
+// the ones the liveness pass dropped, and decodes to the same outputs; and
+// Count reports the compiled trace's totals.
 func TestKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	ctx := context.Background()
@@ -59,8 +60,8 @@ func TestKernelDifferential(t *testing.T) {
 				t.Fatalf("trial %d: output %d: replay %v, plaintext %v", trial, i, replay.Outputs[i], want[i])
 			}
 		}
-		if replay.Stats != live.Stats {
-			t.Fatalf("trial %d: replay stats %+v, live %+v", trial, replay.Stats, live.Stats)
+		if live.Stats.Dropped != 0 || replay.Stats != pruned(live.Stats, tr) {
+			t.Fatalf("trial %d: replay stats %+v, live %+v, trace dropped %d", trial, replay.Stats, live.Stats, tr.TotalStats().Dropped)
 		}
 		if len(liveCycles) != cycles || len(replayCycles) != cycles {
 			t.Fatalf("trial %d: sinks saw %d live and %d replayed cycles, want %d", trial, len(liveCycles), len(replayCycles), cycles)
@@ -69,8 +70,9 @@ func TestKernelDifferential(t *testing.T) {
 			if replayCycles[cyc-1] != liveCycles[cyc-1] {
 				t.Fatalf("trial %d: cycle %d: replay stats %+v, live %+v", trial, cyc, replayCycles[cyc-1], liveCycles[cyc-1])
 			}
-			if got := tr.Cycle(cyc).NumTables(); got != liveCycles[cyc-1].Garbled {
-				t.Fatalf("trial %d: cycle %d: trace holds %d garble ops, live run garbled %d", trial, cyc, got, liveCycles[cyc-1].Garbled)
+			if ct := tr.Cycle(cyc); ct.NumTables() != liveCycles[cyc-1].Garbled-ct.Dropped {
+				t.Fatalf("trial %d: cycle %d: trace holds %d garble ops, live run garbled %d, the pass dropped %d",
+					trial, cyc, ct.NumTables(), liveCycles[cyc-1].Garbled, ct.Dropped)
 			}
 		}
 
@@ -78,8 +80,8 @@ func TestKernelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: count: %v", trial, err)
 		}
-		if counted != live.Stats {
-			t.Fatalf("trial %d: Count %+v, executed run %+v", trial, counted, live.Stats)
+		if counted != tr.TotalStats() {
+			t.Fatalf("trial %d: Count %+v, compiled trace %+v", trial, counted, tr.TotalStats())
 		}
 	}
 }
@@ -353,8 +355,10 @@ func (o *denseOracle) copyDFFs() {
 }
 
 // checkLabels asserts that every secret Q wire carries the reference's
-// labels on both executors under test, whose slots s names.
-func (o *denseOracle) checkLabels(t testing.TB, s *Scheduler, g *Garbler, e *Evaluator) {
+// labels on both executors under test, whose slots s names — of a replay's
+// pruned trace only those in live slots, since a flip-flop nothing reads
+// before it is overwritten may hold a label the pass left uncomputed.
+func (o *denseOracle) checkLabels(t testing.TB, s *Scheduler, g *Garbler, e *Evaluator, live []bool) {
 	t.Helper()
 	c := o.s.C
 	for i := range c.DFFs {
@@ -363,6 +367,9 @@ func (o *denseOracle) checkLabels(t testing.TB, s *Scheduler, g *Garbler, e *Eva
 			continue
 		}
 		q, oq := s.LabelSlot(w), o.s.LabelSlot(w)
+		if live != nil && !live[q] {
+			continue
+		}
 		if g.X0(q) != o.g.X0(oq) {
 			t.Fatalf("after cycle %d: flip-flop %d: garbler X0 differs from the dense commit's", o.s.cycle, i)
 		}
@@ -427,7 +434,8 @@ func checkDirtyLists(t testing.TB, s *Scheduler, final bool) {
 // feeding the two kernels and their CopyDFFs, live and recording when
 // opts.Trace is nil, replaying otherwise — in lockstep with a denseOracle,
 // and compares flip-flop labels (and, live, scheduler state and the dirty
-// lists) after every cycle. A replayed run has no scheduler to name its
+// lists) after every cycle; a replay compares only the flip-flops that are
+// live after the commit (liveAfterCommits). A replayed run has no scheduler to name its
 // slots, so a live schedule of the same run steps beside it as a mirror:
 // the trace's slots are the ones its compiler assigned. It returns what
 // RunLocal would.
@@ -452,6 +460,10 @@ func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts
 		t.Fatal(err)
 	}
 	o := newDenseOracle(t, c, opts.Seed, in, rand.New(rand.NewSource(labelSeed)))
+	var liveQ [][]bool // per cycle of a replay: the slots live after its commit
+	if opts.Trace != nil {
+		liveQ = liveAfterCommits(t, opts.Trace)
+	}
 	res := &RunResult{}
 	var tables []gc.Table
 	for {
@@ -491,7 +503,11 @@ func RunAgainstDenseOracle(t testing.TB, c *circuit.Circuit, in sim.Inputs, opts
 		g.CopyDFFs()
 		e.CopyDFFs()
 		o.copyDFFs()
-		o.checkLabels(t, live.s, g, e)
+		var liveSlots []bool
+		if liveQ != nil {
+			liveSlots = liveQ[sc.Cycle()-1]
+		}
+		o.checkLabels(t, live.s, g, e, liveSlots)
 	}
 	res.Stats, res.Halted = sc.Stats(), sc.Halted()
 	return res
@@ -527,6 +543,9 @@ func TestDenseCommitOracle(t *testing.T) {
 		replay := RunAgainstDenseOracle(t, c, in, RunOpts{Cycles: cycles, Trace: tr})
 		if !slices.Equal(live.Outputs, want) || !slices.Equal(replay.Outputs, want) {
 			t.Fatalf("trial %d: outputs live %v replay %v, plaintext %v", trial, live.Outputs, replay.Outputs, want)
+		}
+		if replay.Stats != pruned(live.Stats, tr) {
+			t.Fatalf("trial %d: replay stats %+v, live %+v", trial, replay.Stats, live.Stats)
 		}
 		for cyc := 1; cyc <= cycles; cyc++ {
 			ct := tr.Cycle(cyc)

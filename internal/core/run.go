@@ -155,7 +155,7 @@ func decodeOutputs(sc *Schedule, g *Garbler, e *Evaluator) ([]bool, error) {
 	return out, nil
 }
 
-// CountOpts configures a schedule-only run.
+// CountOpts configures Count and Compile.
 type CountOpts struct {
 	Cycles     int
 	StopOutput string
@@ -165,29 +165,21 @@ type CountOpts struct {
 	Sink func(cycle int, cs CycleStats)
 }
 
-// Count runs only the Scheduler — no cryptography, and no cycle is ever
-// compiled for an executor — and returns the gate statistics and whether
-// StopOutput halted the run within the budget. This is how the benchmark
-// harness measures garbled non-XOR counts for large circuits and long
-// runs (the counts are exactly those of a full protocol run, since
-// scheduling is independent of label values). Cancelling ctx aborts the
-// cycle loop with ctx.Err().
+// Count returns the gate statistics of c's run under public input pub and
+// whether StopOutput halted it within the budget, with no cryptography:
+// it compiles the run (Compile, unbounded) for the cross-cycle pass and
+// keeps only the trace's totals. This is how the benchmark harness
+// measures garbled-table counts for large circuits and long runs (the
+// counts are exactly those of a full protocol run over the compiled
+// trace, since scheduling is independent of label values); Stats.Tables
+// is what the wire carries. Cancelling ctx aborts the cycle loop with
+// ctx.Err().
 func Count(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts) (Stats, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sc, err := newSchedule(c, pub, RunOpts{Cycles: opts.Cycles, StopOutput: opts.StopOutput,
-		Seed: opts.Seed, Sink: opts.Sink}, false)
+	t, err := Compile(ctx, c, pub, opts, nil)
 	if err != nil {
 		return Stats{}, false, err
 	}
-	for !sc.Done() {
-		if err := ctx.Err(); err != nil {
-			return sc.Stats(), false, err
-		}
-		sc.Next()
-	}
-	return sc.Stats(), sc.Halted(), nil
+	return t.TotalStats(), t.Halted(), nil
 }
 
 // ErrTraceBudget is what Compile returns when its RecordBudget refuses a
@@ -197,19 +189,30 @@ var ErrTraceBudget = errors.New("core: compiled trace outgrew its budget")
 
 // Compile runs the Scheduler and a TraceRecorder over the whole run of c
 // under public input pub, with no executor and no label — the schedule
-// is a pure function of public data — and returns the compiled Trace that
-// RunOpts.Trace and proto.Config.Trace replay. Of opts it reads Cycles,
+// is a pure function of public data — then the cross-cycle liveness pass
+// (prune.go) over the finished recording, and returns the compiled Trace
+// that RunOpts.Trace and proto.Config.Trace replay. Of opts it reads Cycles,
 // StopOutput and Seed; a Sink sees every cycle as it is compiled. The
 // recorder draws every byte it keeps from budget (nil: unbounded) and
 // Compile stops with ErrTraceBudget at the first refusal, having held at
 // most what the budget granted plus the refused cycle. Cancelling ctx
 // aborts between cycles with ctx.Err().
 func Compile(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts, budget RecordBudget) (*Trace, error) {
+	t, err := record(ctx, c, pub, opts, budget)
+	if err != nil {
+		return nil, err
+	}
+	t.prune()
+	return t, nil
+}
+
+// record is Compile without the liveness pass: the finished recording.
+func record(ctx context.Context, c *circuit.Circuit, pub []bool, opts CountOpts, budget RecordBudget) (*Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sc, err := newSchedule(c, pub, RunOpts{Cycles: opts.Cycles, StopOutput: opts.StopOutput,
-		Seed: opts.Seed, Sink: opts.Sink}, true)
+	sc, err := NewSchedule(c, pub, RunOpts{Cycles: opts.Cycles, StopOutput: opts.StopOutput,
+		Seed: opts.Seed, Sink: opts.Sink})
 	if err != nil {
 		return nil, err
 	}

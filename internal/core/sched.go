@@ -36,7 +36,7 @@ const (
 
 // CycleStats counts scheduling outcomes for one cycle (or, summed, a run).
 type CycleStats struct {
-	Garbled     int // tables actually sent (category iv survivors)
+	Garbled     int // category iv survivors: garbled this cycle (see Stats.Dropped)
 	Filtered    int // garbled tables removed by fanout reduction (Alg.4 l.18)
 	FreeXOR     int // category-iv XOR/XNOR (no communication)
 	PublicGates int // outputs computed locally (cat. i, ii/iii public cases)
@@ -54,11 +54,20 @@ func (s *CycleStats) Add(o CycleStats) {
 	s.DeadSkipped += o.DeadSkipped
 }
 
-// Stats accumulates scheduling outcomes over a whole run.
+// Stats accumulates scheduling outcomes over a whole run. Total is the
+// per-cycle SkipGate outcome, exactly what Scheduler.Classify sums; Dropped
+// is the garbled tables of Total.Garbled that Compile's cross-cycle
+// liveness pass removed because nothing reads their labels before they
+// die (zero on a run that classifies live).
 type Stats struct {
-	Cycles int
-	Total  CycleStats
+	Cycles  int
+	Total   CycleStats
+	Dropped int
 }
+
+// Tables returns the garbled tables the run puts on the wire: the
+// per-cycle survivors less those the cross-cycle pass dropped.
+func (s Stats) Tables() int { return s.Total.Garbled - s.Dropped }
 
 // Scheduler is the shared deterministic decision engine: given the circuit,
 // the public input p and the session seed, it computes — identically on

@@ -30,10 +30,6 @@ type Schedule struct {
 // run's public shape — Cycles, StopOutput, Seed, Sink, Trace; Rand and
 // RecordEveryCycle are the executors' business.
 func NewSchedule(c *circuit.Circuit, pub []bool, o RunOpts) (*Schedule, error) {
-	return newSchedule(c, pub, o, true)
-}
-
-func newSchedule(c *circuit.Circuit, pub []bool, o RunOpts, emit bool) (*Schedule, error) {
 	if o.Cycles <= 0 {
 		return nil, fmt.Errorf("core: RunOpts.Cycles = %d", o.Cycles)
 	}
@@ -61,7 +57,7 @@ func newSchedule(c *circuit.Circuit, pub []bool, o RunOpts, emit bool) (*Schedul
 		sc.stop = c.ResolveOutput(stop.Wires[0])
 	}
 	sc.s = NewScheduler(c, o.Seed, pub)
-	sc.s.emit = emit
+	sc.s.emit = true
 	return sc, nil
 }
 
@@ -93,6 +89,7 @@ func (sc *Schedule) Next() *CycleTrace {
 	sc.halted = ct.Halted
 	sc.stats.Cycles++
 	sc.stats.Total.Add(ct.Stats)
+	sc.stats.Dropped += ct.Dropped
 	if sc.sink != nil {
 		sc.sink(sc.cyc, ct.Stats)
 	}

@@ -106,9 +106,10 @@ type traceSeg struct {
 // slot (Scheduler.LabelSlot), which holds a label of this cycle or a
 // flip-flop output stable until CopyDFFs.
 type CycleTrace struct {
-	Stats  CycleStats // the cycle's scheduling outcome, handed to sinks
-	Halted bool       // public halt flag fired at the end of this cycle
-	width  int32      // label slots the executors hold (see above)
+	Stats   CycleStats // the cycle's scheduling outcome, handed to sinks
+	Dropped int        // of Stats.Garbled, the tables Compile's liveness pass dropped
+	Halted  bool       // public halt flag fired at the end of this cycle
+	width   int32      // label slots the executors hold (see above)
 
 	segs []traceSeg
 	open traceSeg // the segment addCopy/addGarb are filling
@@ -141,6 +142,18 @@ type CycleTrace struct {
 
 // NumTables returns how many garbled tables this cycle puts on the wire.
 func (ct *CycleTrace) NumTables() int { return len(ct.garbKind) }
+
+// TableGates appends to dst the gate index of each table the cycle puts on
+// the wire, in wire order: a table's half-gates tweak is its cycle's base
+// plus this index, so it names the table across traces of one run.
+func (ct *CycleTrace) TableGates(dst []int32) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(ct.garbGate))[:n+len(ct.garbGate)]
+	for i, t := range ct.garbSlot {
+		dst[n+int(t)] = ct.garbGate[i]
+	}
+	return dst
+}
 
 // NumCopies returns how many copy ops (inverted passthroughs and free XORs)
 // the kernels execute this cycle — at most what CycleStats counts, which
@@ -200,7 +213,7 @@ func (ct *CycleTrace) validate(numGates int, seen []bool) error {
 
 // reset empties the trace for the next cycle, keeping the arrays' capacity.
 func (ct *CycleTrace) reset() {
-	ct.Stats, ct.Halted, ct.open = CycleStats{}, false, traceSeg{}
+	ct.Stats, ct.Dropped, ct.Halted, ct.open = CycleStats{}, 0, false, traceSeg{}
 	ct.segs = ct.segs[:0]
 	ct.copyAct, ct.copyOut, ct.copyA, ct.copyB = ct.copyAct[:0], ct.copyOut[:0], ct.copyA[:0], ct.copyB[:0]
 	ct.garbKind, ct.garbGate = ct.garbKind[:0], ct.garbGate[:0]
@@ -285,8 +298,9 @@ func (ct *CycleTrace) memoryBytes() int {
 
 // Trace is a compiled classification schedule (Compile) for one (circuit,
 // public input, cycle budget, halt flag) tuple, ready for replay by any
-// number of sessions. A Trace is immutable after TraceRecorder.Finish and safe
-// for concurrent replay.
+// number of sessions. A Trace is immutable once Compile returns it (a bare
+// recording, once TraceRecorder.Finish does) and safe for concurrent
+// replay.
 type Trace struct {
 	// One allocation per cycle, so the list's spare capacity is pointers,
 	// not cycle structs: a short trace's heap stays near its MemoryBytes.
@@ -317,8 +331,9 @@ func (t *Trace) NumCycles() int { return len(t.cycles) }
 // Cycle returns the compiled schedule of 1-based cycle cyc.
 func (t *Trace) Cycle(cyc int) *CycleTrace { return t.cycles[cyc-1] }
 
-// TotalStats returns the recorded run's accumulated scheduling statistics
-// — exactly those a fresh Classify run would produce.
+// TotalStats returns the recorded run's accumulated scheduling statistics:
+// Total is exactly what a fresh Classify run would produce, and Dropped
+// what Compile's liveness pass removed from it.
 func (t *Trace) TotalStats() Stats { return t.stats }
 
 // Halted reports whether the recorded run stopped at the public halt flag.

@@ -76,9 +76,10 @@ func TestTraceReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunLocalTraceRecordReplay records a trace through RunLocal and
-// replays it under different label randomness and a different fingerprint
-// seed: outputs, statistics and memory accounting must line up — the
+// TestRunLocalTraceRecordReplay compiles a trace beside a live RunLocal
+// and replays it under different label randomness and a different
+// fingerprint seed: outputs, statistics (the live run's, plus the tables
+// the liveness pass dropped) and memory accounting must line up — the
 // cross-session reuse the Engine's trace cache is built on.
 func TestRunLocalTraceRecordReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -102,7 +103,7 @@ func TestRunLocalTraceRecordReplay(t *testing.T) {
 		if tr.MemoryBytes() <= 0 {
 			t.Fatalf("trial %d: trace reports %d bytes", trial, tr.MemoryBytes())
 		}
-		if got := tr.TotalStats(); got != recorded.Stats {
+		if got := tr.TotalStats(); got != pruned(recorded.Stats, tr) {
 			t.Fatalf("trial %d: trace stats %+v, run stats %+v", trial, got, recorded.Stats)
 		}
 		replayed, err := RunLocal(ctx, c, in, RunOpts{
@@ -111,7 +112,7 @@ func TestRunLocalTraceRecordReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: replay run: %v", trial, err)
 		}
-		if replayed.Stats != recorded.Stats {
+		if replayed.Stats != pruned(recorded.Stats, tr) {
 			t.Fatalf("trial %d: replay stats %+v, recorded %+v", trial, replayed.Stats, recorded.Stats)
 		}
 		if len(replayed.Outputs) != len(recorded.Outputs) {
@@ -235,8 +236,76 @@ func TestTraceRecordBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats != full.Stats || !slices.Equal(res.Outputs, full.Outputs) {
+		if res.Stats != pruned(full.Stats, tr) || !slices.Equal(res.Outputs, full.Outputs) {
 			t.Fatalf("budget %d: replay diverged from the live run", tc.limit)
 		}
 	}
+}
+
+// pruned returns a live run's statistics as a replay of tr reports them:
+// the same per-cycle outcome, plus the tables tr's liveness pass dropped.
+func pruned(live Stats, tr *Trace) Stats {
+	live.Dropped = tr.TotalStats().Dropped
+	return live
+}
+
+// liveAfterCommits reruns the liveness pass over an already pruned tr and
+// returns, per cycle, the slots live once its flip-flop commit has run:
+// the labels a later op, commit or output reads. The rerun must drop
+// nothing — the pass is idempotent — and leaves tr as it was.
+func liveAfterCommits(t testing.TB, tr *Trace) [][]bool {
+	t.Helper()
+	out := make([][]bool, tr.NumCycles())
+	tr.walk(func(c int, ct *CycleTrace, p *pruner) {
+		if p.dropC != 0 || p.dropG != 0 {
+			t.Fatalf("cycle %d: a second liveness pass drops %d copies and %d tables", c+1, p.dropC, p.dropG)
+		}
+		if c > 0 {
+			out[c-1] = slices.Clone(p.live)
+		}
+	})
+	return out
+}
+
+// CompileUnpruned is Compile without the liveness pass: the trace as the
+// recorder finished it, every per-cycle survivor still garbled.
+func CompileUnpruned(tb testing.TB, c *circuit.Circuit, pub []bool, opts CountOpts) *Trace {
+	tb.Helper()
+	tr, err := record(context.Background(), c, pub, opts, nil)
+	if err != nil {
+		tb.Fatalf("compile: %v", err)
+	}
+	return tr
+}
+
+// Pruned returns a copy of an unpruned tr (CompileUnpruned) after the
+// liveness pass, as Compile would have returned it; tr is left as it was.
+func Pruned(tr *Trace) *Trace {
+	cp := *tr
+	cp.cycles = make([]*CycleTrace, len(tr.cycles))
+	for i, ct := range tr.cycles {
+		cp.cycles[i] = ct.clone()
+	}
+	cp.prune()
+	return &cp
+}
+
+// WithoutTable returns a copy of tr whose cycle cyc lacks the garbled op
+// of its k-th table, compacted and counted as the liveness pass compacts
+// and counts a dropped op; tr is left as it was.
+func WithoutTable(tr *Trace, cyc, k int) *Trace {
+	cp := *tr
+	cp.cycles = slices.Clone(tr.cycles)
+	ct := tr.cycles[cyc-1].clone()
+	p := &pruner{keepC: make([]bool, len(ct.copyAct)), keepG: make([]bool, len(ct.garbKind))}
+	for i := range p.keepC {
+		p.keepC[i] = true
+	}
+	for i, t := range ct.garbSlot {
+		p.keepG[i] = int(t) != k
+	}
+	p.compact(ct)
+	ct.Dropped++
+	cp.cycles[cyc-1] = ct
+	return &cp
 }

@@ -1,11 +1,13 @@
 package cpu
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"arm2gc/internal/circuit"
+	"arm2gc/internal/core"
 	"arm2gc/internal/emu"
 	"arm2gc/internal/isa"
 	"arm2gc/internal/sim"
@@ -20,8 +22,9 @@ var fuzzCPU = sync.OnceValues(func() (*CPU, error) {
 
 // checkCircuitVsEmulator runs one program on the reference emulator and on
 // the processor circuit (plaintext simulation) and fails the test on any
-// output-region mismatch.
-func checkCircuitVsEmulator(t *testing.T, c *CPU, prog *isa.Program, alice, bob []uint32) {
+// output-region mismatch. It returns the run's inputs and the emulator's
+// cycle count and output region for further checks.
+func checkCircuitVsEmulator(t *testing.T, c *CPU, prog *isa.Program, alice, bob []uint32) (sim.Inputs, int, []uint32) {
 	t.Helper()
 	m, err := emu.New(prog, alice, bob)
 	if err != nil {
@@ -58,6 +61,32 @@ func checkCircuitVsEmulator(t *testing.T, c *CPU, prog *isa.Program, alice, bob 
 		if got[i] != want[i] {
 			t.Fatalf("out[%d] = %#x, emulator %#x\nprogram:\n%s",
 				i, got[i], want[i], prog.Disassemble())
+		}
+	}
+	return sim.Inputs{Public: pub, Alice: ab, Bob: bb}, cycles, want
+}
+
+// checkReplayVsEmulator compiles the program's trace — so the cross-cycle
+// liveness pass runs over it — and replays it through the garbling and
+// evaluation kernels (core.RunLocal), failing the test unless the decoded
+// output region is the emulator's.
+func checkReplayVsEmulator(t *testing.T, c *CPU, prog *isa.Program, in sim.Inputs, cycles int, want []uint32) {
+	t.Helper()
+	opts := core.CountOpts{Cycles: cycles, StopOutput: "halted"}
+	tr, err := core.Compile(context.Background(), c.Circuit, in.Public, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunLocal(context.Background(), c.Circuit, in,
+		core.RunOpts{Cycles: cycles, StopOutput: "halted", Trace: tr})
+	if err != nil {
+		t.Fatalf("garbled replay: %v\nprogram:\n%s", err, prog.Disassemble())
+	}
+	got := OutWords(res.Outputs[:c.Layout.OutWords*32])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("garbled replay (%d of %d tables dropped across cycles): out[%d] = %#x, emulator %#x\nprogram:\n%s",
+				res.Stats.Dropped, res.Stats.Total.Garbled, i, got[i], want[i], prog.Disassemble())
 		}
 	}
 }
@@ -97,7 +126,9 @@ func TestRandomInstructionFuzz(t *testing.T) {
 // meaningfully explores the data-dependent paths: flags, predication,
 // register-specified shift amounts, carry chains. The emulator and the
 // processor circuit must agree on the stored register file and flag
-// observations.
+// observations, in plaintext simulation and in a garbled replay of the
+// program's compiled trace: the programs store NZCV to the output region,
+// so the liveness pass meets flag trees that are read and ones that die.
 func FuzzInstructionStream(f *testing.F) {
 	f.Add(int64(4242), []byte{1, 0, 0, 0, 2})
 	f.Add(int64(-1), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80})
@@ -127,7 +158,8 @@ func FuzzInstructionStream(f *testing.F) {
 			alice[i] = word(i)
 			bob[i] = word(8 + i)
 		}
-		checkCircuitVsEmulator(t, c, prog, alice, bob)
+		in, cycles, want := checkCircuitVsEmulator(t, c, prog, alice, bob)
+		checkReplayVsEmulator(t, c, prog, in, cycles, want)
 	})
 }
 

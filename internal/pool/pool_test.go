@@ -246,7 +246,13 @@ func TestPoolByteEviction(t *testing.T) {
 // its ready entries, on the first Fill or on any later one.
 func TestPoolOversizedEntryKeepsColderEntries(t *testing.T) {
 	cfgSmall, aliceSmall := adderConfig(t, 0)
-	cfgBig, aliceBig := adderConfig(t, 40) // 41 cycles of tables
+	// A 128-bit adder: 127 tables and 128 of Alice's labels in one cycle.
+	// (More cycles of the 8-bit adder would not do: it has no state, so
+	// only its last cycle's tables reach an output and the others are
+	// dropped at compile time.)
+	b := build.New("adder128")
+	b.Output("sum", b.Add(b.Input(circuit.Alice, "a", 128), b.Input(circuit.Bob, "x", 128)))
+	cfgBig, aliceBig := proto.Config{Circuit: b.MustCompile(), Cycles: 1}, make([]bool, 128)
 	small := oneEntrySize(t, cfgSmall, aliceSmall)
 	budget := 3 * small
 	if big := oneEntrySize(t, cfgBig, aliceBig); big <= budget {

@@ -25,9 +25,10 @@ const (
 
 // Proposal flag bits. The flags byte doubles as the proposal's version
 // vector: every optional field is announced by its own bit, a proposal
-// carries no byte beyond the fields its bits announce, and a bit a reader
-// does not know turns into *VersionError — a parseable verdict the server
-// can turn into a rejection instead of a dead connection.
+// carries no byte beyond the fields its bits announce, and a version bit
+// a proposal lacks, or a retired one it sets, turns into *VersionError — a
+// parseable verdict the server can turn into a rejection instead of a
+// dead connection. All eight bits are assigned.
 const (
 	flagHasOutputs byte = 1 << 0
 	flagHasAuth    byte = 1 << 1
@@ -67,7 +68,14 @@ const (
 	// with a reason.
 	flagOpeningFlight byte = 1 << 6
 
-	knownProposalFlags = flagHasOutputs | flagHasAuth | flagFramed | flagOTEpoch | flagOTSetup | flagOpeningFlight
+	// flagCrossCycle is the protocol version after flagOpeningFlight: the
+	// table stream is that of a trace the cross-cycle liveness pass pruned
+	// (core.Compile), without the tables whose labels die before anything
+	// reads them. A replaying peer from before the pass would expect them,
+	// so every writer sets the bit and ReadProposal requires it, refusing
+	// a proposal without it with a reason before any cryptography. It is
+	// the flags byte's last free bit: a later version needs a new field.
+	flagCrossCycle byte = 1 << 7
 )
 
 // Negotiation bounds; proposals outside them are refused before any
@@ -142,23 +150,18 @@ type Proposal struct {
 	Setup bool
 }
 
-// VersionError reports a proposal that asks for something this side does
-// not implement: a feature bit it does not know (Flags), or a layout or
-// option only older builds honoured (Reason). The frame is
-// length-delimited, so the stream stays aligned: a server receiving one
-// rejects the proposal and keeps the connection for further (supported)
-// sessions.
+// VersionError reports a proposal in a version this side does not speak:
+// an older protocol version, or a layout or option only older builds
+// honoured; Reason says which. The frame is length-delimited, so the
+// stream stays aligned: a server receiving one rejects the proposal and
+// keeps the connection for further (supported) sessions.
 type VersionError struct {
 	Program string
-	Flags   byte
 	Reason  string
 }
 
 func (e *VersionError) Error() string {
-	if e.Reason != "" {
-		return fmt.Sprintf("proto: proposal %q: %s", e.Program, e.Reason)
-	}
-	return fmt.Sprintf("proto: proposal %q carries unsupported feature flags %#02x", e.Program, e.Flags)
+	return fmt.Sprintf("proto: proposal %q: %s", e.Program, e.Reason)
 }
 
 // Grant is the server's acceptance: the fully resolved session options
@@ -214,7 +217,7 @@ func WriteProposal(w io.Writer, p Proposal) error {
 	payload := make([]byte, 0, 2+len(p.Program)+proposalFixed+2+len(p.Auth))
 	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(p.Program)))
 	payload = append(payload, p.Program...)
-	flags := flagFramed | flagOTEpoch | flagOpeningFlight
+	flags := flagFramed | flagOTEpoch | flagOpeningFlight | flagCrossCycle
 	if p.HasOutputs {
 		flags |= flagHasOutputs
 	}
@@ -244,8 +247,8 @@ func ReadProposalFrame(r io.Reader) ([]byte, error) {
 
 // ProgramOfProposal extracts the proposed program name from a proposal
 // payload without validating the rest — the routing key a gateway shards
-// on. Unknown flag bits do not matter here; the name field precedes the
-// flags byte and its encoding is fixed.
+// on. The flags do not matter here; the name field precedes the flags
+// byte and its encoding is fixed.
 func ProgramOfProposal(payload []byte) (string, error) {
 	if len(payload) < 2 {
 		return "", fmt.Errorf("proto: short proposal payload")
@@ -258,12 +261,11 @@ func ProgramOfProposal(payload []byte) (string, error) {
 }
 
 // ReadProposal reads the next session proposal (server side). io.EOF
-// means the client finished with the connection cleanly. A proposal
-// announcing feature flags this build does not know comes back as
-// *VersionError with the program name filled in, and so does one in an
-// older protocol version — without flagOpeningFlight, flagOTEpoch or
-// flagFramed — the frame has been fully consumed, so the caller may reject
-// it and keep reading.
+// means the client finished with the connection cleanly. A proposal in an
+// older protocol version — without flagCrossCycle, flagOpeningFlight,
+// flagOTEpoch or flagFramed, or with the retired memory-backend bit —
+// comes back as *VersionError with the program name filled in; the frame
+// has been fully consumed, so the caller may reject it and keep reading.
 func ReadProposal(r io.Reader) (Proposal, error) {
 	b, err := ReadProposalFrame(r)
 	if err != nil {
@@ -285,15 +287,16 @@ func ReadProposal(r io.Reader) (Proposal, error) {
 		return p, &VersionError{Program: p.Program, Reason: "a memory backend was proposed, but backend " +
 			"pinning has been removed (every session picks its backend from the layout); propose without it"}
 	}
-	if unknown := flags &^ knownProposalFlags; unknown != 0 {
-		return p, &VersionError{Program: p.Program, Flags: unknown}
-	}
 	if flags&flagOTEpoch == 0 || flags&flagFramed == 0 {
 		return p, olderProposal(p.Program, flags, b)
 	}
 	if flags&flagOpeningFlight == 0 {
 		return p, &VersionError{Program: p.Program, Reason: "the proposal speaks an older protocol version " +
 			"(the garbler's labels after the hello echo); upgrade the client"}
+	}
+	if flags&flagCrossCycle == 0 {
+		return p, &VersionError{Program: p.Program, Reason: "the proposal speaks an older protocol version " +
+			"(tables of labels that die before any read, before cross-cycle SkipGate); upgrade the client"}
 	}
 	if len(b) < proposalFixed {
 		return p, fmt.Errorf("proto: malformed proposal")

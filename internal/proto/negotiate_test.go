@@ -52,13 +52,13 @@ func TestProposalRoundTrip(t *testing.T) {
 }
 
 // TestProposalWireCompat pins the token-less encoding: a proposal without
-// a token carries no trailing auth field, its flags byte holds the three
-// version bits (framed protocol, OT epoch, opening flight) beside the
-// output-mode bit, and the OT epoch follows the cycle budget. The same
-// proposal as older builds sent it — in this layout without the
-// opening-flight bit, or in the layout with a uint32 slot where the epoch
-// is, with or without the framed bit — is refused as *VersionError, with
-// the frame consumed.
+// a token carries no trailing auth field, its flags byte holds the four
+// version bits (framed protocol, OT epoch, opening flight, cross-cycle
+// SkipGate) beside the output-mode bit, and the OT epoch follows the cycle
+// budget. The same proposal as older builds sent it — in this layout
+// without the cross-cycle or the opening-flight bit, or in the layout
+// with a uint32 slot where the epoch is, with or without the framed bit —
+// is refused as *VersionError, with the frame consumed.
 func TestProposalWireCompat(t *testing.T) {
 	p := Proposal{Program: "add", HasOutputs: true, Outputs: OutputEvaluatorOnly,
 		CycleBatch: 8, MaxCycles: 10_000, Epoch: ot.Epoch{0xe0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xef}}
@@ -69,7 +69,7 @@ func TestProposalWireCompat(t *testing.T) {
 	pinned := []byte{
 		msgPropose, 35, 0, 0, 0, // frame header: type + length
 		3, 0, 'a', 'd', 'd', // name
-		0x59, byte(OutputEvaluatorOnly), // flags (opening flight, OT epoch, framed, outputs), mode
+		0xd9, byte(OutputEvaluatorOnly), // flags (cross-cycle, opening flight, OT epoch, framed, outputs), mode
 		8, 0, 0, 0, // cycle batch
 		0x10, 0x27, 0, 0, 0, 0, 0, 0, // max cycles
 		0xe0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xef, // OT epoch
@@ -104,6 +104,7 @@ func TestProposalWireCompat(t *testing.T) {
 		flags byte
 		want  string
 	}{
+		{0x59, "before cross-cycle SkipGate"},       // the opening flight, before the liveness pass
 		{0x19, "labels after the hello echo"},       // the OT epoch, before the opening flight
 		{0x09, "no OT epoch"},                       // framed, before the OT epoch
 		{0x01, "OT messages without frame headers"}, // before the frame format
@@ -122,16 +123,17 @@ func TestProposalWireCompat(t *testing.T) {
 	}
 }
 
-// TestProposalVersionMismatch: a proposal announcing a feature bit this
-// build does not implement must come back as *VersionError with the frame
-// consumed, so the server can reject it and keep the connection.
+// TestProposalVersionMismatch: a proposal in the protocol version before
+// the one this build speaks — here without the cross-cycle bit, the flags
+// byte's last — must come back as *VersionError with the frame consumed,
+// so the server can reject it and keep the connection.
 func TestProposalVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProposal(&buf, Proposal{Program: "future"}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	raw[5+2+len("future")] |= 0x80 // an unassigned flag bit
+	raw[5+2+len("future")] &^= flagCrossCycle
 	// A second, supported proposal behind it must still be readable.
 	if err := WriteProposal(&buf, Proposal{Program: "now"}); err != nil {
 		t.Fatal(err)
@@ -142,7 +144,7 @@ func TestProposalVersionMismatch(t *testing.T) {
 	if !errors.As(err, &ve) {
 		t.Fatalf("got %v, want *VersionError", err)
 	}
-	if ve.Program != "future" || ve.Flags != 0x80 {
+	if ve.Program != "future" || !strings.Contains(ve.Reason, "cross-cycle") {
 		t.Errorf("version error carried %+v", ve)
 	}
 	next, err := ReadProposal(r)
@@ -446,8 +448,8 @@ func TestRejectMalformedExtensions(t *testing.T) {
 }
 
 // TestProposalFramePeek covers the gateway's routing read: ProgramOfProposal
-// recovers the routing key from a proposal payload, including one carrying
-// future flag bits.
+// recovers the routing key from a proposal payload, whatever its flags
+// byte holds.
 func TestProposalFramePeek(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProposal(&buf, Proposal{Program: "hamming", Auth: "tok"}); err != nil {
@@ -461,10 +463,10 @@ func TestProposalFramePeek(t *testing.T) {
 	if err != nil || name != "hamming" {
 		t.Fatalf("peeked %q, %v", name, err)
 	}
-	// Future flag bits must not break the peek: the name precedes them.
-	payload[2+len("hamming")] |= 0x80
+	// No flags byte can break the peek: the name precedes it.
+	payload[2+len("hamming")] = 0xff
 	if name, err = ProgramOfProposal(payload); err != nil || name != "hamming" {
-		t.Fatalf("peek with future flags: %q, %v", name, err)
+		t.Fatalf("peek with every flag bit set: %q, %v", name, err)
 	}
 	if _, err := ProgramOfProposal([]byte{7, 0, 'x'}); err == nil {
 		t.Error("truncated proposal payload accepted")

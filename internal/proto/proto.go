@@ -94,6 +94,13 @@ type Config struct {
 	// the two parties' states in step.
 	OT *OTState
 
+	// ID, when not zero, is SessionID's digest of this Config, computed
+	// once by a caller that runs many sessions of one program and options
+	// (a Server's registration, a Client's registered program); the roles
+	// then hand it to the peer without digesting the Config again. A
+	// wrong ID fails the handshake as a session mismatch.
+	ID [32]byte
+
 	// ReadAhead is ignored: the evaluator reads its frames synchronously.
 	//
 	// Deprecated: read-ahead is gone; drop the field.
@@ -111,6 +118,14 @@ func (c Config) batch() int {
 		return 1
 	}
 	return c.CycleBatch
+}
+
+// sessionID is ID, or SessionID when ID is zero.
+func (c Config) sessionID() ([32]byte, error) {
+	if c.ID != ([32]byte{}) {
+		return c.ID, nil
+	}
+	return c.SessionID()
 }
 
 // SessionID digests everything public both parties must agree on: circuit
@@ -413,7 +428,7 @@ func RunEvaluator(ctx context.Context, conn io.ReadWriter, cfg Config, bobInput 
 // turns from writing to reading once here, for the OT's label
 // ciphertexts, which the table stream follows.
 func runEvaluator(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config, bobInput []bool) (*Result, error) {
-	sid, err := cfg.SessionID()
+	sid, err := cfg.sessionID()
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +581,7 @@ func (c Config) streamBufBytes() int {
 			decodeBits += len(o.Wires)
 		}
 	}
-	n := c.Trace.TotalStats().Total.Garbled*gc.TableBytes + (frames+1)*wire.HeaderLen + bitBytes(decodeBits)
+	n := c.Trace.TotalStats().Tables()*gc.TableBytes + (frames+1)*wire.HeaderLen + bitBytes(decodeBits)
 	return min(n, streamBufCap)
 }
 

@@ -85,7 +85,7 @@ func (r *Recorded) computeSize() {
 // Recorded holds the session head (hello, Alice's labels, Bob's OT pairs);
 // its table frames and decode metadata are filled in as the run proceeds.
 func setupGarbler(ctx context.Context, clk *clock, cfg Config, aliceInput []bool, rnd io.Reader) (*Recorded, *core.Schedule, *core.Garbler, error) {
-	sid, err := cfg.SessionID()
+	sid, err := cfg.sessionID()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -247,7 +247,7 @@ func ServeRecorded(ctx context.Context, conn io.ReadWriter, cfg Config, rec *Rec
 }
 
 func serveRecorded(ctx context.Context, conn io.ReadWriter, clk *clock, cfg Config, rec *Recorded) (*Result, error) {
-	sid, err := cfg.SessionID()
+	sid, err := cfg.sessionID()
 	if err != nil {
 		return nil, err
 	}

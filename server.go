@@ -94,6 +94,7 @@ func (p Peer) CommonName() string {
 // server resolves client proposals against.
 type registration struct {
 	prog     *Program
+	ps       *programState // the machine, public bits and session ids, once
 	defaults []Option
 	cfg      sessionConfig
 	poolKey  pool.Key // the default-options session id the pool fills
@@ -214,11 +215,16 @@ func (s *Server) Register(name string, p *Program, defaults ...Option) error {
 	// negotiating the defaults hit. Like every session it shares the
 	// Engine's trace cache, so the first pass over the program, offline or
 	// live, pays the trace's compile and every later one replays it.
-	sess, err := s.eng.Session(p, defaults...)
+	cfg, err := newSessionConfig(defaults)
 	if err != nil {
 		return err
 	}
-	reg := &registration{prog: p, defaults: defaults, cfg: sess.cfg}
+	ps, err := s.eng.programState(p)
+	if err != nil {
+		return err
+	}
+	sess := s.eng.session(ps, cfg)
+	reg := &registration{prog: p, ps: ps, defaults: defaults, cfg: cfg}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.regs[name]; dup {
@@ -575,10 +581,11 @@ func (s *Server) serveOne(ctx context.Context, conn net.Conn, prop proto.Proposa
 		}
 		return s.serveSetup(ctx, conn, grant, st)
 	}
-	sess, err := s.eng.Session(reg.prog, opts...)
+	cfg, err := newSessionConfig(opts)
 	if err != nil {
 		return err
 	}
+	sess := s.eng.session(reg.ps, cfg)
 	if grant.SessionID, err = sess.sessionID(); err != nil {
 		return err
 	}

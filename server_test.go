@@ -295,8 +295,9 @@ func TestServerRejectsRemovedWorkers(t *testing.T) {
 
 // TestServerRejectsOlderProtocol: a proposal from a client on an older
 // protocol — before the one frame format, its flags byte without the
-// framed bit, or before the opening flight, its flags byte 0x19 without
-// the opening-flight bit — gets a rejection that says why, before any
+// framed bit, before the opening flight, its flags byte 0x19 without the
+// opening-flight bit, or before cross-cycle SkipGate, 0x59 without the
+// cross-cycle bit — gets a rejection that says why, before any
 // cryptography, and the next session on the same connection runs.
 func TestServerRejectsOlderProtocol(t *testing.T) {
 	prog := compileAdd(t)
@@ -334,6 +335,16 @@ func TestServerRejectsOlderProtocol(t *testing.T) {
 			0, 0, 0, 0, 0, 0, 0, 0,
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		},
+		// Before cross-cycle SkipGate: the same layout, flags (opening
+		// flight, OT epoch, framed, outputs).
+		{
+			0x10, 35, 0, 0, 0,
+			3, 0, 'a', 'd', 'd',
+			0x59, 0,
+			0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		},
 	}
 	for _, frame := range older {
 		if _, err := raw.Write(frame); err != nil {
@@ -359,8 +370,8 @@ func TestServerRejectsOlderProtocol(t *testing.T) {
 	if info.Outputs[0] != 3 {
 		t.Fatalf("sum = %d, want 3", info.Outputs[0])
 	}
-	if m := srv.Metrics(); m.NegotiationFailures != 2 {
-		t.Errorf("negotiation failures = %d, want 2", m.NegotiationFailures)
+	if m := srv.Metrics(); m.NegotiationFailures != 3 {
+		t.Errorf("negotiation failures = %d, want 3", m.NegotiationFailures)
 	}
 }
 

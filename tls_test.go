@@ -437,9 +437,9 @@ func TestServerMetricsExactness(t *testing.T) {
 	}
 }
 
-// TestServerVersionMismatchKeepsServing: a proposal with an unassigned
-// feature flag is rejected at the frame layer; the server counts it and
-// keeps serving other clients.
+// TestServerVersionMismatchKeepsServing: a proposal in a version the
+// server does not speak is rejected at the frame layer; the server counts
+// it and keeps serving other clients.
 func TestServerVersionMismatchKeepsServing(t *testing.T) {
 	prog := compileAdd(t)
 	eng := NewEngine()
@@ -455,8 +455,9 @@ func TestServerVersionMismatchKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	// A hand-crafted proposal frame announcing flag 0x80, which no build
-	// implements: type, length, name, flags, mode, batch, cycles, workers.
+	// A hand-crafted proposal frame with flag 0x80 and no other version
+	// bit, a mix no build writes: type, length, name, flags, mode, batch,
+	// cycles, workers.
 	frame := []byte{
 		0x10, 21, 0, 0, 0,
 		1, 0, 'p',
@@ -476,7 +477,7 @@ func TestServerVersionMismatchKeepsServing(t *testing.T) {
 	if !errors.As(err, &rej) {
 		t.Fatalf("got %v, want the version rejection", err)
 	}
-	if !strings.Contains(rej.Reason, "unsupported") {
+	if !strings.Contains(rej.Reason, "older protocol version") {
 		t.Errorf("rejection reason %q does not mention the version mismatch", rej.Reason)
 	}
 	raw.Close()
